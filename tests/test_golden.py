@@ -1,0 +1,153 @@
+"""Golden reports: the exit code and the SHA-256 of stdout for fixed
+invocations of every subcommand, run in-process through `tdcheck.cli.main`.
+
+A refactor that changes any report byte, or any exit code, fails here.  The
+digests were taken from the code before the sweep paths were single-sourced;
+regenerate them only for a deliberate change of report content.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from tdcheck.cli import main
+from tdcheck.tables import bundled_table_text
+
+# The README's d = 3 parameter array.
+README_ARRAY = {
+    "d": 3,
+    "theta": ["3", "1", "-1", "-3"],
+    "theta_star": ["3", "1", "-1", "-3"],
+    "zeta": ["1", "0", "0", "5"],
+}
+BAD_ZETA0_ARRAY = {
+    "d": 1,
+    "theta": ["1", "-1"],
+    "theta_star": ["1", "-1"],
+    "zeta": ["2", "1"],
+}
+
+# (argv, exit code, sha256 of stdout).  "{array}", "{bad_zeta0}" and
+# "{assets}" are replaced by files written under the test's tmp_path; the
+# assets copy has the d = 1 entry `ths1*r + y1*phi` flipped to `- y1*phi`.
+GOLDEN = [
+    (
+        "verify-appendix --d 3 --trials 3 --seed 1",
+        0,
+        "1c61e4848ce25cd02eae9a955c35296528f714c6ac5f67585eceedfe5f252b4d",
+    ),
+    (
+        "verify-appendix --d 2 --trials 2 --field qq --seed 2",
+        0,
+        "f8afe1b0627e3ffb1297a5ee7ff51199efa4adfe5f7a15005213cf58f5bd2197",
+    ),
+    (
+        "mu-certificate --d 4 --trials 3 --seed 3",
+        0,
+        "cd2c63e01949c9c38bdc82e9f63b136ca76e65a584b955e2d56ecd8e6b8f12fb",
+    ),
+    (
+        "shape --d 3 --trials 3 --seed 4",
+        0,
+        "b10a4b37d3c55614067c15ae310aaa87ca87b53fad027c545ce622c135f3c007",
+    ),
+    (
+        "zz rank --d 3 --trials 3 --seed 5",
+        0,
+        "8125077e785276f199e631f90e879b734200851c311ab7766d71f57be524c87c",
+    ),
+    (
+        "zz enumerate --d 3 --feasible",
+        0,
+        "3f5ae5e03bddb0df0030217d80c578aaf0f4e1bfd402d2540332fca4f07cdb4e",
+    ),
+    (
+        "zz enumerate --d 3 --exclude-r 0 --exclude-s 3",
+        0,
+        "f3a1d2ea6c22c0abdd9ff54c3ee3573d9b52f02d6dd7e5d930df6e1fd3e44a56",
+    ),
+    (
+        "convex --r 6",
+        0,
+        "3fa7e94767042b1f3c213a9c686088b82c7a8394c8e3bd97b657e4e3ac3b6f89",
+    ),
+    (
+        "tds roundtrip --d 3 --trials 2 --seed 6",
+        0,
+        "5e534b0818f1859b6780ef40e216974f7dbc12f407d67f94642b7203d79f4b38",
+    ),
+    (
+        "tds roundtrip --d 2 --trials 2 --field qq --seed 7",
+        0,
+        "72263c13151faa01fff045ae4cded1630c3710c2efdfce5c1e6920977b924392",
+    ),
+    (
+        "tds roundtrip --input {array} --field qq",
+        0,
+        "63b5b3d805249adf3fb724039e4c7da40d70a306dbfea8c2ab52b31fbecb24f3",
+    ),
+    (
+        "check-params --input {array} --field qq",
+        0,
+        "2505553291da9fb19e22e9c5577b4ece2132709434c9f5fea606ef11c776b61a",
+    ),
+    (
+        "check-params --input {bad_zeta0}",
+        1,
+        "7510fa7606ed210b743b254e9685094d042342728d74c2929eec15b042d31df2",
+    ),
+    (
+        "verify-appendix --d 1 --trials 1 --seed 1 --assets {assets}",
+        1,
+        "6efd3d55e7afc5dbeefffc1b632dcd08651d3a963bd87d2c7069318fb7f7f3f5",
+    ),
+    (
+        "tds roundtrip --d 1 --trials 1 --seed 3 --assets {assets}",
+        1,
+        "d22656ada6542a9d55fd95fab6f73857384a728b16cb24d9d913575c1819e7ba",
+    ),
+]
+
+
+@pytest.fixture
+def files(tmp_path):
+    array = tmp_path / "array.json"
+    array.write_text(json.dumps(README_ARRAY))
+    bad = tmp_path / "bad_zeta0.json"
+    bad.write_text(json.dumps(BAD_ZETA0_ARRAY))
+    assets = tmp_path / "assets"
+    assets.mkdir()
+    for d in range(6):
+        (assets / f"d{d}.txt").write_text(bundled_table_text(d))
+    (assets / "d1.txt").write_text(
+        bundled_table_text(1).replace("ths1*r + y1*phi", "ths1*r - y1*phi")
+    )
+    return {"array": array, "bad_zeta0": bad, "assets": assets}
+
+
+def run(argv: str, files, capsys):
+    code = main(argv.format(**files).split())
+    out = capsys.readouterr().out
+    return code, out, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv,want_code,want_digest", GOLDEN, ids=[g[0] for g in GOLDEN]
+)
+def test_golden_report(argv, want_code, want_digest, files, capsys):
+    code, _, digest = run(argv, files, capsys)
+    assert code == want_code
+    assert digest == want_digest
+
+
+def test_corrupted_table_fails_the_construct_step(files, capsys):
+    code, out, _ = run(
+        "tds roundtrip --d 1 --trials 1 --seed 3 --assets {assets}", files, capsys
+    )
+    assert code == 1
+    construct = next(
+        c for c in json.loads(out)["checks"] if c["id"] == "t000.tds.construct"
+    )
+    assert not construct["passed"]
+    assert "g.1" in construct["detail"]
