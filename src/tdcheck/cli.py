@@ -13,19 +13,13 @@ import json
 import sys
 from pathlib import Path
 
-from .fields import FieldError, FieldSpec
-from .params import MalformedArrayError, ParameterArray, validate_parameter_array
+from .fields import FieldError, FieldSpec, field_echo
+from .params import ParameterArray, validate_parameter_array
 from .report import VerificationReport
-from .suites import (
-    mu_suite,
-    relation_suite,
-    shape_suite,
-    tds_roundtrip_suite,
-    zz_rank_suite,
-)
-from .tables import TableError
+from .suites import run_sweep
+from .tables import TableError, load_table
+from .tdsystem import roundtrip
 from .zigzag import (
-    EnumerationBudgetError,
     enumerate_convex_spanning,
     enumerate_feasible,
     enumerate_zz,
@@ -44,7 +38,10 @@ def _field_spec(args) -> FieldSpec:
     return FieldSpec(kind=args.field, prime=prime, seed=args.seed)
 
 
-def _add_common(p: argparse.ArgumentParser, trials_default: int = 20, d_required: bool = True):
+def _add_sweep(sub, name: str, help_text: str, sweep: str = None,
+               trials_default: int = 20, d_required: bool = True) -> argparse.ArgumentParser:
+    """A subcommand running the sweep `sweep` (default: `name`)."""
+    p = sub.add_parser(name, help=help_text)
     p.add_argument("--d", type=int, required=d_required, help="diameter (0..5)")
     p.add_argument("--trials", type=int, default=trials_default)
     p.add_argument("--field", choices=("qq", "fp"), default="fp")
@@ -53,6 +50,8 @@ def _add_common(p: argparse.ArgumentParser, trials_default: int = 20, d_required
     p.add_argument("--assets", type=Path, default=None, help="override bundled tables")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--output", type=Path, default=None, help="also write the JSON here")
+    p.set_defaults(run=_run_sweep, sweep=sweep or name)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,15 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", type=Path, default=None)
+    p.set_defaults(run=_run_check_params)
 
-    p = sub.add_parser("verify-appendix", help="relation sweep on random contexts")
-    _add_common(p)
-
-    p = sub.add_parser("mu-certificate", help="weight-certificate chains only")
-    _add_common(p)
-
-    p = sub.add_parser("shape", help="idempotent rank profile on random contexts")
-    _add_common(p)
+    _add_sweep(sub, "verify-appendix", "relation sweep on random contexts")
+    _add_sweep(sub, "mu-certificate", "weight-certificate chains only")
+    _add_sweep(sub, "shape", "idempotent rank profile on random contexts")
 
     zz = sub.add_parser("zz", help="zigzag word tooling").add_subparsers(
         dest="zz_command", required=True
@@ -89,22 +84,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude-s", type=int, default=None)
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--output", type=Path, default=None)
-    p = zz.add_parser("rank", help="rank of feasible-word images of phi")
-    _add_common(p)
+    p.set_defaults(run=_run_zz_enumerate)
+    _add_sweep(zz, "rank", "rank of feasible-word images of phi", sweep="zz-rank")
 
     p = sub.add_parser("convex", help="convex spanning sequences for one r")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--output", type=Path, default=None)
+    p.set_defaults(run=_run_convex)
 
     tds = sub.add_parser("tds", help="tridiagonal-system round trips").add_subparsers(
         dest="tds_command", required=True
     )
-    p = tds.add_parser("roundtrip", help="parameter array -> module -> array")
-    _add_common(p, trials_default=10, d_required=False)
+    p = _add_sweep(tds, "roundtrip", "parameter array -> module -> array",
+                   sweep="tds-roundtrip", trials_default=10, d_required=False)
     p.add_argument(
         "--input", type=Path, default=None,
         help="round-trip this parameter array JSON instead of random arrays",
     )
+    p.set_defaults(run=_run_tds_roundtrip)
 
     return ap
 
@@ -118,17 +115,32 @@ def _emit(report: VerificationReport, output: Path = None) -> int:
     return 0 if report.overall else FAIL_EXIT
 
 
-def _run_check_params(args) -> int:
-    spec = _field_spec(args)
-    field = spec.build_field()
+def _run_sweep(args) -> VerificationReport:
+    return run_sweep(args.sweep, args.d, _field_spec(args), args.trials, args.assets, args.jobs)
+
+
+def _run_tds_roundtrip(args) -> VerificationReport:
+    if args.input is None:
+        if args.d is None:
+            raise ValueError("tds roundtrip needs --d or --input")
+        return _run_sweep(args)
+    field = _field_spec(args).build_field()
+    pa = ParameterArray.from_json(args.input.read_text(), field)
+    rep = roundtrip(pa, field, load_table(pa.d, args.assets))
+    rep.seed = args.seed
+    return rep
+
+
+def _run_check_params(args) -> VerificationReport:
+    field = _field_spec(args).build_field()
     rep = VerificationReport(
-        command="check-params", field=spec.echo(), seed=args.seed, trials=1
+        command="check-params", field=field_echo(field), seed=args.seed, trials=1
     )
     try:
         pa = ParameterArray.from_json(args.input.read_text(), field)
-    except (MalformedArrayError, ValueError) as err:
+    except ValueError as err:
         rep.add("params.parse", False, f"malformed input: {err}")
-        return _emit(rep, args.output)
+        return rep
     rep.add("params.parse", True, f"d = {pa.d}")
     result = validate_parameter_array(pa, field)
     if result.failures:
@@ -138,27 +150,16 @@ def _run_check_params(args) -> int:
         rep.add("params.admissible", True, "conditions (i)-(iii) hold")
     for cid in result.vacuous:
         rep.add(f"{cid} [vacuous]", True, "condition is vacuous at this diameter")
-    return _emit(rep, args.output)
+    return rep
 
 
-def _run_zz_enumerate(args) -> int:
+def _run_zz_enumerate(args) -> VerificationReport:
     exclude_s = args.exclude_s if args.exclude_s is not None else args.d
-    try:
-        if args.feasible:
-            words = enumerate_feasible(args.d)
-        else:
-            words = enumerate_zz(
-                args.d, args.exclude_r, exclude_s, max_len=args.max_len
-            )
-    except EnumerationBudgetError as err:
-        print(f"zz enumerate: {err}", file=sys.stderr)
-        return USAGE_EXIT
-    rep = VerificationReport(
-        command="zz-enumerate",
-        field={"kind": "none"},
-        seed=None,
-        trials=1,
-    )
+    if args.feasible:
+        words = enumerate_feasible(args.d)
+    else:
+        words = enumerate_zz(args.d, args.exclude_r, exclude_s, max_len=args.max_len)
+    rep = VerificationReport(command="zz-enumerate", field={"kind": "none"}, trials=1)
     kind = "feasible" if args.feasible else "zz"
     rep.add(
         f"zz.enumerate.{kind}.d{args.d}",
@@ -170,28 +171,18 @@ def _run_zz_enumerate(args) -> int:
         True,
         json.dumps([word_text(w) for w in words], separators=(",", ":")),
     )
-    text = rep.to_json()
-    print(text)
-    if args.output is not None:
-        args.output.write_text(text + "\n")
     for w in words:
         print(word_text(w), file=sys.stderr)
-    return 0
+    return rep
 
 
-def _run_convex(args) -> int:
+def _run_convex(args) -> VerificationReport:
     seqs = enumerate_convex_spanning(args.r)
-    rep = VerificationReport(
-        command="convex", field={"kind": "none"}, seed=None, trials=1
-    )
+    rep = VerificationReport(command="convex", field={"kind": "none"}, trials=1)
     rep.add(f"convex.r{args.r}", True, f"{len(seqs)} sequences")
-    text = rep.to_json()
-    print(text)
-    if args.output is not None:
-        args.output.write_text(text + "\n")
     for s in seqs:
         print(list(s), file=sys.stderr)
-    return 0
+    return rep
 
 
 def main(argv=None) -> int:
@@ -201,41 +192,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return USAGE_EXIT if e.code not in (0, None) else 0
     try:
-        if args.command == "check-params":
-            return _run_check_params(args)
-        if args.command == "convex":
-            return _run_convex(args)
-        if args.command == "zz" and args.zz_command == "enumerate":
-            return _run_zz_enumerate(args)
-
-        spec = _field_spec(args)
-        if args.command == "verify-appendix":
-            rep = relation_suite(args.d, spec, args.trials, args.assets, args.jobs)
-        elif args.command == "mu-certificate":
-            rep = mu_suite(args.d, spec, args.trials, args.assets, args.jobs)
-        elif args.command == "shape":
-            rep = shape_suite(args.d, spec, args.trials, args.assets, args.jobs)
-        elif args.command == "zz" and args.zz_command == "rank":
-            rep = zz_rank_suite(args.d, spec, args.trials, args.assets, args.jobs)
-        elif args.command == "tds" and args.tds_command == "roundtrip":
-            if args.input is not None:
-                from .tdsystem import roundtrip
-
-                field = spec.build_field()
-                pa = ParameterArray.from_json(args.input.read_text(), field)
-                rep = roundtrip(pa, field, args.assets)
-                rep.seed = args.seed
-            elif args.d is None:
-                print("tdcheck: tds roundtrip needs --d or --input", file=sys.stderr)
-                return USAGE_EXIT
-            else:
-                rep = tds_roundtrip_suite(
-                    args.d, spec, args.trials, args.assets, args.jobs
-                )
-        else:
-            print(f"tdcheck: unknown command {args.command!r}", file=sys.stderr)
-            return USAGE_EXIT
-        return _emit(rep, args.output)
+        return _emit(args.run(args), args.output)
     except (FieldError, TableError, OSError, ValueError) as err:
         print(f"tdcheck: {err}", file=sys.stderr)
         return USAGE_EXIT

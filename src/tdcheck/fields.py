@@ -312,13 +312,6 @@ class FieldSpec:
     def with_seed(self, seed: int) -> "FieldSpec":
         return FieldSpec(self.kind, self.prime, seed)
 
-    def echo(self) -> dict:
-        """Provenance record for reports."""
-        d = {"kind": self.kind, "rng": RNG_ALGORITHM}
-        if self.kind == "fp":
-            d["prime"] = self.prime
-        return d
-
 
 class Sampler:
     """Stateful scalar sampler bound to one field and one PRNG stream.
@@ -335,14 +328,10 @@ class Sampler:
     def scalar(self) -> Scalar:
         return self.field.random(self.rng)
 
-    def nonzero(self) -> Scalar:
-        f = self.field
-        while True:
-            x = self.scalar()
-            if not f.is_zero(x):
-                return x
-
     def distinct(self, n: int, forbidden: Iterable[Scalar] = ()) -> list:
+        """n pairwise-distinct scalars avoiding `forbidden`."""
+        if n < 1:
+            raise ValueError("need n >= 1")
         f = self.field
         banned = set(forbidden)
         cap = f.capacity()
@@ -362,24 +351,8 @@ class Sampler:
         return out
 
 
-def sample_distinct(n: int, spec: FieldSpec, forbidden: Iterable[Scalar] = ()) -> list:
-    """n pairwise-distinct scalars avoiding `forbidden`, deterministic per seed."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return Sampler(spec).distinct(n, forbidden)
-
-
-def field_ops(field: Field, a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Dispatch one exact field operation: add, sub, mul or div."""
-    try:
-        fn = {"add": field.add, "sub": field.sub, "mul": field.mul, "div": field.div}[op]
-    except KeyError:
-        raise ValueError(f"unknown op {op!r}") from None
-    return fn(a, b)
-
-
 def field_echo(field: Field) -> dict:
-    """Provenance record for a bare field object (matches FieldSpec.echo)."""
+    """Provenance record for reports: field kind, prime and rng algorithm."""
     d = {"kind": field.kind, "rng": RNG_ALGORITHM}
     if field.kind == "fp":
         d["prime"] = field.p

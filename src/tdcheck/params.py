@@ -43,7 +43,8 @@ GUARD_BETA_QUAD = "beta^2+beta-1 vanishes"
 
 
 class MalformedArrayError(ValueError):
-    """Structurally broken input (bad lengths), distinct from 'invalid'."""
+    """Structurally broken input (bad JSON shape or lengths), distinct from
+    'invalid'."""
 
 
 class ContextError(ValueError):
@@ -85,15 +86,29 @@ class ParameterArray:
     @classmethod
     def from_json(cls, text: str, field: Field) -> "ParameterArray":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise MalformedArrayError("expected a JSON object")
+
+        def scalars(key: str) -> list:
+            xs = obj[key]
+            if not isinstance(xs, list) or not all(isinstance(x, str) for x in xs):
+                raise MalformedArrayError(f"{key} must be a list of scalar strings")
+            try:
+                return [field.parse(x) for x in xs]
+            except ZeroDivisionError:
+                raise MalformedArrayError(f"{key} has a zero denominator") from None
+
         try:
             pa = cls(
-                d=int(obj["d"]),
-                theta=[field.parse(x) for x in obj["theta"]],
-                theta_star=[field.parse(x) for x in obj["theta_star"]],
-                zeta=[field.parse(x) for x in obj["zeta"]],
+                d=obj["d"],
+                theta=scalars("theta"),
+                theta_star=scalars("theta_star"),
+                zeta=scalars("zeta"),
             )
         except KeyError as e:
             raise MalformedArrayError(f"missing key {e.args[0]!r}") from None
+        if type(pa.d) is not int:
+            raise MalformedArrayError("d must be a JSON integer")
         pa.check_shape()
         return pa
 

@@ -98,16 +98,6 @@ class Poly:
             acc = f.add(f.mul(acc, x), c)
         return acc
 
-    def at_matrix(self, a: Matrix) -> Matrix:
-        f = self.field
-        n = a.nrows
-        acc = Matrix.zero(f, n)
-        for c in reversed(self.coeffs):
-            acc = acc * a
-            for i in range(n):
-                acc.rows[i][i] = f.add(acc.rows[i][i], c)
-        return acc
-
     def __repr__(self):
         return f"Poly({self.coeffs!r})"
 

@@ -257,6 +257,7 @@ def mu_certificate(real: ModuleRealization) -> VerificationReport:
 
     rep.add("mu.i0.identity", True, "tau_0 = 1 and e*_0 phi = phi")
 
+    corner = corner_identities(real)
     for i in range(1, d + 1):
         # raising chain phi -> r -> ... -> r^i
         for h in range(i):
@@ -290,22 +291,30 @@ def mu_certificate(real: ModuleRealization) -> VerificationReport:
         rep.add(
             f"mu.i{i}.weight", ok, "" if ok else f"(a* - ths1).l^{i - 1}r^{i} != y{i} phi"
         )
-        # corner identity e*_0 tau_i(a) e*_0 phi = y_i phi / prod (s_0 - s_j)
-        v = phi
-        for j in range(i):
-            v = vec_sub(f, real.a.apply(v), vec_scale(f, ctx.theta[j], v))
-        lhs = real.estar[0].apply(v)
-        den = f.one
-        for j in range(1, i + 1):
-            den = f.mul(den, f.sub(ctx.theta_star[0], ctx.theta_star[j]))
-        want = vec_scale(f, f.div(ctx.y[i - 1], den), phi)
-        ok = vec_eq(f, lhs, want)
+        ok = corner[i - 1]
         rep.add(
             f"mu.i{i}.identity",
             ok,
             "" if ok else f"e*_0 tau_{i}(a) e*_0 phi has the wrong coefficient",
         )
     return rep
+
+
+def corner_identities(real: ModuleRealization) -> List[bool]:
+    """For i = 1..d: e*_0 tau_i(a) e*_0 phi = y_i phi / prod_{j=1..i} (s_0 - s_j)?
+
+    e*_0 phi = phi is checked separately, so tau_i(a) acts on phi directly.
+    """
+    f = real.field
+    ctx = real.context
+    phi = real.basis_vector(real.basis[0])
+    v, den, out = phi, f.one, []
+    for i in range(1, real.d + 1):
+        v = vec_sub(f, real.a.apply(v), vec_scale(f, ctx.theta[i - 1], v))
+        den = f.mul(den, f.sub(ctx.theta_star[0], ctx.theta_star[i]))
+        want = vec_scale(f, f.div(ctx.y[i - 1], den), phi)
+        out.append(vec_eq(f, real.estar[0].apply(v), want))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ def failed(checks: Sequence[Check]) -> List[Check]:
 @dataclass
 class VerificationReport:
     command: str
-    field: dict  # echo of FieldSpec (kind, prime, rng algorithm)
+    field: dict  # fields.field_echo: kind, prime, rng algorithm
     seed: Optional[int] = None
     asset_version: Optional[str] = None
     trials: int = 0
@@ -43,10 +43,6 @@ class VerificationReport:
 
     def add(self, check_id: str, passed: bool, detail: str = ""):
         self.checks.append(Check(check_id, passed, detail))
-
-    def extend(self, checks: Sequence[Check], prefix: str = ""):
-        for c in checks:
-            self.checks.append(Check(prefix + c.id, c.passed, c.detail))
 
     def failures(self) -> List[Check]:
         return failed(self.checks)
@@ -101,28 +97,3 @@ class VerificationReport:
             lines.append(f"  ... and {len(bad) - 20} more failures")
         return "\n".join(lines)
 
-
-def merge(reports: Sequence[VerificationReport]) -> VerificationReport:
-    """Concatenate same-command reports; trial counts add, overall conjoins."""
-    if not reports:
-        raise ReportError("nothing to merge")
-    first = reports[0]
-    for r in reports[1:]:
-        if r.command != first.command:
-            raise ReportError(
-                f"cannot merge commands {first.command!r} and {r.command!r}"
-            )
-        if r.field != first.field:
-            raise ReportError("cannot merge reports over different field specs")
-        if r.asset_version != first.asset_version:
-            raise ReportError("cannot merge reports over different asset versions")
-    out = VerificationReport(
-        command=first.command,
-        field=dict(first.field),
-        seed=first.seed,
-        asset_version=first.asset_version,
-        trials=sum(r.trials for r in reports),
-    )
-    for r in reports:
-        out.checks.extend(r.checks)
-    return out

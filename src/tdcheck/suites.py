@@ -1,19 +1,20 @@
 """Reproducible multi-trial verification sweeps.
 
 Each sweep draws per-trial contexts from seeds derived deterministically from
-the master seed, runs the requested checks and returns one merged report whose
-check ids carry the trial number and whose details carry the trial seed, so
-any failure can be replayed in isolation.  Trials are independent, which makes
---jobs parallelism safe; results are assembled in trial order regardless of
-the worker count.
+the master seed, runs the requested checks and returns one report whose check
+ids carry the trial number and whose details carry the trial seed, so any
+failure can be replayed in isolation.  The module table is parsed once per
+sweep.  Trials are independent, which makes --jobs parallelism safe; results
+are assembled in trial order regardless of the worker count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import List
 
-from .fields import FieldSpec, derive_seed
+from .fields import FieldSpec, derive_seed, field_echo
 from .params import (
     ContextError,
     random_admissible_context,
@@ -32,61 +33,58 @@ from .tdsystem import roundtrip
 from .zigzag import feasible_rank_test
 
 
+def _realized(checks_of):
+    """A trial that realizes the table at a random admissible context and
+    runs `checks_of` on the realization."""
+
+    def trial(table: ModuleTable, spec: FieldSpec) -> List[Check]:
+        try:
+            ctx = random_admissible_context(table.d, spec)
+        except ContextError as err:
+            return [Check("sample", False, str(err))]
+        try:
+            real = realize(table, ctx, spec.build_field())
+        except RealizationError as err:
+            return [Check("realize." + name, False, detail) for name, detail in err.failures]
+        return [Check("realize", True)] + checks_of(real)
+
+    return trial
+
+
+def _roundtrip_trial(table: ModuleTable, spec: FieldSpec) -> List[Check]:
+    try:
+        pa = random_valid_parameter_array(table.d, spec)
+    except ContextError as err:
+        return [Check("sample", False, str(err))]
+    return roundtrip(pa, spec.build_field(), table).checks
+
+
+# Per-trial checks of each sweep, keyed by the report's command name.
+SWEEPS = {
+    "verify-appendix": _realized(
+        lambda real: verify_relations(real).checks + mu_certificate(real).checks
+    ),
+    "mu-certificate": _realized(lambda real: mu_certificate(real).checks),
+    "shape": _realized(lambda real: shape_check(real).report.checks),
+    "zz-rank": _realized(lambda real: feasible_rank_test(real).checks),
+    "tds-roundtrip": _roundtrip_trial,
+}
+
+
 def _trial_checks(
-    kind: str, d: int, spec: FieldSpec, trial: int, assets
+    command: str, table: ModuleTable, spec: FieldSpec, trial: int
 ) -> List[Check]:
     """One trial of one sweep; module-level so process pools can pickle it."""
     seed = derive_seed(spec.seed, trial)
-    trial_spec = spec.with_seed(seed)
     prefix = f"t{trial:03d}."
     tag = f"trial {trial}, seed {seed}"
-    checks: List[Check] = []
-
-    if kind == "tds":
-        try:
-            pa = random_valid_parameter_array(d, trial_spec)
-        except ContextError as err:
-            return [Check(prefix + "sample", False, f"{tag}: {err}")]
-        rep = roundtrip(pa, trial_spec.build_field(), assets)
-        return [
-            Check(prefix + c.id, c.passed, f"{tag}: {c.detail}" if c.detail else tag)
-            for c in rep.checks
-        ]
-
-    try:
-        ctx = random_admissible_context(d, trial_spec)
-    except ContextError as err:
-        return [Check(prefix + "sample", False, f"{tag}: {err}")]
-    table = load_table(d, assets)
-    try:
-        real = realize(table, ctx, trial_spec.build_field())
-    except RealizationError as err:
-        return [
-            Check(prefix + "realize." + name, False, f"{tag}: {detail}")
-            for name, detail in err.failures
-        ]
-    checks.append(Check(prefix + "realize", True, tag))
-
-    reports = []
-    if kind == "relations":
-        reports = [verify_relations(real), mu_certificate(real)]
-    elif kind == "mu":
-        reports = [mu_certificate(real)]
-    elif kind == "shape":
-        reports = [shape_check(real).report]
-    elif kind == "zzrank":
-        reports = [feasible_rank_test(real)]
-    else:
-        raise ValueError(f"unknown sweep kind {kind!r}")
-    for rep in reports:
-        for c in rep.checks:
-            detail = f"{tag}: {c.detail}" if c.detail else tag
-            checks.append(Check(prefix + c.id, c.passed, detail))
-    return checks
+    return [
+        Check(prefix + c.id, c.passed, f"{tag}: {c.detail}" if c.detail else tag)
+        for c in SWEEPS[command](table, spec.with_seed(seed))
+    ]
 
 
 def run_sweep(
-    kind: str,
     command: str,
     d: int,
     spec: FieldSpec,
@@ -94,51 +92,26 @@ def run_sweep(
     assets=None,
     jobs: int = 1,
 ) -> VerificationReport:
+    """`trials` seeded trials of the sweep named `command` (a SWEEPS key)."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    table = load_table(d, assets)
     rep = VerificationReport(
         command=command,
-        field=spec.echo(),
+        field=field_echo(spec.build_field()),
         seed=spec.seed,
-        asset_version=load_table(d, assets).version,
+        asset_version=table.version,
         trials=trials,
     )
-    args = [(kind, d, spec, t, assets) for t in range(trials)]
+    one_trial = partial(_trial_checks, command, table, spec)
     if jobs > 1 and trials > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_trial_checks_star, args))
+            results = list(pool.map(one_trial, range(trials)))
     else:
-        results = [_trial_checks(*a) for a in args]
+        results = [one_trial(t) for t in range(trials)]
     for checks in results:
         rep.checks.extend(checks)
     return rep
-
-
-def _trial_checks_star(args):
-    return _trial_checks(*args)
-
-
-def relation_suite(
-    d: int, spec: FieldSpec, trials: int, assets=None, jobs: int = 1
-) -> VerificationReport:
-    """Full relation sweep plus the weight certificate, per trial."""
-    return run_sweep("relations", "verify-appendix", d, spec, trials, assets, jobs)
-
-
-def mu_suite(d: int, spec: FieldSpec, trials: int, assets=None, jobs: int = 1):
-    return run_sweep("mu", "mu-certificate", d, spec, trials, assets, jobs)
-
-
-def shape_suite(d: int, spec: FieldSpec, trials: int, assets=None, jobs: int = 1):
-    return run_sweep("shape", "shape", d, spec, trials, assets, jobs)
-
-
-def zz_rank_suite(d: int, spec: FieldSpec, trials: int, assets=None, jobs: int = 1):
-    return run_sweep("zzrank", "zz-rank", d, spec, trials, assets, jobs)
-
-
-def tds_roundtrip_suite(
-    d: int, spec: FieldSpec, trials: int, assets=None, jobs: int = 1
-):
-    return run_sweep("tds", "tds-roundtrip", d, spec, trials, assets, jobs)
 
 
 def mutation_detections(
@@ -146,12 +119,11 @@ def mutation_detections(
     mutated: ModuleTable,
     spec: FieldSpec,
     trials: int,
-    include_mu: bool = False,
 ) -> int:
     """How many of `trials` random contexts detect the mutated table.
 
     Detection = realization fails (minimal polynomial or rank invariant) or a
-    relation check fails; with include_mu the chain certificate counts too.
+    relation check fails.
     """
     field = spec.build_field()
     detected = 0
@@ -164,7 +136,5 @@ def mutation_detections(
             detected += 1
             continue
         if not verify_relations(real).overall:
-            detected += 1
-        elif include_mu and not mu_certificate(real).overall:
             detected += 1
     return detected

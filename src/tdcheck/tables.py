@@ -545,12 +545,6 @@ class ModuleTable:
     astar_action: Action
     version: str = FORMAT_VERSION
 
-    def row_of(self, label: BasisLabel) -> int:
-        return label.row_index
-
-    def index_of(self, label: BasisLabel) -> int:
-        return self.basis.index(label)
-
     def coefficient_slots(self) -> List[Tuple[str, BasisLabel, int]]:
         """All (action, source, term index) coordinates, for mutation tests."""
         out = []

@@ -37,12 +37,7 @@ from tdcheck.params import (
 )
 from tdcheck.poly import eta_expansion_check
 from tdcheck.fields import Sampler
-from tdcheck.suites import (
-    mutation_detections,
-    relation_suite,
-    tds_roundtrip_suite,
-    zz_rank_suite,
-)
+from tdcheck.suites import mutation_detections, run_sweep
 from tdcheck.tables import load_table
 from tdcheck.zigzag import enumerate_convex_spanning, enumerate_feasible, word_text
 
@@ -63,8 +58,10 @@ def relation_reports():
     """One relation+certificate sweep per (d, field kind), shared by 1 and 2."""
     out = {}
     for d in range(6):
-        out[(d, "fp")] = relation_suite(d, FieldSpec("fp", seed=SEED + d), FP_TRIALS)
-        out[(d, "qq")] = relation_suite(d, FieldSpec("qq", seed=SEED + d), QQ_TRIALS)
+        for kind, trials in (("fp", FP_TRIALS), ("qq", QQ_TRIALS)):
+            out[(d, kind)] = run_sweep(
+                "verify-appendix", d, FieldSpec(kind, seed=SEED + d), trials
+            )
     return out
 
 
@@ -172,7 +169,7 @@ def test_criterion_5_rank_experiment():
     shortfall = []
     drops = []
     for d in range(6):
-        rep = zz_rank_suite(d, FieldSpec("fp", seed=SEED + 50 + d), FP_TRIALS)
+        rep = run_sweep("zz-rank", d, FieldSpec("fp", seed=SEED + 50 + d), FP_TRIALS)
         per_trial_ok = []
         for t in range(FP_TRIALS):
             trial_checks = [c for c in rep.checks if c.id.startswith(f"t{t:03d}.")]
@@ -194,7 +191,7 @@ def test_criterion_6_roundtrip():
     started = time.time()
     failures = []
     for d in range(6):
-        rep = tds_roundtrip_suite(d, FieldSpec("fp", seed=SEED + 80 + d), 10)
+        rep = run_sweep("tds-roundtrip", d, FieldSpec("fp", seed=SEED + 80 + d), 10)
         failures.extend((d, c.id, c.detail) for c in rep.failures())
     ok = not failures
     announce(6, ok, "60 arrays reconstructed exactly", started)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tdcheck.cli import main
 
 
@@ -173,3 +175,71 @@ def test_failing_verification_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert json.loads(out)["overall"] is False
+
+
+def write_array(tmp_path, obj) -> str:
+    path = tmp_path / "array.json"
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    return str(path)
+
+
+def test_reducible_roundtrip_reports_one_irreducibility_failure(tmp_path, capsys):
+    array = write_array(
+        tmp_path,
+        {"d": 2, "theta": ["1", "2", "3"], "theta_star": ["1", "2", "3"],
+         "zeta": ["1", "1", "1"]},
+    )
+    code, out, _ = run_cli(capsys, "tds", "roundtrip", "--field", "qq", "--input", array)
+    assert code == 1
+    irreducible = [c for c in json.loads(out)["checks"] if c["id"] == "tds.irreducible"]
+    assert len(irreducible) == 1 and not irreducible[0]["passed"]
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_trials_below_one_is_a_usage_error(trials, capsys):
+    code, out, err = run_cli(
+        capsys, "verify-appendix", "--d", "1", "--trials", trials
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+MALFORMED = {
+    "zero denominator": {"d": 1, "theta": ["1/0", "1"], "theta_star": ["1", "-1"],
+                         "zeta": ["1", "1"]},
+    "top-level array": [1, ["1", "-1"], ["1", "-1"], ["1", "1"]],
+    "string for a list": {"d": 2, "theta": "123", "theta_star": ["1", "2", "3"],
+                          "zeta": ["1", "1", "1"]},
+    "number for a scalar": {"d": 1, "theta": [1, -1], "theta_star": ["1", "-1"],
+                            "zeta": ["1", "1"]},
+    "fractional d": {"d": 1.5, "theta": ["1", "-1"], "theta_star": ["1", "-1"],
+                     "zeta": ["1", "1"]},
+    "missing key": {"d": 1, "theta": ["0", "1"]},
+}
+
+
+@pytest.mark.parametrize("obj", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_array_is_rejected_cleanly(obj, tmp_path, capsys):
+    array = write_array(tmp_path, obj)
+    code, out, _ = run_cli(capsys, "check-params", "--input", array)
+    assert code == 1
+    parse = [c for c in json.loads(out)["checks"] if c["id"] == "params.parse"]
+    assert len(parse) == 1 and not parse[0]["passed"]
+
+    code, out, err = run_cli(capsys, "tds", "roundtrip", "--input", array)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_roundtrip_input_above_max_diameter_is_a_usage_error(tmp_path, capsys):
+    array = write_array(
+        tmp_path,
+        {"d": 6, "theta": [str(i) for i in range(7)],
+         "theta_star": [str(i) for i in range(7)], "zeta": ["1"] * 7},
+    )
+    code, out, err = run_cli(capsys, "tds", "roundtrip", "--input", array)
+    assert (code, out) == (2, "")
+    assert err == run_cli(capsys, "tds", "roundtrip", "--d", "6")[2]
+    assert len(err.strip().splitlines()) == 1

@@ -12,9 +12,8 @@ from tdcheck.fields import (
     Sampler,
     SplitMix64,
     derive_seed,
-    field_ops,
+    field_echo,
     is_prime,
-    sample_distinct,
 )
 
 QQ = Rationals()
@@ -48,15 +47,15 @@ def test_is_prime_small_cases():
 
 def test_sample_distinct_deterministic():
     spec = FieldSpec("fp", seed=99)
-    a = sample_distinct(5, spec)
-    b = sample_distinct(5, spec)
+    a = Sampler(spec).distinct(5)
+    b = Sampler(spec).distinct(5)
     assert a == b
     assert len(set(a)) == 5
 
 
 def test_sample_distinct_avoids_forbidden():
     spec = FieldSpec("fp", prime=101, seed=1)
-    vals = sample_distinct(4, spec, forbidden={0})
+    vals = Sampler(spec).distinct(4, forbidden={0})
     assert 0 not in vals
     assert len(set(vals)) == 4
 
@@ -64,25 +63,23 @@ def test_sample_distinct_avoids_forbidden():
 def test_sample_distinct_field_too_small():
     spec = FieldSpec("fp", prime=5, seed=0)
     with pytest.raises(FieldTooSmallError):
-        sample_distinct(6, spec)
+        Sampler(spec).distinct(6)
 
 
 def test_sample_distinct_needs_positive_n():
     with pytest.raises(ValueError):
-        sample_distinct(0, FieldSpec("qq"))
+        Sampler(FieldSpec("qq")).distinct(0)
 
 
 def test_field_ops_examples():
-    assert field_ops(QQ, Fraction(1, 3), Fraction(1, 6), "add") == Fraction(1, 2)
-    assert field_ops(F101, 50, 50, "mul") == 76  # 2500 mod 101
+    assert QQ.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
+    assert F101.mul(50, 50) == 76  # 2500 mod 101
     for x in (Fraction(7, 3), Fraction(-2)):
-        assert field_ops(QQ, x, x, "div") == 1
+        assert QQ.div(x, x) == 1
     with pytest.raises(ZeroDivisionError):
-        field_ops(QQ, Fraction(1), Fraction(0), "div")
+        QQ.div(Fraction(1), Fraction(0))
     with pytest.raises(ZeroDivisionError):
-        field_ops(F101, 3, 0, "div")
-    with pytest.raises(ValueError):
-        field_ops(QQ, Fraction(1), Fraction(1), "pow")
+        F101.div(3, 0)
 
 
 @pytest.mark.parametrize("kind", ["qq", "fp"])
@@ -122,14 +119,10 @@ def test_prime_field_agrees_with_rationals_mod_p():
 
     for _ in range(300):
         a, b = s.scalar(), s.scalar()
-        for op in ("add", "sub", "mul"):
-            assert reduce(field_ops(QQ, a, b, op)) == field_ops(
-                fp, reduce(a), reduce(b), op
-            )
-        if b.numerator % p != 0:
-            assert reduce(field_ops(QQ, a, b, "div")) == field_ops(
-                fp, reduce(a), reduce(b), "div"
-            )
+        ops = ["add", "sub", "mul"] + (["div"] if b.numerator % p != 0 else [])
+        for op in ops:
+            want = getattr(fp, op)(reduce(a), reduce(b))
+            assert reduce(getattr(QQ, op)(a, b)) == want
 
 
 def test_prime_field_element_range():
@@ -149,12 +142,12 @@ def test_fieldspec_validation():
 
 
 def test_fieldspec_echo_records_rng():
-    assert FieldSpec("fp", seed=3).echo() == {
+    assert field_echo(FieldSpec("fp", seed=3).build_field()) == {
         "kind": "fp",
         "prime": DEFAULT_PRIME,
         "rng": "splitmix64",
     }
-    assert FieldSpec("qq").echo() == {"kind": "qq", "rng": "splitmix64"}
+    assert field_echo(FieldSpec("qq").build_field()) == {"kind": "qq", "rng": "splitmix64"}
 
 
 def test_derive_seed_is_stable_and_spread():

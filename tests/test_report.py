@@ -1,6 +1,6 @@
 import pytest
 
-from tdcheck.report import Check, ReportError, VerificationReport, merge
+from tdcheck.report import Check, ReportError, VerificationReport
 
 
 def make(command="verify", field=None, checks=(), trials=1):
@@ -21,36 +21,6 @@ def test_overall_is_conjunction():
     rep.add("c", False, "broke")
     assert not rep.overall
     assert [c.id for c in rep.failures()] == ["c"]
-
-
-def test_merge_all_pass():
-    merged = merge([make(checks=[Check("a", True)]), make(checks=[Check("b", True)])])
-    assert merged.overall and merged.trials == 2
-    assert {c.id for c in merged.checks} == {"a", "b"}
-
-
-def test_merge_pass_and_fail():
-    merged = merge(
-        [make(checks=[Check("a", True)]), make(checks=[Check("b", False, "x")])]
-    )
-    assert not merged.overall
-
-
-def test_merge_rejects_mixed_fields():
-    qq = make(field={"kind": "qq", "rng": "splitmix64"})
-    fp = make(field={"kind": "fp", "prime": 101, "rng": "splitmix64"})
-    with pytest.raises(ReportError):
-        merge([qq, fp])
-
-
-def test_merge_rejects_mixed_commands():
-    with pytest.raises(ReportError):
-        merge([make(command="a"), make(command="b")])
-
-
-def test_merge_rejects_empty():
-    with pytest.raises(ReportError):
-        merge([])
 
 
 def test_json_roundtrip_is_byte_identical():

@@ -41,7 +41,7 @@ def full_space(real) -> EchelonBasis:
 
 
 def test_construct_d1_and_corner_elements_vanish():
-    real = construct_from_params(d1_array(), QQ)
+    real = construct_from_params(d1_array(), QQ, load_table(1))
     assert real.dim == 2
     # y_1 was set to zeta_1 = 1
     assert real.context.y == fr([1])
@@ -50,13 +50,13 @@ def test_construct_d1_and_corner_elements_vanish():
 def test_construct_rejects_zeta_d_zero():
     pa = ParameterArray(1, fr([1, -1]), fr([1, -1]), fr([1, 0]))
     with pytest.raises(InvalidParameterArrayError) as err:
-        construct_from_params(pa, QQ)
+        construct_from_params(pa, QQ, load_table(pa.d))
     assert "(ii) zeta_d!=0" in str(err.value)
 
 
 def test_construct_d0_trivial():
     pa = ParameterArray(0, fr([4]), fr([2]), fr([1]))
-    real = construct_from_params(pa, QQ)
+    real = construct_from_params(pa, QQ, load_table(pa.d))
     assert real.dim == 1
 
 
@@ -65,7 +65,7 @@ def test_construct_d0_trivial():
 
 
 def test_closure_of_phi_is_whole_space_for_d1():
-    real = construct_from_params(d1_array(), QQ)
+    real = construct_from_params(d1_array(), QQ, load_table(1))
     closure = submodule_closure(real.a, real.astar, real.basis_vector(real.basis[0]))
     assert closure.dim == 2
 
@@ -77,7 +77,7 @@ def test_closure_of_fixed_coordinate_in_diagonal_toy():
 
 
 def test_closure_is_idempotent():
-    real = construct_from_params(d1_array(), QQ)
+    real = construct_from_params(d1_array(), QQ, load_table(1))
     closure = submodule_closure(real.a, real.astar, real.basis_vector(real.basis[0]))
     again = submodule_closure(real.a, real.astar, closure.rows[0])
     for row in closure.rows:
@@ -113,7 +113,7 @@ def test_d1_realized_pair_spans_four_dimensions():
         [field.from_int(1), field.from_int(-1)],
         [field.one, field.one],
     )
-    real = construct_from_params(pa, field)
+    real = construct_from_params(pa, field, load_table(pa.d))
     assert irreducibility_check(real.a, real.astar, field)
 
 
@@ -129,7 +129,7 @@ def test_three_dimensional_burnside_sanity():
 
 
 def test_extract_d1_report_matches_hand_values():
-    real = construct_from_params(d1_array(), QQ)
+    real = construct_from_params(d1_array(), QQ, load_table(1))
     closure = submodule_closure(real.a, real.astar, real.basis_vector(real.basis[0]))
     tds = extract_td_system(real, closure)
     assert tds.passed(), tds.axiom_failures
@@ -169,7 +169,7 @@ def test_extract_with_generic_weights_passes_band_conditions():
 def test_split_extraction_recovers_zeta_on_full_module():
     pa = ParameterArray(2, fr([0, 1, 3]), fr([0, 2, 5]), fr([1, 4, 6]))
     field = QQ
-    real = construct_from_params(pa, field)
+    real = construct_from_params(pa, field, load_table(pa.d))
     tds = extract_td_system(real, full_space(real))
     assert tds.split == pa.zeta
 
@@ -179,7 +179,7 @@ def test_split_extraction_recovers_zeta_on_full_module():
 
 
 def test_tds_report_serializes():
-    real = construct_from_params(d1_array(), QQ)
+    real = construct_from_params(d1_array(), QQ, load_table(1))
     closure = submodule_closure(real.a, real.astar, real.basis_vector(real.basis[0]))
     tds = extract_td_system(real, closure)
     obj = tds.to_dict(QQ)
@@ -190,19 +190,19 @@ def test_tds_report_serializes():
 
 
 def test_roundtrip_d1_golden():
-    rep = roundtrip(d1_array(), QQ)
+    rep = roundtrip(d1_array(), QQ, load_table(1))
     assert rep.overall, [c for c in rep.failures()]
 
 
 def test_roundtrip_d0_trivial():
     pa = ParameterArray(0, fr([3]), fr([8]), fr([1]))
-    rep = roundtrip(pa, QQ)
+    rep = roundtrip(pa, QQ, load_table(pa.d))
     assert rep.overall
 
 
 def test_roundtrip_reports_validation_failure():
     pa = ParameterArray(1, fr([1, -1]), fr([1, -1]), fr([2, 1]))
-    rep = roundtrip(pa, QQ)
+    rep = roundtrip(pa, QQ, load_table(pa.d))
     assert not rep.overall
     assert any(c.id == "tds.valid" and not c.passed for c in rep.checks)
 
@@ -213,5 +213,5 @@ def test_roundtrip_random_arrays_prime_field(d):
 
     spec = FieldSpec("fp", seed=4200 + d)
     pa = random_valid_parameter_array(d, spec)
-    rep = roundtrip(pa, spec.build_field())
+    rep = roundtrip(pa, spec.build_field(), load_table(pa.d))
     assert rep.overall, [(c.id, c.detail) for c in rep.failures()]
