@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Union
 
 Scalar = Union[Fraction, int]
@@ -185,22 +186,10 @@ def _mul(x, y):
 
 def _to_int_rows(rows):
     """Common-denominator form of a Fraction matrix: (int rows, denominator)."""
-    den = 1
-    for row in rows:
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                g = _gcd(den, d)
-                den = den // g * d
+    den = lcm(*(x.denominator for row in rows for x in row))
     if den == 1:
         return [[x.numerator for x in row] for row in rows], 1
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class PrimeField:

@@ -1,7 +1,8 @@
 """Realize a module table at a specialization context and machine-check it.
 
 realize() turns the symbolic table into two exact matrices acting on the
-2^d-dimensional module, builds both families of primitive idempotents, and
+2^d-dimensional module, builds both families of primitive idempotents with
+their ranks (idempotent_families, shared with the round-trip extraction), and
 asserts the structural invariants (minimal polynomials, eigenspace ranks).
 The check operations then verify, as exact matrix identities:
 
@@ -11,10 +12,9 @@ The check operations then verify, as exact matrix identities:
   * the weight certificate: the raising/lowering chains through the labels
     phi, r, r^2, ..., l^{i-1} r^i and the resulting identity
     e*_0 tau_i(a) e*_0 . phi = y_i phi / prod_{j=1..i} (s_0 - s_j),
-    whose denominator follows the split-sequence convention;
-  * the shape (idempotent ranks = binomial coefficients, symmetric, unimodal);
-  * nonvanishing of the corner triple products e*_0 e_0 e*_0 and
-    e*_0 e_d e*_0 on phi, with the exact value of the latter.
+    whose denominator follows the split-sequence convention; split_sequence
+    reads the left-hand side, and the round trip reads its split back with it;
+  * the shape (idempotent ranks = binomial coefficients, symmetric, unimodal).
 
 Any failed identity is reported with enough coordinates to replay it.
 """
@@ -26,7 +26,7 @@ from math import comb
 from typing import Dict, List, Tuple
 
 from .fields import Field, field_echo
-from .linalg import Matrix, vec_eq, vec_is_zero, vec_scale, vec_sub
+from .linalg import Matrix, vec_eq, vec_scale, vec_sub
 from .params import SpecializationContext
 from .poly import MinimalPolynomialError, lagrange_idempotents
 from .report import Check, VerificationReport
@@ -54,6 +54,8 @@ class ModuleRealization:
     astar: Matrix
     e: List[Matrix]  # idempotents of a, ordered by eigenvalue list
     estar: List[Matrix]  # idempotents of astar
+    ranks: List[int]  # ranks of e
+    dual_ranks: List[int]  # ranks of estar
     table_version: str
 
     @property
@@ -90,6 +92,27 @@ def context_env(ctx: SpecializationContext) -> Dict[str, object]:
     return env
 
 
+def idempotent_families(
+    a: Matrix, astar: Matrix, theta: List, theta_star: List
+) -> Tuple[List[Matrix], List[Matrix], List[int], List[int]]:
+    """Both Lagrange families of the pair and their ranks: (e, e*, ranks, dual ranks).
+
+    Raises RealizationError naming minpoly.a and/or minpoly.astar when the
+    eigenvalue list does not annihilate its operator.
+    """
+    families: List[List[Matrix]] = []
+    failures: List[Tuple[str, str]] = []
+    for tag, op, values in (("a", a, theta), ("astar", astar, theta_star)):
+        try:
+            families.append(lagrange_idempotents(op, values))
+        except MinimalPolynomialError as err:
+            failures.append((f"minpoly.{tag}", str(err)))
+    if failures:
+        raise RealizationError(failures)
+    e, estar = families
+    return e, estar, [m.rank() for m in e], [m.rank() for m in estar]
+
+
 def realize(
     table: ModuleTable, ctx: SpecializationContext, field: Field
 ) -> ModuleRealization:
@@ -114,29 +137,14 @@ def realize(
     a = assemble(table.a_action)
     astar = assemble(table.astar_action)
 
+    e, estar, ranks, dual_ranks = idempotent_families(a, astar, ctx.theta, ctx.theta_star)
     failures: List[Tuple[str, str]] = []
-    e: List[Matrix] = []
-    estar: List[Matrix] = []
-    try:
-        e = lagrange_idempotents(a, ctx.theta)
-    except MinimalPolynomialError as err:
-        failures.append(("minpoly.a", str(err)))
-    try:
-        estar = lagrange_idempotents(astar, ctx.theta_star)
-    except MinimalPolynomialError as err:
-        failures.append(("minpoly.astar", str(err)))
-    if not failures:
-        for i in range(table.d + 1):
-            want = comb(table.d, i)
-            got = e[i].rank()
+    for i in range(table.d + 1):
+        want = comb(table.d, i)
+        for tag, got in (("e", ranks[i]), ("es", dual_ranks[i])):
             if got != want:
                 failures.append(
-                    ("rank.e.%d" % i, f"rank {got}, expected C({table.d},{i}) = {want}")
-                )
-            got = estar[i].rank()
-            if got != want:
-                failures.append(
-                    ("rank.es.%d" % i, f"rank {got}, expected C({table.d},{i}) = {want}")
+                    (f"rank.{tag}.{i}", f"rank {got}, expected C({table.d},{i}) = {want}")
                 )
     if failures:
         raise RealizationError(failures)
@@ -151,6 +159,8 @@ def realize(
         astar=astar,
         e=e,
         estar=estar,
+        ranks=ranks,
+        dual_ranks=dual_ranks,
         table_version=table.version,
     )
 
@@ -252,12 +262,11 @@ def mu_certificate(real: ModuleRealization) -> VerificationReport:
     av_phi = real.astar.apply(phi)
     ok = vec_eq(f, av_phi, vec_scale(f, ctx.theta_star[0], phi))
     rep.add("mu.astar.phi", ok, "" if ok else "a*.phi != ths0 * phi")
-    ok = vec_eq(f, real.estar[0].apply(phi), phi)
-    rep.add("mu.es0.phi", ok, "" if ok else "e*_0.phi != phi")
+    corner = corner_identities(real)
+    rep.add("mu.es0.phi", corner[0], "" if corner[0] else "e*_0.phi != phi")
 
     rep.add("mu.i0.identity", True, "tau_0 = 1 and e*_0 phi = phi")
 
-    corner = corner_identities(real)
     for i in range(1, d + 1):
         # raising chain phi -> r -> ... -> r^i
         for h in range(i):
@@ -291,7 +300,7 @@ def mu_certificate(real: ModuleRealization) -> VerificationReport:
         rep.add(
             f"mu.i{i}.weight", ok, "" if ok else f"(a* - ths1).l^{i - 1}r^{i} != y{i} phi"
         )
-        ok = corner[i - 1]
+        ok = corner[i]
         rep.add(
             f"mu.i{i}.identity",
             ok,
@@ -300,40 +309,44 @@ def mu_certificate(real: ModuleRealization) -> VerificationReport:
     return rep
 
 
-def corner_identities(real: ModuleRealization) -> List[bool]:
-    """For i = 1..d: e*_0 tau_i(a) e*_0 phi = y_i phi / prod_{j=1..i} (s_0 - s_j)?
+def split_sequence(a: Matrix, corner: Matrix, theta: List, theta_star: List, v: List) -> list:
+    """c_0..c_d with corner . tau_i(a) v = c_i v / prod_{j=1..i} (s_0 - s_j),
+    s = theta_star and d + 1 = len(theta_star); None where the image is not a
+    multiple of v.  tau_i(a) v is walked incrementally, one product per i."""
+    f = a.field
+    pivot = next(k for k, x in enumerate(v) if not f.is_zero(x))
+    w, den, out = v, f.one, []
+    for i in range(len(theta_star)):
+        if i:
+            w = vec_sub(f, a.apply(w), vec_scale(f, theta[i - 1], w))
+            den = f.mul(den, f.sub(theta_star[0], theta_star[i]))
+        img = corner.apply(w)
+        c = f.div(img[pivot], v[pivot])
+        out.append(f.mul(c, den) if vec_eq(f, img, vec_scale(f, c, v)) else None)
+    return out
 
-    e*_0 phi = phi is checked separately, so tau_i(a) acts on phi directly.
+
+def corner_identities(real: ModuleRealization) -> List[bool]:
+    """For i = 0..d: e*_0 tau_i(a) e*_0 phi = y_i phi / prod_{j=1..i} (s_0 - s_j)?
+
+    Entry 0 (y_0 = 1) reads e*_0 phi = phi; given that, tau_i(a) acts on phi
+    directly and the split read at phi must be 1, y_1, ..., y_d.
     """
-    f = real.field
     ctx = real.context
     phi = real.basis_vector(real.basis[0])
-    v, den, out = phi, f.one, []
-    for i in range(1, real.d + 1):
-        v = vec_sub(f, real.a.apply(v), vec_scale(f, ctx.theta[i - 1], v))
-        den = f.mul(den, f.sub(ctx.theta_star[0], ctx.theta_star[i]))
-        want = vec_scale(f, f.div(ctx.y[i - 1], den), phi)
-        out.append(vec_eq(f, real.estar[0].apply(v), want))
-    return out
+    split = split_sequence(real.a, real.estar[0], ctx.theta, ctx.theta_star, phi)
+    return [c == y for c, y in zip(split, [real.field.one] + list(ctx.y))]
 
 
 # ---------------------------------------------------------------------------
 # Shape
 
 
-@dataclass
-class ShapeResult:
-    ranks: List[int]
-    dual_ranks: List[int]
-    report: VerificationReport
-
-
-def shape_check(real: ModuleRealization) -> ShapeResult:
+def shape_check(real: ModuleRealization) -> VerificationReport:
     """Idempotent ranks: binomials C(d,i), symmetric and unimodal."""
     rep = real.report("shape")
     d = real.d
-    ranks = [m.rank() for m in real.e]
-    dual_ranks = [m.rank() for m in real.estar]
+    ranks, dual_ranks = real.ranks, real.dual_ranks
     for i in range(d + 1):
         want = comb(d, i)
         rep.add(
@@ -350,44 +363,4 @@ def shape_check(real: ModuleRealization) -> ShapeResult:
     rep.add("shape.symmetric", sym, str(ranks))
     uni = all(ranks[i - 1] <= ranks[i] for i in range(1, d // 2 + 1))
     rep.add("shape.unimodal", uni, str(ranks))
-    return ShapeResult(ranks=ranks, dual_ranks=dual_ranks, report=rep)
-
-
-# ---------------------------------------------------------------------------
-# Corner triple products
-
-
-def triple_product_check(real: ModuleRealization) -> VerificationReport:
-    """e*_0 e_0 e*_0 and e*_0 e_d e*_0 act nonzero on phi; the d-corner value
-    is zeta_d / (tau_d(th_d) * eta*_d(ths_0)).  The realization's y-values are
-    read as the split sequence (zeta_0 = 1 implied)."""
-    rep = real.report("triple-product")
-    f = real.field
-    d = real.d
-    ctx = real.context
-    phi = real.basis_vector(real.basis[0])
-    es0 = real.estar[0]
-
-    low = es0.apply(real.e[0].apply(es0.apply(phi)))
-    ok = not vec_is_zero(f, low)
-    rep.add("triple.e0.nonzero", ok, "" if ok else "e*_0 e_0 e*_0 phi = 0")
-
-    high = es0.apply(real.e[d].apply(es0.apply(phi)))
-    ok = not vec_is_zero(f, high)
-    rep.add("triple.ed.nonzero", ok, "" if ok else "e*_0 e_d e*_0 phi = 0")
-
-    zeta_d = f.one if d == 0 else ctx.y[d - 1]
-    tau_at = f.one
-    for j in range(d):
-        tau_at = f.mul(tau_at, f.sub(ctx.theta[d], ctx.theta[j]))
-    eta_star_at = f.one
-    for j in range(1, d + 1):
-        eta_star_at = f.mul(eta_star_at, f.sub(ctx.theta_star[0], ctx.theta_star[j]))
-    coeff = f.div(f.div(zeta_d, tau_at), eta_star_at)
-    ok = vec_eq(f, high, vec_scale(f, coeff, phi))
-    rep.add(
-        "triple.ed.value",
-        ok,
-        "" if ok else "e*_0 e_d e*_0 phi != zeta_d phi / (tau_d(th_d) eta*_d(ths_0))",
-    )
     return rep

@@ -65,7 +65,7 @@ SWEEPS = {
         lambda real: verify_relations(real).checks + mu_certificate(real).checks
     ),
     "mu-certificate": _realized(lambda real: mu_certificate(real).checks),
-    "shape": _realized(lambda real: shape_check(real).report.checks),
+    "shape": _realized(lambda real: shape_check(real).checks),
     "zz-rank": _realized(lambda real: feasible_rank_test(real).checks),
     "tds-roundtrip": _roundtrip_trial,
 }

@@ -11,19 +11,27 @@ invariant subspace (normally the closure of phi), checks the tridiagonal
 axioms on it (diagonalizability over the supplied eigenvalue lists, interval
 supports, band conditions, irreducibility), and reads back the shape and the
 split sequence.  roundtrip() compares the recovered data with the array.
+Both directions read the pair through realization's helpers: the idempotent
+families and their ranks come from idempotent_families (the supports are the
+nonzero ranks, the shape is the dual ranks over the support), and the split
+comes from split_sequence, the same reader behind the g_i assertion, applied
+at one corner eigenvector.
 
 Irreducibility: the reference criterion is that the words in the restricted
 pair span the full matrix algebra (span dimension = (dim W)^2).  Maintaining
 that span echelon costs on the order of (dim W)^6 field operations, so for
 dim W > 8 extraction uses an equivalent test available whenever the corner
-eigenspace is one-dimensional: W is irreducible iff the corner eigenvector
-generates W and the corner eigenrow generates the dual module under the
-transposed pair.  (A proper submodule U satisfies corner(U) = 0, since
-corner(U) nonzero would put the corner eigenvector, hence all of W, inside
-U; so the corner row annihilates U, and if that row generates the dual
-module then U = 0.  Conversely an irreducible module and its transpose are
-cyclic from any nonzero vector.)  Both routes are exact; the reference
-criterion remains the fallback when the corner hypothesis fails.
+eigenspace is one-dimensional (the shape is sharp): W is irreducible iff the
+corner eigenvector generates W and the corner eigenrow generates the dual
+module under the transposed pair.  (A proper submodule U satisfies
+corner(U) = 0, since corner(U) nonzero would put the corner eigenvector,
+hence all of W, inside U; so the corner row annihilates U, and if that row
+generates the dual module then U = 0.  Conversely an irreducible module and
+its transpose are cyclic from any nonzero vector.)  Both routes are exact;
+the reference criterion remains the fallback when the shape is not sharp.
+Both routes stay: the word-span note is inside every pinned d <= 3 round-trip
+report (tests/test_golden.py, perfbench/digests.json), and the roundtrip-qq
+benchmark workload runs both (word-span at d = 3, corner-cyclic at d = 4, 5).
 """
 
 from __future__ import annotations
@@ -33,10 +41,16 @@ from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Sequence, Tuple
 
 from .fields import Field, field_echo
-from .linalg import EchelonBasis, Matrix, restrict_operator, vec_eq, vec_is_zero, vec_scale, vec_sub
+from .linalg import EchelonBasis, Matrix, restrict_operator, vec_is_zero
 from .params import ContextError, ParameterArray, derive_context, validate_parameter_array
-from .poly import MinimalPolynomialError, lagrange_idempotents
-from .realization import ModuleRealization, RealizationError, corner_identities, realize
+from .realization import (
+    ModuleRealization,
+    RealizationError,
+    corner_identities,
+    idempotent_families,
+    realize,
+    split_sequence,
+)
 from .report import VerificationReport
 from .tables import ModuleTable, TableError
 
@@ -64,7 +78,7 @@ def construct_from_params(
     ctx = derive_context(pa.theta, pa.theta_star, pa.zeta[1:], field)
     real = realize(table, ctx, field)
     # with y = zeta[1:], g_i phi = 0 is the corner identity at i
-    bad = [i for i, ok in enumerate(corner_identities(real), 1) if not ok]
+    bad = [i for i, ok in enumerate(corner_identities(real)) if i and not ok]
     if bad:
         raise ConstructionError("; ".join(f"g.{i}: g_{i} phi != 0" for i in bad))
     return real
@@ -109,22 +123,12 @@ def irreducibility_check(a: Matrix, astar: Matrix, field: Field) -> bool:
     return basis.dim == n * n
 
 
-def _corner_cyclic_irreducible(a: Matrix, astar: Matrix, corner: Matrix) -> Optional[bool]:
-    """Exact irreducibility via the rank-one corner idempotent; None if the
-    corner eigenspace is not one-dimensional (caller falls back)."""
-    field = a.field
-    if corner.rank() != 1:
-        return None
-    vec = next(
-        (corner.column(j) for j in range(corner.ncols)
-         if not vec_is_zero(field, corner.column(j))),
-        None,
-    )
-    if vec is None:
-        return None
+def _corner_cyclic_irreducible(a: Matrix, astar: Matrix, corner: Matrix, vec: list) -> bool:
+    """Exact irreducibility via a rank-one corner idempotent whose image is
+    spanned by the nonzero column `vec`."""
     if submodule_closure(a, astar, vec).dim != a.nrows:
         return False
-    row = next(r for r in corner.rows if not vec_is_zero(field, r))
+    row = next(r for r in corner.rows if not vec_is_zero(a.field, r))
     dual = submodule_closure(a.transpose(), astar.transpose(), row)
     return dual.dim == a.nrows
 
@@ -164,16 +168,10 @@ class TDSystemReport:
         }
 
 
-def extract_td_system(
-    real: ModuleRealization,
-    subspace: EchelonBasis,
-    theta: Optional[list] = None,
-    theta_star: Optional[list] = None,
-) -> TDSystemReport:
+def extract_td_system(real: ModuleRealization, subspace: EchelonBasis) -> TDSystemReport:
     """Restrict the pair to an invariant subspace and check the axioms."""
     field = real.field
-    theta = list(real.context.theta) if theta is None else list(theta)
-    theta_star = list(real.context.theta_star) if theta_star is None else list(theta_star)
+    theta, theta_star = real.context.theta, real.context.theta_star
     d = len(theta) - 1
     failures: List[Tuple[str, str]] = []
     notes: List[str] = []
@@ -182,17 +180,11 @@ def extract_td_system(
     a_sub = restrict_operator(field, real.a, subspace)
     astar_sub = restrict_operator(field, real.astar, subspace)
 
-    idems: List[Matrix] = []
-    idems_star: List[Matrix] = []
     try:
-        idems = lagrange_idempotents(a_sub, theta)
-    except MinimalPolynomialError as err:
-        failures.append(("tds.minpoly.a", str(err)))
-    try:
-        idems_star = lagrange_idempotents(astar_sub, theta_star)
-    except MinimalPolynomialError as err:
-        failures.append(("tds.minpoly.astar", str(err)))
-    if failures:
+        idems, idems_star, ranks, dual_ranks = idempotent_families(
+            a_sub, astar_sub, theta, theta_star
+        )
+    except RealizationError as err:
         return TDSystemReport(
             diameter=-1,
             eigenvalues=[],
@@ -201,20 +193,20 @@ def extract_td_system(
             split=[],
             sharp=False,
             irreducible=None,
-            axiom_failures=failures,
+            axiom_failures=[("tds." + cid, det) for cid, det in err.failures],
             degenerate=True,
             closure_dim=dim_w,
             notes=["extraction aborted: minimal polynomial failed"],
         )
 
-    def support(ms: List[Matrix], tag: str) -> List[int]:
-        sup = [i for i, m in enumerate(ms) if not m.is_zero()]
+    def support(rs: List[int], tag: str) -> List[int]:
+        sup = [i for i, r in enumerate(rs) if r > 0]
         if sup and sup != list(range(sup[0], sup[-1] + 1)):
             failures.append((f"tds.support.{tag}", f"support {sup} is not an interval"))
         return sup
 
-    sup_a = support(idems, "a")
-    sup_astar = support(idems_star, "astar")
+    sup_a = support(ranks, "a")
+    sup_astar = support(dual_ranks, "astar")
     t0 = sup_a[0] if sup_a else 0
     r0 = sup_astar[0] if sup_astar else 0
     delta_a = len(sup_a) - 1
@@ -235,8 +227,8 @@ def extract_td_system(
                         (f"tds.band.{tag}.{i}.{j}", "sandwich is nonzero")
                     )
 
-    shape = [idems_star[r0 + i].rank() for i in range(delta + 1)]
-    shape_a = [idems[t0 + i].rank() for i in range(delta_a + 1)]
+    shape = dual_ranks[r0 : r0 + delta + 1]
+    shape_a = ranks[t0 : t0 + delta_a + 1]
     if delta_a == delta_astar and shape != shape_a:
         failures.append(
             ("tds.shape.match", f"eigenspace dimensions differ: {shape_a} vs {shape}")
@@ -247,46 +239,31 @@ def extract_td_system(
 
     # split sequence read at the corner eigenvector
     split: list = []
-    corner = idems_star[r0] if idems_star else None
-    vec0 = None
-    if corner is not None:
-        vec0 = next(
-            (corner.column(j) for j in range(corner.ncols)
-             if not vec_is_zero(field, corner.column(j))),
-            None,
-        )
+    corner = idems_star[r0]
+    vec0 = next((c for c in corner.transpose().rows if not vec_is_zero(field, c)), None)
     if vec0 is None:
         failures.append(("tds.corner", "corner eigenspace is zero"))
     else:
-        pivot = next(k for k, x in enumerate(vec0) if not field.is_zero(x))
-        for i in range(delta + 1):
-            v = vec0
-            for j in range(i):
-                v = vec_sub(field, a_sub.apply(v), vec_scale(field, theta[t0 + j], v))
-            w = corner.apply(v)
-            c = field.div(w[pivot], vec0[pivot])
-            if not vec_eq(field, w, vec_scale(field, c, vec0)):
-                failures.append(
-                    (f"tds.split.proportional.{i}", "corner image is not a multiple of the eigenvector")
-                )
-                break
-            den = field.one
-            for j in range(1, i + 1):
-                den = field.mul(den, field.sub(theta_star[r0], theta_star[r0 + j]))
-            split.append(field.mul(c, den))
+        split = split_sequence(
+            a_sub, corner, theta[t0:], theta_star[r0 : r0 + delta + 1], vec0
+        )
+        if None in split:
+            i = split.index(None)
+            failures.append(
+                (f"tds.split.proportional.{i}", "corner image is not a multiple of the eigenvector")
+            )
+            split = split[:i]
 
     # irreducibility: span criterion when small, corner-cyclic route otherwise
-    irreducible: Optional[bool] = None
     if dim_w <= SPAN_CRITERION_DIM_LIMIT:
         irreducible = irreducibility_check(a_sub, astar_sub, field)
         notes.append("irreducibility via full word-span dimension")
-    elif corner is not None:
-        irreducible = _corner_cyclic_irreducible(a_sub, astar_sub, corner)
-        if irreducible is None:
-            irreducible = irreducibility_check(a_sub, astar_sub, field)
-            notes.append("irreducibility via full word-span dimension (fallback)")
-        else:
-            notes.append("irreducibility via corner-cyclic test")
+    elif sharp:  # the corner has rank one
+        irreducible = _corner_cyclic_irreducible(a_sub, astar_sub, corner, vec0)
+        notes.append("irreducibility via corner-cyclic test")
+    else:
+        irreducible = irreducibility_check(a_sub, astar_sub, field)
+        notes.append("irreducibility via full word-span dimension (fallback)")
     if irreducible is False:
         failures.append(("tds.irreducible", "a proper invariant subspace exists"))
     if field.kind == "qq":

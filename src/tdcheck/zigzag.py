@@ -78,21 +78,22 @@ def _letter_between(u: Letter, v: Letter, w: Letter) -> bool:
     return is_between(u[1], v[1], w[1])
 
 
+def _conditions_hold_at(word: Sequence[Letter], i: int) -> bool:
+    """The zigzag conditions whose last letter is word[i] (0-based): (i) at
+    the middle letter word[i-1] and (ii) at the pair word[i-2], word[i-1]."""
+    if i >= 2 and _letter_between(word[i - 1], word[i - 2], word[i]):
+        return False
+    return i < 3 or not (
+        _letter_between(word[i - 2], word[i - 3], word[i])
+        and _letter_between(word[i - 1], word[i - 3], word[i])
+    )
+
+
 def is_zz(word: Word) -> bool:
     """Both zigzag conditions; raises WordError on non-alternating input."""
     if not is_alternating(word):
         raise WordError(f"word {word_text(word)!r} is not alternating")
-    n = len(word)
-    # letters are 1-based u_1..u_n in the definitions below
-    for i in range(2, n):  # condition (i): 2 <= i <= n-1
-        if _letter_between(word[i - 1], word[i - 2], word[i]):
-            return False
-    for i in range(3, n):  # condition (ii): 3 <= i <= n-1
-        a = _letter_between(word[i - 2], word[i - 3], word[i])
-        b = _letter_between(word[i - 1], word[i - 3], word[i])
-        if a and b:
-            return False
-    return True
+    return all(_conditions_hold_at(word, i) for i in range(len(word)))
 
 
 def letter_key(letter: Letter) -> Tuple[int, bool]:
@@ -103,22 +104,9 @@ def word_key(word: Word):
     return (len(word), tuple(letter_key(u) for u in word))
 
 
-def _new_conditions_hold(word: List[Letter]) -> bool:
-    """Zigzag conditions involving only the last appended letter."""
-    n = len(word)
-    i = n - 1  # check conditions at position i (1-based), now determined
-    if i >= 2 and _letter_between(word[i - 1], word[i - 2], word[i]):
-        return False
-    if i >= 3:
-        a = _letter_between(word[i - 2], word[i - 3], word[i])
-        b = _letter_between(word[i - 1], word[i - 3], word[i])
-        if a and b:
-            return False
-    return True
-
-
 MAX_FEASIBLE_D = 12
 MAX_ZZ_D = 6
+MAX_CONVEX_SEQUENCES = 500_000
 
 
 def enumerate_feasible(d: int) -> List[Word]:
@@ -194,7 +182,7 @@ def enumerate_zz(
             return
         for letter in star if not word[-1][0] else nonstar:
             word.append(letter)
-            if _new_conditions_hold(word):
+            if _conditions_hold_at(word, len(word) - 1):
                 extend(word)
             word.pop()
 
@@ -226,24 +214,31 @@ def is_convex(seq: Sequence[int]) -> bool:
 
 def enumerate_convex_spanning(r: int) -> List[Tuple[int, ...]]:
     """All (k_1..k_m), m >= 0, with r > k_1 > ... > k_m > 0 and
-    (r, k_1, ..., k_m, 0) convex; sorted by length then lexicographically."""
+    (r, k_1, ..., k_m, 0) convex; sorted by length then lexicographically.
+
+    Only convex prefixes are extended (each gap at most the one before), so
+    the work is proportional to the output: one sequence per partition of r
+    into its gaps.  Raises EnumerationBudgetError above MAX_CONVEX_SEQUENCES.
+    """
     if r < 1:
         raise WordError("r must be at least 1")
     out: List[Tuple[int, ...]] = []
 
-    def extend(seq: List[int]):
-        full = [r] + seq + [0]
-        if is_convex(full):
+    def extend(seq: List[int], low: int, gap: int):
+        # low is the last entry and gap the last difference (r for the bare r)
+        if low <= gap:  # the closing gap low - 0 keeps the sequence convex
+            if len(out) == MAX_CONVEX_SEQUENCES:
+                raise EnumerationBudgetError(
+                    f"more than {MAX_CONVEX_SEQUENCES} convex sequences for r = {r}"
+                )
             out.append(tuple(seq))
-        low = seq[-1] if seq else r
-        for nxt in range(low - 1, 0, -1):
+        # largest gaps first: the search reaches the budget before it gets deep
+        for nxt in range(max(low - gap, 1), low):
             seq.append(nxt)
-            # convexity of the closed sequence can fail and later recover is
-            # impossible only for the tail gap; just recurse and test at emit
-            extend(seq)
+            extend(seq, nxt, low - nxt)
             seq.pop()
 
-    extend([])
+    extend([], r, r)
     out.sort(key=lambda s: (len(s), s))
     return out
 

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tdcheck import zigzag
 from tdcheck.cli import main
 
 
@@ -243,3 +250,73 @@ def test_roundtrip_input_above_max_diameter_is_a_usage_error(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err == run_cli(capsys, "tds", "roundtrip", "--d", "6")[2]
     assert len(err.strip().splitlines()) == 1
+
+
+def test_convex_over_budget_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(zigzag, "MAX_CONVEX_SEQUENCES", 41)
+    code, out, err = run_cli(capsys, "convex", "--r", "10")  # p(10) = 42
+    assert (code, out) == (2, "")
+    assert err.startswith("tdcheck: ") and len(err.strip().splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the --input parameter-array file
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+SCALARS = st.sampled_from(
+    ["0", "1", "-1", "2", "3", "-2", "1/2", "-3/4", "1/0", "x", "1.5", "", " 2 ",
+     0, 1, 1.5, None, True, [], {}]
+)
+
+
+@st.composite
+def _array_objects(draw):
+    d = draw(st.integers(-1, 7))
+
+    def scalars():
+        n = draw(st.one_of(st.just(max(d + 1, 0)), st.integers(0, 9)))
+        return draw(st.lists(SCALARS, min_size=n, max_size=n))
+
+    return {"d": d, "theta": scalars(), "theta_star": scalars(), "zeta": scalars()}
+
+
+INPUT_DOCUMENTS = st.one_of(
+    JSON_VALUES.map(json.dumps),
+    _array_objects().map(json.dumps),
+    st.text(max_size=40),
+)
+INPUT_COMMANDS = (
+    ("check-params", "--field", "qq"),
+    ("check-params", "--field", "fp"),
+    ("tds", "roundtrip", "--field", "fp"),
+)
+
+
+def _main_on_document(argv, document):
+    """main(argv + --input FILE) with FILE holding `document`: (code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "array.json"
+        path.write_text(document)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--input", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(INPUT_COMMANDS), INPUT_DOCUMENTS)
+def test_any_input_file_gives_a_report_or_a_usage_error(argv, document):
+    code, out, err = _main_on_document(argv, document)
+    if code == 2:
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+    else:
+        assert code in (0, 1)
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert json.loads(out)["overall"] is (code == 0)
+

@@ -10,7 +10,7 @@ from tdcheck.realization import (
     mu_certificate,
     realize,
     shape_check,
-    triple_product_check,
+    split_sequence,
     verify_relations,
 )
 from tdcheck.tables import load_table
@@ -35,7 +35,6 @@ def test_d0_realization_is_scalar():
     assert real.estar[0] == Matrix.identity(QQ, 1)
     assert verify_relations(real).overall
     assert mu_certificate(real).overall
-    assert triple_product_check(real).overall
 
 
 def test_d1_realization_matches_hand_matrices():
@@ -76,9 +75,7 @@ def test_full_suite_random_context(d, kind):
     real = realize(load_table(d), ctx, spec.build_field())
     assert verify_relations(real).overall
     assert mu_certificate(real).overall
-    assert triple_product_check(real).overall
-    res = shape_check(real)
-    assert res.report.overall
+    assert shape_check(real).overall
 
 
 def test_d3_dual_idempotent_rank_three():
@@ -93,9 +90,9 @@ def test_shape_profiles(d, expected):
     spec = FieldSpec("fp", seed=70 + d)
     ctx = random_admissible_context(d, spec)
     real = realize(load_table(d), ctx, spec.build_field())
-    res = shape_check(real)
-    assert res.ranks == expected
-    assert res.dual_ranks == expected
+    assert real.ranks == expected
+    assert real.dual_ranks == expected
+    assert shape_check(real).overall
 
 
 def test_triple_product_d1_exact_value():
@@ -105,16 +102,23 @@ def test_triple_product_d1_exact_value():
     phi = real.basis_vector(real.basis[0])
     vec = real.estar[0].apply(real.e[1].apply(real.estar[0].apply(phi)))
     assert vec == [Fraction(7, 3), Fraction(0)]
-    assert triple_product_check(real).overall
 
 
-def test_triple_product_detects_vanishing_corner():
-    # y_d = 0 is inadmissible as a split entry; the d-corner must vanish
-    ctx = qq_context(2, [0, 1, 3], [0, 2, 5], [4, 0])
+def test_split_sequence_reads_weights_at_phi():
+    # zeta_0 = 1 followed by the weights y_1, y_2 of the realized table
+    ctx = qq_context(2, [0, 1, 3], [0, 2, 5], [4, 6])
     real = realize(load_table(2), ctx, QQ)
-    rep = triple_product_check(real)
-    bad = {c.id for c in rep.failures()}
-    assert "triple.ed.nonzero" in bad
+    phi = real.basis_vector(real.basis[0])
+    split = split_sequence(real.a, real.estar[0], ctx.theta, ctx.theta_star, phi)
+    assert split == fr([1, 4, 6])
+
+
+def test_split_sequence_marks_non_multiples():
+    # corner = identity: tau_1(a) v = a v - 0 v is not a multiple of v
+    a = Matrix(QQ, [fr([0, 0]), fr([1, 1])])
+    corner = Matrix.identity(QQ, 2)
+    split = split_sequence(a, corner, fr([0, 1]), fr([5, 2]), fr([1, 0]))
+    assert split == [Fraction(1), None]
 
 
 def test_realize_rejects_mismatched_context():

@@ -208,3 +208,30 @@ def test_expression_print_parse_roundtrip(tree):
     back = parser.expr()
     assert parser.t.peek() is None
     assert back == tree
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: short random edits to the bundled tables
+
+EDIT_ALPHABET = " \t\n#[]=:+-*/^()0123459abcdehilnoprsty"
+
+
+@st.composite
+def _edited_table_text(draw):
+    text = bundled_table_text(draw(st.integers(0, 5)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 4))
+        text = text[:at] + draw(st.text(EDIT_ALPHABET, max_size=4)) + text[at + cut:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edited_table_text())
+def test_edited_table_parses_to_a_fixed_point_or_is_rejected(text):
+    try:
+        table = parse_table(text)
+    except TableError:
+        return
+    assert parse_table(serialize_table(table)) == table
+

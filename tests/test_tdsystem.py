@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -149,9 +150,22 @@ def test_extract_flags_axiom_failures_for_swapped_eigenvalues():
     field = spec.build_field()
     real = realize(load_table(2), ctx, field)
     swapped = [ctx.theta[1], ctx.theta[0], ctx.theta[2]]
-    tds = extract_td_system(real, full_space(real), theta=swapped)
+    real = dataclasses.replace(real, context=dataclasses.replace(ctx, theta=swapped))
+    tds = extract_td_system(real, full_space(real))
     assert not tds.passed()
     assert any(cid.startswith("tds.band") for cid, _ in tds.axiom_failures)
+
+
+def test_extract_reports_minimal_polynomial_failures_with_prefix():
+    spec = FieldSpec("fp", seed=3112)
+    ctx = random_admissible_context(2, spec)
+    field = spec.build_field()
+    real = realize(load_table(2), ctx, field)
+    wrong = [field.add(x, field.one) for x in ctx.theta]  # distinct, not the spectrum of a
+    real = dataclasses.replace(real, context=dataclasses.replace(ctx, theta=wrong))
+    tds = extract_td_system(real, full_space(real))
+    assert [cid for cid, _ in tds.axiom_failures] == ["tds.minpoly.a"]
+    assert tds.notes == ["extraction aborted: minimal polynomial failed"]
 
 
 def test_extract_with_generic_weights_passes_band_conditions():

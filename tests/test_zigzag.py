@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tdcheck.fields import FieldSpec, Rationals
 from tdcheck.params import derive_context, random_admissible_context
 from tdcheck.realization import realize
+from tdcheck import zigzag
 from tdcheck.tables import load_table
 from tdcheck.zigzag import (
     EnumerationBudgetError,
@@ -281,6 +282,19 @@ def test_convex_spanning_matches_filter():
                     expected.append(seq)
         expected.sort(key=lambda s: (len(s), s))
         assert enumerate_convex_spanning(r) == expected
+
+
+def test_convex_spanning_counts_partitions():
+    # one sequence per partition of r into its (nonincreasing) gaps
+    assert len(enumerate_convex_spanning(16)) == 231
+    assert len(enumerate_convex_spanning(30)) == 5604
+
+
+def test_convex_spanning_budget(monkeypatch):
+    monkeypatch.setattr(zigzag, "MAX_CONVEX_SEQUENCES", 41)
+    assert len(enumerate_convex_spanning(9)) == 30
+    with pytest.raises(EnumerationBudgetError):
+        enumerate_convex_spanning(10)  # p(10) = 42
 
 
 # ---------------------------------------------------------------------------
