@@ -94,19 +94,17 @@ def derive_seed(master: int, index: int) -> int:
     return SplitMix64((master ^ (index + 1)) & _U64).next_u64()
 
 
-class Rationals:
-    """The field of rationals.  Elements are normalized `Fraction`s.
+# Random rationals are integers in [-QQ_SAMPLE_BOUND, QQ_SAMPLE_BOUND]; small
+# values keep exact arithmetic in deep products manageable.
+QQ_SAMPLE_BOUND = 1000
 
-    `sample_bound` limits random draws to integers in [-bound, bound]; small
-    values keep exact arithmetic in deep products manageable.
-    """
+
+class Rationals:
+    """The field of rationals.  Elements are normalized `Fraction`s."""
 
     kind = "qq"
 
-    def __init__(self, sample_bound: int = 1000):
-        if sample_bound < 1:
-            raise FieldError("sample_bound must be >= 1")
-        self.sample_bound = sample_bound
+    def __init__(self):
         self.zero = Fraction(0)
         self.one = Fraction(1)
 
@@ -148,12 +146,12 @@ class Rationals:
         return a == 0
 
     def random(self, rng: SplitMix64) -> Fraction:
-        b = self.sample_bound
+        b = QQ_SAMPLE_BOUND
         return Fraction(rng.randrange(2 * b + 1) - b)
 
     def capacity(self) -> Optional[int]:
         """Number of values random() can produce (sampling universe size)."""
-        return 2 * self.sample_bound + 1
+        return 2 * QQ_SAMPLE_BOUND + 1
 
     def format(self, a: Fraction) -> str:
         if a.denominator == 1:

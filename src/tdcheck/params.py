@@ -41,6 +41,8 @@ GUARD_BETA_PLUS_1 = "beta+1 vanishes"
 GUARD_BETA = "beta vanishes"
 GUARD_BETA_QUAD = "beta^2+beta-1 vanishes"
 
+MAX_ATTEMPTS = 1000  # candidates each rejection sampler draws before giving up
+
 
 class MalformedArrayError(ValueError):
     """Structurally broken input (bad JSON shape or lengths), distinct from
@@ -210,6 +212,17 @@ def validate_parameter_array(pa: ParameterArray, field: Field) -> ValidationResu
     return ValidationResult(passed=not failures, failures=failures, vacuous=vacuous)
 
 
+def _violated_beta_guard(field: Field, d: int, beta) -> Optional[str]:
+    """The first denominator guard beta violates at diameter d >= 3, or None."""
+    if field.is_zero(field.add(beta, field.one)):
+        return GUARD_BETA_PLUS_1
+    if d >= 4 and field.is_zero(beta):
+        return GUARD_BETA
+    if d == 5 and field.is_zero(field.sub(field.add(field.mul(beta, beta), beta), field.one)):
+        return GUARD_BETA_QUAD
+    return None
+
+
 def derive_context(
     theta: Sequence, theta_star: Sequence, y: Sequence, field: Field
 ) -> SpecializationContext:
@@ -235,14 +248,9 @@ def derive_context(
         if any(r != ratios[0] for r in ratios[1:]):
             raise ContextError("not beta-recurrent")
         beta = field.sub(ratios[0], field.one)
-        if field.is_zero(field.add(beta, field.one)):
-            raise ContextError(GUARD_BETA_PLUS_1)
-        if d >= 4 and field.is_zero(beta):
-            raise ContextError(GUARD_BETA)
-        if d == 5:
-            quad = field.sub(field.add(field.mul(beta, beta), beta), field.one)
-            if field.is_zero(quad):
-                raise ContextError(GUARD_BETA_QUAD)
+        guard = _violated_beta_guard(field, d, beta)
+        if guard:
+            raise ContextError(guard)
 
     epsilon = []
     for i in range(d - 1):
@@ -280,9 +288,7 @@ def _beta_recurrent_list(field: Field, sampler: Sampler, d: int, beta) -> Option
     return xs
 
 
-def random_admissible_context(
-    d: int, spec: FieldSpec, max_attempts: int = 1000
-) -> SpecializationContext:
+def random_admissible_context(d: int, spec: FieldSpec) -> SpecializationContext:
     """Rejection-sample a context passing every guard; deterministic per seed.
 
     For d >= 3 a guarded beta is drawn first and both eigenvalue lists are
@@ -290,22 +296,14 @@ def random_admissible_context(
     """
     sampler = Sampler(spec)
     field = sampler.field
-    attempts = 0
-    while attempts < max_attempts:
-        attempts += 1
+    for _ in range(MAX_ATTEMPTS):
         if d <= 2:
             theta = sampler.distinct(d + 1)
             theta_star = sampler.distinct(d + 1)
         else:
             beta = sampler.scalar()
-            if field.is_zero(field.add(beta, field.one)):
+            if _violated_beta_guard(field, d, beta):
                 continue
-            if d >= 4 and field.is_zero(beta):
-                continue
-            if d == 5:
-                quad = field.sub(field.add(field.mul(beta, beta), beta), field.one)
-                if field.is_zero(quad):
-                    continue
             theta = _beta_recurrent_list(field, sampler, d, beta)
             theta_star = _beta_recurrent_list(field, sampler, d, beta)
             if theta is None or theta_star is None:
@@ -316,19 +314,15 @@ def random_admissible_context(
         except ContextError:
             continue
     raise ContextError(
-        f"no admissible context found after {max_attempts} attempts"
+        f"no admissible context found after {MAX_ATTEMPTS} attempts"
     )
 
 
-def random_valid_parameter_array(
-    d: int, spec: FieldSpec, max_attempts: int = 1000
-) -> ParameterArray:
+def random_valid_parameter_array(d: int, spec: FieldSpec) -> ParameterArray:
     """Rejection-sample a parameter array passing the full validator."""
     sampler = Sampler(spec)
     field = sampler.field
-    attempts = 0
-    while attempts < max_attempts:
-        attempts += 1
+    for _ in range(MAX_ATTEMPTS):
         if d <= 2:
             theta = sampler.distinct(d + 1)
             theta_star = sampler.distinct(d + 1)
@@ -345,5 +339,5 @@ def random_valid_parameter_array(
         if validate_parameter_array(pa, field).passed:
             return pa
     raise ContextError(
-        f"no valid parameter array found after {max_attempts} attempts"
+        f"no valid parameter array found after {MAX_ATTEMPTS} attempts"
     )

@@ -10,6 +10,9 @@ i.e. a sum of coefficient*label terms.  Coefficients are expressions over
 integer literals, the named scalars th0..thd, ths0..thsd, y1..yd, beta,
 eps0..eps(d-2), parentheses and + - * / ^ with integer (possibly negative)
 exponents.  Precedence, tightest first: ^, unary -, * and /, binary + and -.
+An entry's right-hand side goes through the same parser, with basis labels as
+atoms outside parentheses, and its top-level sum is split into terms.  Nesting
+is at most MAX_EXPR_DEPTH deep, so no table can exhaust the recursion.
 
 The printer emits a canonical form and parsing is loss-free: re-serializing a
 parsed bundled table reproduces the file byte for byte.
@@ -18,7 +21,7 @@ parsed bundled table reproduces the file byte for byte.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -130,25 +133,8 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Div:
+class BinOp:
+    op: str  # one of + - * /
     left: "Expr"
     right: "Expr"
 
@@ -159,9 +145,14 @@ class Pow:
     exp: int
 
 
-Expr = Union[Num, Name, Neg, Add, Sub, Mul, Div, Pow]
+Expr = Union[Num, Name, Neg, BinOp, Pow]
+_NODES = (Num, Name, Neg, BinOp, Pow, BasisLabel)  # what an entry's tree holds
 
 ONE = Num(1)
+
+# Deepest parenthesis nesting and coefficient tree an entry may hold; the
+# bundled coefficients are at most 13 deep.
+MAX_EXPR_DEPTH = 64
 
 _NAME_RE = re.compile(r"^(th|ths|y|eps)([0-9]+)$")
 
@@ -186,6 +177,9 @@ def check_scalar_name(text: str, d: int) -> None:
         raise TableError(f"unknown scalar name {text!r} for d={d}")
 
 
+_FIELD_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+
+
 def evaluate(expr: Expr, env: Dict[str, object], field) -> object:
     """Evaluate an expression tree at concrete scalars."""
     if isinstance(expr, Num):
@@ -197,17 +191,12 @@ def evaluate(expr: Expr, env: Dict[str, object], field) -> object:
             raise EvaluationError(f"no value bound for {expr.text!r}") from None
     if isinstance(expr, Neg):
         return field.neg(evaluate(expr.child, env, field))
-    if isinstance(expr, Add):
-        return field.add(evaluate(expr.left, env, field), evaluate(expr.right, env, field))
-    if isinstance(expr, Sub):
-        return field.sub(evaluate(expr.left, env, field), evaluate(expr.right, env, field))
-    if isinstance(expr, Mul):
-        return field.mul(evaluate(expr.left, env, field), evaluate(expr.right, env, field))
-    if isinstance(expr, Div):
-        den = evaluate(expr.right, env, field)
-        if field.is_zero(den):
+    if isinstance(expr, BinOp):
+        left = evaluate(expr.left, env, field)
+        right = evaluate(expr.right, env, field)
+        if expr.op == "/" and field.is_zero(right):
             raise EvaluationError(f"division by zero in {format_expr(expr)!r}")
-        return field.div(evaluate(expr.left, env, field), den)
+        return getattr(field, _FIELD_OPS[expr.op])(left, right)
     if isinstance(expr, Pow):
         base = evaluate(expr.base, env, field)
         e = expr.exp
@@ -228,10 +217,8 @@ _PREC_SUM, _PREC_PROD, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
 def _prec(expr: Expr) -> int:
-    if isinstance(expr, (Add, Sub)):
-        return _PREC_SUM
-    if isinstance(expr, (Mul, Div)):
-        return _PREC_PROD
+    if isinstance(expr, BinOp):
+        return _PREC_SUM if expr.op in "+-" else _PREC_PROD
     if isinstance(expr, Neg):
         return _PREC_NEG
     if isinstance(expr, Pow):
@@ -250,24 +237,15 @@ def format_expr(expr: Expr) -> str:
         if _prec(expr.child) < _PREC_NEG:
             inner = f"({inner})"
         return "-" + inner
-    if isinstance(expr, (Add, Sub)):
-        op = "+" if isinstance(expr, Add) else "-"
+    if isinstance(expr, BinOp):
+        prec = _prec(expr)
         left = format_expr(expr.left)
-        if _prec(expr.left) < _PREC_SUM:
+        if _prec(expr.left) < prec:
             left = f"({left})"
         right = format_expr(expr.right)
-        if _prec(expr.right) <= _PREC_SUM:
+        if _prec(expr.right) <= prec:
             right = f"({right})"
-        return left + op + right
-    if isinstance(expr, (Mul, Div)):
-        op = "*" if isinstance(expr, Mul) else "/"
-        left = format_expr(expr.left)
-        if _prec(expr.left) < _PREC_PROD:
-            left = f"({left})"
-        right = format_expr(expr.right)
-        if _prec(expr.right) <= _PREC_PROD:
-            right = f"({right})"
-        return left + op + right
+        return left + expr.op + right
     if isinstance(expr, Pow):
         base = format_expr(expr.base)
         if _prec(expr.base) < _PREC_ATOM:
@@ -328,49 +306,49 @@ class _Tokens:
         return ParseError(msg, self.line_no, col)
 
 
-class _ExprParser:
-    """Recursive descent over one entry line; d is needed for name checking."""
+def _is_label_token(text: str) -> bool:
+    if text == "phi":
+        return True
+    return bool(re.fullmatch(r"(?:[lr][0-9]*)+", text))
 
-    def __init__(self, toks: _Tokens, d: int):
+
+class _ExprParser:
+    """Recursive descent over one entry line; d is needed for name checking.
+
+    With a basis, a label token outside parentheses is an atom (BasisLabel),
+    so an entry's right-hand side parses as one expression.
+    """
+
+    def __init__(self, toks: _Tokens, d: int, basis: Optional[set] = None):
         self.t = toks
         self.d = d
+        self.basis = basis
+        self.depth = 0  # parenthesis nesting at the current token
 
-    # expr := ['-'] prod (('+'|'-') prod)*
+    # expr := prod (('+'|'-') prod)*
     def expr(self) -> Expr:
-        node = self.signed_prod()
+        node = self.prod()
         while True:
             nxt = self.t.peek()
             if nxt and nxt[0] == "op" and nxt[1] in "+-":
                 self.t.next()
-                rhs = self.prod()
-                node = Add(node, rhs) if nxt[1] == "+" else Sub(node, rhs)
+                node = BinOp(nxt[1], node, self.prod())
             else:
                 return node
 
-    def signed_prod(self) -> Expr:
-        nxt = self.t.peek()
-        if nxt and nxt[0] == "op" and nxt[1] == "-":
-            # leading minus of a sum: applies to the first factor only
-            return self.prod(lead_neg=True)
-        return self.prod()
-
     # prod := factor (('*'|'/') factor)*
-    def prod(self, lead_neg: bool = False) -> Expr:
-        node = self.factor(lead_neg=lead_neg)
+    def prod(self) -> Expr:
+        node = self.factor()
         while True:
             nxt = self.t.peek()
             if nxt and nxt[0] == "op" and nxt[1] in "*/":
                 self.t.next()
-                rhs = self.factor()
-                node = Mul(node, rhs) if nxt[1] == "*" else Div(node, rhs)
+                node = BinOp(nxt[1], node, self.factor())
             else:
                 return node
 
-    # factor := ['-'] power
-    def factor(self, lead_neg: bool = False) -> Expr:
-        if lead_neg:
-            self.t.expect_op("-")
-            return Neg(self.power())
+    # factor := ['-'] power; a leading minus applies to the first factor only
+    def factor(self) -> Expr:
         nxt = self.t.peek()
         if nxt and nxt[0] == "op" and nxt[1] == "-":
             self.t.next()
@@ -394,20 +372,34 @@ class _ExprParser:
             return Pow(base, sign * int(tok[1]))
         return base
 
-    def atom(self) -> Expr:
+    def atom(self):
         tok = self.t.next()
         kind, text, pos = tok
         if kind == "num":
             return Num(int(text))
         if kind == "ident":
+            if self.basis is not None and _is_label_token(text):
+                if self.depth:
+                    raise self.t.error("basis label inside parentheses", tok)
+                try:
+                    label = parse_label(text)
+                except TableError as e:
+                    raise self.t.error(str(e), tok) from None
+                if label not in self.basis:
+                    raise self.t.error(f"label {text!r} not in basis", tok)
+                return label
             try:
                 check_scalar_name(text, self.d)
             except TableError as e:
                 raise self.t.error(str(e), tok) from None
             return Name(text)
         if kind == "op" and text == "(":
+            if self.depth == MAX_EXPR_DEPTH:
+                raise self.t.error(f"parentheses nest deeper than {MAX_EXPR_DEPTH}", tok)
+            self.depth += 1
             node = self.expr()
             self.t.expect_op(")")
+            self.depth -= 1
             return node
         raise self.t.error(f"unexpected token {text!r}", tok)
 
@@ -415,88 +407,59 @@ class _ExprParser:
 # ---------------------------------------------------------------------------
 # Action entries: label : term + term - term ...
 #
-# Each term is [coeff*]LABEL with the label as the last *-factor; coefficient
-# expressions with top-level sums must be parenthesized.
+# The right-hand side is one expression whose top-level sum is split into
+# [coeff*]LABEL terms; coefficients with top-level sums must be parenthesized.
 
 
-def _is_label_token(text: str) -> bool:
-    if text == "phi":
-        return True
-    return bool(re.fullmatch(r"(?:[lr][0-9]*)+", text))
-
-
-def _parse_term(p: _ExprParser, basis: set) -> Tuple[Expr, BasisLabel]:
-    """One product chain whose final '*'-factor is a basis label."""
-    factors: List[Tuple[str, Expr, object]] = []  # (op, node-or-None, token)
-    op = "*"
-    while True:
-        tok = p.t.peek()
-        if tok is None:
-            break
-        kind, text, _ = tok
-        if kind == "ident" and _is_label_token(text):
-            p.t.next()
-            label_tok = tok
-            nxt = p.t.peek()
-            if nxt and nxt[0] == "op" and nxt[1] in "*/^":
-                raise p.t.error("basis label must end its term", nxt)
-            if op != "*":
-                raise p.t.error("basis label cannot sit under division", label_tok)
-            label = parse_label(text)
-            if label not in basis:
-                raise p.t.error(f"label {text!r} not in basis", label_tok)
-            coeff: Expr = ONE
-            for k, (fop, node, _tok) in enumerate(factors):
-                if k == 0:
-                    coeff = node
-                elif fop == "*":
-                    coeff = Mul(coeff, node)
-                else:
-                    coeff = Div(coeff, node)
-            return coeff, label
-        node = p.factor()
-        factors.append((op, node, tok))
-        nxt = p.t.peek()
-        if nxt and nxt[0] == "op" and nxt[1] in "*/":
-            p.t.next()
-            op = nxt[1]
-            continue
-        raise p.t.error("entry term must end with a basis label", nxt or tok)
-    raise p.t.error("entry term must end with a basis label")
+def _term(node, fail) -> Tuple[Expr, BasisLabel]:
+    """(coefficient, label) of one summand: label, -label or coeff*label."""
+    if isinstance(node, BasisLabel):
+        return ONE, node
+    if isinstance(node, Neg) and isinstance(node.child, BasisLabel):
+        return Neg(ONE), node.child
+    coeff, label = node, None
+    if isinstance(node, BinOp) and node.op == "*" and isinstance(node.right, BasisLabel):
+        coeff, label = node.left, node.right
+    stack = [(coeff, 1)]  # (node, depth), walked without recursion
+    while stack:
+        sub, depth = stack.pop()
+        if isinstance(sub, BasisLabel):
+            raise fail("basis label must end its term")
+        if depth > MAX_EXPR_DEPTH:
+            raise fail(f"coefficient nests deeper than {MAX_EXPR_DEPTH}")
+        stack += [(c, depth + 1) for c in vars(sub).values() if isinstance(c, _NODES)]
+    if label is None:
+        raise fail("entry term must end with a basis label")
+    return coeff, label
 
 
 def _parse_entry(
     line: str, line_no: int, d: int, basis: set
 ) -> Tuple[BasisLabel, List[Tuple[Expr, BasisLabel]]]:
     toks = _Tokens(line, line_no)
-    head = toks.next()
-    if head[0] != "ident" or not _is_label_token(head[1]):
+    p = _ExprParser(toks, d, basis)
+    head = toks.peek()
+    source = p.atom()
+    if not isinstance(source, BasisLabel):
         raise toks.error("entry must start with a basis label", head)
-    source = parse_label(head[1])
-    if source not in basis:
-        raise toks.error(f"label {head[1]!r} not in basis", head)
     toks.expect_op(":")
-    p = _ExprParser(toks, d)
-    terms: List[Tuple[Expr, BasisLabel]] = []
-    negate = False
+    start = toks.peek()
+    node = p.expr()
     nxt = toks.peek()
-    if nxt and nxt[0] == "op" and nxt[1] == "-":
-        toks.next()
-        negate = True
-    while True:
-        coeff, label = _parse_term(p, basis)
-        if negate:
-            coeff = Neg(coeff)
-        terms.append((coeff, label))
-        nxt = toks.peek()
-        if nxt is None:
-            break
-        if nxt[0] == "op" and nxt[1] in "+-":
-            toks.next()
-            negate = nxt[1] == "-"
-            continue
+    if nxt is not None:
         raise toks.error(f"unexpected token {nxt[1]!r} after term", nxt)
-    return source, terms
+
+    def fail(msg: str) -> ParseError:
+        return toks.error(msg, start)
+
+    # walk the left-leaning chain of top-level sums, last term first
+    terms: List[Tuple[Expr, BasisLabel]] = []
+    while isinstance(node, BinOp) and node.op in "+-":
+        coeff, label = _term(node.right, fail)
+        terms.append((Neg(coeff) if node.op == "-" else coeff, label))
+        node = node.left
+    terms.append(_term(node, fail))
+    return source, terms[::-1]
 
 
 def _format_term(coeff: Expr, label: BasisLabel) -> Tuple[str, str]:
@@ -556,25 +519,11 @@ class ModuleTable:
 
     def with_negated_coefficient(self, action: str, source: BasisLabel, k: int) -> "ModuleTable":
         """Copy of the table with one coefficient's sign flipped."""
-        def patch(act: Action, flip: bool) -> Action:
-            new = {}
-            for src, terms in act.items():
-                terms = list(terms)
-                if flip and src == source:
-                    c, l = terms[k]
-                    c = c.child if isinstance(c, Neg) else Neg(c)
-                    terms[k] = (c, l)
-                new[src] = terms
-            return new
-
-        return ModuleTable(
-            d=self.d,
-            basis=list(self.basis),
-            basis_rows=[list(r) for r in self.basis_rows],
-            a_action=patch(self.a_action, action == "a"),
-            astar_action=patch(self.astar_action, action == "astar"),
-            version=self.version,
-        )
+        key = "a_action" if action == "a" else "astar_action"
+        terms = list(getattr(self, key)[source])
+        c, label = terms[k]
+        terms[k] = (c.child if isinstance(c, Neg) else Neg(c), label)
+        return replace(self, **{key: {**getattr(self, key), source: terms}})
 
 
 def _validate_structure(table: ModuleTable):

@@ -6,29 +6,30 @@ that the corner elements
 
     g_i = e*_0 tau_i(a) e*_0 - zeta_i e*_0 / prod_{j=1..i} (s_0 - s_j)
 
-kill phi.  extract_td_system() then restricts the operator pair to an
-invariant subspace (normally the closure of phi), checks the tridiagonal
-axioms on it (diagonalizability over the supplied eigenvalue lists, interval
-supports, band conditions, irreducibility), and reads back the shape and the
-split sequence.  roundtrip() compares the recovered data with the array.
-Both directions read the pair through realization's helpers: the idempotent
-families and their ranks come from idempotent_families (the supports are the
-nonzero ranks, the shape is the dual ranks over the support), and the split
-comes from split_sequence, the same reader behind the g_i assertion, applied
-at one corner eigenvector.
+kill phi.  extract_td_system() then restricts the operator pair to W, the
+closure of phi, checks the tridiagonal axioms on it (diagonalizability over
+the supplied eigenvalue lists, interval supports, band conditions,
+irreducibility), and reads back the shape and the split sequence.
+roundtrip() compares the recovered data with the array.  Both directions
+read the pair through realization's helpers: the idempotent families and
+their ranks come from idempotent_families (the supports are the nonzero
+ranks, the shape is the dual ranks over the support), and the split comes
+from split_sequence, the same reader behind the g_i assertion, applied at
+phi.
 
 Irreducibility: the reference criterion is that the words in the restricted
 pair span the full matrix algebra (span dimension = (dim W)^2).  Maintaining
 that span echelon costs on the order of (dim W)^6 field operations, so for
 dim W > 8 extraction uses an equivalent test available whenever the corner
-eigenspace is one-dimensional (the shape is sharp): W is irreducible iff the
-corner eigenvector generates W and the corner eigenrow generates the dual
-module under the transposed pair.  (A proper submodule U satisfies
-corner(U) = 0, since corner(U) nonzero would put the corner eigenvector,
-hence all of W, inside U; so the corner row annihilates U, and if that row
-generates the dual module then U = 0.  Conversely an irreducible module and
-its transpose are cyclic from any nonzero vector.)  Both routes are exact;
-the reference criterion remains the fallback when the shape is not sharp.
+eigenspace is one-dimensional (the shape is sharp) and spanned by phi (the
+split read at phi starts with 1): phi generates W by construction, so W is
+irreducible iff the corner eigenrow generates the dual module under the
+transposed pair.  (A proper submodule U satisfies corner(U) = 0, since
+corner(U) nonzero would put phi, hence all of W, inside U; so the corner row
+annihilates U, and if that row generates the dual module then U = 0.
+Conversely an irreducible module and its transpose are cyclic from any
+nonzero vector.)  Both routes are exact; the reference criterion remains the
+fallback otherwise.
 Both routes stay: the word-span note is inside every pinned d <= 3 round-trip
 report (tests/test_golden.py, perfbench/digests.json), and the roundtrip-qq
 benchmark workload runs both (word-span at d = 3, corner-cyclic at d = 4, 5).
@@ -123,11 +124,9 @@ def irreducibility_check(a: Matrix, astar: Matrix, field: Field) -> bool:
     return basis.dim == n * n
 
 
-def _corner_cyclic_irreducible(a: Matrix, astar: Matrix, corner: Matrix, vec: list) -> bool:
+def _corner_cyclic_irreducible(a: Matrix, astar: Matrix, corner: Matrix) -> bool:
     """Exact irreducibility via a rank-one corner idempotent whose image is
-    spanned by the nonzero column `vec`."""
-    if submodule_closure(a, astar, vec).dim != a.nrows:
-        return False
+    spanned by a vector that generates the module."""
     row = next(r for r in corner.rows if not vec_is_zero(a.field, r))
     dual = submodule_closure(a.transpose(), astar.transpose(), row)
     return dual.dim == a.nrows
@@ -168,17 +167,19 @@ class TDSystemReport:
         }
 
 
-def extract_td_system(real: ModuleRealization, subspace: EchelonBasis) -> TDSystemReport:
-    """Restrict the pair to an invariant subspace and check the axioms."""
+def extract_td_system(real: ModuleRealization) -> TDSystemReport:
+    """Restrict the pair to the closure of phi and check the axioms."""
     field = real.field
     theta, theta_star = real.context.theta, real.context.theta_star
     d = len(theta) - 1
     failures: List[Tuple[str, str]] = []
     notes: List[str] = []
-    dim_w = subspace.dim
+    phi = real.basis_vector(real.basis[0])
+    closure = submodule_closure(real.a, real.astar, phi)
+    dim_w = closure.dim
 
-    a_sub = restrict_operator(field, real.a, subspace)
-    astar_sub = restrict_operator(field, real.astar, subspace)
+    a_sub = restrict_operator(field, real.a, closure)
+    astar_sub = restrict_operator(field, real.astar, closure)
 
     try:
         idems, idems_star, ranks, dual_ranks = idempotent_families(
@@ -237,29 +238,24 @@ def extract_td_system(real: ModuleRealization, subspace: EchelonBasis) -> TDSyst
         failures.append(("tds.shape.symmetric", f"shape {shape} is not symmetric"))
     sharp = bool(shape) and shape[0] == 1
 
-    # split sequence read at the corner eigenvector
-    split: list = []
+    # split sequence: the corner identity read at phi
     corner = idems_star[r0]
-    vec0 = next((c for c in corner.transpose().rows if not vec_is_zero(field, c)), None)
-    if vec0 is None:
-        failures.append(("tds.corner", "corner eigenspace is zero"))
-    else:
-        split = split_sequence(
-            a_sub, corner, theta[t0:], theta_star[r0 : r0 + delta + 1], vec0
+    split = split_sequence(
+        a_sub, corner, theta[t0:], theta_star[r0 : r0 + delta + 1], closure.coordinates(phi)
+    )
+    if None in split:
+        i = split.index(None)
+        failures.append(
+            (f"tds.split.proportional.{i}", "corner image is not a multiple of the eigenvector")
         )
-        if None in split:
-            i = split.index(None)
-            failures.append(
-                (f"tds.split.proportional.{i}", "corner image is not a multiple of the eigenvector")
-            )
-            split = split[:i]
+        split = split[:i]
 
     # irreducibility: span criterion when small, corner-cyclic route otherwise
     if dim_w <= SPAN_CRITERION_DIM_LIMIT:
         irreducible = irreducibility_check(a_sub, astar_sub, field)
         notes.append("irreducibility via full word-span dimension")
-    elif sharp:  # the corner has rank one
-        irreducible = _corner_cyclic_irreducible(a_sub, astar_sub, corner, vec0)
+    elif sharp and split[:1] == [field.one]:  # phi spans the rank-one corner
+        irreducible = _corner_cyclic_irreducible(a_sub, astar_sub, corner)
         notes.append("irreducibility via corner-cyclic test")
     else:
         irreducible = irreducibility_check(a_sub, astar_sub, field)
@@ -315,14 +311,12 @@ def roundtrip(pa: ParameterArray, field: Field, table: ModuleTable) -> Verificat
         rep.add(f"tds.g.{i}", True, "")
     rep.asset_version = real.table_version
 
-    phi = real.basis_vector(real.basis[0])
-    closure = submodule_closure(real.a, real.astar, phi)
+    tds = extract_td_system(real)
     rep.add(
         "tds.closure",
         True,
-        f"closure of phi has dimension {closure.dim} of {real.dim}",
+        f"closure of phi has dimension {tds.closure_dim} of {real.dim}",
     )
-    tds = extract_td_system(real, closure)
     for cid, detail in tds.axiom_failures:
         rep.add(cid, False, detail)
 

@@ -106,6 +106,7 @@ def word_key(word: Word):
 
 MAX_FEASIBLE_D = 12
 MAX_ZZ_D = 6
+MAX_ZZ_WORDS = 500_000
 MAX_CONVEX_SEQUENCES = 500_000
 
 
@@ -148,14 +149,13 @@ def enumerate_zz(
     exclude_r: int,
     exclude_s: int,
     max_len: Optional[int] = None,
-    include_trivial: bool = True,
-    budget: int = 500_000,
 ) -> List[Word]:
-    """Zigzag words of length <= max_len avoiding e_{exclude_r} and e*_{exclude_s}.
+    """Zigzag words of length <= max_len avoiding e_{exclude_r} and e*_{exclude_s},
+    the trivial word included.
 
     max_len defaults to 2d+2 (a documented truncation: zigzag words are
     unbounded in general).  Raises EnumerationBudgetError when more than
-    `budget` words would be produced.
+    MAX_ZZ_WORDS words would be produced.
     """
     if d > MAX_ZZ_D:
         raise EnumerationBudgetError(f"zigzag enumeration is capped at d = {MAX_ZZ_D}")
@@ -164,18 +164,12 @@ def enumerate_zz(
     cap = 2 * d + 2 if max_len is None else max_len
     nonstar = [(False, i) for i in range(d + 1) if i != exclude_r]
     star = [(True, i) for i in range(d + 1) if i != exclude_s]
-    out: List[Word] = []
-    if include_trivial:
-        out.append(TRIVIAL)
-
-    count = len(out)
+    out: List[Word] = [TRIVIAL]
 
     def extend(word: List[Letter]):
-        nonlocal count
-        count += 1
-        if count > budget:
+        if len(out) == MAX_ZZ_WORDS:
             raise EnumerationBudgetError(
-                f"more than {budget} words of length <= {cap}"
+                f"more than {MAX_ZZ_WORDS} words of length <= {cap}"
             )
         out.append(tuple(word))
         if len(word) >= cap:
@@ -212,27 +206,47 @@ def is_convex(seq: Sequence[int]) -> bool:
     )
 
 
+def _partitions_exceed(r: int, cap: int) -> bool:
+    """Whether p(r), the number of partitions of r, exceeds cap.
+
+    p(0..r) by Euler's pentagonal number recurrence, stopping at the first
+    p(n) > cap (p is nondecreasing), so any r is answered in a few steps.
+    """
+    p = [1]
+    for n in range(1, r + 1):
+        total = 0
+        for k in range(1, n + 1):
+            g = k * (3 * k - 1) // 2  # generalized pentagonal numbers g, g + k
+            if g > n:
+                break
+            total += (1 if k % 2 else -1) * (p[n - g] + (p[n - g - k] if g + k <= n else 0))
+        if total > cap:
+            return True
+        p.append(total)
+    return False
+
+
 def enumerate_convex_spanning(r: int) -> List[Tuple[int, ...]]:
     """All (k_1..k_m), m >= 0, with r > k_1 > ... > k_m > 0 and
     (r, k_1, ..., k_m, 0) convex; sorted by length then lexicographically.
 
     Only convex prefixes are extended (each gap at most the one before), so
     the work is proportional to the output: one sequence per partition of r
-    into its gaps.  Raises EnumerationBudgetError above MAX_CONVEX_SEQUENCES.
+    into its gaps.  Raises EnumerationBudgetError, before the walk, when there
+    are more than MAX_CONVEX_SEQUENCES of them.
     """
     if r < 1:
         raise WordError("r must be at least 1")
+    if _partitions_exceed(r, MAX_CONVEX_SEQUENCES):
+        raise EnumerationBudgetError(
+            f"more than {MAX_CONVEX_SEQUENCES} convex sequences for r = {r}"
+        )
     out: List[Tuple[int, ...]] = []
 
     def extend(seq: List[int], low: int, gap: int):
         # low is the last entry and gap the last difference (r for the bare r)
         if low <= gap:  # the closing gap low - 0 keeps the sequence convex
-            if len(out) == MAX_CONVEX_SEQUENCES:
-                raise EnumerationBudgetError(
-                    f"more than {MAX_CONVEX_SEQUENCES} convex sequences for r = {r}"
-                )
             out.append(tuple(seq))
-        # largest gaps first: the search reaches the budget before it gets deep
         for nxt in range(max(low - gap, 1), low):
             seq.append(nxt)
             extend(seq, nxt, low - nxt)

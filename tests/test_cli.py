@@ -184,6 +184,22 @@ def test_failing_verification_exits_one(tmp_path, capsys):
     assert json.loads(out)["overall"] is False
 
 
+@pytest.mark.parametrize(
+    "coeff", ["(" * 300 + "y1" + ")" * 300, "(y1" + "+0" * 5000 + ")"], ids=["parens", "sum"]
+)
+def test_too_deeply_nested_table_is_a_usage_error(coeff, tmp_path, capsys):
+    from tdcheck.tables import bundled_table_text
+
+    (tmp_path / "d1.txt").write_text(
+        bundled_table_text(1).replace("+ y1*phi", f"+ {coeff}*phi")
+    )
+    code, out, err = run_cli(
+        capsys, "verify-appendix", "--d", "1", "--trials", "1", "--assets", str(tmp_path)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("tdcheck: ") and len(err.strip().splitlines()) == 1
+
+
 def write_array(tmp_path, obj) -> str:
     path = tmp_path / "array.json"
     path.write_text(obj if isinstance(obj, str) else json.dumps(obj))

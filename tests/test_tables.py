@@ -6,16 +6,13 @@ from hypothesis import strategies as st
 
 from tdcheck.fields import Rationals
 from tdcheck.tables import (
-    Add,
-    Div,
+    BinOp,
     EvaluationError,
-    Mul,
     Name,
     Neg,
     Num,
     ParseError,
     Pow,
-    Sub,
     TableError,
     bundled_table_text,
     evaluate,
@@ -72,7 +69,7 @@ def test_d2_lr2_entry_matches_hand_content():
     r2 = parse_label("r2")
     coeffs = t.a_action[lr2]
     assert coeffs[0] == (Name("th1"), lr2)
-    assert coeffs[1] == (Sub(Name("y1"), Name("eps0")), r2)
+    assert coeffs[1] == (BinOp("-", Name("y1"), Name("eps0")), r2)
 
 
 @pytest.mark.parametrize("d", range(6))
@@ -123,6 +120,51 @@ def test_entry_must_end_with_label():
         parse_table(text)
 
 
+def test_negated_label_term_has_coefficient_minus_one():
+    table = parse_table(bundled_table_text(2).replace("r2 : ths2*r2 + lr2", "r2 : ths2*r2 - lr2"))
+    assert table.astar_action[parse_label("r2")][1] == (Neg(Num(1)), parse_label("lr2"))
+
+
+def test_later_negated_term_negates_its_whole_coefficient():
+    text = bundled_table_text(1).replace("phi : th0*phi + r", "phi : th0*phi - 2*th1*r")
+    coeff, label = parse_table(text).a_action[parse_label("phi")][1]
+    assert coeff == Neg(BinOp("*", Num(2), Name("th1")))
+    assert label == parse_label("r")
+
+
+@pytest.mark.parametrize(
+    "term",
+    ["r*th1*r2", "r^2*r2", "th1/r*r2", "th1*r2*th0", "-r2*th1", "(r2)", "(th1*r2)", "th1*(r2)"],
+)
+def test_label_must_end_its_term_outside_parentheses(term):
+    text = bundled_table_text(2).replace("r : th1*r + r2", f"r : th1*r + {term}")
+    with pytest.raises(ParseError, match="line 11"):
+        parse_table(text)
+
+
+def _d1_with_y1_as(coeff: str) -> str:
+    return bundled_table_text(1).replace("+ y1*phi", f"+ {coeff}*phi")
+
+
+def test_parenthesis_depth_is_bounded():
+    assert parse_table(_d1_with_y1_as("(" * 64 + "y1" + ")" * 64)) == load_table(1)
+    with pytest.raises(ParseError, match="parentheses nest deeper than 64 at line 14"):
+        parse_table(_d1_with_y1_as("(" * 300 + "y1" + ")" * 300))
+
+
+def test_coefficient_depth_is_bounded():
+    # k additions give a left-leaning chain of depth k + 1
+    assert parse_table(_d1_with_y1_as("(y1" + "+0" * 63 + ")"))
+    for k in (64, 5000):
+        with pytest.raises(ParseError, match="nests deeper than 64 at line 14"):
+            parse_table(_d1_with_y1_as("(y1" + "+0" * k + ")"))
+
+
+def test_number_of_terms_is_not_bounded():
+    text = bundled_table_text(1).replace("+ y1*phi", "+ y1*phi" + " + 0*phi" * 5000)
+    assert len(parse_table(text).astar_action[parse_label("r")]) == 5002
+
+
 def test_mutation_flips_exactly_one_coefficient():
     table = load_table(2)
     slots = table.coefficient_slots()
@@ -141,7 +183,8 @@ def test_mutation_flips_exactly_one_coefficient():
 
 def test_evaluate_simple_tree():
     env = {"beta": Fraction(3), "y1": Fraction(5)}
-    expr = Add(Mul(Name("y1"), Pow(Add(Name("beta"), Num(1)), -1)), Num(2))
+    inv = Pow(BinOp("+", Name("beta"), Num(1)), -1)
+    expr = BinOp("+", BinOp("*", Name("y1"), inv), Num(2))
     assert evaluate(expr, env, QQ) == Fraction(5, 4) + 2
 
 
@@ -149,19 +192,20 @@ def test_evaluate_reports_missing_name_and_zero_division():
     with pytest.raises(EvaluationError):
         evaluate(Name("y1"), {}, QQ)
     with pytest.raises(EvaluationError):
-        evaluate(Div(Num(1), Name("beta")), {"beta": Fraction(0)}, QQ)
+        evaluate(BinOp("/", Num(1), Name("beta")), {"beta": Fraction(0)}, QQ)
     with pytest.raises(EvaluationError):
         evaluate(Pow(Name("beta"), -2), {"beta": Fraction(0)}, QQ)
 
 
 def test_format_expr_minimal_parentheses():
-    assert format_expr(Pow(Add(Name("beta"), Num(1)), -1)) == "(beta+1)^-1"
-    assert format_expr(Mul(Neg(Add(Name("beta"), Num(1))), Name("eps0"))) == "-(beta+1)*eps0"
+    assert format_expr(Pow(BinOp("+", Name("beta"), Num(1)), -1)) == "(beta+1)^-1"
+    neg_sum = Neg(BinOp("+", Name("beta"), Num(1)))
+    assert format_expr(BinOp("*", neg_sum, Name("eps0"))) == "-(beta+1)*eps0"
     assert (
-        format_expr(Div(Name("y5"), Mul(Name("beta"), Name("eps0"))))
+        format_expr(BinOp("/", Name("y5"), BinOp("*", Name("beta"), Name("eps0"))))
         == "y5/(beta*eps0)"
     )
-    assert format_expr(Sub(Num(1), Add(Num(2), Num(3)))) == "1-(2+3)"
+    assert format_expr(BinOp("-", Num(1), BinOp("+", Num(2), Num(3)))) == "1-(2+3)"
 
 
 # random canonical expression trees: parse(format(tree)) == tree
@@ -180,16 +224,16 @@ def _exprs(depth: int):
     pow_base = st.one_of(_atoms(), sub.map(lambda e: e))
     return st.one_of(
         _atoms(),
-        st.tuples(sub, sub).map(lambda t: Add(*t)),
+        st.tuples(sub, sub).map(lambda t: BinOp("+", *t)),
         # canonical sums never carry a Neg right operand
         st.tuples(sub, sub).filter(lambda t: not isinstance(t[1], Neg)).map(
-            lambda t: Sub(*t)
+            lambda t: BinOp("-", *t)
         ),
         st.tuples(sub, sub).filter(lambda t: not isinstance(t[1], Neg)).map(
-            lambda t: Mul(*t)
+            lambda t: BinOp("*", *t)
         ),
         st.tuples(sub, sub).filter(lambda t: not isinstance(t[1], Neg)).map(
-            lambda t: Div(*t)
+            lambda t: BinOp("/", *t)
         ),
         st.tuples(pow_base, st.sampled_from([-3, -1, 2, 3, 4])).map(
             lambda t: Pow(*t)

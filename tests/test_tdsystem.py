@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tdcheck.fields import FieldSpec, PrimeField, Rationals
-from tdcheck.linalg import EchelonBasis, Matrix
+from tdcheck.linalg import Matrix
 from tdcheck.params import ParameterArray, random_admissible_context
 from tdcheck.realization import realize
 from tdcheck.tables import load_table
@@ -26,15 +26,6 @@ def fr(xs):
 
 def d1_array():
     return ParameterArray(1, fr([1, -1]), fr([1, -1]), fr([1, 1]))
-
-
-def full_space(real) -> EchelonBasis:
-    basis = EchelonBasis(real.field, real.dim)
-    for i in range(real.dim):
-        v = [real.field.zero] * real.dim
-        v[i] = real.field.one
-        basis.add(v)
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +122,7 @@ def test_three_dimensional_burnside_sanity():
 
 def test_extract_d1_report_matches_hand_values():
     real = construct_from_params(d1_array(), QQ, load_table(1))
-    closure = submodule_closure(real.a, real.astar, real.basis_vector(real.basis[0]))
-    tds = extract_td_system(real, closure)
+    tds = extract_td_system(real)
     assert tds.passed(), tds.axiom_failures
     assert tds.diameter == 1
     assert tds.eigenvalues == fr([1, -1])
@@ -151,7 +141,7 @@ def test_extract_flags_axiom_failures_for_swapped_eigenvalues():
     real = realize(load_table(2), ctx, field)
     swapped = [ctx.theta[1], ctx.theta[0], ctx.theta[2]]
     real = dataclasses.replace(real, context=dataclasses.replace(ctx, theta=swapped))
-    tds = extract_td_system(real, full_space(real))
+    tds = extract_td_system(real)
     assert not tds.passed()
     assert any(cid.startswith("tds.band") for cid, _ in tds.axiom_failures)
 
@@ -163,7 +153,7 @@ def test_extract_reports_minimal_polynomial_failures_with_prefix():
     real = realize(load_table(2), ctx, field)
     wrong = [field.add(x, field.one) for x in ctx.theta]  # distinct, not the spectrum of a
     real = dataclasses.replace(real, context=dataclasses.replace(ctx, theta=wrong))
-    tds = extract_td_system(real, full_space(real))
+    tds = extract_td_system(real)
     assert [cid for cid, _ in tds.axiom_failures] == ["tds.minpoly.a"]
     assert tds.notes == ["extraction aborted: minimal polynomial failed"]
 
@@ -175,7 +165,7 @@ def test_extract_with_generic_weights_passes_band_conditions():
         spec = FieldSpec("fp", seed=777 + d)
         ctx = random_admissible_context(d, spec)
         real = realize(load_table(d), ctx, spec.build_field())
-        tds = extract_td_system(real, full_space(real))
+        tds = extract_td_system(real)
         assert not any(cid.startswith("tds.band") for cid, _ in tds.axiom_failures)
         assert tds.sharp and tds.shape[0] == 1
 
@@ -184,7 +174,8 @@ def test_split_extraction_recovers_zeta_on_full_module():
     pa = ParameterArray(2, fr([0, 1, 3]), fr([0, 2, 5]), fr([1, 4, 6]))
     field = QQ
     real = construct_from_params(pa, field, load_table(pa.d))
-    tds = extract_td_system(real, full_space(real))
+    tds = extract_td_system(real)
+    assert tds.closure_dim == real.dim
     assert tds.split == pa.zeta
 
 
@@ -194,8 +185,7 @@ def test_split_extraction_recovers_zeta_on_full_module():
 
 def test_tds_report_serializes():
     real = construct_from_params(d1_array(), QQ, load_table(1))
-    closure = submodule_closure(real.a, real.astar, real.basis_vector(real.basis[0]))
-    tds = extract_td_system(real, closure)
+    tds = extract_td_system(real)
     obj = tds.to_dict(QQ)
     assert obj["diameter"] == 1
     assert obj["eigenvalues"] == ["1", "-1"]

@@ -192,8 +192,6 @@ def test_feasible_words_satisfy_their_defining_predicates():
 def test_enumerate_zz_d0():
     words = enumerate_zz(0, exclude_r=0, exclude_s=0)
     assert words == [()]  # only the trivial word survives
-    words = enumerate_zz(0, exclude_r=0, exclude_s=0, include_trivial=False)
-    assert words == []
 
 
 def test_enumerate_zz_d1_small_alphabet():
@@ -232,9 +230,10 @@ def test_enumerate_zz_deterministic():
     assert a == b
 
 
-def test_enumerate_zz_budget():
+def test_enumerate_zz_budget(monkeypatch):
+    monkeypatch.setattr(zigzag, "MAX_ZZ_WORDS", 1000)
     with pytest.raises(EnumerationBudgetError):
-        enumerate_zz(5, 0, 5, max_len=12, budget=1000)
+        enumerate_zz(5, 0, 5, max_len=12)
 
 
 def test_enumeration_diameter_caps():
@@ -295,6 +294,8 @@ def test_convex_spanning_budget(monkeypatch):
     assert len(enumerate_convex_spanning(9)) == 30
     with pytest.raises(EnumerationBudgetError):
         enumerate_convex_spanning(10)  # p(10) = 42
+    with pytest.raises(EnumerationBudgetError):
+        enumerate_convex_spanning(10**9)  # refused from p(r), before any walk
 
 
 # ---------------------------------------------------------------------------
