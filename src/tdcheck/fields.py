@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul as _mul
 from typing import Iterable, Optional, Union
 
 Scalar = Union[Fraction, int]
@@ -176,10 +177,6 @@ class Rationals:
 
     def dot(self, xs, ys) -> Fraction:
         return sum(map(_mul, xs, ys), self.zero)
-
-
-def _mul(x, y):
-    return x * y
 
 
 def _to_int_rows(rows):

@@ -97,11 +97,15 @@ class Matrix:
         z = self.field.is_zero
         return all(z(x) for row in self.rows for x in row)
 
-    def rank(self) -> int:
+    def echelon(self) -> "EchelonBasis":
+        """Reduced row-echelon basis of the row space."""
         basis = EchelonBasis(self.field, self.ncols)
         for row in self.rows:
             basis.add(row)
-        return basis.dim
+        return basis
+
+    def rank(self) -> int:
+        return self.echelon().dim
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"

@@ -124,7 +124,7 @@ def shifted_products(a: Matrix, thetas: Sequence) -> List[Matrix]:
     """Prefix products P_i = (A - t_0 I)...(A - t_{i-1} I), i = 0..d+1."""
     out = [Matrix.identity(a.field, a.nrows)]
     for t in thetas:
-        out.append(out[-1] * a.shift(t))
+        out.append(a.shift(t) if len(out) == 1 else out[-1] * a.shift(t))
     return out
 
 
@@ -132,7 +132,8 @@ def lagrange_idempotents(a: Matrix, thetas: Sequence) -> List[Matrix]:
     """Primitive idempotents of `a` for the eigenvalue list `thetas`.
 
     Requires the list entries pairwise distinct and prod (A - t_i I) = 0.
-    Uses prefix/suffix products so each E_i costs one extra multiplication.
+    Uses prefix/suffix products so each E_i costs one extra multiplication;
+    a product by the identity (I.X = X exactly) is never formed.
     """
     f = a.field
     d = len(thetas) - 1
@@ -144,13 +145,18 @@ def lagrange_idempotents(a: Matrix, thetas: Sequence) -> List[Matrix]:
     full = prefix[-1]
     if not full.is_zero():
         raise MinimalPolynomialError(full.rank())
-    suffix = [Matrix.identity(f, a.nrows)]
+    suffix = [prefix[0]]
     for t in reversed(thetas):
-        suffix.append(a.shift(t) * suffix[-1])
+        suffix.append(a.shift(t) if len(suffix) == 1 else a.shift(t) * suffix[-1])
     suffix.reverse()  # suffix[i] = (A - t_i I)...(A - t_d I)
     out = []
     for i in range(d + 1):
-        numer = prefix[i] * suffix[i + 1]
+        if i == 0:  # prefix[0] = I
+            numer = suffix[1]
+        elif i == d:  # suffix[d + 1] = I
+            numer = prefix[d]
+        else:
+            numer = prefix[i] * suffix[i + 1]
         den = f.one
         for j in range(d + 1):
             if j != i:

@@ -2,9 +2,10 @@
 
 realize() turns the symbolic table into two exact matrices acting on the
 2^d-dimensional module, builds both families of primitive idempotents with
-their ranks (idempotent_families, shared with the round-trip extraction), and
-asserts the structural invariants (minimal polynomials, eigenspace ranks).
-The check operations then verify, as exact matrix identities:
+their rank factors (idempotent_families, shared with the round-trip
+extraction), and asserts the structural invariants (minimal polynomials,
+eigenspace ranks).  The check operations then verify, as exact matrix
+identities:
 
   * the defining relations of the generator algebra: idempotent orthogonality
     and completeness, eigenvalue reconstruction, and the band conditions
@@ -16,14 +17,20 @@ The check operations then verify, as exact matrix identities:
     reads the left-hand side, and the round trip reads its split back with it;
   * the shape (idempotent ranks = binomial coefficients, symmetric, unimodal).
 
+Orthogonality and the band conditions are read through the rank factors
+e_i = B_i R_i (RankFactors): e_i X e_j = 0 exactly when the block R_i X B_j
+is zero, and e_i e_j = delta_ij e_i exactly when R_i B_j = delta_ij I, so no
+n x n sandwich product is formed.
+
 Any failed identity is reported with enough coordinates to replay it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .fields import Field, field_echo
 from .linalg import Matrix, vec_eq, vec_scale, vec_sub
@@ -44,6 +51,60 @@ class RealizationError(ValueError):
 
 
 @dataclass
+class RankFactors:
+    """Exact rank factorizations e_i = B_i R_i of a family of matrices.
+
+    R_i is the nonzero rows of the reduced echelon form of e_i and B_i is the
+    columns of e_i at R_i's pivots.  B_i has full column rank and R_i full
+    row rank, so for any X, e_i X e_j = 0 iff R_i X B_j = 0, and
+    e_i e_j = c e_i iff R_i B_j = c I (i = j) or 0 (i != j): no assumption
+    about the family being orthogonal idempotents is needed.  Blocks are
+    plain row lists, so rank 0 (R_i 0 x n, B_i n x 0) needs no special case.
+    """
+
+    field: Field
+    right: List[List[list]]  # R_i: r_i rows of length n
+    left: List[List[list]]  # B_i: n rows of length r_i
+
+    @classmethod
+    def of(cls, idems: List[Matrix]) -> "RankFactors":
+        right, left = [], []
+        for m in idems:
+            basis = m.echelon()
+            right.append(basis.rows)
+            left.append([[row[p] for p in basis.pivots] for row in m.rows])
+        return cls(idems[0].field, right, left)
+
+    @property
+    def ranks(self) -> List[int]:
+        return [len(r) for r in self.right]
+
+    def sandwich(self, rows: Sequence[int], x: List[list]) -> List[List[list]]:
+        """The blocks R_i x for i in rows, cut from one product of the
+        stacked R_i; x is a list of n rows."""
+        prod = self.field.mat_mul([r for i in rows for r in self.right[i]], x)
+        out, at = [], 0
+        for i in rows:
+            out.append(prod[at : at + len(self.right[i])])
+            at += len(self.right[i])
+        return out
+
+    def zero_blocks(self, rows: Sequence[int], x: List[list]) -> List[bool]:
+        """For i in rows: is R_i x = 0?  With x = X B_j: is e_i X e_j = 0?"""
+        z = self.field.zero
+        return [_is_block(self.field, b, z) for b in self.sandwich(rows, x)]
+
+
+def _is_block(f: Field, block: List[list], diag) -> bool:
+    """block = diag * I; with diag zero, the zero block of any shape."""
+    return all(
+        f.is_zero(f.sub(x, diag) if r == s else x)
+        for r, row in enumerate(block)
+        for s, x in enumerate(row)
+    )
+
+
+@dataclass
 class ModuleRealization:
     d: int
     field: Field
@@ -54,9 +115,17 @@ class ModuleRealization:
     astar: Matrix
     e: List[Matrix]  # idempotents of a, ordered by eigenvalue list
     estar: List[Matrix]  # idempotents of astar
-    ranks: List[int]  # ranks of e
-    dual_ranks: List[int]  # ranks of estar
+    factors: RankFactors  # of e
+    dual_factors: RankFactors  # of estar
     table_version: str
+
+    @property
+    def ranks(self) -> List[int]:
+        return self.factors.ranks
+
+    @property
+    def dual_ranks(self) -> List[int]:
+        return self.dual_factors.ranks
 
     @property
     def dim(self) -> int:
@@ -94,8 +163,10 @@ def context_env(ctx: SpecializationContext) -> Dict[str, object]:
 
 def idempotent_families(
     a: Matrix, astar: Matrix, theta: List, theta_star: List
-) -> Tuple[List[Matrix], List[Matrix], List[int], List[int]]:
-    """Both Lagrange families of the pair and their ranks: (e, e*, ranks, dual ranks).
+) -> Tuple[List[Matrix], List[Matrix], RankFactors, RankFactors]:
+    """Both Lagrange families of the pair and their rank factors: (e, e*,
+    factors of e, factors of e*).  The factors reuse the echelon form that
+    the ranks are counted from.
 
     Raises RealizationError naming minpoly.a and/or minpoly.astar when the
     eigenvalue list does not annihilate its operator.
@@ -110,7 +181,7 @@ def idempotent_families(
     if failures:
         raise RealizationError(failures)
     e, estar = families
-    return e, estar, [m.rank() for m in e], [m.rank() for m in estar]
+    return e, estar, RankFactors.of(e), RankFactors.of(estar)
 
 
 def realize(
@@ -137,11 +208,13 @@ def realize(
     a = assemble(table.a_action)
     astar = assemble(table.astar_action)
 
-    e, estar, ranks, dual_ranks = idempotent_families(a, astar, ctx.theta, ctx.theta_star)
+    e, estar, factors, dual_factors = idempotent_families(
+        a, astar, ctx.theta, ctx.theta_star
+    )
     failures: List[Tuple[str, str]] = []
     for i in range(table.d + 1):
         want = comb(table.d, i)
-        for tag, got in (("e", ranks[i]), ("es", dual_ranks[i])):
+        for tag, got in (("e", factors.ranks[i]), ("es", dual_factors.ranks[i])):
             if got != want:
                 failures.append(
                     (f"rank.{tag}.{i}", f"rank {got}, expected C({table.d},{i}) = {want}")
@@ -159,8 +232,8 @@ def realize(
         astar=astar,
         e=e,
         estar=estar,
-        ranks=ranks,
-        dual_ranks=dual_ranks,
+        factors=factors,
+        dual_factors=dual_factors,
         table_version=table.version,
     )
 
@@ -170,19 +243,24 @@ def realize(
 
 
 def _idempotent_family_checks(
-    tag: str, idems: List[Matrix], values: List, op: Matrix, identity: Matrix
+    tag: str, idems: List[Matrix], fam: RankFactors, values: List, op: Matrix,
+    identity: Matrix,
 ) -> List[Check]:
     checks = []
     d = len(idems) - 1
+    f = fam.field
+    # every R_i B_j block from one product: stacked R_i times the B_j side by side
+    blocks = fam.sandwich(range(d + 1), [sum(rows, []) for rows in zip(*fam.left)])
+    offsets = [0, *accumulate(fam.ranks)]
     for i in range(d + 1):
         for j in range(d + 1):
-            prod = idems[i] * idems[j]
-            expected_zero = prod.is_zero() if i != j else (prod - idems[i]).is_zero()
+            block = [row[offsets[j] : offsets[j + 1]] for row in blocks[i]]
+            ok = _is_block(f, block, f.one if i == j else f.zero)
             checks.append(
                 Check(
                     f"rel5.{tag}.{i}.{j}",
-                    expected_zero,
-                    "" if expected_zero else f"{tag}_{i} {tag}_{j} != delta * {tag}_{i}",
+                    ok,
+                    "" if ok else f"{tag}_{i} {tag}_{j} != delta * {tag}_{i}",
                 )
             )
     total = idems[0]
@@ -200,27 +278,26 @@ def _idempotent_family_checks(
     return checks
 
 
-def _band_checks(tag: str, idems: List[Matrix], op: Matrix) -> List[Check]:
-    """e_i op^k e_j = 0 for k < |i-j|, sharing the op^k e_j products."""
+def _band_checks(tag: str, fam: RankFactors, op: Matrix) -> List[Check]:
+    """e_i op^k e_j = 0 for k < |i-j|, read as R_i (op^k B_j) = 0: op^k B_j
+    is walked one thin product per k, and one stacked product of the R_i
+    still to check gives all of its blocks."""
     checks = []
-    d = len(idems) - 1
+    d = len(fam.right) - 1
     for j in range(d + 1):
-        maxk = max(j, d - j)
-        power = idems[j]
-        for k in range(maxk):
+        power = fam.left[j]
+        for k in range(max(j, d - j)):
             if k > 0:
-                power = op * power
-            for i in range(d + 1):
-                if k < abs(i - j):
-                    prod = idems[i] * power
-                    ok = prod.is_zero()
-                    checks.append(
-                        Check(
-                            f"{tag}.{i}.{j}.{k}",
-                            ok,
-                            "" if ok else f"sandwich ({i},{j},{k}) is nonzero",
-                        )
+                power = fam.field.mat_mul(op.rows, power)
+            rows = [i for i in range(d + 1) if k < abs(i - j)]
+            for i, ok in zip(rows, fam.zero_blocks(rows, power)):
+                checks.append(
+                    Check(
+                        f"{tag}.{i}.{j}.{k}",
+                        ok,
+                        "" if ok else f"sandwich ({i},{j},{k}) is nonzero",
                     )
+                )
     return checks
 
 
@@ -229,15 +306,18 @@ def verify_relations(real: ModuleRealization) -> VerificationReport:
     rep = real.report("verify-relations")
     identity = Matrix.identity(real.field, real.dim)
     rep.checks.extend(
-        _idempotent_family_checks("e", real.e, real.context.theta, real.a, identity)
+        _idempotent_family_checks(
+            "e", real.e, real.factors, real.context.theta, real.a, identity
+        )
     )
     rep.checks.extend(
         _idempotent_family_checks(
-            "es", real.estar, real.context.theta_star, real.astar, identity
+            "es", real.estar, real.dual_factors, real.context.theta_star, real.astar,
+            identity,
         )
     )
-    rep.checks.extend(_band_checks("rel8", real.estar, real.a))
-    rep.checks.extend(_band_checks("rel9", real.e, real.astar))
+    rep.checks.extend(_band_checks("rel8", real.dual_factors, real.a))
+    rep.checks.extend(_band_checks("rel9", real.factors, real.astar))
     return rep
 
 

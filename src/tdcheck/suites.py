@@ -95,6 +95,8 @@ def run_sweep(
     """`trials` seeded trials of the sweep named `command` (a SWEEPS key)."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     table = load_table(d, assets)
     rep = VerificationReport(
         command=command,
@@ -105,7 +107,8 @@ def run_sweep(
     )
     one_trial = partial(_trial_checks, command, table, spec)
     if jobs > 1 and trials > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all of its workers up front: never more than trials
+        with ProcessPoolExecutor(max_workers=min(jobs, trials)) as pool:
             results = list(pool.map(one_trial, range(trials)))
     else:
         results = [one_trial(t) for t in range(trials)]

@@ -12,10 +12,12 @@ the supplied eigenvalue lists, interval supports, band conditions,
 irreducibility), and reads back the shape and the split sequence.
 roundtrip() compares the recovered data with the array.  Both directions
 read the pair through realization's helpers: the idempotent families and
-their ranks come from idempotent_families (the supports are the nonzero
-ranks, the shape is the dual ranks over the support), and the split comes
-from split_sequence, the same reader behind the g_i assertion, applied at
-phi.
+their rank factors come from idempotent_families (the supports are the
+nonzero ranks, the shape is the dual ranks over the support), the band
+conditions e_i X e_j = 0 are read as the blocks R_i X B_j of those factors
+(RankFactors.zero_blocks; a restricted idempotent may have rank 0, and its
+blocks are empty), and the split comes from split_sequence, the same reader
+behind the g_i assertion, applied at phi.
 
 Irreducibility: the reference criterion is that the words in the restricted
 pair span the full matrix algebra (span dimension = (dim W)^2).  Maintaining
@@ -182,7 +184,7 @@ def extract_td_system(real: ModuleRealization) -> TDSystemReport:
     astar_sub = restrict_operator(field, real.astar, closure)
 
     try:
-        idems, idems_star, ranks, dual_ranks = idempotent_families(
+        _, idems_star, factors, dual_factors = idempotent_families(
             a_sub, astar_sub, theta, theta_star
         )
     except RealizationError as err:
@@ -206,6 +208,7 @@ def extract_td_system(real: ModuleRealization) -> TDSystemReport:
             failures.append((f"tds.support.{tag}", f"support {sup} is not an interval"))
         return sup
 
+    ranks, dual_ranks = factors.ranks, dual_factors.ranks
     sup_a = support(ranks, "a")
     sup_astar = support(dual_ranks, "astar")
     t0 = sup_a[0] if sup_a else 0
@@ -218,15 +221,16 @@ def extract_td_system(real: ModuleRealization) -> TDSystemReport:
         )
     delta = delta_astar
 
-    # band conditions on the restriction
-    for tag, fam, op in (("es", idems_star, a_sub), ("e", idems, astar_sub)):
+    # band conditions on the restriction, read as blocks R_i (op B_j)
+    for tag, fam, op in (("es", dual_factors, a_sub), ("e", factors, astar_sub)):
         for j in range(d + 1):
-            op_fam_j = op * fam[j]
-            for i in range(d + 1):
-                if abs(i - j) > 1 and not (fam[i] * op_fam_j).is_zero():
-                    failures.append(
-                        (f"tds.band.{tag}.{i}.{j}", "sandwich is nonzero")
-                    )
+            rows = [i for i in range(d + 1) if abs(i - j) > 1]
+            if not rows:
+                continue
+            x = field.mat_mul(op.rows, fam.left[j])
+            for i, ok in zip(rows, fam.zero_blocks(rows, x)):
+                if not ok:
+                    failures.append((f"tds.band.{tag}.{i}.{j}", "sandwich is nonzero"))
 
     shape = dual_ranks[r0 : r0 + delta + 1]
     shape_a = ranks[t0 : t0 + delta_a + 1]

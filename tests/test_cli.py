@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcheck import zigzag
+from tdcheck import suites, zigzag
 from tdcheck.cli import main
 
 
@@ -226,6 +226,41 @@ def test_trials_below_one_is_a_usage_error(trials, capsys):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_a_usage_error(jobs, capsys):
+    code, out, err = run_cli(
+        capsys, "verify-appendix", "--d", "1", "--trials", "2", "--jobs", jobs
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_jobs_never_start_more_workers_than_trials(monkeypatch, capsys):
+    started = []
+
+    class RecordingPool:
+        """Records max_workers and maps in-process: no worker is started."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    base = ["shape", "--d", "1", "--trials", "3", "--seed", "5"]
+    code, out, _ = run_cli(capsys, *base, "--jobs", "100000")
+    assert code == 0 and started == [3]
+    assert out == run_cli(capsys, *base, "--jobs", "1")[1]
 
 
 MALFORMED = {

@@ -120,6 +120,29 @@ def test_lagrange_idempotents_random_triangular():
     assert sum(e.rank() for e in idems) == n
 
 
+@pytest.mark.parametrize("kind", ["qq", "fp"])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_lagrange_idempotents_equal_the_full_products(kind, n):
+    # each E_i against prod_{j != i} (A - t_j I) / (t_i - t_j), identity
+    # factors included, so skipping the products by I changes no entry
+    spec = FieldSpec(kind, seed=40 + n)
+    f = spec.build_field()
+    s = Sampler(spec)
+    thetas = s.distinct(n)
+    a = Matrix(
+        f,
+        [[s.scalar() for _ in range(i)] + [thetas[i]] + [f.zero] * (n - i - 1)
+         for i in range(n)],
+    )
+    for i, e in enumerate(lagrange_idempotents(a, thetas)):
+        numer, den = Matrix.identity(f, n), f.one
+        for j, t in enumerate(thetas):
+            if j != i:
+                numer = numer * a.shift(t)
+                den = f.mul(den, f.sub(thetas[i], t))
+        assert e.rows == numer.scale(f.inv(den)).rows
+
+
 def test_lagrange_rejects_repeated_eigenvalue():
     a = Matrix.identity(QQ, 2)
     with pytest.raises(PolyError):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from tdcheck.fields import FieldSpec, Rationals
 from tdcheck.linalg import Matrix
 from tdcheck.params import derive_context, random_admissible_context
 from tdcheck.realization import (
+    RankFactors,
     RealizationError,
     mu_certificate,
     realize,
@@ -189,3 +191,110 @@ def test_relation_report_check_coordinates():
     assert "rel8.0.2.0" in ids and "rel8.0.2.1" in ids
     assert "rel9.2.0.1" in ids
     assert "rel8.0.1.0" in ids  # k = 0 band checks repeat orthogonality
+
+
+# ---------------------------------------------------------------------------
+# The block reading of the relations against full n x n sandwich products
+
+
+def reference_relation_checks(real):
+    """verify_relations' (id, passed, detail) list from full sandwich products."""
+    out = []
+    ident = Matrix.identity(real.field, real.dim)
+    for tag, idems, values, op in (
+        ("e", real.e, real.context.theta, real.a),
+        ("es", real.estar, real.context.theta_star, real.astar),
+    ):
+        d = len(idems) - 1
+        for i in range(d + 1):
+            for j in range(d + 1):
+                prod = idems[i] * idems[j]
+                ok = prod.is_zero() if i != j else (prod - idems[i]).is_zero()
+                detail = "" if ok else f"{tag}_{i} {tag}_{j} != delta * {tag}_{i}"
+                out.append((f"rel5.{tag}.{i}.{j}", ok, detail))
+        total = idems[0]
+        for m in idems[1:]:
+            total = total + m
+        ok = (total - ident).is_zero()
+        out.append((f"rel6.{tag}", ok, "" if ok else f"sum of {tag}_i != identity"))
+        recon = idems[0].scale(values[0])
+        for i in range(1, d + 1):
+            recon = recon + idems[i].scale(values[i])
+        ok = (recon - op).is_zero()
+        detail = "" if ok else f"operator != sum of eigenvalue * {tag}_i"
+        out.append((f"rel7.{tag}", ok, detail))
+    for tag, idems, op in (("rel8", real.estar, real.a), ("rel9", real.e, real.astar)):
+        d = len(idems) - 1
+        for j in range(d + 1):
+            power = idems[j]
+            for k in range(max(j, d - j)):
+                if k > 0:
+                    power = op * power
+                for i in range(d + 1):
+                    if k < abs(i - j):
+                        ok = (idems[i] * power).is_zero()
+                        detail = "" if ok else f"sandwich ({i},{j},{k}) is nonzero"
+                        out.append((f"{tag}.{i}.{j}.{k}", ok, detail))
+    return out
+
+
+def relation_triples(real):
+    return [(c.id, c.passed, c.detail) for c in verify_relations(real).checks]
+
+
+@pytest.mark.parametrize("d", range(6))
+@pytest.mark.parametrize(
+    "spec",
+    [FieldSpec("qq", seed=900), FieldSpec("fp", seed=901), FieldSpec("fp", prime=7, seed=0)],
+    ids=["qq", "fp", "f7"],
+)
+def test_block_relations_match_full_sandwiches_on_random_contexts(d, spec):
+    ctx = random_admissible_context(d, spec)
+    real = realize(load_table(d), ctx, spec.build_field())
+    assert relation_triples(real) == reference_relation_checks(real)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_block_relations_match_full_sandwiches_on_mutated_tables(d):
+    table = load_table(d)
+    spec = FieldSpec("fp", seed=5)
+    ctx = random_admissible_context(d, spec)
+    field = spec.build_field()
+    failing = 0
+    for slot in table.coefficient_slots():
+        try:
+            real = realize(table.with_negated_coefficient(*slot), ctx, field)
+        except RealizationError:
+            continue
+        want = reference_relation_checks(real)
+        assert relation_triples(real) == want, slot
+        failing += not all(ok for _, ok, _ in want)
+    assert failing  # some mutation survives realize and fails a relation
+
+
+def test_block_relations_match_full_sandwiches_off_idempotent_families():
+    # e and e* replaced by matrices that are not orthogonal idempotents:
+    # a sum of two idempotents, a zero matrix, a scaled idempotent, a^2
+    spec = FieldSpec("fp", seed=902)
+    ctx = random_admissible_context(3, spec)
+    f = spec.build_field()
+    real = realize(load_table(3), ctx, f)
+    e = [real.e[0] + real.e[1], Matrix.zero(f, real.dim), real.e[2].scale(2), real.e[3]]
+    estar = [real.estar[0], real.estar[1] + real.estar[3], real.a * real.a, real.estar[3]]
+    bent = dataclasses.replace(
+        real, e=e, estar=estar, factors=RankFactors.of(e), dual_factors=RankFactors.of(estar)
+    )
+    want = reference_relation_checks(bent)
+    assert relation_triples(bent) == want
+    failed = {cid.split(".")[0] for cid, ok, _ in want if not ok}
+    assert {"rel5", "rel8", "rel9"} <= failed
+
+
+def test_rank_factors_multiply_back_to_the_family():
+    spec = FieldSpec("qq", seed=903)
+    ctx = random_admissible_context(3, spec)
+    real = realize(load_table(3), ctx, QQ)
+    fam = real.dual_factors
+    for m, left, right in zip(real.estar, fam.left, fam.right):
+        assert Matrix(QQ, QQ.mat_mul(left, right)) == m
+    assert fam.ranks == [1, 3, 3, 1]

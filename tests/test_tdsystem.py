@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from tdcheck.fields import FieldSpec, PrimeField, Rationals
-from tdcheck.linalg import Matrix
+from tdcheck.linalg import Matrix, restrict_operator
 from tdcheck.params import ParameterArray, random_admissible_context
-from tdcheck.realization import realize
+from tdcheck.realization import idempotent_families, realize
 from tdcheck.tables import load_table
 from tdcheck.tdsystem import (
     InvalidParameterArrayError,
@@ -168,6 +168,52 @@ def test_extract_with_generic_weights_passes_band_conditions():
         tds = extract_td_system(real)
         assert not any(cid.startswith("tds.band") for cid, _ in tds.axiom_failures)
         assert tds.sharp and tds.shape[0] == 1
+
+
+def reference_band_failures(real):
+    """extract_td_system's tds.band failures from full sandwich products."""
+    phi = real.basis_vector(real.basis[0])
+    closure = submodule_closure(real.a, real.astar, phi)
+    a_sub = restrict_operator(real.field, real.a, closure)
+    astar_sub = restrict_operator(real.field, real.astar, closure)
+    idems, idems_star, _, _ = idempotent_families(
+        a_sub, astar_sub, real.context.theta, real.context.theta_star
+    )
+    out = []
+    for tag, fam, op in (("es", idems_star, a_sub), ("e", idems, astar_sub)):
+        for j in range(len(fam)):
+            op_fam_j = op * fam[j]
+            for i in range(len(fam)):
+                if abs(i - j) > 1 and not (fam[i] * op_fam_j).is_zero():
+                    out.append((f"tds.band.{tag}.{i}.{j}", "sandwich is nonzero"))
+    return out
+
+
+def band_failures(tds):
+    return [(cid, det) for cid, det in tds.axiom_failures if cid.startswith("tds.band")]
+
+
+def test_extract_band_blocks_with_rank_zero_restricted_idempotents():
+    # d = 1 module read against diameter-2 lists: the extra eigenvalues 5 and
+    # 7 are not in the spectrum, so e_2 and e*_2 restrict to rank 0
+    real = construct_from_params(d1_array(), QQ, load_table(1))
+    ctx = dataclasses.replace(
+        real.context, theta=fr([1, -1, 5]), theta_star=fr([1, -1, 7])
+    )
+    real = dataclasses.replace(real, context=ctx)
+    tds = extract_td_system(real)
+    assert band_failures(tds) == reference_band_failures(real) == []
+    assert tds.diameter == 1 and tds.shape == [1, 1] and tds.degenerate
+
+
+def test_extract_band_blocks_match_full_sandwiches_when_they_fail():
+    spec = FieldSpec("fp", seed=3111)
+    ctx = random_admissible_context(3, spec)
+    real = realize(load_table(3), ctx, spec.build_field())
+    swapped = [ctx.theta[2], ctx.theta[0], ctx.theta[1], ctx.theta[3]]
+    real = dataclasses.replace(real, context=dataclasses.replace(ctx, theta=swapped))
+    want = reference_band_failures(real)
+    assert want and band_failures(extract_td_system(real)) == want
 
 
 def test_split_extraction_recovers_zeta_on_full_module():
