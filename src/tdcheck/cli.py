@@ -166,13 +166,9 @@ def _run_zz_enumerate(args) -> VerificationReport:
         True,
         f"{len(words)} words; by length {zz_counts_by_length(words)}",
     )
-    rep.add(
-        "zz.words",
-        True,
-        json.dumps([word_text(w) for w in words], separators=(",", ":")),
-    )
-    for w in words:
-        print(word_text(w), file=sys.stderr)
+    texts = [word_text(w) for w in words]
+    rep.add("zz.words", True, json.dumps(texts, separators=(",", ":")))
+    sys.stderr.write("".join(t + "\n" for t in texts))
     return rep
 
 

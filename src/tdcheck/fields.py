@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul as _mul
 from typing import Iterable, Optional, Union
 
@@ -175,8 +175,26 @@ class Rationals:
             for row in ia
         ]
 
-    def dot(self, xs, ys) -> Fraction:
-        return sum(map(_mul, xs, ys), self.zero)
+    # Integer-row hooks: linalg runs Matrix.apply and echelon elimination on
+    # integer vectors.  to_ints clears the denominators of a matrix at once,
+    # from_ints reads an integer over a denominator back, shrink bounds the
+    # entries of an elimination step (nothing to do over the rationals), and
+    # primitive scales a vector to the canonical integer representative of
+    # its line: content 1 and positive at piv.
+    def to_ints(self, rows):
+        return _to_int_rows(rows)
+
+    def from_ints(self, n: int, den: int) -> Fraction:
+        return Fraction(n, den)
+
+    def shrink(self, v):
+        return v
+
+    def primitive(self, v, piv: int):
+        g = gcd(*v)
+        if v[piv] < 0:
+            g = -g
+        return v if g == 1 else [x // g for x in v]
 
 
 def _to_int_rows(rows):
@@ -259,8 +277,24 @@ class PrimeField:
             [sum(map(_mul, row, col)) % p for col in cols_b] for row in rows_a
         ]
 
-    def dot(self, xs, ys) -> int:
-        return sum(map(_mul, xs, ys)) % self.p
+    # Integer-row hooks (see Rationals): residues are already integers, so
+    # nothing is cleared and every denominator linalg passes back is 1;
+    # shrink reduces mod p, and the canonical representative of a line has 1
+    # at piv.
+    def to_ints(self, rows):
+        return rows, 1
+
+    def from_ints(self, n: int, den: int) -> int:
+        return n % self.p
+
+    def shrink(self, v):
+        p = self.p
+        return [x % p for x in v]
+
+    def primitive(self, v, piv: int):
+        p = self.p
+        inv = pow(v[piv], -1, p)
+        return [x * inv % p for x in v]
 
 
 Field = Union[Rationals, PrimeField]

@@ -1,17 +1,25 @@
-"""Dense exact matrices over a coefficient field, plus echelon utilities.
+"""Exact matrices over a coefficient field, plus echelon utilities.
 
 Matrices are lists of rows of field elements.  Dimensions here are tiny
-(at most 32), so everything is dense and written for clarity; the one hot
-spot, matrix multiplication, is delegated to a per-field kernel.
+(at most 32, or 64 for the word-span echelon), so the arithmetic of Matrix is
+written for clarity; the hot spots run on integers.  Matrix multiplication is
+a per-field kernel; `apply` reads a prepared form of the matrix that holds
+only the nonzero entries of each row, cleared to integers over one
+denominator; and EchelonBasis eliminates fraction-free on integer rows.
+Both reach the field through its integer-row hooks (`to_ints`, `from_ints`,
+`shrink`, `primitive`), so one code path serves the rationals and F_p.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+from math import gcd
+from operator import mul
 from typing import List, Sequence
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    __slots__ = ("field", "rows", "nrows", "ncols", "_nonzeros")
 
     def __init__(self, field, rows: Sequence[Sequence]):
         self.field = field
@@ -21,6 +29,7 @@ class Matrix:
         for r in self.rows:
             if len(r) != self.ncols:
                 raise ValueError("ragged rows")
+        self._nonzeros = None
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
@@ -83,9 +92,24 @@ class Matrix:
         return out
 
     def apply(self, vec: Sequence) -> list:
-        """Matrix times column vector."""
-        dot = self.field.dot
-        return [dot(row, vec) for row in self.rows]
+        """Matrix times column vector.
+
+        The first call prepares the matrix: each row's nonzero columns and
+        their values as integers over one common denominator.  The rows must
+        not change after that.  Each call clears the vector's denominators
+        once and reads back one field element per output entry.
+        """
+        if self._nonzeros is None:
+            ints, den = self.field.to_ints(self.rows)
+            cols = range(self.ncols)
+            self._nonzeros = den, [
+                (list(compress(cols, r)), list(filter(None, r))) for r in ints
+            ]
+        den, rows = self._nonzeros
+        (v,), vden = self.field.to_ints([vec])
+        den *= vden
+        back, at = self.field.from_ints, v.__getitem__
+        return [back(sum(map(mul, vals, map(at, cols))), den) for cols, vals in rows]
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, [list(col) for col in zip(*self.rows)])
@@ -132,66 +156,93 @@ def vec_eq(field, a: Sequence, b: Sequence) -> bool:
 class EchelonBasis:
     """Incrementally maintained reduced row-echelon basis of a subspace.
 
-    add() reduces a vector against the current basis and inserts the residual
-    (normalized, with back-elimination) if independent.  Used for submodule
-    closures, rank computation and span dimensions.
+    add() eliminates a vector against the current basis and inserts the
+    residual (back-eliminating the older rows) if it is independent.  Used for
+    submodule closures, rank computation and span dimensions.
+
+    Rows are kept fraction-free as integer vectors: each is the field's
+    canonical representative of its line (`primitive`: content 1 and a
+    positive pivot over the rationals, pivot 1 over F_p) and is zero at every
+    other row's pivot.  One elimination step is v <- r*v - c*row, with r and c
+    the entries of row and v at the row's pivot, divided by gcd(r, c) (in the
+    style of Bareiss: no division by a pivot; over F_p, r is 1 and `shrink`
+    reduces mod p).  The reduced rows callers read, `rows`, are row / pivot
+    entry; they are built on first read and kept until the basis grows.  The
+    reduced echelon form is unique, so they equal the rows of a per-entry
+    elimination in the field.
     """
 
     def __init__(self, field, width: int):
         self.field = field
         self.width = width
-        self.rows: List[list] = []
         self.pivots: List[int] = []
+        self._ints: List[list] = []
+        self._rows: List[list] = []
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def reduce(self, vec: Sequence) -> list:
+    @property
+    def rows(self) -> List[list]:
+        if self._rows is None:
+            back = self.field.from_ints
+            self._rows = [
+                [back(x, row[piv]) for x in row]
+                for row, piv in zip(self._ints, self.pivots)
+            ]
+        return self._rows
+
+    def _residual(self, vec: Sequence) -> list:
+        """vec as an integer vector, eliminated against every row."""
         f = self.field
-        sub, mul, is_zero = f.sub, f.mul, f.is_zero
-        v = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
+        (v,), _ = f.to_ints([vec])
+        shrink = f.shrink
+        for row, piv in zip(self._ints, self.pivots):
             c = v[piv]
-            if not is_zero(c):
-                v = [sub(x, mul(c, y)) for x, y in zip(v, row)]
+            if c:
+                v = shrink(_eliminate(v, row, piv))
         return v
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec's residual; True if the dimension grew."""
         f = self.field
-        v = self.reduce(vec)
-        piv = next((j for j, x in enumerate(v) if not f.is_zero(x)), None)
+        v = self._residual(vec)
+        piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
             return False
-        inv = f.inv(v[piv])
-        v = [f.mul(inv, x) for x in v]
-        # back-eliminate the new pivot from existing rows
-        for i, row in enumerate(self.rows):
-            c = row[piv]
-            if not f.is_zero(c):
-                self.rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(row, v)]
+        v = f.primitive(v, piv)
+        rows = self._ints
+        for i, row in enumerate(rows):
+            if row[piv]:
+                rows[i] = f.primitive(_eliminate(row, v, piv), self.pivots[i])
         at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
-        self.rows.insert(at, v)
+        rows.insert(at, v)
         self.pivots.insert(at, piv)
+        self._rows = None
         return True
 
     def contains(self, vec: Sequence) -> bool:
-        return vec_is_zero(self.field, self.reduce(vec))
+        return not any(self._residual(vec))
 
     def coordinates(self, vec: Sequence):
-        """Coordinates of vec in this basis, or None if outside the span."""
-        f = self.field
-        v = list(vec)
-        coords = []
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            coords.append(c)
-            if not f.is_zero(c):
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        if not vec_is_zero(f, v):
+        """Coordinates of vec in this basis, or None if outside the span.
+
+        Each reduced row is 1 at its pivot and 0 at the others, so inside the
+        span the coordinates are vec's entries at the pivots."""
+        if not self.contains(vec):
             return None
-        return coords
+        return [vec[piv] for piv in self.pivots]
+
+
+def _eliminate(v: list, row: list, piv: int) -> list:
+    """r*v - c*row with r = row[piv], c = v[piv] over their gcd: zero at piv."""
+    r, c = row[piv], v[piv]
+    g = gcd(r, c)
+    if g != 1:
+        r //= g
+        c //= g
+    return [r * x - c * y for x, y in zip(v, row)]
 
 
 def restrict_operator(field, op: Matrix, basis: EchelonBasis) -> Matrix:

@@ -243,8 +243,7 @@ def realize(
 
 
 def _idempotent_family_checks(
-    tag: str, idems: List[Matrix], fam: RankFactors, values: List, op: Matrix,
-    identity: Matrix,
+    tag: str, idems: List[Matrix], fam: RankFactors, values: List, op: Matrix
 ) -> List[Check]:
     checks = []
     d = len(idems) - 1
@@ -263,15 +262,21 @@ def _idempotent_family_checks(
                     "" if ok else f"{tag}_{i} {tag}_{j} != delta * {tag}_{i}",
                 )
             )
-    total = idems[0]
-    for m in idems[1:]:
-        total = total + m
-    ok = (total - identity).is_zero()
+    # rel6 and rel7 entry by entry, skipping zeros: cells[k] holds, for one
+    # (r, c), the entries e_0[r][c], ..., e_d[r][c], delta_rc and op[r][c].
+    # Sums are exact (ints or Fractions), so is_zero reads them in the field.
+    is_zero = f.is_zero
+    cells = [
+        (stack, f.one if r == c else f.zero, want)
+        for r, (rows, op_row) in enumerate(zip(zip(*(m.rows for m in idems)), op.rows))
+        for c, (stack, want) in enumerate(zip(zip(*rows), op_row))
+    ]
+    ok = all(is_zero(sum(filter(None, stack)) - delta) for stack, delta, _ in cells)
     checks.append(Check(f"rel6.{tag}", ok, "" if ok else f"sum of {tag}_i != identity"))
-    recon = idems[0].scale(values[0])
-    for i in range(1, d + 1):
-        recon = recon + idems[i].scale(values[i])
-    ok = (recon - op).is_zero()
+    ok = all(
+        is_zero(sum([v * x for v, x in zip(values, stack) if x]) - want)
+        for stack, _, want in cells
+    )
     checks.append(
         Check(f"rel7.{tag}", ok, "" if ok else f"operator != sum of eigenvalue * {tag}_i")
     )
@@ -304,16 +309,12 @@ def _band_checks(tag: str, fam: RankFactors, op: Matrix) -> List[Check]:
 def verify_relations(real: ModuleRealization) -> VerificationReport:
     """Exact checks of all defining relations on the realized module."""
     rep = real.report("verify-relations")
-    identity = Matrix.identity(real.field, real.dim)
     rep.checks.extend(
-        _idempotent_family_checks(
-            "e", real.e, real.factors, real.context.theta, real.a, identity
-        )
+        _idempotent_family_checks("e", real.e, real.factors, real.context.theta, real.a)
     )
     rep.checks.extend(
         _idempotent_family_checks(
-            "es", real.estar, real.dual_factors, real.context.theta_star, real.astar,
-            identity,
+            "es", real.estar, real.dual_factors, real.context.theta_star, real.astar
         )
     )
     rep.checks.extend(_band_checks("rel8", real.dual_factors, real.a))

@@ -371,3 +371,21 @@ def test_any_input_file_gives_a_report_or_a_usage_error(argv, document):
         assert out.endswith("\n") and out.count("\n") == 1
         assert json.loads(out)["overall"] is (code == 0)
 
+
+
+def test_zz_enumerate_echoes_each_word_once(capsys, monkeypatch):
+    def words_detail(out):
+        return next(c for c in json.loads(out)["checks"] if c["id"] == "zz.words")["detail"]
+
+    summary = "zz-enumerate: 2 checks over 1 trial(s), all passed\n"
+    code, out, err = run_cli(capsys, "zz", "enumerate", "--d", "3", "--feasible")
+    assert code == 0
+    words = json.loads(words_detail(out))
+    assert len(words) == 8
+    assert err == "".join(w + "\n" for w in words) + summary
+    # an empty word list (no CLI input yields one) echoes nothing
+    monkeypatch.setattr("tdcheck.cli.enumerate_zz", lambda *a, **k: [])
+    code, out, err = run_cli(capsys, "zz", "enumerate", "--d", "1")
+    assert code == 0
+    assert err == summary
+    assert words_detail(out) == "[]"

@@ -298,3 +298,59 @@ def test_rank_factors_multiply_back_to_the_family():
     for m, left, right in zip(real.estar, fam.left, fam.right):
         assert Matrix(QQ, QQ.mat_mul(left, right)) == m
     assert fam.ranks == [1, 3, 3, 1]
+
+
+def reference_sum_checks(real):
+    """rel6/rel7 (id, passed, detail) from scaled and summed n x n matrices."""
+    out = []
+    ident = Matrix.identity(real.field, real.dim)
+    for tag, idems, values, op in (
+        ("e", real.e, real.context.theta, real.a),
+        ("es", real.estar, real.context.theta_star, real.astar),
+    ):
+        total = idems[0]
+        for m in idems[1:]:
+            total = total + m
+        ok = (total - ident).is_zero()
+        out.append((f"rel6.{tag}", ok, "" if ok else f"sum of {tag}_i != identity"))
+        recon = idems[0].scale(values[0])
+        for i in range(1, len(idems)):
+            recon = recon + idems[i].scale(values[i])
+        ok = (recon - op).is_zero()
+        detail = "" if ok else f"operator != sum of eigenvalue * {tag}_i"
+        out.append((f"rel7.{tag}", ok, detail))
+    return out
+
+
+def sum_triples(real):
+    return [t for t in relation_triples(real) if t[0].split(".")[0] in ("rel6", "rel7")]
+
+
+@pytest.mark.parametrize("d", range(6))
+@pytest.mark.parametrize(
+    "spec",
+    [FieldSpec("qq", seed=910), FieldSpec("fp", seed=911), FieldSpec("fp", prime=7, seed=1)],
+    ids=["qq", "fp", "f7"],
+)
+def test_entrywise_sums_match_matrix_sums_on_random_contexts(d, spec):
+    ctx = random_admissible_context(d, spec)
+    real = realize(load_table(d), ctx, spec.build_field())
+    assert sum_triples(real) == reference_sum_checks(real)
+
+
+@pytest.mark.parametrize("kind", ["qq", "fp"])
+def test_entrywise_sums_fail_off_idempotent_families(kind):
+    # the hand-built family of test_block_relations_match_full_sandwiches_off_
+    # idempotent_families, in both fields: neither sum can hold
+    spec = FieldSpec(kind, seed=902)
+    ctx = random_admissible_context(3, spec)
+    f = spec.build_field()
+    real = realize(load_table(3), ctx, f)
+    e = [real.e[0] + real.e[1], Matrix.zero(f, real.dim), real.e[2].scale(2), real.e[3]]
+    estar = [real.estar[0], real.estar[1] + real.estar[3], real.a * real.a, real.estar[3]]
+    bent = dataclasses.replace(
+        real, e=e, estar=estar, factors=RankFactors.of(e), dual_factors=RankFactors.of(estar)
+    )
+    want = reference_sum_checks(bent)
+    assert sum_triples(bent) == want
+    assert [cid for cid, ok, _ in want if not ok] == ["rel6.e", "rel7.e", "rel6.es", "rel7.es"]

@@ -265,3 +265,19 @@ def test_roundtrip_random_arrays_prime_field(d):
     pa = random_valid_parameter_array(d, spec)
     rep = roundtrip(pa, spec.build_field(), load_table(pa.d))
     assert rep.overall, [(c.id, c.detail) for c in rep.failures()]
+
+
+def test_roundtrip_qq_d3_word_span_report_is_pinned(capsys):
+    # The width-64 word-span echelon over the rationals (d = 3, dim W = 8);
+    # the digest was taken before the echelon kept its rows as integers.
+    import hashlib
+
+    from tdcheck.cli import main
+
+    code = main("tds roundtrip --d 3 --trials 1 --field qq --seed 1".split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "irreducibility via full word-span dimension" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9b10e6b3f79487fb72f66b59efd0af49e5907eb5e8c307f9ed5e662a6f773cee"
+    )
