@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -106,11 +107,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_output(output: Path) -> None:
+    """Refuse an --output path that cannot be written, before any work runs."""
+    if output is not None and (
+        output.is_dir()
+        or not output.parent.is_dir()
+        or not os.access(output if output.exists() else output.parent, os.W_OK)
+    ):
+        raise OSError(f"cannot write --output {output}")
+
+
 def _emit(report: VerificationReport, output: Path = None) -> int:
     text = report.to_json()
-    print(text)
     if output is not None:
         output.write_text(text + "\n")
+    print(text)
     print(report.summary(), file=sys.stderr)
     return 0 if report.overall else FAIL_EXIT
 
@@ -176,8 +187,7 @@ def _run_convex(args) -> VerificationReport:
     seqs = enumerate_convex_spanning(args.r)
     rep = VerificationReport(command="convex", field={"kind": "none"}, trials=1)
     rep.add(f"convex.r{args.r}", True, f"{len(seqs)} sequences")
-    for s in seqs:
-        print(list(s), file=sys.stderr)
+    sys.stderr.write("".join(f"{list(s)}\n" for s in seqs))
     return rep
 
 
@@ -188,6 +198,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return USAGE_EXIT if e.code not in (0, None) else 0
     try:
+        _check_output(args.output)
         return _emit(args.run(args), args.output)
     except (FieldError, TableError, OSError, ValueError) as err:
         print(f"tdcheck: {err}", file=sys.stderr)

@@ -348,39 +348,26 @@ def mu_certificate(real: ModuleRealization) -> VerificationReport:
 
     rep.add("mu.i0.identity", True, "tau_0 = 1 and e*_0 phi = phi")
 
+    def step(cid: str, op: Matrix, t, label: BasisLabel, want: list, text: str) -> None:
+        # one chain step: (op - t).v == want for the basis vector v at label
+        v = real.basis_vector(label)
+        ok = vec_eq(f, vec_sub(f, op.apply(v), vec_scale(f, t, v)), want)
+        rep.add(cid, ok, "" if ok else text)
+
     for i in range(1, d + 1):
         # raising chain phi -> r -> ... -> r^i
         for h in range(i):
-            v = real.basis_vector(power_label("r", h))
-            img = vec_sub(f, real.a.apply(v), vec_scale(f, ctx.theta[h], v))
-            want = real.basis_vector(power_label("r", h + 1))
-            ok = vec_eq(f, img, want)
-            rep.add(
-                f"mu.i{i}.rchain.h{h}",
-                ok,
-                "" if ok else f"(a - th{h}).r^{h} != r^{h + 1}",
-            )
+            step(f"mu.i{i}.rchain.h{h}", real.a, ctx.theta[h], power_label("r", h),
+                 real.basis_vector(power_label("r", h + 1)),
+                 f"(a - th{h}).r^{h} != r^{h + 1}")
         # lowering chain r^i -> l r^i -> ... -> l^{i-1} r^i
         for h in range(i - 1):
-            v = real.basis_vector(chain_label(h, i))
-            img = vec_sub(
-                f, real.astar.apply(v), vec_scale(f, ctx.theta_star[i - h], v)
-            )
-            want = real.basis_vector(chain_label(h + 1, i))
-            ok = vec_eq(f, img, want)
-            rep.add(
-                f"mu.i{i}.lchain.h{h}",
-                ok,
-                "" if ok else f"(a* - ths{i - h}).l^{h}r^{i} != l^{h + 1}r^{i}",
-            )
+            step(f"mu.i{i}.lchain.h{h}", real.astar, ctx.theta_star[i - h], chain_label(h, i),
+                 real.basis_vector(chain_label(h + 1, i)),
+                 f"(a* - ths{i - h}).l^{h}r^{i} != l^{h + 1}r^{i}")
         # final lowering step hits y_i * phi
-        v = real.basis_vector(chain_label(i - 1, i))
-        img = vec_sub(f, real.astar.apply(v), vec_scale(f, ctx.theta_star[1], v))
-        want = vec_scale(f, ctx.y[i - 1], phi)
-        ok = vec_eq(f, img, want)
-        rep.add(
-            f"mu.i{i}.weight", ok, "" if ok else f"(a* - ths1).l^{i - 1}r^{i} != y{i} phi"
-        )
+        step(f"mu.i{i}.weight", real.astar, ctx.theta_star[1], chain_label(i - 1, i),
+             vec_scale(f, ctx.y[i - 1], phi), f"(a* - ths1).l^{i - 1}r^{i} != y{i} phi")
         ok = corner[i]
         rep.add(
             f"mu.i{i}.identity",

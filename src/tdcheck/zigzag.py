@@ -15,7 +15,9 @@ them for d <= 5, and their images of phi in a realized module are expected
 to be linearly independent.
 
 Canonical word order is shortlex with letters compared by (index, starred):
-nonstarred before starred at equal index, ascending index.
+nonstarred before starred at equal index, ascending index.  Both enumerators
+produce it directly, one word length at a time, so nothing is sorted and
+nothing recurses.
 """
 
 from __future__ import annotations
@@ -96,26 +98,21 @@ def is_zz(word: Word) -> bool:
     return all(_conditions_hold_at(word, i) for i in range(len(word)))
 
 
-def letter_key(letter: Letter) -> Tuple[int, bool]:
-    return (letter[1], letter[0])
-
-
-def word_key(word: Word):
-    return (len(word), tuple(letter_key(u) for u in word))
-
-
 MAX_FEASIBLE_D = 12
 MAX_ZZ_D = 6
 MAX_ZZ_WORDS = 500_000
+# fits every run within MAX_ZZ_WORDS of words under 1,000 letters (166,167,000 at most)
+MAX_ZZ_LETTERS = 170_000_000
 MAX_CONVEX_SEQUENCES = 500_000
 
 
 def enumerate_feasible(d: int) -> List[Word]:
     """All feasible words for diameter d, in canonical shortlex order.
 
-    Generated by extending index-distinct zigzag suffixes leftward from the
-    final e*0 (length is at most d+1); every node of that search tree is
-    itself feasible, so the work is proportional to the output.
+    Grown leftward from the final e*0, one length at a time: (u,) + w for each
+    new first letter u in letter order, then each shorter w in order, kept when
+    it alternates, u's index is new, and the zigzag conditions u enters (those
+    of the first four letters) hold.  Every kept word is feasible.
     """
     if d < 0:
         raise WordError("d must be nonnegative")
@@ -123,24 +120,17 @@ def enumerate_feasible(d: int) -> List[Word]:
         raise EnumerationBudgetError(
             f"feasible enumeration is capped at d = {MAX_FEASIBLE_D}"
         )
+    firsts = [(starred, idx) for idx in range(1, d + 1) for starred in (False, True)]
+    level: List[Word] = [((True, 0),)]
     out: List[Word] = []
-    last: Letter = (True, 0)
-
-    def extend(word: List[Letter], used: set):
-        # word grows to the left; word[0] is the current first letter
-        out.append(tuple(word))
-        next_starred = not word[0][0]
-        for idx in range(1, d + 1):
-            if idx in used:
-                continue
-            candidate = [(next_starred, idx)] + word
-            if is_zz(tuple(candidate)):
-                used.add(idx)
-                extend(candidate, used)
-                used.discard(idx)
-
-    extend([last], {0})
-    out.sort(key=word_key)
+    while level:
+        out.extend(level)
+        level = [
+            (u,) + w
+            for u in firsts
+            for w in level
+            if u[0] != w[0][0] and all(x[1] != u[1] for x in w) and is_zz((u,) + w[:3])
+        ]
     return out
 
 
@@ -151,11 +141,14 @@ def enumerate_zz(
     max_len: Optional[int] = None,
 ) -> List[Word]:
     """Zigzag words of length <= max_len avoiding e_{exclude_r} and e*_{exclude_s},
-    the trivial word included.
+    the trivial word included, in canonical shortlex order.
 
     max_len defaults to 2d+2 (a documented truncation: zigzag words are
-    unbounded in general).  Raises EnumerationBudgetError when more than
-    MAX_ZZ_WORDS words would be produced.
+    unbounded in general).  Grown one length at a time: w + (u,) for each
+    shorter w in order, then each letter u of the other kind in letter order,
+    kept when the zigzag conditions ending at u hold.  EnumerationBudgetError
+    (more than MAX_ZZ_WORDS words, or MAX_ZZ_LETTERS letters in all) is raised
+    from counts taken first, before any word is built.
     """
     if d > MAX_ZZ_D:
         raise EnumerationBudgetError(f"zigzag enumeration is capped at d = {MAX_ZZ_D}")
@@ -164,27 +157,34 @@ def enumerate_zz(
     cap = 2 * d + 2 if max_len is None else max_len
     nonstar = [(False, i) for i in range(d + 1) if i != exclude_r]
     star = [(True, i) for i in range(d + 1) if i != exclude_s]
-    out: List[Word] = [TRIVIAL]
+    alphabet = [u for i in range(d + 1) for u in ((False, i), (True, i))
+                if u in nonstar or u in star]
 
-    def extend(word: List[Letter]):
-        if len(out) == MAX_ZZ_WORDS:
+    def grow(w: Word) -> List[Word]:  # the new conditions read w's last three letters
+        us = (nonstar if w[-1][0] else star) if w else alphabet
+        return [v for u in us if _conditions_hold_at(v := w + (u,), len(w))]
+
+    # count the words of each length by their last three letters
+    words, letters, length, tails = 1, 0, 0, {TRIVIAL: 1}
+    while tails and length < cap:
+        length += 1
+        grown: dict = {}
+        for t, n in tails.items():
+            for v in grow(t):
+                grown[v[-3:]] = grown.get(v[-3:], 0) + n
+        words += sum(grown.values())
+        letters += length * sum(grown.values())
+        if words > MAX_ZZ_WORDS:
+            raise EnumerationBudgetError(f"more than {MAX_ZZ_WORDS} words of length <= {cap}")
+        if letters > MAX_ZZ_LETTERS:
             raise EnumerationBudgetError(
-                f"more than {MAX_ZZ_WORDS} words of length <= {cap}"
+                f"more than {MAX_ZZ_LETTERS} letters in the words of length <= {cap}"
             )
-        out.append(tuple(word))
-        if len(word) >= cap:
-            return
-        for letter in star if not word[-1][0] else nonstar:
-            word.append(letter)
-            if _conditions_hold_at(word, len(word) - 1):
-                extend(word)
-            word.pop()
-
-    starts = sorted(nonstar + star, key=letter_key)
-    for letter in starts:
-        if cap >= 1:
-            extend([letter])
-    out.sort(key=word_key)
+        tails = grown
+    out, level = [TRIVIAL], [TRIVIAL]
+    for _ in range(length):
+        level = [v for w in level for v in grow(w)]
+        out.extend(level)
     return out
 
 

@@ -166,6 +166,20 @@ def test_output_flag_writes_report(tmp_path, capsys):
     assert target.read_text().strip() == out.strip()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("verify-appendix", "--d", "1", "--trials", "1"), ("zz", "enumerate", "--d", "2")],
+    ids=["verify-appendix", "zz-enumerate"],
+)
+@pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["no-parent", "directory"])
+def test_unwritable_output_is_a_usage_error(argv, target, tmp_path, capsys):
+    # refused before any trial or enumeration runs: no report, no word echo
+    code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path / target))
+    assert (code, out) == (2, "")
+    assert err == f"tdcheck: cannot write --output {tmp_path / target}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failing_verification_exits_one(tmp_path, capsys):
     # a corrupted asset directory: flip one coefficient sign in the d=1 table
     from tdcheck.tables import bundled_table_text

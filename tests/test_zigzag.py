@@ -1,14 +1,17 @@
+import functools
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdcheck.fields import FieldSpec, Rationals
 from tdcheck.params import derive_context, random_admissible_context
 from tdcheck.realization import realize
 from tdcheck import zigzag
+from tdcheck.cli import main
 from tdcheck.tables import load_table
 from tdcheck.zigzag import (
     EnumerationBudgetError,
@@ -23,7 +26,6 @@ from tdcheck.zigzag import (
     is_zz,
     word_from_text,
     word_image,
-    word_key,
     word_text,
 )
 
@@ -32,6 +34,14 @@ QQ = Rationals()
 
 # ---------------------------------------------------------------------------
 # independent reference implementations (kept deliberately naive)
+
+
+def letter_key(letter):
+    return (letter[1], letter[0])  # ascending index, nonstarred first
+
+
+def word_key(word):
+    return (len(word), tuple(letter_key(u) for u in word))  # shortlex
 
 
 def ref_between(r, i, j):
@@ -169,7 +179,7 @@ def test_feasible_counts_are_powers_of_two(d):
     assert len(enumerate_feasible(d)) == 2**d
 
 
-@pytest.mark.parametrize("d", range(5))
+@pytest.mark.parametrize("d", range(7))
 def test_feasible_matches_bruteforce(d):
     assert enumerate_feasible(d) == ref_feasible(d)
 
@@ -210,8 +220,19 @@ def test_enumerate_zz_d1_small_alphabet():
     ]
 
 
-def test_enumerate_zz_matches_bruteforce_filter():
-    d, r, s, cap = 2, 0, 2, 4
+@st.composite
+def zz_cases(draw):
+    d = draw(st.integers(0, 3))
+    r, s = draw(st.integers(0, d)), draw(st.integers(0, d))
+    return d, r, s, draw(st.integers(-2, 5))
+
+
+@given(zz_cases())
+@example((1, 0, 1, -1))  # max_len below 0 still yields the trivial word
+@example((2, 0, 2, 4))
+@settings(max_examples=80, deadline=None)
+def test_enumerate_zz_matches_bruteforce_filter(case):
+    d, r, s, cap = case
     letters = [(False, i) for i in range(d + 1) if i != r] + [
         (True, i) for i in range(d + 1) if i != s
     ]
@@ -234,6 +255,85 @@ def test_enumerate_zz_budget(monkeypatch):
     monkeypatch.setattr(zigzag, "MAX_ZZ_WORDS", 1000)
     with pytest.raises(EnumerationBudgetError):
         enumerate_zz(5, 0, 5, max_len=12)
+
+
+@pytest.mark.parametrize("case", [(3, 0, 3, None), (2, 1, 0, 7), (4, 2, 2, 5)])
+def test_enumerate_zz_budget_is_exact(case, monkeypatch):
+    words = enumerate_zz(*case)
+    for budget, total in (("MAX_ZZ_WORDS", len(words)), ("MAX_ZZ_LETTERS", sum(map(len, words)))):
+        monkeypatch.setattr(zigzag, budget, total)
+        assert enumerate_zz(*case) == words
+        monkeypatch.setattr(zigzag, budget, total - 1)
+        with pytest.raises(EnumerationBudgetError, match=budget.split("_")[-1].lower()):
+            enumerate_zz(*case)
+        monkeypatch.undo()
+
+
+def ref_zz_level_counts(d, r, s, max_len):
+    """Yield (length, words, letters) totals of the zigzag words, counted by
+    their last three letters (all a new letter's conditions read)."""
+    alphabet = [(False, i) for i in range(d + 1) if i != r] + [
+        (True, i) for i in range(d + 1) if i != s
+    ]
+
+    @functools.lru_cache(maxsize=None)
+    def step(t):
+        vs = (t + (u,) for u in alphabet)
+        return [v[-3:] for v in vs if is_alternating(v) and ref_is_zz(v)]
+
+    tails, words, letters = {(): 1}, 1, 0
+    for k in range(1, max_len + 1):
+        grown = {}
+        for t, n in tails.items():
+            for v in step(t):
+                grown[v] = grown.get(v, 0) + n
+        if not grown:
+            return
+        words += sum(grown.values())
+        letters += k * sum(grown.values())
+        yield k, words, letters
+        tails = grown
+
+
+def test_letter_budget_admits_every_run_within_the_word_budget():
+    # every run whose words stay under 1,000 letters and number at most
+    # MAX_ZZ_WORDS fits the letter budget; the largest is d = 2, max_len 499
+    largest = (0, None)
+    for d in range(zigzag.MAX_ZZ_D + 1):
+        for r, s in itertools.product(range(d + 1), repeat=2):
+            for k, words, letters in ref_zz_level_counts(d, r, s, 999):
+                if words > zigzag.MAX_ZZ_WORDS:
+                    break
+                largest = max(largest, (letters, (d, k)))
+    assert largest == (166_167_000, (2, 499))
+    assert largest[0] <= zigzag.MAX_ZZ_LETTERS
+
+
+def test_enumerate_zz_ten_million_letters():
+    # 80,401 words of up to 200 letters: over MAX_ZZ_WORDS * (2 * MAX_ZZ_D + 2)
+    words = enumerate_zz(2, 2, 2, max_len=200)
+    assert (len(words), sum(map(len, words))) == (80_401, 10_746_800)
+    assert words[:3] == [(), ((False, 0),), ((True, 0),)]
+
+
+def test_enumerate_zz_long_words_give_a_report(capsys):
+    # deeper than the default recursion limit: a report, never a traceback
+    code = main(["zz", "enumerate", "--d", "1", "--max-len", "1000"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["checks"][0]["detail"].startswith("2001 words;")
+
+
+def test_enumerate_zz_letter_budget_is_a_usage_error(capsys):
+    # 2 words per length at d = 1: the letter budget fires near length 13,000,
+    # long before the word budget, from counts taken before any word is built
+    code = main(["zz", "enumerate", "--d", "1", "--max-len", "1000000"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == (
+        f"tdcheck: more than {zigzag.MAX_ZZ_LETTERS} letters in the words of "
+        "length <= 1000000\n"
+    )
 
 
 def test_enumeration_diameter_caps():
