@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
-from operator import mul as _mul
 from typing import Iterable, Optional, Union
 
 Scalar = Union[Fraction, int]
@@ -162,17 +162,15 @@ class Rationals:
     def parse(self, text: str) -> Fraction:
         return Fraction(text.strip())
 
-    # Matrix kernel: clear denominators once per operand, multiply integer
-    # matrices, re-normalize per entry.  Much faster than Fraction dot sums.
+    # Matrix kernel: clear denominators once per operand, multiply the
+    # integer rows (`_int_mat_mul`), read each sum back over the product of
+    # the two denominators.
     def mat_mul(self, rows_a, rows_b):
-        na, nb = _to_int_rows(rows_a), _to_int_rows(rows_b)
-        ia, da = na
-        ib, db = nb
-        cols_b = list(zip(*ib))
-        den = da * db
+        ia, da = _to_int_rows(rows_a)
+        ib, db = _to_int_rows(rows_b)
+        den, z = da * db, self.zero
         return [
-            [Fraction(s, den) for s in (sum(map(_mul, row, col)) for col in cols_b)]
-            for row in ia
+            [Fraction(s, den) if s else z for s in acc] for acc in _int_mat_mul(ia, ib)
         ]
 
     # Integer-row hooks: linalg runs Matrix.apply and echelon elimination on
@@ -203,6 +201,28 @@ def _to_int_rows(rows):
     if den == 1:
         return [[x.numerator for x in row] for row in rows], 1
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def _int_mat_mul(rows_a, rows_b):
+    """Product of two integer matrices, one accumulator row per left row.
+
+    Each nonzero x at column k of a left row adds x times each nonzero
+    (j, y) of right row k into the accumulator, so the work is the number of
+    nonzero products, not the shapes' n*k*m: the operators and idempotents
+    of the band checks are mostly zeros.  Both fields multiply through here.
+    """
+    width = len(rows_b[0]) if rows_b else 0
+    cols, inner = range(width), range(len(rows_b))
+    nonzeros = [list(zip(compress(cols, r), filter(None, r))) for r in rows_b]
+    out = []
+    for row in rows_a:
+        acc = [0] * width
+        for k in compress(inner, row):
+            x = row[k]
+            for j, y in nonzeros[k]:
+                acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 class PrimeField:
@@ -270,12 +290,10 @@ class PrimeField:
             return self.div(int(num) % self.p, int(den) % self.p)
         return int(text) % self.p
 
+    # Matrix kernel: residues are integers already; reduce each sum mod p.
     def mat_mul(self, rows_a, rows_b):
         p = self.p
-        cols_b = list(zip(*rows_b))
-        return [
-            [sum(map(_mul, row, col)) % p for col in cols_b] for row in rows_a
-        ]
+        return [[s % p for s in acc] for acc in _int_mat_mul(rows_a, rows_b)]
 
     # Integer-row hooks (see Rationals): residues are already integers, so
     # nothing is cleared and every denominator linalg passes back is 1;

@@ -2,12 +2,14 @@
 
 Matrices are lists of rows of field elements.  Dimensions here are tiny
 (at most 32, or 64 for the word-span echelon), so the arithmetic of Matrix is
-written for clarity; the hot spots run on integers.  Matrix multiplication is
-a per-field kernel; `apply` reads a prepared form of the matrix that holds
-only the nonzero entries of each row, cleared to integers over one
-denominator; and EchelonBasis eliminates fraction-free on integer rows.
-Both reach the field through its integer-row hooks (`to_ints`, `from_ints`,
-`shrink`, `primitive`), so one code path serves the rationals and F_p.
+written for clarity; the hot spots run on integers and walk only nonzeros.
+Matrix multiplication is the field's `mat_mul`, one sparse integer kernel
+for both fields (`fields._int_mat_mul`); `apply` reads a prepared form of
+the matrix that holds only the nonzero entries of each row, cleared to
+integers over one denominator; and EchelonBasis eliminates fraction-free on
+integer rows.  The last two reach the field through its integer-row hooks
+(`to_ints`, `from_ints`, `shrink`, `primitive`), so one code path serves the
+rationals and F_p.
 """
 
 from __future__ import annotations
@@ -80,8 +82,10 @@ class Matrix:
         return Matrix(self.field, [[neg(x) for x in r] for r in self.rows])
 
     def scale(self, c) -> "Matrix":
+        """c * self; zero entries are kept as they are, not multiplied."""
         mul = self.field.mul
-        return Matrix(self.field, [[mul(c, x) for x in r] for r in self.rows])
+        rows = [[mul(c, x) if x else x for x in r] for r in self.rows]
+        return Matrix(self.field, rows)
 
     def shift(self, c) -> "Matrix":
         """self - c * I (square only)."""

@@ -2,6 +2,8 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdcheck.fields import FieldSpec, PrimeField, Rationals, Sampler
 from tdcheck.linalg import EchelonBasis, Matrix, restrict_operator, vec_eq, vec_is_zero
@@ -253,6 +255,31 @@ def test_echelon_matches_reference_on_rank_deficient_spans(spec):
     assert_same_basis(got, want)
     assert got.dim <= 3
     assert_same_queries(s, got, want, width, gens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(FIELD_SPECS),
+    st.integers(0, 2**32),
+    st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7)),
+    st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]),
+    st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]),
+)
+def test_mat_mul_matches_reference_dot(spec, seed, shape, density_a, density_b):
+    # inner dimension 0 and n x 0 right operands (the rank-0 B_i blocks of
+    # RankFactors) included; a 0 x m right operand is the empty list
+    s = Sampler(spec.with_seed(seed))
+    f = s.field
+    n, k, m = shape
+    a = [random_vector(s, k, density_a) for _ in range(n)]
+    b = [random_vector(s, m, density_b) for _ in range(k)]
+    got = f.mat_mul(a, b)
+    want = [[reduce(f.add, map(f.mul, row, col), f.zero) for col in zip(*b)] for row in a]
+    assert got == want
+    if f.kind == "qq":
+        assert all(type(x) is Fraction for row in got for x in row)
+    else:
+        assert all(0 <= x < f.p for row in got for x in row)
 
 
 @pytest.mark.parametrize("spec", FIELD_SPECS, ids=FIELD_IDS)
