@@ -276,7 +276,7 @@ def test_mat_mul_matches_reference_dot(spec, seed, shape, density_a, density_b):
     got = f.mat_mul(a, b)
     want = [[reduce(f.add, map(f.mul, row, col), f.zero) for col in zip(*b)] for row in a]
     assert got == want
-    if f.kind == "qq":
+    if f.kind == "qq":  # zero sums too come back as Fraction(0), not int 0
         assert all(type(x) is Fraction for row in got for x in row)
     else:
         assert all(0 <= x < f.p for row in got for x in row)
