@@ -170,14 +170,16 @@ def _run_zz_enumerate(args) -> VerificationReport:
         words = enumerate_feasible(args.d)
     else:
         words = enumerate_zz(args.d, args.exclude_r, exclude_s, max_len=args.max_len)
+    counts = zz_counts_by_length(words)
+    texts = [word_text(w) for w in words]
+    del words  # the tuples are not needed once rendered; free them early
     rep = VerificationReport(command="zz-enumerate", field={"kind": "none"}, trials=1)
     kind = "feasible" if args.feasible else "zz"
     rep.add(
         f"zz.enumerate.{kind}.d{args.d}",
         True,
-        f"{len(words)} words; by length {zz_counts_by_length(words)}",
+        f"{len(texts)} words; by length {counts}",
     )
-    texts = [word_text(w) for w in words]
     rep.add("zz.words", True, json.dumps(texts, separators=(",", ":")))
     sys.stderr.write("".join(t + "\n" for t in texts))
     return rep

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 Scalar = Union[Fraction, int]
 
@@ -364,27 +364,19 @@ class Sampler:
     def scalar(self) -> Scalar:
         return self.field.random(self.rng)
 
-    def distinct(self, n: int, forbidden: Iterable[Scalar] = ()) -> list:
-        """n pairwise-distinct scalars avoiding `forbidden`."""
+    def distinct(self, n: int) -> list:
+        """n pairwise-distinct scalars."""
         if n < 1:
             raise ValueError("need n >= 1")
-        f = self.field
-        banned = set(forbidden)
-        cap = f.capacity()
-        if cap is not None and cap - len(banned) < n:
+        cap = self.field.capacity()
+        if cap is not None and cap < n:
             raise FieldTooSmallError(
-                f"field too small: need {n} distinct values, "
-                f"{cap - len(banned)} available"
+                f"field too small: need {n} distinct values, {cap} available"
             )
-        out: list = []
-        seen = set(banned)
+        out: dict = {}  # insertion-ordered; a repeated draw changes nothing
         while len(out) < n:
-            x = self.scalar()
-            if x in seen:
-                continue
-            seen.add(x)
-            out.append(x)
-        return out
+            out[self.scalar()] = None
+        return list(out)
 
 
 def field_echo(field: Field) -> dict:

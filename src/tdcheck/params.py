@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Sequence, Tuple
 
 from .fields import Field, FieldSpec, Sampler
-from .poly import build_poly
+from .poly import ladder
 
 # Stable condition identifiers used in validation failures.
 COND_THETA_DISTINCT = "(i) theta distinct"
@@ -36,10 +36,6 @@ COND_ZETA0 = "(ii) zeta_0=1"
 COND_ZETAD = "(ii) zeta_d!=0"
 COND_SUM = "(ii) sum!=0"
 COND_BETA = "(iii) beta recurrence"
-
-GUARD_BETA_PLUS_1 = "beta+1 vanishes"
-GUARD_BETA = "beta vanishes"
-GUARD_BETA_QUAD = "beta^2+beta-1 vanishes"
 
 MAX_ATTEMPTS = 1000  # candidates each rejection sampler draws before giving up
 
@@ -73,17 +69,6 @@ class ParameterArray:
                 raise MalformedArrayError(
                     f"{name} has {len(xs)} entries, expected {n}"
                 )
-
-    def to_json(self, field: Field) -> str:
-        return json.dumps(
-            {
-                "d": self.d,
-                "theta": [field.format(x) for x in self.theta],
-                "theta_star": [field.format(x) for x in self.theta_star],
-                "zeta": [field.format(x) for x in self.zeta],
-            },
-            sort_keys=True,
-        )
 
     @classmethod
     def from_json(cls, text: str, field: Field) -> "ParameterArray":
@@ -124,18 +109,6 @@ class ValidationResult:
     def failure_ids(self) -> List[str]:
         return [cid for cid, _ in self.failures]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "passed": self.passed,
-                "failures": [
-                    {"condition": cid, "detail": det} for cid, det in self.failures
-                ],
-                "vacuous": self.vacuous,
-            },
-            sort_keys=True,
-        )
-
 
 @dataclass
 class SpecializationContext:
@@ -167,11 +140,11 @@ def _ratio_family(field: Field, xs: Sequence) -> list:
 def admissibility_sum(field: Field, pa: ParameterArray):
     """sum_i eta_{d-i}(t_0) eta*_{d-i}(s_0) z_i — condition (ii) obstruction."""
     d = pa.d
+    eta = ladder(field, pa.theta[::-1], pa.theta[0])
+    eta_star = ladder(field, pa.theta_star[::-1], pa.theta_star[0])
     total = field.zero
-    for i in range(d + 1):
-        e = build_poly("eta", d - i, pa.theta, field)(pa.theta[0])
-        es = build_poly("eta_star", d - i, pa.theta_star, field)(pa.theta_star[0])
-        total = field.add(total, field.mul(field.mul(e, es), pa.zeta[i]))
+    for i, z in enumerate(pa.zeta):
+        total = field.add(total, field.mul(field.mul(eta[d - i], eta_star[d - i]), z))
     return total
 
 
@@ -212,25 +185,28 @@ def validate_parameter_array(pa: ParameterArray, field: Field) -> ValidationResu
     return ValidationResult(passed=not failures, failures=failures, vacuous=vacuous)
 
 
-def _violated_beta_guard(field: Field, d: int, beta) -> Optional[str]:
-    """The first denominator guard beta violates at diameter d >= 3, or None."""
-    if field.is_zero(field.add(beta, field.one)):
-        return GUARD_BETA_PLUS_1
-    if d >= 4 and field.is_zero(beta):
-        return GUARD_BETA
-    if d == 5 and field.is_zero(field.sub(field.add(field.mul(beta, beta), beta), field.one)):
-        return GUARD_BETA_QUAD
-    return None
+def _violated_beta_guard(field: Field, d: int, beta) -> bool:
+    """Whether beta zeroes beta+1, beta (d >= 4) or beta^2+beta-1 (d = 5).
+
+    Such a beta repeats an eigenvalue (see `derive_context`); testing it
+    first makes a bad draw cost one scalar instead of two lists.
+    """
+    return (
+        field.is_zero(field.add(beta, field.one))
+        or (d >= 4 and field.is_zero(beta))
+        or (d == 5 and field.is_zero(field.sub(field.add(field.mul(beta, beta), beta), field.one)))
+    )
 
 
 def derive_context(
     theta: Sequence, theta_star: Sequence, y: Sequence, field: Field
 ) -> SpecializationContext:
-    """Build a specialization context, deriving beta and eps and checking guards.
+    """Build a specialization context, deriving beta and eps.
 
-    Raises ContextError naming the violated guard: distinctness, the constant
-    ratio requirement ("not beta-recurrent"), or a vanishing denominator guard
-    (beta+1 for d >= 3, beta for d >= 4, beta^2+beta-1 for d = 5).
+    Raises ContextError when a list is not pairwise distinct or the ratio
+    families are not constant and equal ("not beta-recurrent").  No table
+    denominator can then vanish: under the beta recurrence, beta+1, beta and
+    beta^2+beta-1 divide x_3 - x_0, x_4 - x_0 and x_5 - x_0 respectively.
     """
     d = len(theta) - 1
     if len(theta_star) != d + 1:
@@ -248,9 +224,6 @@ def derive_context(
         if any(r != ratios[0] for r in ratios[1:]):
             raise ContextError("not beta-recurrent")
         beta = field.sub(ratios[0], field.one)
-        guard = _violated_beta_guard(field, d, beta)
-        if guard:
-            raise ContextError(guard)
 
     epsilon = []
     for i in range(d - 1):

@@ -1,13 +1,14 @@
-"""Univariate polynomials over an exact field and primitive idempotents.
+"""Ladder polynomial values and primitive idempotents over an exact field.
 
-The ladder polynomials built here are the monic products
+The ladder polynomials are the monic products
 
     tau_i  = (x - t_0)(x - t_1)...(x - t_{i-1})
     eta_i  = (x - t_d)(x - t_{d-1})...(x - t_{d-i+1})
 
-over a supplied list t_0..t_d (the starred variants are the same shapes
-applied to the dual list).  Primitive idempotents of an operator with
-eigenvalue list t are computed by the explicit Lagrange product
+over a list t_0..t_d (the starred ones over the dual list).  Only their values
+are needed, so `ladder` returns them at one point as prefix products, and the
+expansion identity is checked at points.  Primitive idempotents of an
+operator with eigenvalue list t are computed by the explicit Lagrange product
 
     E_i = prod_{j != i} (A - t_j I) / (t_i - t_j)
 
@@ -20,8 +21,6 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from .linalg import Matrix
-
-POLY_KINDS = ("tau", "eta", "tau_star", "eta_star")
 
 
 class PolyError(ValueError):
@@ -38,86 +37,16 @@ class MinimalPolynomialError(PolyError):
         )
 
 
-class Poly:
-    """Dense univariate polynomial; coeffs[k] multiplies x**k."""
+def ladder(field, roots: Sequence, x) -> list:
+    """Prefix products [1, (x - r_0), (x - r_0)(x - r_1), ...] at the point x.
 
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs: Sequence):
-        self.field = field
-        cs = list(coeffs)
-        while cs and field.is_zero(cs[-1]):
-            cs.pop()
-        self.coeffs = cs
-
-    @classmethod
-    def one(cls, field) -> "Poly":
-        return cls(field, [field.one])
-
-    @classmethod
-    def from_roots(cls, field, roots: Sequence) -> "Poly":
-        out = cls.one(field)
-        for r in roots:
-            out = out.mul_linear(r)
-        return out
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __add__(self, other: "Poly") -> "Poly":
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [f.zero] * (n - len(self.coeffs))
-        b = other.coeffs + [f.zero] * (n - len(other.coeffs))
-        return Poly(f, [f.add(x, y) for x, y in zip(a, b)])
-
-    def scale(self, c) -> "Poly":
-        f = self.field
-        return Poly(f, [f.mul(c, x) for x in self.coeffs])
-
-    def mul_linear(self, root) -> "Poly":
-        """Multiply by (x - root)."""
-        f = self.field
-        out = [f.zero] * (len(self.coeffs) + 1)
-        for k, c in enumerate(self.coeffs):
-            out[k + 1] = f.add(out[k + 1], c)
-            out[k] = f.sub(out[k], f.mul(root, c))
-        return Poly(f, out)
-
-    def __call__(self, x):
-        f = self.field
-        acc = f.zero
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
-        return acc
-
-    def __repr__(self):
-        return f"Poly({self.coeffs!r})"
-
-
-def build_poly(kind: str, i: int, thetas: Sequence, field) -> Poly:
-    """Monic ladder polynomial of degree exactly i for the given list.
-
-    tau/tau_star walk the list from the front, eta/eta_star from the back;
-    the star kinds simply expect the dual list to be passed in.
+    Over t_0..t_d the entries are tau_0(x)..tau_{d+1}(x); over the reversed
+    list they are eta_0(x)..eta_{d+1}(x).
     """
-    if kind not in POLY_KINDS:
-        raise PolyError(f"unknown polynomial kind {kind!r}")
-    d = len(thetas) - 1
-    if not 0 <= i <= d:
-        raise PolyError(f"index {i} out of range for list of length {d + 1}")
-    if kind in ("tau", "tau_star"):
-        roots = thetas[:i]
-    else:
-        roots = [thetas[d - j] for j in range(i)]
-    return Poly.from_roots(field, roots)
+    out = [field.one]
+    for r in roots:
+        out.append(field.mul(out[-1], field.sub(x, r)))
+    return out
 
 
 def shifted_products(a: Matrix, thetas: Sequence) -> List[Matrix]:
@@ -166,12 +95,19 @@ def lagrange_idempotents(a: Matrix, thetas: Sequence) -> List[Matrix]:
 
 
 def eta_expansion_check(thetas: Sequence, field) -> bool:
-    """Whether eta_d equals sum_i eta_{d-i}(t_0) * tau_i, coefficientwise."""
+    """Whether eta_d = sum_i eta_{d-i}(t_0) tau_i, compared at x = 0..d.
+
+    Both sides have degree at most d, so agreement at d + 1 distinct points
+    is the coefficientwise identity (the field needs d + 1 elements).
+    """
     d = len(thetas) - 1
-    lhs = build_poly("eta", d, thetas, field)
-    rhs = Poly(field, [])
-    t0 = thetas[0]
-    for i in range(d + 1):
-        w = build_poly("eta", d - i, thetas, field)(t0)
-        rhs = rhs + build_poly("tau", i, thetas, field).scale(w)
-    return lhs == rhs
+    weights = ladder(field, thetas[::-1], thetas[0])
+    for n in range(d + 1):
+        x = field.from_int(n)
+        taus = ladder(field, thetas, x)
+        rhs = field.zero
+        for i in range(d + 1):
+            rhs = field.add(rhs, field.mul(weights[d - i], taus[i]))
+        if ladder(field, thetas[::-1], x)[d] != rhs:
+            return False
+    return True

@@ -53,13 +53,6 @@ def test_sample_distinct_deterministic():
     assert len(set(a)) == 5
 
 
-def test_sample_distinct_avoids_forbidden():
-    spec = FieldSpec("fp", prime=101, seed=1)
-    vals = Sampler(spec).distinct(4, forbidden={0})
-    assert 0 not in vals
-    assert len(set(vals)) == 4
-
-
 def test_sample_distinct_field_too_small():
     spec = FieldSpec("fp", prime=5, seed=0)
     with pytest.raises(FieldTooSmallError):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from tdcheck.fields import FieldSpec, PrimeField, Rationals
+from tdcheck.fields import FieldSpec, PrimeField, Rationals, Sampler
 from tdcheck.params import (
     COND_BETA,
     COND_SUM,
@@ -36,6 +36,14 @@ def test_validate_d0_trivial_array():
     assert result.passed
     assert COND_BETA in result.vacuous
     assert admissibility_sum(QQ, pa) == 1
+
+
+def test_admissibility_sum_hand_value():
+    # eta_k(t_0) = (t_0 - t_d)...(t_0 - t_{d-k+1}): for theta = 0, 1, 3 the
+    # weights are 1, -3, 3 and for theta* = 0, 2, 5 they are 1, -5, 10, so
+    # the sum is 3*10*z_0 + (-3)(-5)*z_1 + 1*1*z_2 = 30 + 30 + 7
+    pa = ParameterArray(2, fr([0, 1, 3]), fr([0, 2, 5]), fr([1, 2, 7]))
+    assert admissibility_sum(QQ, pa) == 67
 
 
 def test_krawtchouk_d3_validates_and_derives_beta_2():
@@ -183,27 +191,48 @@ def test_random_valid_parameter_array_validates():
         assert pa.zeta[0] == 1
 
 
-def test_validation_result_json_mirrors_fields():
-    import json
-
-    theta = krawtchouk3()
-    pa = ParameterArray(3, theta, theta, fr([1, 2, 3, 0]))
-    result = validate_parameter_array(pa, QQ)
-    obj = json.loads(result.to_json())
-    assert obj["passed"] is False
-    assert {f["condition"] for f in obj["failures"]} == set(result.failure_ids())
-    assert obj["vacuous"] == []
+@pytest.mark.parametrize("kind, prime", [("qq", None), ("fp", None), ("fp", 11)])
+def test_beta_guards_divide_eigenvalue_repeats(kind, prime):
+    # under x_{i+1} = x_{i-2} + (beta+1)(x_i - x_{i-1}):
+    #   x_3 - x_0 = -(beta+1)(x_1 - x_2)
+    #   x_4 - x_0 = beta (-beta x_1 + beta x_2 + x_0 - 2 x_1 + x_2)
+    #   x_5 - x_0 = (beta^2+beta-1)(-beta x_1 + beta x_2 + x_0 - x_1)
+    # so a beta violating a guard repeats an eigenvalue, and derive_context
+    # needs no guard check beyond distinctness; over F_11, beta^2+beta-1 has
+    # the roots 3 and 7
+    spec = FieldSpec(kind, prime, seed=5)
+    f = spec.build_field()
+    s = Sampler(spec)
+    betas = [s.scalar() for _ in range(30)] + [f.from_int(-1), f.zero]
+    if prime == 11:
+        betas += [f.from_int(3), f.from_int(7)]
+    for beta in betas:
+        xs = [s.scalar() for _ in range(3)]
+        bp1 = f.add(beta, f.one)
+        for _ in range(3):
+            xs.append(f.add(xs[-3], f.mul(bp1, f.sub(xs[-1], xs[-2]))))
+        x0, x1, x2 = xs[:3]
+        quad = f.sub(f.add(f.mul(beta, beta), beta), f.one)
+        u = f.sub(f.mul(beta, f.sub(x2, x1)), f.sub(x1, x0))
+        assert f.sub(xs[3], x0) == f.neg(f.mul(bp1, f.sub(x1, x2)))
+        assert f.sub(xs[4], x0) == f.mul(beta, f.sub(u, f.sub(x1, x2)))
+        assert f.sub(xs[5], x0) == f.mul(quad, u)
+        for guard, k in ((bp1, 3), (beta, 4), (quad, 5)):
+            if f.is_zero(guard):
+                assert xs[k] == x0
 
 
 def test_parameter_array_json_roundtrip():
-    pa = ParameterArray(3, krawtchouk3(), krawtchouk3(), fr([1, 0, 0, 5]))
-    text = pa.to_json(QQ)
-    back = ParameterArray.from_json(text, QQ)
-    assert (back.d, back.theta, back.theta_star, back.zeta) == (
-        pa.d,
-        pa.theta,
-        pa.theta_star,
-        pa.zeta,
+    text = (
+        '{"d": 3, "theta": ["3", "1", "-1", "-3"], "theta_star": ["1/2", "0", "2", "7"],'
+        ' "zeta": ["1", "0", "0", "5"]}'
+    )
+    pa = ParameterArray.from_json(text, QQ)
+    assert (pa.d, pa.theta, pa.theta_star, pa.zeta) == (
+        3,
+        krawtchouk3(),
+        [Fraction(1, 2), Fraction(0), Fraction(2), Fraction(7)],
+        fr([1, 0, 0, 5]),
     )
     with pytest.raises(MalformedArrayError):
         ParameterArray.from_json('{"d": 1, "theta": ["0", "1"]}', QQ)

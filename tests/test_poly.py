@@ -1,15 +1,16 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from tdcheck.fields import FieldSpec, Rationals, Sampler
 from tdcheck.linalg import Matrix
+from tdcheck import poly
 from tdcheck.poly import (
     MinimalPolynomialError,
-    Poly,
     PolyError,
-    build_poly,
     eta_expansion_check,
+    ladder,
     lagrange_idempotents,
 )
 
@@ -21,58 +22,49 @@ def fr(xs):
 
 
 def test_tau_zero_is_one():
-    p = build_poly("tau", 0, fr([5, 6, 7]), QQ)
-    assert p.coeffs == [Fraction(1)]
-    assert p.is_monic() and p.degree == 0
+    assert ladder(QQ, fr([5, 6, 7]), Fraction(11))[0] == 1
+    assert ladder(QQ, [], Fraction(11)) == [1]
 
 
 def test_tau_two_example():
     # roots 0 and 1: x(x-1), value 6 at x=3
-    p = build_poly("tau", 2, fr([0, 1, 2]), QQ)
-    assert p.coeffs == fr([0, -1, 1])
-    assert p(Fraction(3)) == 6
+    assert ladder(QQ, fr([0, 1, 2]), Fraction(3)) == fr([1, 3, 6, 6])
 
 
 def test_eta_one_uses_the_back_of_the_list():
-    p = build_poly("eta", 1, fr([3, 1, -1, -3]), QQ)
-    assert p.coeffs == fr([3, 1])  # x + 3
+    thetas = fr([3, 1, -1, -3])
+    eta = ladder(QQ, thetas[::-1], Fraction(2))
+    assert eta[1] == 5  # x + 3 at x = 2
+    assert eta[2] == 5 * 3  # (x + 3)(x + 1)
 
 
-def test_star_kinds_mirror_plain_kinds():
-    thetas = fr([2, -1, 4])
-    for i in range(3):
-        assert build_poly("tau_star", i, thetas, QQ) == build_poly("tau", i, thetas, QQ)
-        assert build_poly("eta_star", i, thetas, QQ) == build_poly("eta", i, thetas, QQ)
-
-
-def test_build_poly_monic_of_exact_degree():
+def test_ladder_entries_monic_of_exact_degree():
+    # entry i is monic of degree i in x: its i-th forward difference over
+    # x = 0..i is i!, and its (i+1)-th over x = 0..i+1 is 0
     s = Sampler(FieldSpec("qq", seed=11))
     thetas = s.distinct(7)
-    for kind in ("tau", "eta"):
-        for i in range(7):
-            p = build_poly(kind, i, thetas, QQ)
-            assert p.degree == i and p.is_monic()
-
-
-def test_build_poly_rejects_bad_index():
-    with pytest.raises(PolyError):
-        build_poly("tau", 4, fr([0, 1, 2]), QQ)
-    with pytest.raises(PolyError):
-        build_poly("sigma", 1, fr([0, 1]), QQ)
+    for roots in (thetas, thetas[::-1]):
+        values = [ladder(QQ, roots, Fraction(x)) for x in range(len(roots) + 2)]
+        for i in range(len(roots) + 1):
+            column = [v[i] for v in values[: i + 2]]
+            diffs = [column]
+            while len(diffs[-1]) > 1:
+                prev = diffs[-1]
+                diffs.append([b - a for a, b in zip(prev, prev[1:])])
+            assert diffs[i][0] == factorial(i)
+            assert diffs[i + 1] == [0]
 
 
 def test_tau_splits_multiplicatively_at_random_points():
-    # tau_{i+j} over the list equals tau_i times the forward ladder of the
-    # shifted list; checked by evaluation at 20 random points
+    # tau_{i+j}(x) over the list equals tau_i(x) times the ladder of
+    # t_i..t_{i+j-1}, checked at 20 random points
     s = Sampler(FieldSpec("qq", seed=23))
     thetas = s.distinct(9)
     for i, j in ((2, 3), (0, 5), (4, 4), (1, 7)):
-        whole = build_poly("tau", i + j, thetas, QQ)
-        head = build_poly("tau", i, thetas, QQ)
-        tail = Poly.from_roots(QQ, thetas[i : i + j])
         for _ in range(20):
             x = s.scalar()
-            assert whole(x) == QQ.mul(head(x), tail(x))
+            taus = ladder(QQ, thetas, x)
+            assert taus[i + j] == QQ.mul(taus[i], ladder(QQ, thetas[i : i + j], x)[j])
 
 
 def test_lagrange_idempotent_single_point():
@@ -169,4 +161,26 @@ def test_eta_expansion_holds_for_random_lists():
     for trial in range(100):
         d = trial % 8 + 1
         thetas = s.distinct(d + 1)
+        assert eta_expansion_check(thetas, QQ)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_eta_expansion_catches_one_wrong_weight(monkeypatch, d):
+    # perturb one weight eta_{d-i}(t_0) at a time (the weights are the one
+    # ladder taken at t_0 itself): comparing the two sides at x = 0..d must
+    # then fail.  With t = 0..d the error term tau_i vanishes at x = 0..i-1,
+    # so a wrong weight of tau_d shows only at the last point x = d
+    thetas = fr(range(d + 1))
+    real = poly.ladder
+    for k in range(d + 1):
+
+        def skewed(field, roots, x):
+            out = real(field, roots, x)
+            if x is thetas[0]:
+                out[k] = field.add(out[k], field.one)
+            return out
+
+        monkeypatch.setattr(poly, "ladder", skewed)
+        assert not eta_expansion_check(thetas, QQ)
+        monkeypatch.setattr(poly, "ladder", real)
         assert eta_expansion_check(thetas, QQ)
