@@ -39,12 +39,6 @@ class Matrix:
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, field, n: int, m: int = None) -> "Matrix":
-        m = n if m is None else m
-        z = field.zero
-        return cls(field, [[z] * m for _ in range(n)])
-
-    @classmethod
     def from_columns(cls, field, cols: Sequence[Sequence]) -> "Matrix":
         return cls(field, [list(row) for row in zip(*cols)])
 
@@ -62,24 +56,6 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in product")
         return Matrix(self.field, self.field.mat_mul(self.rows, other.rows))
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        add = self.field.add
-        return Matrix(
-            self.field,
-            [list(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        sub = self.field.sub
-        return Matrix(
-            self.field,
-            [list(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix(self.field, [[neg(x) for x in r] for r in self.rows])
 
     def scale(self, c) -> "Matrix":
         """c * self; zero entries are kept as they are, not multiplied."""
@@ -117,9 +93,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, [list(col) for col in zip(*self.rows)])
-
-    def column(self, j: int) -> list:
-        return [row[j] for row in self.rows]
 
     def is_zero(self) -> bool:
         z = self.field.is_zero

@@ -106,9 +106,6 @@ class ValidationResult:
     failures: List[Tuple[str, str]]
     vacuous: List[str] = dc_field(default_factory=list)
 
-    def failure_ids(self) -> List[str]:
-        return [cid for cid, _ in self.failures]
-
 
 @dataclass
 class SpecializationContext:

@@ -6,9 +6,9 @@ The ladder polynomials are the monic products
     eta_i  = (x - t_d)(x - t_{d-1})...(x - t_{d-i+1})
 
 over a list t_0..t_d (the starred ones over the dual list).  Only their values
-are needed, so `ladder` returns them at one point as prefix products, and the
-expansion identity is checked at points.  Primitive idempotents of an
-operator with eigenvalue list t are computed by the explicit Lagrange product
+are needed, so `ladder` returns them at one point as prefix products.
+Primitive idempotents of an operator with eigenvalue list t are computed by
+the explicit Lagrange product
 
     E_i = prod_{j != i} (A - t_j I) / (t_i - t_j)
 
@@ -93,21 +93,3 @@ def lagrange_idempotents(a: Matrix, thetas: Sequence) -> List[Matrix]:
         out.append(numer.scale(f.inv(den)))
     return out
 
-
-def eta_expansion_check(thetas: Sequence, field) -> bool:
-    """Whether eta_d = sum_i eta_{d-i}(t_0) tau_i, compared at x = 0..d.
-
-    Both sides have degree at most d, so agreement at d + 1 distinct points
-    is the coefficientwise identity (the field needs d + 1 elements).
-    """
-    d = len(thetas) - 1
-    weights = ladder(field, thetas[::-1], thetas[0])
-    for n in range(d + 1):
-        x = field.from_int(n)
-        taus = ladder(field, thetas, x)
-        rhs = field.zero
-        for i in range(d + 1):
-            rhs = field.add(rhs, field.mul(weights[d - i], taus[i]))
-        if ladder(field, thetas[::-1], x)[d] != rhs:
-            return False
-    return True

@@ -32,11 +32,11 @@ from itertools import accumulate
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
-from .fields import Field, field_echo
+from .fields import Field
 from .linalg import Matrix, vec_eq, vec_scale, vec_sub
 from .params import SpecializationContext
 from .poly import MinimalPolynomialError, lagrange_idempotents
-from .report import Check, VerificationReport
+from .report import Check
 from .tables import BasisLabel, ModuleTable, chain_label, evaluate, power_label
 
 
@@ -117,7 +117,6 @@ class ModuleRealization:
     estar: List[Matrix]  # idempotents of astar
     factors: RankFactors  # of e
     dual_factors: RankFactors  # of estar
-    table_version: str
 
     @property
     def ranks(self) -> List[int]:
@@ -136,14 +135,6 @@ class ModuleRealization:
         v = [f.zero] * self.dim
         v[self.index[label]] = f.one
         return v
-
-    def report(self, command: str) -> VerificationReport:
-        return VerificationReport(
-            command=command,
-            field=field_echo(self.field),
-            asset_version=self.table_version,
-            trials=1,
-        )
 
 
 def context_env(ctx: SpecializationContext) -> Dict[str, object]:
@@ -234,7 +225,6 @@ def realize(
         estar=estar,
         factors=factors,
         dual_factors=dual_factors,
-        table_version=table.version,
     )
 
 
@@ -306,53 +296,47 @@ def _band_checks(tag: str, fam: RankFactors, op: Matrix) -> List[Check]:
     return checks
 
 
-def verify_relations(real: ModuleRealization) -> VerificationReport:
+def verify_relations(real: ModuleRealization) -> List[Check]:
     """Exact checks of all defining relations on the realized module."""
-    rep = real.report("verify-relations")
-    rep.checks.extend(
+    return (
         _idempotent_family_checks("e", real.e, real.factors, real.context.theta, real.a)
-    )
-    rep.checks.extend(
-        _idempotent_family_checks(
+        + _idempotent_family_checks(
             "es", real.estar, real.dual_factors, real.context.theta_star, real.astar
         )
+        + _band_checks("rel8", real.dual_factors, real.a)
+        + _band_checks("rel9", real.factors, real.astar)
     )
-    rep.checks.extend(_band_checks("rel8", real.dual_factors, real.a))
-    rep.checks.extend(_band_checks("rel9", real.factors, real.astar))
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # Weight certificate (the chain computation behind the injectivity argument)
 
 
-def mu_certificate(real: ModuleRealization) -> VerificationReport:
+def mu_certificate(real: ModuleRealization) -> List[Check]:
     """Check the raising/lowering chains and the resulting corner identity."""
-    rep = real.report("mu-certificate")
     f = real.field
     d = real.d
     ctx = real.context
     phi = real.basis_vector(real.basis[0])
     if real.basis[0] != BasisLabel(()):
-        rep.add("mu.phi", False, "first basis label is not phi")
-        return rep
+        return [Check("mu.phi", False, "first basis label is not phi")]
     if d == 0:
-        rep.add("mu.vacuous", True, "d = 0: chain conditions are vacuous")
-        return rep
+        return [Check("mu.vacuous", True, "d = 0: chain conditions are vacuous")]
 
     av_phi = real.astar.apply(phi)
     ok = vec_eq(f, av_phi, vec_scale(f, ctx.theta_star[0], phi))
-    rep.add("mu.astar.phi", ok, "" if ok else "a*.phi != ths0 * phi")
     corner = corner_identities(real)
-    rep.add("mu.es0.phi", corner[0], "" if corner[0] else "e*_0.phi != phi")
-
-    rep.add("mu.i0.identity", True, "tau_0 = 1 and e*_0 phi = phi")
+    checks = [
+        Check("mu.astar.phi", ok, "" if ok else "a*.phi != ths0 * phi"),
+        Check("mu.es0.phi", corner[0], "" if corner[0] else "e*_0.phi != phi"),
+        Check("mu.i0.identity", True, "tau_0 = 1 and e*_0 phi = phi"),
+    ]
 
     def step(cid: str, op: Matrix, t, label: BasisLabel, want: list, text: str) -> None:
         # one chain step: (op - t).v == want for the basis vector v at label
         v = real.basis_vector(label)
         ok = vec_eq(f, vec_sub(f, op.apply(v), vec_scale(f, t, v)), want)
-        rep.add(cid, ok, "" if ok else text)
+        checks.append(Check(cid, ok, "" if ok else text))
 
     for i in range(1, d + 1):
         # raising chain phi -> r -> ... -> r^i
@@ -369,12 +353,9 @@ def mu_certificate(real: ModuleRealization) -> VerificationReport:
         step(f"mu.i{i}.weight", real.astar, ctx.theta_star[1], chain_label(i - 1, i),
              vec_scale(f, ctx.y[i - 1], phi), f"(a* - ths1).l^{i - 1}r^{i} != y{i} phi")
         ok = corner[i]
-        rep.add(
-            f"mu.i{i}.identity",
-            ok,
-            "" if ok else f"e*_0 tau_{i}(a) e*_0 phi has the wrong coefficient",
-        )
-    return rep
+        detail = "" if ok else f"e*_0 tau_{i}(a) e*_0 phi has the wrong coefficient"
+        checks.append(Check(f"mu.i{i}.identity", ok, detail))
+    return checks
 
 
 def split_sequence(a: Matrix, corner: Matrix, theta: List, theta_star: List, v: List) -> list:
@@ -410,25 +391,20 @@ def corner_identities(real: ModuleRealization) -> List[bool]:
 # Shape
 
 
-def shape_check(real: ModuleRealization) -> VerificationReport:
+def shape_check(real: ModuleRealization) -> List[Check]:
     """Idempotent ranks: binomials C(d,i), symmetric and unimodal."""
-    rep = real.report("shape")
     d = real.d
     ranks, dual_ranks = real.ranks, real.dual_ranks
+    checks = []
     for i in range(d + 1):
         want = comb(d, i)
-        rep.add(
-            f"shape.e.{i}",
-            ranks[i] == want,
-            f"rank {ranks[i]}, expected {want}",
-        )
-        rep.add(
-            f"shape.es.{i}",
-            dual_ranks[i] == want,
-            f"rank {dual_ranks[i]}, expected {want}",
+        checks.append(Check(f"shape.e.{i}", ranks[i] == want, f"rank {ranks[i]}, expected {want}"))
+        checks.append(
+            Check(f"shape.es.{i}", dual_ranks[i] == want, f"rank {dual_ranks[i]}, expected {want}")
         )
     sym = all(ranks[i] == ranks[d - i] for i in range(d + 1))
-    rep.add("shape.symmetric", sym, str(ranks))
     uni = all(ranks[i - 1] <= ranks[i] for i in range(1, d // 2 + 1))
-    rep.add("shape.unimodal", uni, str(ranks))
-    return rep
+    return checks + [
+        Check("shape.symmetric", sym, str(ranks)),
+        Check("shape.unimodal", uni, str(ranks)),
+    ]

@@ -67,23 +67,6 @@ class VerificationReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        obj = json.loads(text)
-        rep = cls(
-            command=obj["command"],
-            field=obj["field"],
-            seed=obj["seed"],
-            asset_version=obj["asset_version"],
-            trials=obj["trials"],
-            checks=[
-                Check(c["id"], c["passed"], c["detail"]) for c in obj["checks"]
-            ],
-        )
-        if rep.overall != obj["overall"]:
-            raise ReportError("overall flag does not match the checks")
-        return rep
-
     def summary(self) -> str:
         bad = self.failures()
         head = (

@@ -1,4 +1,4 @@
-"""Bundled module tables: basis labels, coefficient grammar, parser, printer.
+"""Bundled module tables: basis labels, coefficient grammar, parser.
 
 A table file describes, for one diameter d, the 2^d basis labels (one line
 per row block) and the action of the two generators on that basis.  Entries
@@ -14,17 +14,18 @@ An entry's right-hand side goes through the same parser, with basis labels as
 atoms outside parentheses, and its top-level sum is split into terms.  Nesting
 is at most MAX_EXPR_DEPTH deep, so no table can exhaust the recursion.
 
-The printer emits a canonical form and parsing is loss-free: re-serializing a
-parsed bundled table reproduces the file byte for byte.
+Parsing is loss-free: the printer in tests/test_tables.py re-serializes every
+parsed bundled table byte for byte.  format_expr stays here for the
+evaluator's error messages.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 FORMAT_VERSION = "module-table v1"
 
@@ -462,37 +463,6 @@ def _parse_entry(
     return source, terms[::-1]
 
 
-def _format_term(coeff: Expr, label: BasisLabel) -> Tuple[str, str]:
-    """(sign, body) with sign '+' or '-'; Neg coefficients print as '- body'."""
-    sign = "+"
-    if isinstance(coeff, Neg):
-        sign = "-"
-        coeff = coeff.child
-    if coeff == ONE:
-        return sign, str(label)
-    body = format_expr(coeff)
-    if _prec(coeff) < _PREC_PROD:
-        body = f"({body})"
-    return sign, f"{body}*{str(label)}"
-
-
-_WRAP_WIDTH = 100
-
-
-def _format_entry(source: BasisLabel, terms: Sequence[Tuple[Expr, BasisLabel]]) -> List[str]:
-    pieces = [_format_term(c, l) for c, l in terms]
-    sign0, body0 = pieces[0]
-    first = f"{source} : " + (body0 if sign0 == "+" else f"-{body0}")
-    lines = [first]
-    for sign, body in pieces[1:]:
-        chunk = f" {sign} {body}"
-        if len(lines[-1]) + len(chunk) > _WRAP_WIDTH and len(lines[-1]) > 4:
-            lines.append("    " + chunk.lstrip())
-        else:
-            lines[-1] += chunk
-    return lines
-
-
 # ---------------------------------------------------------------------------
 # Module tables
 
@@ -507,23 +477,6 @@ class ModuleTable:
     a_action: Action
     astar_action: Action
     version: str = FORMAT_VERSION
-
-    def coefficient_slots(self) -> List[Tuple[str, BasisLabel, int]]:
-        """All (action, source, term index) coordinates, for mutation tests."""
-        out = []
-        for name, action in (("a", self.a_action), ("astar", self.astar_action)):
-            for src in self.basis:
-                for k in range(len(action[src])):
-                    out.append((name, src, k))
-        return out
-
-    def with_negated_coefficient(self, action: str, source: BasisLabel, k: int) -> "ModuleTable":
-        """Copy of the table with one coefficient's sign flipped."""
-        key = "a_action" if action == "a" else "astar_action"
-        terms = list(getattr(self, key)[source])
-        c, label = terms[k]
-        terms[k] = (c.child if isinstance(c, Neg) else Neg(c), label)
-        return replace(self, **{key: {**getattr(self, key), source: terms}})
 
 
 def _validate_structure(table: ModuleTable):
@@ -633,19 +586,6 @@ def parse_table(text: str) -> ModuleTable:
     )
     _validate_structure(table)
     return table
-
-
-def serialize_table(table: ModuleTable) -> str:
-    out = [f"# {table.version}", f"d = {table.d}", ""]
-    out.append("[basis]")
-    for row in table.basis_rows:
-        out.append(" ".join(str(l) for l in row))
-    for key, action in (("action a", table.a_action), ("action astar", table.astar_action)):
-        out.append("")
-        out.append(f"[{key}]")
-        for src in table.basis:
-            out.extend(_format_entry(src, action[src]))
-    return "\n".join(out) + "\n"
 
 
 def bundled_table_text(d: int, assets: Optional[Path] = None) -> str:

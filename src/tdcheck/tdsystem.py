@@ -20,8 +20,11 @@ blocks are empty), and the split comes from split_sequence, the same reader
 behind the g_i assertion, applied at phi.
 
 Irreducibility: the reference criterion is that the words in the restricted
-pair span the full matrix algebra (span dimension = (dim W)^2).  Maintaining
-that span echelon costs on the order of (dim W)^6 field operations, so for
+pair span the full matrix algebra (span dimension = (dim W)^2).  That span is
+computed as a closure: the same fixpoint routine as the closure of phi
+(submodule_closure), seeded with vec(I) and run under left multiplication by
+a and a*, the (dim W)^2 x (dim W)^2 operators g (x) I.  Maintaining that span
+echelon costs on the order of (dim W)^6 field operations, so for
 dim W > 8 extraction uses an equivalent test available whenever the corner
 eigenspace is one-dimensional (the shape is sharp) and spanned by phi (the
 split read at phi starts with 1): phi generates W by construction, so W is
@@ -90,8 +93,8 @@ def construct_from_params(
 def submodule_closure(a: Matrix, astar: Matrix, seed: Sequence) -> EchelonBasis:
     """Smallest subspace containing seed and invariant under both operators.
 
-    Alternating image augmentation to a fixed point; the result is a reduced
-    row-echelon basis.
+    Alternating image augmentation to a fixed point, stopping early once the
+    span is the whole space; the result is a reduced row-echelon basis.
     """
     field = a.field
     if vec_is_zero(field, list(seed)):
@@ -104,26 +107,25 @@ def submodule_closure(a: Matrix, astar: Matrix, seed: Sequence) -> EchelonBasis:
         for op in (a, astar):
             w = op.apply(v)
             if basis.add(w):
+                if basis.dim == basis.width:
+                    return basis
                 queue.append(w)
     return basis
 
 
 def irreducibility_check(a: Matrix, astar: Matrix, field: Field) -> bool:
-    """Span of all words in the pair stabilizes at dimension (dim W)^2?"""
+    """Span of all words in the pair stabilizes at dimension (dim W)^2?  The
+    span is the closure of vec(I) under left multiplication, on row-major
+    vec(M) the Kronecker product g (x) I for g = a, a*."""
     n = a.nrows
-    basis = EchelonBasis(field, n * n)
-    ident = Matrix.identity(field, n)
-    basis.add([x for row in ident.rows for x in row])
-    queue = [ident]
-    while queue:
-        m = queue.pop()
-        for g in (a, astar):
-            prod = g * m
-            if basis.add([x for row in prod.rows for x in row]):
-                queue.append(prod)
-            if basis.dim == n * n:
-                return True
-    return basis.dim == n * n
+    z = field.zero
+
+    def left_mult(g: Matrix) -> Matrix:
+        return Matrix(field, [[x if j == l else z for x in row for l in range(n)]
+                              for row in g.rows for j in range(n)])
+
+    ident = [field.one if i == j else z for i in range(n) for j in range(n)]
+    return submodule_closure(left_mult(a), left_mult(astar), ident).dim == n * n
 
 
 def _corner_cyclic_irreducible(a: Matrix, astar: Matrix, corner: Matrix) -> bool:
@@ -147,9 +149,6 @@ class TDSystemReport:
     degenerate: bool
     closure_dim: int
     notes: List[str] = dc_field(default_factory=list)
-
-    def passed(self) -> bool:
-        return not self.axiom_failures
 
     def to_dict(self, field: Field) -> dict:
         return {
@@ -297,7 +296,7 @@ def extract_td_system(real: ModuleRealization) -> TDSystemReport:
 def roundtrip(pa: ParameterArray, field: Field, table: ModuleTable) -> VerificationReport:
     """construct -> closure(phi) -> extract -> compare against the array."""
     rep = VerificationReport(
-        command="tds-roundtrip", field=field_echo(field), trials=1
+        command="tds-roundtrip", field=field_echo(field), asset_version=table.version, trials=1
     )
     try:
         real = construct_from_params(pa, field, table)
@@ -313,7 +312,6 @@ def roundtrip(pa: ParameterArray, field: Field, table: ModuleTable) -> Verificat
     # construction asserted every g_i phi = 0
     for i in range(1, pa.d + 1):
         rep.add(f"tds.g.{i}", True, "")
-    rep.asset_version = real.table_version
 
     tds = extract_td_system(real)
     rep.add(

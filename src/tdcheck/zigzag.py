@@ -22,11 +22,10 @@ nothing recurses.
 
 from __future__ import annotations
 
-import re
 from typing import List, Optional, Sequence, Tuple
 
 from .linalg import EchelonBasis
-from .report import VerificationReport
+from .report import Check
 
 Letter = Tuple[bool, int]  # (starred, index)
 Word = Tuple[Letter, ...]
@@ -49,22 +48,6 @@ def letter_text(letter: Letter) -> str:
 
 def word_text(word: Word) -> str:
     return " ".join(letter_text(u) for u in word) if word else "1"
-
-
-_LETTER_RE = re.compile(r"^e(\*?)([0-9]+)$")
-
-
-def word_from_text(text: str) -> Word:
-    text = text.strip()
-    if text in ("", "1"):
-        return TRIVIAL
-    letters = []
-    for tok in text.split():
-        m = _LETTER_RE.match(tok)
-        if not m:
-            raise WordError(f"bad letter {tok!r}")
-        letters.append((m.group(1) == "*", int(m.group(2))))
-    return tuple(letters)
 
 
 def is_alternating(word: Word) -> bool:
@@ -199,13 +182,6 @@ def zz_counts_by_length(words: Sequence[Word]) -> dict:
 # Convex spanning sequences
 
 
-def is_convex(seq: Sequence[int]) -> bool:
-    """Differences never increase: k_{i-1} - k_i >= k_i - k_{i+1} inside."""
-    return all(
-        seq[i - 1] - seq[i] >= seq[i] - seq[i + 1] for i in range(1, len(seq) - 1)
-    )
-
-
 def _partitions_exceed(r: int, cap: int) -> bool:
     """Whether p(r), the number of partitions of r, exceeds cap.
 
@@ -270,23 +246,22 @@ def word_image(real, word: Word) -> list:
     return vec
 
 
-def feasible_rank_test(real) -> VerificationReport:
+def feasible_rank_test(real) -> List[Check]:
     """Exact rank of the feasible-word images of phi; expected 2^d of rank 2^d."""
-    rep = real.report("zz-rank")
-    d = real.d
-    words = enumerate_feasible(d)
-    expected = 2**d
-    rep.add(
-        "zzrank.count",
-        len(words) == expected,
-        f"{len(words)} feasible words, expected {expected}",
-    )
+    words = enumerate_feasible(real.d)
+    expected = 2**real.d
     basis = EchelonBasis(real.field, real.dim)
     for w in words:
         basis.add(word_image(real, w))
-    rep.add(
-        "zzrank.rank",
-        basis.dim == expected,
-        f"rank {basis.dim} of {len(words)} images, expected {expected}",
-    )
-    return rep
+    return [
+        Check(
+            "zzrank.count",
+            len(words) == expected,
+            f"{len(words)} feasible words, expected {expected}",
+        ),
+        Check(
+            "zzrank.rank",
+            basis.dim == expected,
+            f"rank {basis.dim} of {len(words)} images, expected {expected}",
+        ),
+    ]

@@ -35,11 +35,18 @@ from tdcheck.params import (
     derive_context,
     validate_parameter_array,
 )
-from tdcheck.poly import eta_expansion_check
 from tdcheck.fields import Sampler
-from tdcheck.suites import mutation_detections, run_sweep
+from tdcheck.suites import run_sweep
 from tdcheck.tables import load_table
 from tdcheck.zigzag import enumerate_convex_spanning, enumerate_feasible, word_text
+
+from support import (
+    coefficient_slots,
+    eta_expansion_check,
+    failure_ids,
+    mutation_detections,
+    with_negated_coefficient,
+)
 
 QQ = Rationals()
 
@@ -122,16 +129,19 @@ def test_criterion_2_chain_certificate(relation_reports):
 def test_criterion_3_transcription_mutations():
     started = time.time()
     table = load_table(3)
-    slots = table.coefficient_slots()
+    slots = coefficient_slots(table)
     weak = []
+    flips = 0
     for slot in slots:
-        mutated = table.with_negated_coefficient(*slot)
+        mutated = with_negated_coefficient(table, *slot)
         hits = mutation_detections(table, mutated, FieldSpec("fp", seed=SEED), 20)
+        flips += 1
         if hits < 19:
             weak.append((slot[0], str(slot[1]), slot[2], hits))
-    ok = not weak
-    announce(3, ok, f"{len(slots)} sign flips, all detected in >= 19/20 trials", started)
-    assert ok, weak
+    # the d = 3 table has 32 action terms: fewer flips would pass vacuously
+    ok = flips == 32 and not weak
+    announce(3, ok, f"{flips} sign flips, all detected in >= 19/20 trials", started)
+    assert ok, (flips, weak)
 
 
 def test_criterion_4_combinatorial_goldens():
@@ -207,9 +217,9 @@ def test_criterion_7_validator_goldens():
     pa = ParameterArray(3, theta, theta, [Fraction(x) for x in (1, 0, 0, 5)])
     assert validate_parameter_array(pa, QQ).passed
     bad_zd = ParameterArray(3, theta, theta, [Fraction(x) for x in (1, 0, 0, 0)])
-    assert COND_ZETAD in validate_parameter_array(bad_zd, QQ).failure_ids()
+    assert COND_ZETAD in failure_ids(validate_parameter_array(bad_zd, QQ))
     bad_z0 = ParameterArray(3, theta, theta, [Fraction(x) for x in (2, 0, 0, 5)])
-    assert COND_ZETA0 in validate_parameter_array(bad_z0, QQ).failure_ids()
+    assert COND_ZETA0 in failure_ids(validate_parameter_array(bad_z0, QQ))
     announce(7, True, "beta=2, eps=0, rejection ids exact", started)
 
 
@@ -222,4 +232,5 @@ def test_criterion_8_ladder_expansion_identity():
         thetas = sampler.distinct(d + 1)
         assert eta_expansion_check(thetas, QQ), thetas
         checked += 1
+    assert checked == 100
     announce(8, True, f"{checked} random lists, identity exact", started)

@@ -19,6 +19,8 @@ from tdcheck.params import (
     validate_parameter_array,
 )
 
+from support import failure_ids
+
 QQ = Rationals()
 
 
@@ -62,34 +64,34 @@ def test_zeta_d_zero_rejected_with_condition_id():
     pa = ParameterArray(3, theta, theta, fr([1, 2, 3, 0]))
     result = validate_parameter_array(pa, QQ)
     assert not result.passed
-    assert COND_ZETAD in result.failure_ids()
+    assert COND_ZETAD in failure_ids(result)
 
 
 def test_zeta_0_not_one_rejected_with_condition_id():
     theta = krawtchouk3()
     pa = ParameterArray(3, theta, theta, fr([2, 2, 3, 1]))
     result = validate_parameter_array(pa, QQ)
-    assert COND_ZETA0 in result.failure_ids()
+    assert COND_ZETA0 in failure_ids(result)
 
 
 def test_repeated_theta_rejected():
     pa = ParameterArray(1, fr([2, 2]), fr([0, 1]), fr([1, 1]))
-    assert COND_THETA_DISTINCT in validate_parameter_array(pa, QQ).failure_ids()
+    assert COND_THETA_DISTINCT in failure_ids(validate_parameter_array(pa, QQ))
 
 
 def test_vanishing_sum_rejected():
     # d=1: sum = (th0-th1)(ths0-ths1) + zeta_1; choose zeta_1 to kill it
     pa = ParameterArray(1, fr([0, 1]), fr([0, 1]), fr([1, -1]))
-    assert COND_SUM in validate_parameter_array(pa, QQ).failure_ids()
+    assert COND_SUM in failure_ids(validate_parameter_array(pa, QQ))
 
 
 def test_failures_are_monotone_under_repair():
     theta, theta_star = fr([0, 1]), fr([0, 1])
     broken = ParameterArray(1, theta, theta_star, fr([2, 0]))
-    ids = validate_parameter_array(broken, QQ).failure_ids()
+    ids = failure_ids(validate_parameter_array(broken, QQ))
     assert set(ids) == {COND_ZETA0, COND_ZETAD}
     half = ParameterArray(1, theta, theta_star, fr([1, 0]))
-    assert validate_parameter_array(half, QQ).failure_ids() == [COND_ZETAD]
+    assert failure_ids(validate_parameter_array(half, QQ)) == [COND_ZETAD]
     fixed = ParameterArray(1, theta, theta_star, fr([1, 3]))
     assert validate_parameter_array(fixed, QQ).passed
 
@@ -145,8 +147,8 @@ def test_affine_reparameterization_preserves_verdicts():
         )
         mapped_bad.zeta[d] = Fraction(0)
         assert (
-            validate_parameter_array(pa_bad, QQ).failure_ids()
-            == validate_parameter_array(mapped_bad, QQ).failure_ids()
+            failure_ids(validate_parameter_array(pa_bad, QQ))
+            == failure_ids(validate_parameter_array(mapped_bad, QQ))
         )
 
 

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from tdcheck.fields import Rationals
 from tdcheck.tables import (
+    _PREC_PROD,
+    ONE,
     BinOp,
     EvaluationError,
     Name,
@@ -14,16 +16,61 @@ from tdcheck.tables import (
     ParseError,
     Pow,
     TableError,
+    _prec,
     bundled_table_text,
     evaluate,
     format_expr,
     load_table,
     parse_label,
     parse_table,
-    serialize_table,
 )
 
+from support import coefficient_slots, with_negated_coefficient
+
 QQ = Rationals()
+
+
+# ---------------------------------------------------------------------------
+# the printer: canonical table text, against which parsing is loss-free
+
+_WRAP_WIDTH = 100
+
+
+def _format_term(coeff, label):
+    """(sign, body) with sign '+' or '-'; Neg coefficients print as '- body'."""
+    sign = "+"
+    if isinstance(coeff, Neg):
+        sign = "-"
+        coeff = coeff.child
+    if coeff == ONE:
+        return sign, str(label)
+    body = format_expr(coeff)
+    if _prec(coeff) < _PREC_PROD:
+        body = f"({body})"
+    return sign, f"{body}*{label}"
+
+
+def _format_entry(source, terms):
+    pieces = [_format_term(c, l) for c, l in terms]
+    sign0, body0 = pieces[0]
+    lines = [f"{source} : " + (body0 if sign0 == "+" else f"-{body0}")]
+    for sign, body in pieces[1:]:
+        chunk = f" {sign} {body}"
+        if len(lines[-1]) + len(chunk) > _WRAP_WIDTH and len(lines[-1]) > 4:
+            lines.append("    " + chunk.lstrip())
+        else:
+            lines[-1] += chunk
+    return lines
+
+
+def serialize_table(table):
+    out = [f"# {table.version}", f"d = {table.d}", "", "[basis]"]
+    out.extend(" ".join(str(l) for l in row) for row in table.basis_rows)
+    for key, action in (("action a", table.a_action), ("action astar", table.astar_action)):
+        out += ["", f"[{key}]"]
+        for src in table.basis:
+            out.extend(_format_entry(src, action[src]))
+    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +214,10 @@ def test_number_of_terms_is_not_bounded():
 
 def test_mutation_flips_exactly_one_coefficient():
     table = load_table(2)
-    slots = table.coefficient_slots()
+    slots = coefficient_slots(table)
     assert len(slots) == 14  # 7 entries per action for the 4 basis labels
     action, src, k = slots[3]
-    mutated = table.with_negated_coefficient(action, src, k)
+    mutated = with_negated_coefficient(table, action, src, k)
     orig = (table.a_action if action == "a" else table.astar_action)[src][k]
     new = (mutated.a_action if action == "a" else mutated.astar_action)[src][k]
     assert new[0] == Neg(orig[0]) and new[1] == orig[1]

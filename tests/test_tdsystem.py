@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from tdcheck.fields import FieldSpec, PrimeField, Rationals
-from tdcheck.linalg import Matrix, restrict_operator
+from tdcheck.fields import FieldSpec, PrimeField, Rationals, Sampler
+from tdcheck.linalg import EchelonBasis, Matrix, restrict_operator
 from tdcheck.params import ParameterArray, random_admissible_context
 from tdcheck.realization import idempotent_families, realize
-from tdcheck.tables import load_table
+from tdcheck.tables import FORMAT_VERSION, bundled_table_text, load_table, parse_table
 from tdcheck.tdsystem import (
     InvalidParameterArrayError,
     construct_from_params,
@@ -116,6 +116,48 @@ def test_three_dimensional_burnside_sanity():
     assert irreducibility_check(a, astar, QQ)
 
 
+def reference_word_span_irreducible(a, astar, field):
+    """The word span grown by matrix products: BFS over words, flattened."""
+    n = a.nrows
+    basis = EchelonBasis(field, n * n)
+    ident = Matrix.identity(field, n)
+    basis.add([x for row in ident.rows for x in row])
+    queue = [ident]
+    while queue:
+        m = queue.pop()
+        for g in (a, astar):
+            prod = g * m
+            if basis.add([x for row in prod.rows for x in row]):
+                queue.append(prod)
+    return basis.dim == n * n
+
+
+@pytest.mark.parametrize(
+    "spec", [FieldSpec("qq", seed=31), FieldSpec("fp", prime=7, seed=32)], ids=["qq", "f7"]
+)
+def test_word_span_closure_matches_matrix_product_reference(spec):
+    # random pairs, and pairs with a zero lower-left block (rows k.., columns
+    # ..k-1): block upper triangular, so the first k coordinates are invariant
+    s = Sampler(spec)
+    f = s.field
+    verdicts = set()
+    for trial in range(60):
+        n = trial % 4 + 1
+        k = trial // 4 % n  # 0 leaves the pair unconstrained
+
+        def draw():
+            return Matrix(
+                f, [[f.zero if i >= k > j else s.scalar() for j in range(n)] for i in range(n)]
+            )
+
+        a, astar = draw(), draw()
+        want = reference_word_span_irreducible(a, astar, f)
+        assert not (k and want), trial  # a block-triangular pair is reducible
+        assert irreducibility_check(a, astar, f) == want, (trial, a.rows, astar.rows)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # extraction
 
@@ -123,7 +165,7 @@ def test_three_dimensional_burnside_sanity():
 def test_extract_d1_report_matches_hand_values():
     real = construct_from_params(d1_array(), QQ, load_table(1))
     tds = extract_td_system(real)
-    assert tds.passed(), tds.axiom_failures
+    assert tds.axiom_failures == []
     assert tds.diameter == 1
     assert tds.eigenvalues == fr([1, -1])
     assert tds.dual_eigenvalues == fr([1, -1])
@@ -142,7 +184,7 @@ def test_extract_flags_axiom_failures_for_swapped_eigenvalues():
     swapped = [ctx.theta[1], ctx.theta[0], ctx.theta[2]]
     real = dataclasses.replace(real, context=dataclasses.replace(ctx, theta=swapped))
     tds = extract_td_system(real)
-    assert not tds.passed()
+    assert tds.axiom_failures
     assert any(cid.startswith("tds.band") for cid, _ in tds.axiom_failures)
 
 
@@ -255,6 +297,16 @@ def test_roundtrip_reports_validation_failure():
     rep = roundtrip(pa, QQ, load_table(pa.d))
     assert not rep.overall
     assert any(c.id == "tds.valid" and not c.passed for c in rep.checks)
+    assert rep.asset_version == FORMAT_VERSION  # the table was loaded
+
+
+def test_roundtrip_reports_construct_failure_with_the_table_version():
+    # the corrupted d = 1 table of tests/test_golden.py: y1*phi negated
+    table = parse_table(bundled_table_text(1).replace("ths1*r + y1*phi", "ths1*r - y1*phi"))
+    rep = roundtrip(d1_array(), QQ, table)
+    construct = next(c for c in rep.checks if c.id == "tds.construct")
+    assert not construct.passed and "g.1" in construct.detail
+    assert rep.asset_version == FORMAT_VERSION
 
 
 @pytest.mark.parametrize("d", range(6))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tdcheck.fields import FieldSpec, Rationals
 from tdcheck.params import derive_context, random_admissible_context
 from tdcheck.realization import realize
+from tdcheck.report import failed
 from tdcheck import zigzag
 from tdcheck.cli import main
 from tdcheck.tables import load_table
@@ -22,9 +23,7 @@ from tdcheck.zigzag import (
     feasible_rank_test,
     is_alternating,
     is_between,
-    is_convex,
     is_zz,
-    word_from_text,
     word_image,
     word_text,
 )
@@ -98,9 +97,9 @@ def test_between_matches_reference(r, i, j):
 
 
 def test_is_zz_examples():
-    assert is_zz(word_from_text("e*0"))
-    assert is_zz(word_from_text("e2 e*1 e3 e*0"))
-    assert not is_zz(word_from_text("e1 e*2 e1 e*0"))
+    assert is_zz(((True, 0),))  # e*0
+    assert is_zz(((False, 2), (True, 1), (False, 3), (True, 0)))  # e2 e*1 e3 e*0
+    assert not is_zz(((False, 1), (True, 2), (False, 1), (True, 0)))  # e1 e*2 e1 e*0
 
 
 def test_is_zz_rejects_non_alternating():
@@ -124,10 +123,10 @@ def test_is_zz_matches_reference(word):
     assert is_zz(word) == ref_is_zz(word)
 
 
-def test_word_text_roundtrip():
-    for text in ("1", "e*0", "e2 e*1 e3 e*0"):
-        assert word_text(word_from_text(text)) == text
-    assert word_from_text("1") == ()
+def test_word_text_examples():
+    assert word_text(()) == "1"
+    assert word_text(((True, 0),)) == "e*0"
+    assert word_text(((False, 2), (True, 1), (False, 3), (True, 0))) == "e2 e*1 e3 e*0"
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +351,11 @@ def test_enumerate_zz_validates_excludes():
 # convexity
 
 
+def is_convex(seq):
+    """Differences never increase: k_{i-1} - k_i >= k_i - k_{i+1} inside."""
+    return all(seq[i - 1] - seq[i] >= seq[i] - seq[i + 1] for i in range(1, len(seq) - 1))
+
+
 def test_is_convex_examples():
     assert is_convex([3, 1, 0])  # gaps 2, 1
     assert not is_convex([3, 2, 0])  # gaps 1, 2
@@ -406,11 +410,10 @@ def test_word_image_d1_hand_value():
     theta, theta_star = [Fraction(0), Fraction(1)], [Fraction(5), Fraction(2)]
     ctx = derive_context(theta, theta_star, [Fraction(7)], QQ)
     real = realize(load_table(1), ctx, QQ)
-    img = word_image(real, word_from_text("e1 e*0"))
+    img = word_image(real, ((False, 1), (True, 0)))  # e1 e*0
     # e1 phi = r/(th1 - th0) = r
     assert img == [Fraction(0), Fraction(1)]
-    rep = feasible_rank_test(real)
-    assert rep.overall
+    assert not failed(feasible_rank_test(real))
 
 
 @pytest.mark.parametrize("d", range(6))
@@ -418,8 +421,8 @@ def test_feasible_rank_full_on_random_context(d):
     spec = FieldSpec("fp", seed=7000 + d)
     ctx = random_admissible_context(d, spec)
     real = realize(load_table(d), ctx, spec.build_field())
-    rep = feasible_rank_test(real)
-    assert rep.overall, [c.detail for c in rep.failures()]
+    bad = failed(feasible_rank_test(real))
+    assert not bad, [c.detail for c in bad]
 
 
 def test_feasible_rank_is_stable_over_rationals():
@@ -429,4 +432,4 @@ def test_feasible_rank_is_stable_over_rationals():
         spec = FieldSpec("qq", seed=seed)
         ctx = random_admissible_context(d, spec)
         real = realize(load_table(d), ctx, QQ)
-        assert feasible_rank_test(real).overall
+        assert not failed(feasible_rank_test(real))
