@@ -107,6 +107,33 @@ GOLDEN = [
         1,
         "d22656ada6542a9d55fd95fab6f73857384a728b16cb24d9d913575c1819e7ba",
     ),
+    # The beta path of both samplers over Q and at small primes, where the
+    # beta guard and the recurrence's repeat check reject many draws.
+    (
+        "verify-appendix --d 4 --trials 2 --field qq --seed 8",
+        0,
+        "b986fafd23cd2440f12bf9e7c84ef38bc62e1ae8eb91fb7ca5f7936c6b863dd8",
+    ),
+    (
+        "tds roundtrip --d 4 --trials 2 --field qq --seed 12",
+        0,
+        "af74dd3b52d1e40c3a4e263b3bad38d01b0d60a3b7ba89fe0e5fc3db5f226fad",
+    ),
+    (
+        "verify-appendix --d 3 --trials 3 --prime 7 --seed 11",
+        0,
+        "0f79e46605c2b61aae047cf01cece57ad3a3ee1fe0d874c9e05d1962aa8d740b",
+    ),
+    (
+        "shape --d 5 --trials 4 --prime 11 --seed 10",
+        0,
+        "abf6c2496bccf9401e9a90b70efad89a70e7f81fb8317fa054f07c8d08491c06",
+    ),
+    (
+        "tds roundtrip --d 5 --trials 2 --prime 11 --seed 9",
+        0,
+        "5290550d53ebdd43be5ab56a8956846069ed5d8c3fbbb4f440d332cf1cccd3c4",
+    ),
 ]
 
 
