@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .fields import FieldError, FieldSpec, field_echo
+from .fields import DEFAULT_PRIME, FieldError, PrimeField, Rationals, field_echo
 from .params import ParameterArray, validate_parameter_array
 from .report import VerificationReport
 from .suites import run_sweep
@@ -32,11 +32,13 @@ USAGE_EXIT = 2
 FAIL_EXIT = 1
 
 
-def _field_spec(args) -> FieldSpec:
-    prime = getattr(args, "prime", None)
-    if args.field == "qq" and prime is not None:
-        raise FieldError("--prime only applies to --field fp")
-    return FieldSpec(kind=args.field, prime=prime, seed=args.seed)
+def _field(args):
+    """The field of --field and --prime; a non-prime --prime fails here."""
+    if args.field == "qq":
+        if args.prime is not None:
+            raise FieldError("--prime only applies to --field fp")
+        return Rationals()
+    return PrimeField(DEFAULT_PRIME if args.prime is None else args.prime)
 
 
 def _add_sweep(sub, name: str, help_text: str, sweep: str = None,
@@ -127,7 +129,9 @@ def _emit(report: VerificationReport, output: Path = None) -> int:
 
 
 def _run_sweep(args) -> VerificationReport:
-    return run_sweep(args.sweep, args.d, _field_spec(args), args.trials, args.assets, args.jobs)
+    return run_sweep(
+        args.sweep, args.d, _field(args), args.seed, args.trials, args.assets, args.jobs
+    )
 
 
 def _run_tds_roundtrip(args) -> VerificationReport:
@@ -135,7 +139,7 @@ def _run_tds_roundtrip(args) -> VerificationReport:
         if args.d is None:
             raise ValueError("tds roundtrip needs --d or --input")
         return _run_sweep(args)
-    field = _field_spec(args).build_field()
+    field = _field(args)
     pa = ParameterArray.from_json(args.input.read_text(), field)
     rep = roundtrip(pa, field, load_table(pa.d, args.assets))
     rep.seed = args.seed
@@ -143,7 +147,7 @@ def _run_tds_roundtrip(args) -> VerificationReport:
 
 
 def _run_check_params(args) -> VerificationReport:
-    field = _field_spec(args).build_field()
+    field = _field(args)
     rep = VerificationReport(
         command="check-params", field=field_echo(field), seed=args.seed, trials=1
     )

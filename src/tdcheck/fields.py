@@ -13,7 +13,6 @@ in reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
@@ -318,48 +317,16 @@ class PrimeField:
 Field = Union[Rationals, PrimeField]
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """A reproducible field choice: kind ('qq' or 'fp'), prime, 64-bit seed."""
-
-    kind: str
-    prime: Optional[int] = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("qq", "fp"):
-            raise FieldError(f"unknown field kind {self.kind!r}")
-        if self.kind == "fp":
-            p = self.prime if self.prime is not None else DEFAULT_PRIME
-            if not is_prime(p):
-                raise FieldError(f"{p} is not prime")
-            object.__setattr__(self, "prime", p)
-        elif self.prime is not None:
-            raise FieldError("prime is only meaningful for kind 'fp'")
-
-    def build_field(self) -> Field:
-        if self.kind == "qq":
-            return Rationals()
-        return PrimeField(self.prime)
-
-    def rng(self) -> SplitMix64:
-        return SplitMix64(self.seed)
-
-    def with_seed(self, seed: int) -> "FieldSpec":
-        return FieldSpec(self.kind, self.prime, seed)
-
-
 class Sampler:
     """Stateful scalar sampler bound to one field and one PRNG stream.
 
-    Single-owner: use one sampler per task.  The same FieldSpec and the same
-    sequence of requests always reproduce the same scalars.
+    Single-owner: use one sampler per task.  The same field, the same seed
+    and the same sequence of requests always reproduce the same scalars.
     """
 
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.field = spec.build_field()
-        self.rng = spec.rng()
+    def __init__(self, field: Field, seed: int):
+        self.field = field
+        self.rng = SplitMix64(seed)
 
     def scalar(self) -> Scalar:
         return self.field.random(self.rng)

@@ -18,6 +18,11 @@ the free weights y_1..y_d, together with the derived recurrence constant beta
 
 for 0 <= i <= d-2.  Everything the bundled module tables mention is evaluated
 at such a context.
+
+derive_context's contract: both eigenvalue lists are pairwise distinct and,
+for d >= 3, beta-recurrent (condition (iii)), and y has d entries.  It checks
+none of this: the samplers draw such lists by construction, and
+construct_from_params validates its array first.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Sequence, Tuple
 
-from .fields import Field, FieldSpec, Sampler
+from .fields import Field, Sampler
 from .poly import ladder
 
 # Stable condition identifiers used in validation failures.
@@ -72,7 +77,10 @@ class ParameterArray:
 
     @classmethod
     def from_json(cls, text: str, field: Field) -> "ParameterArray":
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise MalformedArrayError("JSON nests too deeply") from None
         if not isinstance(obj, dict):
             raise MalformedArrayError("expected a JSON object")
 
@@ -185,8 +193,9 @@ def validate_parameter_array(pa: ParameterArray, field: Field) -> ValidationResu
 def _violated_beta_guard(field: Field, d: int, beta) -> bool:
     """Whether beta zeroes beta+1, beta (d >= 4) or beta^2+beta-1 (d = 5).
 
-    Such a beta repeats an eigenvalue (see `derive_context`); testing it
-    first makes a bad draw cost one scalar instead of two lists.
+    Such a beta repeats an eigenvalue: under the beta recurrence these
+    factors divide x_3 - x_0, x_4 - x_0 and x_5 - x_0 respectively.  Testing
+    it first makes a bad draw cost one scalar instead of two lists.
     """
     return (
         field.is_zero(field.add(beta, field.one))
@@ -198,29 +207,14 @@ def _violated_beta_guard(field: Field, d: int, beta) -> bool:
 def derive_context(
     theta: Sequence, theta_star: Sequence, y: Sequence, field: Field
 ) -> SpecializationContext:
-    """Build a specialization context, deriving beta and eps.
-
-    Raises ContextError when a list is not pairwise distinct or the ratio
-    families are not constant and equal ("not beta-recurrent").  No table
-    denominator can then vanish: under the beta recurrence, beta+1, beta and
-    beta^2+beta-1 divide x_3 - x_0, x_4 - x_0 and x_5 - x_0 respectively.
-    """
+    """Build a specialization context, deriving beta and eps (see the module
+    docstring for the contract).  beta + 1 is the first theta ratio
+    (t_0 - t_3)/(t_1 - t_2)."""
     d = len(theta) - 1
-    if len(theta_star) != d + 1:
-        raise MalformedArrayError("theta and theta_star lengths differ")
-    if len(y) != d:
-        raise MalformedArrayError(f"y has {len(y)} entries, expected {d}")
-    if not _all_distinct(list(theta)):
-        raise ContextError("theta values are not pairwise distinct")
-    if not _all_distinct(list(theta_star)):
-        raise ContextError("theta_star values are not pairwise distinct")
-
     beta = None
     if d >= 3:
-        ratios = _ratio_family(field, theta) + _ratio_family(field, theta_star)
-        if any(r != ratios[0] for r in ratios[1:]):
-            raise ContextError("not beta-recurrent")
-        beta = field.sub(ratios[0], field.one)
+        ratio = field.div(field.sub(theta[0], theta[3]), field.sub(theta[1], theta[2]))
+        beta = field.sub(ratio, field.one)
 
     epsilon = []
     for i in range(d - 1):
@@ -244,68 +238,57 @@ def derive_context(
     )
 
 
-def _beta_recurrent_list(field: Field, sampler: Sampler, d: int, beta) -> Optional[list]:
-    """Random list satisfying x_{i+1} = x_{i-2} + (beta+1)(x_i - x_{i-1});
-    None if the extension hits a repeated value."""
-    start = sampler.distinct(min(3, d + 1))
-    xs = list(start)
-    bp1 = field.add(beta, field.one)
-    while len(xs) < d + 1:
-        nxt = field.add(xs[-3], field.mul(bp1, field.sub(xs[-1], xs[-2])))
-        if nxt in xs:
-            return None
-        xs.append(nxt)
-    return xs
+def _eigenvalue_lists(sampler: Sampler, d: int, beta) -> Optional[Tuple[list, list]]:
+    """theta and theta_star: min(3, d + 1) distinct draws each, for d >= 3
+    extended by x_{i+1} = x_{i-2} + (beta+1)(x_i - x_{i-1}); None if an
+    extension repeats a value.  Extending draws nothing, so both starts may
+    be drawn first."""
+    field = sampler.field
+    lists = (sampler.distinct(min(3, d + 1)), sampler.distinct(min(3, d + 1)))
+    if d >= 3:
+        bp1 = field.add(beta, field.one)
+        for xs in lists:
+            while len(xs) < d + 1:
+                nxt = field.add(xs[-3], field.mul(bp1, field.sub(xs[-1], xs[-2])))
+                if nxt in xs:
+                    return None
+                xs.append(nxt)
+    return lists
 
 
-def random_admissible_context(d: int, spec: FieldSpec) -> SpecializationContext:
+def random_admissible_context(d: int, field: Field, seed: int) -> SpecializationContext:
     """Rejection-sample a context passing every guard; deterministic per seed.
 
     For d >= 3 a guarded beta is drawn first and both eigenvalue lists are
     extended by the three-term recurrence it induces.
     """
-    sampler = Sampler(spec)
-    field = sampler.field
+    sampler = Sampler(field, seed)
     for _ in range(MAX_ATTEMPTS):
-        if d <= 2:
-            theta = sampler.distinct(d + 1)
-            theta_star = sampler.distinct(d + 1)
-        else:
+        beta = None
+        if d >= 3:
             beta = sampler.scalar()
             if _violated_beta_guard(field, d, beta):
                 continue
-            theta = _beta_recurrent_list(field, sampler, d, beta)
-            theta_star = _beta_recurrent_list(field, sampler, d, beta)
-            if theta is None or theta_star is None:
-                continue
-        y = [sampler.scalar() for _ in range(d)]
-        try:
-            return derive_context(theta, theta_star, y, field)
-        except ContextError:
+        lists = _eigenvalue_lists(sampler, d, beta)
+        if lists is None:
             continue
+        y = [sampler.scalar() for _ in range(d)]
+        return derive_context(*lists, y, field)
     raise ContextError(
         f"no admissible context found after {MAX_ATTEMPTS} attempts"
     )
 
 
-def random_valid_parameter_array(d: int, spec: FieldSpec) -> ParameterArray:
+def random_valid_parameter_array(d: int, field: Field, seed: int) -> ParameterArray:
     """Rejection-sample a parameter array passing the full validator."""
-    sampler = Sampler(spec)
-    field = sampler.field
+    sampler = Sampler(field, seed)
     for _ in range(MAX_ATTEMPTS):
-        if d <= 2:
-            theta = sampler.distinct(d + 1)
-            theta_star = sampler.distinct(d + 1)
-        else:
-            beta = sampler.scalar()
-            theta = _beta_recurrent_list(field, sampler, d, beta)
-            theta_star = _beta_recurrent_list(field, sampler, d, beta)
-            if theta is None or theta_star is None:
-                continue
-        zeta = [field.one] + [sampler.scalar() for _ in range(d)]
-        if d >= 1 and field.is_zero(zeta[d]):
+        beta = sampler.scalar() if d >= 3 else None
+        lists = _eigenvalue_lists(sampler, d, beta)
+        if lists is None:
             continue
-        pa = ParameterArray(d=d, theta=theta, theta_star=theta_star, zeta=zeta)
+        zeta = [field.one] + [sampler.scalar() for _ in range(d)]
+        pa = ParameterArray(d, *lists, zeta)
         if validate_parameter_array(pa, field).passed:
             return pa
     raise ContextError(

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import List
 
-from .fields import FieldSpec, derive_seed, field_echo
+from .fields import Field, derive_seed, field_echo
 from .params import (
     ContextError,
     random_admissible_context,
@@ -37,13 +37,13 @@ def _realized(checks_of):
     """A trial that realizes the table at a random admissible context and
     runs `checks_of` on the realization."""
 
-    def trial(table: ModuleTable, spec: FieldSpec) -> List[Check]:
+    def trial(table: ModuleTable, field: Field, seed: int) -> List[Check]:
         try:
-            ctx = random_admissible_context(table.d, spec)
+            ctx = random_admissible_context(table.d, field, seed)
         except ContextError as err:
             return [Check("sample", False, str(err))]
         try:
-            real = realize(table, ctx, spec.build_field())
+            real = realize(table, ctx, field)
         except RealizationError as err:
             return [Check("realize." + name, False, detail) for name, detail in err.failures]
         return [Check("realize", True)] + checks_of(real)
@@ -51,12 +51,12 @@ def _realized(checks_of):
     return trial
 
 
-def _roundtrip_trial(table: ModuleTable, spec: FieldSpec) -> List[Check]:
+def _roundtrip_trial(table: ModuleTable, field: Field, seed: int) -> List[Check]:
     try:
-        pa = random_valid_parameter_array(table.d, spec)
+        pa = random_valid_parameter_array(table.d, field, seed)
     except ContextError as err:
         return [Check("sample", False, str(err))]
-    return roundtrip(pa, spec.build_field(), table).checks
+    return roundtrip(pa, field, table).checks
 
 
 # Per-trial checks of each sweep, keyed by the report's command name.  Each
@@ -72,22 +72,23 @@ SWEEPS = {
 
 
 def _trial_checks(
-    command: str, table: ModuleTable, spec: FieldSpec, trial: int
+    command: str, table: ModuleTable, field: Field, master_seed: int, trial: int
 ) -> List[Check]:
     """One trial of one sweep; module-level so process pools can pickle it."""
-    seed = derive_seed(spec.seed, trial)
+    seed = derive_seed(master_seed, trial)
     prefix = f"t{trial:03d}."
     tag = f"trial {trial}, seed {seed}"
     return [
         Check(prefix + c.id, c.passed, f"{tag}: {c.detail}" if c.detail else tag)
-        for c in SWEEPS[command](table, spec.with_seed(seed))
+        for c in SWEEPS[command](table, field, seed)
     ]
 
 
 def run_sweep(
     command: str,
     d: int,
-    spec: FieldSpec,
+    field: Field,
+    seed: int,
     trials: int,
     assets=None,
     jobs: int = 1,
@@ -100,12 +101,12 @@ def run_sweep(
     table = load_table(d, assets)
     rep = VerificationReport(
         command=command,
-        field=field_echo(spec.build_field()),
-        seed=spec.seed,
+        field=field_echo(field),
+        seed=seed,
         asset_version=table.version,
         trials=trials,
     )
-    one_trial = partial(_trial_checks, command, table, spec)
+    one_trial = partial(_trial_checks, command, table, field, seed)
     if jobs > 1 and trials > 1:
         # the pool starts all of its workers up front: never more than trials
         with ProcessPoolExecutor(max_workers=min(jobs, trials)) as pool:

@@ -48,7 +48,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .fields import Field, field_echo
 from .linalg import EchelonBasis, Matrix, restrict_operator, vec_is_zero
-from .params import ContextError, ParameterArray, derive_context, validate_parameter_array
+from .params import ParameterArray, derive_context, validate_parameter_array
 from .realization import (
     ModuleRealization,
     RealizationError,
@@ -303,7 +303,7 @@ def roundtrip(pa: ParameterArray, field: Field, table: ModuleTable) -> Verificat
     except InvalidParameterArrayError as err:
         rep.add("tds.valid", False, "; ".join(cid for cid, _ in err.failures))
         return rep
-    except (ContextError, RealizationError, TableError, ConstructionError) as err:
+    except (RealizationError, TableError, ConstructionError) as err:
         rep.add("tds.valid", True, "")
         rep.add("tds.construct", False, str(err))
         return rep

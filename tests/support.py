@@ -50,16 +50,15 @@ def with_negated_coefficient(table, action: str, source, k: int):
     return replace(table, **{key: {**getattr(table, key), source: terms}})
 
 
-def mutation_detections(table, mutated, spec, trials: int) -> int:
+def mutation_detections(table, mutated, field, seed: int, trials: int) -> int:
     """How many of `trials` random contexts detect the mutated table.
 
     Detection = realization fails (minimal polynomial or rank invariant) or a
     relation check fails.
     """
-    field = spec.build_field()
     detected = 0
     for t in range(trials):
-        ctx = random_admissible_context(table.d, spec.with_seed(derive_seed(spec.seed, t)))
+        ctx = random_admissible_context(table.d, field, derive_seed(seed, t))
         try:
             real = realize(mutated, ctx, field)
         except RealizationError:

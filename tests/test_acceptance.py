@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import pytest
 
-from tdcheck.fields import FieldSpec, Rationals
+from tdcheck.fields import PrimeField, Rationals, Sampler
 from tdcheck.params import (
     COND_ZETA0,
     COND_ZETAD,
@@ -35,7 +35,6 @@ from tdcheck.params import (
     derive_context,
     validate_parameter_array,
 )
-from tdcheck.fields import Sampler
 from tdcheck.suites import run_sweep
 from tdcheck.tables import load_table
 from tdcheck.zigzag import enumerate_convex_spanning, enumerate_feasible, word_text
@@ -49,6 +48,7 @@ from support import (
 )
 
 QQ = Rationals()
+FP = PrimeField()
 
 FP_TRIALS = 20
 QQ_TRIALS = 2
@@ -65,10 +65,8 @@ def relation_reports():
     """One relation+certificate sweep per (d, field kind), shared by 1 and 2."""
     out = {}
     for d in range(6):
-        for kind, trials in (("fp", FP_TRIALS), ("qq", QQ_TRIALS)):
-            out[(d, kind)] = run_sweep(
-                "verify-appendix", d, FieldSpec(kind, seed=SEED + d), trials
-            )
+        for field, trials in ((FP, FP_TRIALS), (QQ, QQ_TRIALS)):
+            out[(d, field.kind)] = run_sweep("verify-appendix", d, field, SEED + d, trials)
     return out
 
 
@@ -134,7 +132,7 @@ def test_criterion_3_transcription_mutations():
     flips = 0
     for slot in slots:
         mutated = with_negated_coefficient(table, *slot)
-        hits = mutation_detections(table, mutated, FieldSpec("fp", seed=SEED), 20)
+        hits = mutation_detections(table, mutated, FP, SEED, 20)
         flips += 1
         if hits < 19:
             weak.append((slot[0], str(slot[1]), slot[2], hits))
@@ -179,7 +177,7 @@ def test_criterion_5_rank_experiment():
     shortfall = []
     drops = []
     for d in range(6):
-        rep = run_sweep("zz-rank", d, FieldSpec("fp", seed=SEED + 50 + d), FP_TRIALS)
+        rep = run_sweep("zz-rank", d, FP, SEED + 50 + d, FP_TRIALS)
         per_trial_ok = []
         for t in range(FP_TRIALS):
             trial_checks = [c for c in rep.checks if c.id.startswith(f"t{t:03d}.")]
@@ -201,7 +199,7 @@ def test_criterion_6_roundtrip():
     started = time.time()
     failures = []
     for d in range(6):
-        rep = run_sweep("tds-roundtrip", d, FieldSpec("fp", seed=SEED + 80 + d), 10)
+        rep = run_sweep("tds-roundtrip", d, FP, SEED + 80 + d, 10)
         failures.extend((d, c.id, c.detail) for c in rep.failures())
     ok = not failures
     announce(6, ok, "60 arrays reconstructed exactly", started)
@@ -225,7 +223,7 @@ def test_criterion_7_validator_goldens():
 
 def test_criterion_8_ladder_expansion_identity():
     started = time.time()
-    sampler = Sampler(FieldSpec("qq", seed=SEED + 99))
+    sampler = Sampler(QQ, SEED + 99)
     checked = 0
     for trial in range(100):
         d = trial % 8 + 1

@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdcheck import suites, zigzag
@@ -155,6 +155,20 @@ def test_prime_flag_rejected_for_rationals(capsys):
     )
     assert code == 2
     assert "--prime" in err
+
+
+@pytest.mark.parametrize(
+    "prime,message",
+    [("100", "100 is not prime"), (str(2**82), "primality check only supports")],
+    ids=["100", "2**82"],
+)
+def test_unusable_prime_is_a_usage_error(prime, message, capsys):
+    code, out, err = run_cli(
+        capsys, "verify-appendix", "--d", "1", "--trials", "1", "--prime", prime
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("tdcheck: ") and message in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_output_flag_writes_report(tmp_path, capsys):
@@ -373,8 +387,16 @@ def _main_on_document(argv, document):
     return code, out.getvalue(), err.getvalue()
 
 
+# documents nested past the parser's recursion limit
+DEEP_DOCUMENTS = ("[" * 100000, '{"d": ' + "[" * 100000)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(INPUT_COMMANDS), INPUT_DOCUMENTS)
+@example(INPUT_COMMANDS[0], DEEP_DOCUMENTS[0])
+@example(INPUT_COMMANDS[2], DEEP_DOCUMENTS[0])
+@example(INPUT_COMMANDS[1], DEEP_DOCUMENTS[1])
+@example(INPUT_COMMANDS[2], DEEP_DOCUMENTS[1])
 def test_any_input_file_gives_a_report_or_a_usage_error(argv, document):
     code, out, err = _main_on_document(argv, document)
     if code == 2:

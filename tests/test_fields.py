@@ -4,8 +4,6 @@ import pytest
 
 from tdcheck.fields import (
     DEFAULT_PRIME,
-    FieldError,
-    FieldSpec,
     FieldTooSmallError,
     PrimeField,
     Rationals,
@@ -46,22 +44,21 @@ def test_is_prime_small_cases():
 
 
 def test_sample_distinct_deterministic():
-    spec = FieldSpec("fp", seed=99)
-    a = Sampler(spec).distinct(5)
-    b = Sampler(spec).distinct(5)
+    fp = PrimeField()
+    a = Sampler(fp, 99).distinct(5)
+    b = Sampler(fp, 99).distinct(5)
     assert a == b
     assert len(set(a)) == 5
 
 
 def test_sample_distinct_field_too_small():
-    spec = FieldSpec("fp", prime=5, seed=0)
     with pytest.raises(FieldTooSmallError):
-        Sampler(spec).distinct(6)
+        Sampler(PrimeField(5), 0).distinct(6)
 
 
 def test_sample_distinct_needs_positive_n():
     with pytest.raises(ValueError):
-        Sampler(FieldSpec("qq")).distinct(0)
+        Sampler(QQ, 0).distinct(0)
 
 
 def test_field_ops_examples():
@@ -75,11 +72,9 @@ def test_field_ops_examples():
         F101.div(3, 0)
 
 
-@pytest.mark.parametrize("kind", ["qq", "fp"])
-def test_field_axioms_on_random_triples(kind):
-    spec = FieldSpec(kind, seed=2024)
-    s = Sampler(spec)
-    f = s.field
+@pytest.mark.parametrize("f", [QQ, PrimeField()], ids=["qq", "fp"])
+def test_field_axioms_on_random_triples(f):
+    s = Sampler(f, 2024)
     for _ in range(1000):
         a, b, c = s.scalar(), s.scalar(), s.scalar()
         assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
@@ -91,7 +86,7 @@ def test_field_axioms_on_random_triples(kind):
 
 
 def test_rational_normalization_idempotent():
-    s = Sampler(FieldSpec("qq", seed=5))
+    s = Sampler(QQ, 5)
     for _ in range(200):
         num, den = s.scalar(), s.scalar()
         if den == 0:
@@ -105,7 +100,7 @@ def test_rational_normalization_idempotent():
 def test_prime_field_agrees_with_rationals_mod_p():
     p = 101
     fp = PrimeField(p)
-    s = Sampler(FieldSpec("qq", seed=31))
+    s = Sampler(QQ, 31)
 
     def reduce(x: Fraction) -> int:
         return x.numerator * pow(x.denominator, -1, p) % p
@@ -119,28 +114,18 @@ def test_prime_field_agrees_with_rationals_mod_p():
 
 
 def test_prime_field_element_range():
-    s = Sampler(FieldSpec("fp", prime=101, seed=8))
+    s = Sampler(F101, 8)
     for _ in range(500):
         assert 0 <= s.scalar() < 101
 
 
-def test_fieldspec_validation():
-    with pytest.raises(FieldError):
-        FieldSpec("fp", prime=100)
-    with pytest.raises(FieldError):
-        FieldSpec("qq", prime=7)
-    with pytest.raises(FieldError):
-        FieldSpec("f2")
-    assert FieldSpec("fp").prime == DEFAULT_PRIME
-
-
-def test_fieldspec_echo_records_rng():
-    assert field_echo(FieldSpec("fp", seed=3).build_field()) == {
+def test_field_echo_records_rng():
+    assert field_echo(PrimeField()) == {
         "kind": "fp",
         "prime": DEFAULT_PRIME,
         "rng": "splitmix64",
     }
-    assert field_echo(FieldSpec("qq").build_field()) == {"kind": "qq", "rng": "splitmix64"}
+    assert field_echo(QQ) == {"kind": "qq", "rng": "splitmix64"}
 
 
 def test_derive_seed_is_stable_and_spread():

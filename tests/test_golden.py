@@ -8,11 +8,16 @@ regenerate them only for a deliberate change of report content.
 
 import hashlib
 import json
+import re
 
 import pytest
 
 from tdcheck.cli import main
-from tdcheck.tables import bundled_table_text
+from tdcheck.fields import PrimeField
+from tdcheck.params import random_admissible_context
+from tdcheck.realization import mu_certificate, realize, verify_relations
+from tdcheck.report import failed
+from tdcheck.tables import bundled_table_text, load_table
 
 # The README's d = 3 parameter array.
 README_ARRAY = {
@@ -178,3 +183,34 @@ def test_corrupted_table_fails_the_construct_step(files, capsys):
     )
     assert not construct["passed"]
     assert "g.1" in construct["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify-appendix --d 1 --trials 3 --seed 1 --assets {assets}",
+        # at p = 7 the flipped sign goes unseen where y1 = 0: 3 of the 20
+        # trials pass, so a replay at the wrong seed would disagree
+        "verify-appendix --d 1 --trials 20 --prime 7 --seed 1 --assets {assets}",
+    ],
+    ids=["default-prime", "f7"],
+)
+def test_each_trial_replays_from_its_report(argv, files, capsys):
+    # the report's field record and each check's "trial i, seed S" detail
+    # are all a replay needs
+    code, out, _ = run(argv, files, capsys)
+    assert code == 1
+    rep = json.loads(out)
+    field = PrimeField(rep["field"]["prime"])
+    table = load_table(1, files["assets"])
+    seeds, failing = {}, {}
+    for c in rep["checks"]:
+        trial, seed = map(int, re.match(r"trial (\d+), seed (\d+)", c["detail"]).groups())
+        seeds[trial] = seed
+        if not c["passed"]:
+            failing.setdefault(trial, set()).add(c["id"].split(".", 1)[1])
+    assert failing and all(ids == {"mu.i1.weight", "mu.i1.identity"} for ids in failing.values())
+    for trial, seed in seeds.items():
+        real = realize(table, random_admissible_context(1, field, seed), field)
+        replayed = {c.id for c in failed(verify_relations(real) + mu_certificate(real))}
+        assert replayed == failing.get(trial, set()), trial

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcheck.fields import FieldSpec, PrimeField, Rationals, Sampler
+from tdcheck.fields import PrimeField, Rationals, Sampler
 from tdcheck.linalg import EchelonBasis, Matrix, restrict_operator, vec_eq, vec_is_zero
 
 from support import zero_matrix
@@ -31,11 +31,11 @@ def test_product_matches_hand_value():
     assert a * b == frac_matrix([[19, 22], [43, 50]])
 
 
-@pytest.mark.parametrize("kind,prime", [("qq", None), ("fp", 101), ("fp", None)])
-def test_mat_mul_kernel_matches_generic_dot(kind, prime):
-    spec = FieldSpec(kind, prime=prime, seed=17)
-    s = Sampler(spec)
-    f = s.field
+@pytest.mark.parametrize(
+    "f", [QQ, PrimeField(101), PrimeField()], ids=["qq-None", "fp-101", "fp-None"]
+)
+def test_mat_mul_kernel_matches_generic_dot(f):
+    s = Sampler(f, 17)
     n = 6
     a = Matrix(f, [[s.scalar() for _ in range(n)] for _ in range(n)])
     b = Matrix(f, [[s.scalar() for _ in range(n)] for _ in range(n)])
@@ -171,9 +171,7 @@ def reference_apply(m, vec):
     return [reduce(f.add, map(f.mul, row, vec), f.zero) for row in m.rows]
 
 
-FIELD_SPECS = [
-    FieldSpec("qq", seed=31), FieldSpec("fp", seed=32), FieldSpec("fp", prime=7, seed=33)
-]
+SEEDED_FIELDS = [(QQ, 31), (PrimeField(), 32), (PrimeField(7), 33)]
 FIELD_IDS = ["qq", "fp", "f7"]
 
 
@@ -222,10 +220,10 @@ def assert_same_queries(s, got, want, width, added):
         assert got.coordinates(v) == want.coordinates(v)
 
 
-@pytest.mark.parametrize("spec", FIELD_SPECS, ids=FIELD_IDS)
+@pytest.mark.parametrize("field,seed", SEEDED_FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("width,density", [(1, 1.0), (5, 1.0), (9, 0.25), (16, 0.1)])
-def test_echelon_matches_reference_on_random_inputs(spec, width, density):
-    s = Sampler(spec)
+def test_echelon_matches_reference_on_random_inputs(field, seed, width, density):
+    s = Sampler(field, seed)
     for _ in range(4):
         got, want = EchelonBasis(s.field, width), ReferenceEchelonBasis(s.field, width)
         assert_same_basis(got, want)
@@ -245,10 +243,10 @@ def test_echelon_matches_reference_on_random_inputs(spec, width, density):
         assert_same_queries(s, got, want, width, added)
 
 
-@pytest.mark.parametrize("spec", FIELD_SPECS, ids=FIELD_IDS)
-def test_echelon_matches_reference_on_rank_deficient_spans(spec):
+@pytest.mark.parametrize("field,seed", SEEDED_FIELDS, ids=FIELD_IDS)
+def test_echelon_matches_reference_on_rank_deficient_spans(field, seed):
     # rank 3 inside width 12: every later vector is dependent
-    s = Sampler(spec)
+    s = Sampler(field, seed)
     width = 12
     gens = [random_vector(s, width, 0.5) for _ in range(3)]
     got, want = EchelonBasis(s.field, width), ReferenceEchelonBasis(s.field, width)
@@ -261,17 +259,16 @@ def test_echelon_matches_reference_on_rank_deficient_spans(spec):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from(FIELD_SPECS),
+    st.sampled_from([f for f, _ in SEEDED_FIELDS]),
     st.integers(0, 2**32),
     st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7)),
     st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]),
     st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]),
 )
-def test_mat_mul_matches_reference_dot(spec, seed, shape, density_a, density_b):
+def test_mat_mul_matches_reference_dot(f, seed, shape, density_a, density_b):
     # inner dimension 0 and n x 0 right operands (the rank-0 B_i blocks of
     # RankFactors) included; a 0 x m right operand is the empty list
-    s = Sampler(spec.with_seed(seed))
-    f = s.field
+    s = Sampler(f, seed)
     n, k, m = shape
     a = [random_vector(s, k, density_a) for _ in range(n)]
     b = [random_vector(s, m, density_b) for _ in range(k)]
@@ -284,9 +281,9 @@ def test_mat_mul_matches_reference_dot(spec, seed, shape, density_a, density_b):
         assert all(0 <= x < f.p for row in got for x in row)
 
 
-@pytest.mark.parametrize("spec", FIELD_SPECS, ids=FIELD_IDS)
-def test_apply_matches_reference(spec):
-    s = Sampler(spec)
+@pytest.mark.parametrize("field,seed", SEEDED_FIELDS, ids=FIELD_IDS)
+def test_apply_matches_reference(field, seed):
+    s = Sampler(field, seed)
     for n, m, density in ((1, 1, 1.0), (4, 7, 1.0), (12, 12, 0.15), (9, 5, 0.0)):
         mat = Matrix(s.field, [random_vector(s, m, density) for _ in range(n)])
         for vdensity in (1.0, 0.3, 0.0):
@@ -294,11 +291,11 @@ def test_apply_matches_reference(spec):
             assert mat.apply(v) == reference_apply(mat, v)
 
 
-@pytest.mark.parametrize("spec", FIELD_SPECS, ids=FIELD_IDS)
-def test_apply_after_shift_and_copy_reads_the_new_entries(spec):
+@pytest.mark.parametrize("field,seed", SEEDED_FIELDS, ids=FIELD_IDS)
+def test_apply_after_shift_and_copy_reads_the_new_entries(field, seed):
     # the first apply prepares and caches the matrix; a shifted or copied
     # matrix that is then changed must not read that cache
-    s = Sampler(spec)
+    s = Sampler(field, seed)
     n = 6
     mat = Matrix(s.field, [random_vector(s, n, 0.5) for _ in range(n)])
     v = random_vector(s, n)

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from tdcheck.fields import FieldSpec, Rationals, Sampler
+from tdcheck.fields import PrimeField, Rationals, Sampler
 from tdcheck.linalg import Matrix
 from tdcheck.poly import MinimalPolynomialError, PolyError, ladder, lagrange_idempotents
 
@@ -37,7 +37,7 @@ def test_eta_one_uses_the_back_of_the_list():
 def test_ladder_entries_monic_of_exact_degree():
     # entry i is monic of degree i in x: its i-th forward difference over
     # x = 0..i is i!, and its (i+1)-th over x = 0..i+1 is 0
-    s = Sampler(FieldSpec("qq", seed=11))
+    s = Sampler(QQ, 11)
     thetas = s.distinct(7)
     for roots in (thetas, thetas[::-1]):
         values = [ladder(QQ, roots, Fraction(x)) for x in range(len(roots) + 2)]
@@ -54,7 +54,7 @@ def test_ladder_entries_monic_of_exact_degree():
 def test_tau_splits_multiplicatively_at_random_points():
     # tau_{i+j}(x) over the list equals tau_i(x) times the ladder of
     # t_i..t_{i+j-1}, checked at 20 random points
-    s = Sampler(FieldSpec("qq", seed=23))
+    s = Sampler(QQ, 23)
     thetas = s.distinct(9)
     for i, j in ((2, 3), (0, 5), (4, 4), (1, 7)):
         for _ in range(20):
@@ -86,7 +86,7 @@ def test_lagrange_idempotents_two_by_two():
 def test_lagrange_idempotents_random_triangular():
     # lower triangular with distinct diagonal is diagonalizable with the
     # diagonal as spectrum, so the product over all shifts vanishes
-    s = Sampler(FieldSpec("qq", seed=41))
+    s = Sampler(QQ, 41)
     n = 5
     thetas = s.distinct(n)
     rows = []
@@ -108,14 +108,12 @@ def test_lagrange_idempotents_random_triangular():
     assert sum(e.rank() for e in idems) == n
 
 
-@pytest.mark.parametrize("kind", ["qq", "fp"])
+@pytest.mark.parametrize("f", [QQ, PrimeField()], ids=["qq", "fp"])
 @pytest.mark.parametrize("n", [1, 2, 4])
-def test_lagrange_idempotents_equal_the_full_products(kind, n):
+def test_lagrange_idempotents_equal_the_full_products(f, n):
     # each E_i against prod_{j != i} (A - t_j I) / (t_i - t_j), identity
     # factors included, so skipping the products by I changes no entry
-    spec = FieldSpec(kind, seed=40 + n)
-    f = spec.build_field()
-    s = Sampler(spec)
+    s = Sampler(f, 40 + n)
     thetas = s.distinct(n)
     a = Matrix(
         f,
@@ -153,7 +151,7 @@ def test_eta_expansion_trivial_and_hand_cases():
 
 
 def test_eta_expansion_holds_for_random_lists():
-    s = Sampler(FieldSpec("qq", seed=57))
+    s = Sampler(QQ, 57)
     for trial in range(100):
         d = trial % 8 + 1
         thetas = s.distinct(d + 1)

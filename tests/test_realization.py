@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tdcheck.fields import FieldSpec, Rationals
+from tdcheck.fields import PrimeField, Rationals
 from tdcheck.linalg import Matrix
 from tdcheck.params import derive_context, random_admissible_context
 from tdcheck.realization import (
@@ -21,6 +21,7 @@ from tdcheck.tables import load_table
 from support import coefficient_slots, mat_add, with_negated_coefficient, zero_matrix
 
 QQ = Rationals()
+FP = PrimeField()
 
 
 def fr(xs):
@@ -73,28 +74,25 @@ def test_d2_chain_walks_the_expected_labels():
 
 
 @pytest.mark.parametrize("d", range(6))
-@pytest.mark.parametrize("kind", ["fp", "qq"])
-def test_full_suite_random_context(d, kind):
-    spec = FieldSpec(kind, seed=500 + d)
-    ctx = random_admissible_context(d, spec)
-    real = realize(load_table(d), ctx, spec.build_field())
+@pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "qq"])
+def test_full_suite_random_context(d, field):
+    ctx = random_admissible_context(d, field, 500 + d)
+    real = realize(load_table(d), ctx, field)
     assert not failed(verify_relations(real))
     assert not failed(mu_certificate(real))
     assert not failed(shape_check(real))
 
 
 def test_d3_dual_idempotent_rank_three():
-    spec = FieldSpec("fp", seed=61)
-    ctx = random_admissible_context(3, spec)
-    real = realize(load_table(3), ctx, spec.build_field())
+    ctx = random_admissible_context(3, FP, 61)
+    real = realize(load_table(3), ctx, FP)
     assert real.estar[1].rank() == 3
 
 
 @pytest.mark.parametrize("d,expected", [(0, [1]), (3, [1, 3, 3, 1]), (5, [1, 5, 10, 10, 5, 1])])
 def test_shape_profiles(d, expected):
-    spec = FieldSpec("fp", seed=70 + d)
-    ctx = random_admissible_context(d, spec)
-    real = realize(load_table(d), ctx, spec.build_field())
+    ctx = random_admissible_context(d, FP, 70 + d)
+    real = realize(load_table(d), ctx, FP)
     assert real.ranks == expected
     assert real.dual_ranks == expected
     assert not failed(shape_check(real))
@@ -134,9 +132,7 @@ def test_realize_rejects_mismatched_context():
 
 def test_realize_detects_one_flipped_coefficient():
     table = load_table(3)
-    spec = FieldSpec("fp", seed=88)
-    ctx = random_admissible_context(3, spec)
-    field = spec.build_field()
+    ctx = random_admissible_context(3, FP, 88)
     # flip the raising coefficient in the entry for l2r3
     slot = next(
         (a, src, k)
@@ -145,7 +141,7 @@ def test_realize_detects_one_flipped_coefficient():
     )
     mutated = with_negated_coefficient(table, *slot)
     try:
-        real = realize(mutated, ctx, field)
+        real = realize(mutated, ctx, FP)
     except RealizationError:
         return  # caught at the minimal-polynomial / rank stage
     assert failed(verify_relations(real))
@@ -184,9 +180,8 @@ def test_rational_realization_reduces_to_prime_field_realization():
 
 
 def test_relation_report_check_coordinates():
-    spec = FieldSpec("fp", seed=91)
-    ctx = random_admissible_context(2, spec)
-    real = realize(load_table(2), ctx, spec.build_field())
+    ctx = random_admissible_context(2, FP, 91)
+    real = realize(load_table(2), ctx, FP)
     ids = {c.id for c in verify_relations(real)}
     assert "rel5.e.0.1" in ids
     assert "rel6.es" in ids
@@ -247,26 +242,22 @@ def relation_triples(real):
 
 @pytest.mark.parametrize("d", range(6))
 @pytest.mark.parametrize(
-    "spec",
-    [FieldSpec("qq", seed=900), FieldSpec("fp", seed=901), FieldSpec("fp", prime=7, seed=0)],
-    ids=["qq", "fp", "f7"],
+    "field,seed", [(QQ, 900), (FP, 901), (PrimeField(7), 0)], ids=["qq", "fp", "f7"]
 )
-def test_block_relations_match_full_sandwiches_on_random_contexts(d, spec):
-    ctx = random_admissible_context(d, spec)
-    real = realize(load_table(d), ctx, spec.build_field())
+def test_block_relations_match_full_sandwiches_on_random_contexts(d, field, seed):
+    ctx = random_admissible_context(d, field, seed)
+    real = realize(load_table(d), ctx, field)
     assert relation_triples(real) == reference_relation_checks(real)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_block_relations_match_full_sandwiches_on_mutated_tables(d):
     table = load_table(d)
-    spec = FieldSpec("fp", seed=5)
-    ctx = random_admissible_context(d, spec)
-    field = spec.build_field()
+    ctx = random_admissible_context(d, FP, 5)
     failing = 0
     for slot in coefficient_slots(table):
         try:
-            real = realize(with_negated_coefficient(table, *slot), ctx, field)
+            real = realize(with_negated_coefficient(table, *slot), ctx, FP)
         except RealizationError:
             continue
         want = reference_relation_checks(real)
@@ -278,11 +269,9 @@ def test_block_relations_match_full_sandwiches_on_mutated_tables(d):
 def test_block_relations_match_full_sandwiches_off_idempotent_families():
     # e and e* replaced by matrices that are not orthogonal idempotents:
     # a sum of two idempotents, a zero matrix, a scaled idempotent, a^2
-    spec = FieldSpec("fp", seed=902)
-    ctx = random_admissible_context(3, spec)
-    f = spec.build_field()
-    real = realize(load_table(3), ctx, f)
-    e = [mat_add(real.e[0], real.e[1]), zero_matrix(f, real.dim), real.e[2].scale(2), real.e[3]]
+    ctx = random_admissible_context(3, FP, 902)
+    real = realize(load_table(3), ctx, FP)
+    e = [mat_add(real.e[0], real.e[1]), zero_matrix(FP, real.dim), real.e[2].scale(2), real.e[3]]
     estar = [real.estar[0], mat_add(real.estar[1], real.estar[3]), real.a * real.a, real.estar[3]]
     bent = dataclasses.replace(
         real, e=e, estar=estar, factors=RankFactors.of(e), dual_factors=RankFactors.of(estar)
@@ -294,8 +283,7 @@ def test_block_relations_match_full_sandwiches_off_idempotent_families():
 
 
 def test_rank_factors_multiply_back_to_the_family():
-    spec = FieldSpec("qq", seed=903)
-    ctx = random_admissible_context(3, spec)
+    ctx = random_admissible_context(3, QQ, 903)
     real = realize(load_table(3), ctx, QQ)
     fam = real.dual_factors
     for m, left, right in zip(real.estar, fam.left, fam.right):
@@ -331,23 +319,19 @@ def sum_triples(real):
 
 @pytest.mark.parametrize("d", range(6))
 @pytest.mark.parametrize(
-    "spec",
-    [FieldSpec("qq", seed=910), FieldSpec("fp", seed=911), FieldSpec("fp", prime=7, seed=1)],
-    ids=["qq", "fp", "f7"],
+    "field,seed", [(QQ, 910), (FP, 911), (PrimeField(7), 1)], ids=["qq", "fp", "f7"]
 )
-def test_entrywise_sums_match_matrix_sums_on_random_contexts(d, spec):
-    ctx = random_admissible_context(d, spec)
-    real = realize(load_table(d), ctx, spec.build_field())
+def test_entrywise_sums_match_matrix_sums_on_random_contexts(d, field, seed):
+    ctx = random_admissible_context(d, field, seed)
+    real = realize(load_table(d), ctx, field)
     assert sum_triples(real) == reference_sum_checks(real)
 
 
-@pytest.mark.parametrize("kind", ["qq", "fp"])
-def test_entrywise_sums_fail_off_idempotent_families(kind):
+@pytest.mark.parametrize("f", [QQ, FP], ids=["qq", "fp"])
+def test_entrywise_sums_fail_off_idempotent_families(f):
     # the hand-built family of test_block_relations_match_full_sandwiches_off_
     # idempotent_families, in both fields: neither sum can hold
-    spec = FieldSpec(kind, seed=902)
-    ctx = random_admissible_context(3, spec)
-    f = spec.build_field()
+    ctx = random_admissible_context(3, f, 902)
     real = realize(load_table(3), ctx, f)
     e = [mat_add(real.e[0], real.e[1]), zero_matrix(f, real.dim), real.e[2].scale(2), real.e[3]]
     estar = [real.estar[0], mat_add(real.estar[1], real.estar[3]), real.a * real.a, real.estar[3]]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tdcheck.fields import FieldSpec, PrimeField, Rationals, Sampler
+from tdcheck.fields import PrimeField, Rationals, Sampler
 from tdcheck.linalg import EchelonBasis, Matrix, restrict_operator
 from tdcheck.params import ParameterArray, random_admissible_context
 from tdcheck.realization import idempotent_families, realize
@@ -18,6 +18,7 @@ from tdcheck.tdsystem import (
 )
 
 QQ = Rationals()
+FP = PrimeField()
 
 
 def fr(xs):
@@ -133,13 +134,13 @@ def reference_word_span_irreducible(a, astar, field):
 
 
 @pytest.mark.parametrize(
-    "spec", [FieldSpec("qq", seed=31), FieldSpec("fp", prime=7, seed=32)], ids=["qq", "f7"]
+    "field,seed", [(QQ, 31), (PrimeField(7), 32)], ids=["qq", "f7"]
 )
-def test_word_span_closure_matches_matrix_product_reference(spec):
+def test_word_span_closure_matches_matrix_product_reference(field, seed):
     # random pairs, and pairs with a zero lower-left block (rows k.., columns
     # ..k-1): block upper triangular, so the first k coordinates are invariant
-    s = Sampler(spec)
-    f = s.field
+    s = Sampler(field, seed)
+    f = field
     verdicts = set()
     for trial in range(60):
         n = trial % 4 + 1
@@ -177,10 +178,8 @@ def test_extract_d1_report_matches_hand_values():
 
 
 def test_extract_flags_axiom_failures_for_swapped_eigenvalues():
-    spec = FieldSpec("fp", seed=3111)
-    ctx = random_admissible_context(2, spec)
-    field = spec.build_field()
-    real = realize(load_table(2), ctx, field)
+    ctx = random_admissible_context(2, FP, 3111)
+    real = realize(load_table(2), ctx, FP)
     swapped = [ctx.theta[1], ctx.theta[0], ctx.theta[2]]
     real = dataclasses.replace(real, context=dataclasses.replace(ctx, theta=swapped))
     tds = extract_td_system(real)
@@ -189,11 +188,9 @@ def test_extract_flags_axiom_failures_for_swapped_eigenvalues():
 
 
 def test_extract_reports_minimal_polynomial_failures_with_prefix():
-    spec = FieldSpec("fp", seed=3112)
-    ctx = random_admissible_context(2, spec)
-    field = spec.build_field()
-    real = realize(load_table(2), ctx, field)
-    wrong = [field.add(x, field.one) for x in ctx.theta]  # distinct, not the spectrum of a
+    ctx = random_admissible_context(2, FP, 3112)
+    real = realize(load_table(2), ctx, FP)
+    wrong = [FP.add(x, FP.one) for x in ctx.theta]  # distinct, not the spectrum of a
     real = dataclasses.replace(real, context=dataclasses.replace(ctx, theta=wrong))
     tds = extract_td_system(real)
     assert [cid for cid, _ in tds.axiom_failures] == ["tds.minpoly.a"]
@@ -204,9 +201,8 @@ def test_extract_with_generic_weights_passes_band_conditions():
     # the realized module is a module for the generator algebra even when the
     # weights are not tied to any split sequence, so the band conditions hold
     for d in (2, 3):
-        spec = FieldSpec("fp", seed=777 + d)
-        ctx = random_admissible_context(d, spec)
-        real = realize(load_table(d), ctx, spec.build_field())
+        ctx = random_admissible_context(d, FP, 777 + d)
+        real = realize(load_table(d), ctx, FP)
         tds = extract_td_system(real)
         assert not any(cid.startswith("tds.band") for cid, _ in tds.axiom_failures)
         assert tds.sharp and tds.shape[0] == 1
@@ -249,9 +245,8 @@ def test_extract_band_blocks_with_rank_zero_restricted_idempotents():
 
 
 def test_extract_band_blocks_match_full_sandwiches_when_they_fail():
-    spec = FieldSpec("fp", seed=3111)
-    ctx = random_admissible_context(3, spec)
-    real = realize(load_table(3), ctx, spec.build_field())
+    ctx = random_admissible_context(3, FP, 3111)
+    real = realize(load_table(3), ctx, FP)
     swapped = [ctx.theta[2], ctx.theta[0], ctx.theta[1], ctx.theta[3]]
     real = dataclasses.replace(real, context=dataclasses.replace(ctx, theta=swapped))
     want = reference_band_failures(real)
@@ -313,9 +308,8 @@ def test_roundtrip_reports_construct_failure_with_the_table_version():
 def test_roundtrip_random_arrays_prime_field(d):
     from tdcheck.params import random_valid_parameter_array
 
-    spec = FieldSpec("fp", seed=4200 + d)
-    pa = random_valid_parameter_array(d, spec)
-    rep = roundtrip(pa, spec.build_field(), load_table(pa.d))
+    pa = random_valid_parameter_array(d, FP, 4200 + d)
+    rep = roundtrip(pa, FP, load_table(pa.d))
     assert rep.overall, [(c.id, c.detail) for c in rep.failures()]
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tdcheck.fields import FieldSpec, Rationals
+from tdcheck.fields import PrimeField, Rationals
 from tdcheck.params import derive_context, random_admissible_context
 from tdcheck.realization import realize
 from tdcheck.report import failed
@@ -29,6 +29,7 @@ from tdcheck.zigzag import (
 )
 
 QQ = Rationals()
+FP = PrimeField()
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +419,8 @@ def test_word_image_d1_hand_value():
 
 @pytest.mark.parametrize("d", range(6))
 def test_feasible_rank_full_on_random_context(d):
-    spec = FieldSpec("fp", seed=7000 + d)
-    ctx = random_admissible_context(d, spec)
-    real = realize(load_table(d), ctx, spec.build_field())
+    ctx = random_admissible_context(d, FP, 7000 + d)
+    real = realize(load_table(d), ctx, FP)
     bad = failed(feasible_rank_test(real))
     assert not bad, [c.detail for c in bad]
 
@@ -429,7 +429,6 @@ def test_feasible_rank_is_stable_over_rationals():
     # generic-rank stability: repeated admissible rational contexts keep rank 2^d
     d = 2
     for seed in range(20):
-        spec = FieldSpec("qq", seed=seed)
-        ctx = random_admissible_context(d, spec)
+        ctx = random_admissible_context(d, QQ, seed)
         real = realize(load_table(d), ctx, QQ)
         assert not failed(feasible_rank_test(real))
