@@ -51,7 +51,7 @@ class MalformedArrayError(ValueError):
 
 
 class ContextError(ValueError):
-    """A specialization context violates a named guard."""
+    """A sampler found no admissible draw within MAX_ATTEMPTS candidates."""
 
 
 @dataclass
