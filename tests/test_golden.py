@@ -26,6 +26,27 @@ README_ARRAY = {
     "theta_star": ["3", "1", "-1", "-3"],
     "zeta": ["1", "0", "0", "5"],
 }
+# Rational arrays whose round trip cannot be certified on the image mod
+# DEFAULT_PRIME = 2^62 - 57, so the exact rational route decides: the first
+# two put the prime in zeta_d, the third in a denominator.
+P = "4611686018427387847"
+IMAGE_FALLBACK_ARRAYS = {
+    # the word span of the image pair is short
+    "short_image": {
+        "d": 2, "theta": ["0", "1", "3"], "theta_star": ["0", "2", "5"], "zeta": ["1", "4", P],
+    },
+    # the dual closure of the image corner row is short
+    "corner_image": {
+        "d": 4,
+        "theta": ["0", "1", "3", "6", "10"],
+        "theta_star": ["0", "2", "5", "9", "14"],
+        "zeta": ["1", "3", "-2", "5", P],
+    },
+    # a denominator vanishes mod the prime: no image is formed
+    "image_den": {
+        "d": 2, "theta": ["0", "1", "3"], "theta_star": ["0", "2", "5"], "zeta": ["1", "1/" + P, "7"],
+    },
+}
 BAD_ZETA0_ARRAY = {
     "d": 1,
     "theta": ["1", "-1"],
@@ -33,9 +54,10 @@ BAD_ZETA0_ARRAY = {
     "zeta": ["2", "1"],
 }
 
-# (argv, exit code, sha256 of stdout).  "{array}", "{bad_zeta0}" and
-# "{assets}" are replaced by files written under the test's tmp_path; the
-# assets copy has the d = 1 entry `ths1*r + y1*phi` flipped to `- y1*phi`.
+# (argv, exit code, sha256 of stdout).  "{array}", "{bad_zeta0}", "{assets}"
+# and the IMAGE_FALLBACK_ARRAYS keys are replaced by files written under the
+# test's tmp_path; the assets copy has the d = 1 entry `ths1*r + y1*phi`
+# flipped to `- y1*phi`.
 GOLDEN = [
     (
         "verify-appendix --d 3 --trials 3 --seed 1",
@@ -139,6 +161,21 @@ GOLDEN = [
         0,
         "5290550d53ebdd43be5ab56a8956846069ed5d8c3fbbb4f440d332cf1cccd3c4",
     ),
+    (
+        "tds roundtrip --input {short_image} --field qq",
+        0,
+        "b60a9d38f0323b9e3ea9a19dd4ff55fd9535fa2cb088b44db2ff590f6709b65a",
+    ),
+    (
+        "tds roundtrip --input {corner_image} --field qq",
+        0,
+        "7422fc0ea9cc64e5361c36bdb5329473c8a7dc469110c766597b07218ce0dbca",
+    ),
+    (
+        "tds roundtrip --input {image_den} --field qq",
+        0,
+        "034d582a7003902f29ae7a0b5756a94fb763fc742dc3fae789e0f396cb9e4956",
+    ),
 ]
 
 
@@ -155,7 +192,11 @@ def files(tmp_path):
     (assets / "d1.txt").write_text(
         bundled_table_text(1).replace("ths1*r + y1*phi", "ths1*r - y1*phi")
     )
-    return {"array": array, "bad_zeta0": bad, "assets": assets}
+    paths = {"array": array, "bad_zeta0": bad, "assets": assets}
+    for name, obj in IMAGE_FALLBACK_ARRAYS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    return paths
 
 
 def run(argv: str, files, capsys):
