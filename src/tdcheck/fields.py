@@ -317,6 +317,13 @@ class PrimeField:
 Field = Union[Rationals, PrimeField]
 
 
+def require_capacity(field: Field, n: int) -> None:
+    """Raise FieldTooSmallError unless random() can draw n distinct values."""
+    cap = field.capacity()
+    if cap is not None and cap < n:
+        raise FieldTooSmallError(f"field too small: need {n} distinct values, {cap} available")
+
+
 class Sampler:
     """Stateful scalar sampler bound to one field and one PRNG stream.
 
@@ -335,11 +342,7 @@ class Sampler:
         """n pairwise-distinct scalars."""
         if n < 1:
             raise ValueError("need n >= 1")
-        cap = self.field.capacity()
-        if cap is not None and cap < n:
-            raise FieldTooSmallError(
-                f"field too small: need {n} distinct values, {cap} available"
-            )
+        require_capacity(self.field, n)
         out: dict = {}  # insertion-ordered; a repeated draw changes nothing
         while len(out) < n:
             out[self.scalar()] = None

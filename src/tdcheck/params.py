@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Sequence, Tuple
 
-from .fields import Field, Sampler
+from .fields import Field, Sampler, require_capacity
 from .poly import ladder
 
 # Stable condition identifiers used in validation failures.
@@ -260,8 +260,10 @@ def random_admissible_context(d: int, field: Field, seed: int) -> Specialization
     """Rejection-sample a context passing every guard; deterministic per seed.
 
     For d >= 3 a guarded beta is drawn first and both eigenvalue lists are
-    extended by the three-term recurrence it induces.
+    extended by the three-term recurrence it induces.  A field with fewer
+    than d + 1 elements raises FieldTooSmallError before any draw.
     """
+    require_capacity(field, d + 1)
     sampler = Sampler(field, seed)
     for _ in range(MAX_ATTEMPTS):
         beta = None
@@ -280,7 +282,9 @@ def random_admissible_context(d: int, field: Field, seed: int) -> Specialization
 
 
 def random_valid_parameter_array(d: int, field: Field, seed: int) -> ParameterArray:
-    """Rejection-sample a parameter array passing the full validator."""
+    """Rejection-sample a parameter array passing the full validator; a field
+    with fewer than d + 1 elements raises FieldTooSmallError before any draw."""
+    require_capacity(field, d + 1)
     sampler = Sampler(field, seed)
     for _ in range(MAX_ATTEMPTS):
         beta = sampler.scalar() if d >= 3 else None

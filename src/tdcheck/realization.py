@@ -117,6 +117,7 @@ class ModuleRealization:
     estar: List[Matrix]  # idempotents of astar
     factors: RankFactors  # of e
     dual_factors: RankFactors  # of estar
+    spectra: Tuple[list, list]  # the (theta, theta_star) lists e and estar are built from
 
     @property
     def ranks(self) -> List[int]:
@@ -225,6 +226,7 @@ def realize(
         estar=estar,
         factors=factors,
         dual_factors=dual_factors,
+        spectra=(list(ctx.theta), list(ctx.theta_star)),
     )
 
 

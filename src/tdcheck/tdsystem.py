@@ -38,6 +38,26 @@ fallback otherwise.
 Both routes stay: the word-span note is inside every pinned d <= 3 round-trip
 report (tests/test_golden.py, perfbench/digests.json), and the roundtrip-qq
 benchmark workload runs both (word-span at d = 3, corner-cyclic at d = 4, 5).
+
+Over the rationals the three spans above (the closure of phi, the word span
+and the dual closure of the corner row) are certified on one image mod
+p = DEFAULT_PRIME first (_image; the modular rank method, see von zur Gathen
+and Gerhard, Modern Computer Algebra).  The lemma: when no denominator of the
+operators (or of the corner) is divisible by p, every vector those spans are
+built from is p-integral, and reduction mod p is a ring map on p-integral
+rationals, so vectors independent mod p are independent over Q: the
+dimension of a span mod p is at most its dimension over Q.  A full-dimension
+image therefore proves a full span over Q, and only the verdict "full" is
+taken from the image.  A short image, a denominator divisible by p, or a
+corner whose rows all vanish mod p falls back to the exact rational
+computation, so no verdict depends on the prime.
+
+When the closure of phi is the whole module, its reduced echelon basis is
+the identity, so the restriction is the pair itself: extraction reads
+realize's operators as they are, and reuses its idempotent families and rank
+factors instead of rebuilding them.  The reuse is guarded: the families must
+have been built from the eigenvalue lists of real.context (realize records
+them as real.spectra); a context replaced after realize rebuilds them.
 """
 
 from __future__ import annotations
@@ -46,7 +66,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Sequence, Tuple
 
-from .fields import Field, field_echo
+from .fields import DEFAULT_PRIME, Field, PrimeField, field_echo
 from .linalg import EchelonBasis, Matrix, restrict_operator, vec_is_zero
 from .params import ParameterArray, derive_context, validate_parameter_array
 from .realization import (
@@ -61,6 +81,8 @@ from .report import VerificationReport
 from .tables import ModuleTable, TableError
 
 SPAN_CRITERION_DIM_LIMIT = 8
+
+_IMAGE_FIELD = PrimeField(DEFAULT_PRIME)
 
 
 class InvalidParameterArrayError(ValueError):
@@ -130,10 +152,34 @@ def irreducibility_check(a: Matrix, astar: Matrix, field: Field) -> bool:
 
 def _corner_cyclic_irreducible(a: Matrix, astar: Matrix, corner: Matrix) -> bool:
     """Exact irreducibility via a rank-one corner idempotent whose image is
-    spanned by a vector that generates the module."""
-    row = next(r for r in corner.rows if not vec_is_zero(a.field, r))
+    spanned by a vector that generates the module.  False for a zero corner,
+    which only an image mod p can be."""
+    row = next((r for r in corner.rows if not vec_is_zero(a.field, r)), None)
+    if row is None:
+        return False
     dual = submodule_closure(a.transpose(), astar.transpose(), row)
     return dual.dim == a.nrows
+
+
+def _image(field: Field, *mats: Matrix) -> Optional[tuple]:
+    """The rational matrices reduced mod DEFAULT_PRIME; None over F_p, or when
+    a denominator is divisible by the prime (see the module docstring)."""
+    if field.kind != "qq":
+        return None
+    p, out = _IMAGE_FIELD.p, []
+    for m in mats:
+        ints, den = field.to_ints(m.rows)
+        if den % p == 0:
+            return None
+        inv = pow(den, -1, p)
+        out.append(Matrix(_IMAGE_FIELD, [[x * inv % p for x in row] for row in ints]))
+    return tuple(out)
+
+
+def _full_on_image_first(test, exact: tuple, image: Optional[tuple]) -> bool:
+    """test(*image) when it holds (a full span mod p is full over Q), else
+    test(*exact)."""
+    return (image is not None and test(*image)) or test(*exact)
 
 
 @dataclass
@@ -176,15 +222,28 @@ def extract_td_system(real: ModuleRealization) -> TDSystemReport:
     failures: List[Tuple[str, str]] = []
     notes: List[str] = []
     phi = real.basis_vector(real.basis[0])
-    closure = submodule_closure(real.a, real.astar, phi)
-    dim_w = closure.dim
+    image = _image(field, real.a, real.astar)
+    # phi is a unit vector, so its integer entries are its image
+    if image and submodule_closure(*image, list(map(int, phi))).dim == real.dim:
+        dim_w = real.dim
+    else:
+        closure = submodule_closure(real.a, real.astar, phi)
+        dim_w = closure.dim
 
-    a_sub = restrict_operator(field, real.a, closure)
-    astar_sub = restrict_operator(field, real.astar, closure)
+    if dim_w == real.dim:  # W is the module: the restriction is the pair itself
+        a_sub, astar_sub, phi_w = real.a, real.astar, phi
+    else:
+        a_sub = restrict_operator(field, real.a, closure)
+        astar_sub = restrict_operator(field, real.astar, closure)
+        phi_w = closure.coordinates(phi)
+        image = _image(field, a_sub, astar_sub)
 
     try:
-        _, idems_star, factors, dual_factors = idempotent_families(
-            a_sub, astar_sub, theta, theta_star
+        # on the whole module, realize's families are these unless the lists differ
+        idems_star, factors, dual_factors = (
+            (real.estar, real.factors, real.dual_factors)
+            if dim_w == real.dim and real.spectra == (theta, theta_star)
+            else idempotent_families(a_sub, astar_sub, theta, theta_star)[1:]
         )
     except RealizationError as err:
         return TDSystemReport(
@@ -243,9 +302,7 @@ def extract_td_system(real: ModuleRealization) -> TDSystemReport:
 
     # split sequence: the corner identity read at phi
     corner = idems_star[r0]
-    split = split_sequence(
-        a_sub, corner, theta[t0:], theta_star[r0 : r0 + delta + 1], closure.coordinates(phi)
-    )
+    split = split_sequence(a_sub, corner, theta[t0:], theta_star[r0 : r0 + delta + 1], phi_w)
     if None in split:
         i = split.index(None)
         failures.append(
@@ -253,12 +310,19 @@ def extract_td_system(real: ModuleRealization) -> TDSystemReport:
         )
         split = split[:i]
 
-    # irreducibility: span criterion when small, corner-cyclic route otherwise
+    # irreducibility: span criterion when small, corner-cyclic route otherwise;
+    # both are tried on the image mod p first
     if dim_w <= SPAN_CRITERION_DIM_LIMIT:
-        irreducible = irreducibility_check(a_sub, astar_sub, field)
+        irreducible = _full_on_image_first(
+            irreducibility_check, (a_sub, astar_sub, field), image and (*image, _IMAGE_FIELD)
+        )
         notes.append("irreducibility via full word-span dimension")
     elif sharp and split[:1] == [field.one]:  # phi spans the rank-one corner
-        irreducible = _corner_cyclic_irreducible(a_sub, astar_sub, corner)
+        corner_image = image and _image(field, corner)
+        irreducible = _full_on_image_first(
+            _corner_cyclic_irreducible, (a_sub, astar_sub, corner),
+            corner_image and (*image, *corner_image),
+        )
         notes.append("irreducibility via corner-cyclic test")
     else:
         irreducible = irreducibility_check(a_sub, astar_sub, field)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -169,6 +170,45 @@ def test_unusable_prime_is_a_usage_error(prime, message, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("tdcheck: ") and message in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,need,have",
+    [
+        ("verify-appendix --d 5 --trials 2 --prime 3", 6, 3),
+        ("verify-appendix --d 5 --trials 2 --prime 5", 6, 5),
+        ("verify-appendix --d 5 --trials 2 --prime 5 --jobs 2", 6, 5),
+        ("verify-appendix --d 2 --trials 2 --prime 2", 3, 2),
+        ("zz rank --d 3 --trials 1 --prime 3", 4, 3),
+        ("tds roundtrip --d 5 --prime 5", 6, 5),
+    ],
+)
+def test_prime_below_d_plus_one_is_a_usage_error(argv, need, have, capsys):
+    # d + 1 distinct eigenvalues cannot be drawn from fewer field elements:
+    # refused before any draw, not after MAX_ATTEMPTS rejected candidates
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == f"tdcheck: field too small: need {need} distinct values, {have} available\n"
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            "verify-appendix --d 4 --trials 2 --prime 5",
+            "90b273add77ea0865614b5e46932d4ee5b5034a65a9c7fb18d6d2110457e2712",
+        ),
+        (
+            "tds roundtrip --d 5 --trials 2 --prime 7",
+            "f898e5ea2d93e0a067f8904423c8eb86bb3bd657b56eb15bb08841b190c8489c",
+        ),
+    ],
+)
+def test_prime_of_d_plus_one_elements_still_samples(argv, digest, capsys):
+    # the smallest usable primes keep their sample streams and reports
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_output_flag_writes_report(tmp_path, capsys):

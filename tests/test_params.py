@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tdcheck.fields import PrimeField, Rationals, Sampler
+from tdcheck.fields import FieldTooSmallError, PrimeField, Rationals, Sampler
 from tdcheck.params import (
     COND_BETA,
     COND_SUM,
@@ -228,6 +228,17 @@ def test_random_valid_parameter_array_validates():
         pa = random_valid_parameter_array(d, FP, 40 + d)
         assert validate_parameter_array(pa, FP).passed
         assert pa.zeta[0] == 1
+
+
+@pytest.mark.parametrize("sampler", [random_admissible_context, random_valid_parameter_array])
+@pytest.mark.parametrize("d,p", [(2, 2), (3, 3), (5, 5)])
+def test_samplers_refuse_a_field_below_d_plus_one_before_any_draw(sampler, d, p, monkeypatch):
+    def no_draw(self):
+        raise AssertionError("drew a scalar")
+
+    monkeypatch.setattr(Sampler, "scalar", no_draw)
+    with pytest.raises(FieldTooSmallError, match=f"need {d + 1} distinct values, {p} available"):
+        sampler(d, PrimeField(p), 0)
 
 
 @pytest.mark.parametrize("f", [QQ, FP, F11], ids=["qq-None", "fp-None", "fp-11"])

@@ -3,13 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from tdcheck.fields import PrimeField, Rationals, Sampler
+from tdcheck import tdsystem
+from tdcheck.fields import DEFAULT_PRIME, PrimeField, Rationals, Sampler
 from tdcheck.linalg import EchelonBasis, Matrix, restrict_operator
 from tdcheck.params import ParameterArray, random_admissible_context
 from tdcheck.realization import idempotent_families, realize
 from tdcheck.tables import FORMAT_VERSION, bundled_table_text, load_table, parse_table
 from tdcheck.tdsystem import (
+    _IMAGE_FIELD,
     InvalidParameterArrayError,
+    _corner_cyclic_irreducible,
+    _full_on_image_first,
+    _image,
     construct_from_params,
     extract_td_system,
     irreducibility_check,
@@ -133,30 +138,86 @@ def reference_word_span_irreducible(a, astar, field):
     return basis.dim == n * n
 
 
-@pytest.mark.parametrize(
-    "field,seed", [(QQ, 31), (PrimeField(7), 32)], ids=["qq", "f7"]
-)
-def test_word_span_closure_matches_matrix_product_reference(field, seed):
-    # random pairs, and pairs with a zero lower-left block (rows k.., columns
-    # ..k-1): block upper triangular, so the first k coordinates are invariant
+def random_pairs(field, seed):
+    """(trial, k, a, astar) for 60 random pairs of size n <= 4: unconstrained
+    (k = 0), or with a zero lower-left block (rows k.., columns ..k-1), block
+    upper triangular, so the first k coordinates are invariant."""
     s = Sampler(field, seed)
     f = field
-    verdicts = set()
     for trial in range(60):
         n = trial % 4 + 1
-        k = trial // 4 % n  # 0 leaves the pair unconstrained
+        k = trial // 4 % n
 
         def draw():
             return Matrix(
                 f, [[f.zero if i >= k > j else s.scalar() for j in range(n)] for i in range(n)]
             )
 
-        a, astar = draw(), draw()
-        want = reference_word_span_irreducible(a, astar, f)
+        a = draw()
+        yield trial, k, a, draw()
+
+
+@pytest.mark.parametrize(
+    "field,seed", [(QQ, 31), (PrimeField(7), 32)], ids=["qq", "f7"]
+)
+def test_word_span_closure_matches_matrix_product_reference(field, seed):
+    verdicts = set()
+    for trial, k, a, astar in random_pairs(field, seed):
+        want = reference_word_span_irreducible(a, astar, field)
         assert not (k and want), trial  # a block-triangular pair is reducible
-        assert irreducibility_check(a, astar, f) == want, (trial, a.rows, astar.rows)
+        assert irreducibility_check(a, astar, field) == want, (trial, a.rows, astar.rows)
         verdicts.add(want)
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# certificates on the image mod DEFAULT_PRIME
+
+P = DEFAULT_PRIME
+
+
+def test_image_certified_word_span_matches_reference_over_q():
+    # the pairs of the reference test above: a full span mod p decides True,
+    # anything else falls back to the exact span
+    from_image = set()
+    for trial, _, a, astar in random_pairs(QQ, 31):
+        want = reference_word_span_irreducible(a, astar, QQ)
+        image = _image(QQ, a, astar)
+        on_image = irreducibility_check(*image, _IMAGE_FIELD)
+        assert want or not on_image, trial  # full mod p is full over Q
+        certified = _full_on_image_first(
+            irreducibility_check, (a, astar, QQ), (*image, _IMAGE_FIELD)
+        )
+        assert certified == want, trial
+        from_image.add(on_image)
+    assert from_image == {True, False}
+
+
+def test_image_closure_can_be_short_where_the_exact_closure_is_full():
+    a = Matrix(QQ, [fr([0, 0]), fr([P, 0])])
+    image = _image(QQ, a, a)
+    assert image[0].rows == [[0, 0], [0, 0]]
+    assert submodule_closure(*image, [1, 0]).dim == 1
+    assert submodule_closure(a, a, fr([1, 0])).dim == 2
+
+
+def test_no_image_over_a_prime_field_or_for_a_denominator_divisible_by_p():
+    assert _image(QQ, Matrix(QQ, [[Fraction(1, P)]])) is None
+    assert _image(QQ, Matrix(QQ, [[Fraction(1, 3)]]), Matrix(QQ, [[Fraction(2, P)]])) is None
+    assert _image(FP, Matrix(FP, [[1]])) is None
+    # any other denominator is inverted mod p
+    (m,) = _image(QQ, Matrix(QQ, [[Fraction(1, 3), Fraction(-1)]]))
+    assert m.rows == [[pow(3, -1, P), P - 1]]
+
+
+def test_corner_that_vanishes_mod_p_falls_back_to_the_exact_route():
+    a = Matrix(QQ, [fr([1, 0]), fr([0, 2])])
+    astar = Matrix(QQ, [fr([1, 1]), fr([1, 1])])
+    corner = Matrix(QQ, [fr([P, 0]), fr([0, 0])])  # rank one, every row 0 mod p
+    image = _image(QQ, a, astar, corner)
+    assert not _corner_cyclic_irreducible(*image)  # no row to seed: no StopIteration
+    assert _corner_cyclic_irreducible(a, astar, corner)
+    assert _full_on_image_first(_corner_cyclic_irreducible, (a, astar, corner), image)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +312,35 @@ def test_extract_band_blocks_match_full_sandwiches_when_they_fail():
     real = dataclasses.replace(real, context=dataclasses.replace(ctx, theta=swapped))
     want = reference_band_failures(real)
     assert want and band_failures(extract_td_system(real)) == want
+
+
+def test_extract_band_blocks_match_full_sandwiches_when_they_fail_over_q():
+    # the closure of phi is the whole module, so extraction would reuse
+    # realize's families but for the replaced eigenvalue list
+    ctx = random_admissible_context(3, QQ, 3111)
+    real = realize(load_table(3), ctx, QQ)
+    swapped = [ctx.theta[2], ctx.theta[0], ctx.theta[1], ctx.theta[3]]
+    real = dataclasses.replace(real, context=dataclasses.replace(ctx, theta=swapped))
+    want = reference_band_failures(real)
+    assert want and band_failures(extract_td_system(real)) == want
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
+def test_extract_rebuilds_the_families_only_for_other_eigenvalue_lists(field, monkeypatch):
+    real = realize(load_table(2), random_admissible_context(2, field, 5), field)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:])
+        return idempotent_families(*args)
+
+    monkeypatch.setattr(tdsystem, "idempotent_families", counted)
+    assert extract_td_system(real).closure_dim == real.dim
+    assert calls == []  # the whole module: realize's families are reused
+    ctx = real.context
+    theta = ctx.theta[::-1]
+    extract_td_system(dataclasses.replace(real, context=dataclasses.replace(ctx, theta=theta)))
+    assert calls == [(theta, ctx.theta_star)]
 
 
 def test_split_extraction_recovers_zeta_on_full_module():
