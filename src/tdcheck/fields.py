@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from typing import Optional, Union
+from typing import Union
 
 Scalar = Union[Fraction, int]
 
@@ -69,10 +69,7 @@ def is_prime(n: int) -> bool:
 class SplitMix64:
     """Seeded 64-bit PRNG (splitmix64).  One instance per task, never shared."""
 
-    algorithm = RNG_ALGORITHM
-
     def __init__(self, seed: int):
-        self.seed = seed & _U64
         self._state = seed & _U64
 
     def next_u64(self) -> int:
@@ -149,7 +146,7 @@ class Rationals:
         b = QQ_SAMPLE_BOUND
         return Fraction(rng.randrange(2 * b + 1) - b)
 
-    def capacity(self) -> Optional[int]:
+    def capacity(self) -> int:
         """Number of values random() can produce (sampling universe size)."""
         return 2 * QQ_SAMPLE_BOUND + 1
 
@@ -276,7 +273,7 @@ class PrimeField:
     def random(self, rng: SplitMix64) -> int:
         return rng.randrange(self.p)
 
-    def capacity(self) -> Optional[int]:
+    def capacity(self) -> int:
         return self.p
 
     def format(self, a: int) -> str:
@@ -320,7 +317,7 @@ Field = Union[Rationals, PrimeField]
 def require_capacity(field: Field, n: int) -> None:
     """Raise FieldTooSmallError unless random() can draw n distinct values."""
     cap = field.capacity()
-    if cap is not None and cap < n:
+    if cap < n:
         raise FieldTooSmallError(f"field too small: need {n} distinct values, {cap} available")
 
 

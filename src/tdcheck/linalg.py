@@ -71,21 +71,23 @@ class Matrix:
             out.rows[i][i] = sub(out.rows[i][i], c)
         return out
 
-    def apply(self, vec: Sequence) -> list:
-        """Matrix times column vector.
-
-        The first call prepares the matrix: each row's nonzero columns and
-        their values as integers over one common denominator.  The rows must
-        not change after that.  Each call clears the vector's denominators
-        once and reads back one field element per output entry.
-        """
+    def nonzeros(self):
+        """(den, [(cols, vals) per row]): each row's nonzero columns and their
+        values as integers over one common denominator.  Built on the first
+        call and kept, so the rows must not change after that."""
         if self._nonzeros is None:
             ints, den = self.field.to_ints(self.rows)
             cols = range(self.ncols)
             self._nonzeros = den, [
                 (list(compress(cols, r)), list(filter(None, r))) for r in ints
             ]
-        den, rows = self._nonzeros
+        return self._nonzeros
+
+    def apply(self, vec: Sequence) -> list:
+        """Matrix times column vector, read from `nonzeros`: each call clears
+        the vector's denominators once and reads back one field element per
+        output entry."""
+        den, rows = self.nonzeros()
         (v,), vden = self.field.to_ints([vec])
         den *= vden
         back, at = self.field.from_ints, v.__getitem__
@@ -155,6 +157,15 @@ class EchelonBasis:
         self.pivots: List[int] = []
         self._ints: List[list] = []
         self._rows: List[list] = []
+
+    @classmethod
+    def whole_space(cls, field, width: int) -> "EchelonBasis":
+        """The basis of the whole space: the identity rows, without elimination."""
+        basis = cls(field, width)
+        basis.pivots = list(range(width))
+        basis._ints = [[int(i == j) for j in range(width)] for i in range(width)]
+        basis._rows = None  # read back from _ints on first use
+        return basis
 
     @property
     def dim(self) -> int:

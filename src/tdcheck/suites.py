@@ -10,6 +10,7 @@ are assembled in trial order regardless of the worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import List
@@ -108,8 +109,8 @@ def run_sweep(
     )
     one_trial = partial(_trial_checks, command, table, field, seed)
     if jobs > 1 and trials > 1:
-        # the pool starts all of its workers up front: never more than trials
-        with ProcessPoolExecutor(max_workers=min(jobs, trials)) as pool:
+        # the pool starts all of its workers up front: never more than trials or CPUs
+        with ProcessPoolExecutor(max_workers=min(jobs, trials, os.cpu_count() or 1)) as pool:
             results = list(pool.map(one_trial, range(trials)))
     else:
         results = [one_trial(t) for t in range(trials)]

@@ -9,10 +9,11 @@ look like
 i.e. a sum of coefficient*label terms.  Coefficients are expressions over
 integer literals, the named scalars th0..thd, ths0..thsd, y1..yd, beta,
 eps0..eps(d-2), parentheses and + - * / ^ with integer (possibly negative)
-exponents.  Precedence, tightest first: ^, unary -, * and /, binary + and -.
-An entry's right-hand side goes through the same parser, with basis labels as
-atoms outside parentheses, and its top-level sum is split into terms.  Nesting
-is at most MAX_EXPR_DEPTH deep, so no table can exhaust the recursion.
+exponents of absolute value at most MAX_EXPONENT.  Precedence, tightest
+first: ^, unary -, * and /, binary + and -.  An entry's right-hand side
+goes through the same parser, with basis labels as atoms outside
+parentheses, and its top-level sum is split into terms.  Nesting is at most
+MAX_EXPR_DEPTH deep, so no table can exhaust the recursion.
 
 Parsing is loss-free: the printer in tests/test_tables.py re-serializes every
 parsed bundled table byte for byte.  format_expr stays here for the
@@ -151,9 +152,11 @@ _NODES = (Num, Name, Neg, BinOp, Pow, BasisLabel)  # what an entry's tree holds
 
 ONE = Num(1)
 
-# Deepest parenthesis nesting and coefficient tree an entry may hold; the
-# bundled coefficients are at most 13 deep.
+# Deepest parenthesis nesting and coefficient tree an entry may hold, and the
+# largest |e| in base^e (evaluate multiplies |e| times); the bundled
+# coefficients are at most 13 deep, with |e| at most 5.
 MAX_EXPR_DEPTH = 64
+MAX_EXPONENT = 64
 
 _NAME_RE = re.compile(r"^(th|ths|y|eps)([0-9]+)$")
 
@@ -200,14 +203,12 @@ def evaluate(expr: Expr, env: Dict[str, object], field) -> object:
         return getattr(field, _FIELD_OPS[expr.op])(left, right)
     if isinstance(expr, Pow):
         base = evaluate(expr.base, env, field)
-        e = expr.exp
-        if e < 0:
+        if expr.exp < 0:
             if field.is_zero(base):
                 raise EvaluationError(f"zero base with negative power in {format_expr(expr)!r}")
             base = field.inv(base)
-            e = -e
         acc = field.one
-        for _ in range(e):
+        for _ in range(abs(expr.exp)):
             acc = field.mul(acc, base)
         return acc
     raise TypeError(f"not an expression node: {expr!r}")
@@ -370,7 +371,10 @@ class _ExprParser:
             tok = self.t.next()
             if tok[0] != "num":
                 raise self.t.error("exponent must be an integer", tok)
-            return Pow(base, sign * int(tok[1]))
+            exp = int(tok[1])
+            if exp > MAX_EXPONENT:
+                raise self.t.error(f"exponent exceeds {MAX_EXPONENT} in absolute value", tok)
+            return Pow(base, sign * exp)
         return base
 
     def atom(self):

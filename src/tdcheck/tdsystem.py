@@ -39,18 +39,17 @@ Both routes stay: the word-span note is inside every pinned d <= 3 round-trip
 report (tests/test_golden.py, perfbench/digests.json), and the roundtrip-qq
 benchmark workload runs both (word-span at d = 3, corner-cyclic at d = 4, 5).
 
-Over the rationals the three spans above (the closure of phi, the word span
-and the dual closure of the corner row) are certified on one image mod
-p = DEFAULT_PRIME first (_image; the modular rank method, see von zur Gathen
-and Gerhard, Modern Computer Algebra).  The lemma: when no denominator of the
-operators (or of the corner) is divisible by p, every vector those spans are
-built from is p-integral, and reduction mod p is a ring map on p-integral
-rationals, so vectors independent mod p are independent over Q: the
-dimension of a span mod p is at most its dimension over Q.  A full-dimension
-image therefore proves a full span over Q, and only the verdict "full" is
-taken from the image.  A short image, a denominator divisible by p, or a
-corner whose rows all vanish mod p falls back to the exact rational
-computation, so no verdict depends on the prime.
+Over the rationals each of those spans (the closure of phi, the word span
+and the dual closure of the corner row) is certified on one image mod
+p = DEFAULT_PRIME first, inside submodule_closure (the modular rank method,
+see von zur Gathen and Gerhard, Modern Computer Algebra).  The lemma: when no
+denominator of the operators or of the seed is divisible by p, every vector
+the span is built from is p-integral, and reduction mod p is a ring map on
+p-integral rationals, so vectors independent mod p are independent over Q:
+the dimension of a span mod p is at most its dimension over Q.  A
+full-dimension image therefore proves a full span over Q, and only the
+verdict "full" is taken from the image; every other case falls back to the
+exact computation (see submodule_closure), so no verdict depends on p.
 
 When the closure of phi is the whole module, its reduced echelon basis is
 the identity, so the restriction is the pair itself: extraction reads
@@ -116,11 +115,17 @@ def submodule_closure(a: Matrix, astar: Matrix, seed: Sequence) -> EchelonBasis:
     """Smallest subspace containing seed and invariant under both operators.
 
     Alternating image augmentation to a fixed point, stopping early once the
-    span is the whole space; the result is a reduced row-echelon basis.
+    span is the whole space; the result is a reduced row-echelon basis.  Over
+    Q it first runs on the image mod p (module docstring), and a full image
+    returns the whole space.  The exact loop decides over F_p, for a
+    denominator divisible by p, a seed that vanishes mod p or a short image.
     """
     field = a.field
     if vec_is_zero(field, list(seed)):
         raise ValueError("seed vector must be nonzero")
+    image = _image(a, astar, seed) if field.kind == "qq" else None
+    if image and submodule_closure(*image).dim == a.ncols:
+        return EchelonBasis.whole_space(field, a.ncols)
     basis = EchelonBasis(field, a.ncols)
     basis.add(list(seed))
     queue = [list(seed)]
@@ -135,11 +140,30 @@ def submodule_closure(a: Matrix, astar: Matrix, seed: Sequence) -> EchelonBasis:
     return basis
 
 
-def irreducibility_check(a: Matrix, astar: Matrix, field: Field) -> bool:
+def _image(a: Matrix, astar: Matrix, seed: Sequence) -> Optional[tuple]:
+    """(a, astar, seed) mod DEFAULT_PRIME, the operators read from their
+    cached integer form (Matrix.nonzeros); None when a denominator is
+    divisible by p or the seed vanishes mod p."""
+    p, n = _IMAGE_FIELD.p, a.ncols
+    (v,), vden = a.field.to_ints([seed])
+    out = []  # the seed is read as a one-row form
+    for den, rows in (a.nonzeros(), astar.nonzeros(), (vden, [(range(n), v)])):
+        if den % p == 0:
+            return None
+        inv, img = pow(den, -1, p), [[0] * n for _ in rows]
+        for row, (cols, vals) in zip(img, rows):
+            for j, x in zip(cols, vals):
+                row[j] = x * inv % p
+        out.append(img)
+    (v,) = out.pop()
+    return (*(Matrix(_IMAGE_FIELD, m) for m in out), v) if any(v) else None
+
+
+def irreducibility_check(a: Matrix, astar: Matrix) -> bool:
     """Span of all words in the pair stabilizes at dimension (dim W)^2?  The
     span is the closure of vec(I) under left multiplication, on row-major
     vec(M) the Kronecker product g (x) I for g = a, a*."""
-    n = a.nrows
+    field, n = a.field, a.nrows
     z = field.zero
 
     def left_mult(g: Matrix) -> Matrix:
@@ -152,34 +176,10 @@ def irreducibility_check(a: Matrix, astar: Matrix, field: Field) -> bool:
 
 def _corner_cyclic_irreducible(a: Matrix, astar: Matrix, corner: Matrix) -> bool:
     """Exact irreducibility via a rank-one corner idempotent whose image is
-    spanned by a vector that generates the module.  False for a zero corner,
-    which only an image mod p can be."""
-    row = next((r for r in corner.rows if not vec_is_zero(a.field, r)), None)
-    if row is None:
-        return False
+    spanned by a vector that generates the module."""
+    row = next(r for r in corner.rows if not vec_is_zero(a.field, r))
     dual = submodule_closure(a.transpose(), astar.transpose(), row)
     return dual.dim == a.nrows
-
-
-def _image(field: Field, *mats: Matrix) -> Optional[tuple]:
-    """The rational matrices reduced mod DEFAULT_PRIME; None over F_p, or when
-    a denominator is divisible by the prime (see the module docstring)."""
-    if field.kind != "qq":
-        return None
-    p, out = _IMAGE_FIELD.p, []
-    for m in mats:
-        ints, den = field.to_ints(m.rows)
-        if den % p == 0:
-            return None
-        inv = pow(den, -1, p)
-        out.append(Matrix(_IMAGE_FIELD, [[x * inv % p for x in row] for row in ints]))
-    return tuple(out)
-
-
-def _full_on_image_first(test, exact: tuple, image: Optional[tuple]) -> bool:
-    """test(*image) when it holds (a full span mod p is full over Q), else
-    test(*exact)."""
-    return (image is not None and test(*image)) or test(*exact)
 
 
 @dataclass
@@ -222,13 +222,8 @@ def extract_td_system(real: ModuleRealization) -> TDSystemReport:
     failures: List[Tuple[str, str]] = []
     notes: List[str] = []
     phi = real.basis_vector(real.basis[0])
-    image = _image(field, real.a, real.astar)
-    # phi is a unit vector, so its integer entries are its image
-    if image and submodule_closure(*image, list(map(int, phi))).dim == real.dim:
-        dim_w = real.dim
-    else:
-        closure = submodule_closure(real.a, real.astar, phi)
-        dim_w = closure.dim
+    closure = submodule_closure(real.a, real.astar, phi)
+    dim_w = closure.dim
 
     if dim_w == real.dim:  # W is the module: the restriction is the pair itself
         a_sub, astar_sub, phi_w = real.a, real.astar, phi
@@ -236,7 +231,6 @@ def extract_td_system(real: ModuleRealization) -> TDSystemReport:
         a_sub = restrict_operator(field, real.a, closure)
         astar_sub = restrict_operator(field, real.astar, closure)
         phi_w = closure.coordinates(phi)
-        image = _image(field, a_sub, astar_sub)
 
     try:
         # on the whole module, realize's families are these unless the lists differ
@@ -310,23 +304,15 @@ def extract_td_system(real: ModuleRealization) -> TDSystemReport:
         )
         split = split[:i]
 
-    # irreducibility: span criterion when small, corner-cyclic route otherwise;
-    # both are tried on the image mod p first
-    if dim_w <= SPAN_CRITERION_DIM_LIMIT:
-        irreducible = _full_on_image_first(
-            irreducibility_check, (a_sub, astar_sub, field), image and (*image, _IMAGE_FIELD)
-        )
-        notes.append("irreducibility via full word-span dimension")
-    elif sharp and split[:1] == [field.one]:  # phi spans the rank-one corner
-        corner_image = image and _image(field, corner)
-        irreducible = _full_on_image_first(
-            _corner_cyclic_irreducible, (a_sub, astar_sub, corner),
-            corner_image and (*image, *corner_image),
-        )
+    # irreducibility: span criterion when small, corner-cyclic route otherwise
+    large = dim_w > SPAN_CRITERION_DIM_LIMIT
+    if large and sharp and split[:1] == [field.one]:  # phi spans the rank-one corner
+        irreducible = _corner_cyclic_irreducible(a_sub, astar_sub, corner)
         notes.append("irreducibility via corner-cyclic test")
     else:
-        irreducible = irreducibility_check(a_sub, astar_sub, field)
-        notes.append("irreducibility via full word-span dimension (fallback)")
+        irreducible = irreducibility_check(a_sub, astar_sub)
+        fallback = " (fallback)" if large else ""
+        notes.append("irreducibility via full word-span dimension" + fallback)
     if irreducible is False:
         failures.append(("tds.irreducible", "a proper invariant subspace exists"))
     if field.kind == "qq":

@@ -253,7 +253,9 @@ def test_failing_verification_exits_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "coeff", ["(" * 300 + "y1" + ")" * 300, "(y1" + "+0" * 5000 + ")"], ids=["parens", "sum"]
+    "coeff",
+    ["(" * 300 + "y1" + ")" * 300, "(y1" + "+0" * 5000 + ")", "th0^3000000"],
+    ids=["parens", "sum", "exponent"],
 )
 def test_too_deeply_nested_table_is_a_usage_error(coeff, tmp_path, capsys):
     from tdcheck.tables import bundled_table_text
@@ -325,10 +327,18 @@ def test_jobs_never_start_more_workers_than_trials(monkeypatch, capsys):
             return map(fn, items)
 
     monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: 8)
     base = ["shape", "--d", "1", "--trials", "3", "--seed", "5"]
     code, out, _ = run_cli(capsys, *base, "--jobs", "100000")
     assert code == 0 and started == [3]
     assert out == run_cli(capsys, *base, "--jobs", "1")[1]
+    # nor more than CPUs: trials above the CPU count start one worker per CPU,
+    # and on one CPU (or an unknown count) --jobs > 1 still runs a pool
+    for cpus, want in ((8, 8), (1, 1), (None, 1)):
+        monkeypatch.setattr(suites.os, "cpu_count", lambda: cpus)
+        started.clear()
+        code, out, _ = run_cli(capsys, "shape", "--d", "1", "--trials", "12", "--jobs", "5000")
+        assert code == 0 and started == [want]
 
 
 MALFORMED = {

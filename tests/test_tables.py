@@ -199,6 +199,16 @@ def test_parenthesis_depth_is_bounded():
         parse_table(_d1_with_y1_as("(" * 300 + "y1" + ")" * 300))
 
 
+def test_exponent_is_bounded():
+    assert parse_table(_d1_with_y1_as("y1^64*y1^-64*y1"))
+    for exp in ("65", "-65", "3000000"):
+        text = _d1_with_y1_as(f"th0^{exp}")
+        with pytest.raises(ParseError, match="exceeds 64 in absolute value at line 14") as err:
+            parse_table(text)
+        line = text.splitlines()[13]
+        assert err.value.col == line.index(exp.lstrip("-")) + 1  # at the exponent
+
+
 def test_coefficient_depth_is_bounded():
     # k additions give a left-leaning chain of depth k + 1
     assert parse_table(_d1_with_y1_as("(y1" + "+0" * 63 + ")"))

@@ -10,11 +10,8 @@ from tdcheck.params import ParameterArray, random_admissible_context
 from tdcheck.realization import idempotent_families, realize
 from tdcheck.tables import FORMAT_VERSION, bundled_table_text, load_table, parse_table
 from tdcheck.tdsystem import (
-    _IMAGE_FIELD,
     InvalidParameterArrayError,
     _corner_cyclic_irreducible,
-    _full_on_image_first,
-    _image,
     construct_from_params,
     extract_td_system,
     irreducibility_check,
@@ -95,12 +92,12 @@ def test_closure_rejects_zero_seed():
 
 def test_one_dimensional_module_is_irreducible():
     a = Matrix(QQ, [[Fraction(3)]])
-    assert irreducibility_check(a, a, QQ)
+    assert irreducibility_check(a, a)
 
 
 def test_diagonal_pair_is_reducible():
     a = Matrix(QQ, [fr([2, 0]), fr([0, 3])])
-    assert not irreducibility_check(a, a, QQ)
+    assert not irreducibility_check(a, a)
 
 
 def test_d1_realized_pair_spans_four_dimensions():
@@ -112,14 +109,14 @@ def test_d1_realized_pair_spans_four_dimensions():
         [field.one, field.one],
     )
     real = construct_from_params(pa, field, load_table(pa.d))
-    assert irreducibility_check(real.a, real.astar, field)
+    assert irreducibility_check(real.a, real.astar)
 
 
 def test_three_dimensional_burnside_sanity():
     # diagonal with distinct entries plus a cyclic shift generate all of M_3
     a = Matrix(QQ, [fr([0, 0, 0]), fr([0, 1, 0]), fr([0, 0, 2])])
     astar = Matrix(QQ, [fr([0, 1, 0]), fr([0, 0, 1]), fr([1, 0, 0])])
-    assert irreducibility_check(a, astar, QQ)
+    assert irreducibility_check(a, astar)
 
 
 def reference_word_span_irreducible(a, astar, field):
@@ -165,7 +162,7 @@ def test_word_span_closure_matches_matrix_product_reference(field, seed):
     for trial, k, a, astar in random_pairs(field, seed):
         want = reference_word_span_irreducible(a, astar, field)
         assert not (k and want), trial  # a block-triangular pair is reducible
-        assert irreducibility_check(a, astar, field) == want, (trial, a.rows, astar.rows)
+        assert irreducibility_check(a, astar) == want, (trial, a.rows, astar.rows)
         verdicts.add(want)
     assert verdicts == {True, False}
 
@@ -176,48 +173,102 @@ def test_word_span_closure_matches_matrix_product_reference(field, seed):
 P = DEFAULT_PRIME
 
 
-def test_image_certified_word_span_matches_reference_over_q():
+def closure_calls(monkeypatch):
+    """Record each submodule_closure call, the one on the image mod p
+    included: (field kind, operator rows, seed, dimension found)."""
+    calls = []
+    closure = tdsystem.submodule_closure
+
+    def recorded(a, astar, seed):
+        basis = closure(a, astar, seed)
+        calls.append((a.field.kind, a.rows, list(seed), basis.dim))
+        return basis
+
+    monkeypatch.setattr(tdsystem, "submodule_closure", recorded)
+    return calls
+
+
+def qq_echelon_adds(monkeypatch):
+    """Count EchelonBasis.add calls over the rationals."""
+    adds = []
+    add = EchelonBasis.add
+
+    def counted(self, vec):
+        if self.field.kind == "qq":
+            adds.append(1)
+        return add(self, vec)
+
+    monkeypatch.setattr(EchelonBasis, "add", counted)
+    return adds
+
+
+def test_image_certified_word_span_matches_reference_over_q(monkeypatch):
     # the pairs of the reference test above: a full span mod p decides True,
     # anything else falls back to the exact span
     from_image = set()
     for trial, _, a, astar in random_pairs(QQ, 31):
         want = reference_word_span_irreducible(a, astar, QQ)
-        image = _image(QQ, a, astar)
-        on_image = irreducibility_check(*image, _IMAGE_FIELD)
-        assert want or not on_image, trial  # full mod p is full over Q
-        certified = _full_on_image_first(
-            irreducibility_check, (a, astar, QQ), (*image, _IMAGE_FIELD)
-        )
-        assert certified == want, trial
+        with monkeypatch.context() as m:
+            calls, adds = closure_calls(m), qq_echelon_adds(m)
+            assert irreducibility_check(a, astar) == want, trial
+        (kind, _, _, dim), _ = calls  # the image, then the closure over Q
+        on_image = dim == a.nrows ** 2
+        assert kind == "fp" and (want or not on_image), trial  # full mod p is full over Q
+        assert bool(adds) != on_image, trial  # only a short image runs the exact loop
         from_image.add(on_image)
     assert from_image == {True, False}
 
 
-def test_image_closure_can_be_short_where_the_exact_closure_is_full():
+def test_image_closure_can_be_short_where_the_exact_closure_is_full(monkeypatch):
     a = Matrix(QQ, [fr([0, 0]), fr([P, 0])])
-    image = _image(QQ, a, a)
-    assert image[0].rows == [[0, 0], [0, 0]]
-    assert submodule_closure(*image, [1, 0]).dim == 1
-    assert submodule_closure(a, a, fr([1, 0])).dim == 2
+    calls = closure_calls(monkeypatch)
+    assert tdsystem.submodule_closure(a, a, fr([1, 0])).dim == 2
+    assert calls == [("fp", [[0, 0], [0, 0]], [1, 0], 1), ("qq", a.rows, fr([1, 0]), 2)]
 
 
-def test_no_image_over_a_prime_field_or_for_a_denominator_divisible_by_p():
-    assert _image(QQ, Matrix(QQ, [[Fraction(1, P)]])) is None
-    assert _image(QQ, Matrix(QQ, [[Fraction(1, 3)]]), Matrix(QQ, [[Fraction(2, P)]])) is None
-    assert _image(FP, Matrix(FP, [[1]])) is None
+def test_no_image_over_a_prime_field_or_for_a_denominator_divisible_by_p(monkeypatch):
+    calls = closure_calls(monkeypatch)
+    one, third, tiny = Matrix(QQ, [fr([1])]), Matrix(QQ, [[Fraction(1, 3)]]), Fraction(1, P)
+    for a, astar, seed in [
+        (Matrix(QQ, [[tiny]]), one, fr([1])),
+        (third, Matrix(QQ, [[2 * tiny]]), fr([1])),
+        (one, one, [tiny]),
+        (Matrix(FP, [[1]]), Matrix(FP, [[1]]), [1]),
+    ]:
+        calls.clear()
+        assert tdsystem.submodule_closure(a, astar, seed).dim == 1
+        assert [kind for kind, *_ in calls] == [a.field.kind]  # the exact loop only
     # any other denominator is inverted mod p
-    (m,) = _image(QQ, Matrix(QQ, [[Fraction(1, 3), Fraction(-1)]]))
-    assert m.rows == [[pow(3, -1, P), P - 1]]
+    calls.clear()
+    a = Matrix(QQ, [[Fraction(1, 3), Fraction(-1)], fr([0, 0])])
+    tdsystem.submodule_closure(a, a, [Fraction(1, 3), Fraction(0)])
+    assert calls[0] == ("fp", [[pow(3, -1, P), P - 1], [0, 0]], [pow(3, -1, P), 0], 1)
 
 
-def test_corner_that_vanishes_mod_p_falls_back_to_the_exact_route():
+def test_corner_that_vanishes_mod_p_falls_back_to_the_exact_route(monkeypatch):
     a = Matrix(QQ, [fr([1, 0]), fr([0, 2])])
     astar = Matrix(QQ, [fr([1, 1]), fr([1, 1])])
-    corner = Matrix(QQ, [fr([P, 0]), fr([0, 0])])  # rank one, every row 0 mod p
-    image = _image(QQ, a, astar, corner)
-    assert not _corner_cyclic_irreducible(*image)  # no row to seed: no StopIteration
+    corner = Matrix(QQ, [fr([P, 0]), fr([0, 0])])  # rank one, its row 0 mod p
+    calls = closure_calls(monkeypatch)
     assert _corner_cyclic_irreducible(a, astar, corner)
-    assert _full_on_image_first(_corner_cyclic_irreducible, (a, astar, corner), image)
+    assert [(kind, dim) for kind, _, _, dim in calls] == [("qq", 2)]
+
+
+def test_seed_of_multiples_of_p_falls_back_to_the_exact_loop(monkeypatch):
+    a = Matrix(QQ, [fr([0, 1]), fr([1, 0])])
+    calls = closure_calls(monkeypatch)
+    assert tdsystem.submodule_closure(a, a, fr([P, 0])).dim == 2
+    assert [(kind, dim) for kind, _, _, dim in calls] == [("qq", 2)]
+
+
+def test_full_image_closure_is_the_identity_basis_without_exact_elimination(monkeypatch):
+    real = construct_from_params(d1_array(), QQ, load_table(1))
+    phi = real.basis_vector(real.basis[0])
+    want = Matrix.identity(QQ, 2).echelon().rows
+    adds = qq_echelon_adds(monkeypatch)
+    closure = tdsystem.submodule_closure(real.a, real.astar, phi)
+    assert adds == []  # the image settled it: no exact elimination ran
+    assert closure.pivots == [0, 1] and closure.rows == want
 
 
 # ---------------------------------------------------------------------------
