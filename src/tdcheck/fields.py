@@ -6,6 +6,10 @@ fields F_p (elements are ints in [0, p)).  Everything downstream is written
 against this protocol so every check can run either bit-exactly over the
 rationals or fast over a large prime field.
 
+Elements are canonical: what a field method, `mat_mul`, `Matrix.apply`,
+`EchelonBasis.rows` or the image mod p returns is a normalized Fraction or
+an int in [0, p), so `==` is equality and truthiness is the zero test.
+
 Randomness comes from splitmix64, chosen because it is tiny, well known and
 trivially reproducible across platforms; the algorithm identifier is recorded
 in reports.
@@ -139,9 +143,6 @@ class Rationals:
             raise ZeroDivisionError("inverse of zero scalar")
         return 1 / a
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     def random(self, rng: SplitMix64) -> Fraction:
         b = QQ_SAMPLE_BOUND
         return Fraction(rng.randrange(2 * b + 1) - b)
@@ -266,9 +267,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero scalar")
         return pow(a, -1, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
 
     def random(self, rng: SplitMix64) -> int:
         return rng.randrange(self.p)

@@ -9,7 +9,8 @@ the matrix that holds only the nonzero entries of each row, cleared to
 integers over one denominator; and EchelonBasis eliminates fraction-free on
 integer rows.  The last two reach the field through its integer-row hooks
 (`to_ints`, `from_ints`, `shrink`, `primitive`), so one code path serves the
-rationals and F_p.
+rationals and F_p.  Every entry they hand back is canonical (see `fields`),
+so matrices and vectors compare with `==` and a zero test is `not any(...)`.
 """
 
 from __future__ import annotations
@@ -97,8 +98,7 @@ class Matrix:
         return Matrix(self.field, [list(col) for col in zip(*self.rows)])
 
     def is_zero(self) -> bool:
-        z = self.field.is_zero
-        return all(z(x) for row in self.rows for x in row)
+        return not any(map(any, self.rows))
 
     def echelon(self) -> "EchelonBasis":
         """Reduced row-echelon basis of the row space."""
@@ -114,11 +114,6 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
 
 
-def vec_is_zero(field, v: Sequence) -> bool:
-    z = field.is_zero
-    return all(z(x) for x in v)
-
-
 def vec_sub(field, a: Sequence, b: Sequence) -> list:
     return list(map(field.sub, a, b))
 
@@ -126,10 +121,6 @@ def vec_sub(field, a: Sequence, b: Sequence) -> list:
 def vec_scale(field, c, v: Sequence) -> list:
     mul = field.mul
     return [mul(c, x) for x in v]
-
-
-def vec_eq(field, a: Sequence, b: Sequence) -> bool:
-    return vec_is_zero(field, vec_sub(field, a, b))
 
 
 class EchelonBasis:

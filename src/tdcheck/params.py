@@ -171,11 +171,11 @@ def validate_parameter_array(pa: ParameterArray, field: Field) -> ValidationResu
 
     if pa.zeta[0] != field.one:
         failures.append((COND_ZETA0, f"zeta_0 = {field.format(pa.zeta[0])}, expected 1"))
-    if field.is_zero(pa.zeta[d]):
+    if not pa.zeta[d]:
         failures.append((COND_ZETAD, "zeta_d = 0"))
     if theta_ok and theta_star_ok:
         s = admissibility_sum(field, pa)
-        if field.is_zero(s):
+        if not s:
             failures.append((COND_SUM, "weighted zeta sum vanishes"))
 
     if d <= 2:
@@ -198,9 +198,9 @@ def _violated_beta_guard(field: Field, d: int, beta) -> bool:
     it first makes a bad draw cost one scalar instead of two lists.
     """
     return (
-        field.is_zero(field.add(beta, field.one))
-        or (d >= 4 and field.is_zero(beta))
-        or (d == 5 and field.is_zero(field.sub(field.add(field.mul(beta, beta), beta), field.one)))
+        not field.add(beta, field.one)
+        or (d >= 4 and not beta)
+        or (d == 5 and not field.sub(field.add(field.mul(beta, beta), beta), field.one))
     )
 
 

@@ -20,7 +20,9 @@ identities:
 Orthogonality and the band conditions are read through the rank factors
 e_i = B_i R_i (RankFactors): e_i X e_j = 0 exactly when the block R_i X B_j
 is zero, and e_i e_j = delta_ij e_i exactly when R_i B_j = delta_ij I, so no
-n x n sandwich product is formed.
+n x n sandwich product is formed.  Completeness and eigenvalue reconstruction
+are one product per family: [e_0 | ... | e_d] times the column of blocks
+[I | t_i I] is [sum e_i | sum t_i e_i], compared with [I | op] by `==`.
 
 Any failed identity is reported with enough coordinates to replay it.
 """
@@ -33,7 +35,7 @@ from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 from .fields import Field
-from .linalg import Matrix, vec_eq, vec_scale, vec_sub
+from .linalg import Matrix, vec_scale, vec_sub
 from .params import SpecializationContext
 from .poly import MinimalPolynomialError, lagrange_idempotents
 from .report import Check
@@ -91,17 +93,7 @@ class RankFactors:
 
     def zero_blocks(self, rows: Sequence[int], x: List[list]) -> List[bool]:
         """For i in rows: is R_i x = 0?  With x = X B_j: is e_i X e_j = 0?"""
-        z = self.field.zero
-        return [_is_block(self.field, b, z) for b in self.sandwich(rows, x)]
-
-
-def _is_block(f: Field, block: List[list], diag) -> bool:
-    """block = diag * I; with diag zero, the zero block of any shape."""
-    return all(
-        f.is_zero(f.sub(x, diag) if r == s else x)
-        for r, row in enumerate(block)
-        for s, x in enumerate(row)
-    )
+        return [not any(map(any, b)) for b in self.sandwich(rows, x)]
 
 
 @dataclass
@@ -243,10 +235,11 @@ def _idempotent_family_checks(
     # every R_i B_j block from one product: stacked R_i times the B_j side by side
     blocks = fam.sandwich(range(d + 1), [sum(rows, []) for rows in zip(*fam.left)])
     offsets = [0, *accumulate(fam.ranks)]
+    units = [Matrix.identity(f, r).rows for r in fam.ranks]  # R_i B_i = I
     for i in range(d + 1):
         for j in range(d + 1):
             block = [row[offsets[j] : offsets[j + 1]] for row in blocks[i]]
-            ok = _is_block(f, block, f.one if i == j else f.zero)
+            ok = block == units[i] if i == j else not any(map(any, block))
             checks.append(
                 Check(
                     f"rel5.{tag}.{i}.{j}",
@@ -254,21 +247,13 @@ def _idempotent_family_checks(
                     "" if ok else f"{tag}_{i} {tag}_{j} != delta * {tag}_{i}",
                 )
             )
-    # rel6 and rel7 entry by entry, skipping zeros: cells[k] holds, for one
-    # (r, c), the entries e_0[r][c], ..., e_d[r][c], delta_rc and op[r][c].
-    # Sums are exact (ints or Fractions), so is_zero reads them in the field.
-    is_zero = f.is_zero
-    cells = [
-        (stack, f.one if r == c else f.zero, want)
-        for r, (rows, op_row) in enumerate(zip(zip(*(m.rows for m in idems)), op.rows))
-        for c, (stack, want) in enumerate(zip(zip(*rows), op_row))
-    ]
-    ok = all(is_zero(sum(filter(None, stack)) - delta) for stack, delta, _ in cells)
+    # rel6, rel7: [e_0 | ... | e_d] times [I | t_i I] stacked is [sum e_i | sum t_i e_i]
+    n, eye = op.nrows, Matrix.identity(f, op.nrows)
+    column = [row + scaled for t in values for row, scaled in zip(eye.rows, eye.scale(t).rows)]
+    sums = f.mat_mul([sum(rows, []) for rows in zip(*(m.rows for m in idems))], column)
+    ok = all(row[:n] == want for row, want in zip(sums, eye.rows))
     checks.append(Check(f"rel6.{tag}", ok, "" if ok else f"sum of {tag}_i != identity"))
-    ok = all(
-        is_zero(sum([v * x for v, x in zip(values, stack) if x]) - want)
-        for stack, _, want in cells
-    )
+    ok = all(row[n:] == want for row, want in zip(sums, op.rows))
     checks.append(
         Check(f"rel7.{tag}", ok, "" if ok else f"operator != sum of eigenvalue * {tag}_i")
     )
@@ -326,7 +311,7 @@ def mu_certificate(real: ModuleRealization) -> List[Check]:
         return [Check("mu.vacuous", True, "d = 0: chain conditions are vacuous")]
 
     av_phi = real.astar.apply(phi)
-    ok = vec_eq(f, av_phi, vec_scale(f, ctx.theta_star[0], phi))
+    ok = av_phi == vec_scale(f, ctx.theta_star[0], phi)
     corner = corner_identities(real)
     checks = [
         Check("mu.astar.phi", ok, "" if ok else "a*.phi != ths0 * phi"),
@@ -337,7 +322,7 @@ def mu_certificate(real: ModuleRealization) -> List[Check]:
     def step(cid: str, op: Matrix, t, label: BasisLabel, want: list, text: str) -> None:
         # one chain step: (op - t).v == want for the basis vector v at label
         v = real.basis_vector(label)
-        ok = vec_eq(f, vec_sub(f, op.apply(v), vec_scale(f, t, v)), want)
+        ok = vec_sub(f, op.apply(v), vec_scale(f, t, v)) == want
         checks.append(Check(cid, ok, "" if ok else text))
 
     for i in range(1, d + 1):
@@ -365,7 +350,7 @@ def split_sequence(a: Matrix, corner: Matrix, theta: List, theta_star: List, v: 
     s = theta_star and d + 1 = len(theta_star); None where the image is not a
     multiple of v.  tau_i(a) v is walked incrementally, one product per i."""
     f = a.field
-    pivot = next(k for k, x in enumerate(v) if not f.is_zero(x))
+    pivot = next(k for k, x in enumerate(v) if x)
     w, den, out = v, f.one, []
     for i in range(len(theta_star)):
         if i:
@@ -373,7 +358,7 @@ def split_sequence(a: Matrix, corner: Matrix, theta: List, theta_star: List, v: 
             den = f.mul(den, f.sub(theta_star[0], theta_star[i]))
         img = corner.apply(w)
         c = f.div(img[pivot], v[pivot])
-        out.append(f.mul(c, den) if vec_eq(f, img, vec_scale(f, c, v)) else None)
+        out.append(f.mul(c, den) if img == vec_scale(f, c, v) else None)
     return out
 
 

@@ -51,6 +51,14 @@ class EvaluationError(TableError):
     pass
 
 
+def _int(digits: str, line: int = None, col: int = None) -> int:
+    """int(digits); a run too long for int() is a ParseError at (line, col)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits)} digits is too long", line, col) from None
+
+
 # ---------------------------------------------------------------------------
 # Basis labels
 
@@ -89,7 +97,7 @@ def parse_label(text: str) -> BasisLabel:
         if digits == "":
             exp = 1
         else:
-            exp = int(digits)
+            exp = _int(digits)
             if exp < 2:
                 raise TableError(f"bad basis label {text!r}: exponent {exp} not canonical")
         if parts and parts[-1][0] == sym:
@@ -170,7 +178,7 @@ def check_scalar_name(text: str, d: int) -> None:
     m = _NAME_RE.match(text)
     if not m:
         raise TableError(f"unknown scalar name {text!r}")
-    prefix, idx = m.group(1), int(m.group(2))
+    prefix, idx = m.group(1), _int(m.group(2))
     ok = {
         "th": 0 <= idx <= d,
         "ths": 0 <= idx <= d,
@@ -198,13 +206,13 @@ def evaluate(expr: Expr, env: Dict[str, object], field) -> object:
     if isinstance(expr, BinOp):
         left = evaluate(expr.left, env, field)
         right = evaluate(expr.right, env, field)
-        if expr.op == "/" and field.is_zero(right):
+        if expr.op == "/" and not right:
             raise EvaluationError(f"division by zero in {format_expr(expr)!r}")
         return getattr(field, _FIELD_OPS[expr.op])(left, right)
     if isinstance(expr, Pow):
         base = evaluate(expr.base, env, field)
         if expr.exp < 0:
-            if field.is_zero(base):
+            if not base:
                 raise EvaluationError(f"zero base with negative power in {format_expr(expr)!r}")
             base = field.inv(base)
         acc = field.one
@@ -371,7 +379,7 @@ class _ExprParser:
             tok = self.t.next()
             if tok[0] != "num":
                 raise self.t.error("exponent must be an integer", tok)
-            exp = int(tok[1])
+            exp = _int(tok[1], self.t.line_no, tok[2] + 1)
             if exp > MAX_EXPONENT:
                 raise self.t.error(f"exponent exceeds {MAX_EXPONENT} in absolute value", tok)
             return Pow(base, sign * exp)
@@ -381,7 +389,7 @@ class _ExprParser:
         tok = self.t.next()
         kind, text, pos = tok
         if kind == "num":
-            return Num(int(text))
+            return Num(_int(text, self.t.line_no, pos + 1))
         if kind == "ident":
             if self.basis is not None and _is_label_token(text):
                 if self.depth:
@@ -533,7 +541,7 @@ def parse_table(text: str) -> ModuleTable:
     body = logical[1:]
     if not body or not re.fullmatch(r"d = [0-9]+", body[0][1]):
         raise ParseError("expected 'd = <int>' after the header", body[0][0] if body else 2)
-    d = int(body[0][1].split("=")[1])
+    d = _int(body[0][1][4:], body[0][0], 5)
     if d > MAX_TABLE_D:
         raise ParseError(f"no module tables beyond d = {MAX_TABLE_D}", body[0][0])
 

@@ -66,7 +66,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Sequence, Tuple
 
 from .fields import DEFAULT_PRIME, Field, PrimeField, field_echo
-from .linalg import EchelonBasis, Matrix, restrict_operator, vec_is_zero
+from .linalg import EchelonBasis, Matrix, restrict_operator
 from .params import ParameterArray, derive_context, validate_parameter_array
 from .realization import (
     ModuleRealization,
@@ -121,7 +121,7 @@ def submodule_closure(a: Matrix, astar: Matrix, seed: Sequence) -> EchelonBasis:
     denominator divisible by p, a seed that vanishes mod p or a short image.
     """
     field = a.field
-    if vec_is_zero(field, list(seed)):
+    if not any(seed):
         raise ValueError("seed vector must be nonzero")
     image = _image(a, astar, seed) if field.kind == "qq" else None
     if image and submodule_closure(*image).dim == a.ncols:
@@ -177,7 +177,7 @@ def irreducibility_check(a: Matrix, astar: Matrix) -> bool:
 def _corner_cyclic_irreducible(a: Matrix, astar: Matrix, corner: Matrix) -> bool:
     """Exact irreducibility via a rank-one corner idempotent whose image is
     spanned by a vector that generates the module."""
-    row = next(r for r in corner.rows if not vec_is_zero(a.field, r))
+    row = next(r for r in corner.rows if any(r))
     dual = submodule_closure(a.transpose(), astar.transpose(), row)
     return dual.dim == a.nrows
 

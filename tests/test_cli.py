@@ -252,22 +252,34 @@ def test_failing_verification_exits_one(tmp_path, capsys):
     assert json.loads(out)["overall"] is False
 
 
+DIGITS = "1" * 5000  # longer than int() converts from text by default (4,300)
+
+
 @pytest.mark.parametrize(
-    "coeff",
-    ["(" * 300 + "y1" + ")" * 300, "(y1" + "+0" * 5000 + ")", "th0^3000000"],
-    ids=["parens", "sum", "exponent"],
+    "old,new",
+    [("+ y1*phi", f"+ {coeff}*phi") for coeff in (
+        "(" * 300 + "y1" + ")" * 300,
+        "(y1" + "+0" * 5000 + ")",
+        "th0^3000000",
+        DIGITS,
+        f"y1^{DIGITS}",
+        f"th{DIGITS}",
+    )] + [("phi\nr\n", f"phi\nr{DIGITS}\n"), ("d = 1", f"d = 0{DIGITS}")],
+    ids=["parens", "sum", "exponent", "digits-literal", "digits-exponent",
+         "digits-scalar-index", "digits-basis-label", "digits-header"],
 )
-def test_too_deeply_nested_table_is_a_usage_error(coeff, tmp_path, capsys):
+def test_too_deeply_nested_table_is_a_usage_error(old, new, tmp_path, capsys):
     from tdcheck.tables import bundled_table_text
 
-    (tmp_path / "d1.txt").write_text(
-        bundled_table_text(1).replace("+ y1*phi", f"+ {coeff}*phi")
-    )
+    text = bundled_table_text(1)
+    assert old in text
+    (tmp_path / "d1.txt").write_text(text.replace(old, new, 1))
     code, out, err = run_cli(
         capsys, "verify-appendix", "--d", "1", "--trials", "1", "--assets", str(tmp_path)
     )
     assert (code, out) == (2, "")
     assert err.startswith("tdcheck: ") and len(err.strip().splitlines()) == 1
+    assert " at line " in err and "set_int_max_str_digits" not in err
 
 
 def write_array(tmp_path, obj) -> str:

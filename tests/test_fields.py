@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdcheck.fields import (
     DEFAULT_PRIME,
@@ -13,6 +15,7 @@ from tdcheck.fields import (
     field_echo,
     is_prime,
 )
+from tdcheck.linalg import EchelonBasis, Matrix, restrict_operator
 
 QQ = Rationals()
 F101 = PrimeField(101)
@@ -81,7 +84,7 @@ def test_field_axioms_on_random_triples(f):
         assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
         assert f.add(a, f.neg(a)) == f.zero
-        if not f.is_zero(a):
+        if a:
             assert f.mul(a, f.inv(a)) == f.one
 
 
@@ -117,6 +120,55 @@ def test_prime_field_element_range():
     s = Sampler(F101, 8)
     for _ in range(500):
         assert 0 <= s.scalar() < 101
+
+
+def is_canonical(f, x) -> bool:
+    """The element contract of tdcheck.fields: a Fraction over Q (normalized
+    by construction), an int in [0, p) over F_p."""
+    if f.kind == "qq":
+        return type(x) is Fraction
+    return type(x) is int and 0 <= x < f.p
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField(7), PrimeField()], ids=["qq", "f7", "fp"])
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 5),
+    ints=st.tuples(st.integers(-(10**30), 10**30), st.integers(-(10**30), 10**30)),
+)
+def test_every_result_is_canonical(f, seed, n, ints):
+    # == and truthiness decide equality and zero everywhere, so every value
+    # the fields and linalg hand back must be the canonical representative
+    s = Sampler(f, seed)
+    den = 1 + abs(ints[1]) % 6  # a unit in every field tested
+
+    def entry():
+        # about a third zeros; over Q the divisions give proper fractions
+        if not s.rng.randrange(3):
+            return f.zero
+        return f.div(s.scalar(), f.from_int(1 + s.rng.randrange(6)))
+
+    a, b = s.scalar(), s.scalar()
+    out = [a, b, f.from_int(ints[0]), f.from_int(ints[1]), f.parse(str(ints[0])),
+           f.parse(f"{ints[0]}/{den}"), f.parse(f.format(entry()))]
+    out += [f.add(a, b), f.sub(a, b), f.mul(a, b), f.neg(a), f.neg(f.zero)]
+    out += [f.div(a, b), f.inv(b)] if b else []
+    m = Matrix(f, [[entry() for _ in range(n)] for _ in range(n)])
+    m2 = Matrix(f, [[entry() for _ in range(n)] for _ in range(n)])
+    vec = [entry() for _ in range(n)]
+    krylov, v = EchelonBasis(f, n), vec  # span of vec, m vec, ...: invariant
+    while krylov.add(v):
+        v = m.apply(v)
+    echelon = m.echelon()
+    matrices = [
+        f.mat_mul(m.rows, m2.rows), (m * m2).rows, m.scale(a).rows, m.shift(a).rows,
+        Matrix.identity(f, n).rows, echelon.rows, krylov.rows,
+        restrict_operator(f, m, krylov).rows,
+    ]
+    out += m.apply(vec) + echelon.coordinates(m.rows[-1])
+    out += [x for rows in matrices for row in rows for x in row]
+    assert all(is_canonical(f, x) for x in out)
 
 
 def test_field_echo_records_rng():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdcheck.fields import PrimeField, Rationals, Sampler
-from tdcheck.linalg import EchelonBasis, Matrix, restrict_operator, vec_eq, vec_is_zero
+from tdcheck.linalg import EchelonBasis, Matrix, restrict_operator
 
 from support import zero_matrix
 
@@ -71,7 +71,7 @@ def test_echelon_basis_coordinates_and_containment():
     recon = [QQ.zero] * 3
     for c, row in zip(coords, basis.rows):
         recon = [QQ.add(x, QQ.mul(c, y)) for x, y in zip(recon, row)]
-    assert vec_eq(QQ, recon, [Fraction(5), Fraction(5), Fraction(4)])
+    assert recon == [Fraction(5), Fraction(5), Fraction(4)]
 
 
 def test_echelon_rows_are_reduced():
@@ -127,21 +127,21 @@ class ReferenceEchelonBasis:
         v = list(vec)
         for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
-            if not f.is_zero(c):
+            if c:
                 v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
         return v
 
     def add(self, vec):
         f = self.field
         v = self.reduce(vec)
-        piv = next((j for j, x in enumerate(v) if not f.is_zero(x)), None)
+        piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
             return False
         inv = f.inv(v[piv])
         v = [f.mul(inv, x) for x in v]
         for i, row in enumerate(self.rows):
             c = row[piv]
-            if not f.is_zero(c):
+            if c:
                 self.rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(row, v)]
         at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
         self.rows.insert(at, v)
@@ -149,7 +149,7 @@ class ReferenceEchelonBasis:
         return True
 
     def contains(self, vec):
-        return vec_is_zero(self.field, self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def coordinates(self, vec):
         f = self.field
@@ -158,9 +158,9 @@ class ReferenceEchelonBasis:
         for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
             coords.append(c)
-            if not f.is_zero(c):
+            if c:
                 v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        if not vec_is_zero(f, v):
+        if any(v):
             return None
         return coords
 

@@ -169,7 +169,7 @@ def test_random_admissible_context_passes_guards(d):
     assert len(ctx.epsilon) == max(0, d - 1)
     if d >= 3:
         bp1 = field.add(ctx.beta, field.one)
-        assert not field.is_zero(bp1)
+        assert bp1
         for seq in (ctx.theta, ctx.theta_star):
             for i in range(2, d):
                 num = field.sub(seq[i - 2], seq[i + 1])
@@ -178,10 +178,10 @@ def test_random_admissible_context_passes_guards(d):
     else:
         assert ctx.beta is None
     if d >= 4:
-        assert not field.is_zero(ctx.beta)
+        assert ctx.beta
     if d == 5:
         quad = field.sub(field.add(field.mul(ctx.beta, ctx.beta), ctx.beta), field.one)
-        assert not field.is_zero(quad)
+        assert quad
 
 
 @pytest.mark.parametrize("field", [QQ, FP, F11], ids=["qq", "fp", "f11"])
@@ -265,7 +265,7 @@ def test_beta_guards_divide_eigenvalue_repeats(f):
         assert f.sub(xs[4], x0) == f.mul(beta, f.sub(u, f.sub(x1, x2)))
         assert f.sub(xs[5], x0) == f.mul(quad, u)
         for guard, k in ((bp1, 3), (beta, 4), (quad, 5)):
-            if f.is_zero(guard):
+            if not guard:
                 assert xs[k] == x0
 
 
