@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = zz.add_parser("enumerate", help="list zigzag words")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--feasible", action="store_true", help="feasible words only")
-    p.add_argument("--exclude-r", type=int, default=0)
+    p.add_argument("--exclude-r", type=int, default=None)
     p.add_argument("--exclude-s", type=int, default=None)
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--output", type=Path, default=None)
@@ -169,11 +169,16 @@ def _run_check_params(args) -> VerificationReport:
 
 
 def _run_zz_enumerate(args) -> VerificationReport:
-    exclude_s = args.exclude_s if args.exclude_s is not None else args.d
     if args.feasible:
+        for flag in ("exclude_r", "exclude_s", "max_len"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag.replace('_', '-')} does not apply to --feasible")
         words = enumerate_feasible(args.d)
     else:
-        words = enumerate_zz(args.d, args.exclude_r, exclude_s, max_len=args.max_len)
+        if args.max_len is not None and args.max_len < 0:
+            raise ValueError("--max-len must be nonnegative")
+        exclude_s = args.exclude_s if args.exclude_s is not None else args.d
+        words = enumerate_zz(args.d, args.exclude_r or 0, exclude_s, max_len=args.max_len)
     counts = zz_counts_by_length(words)
     texts = [word_text(w) for w in words]
     del words  # the tuples are not needed once rendered; free them early

@@ -28,8 +28,7 @@ construct_from_params validates its array first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .fields import Field, Sampler, require_capacity
 from .poly import ladder
@@ -54,8 +53,7 @@ class ContextError(ValueError):
     """A sampler found no admissible draw within MAX_ATTEMPTS candidates."""
 
 
-@dataclass
-class ParameterArray:
+class ParameterArray(NamedTuple):
     d: int
     theta: list
     theta_star: list
@@ -108,23 +106,21 @@ class ParameterArray:
         return pa
 
 
-@dataclass
-class ValidationResult:
+class ValidationResult(NamedTuple):
     passed: bool
     failures: List[Tuple[str, str]]
-    vacuous: List[str] = dc_field(default_factory=list)
+    vacuous: List[str]
 
 
-@dataclass
-class SpecializationContext:
+class SpecializationContext(NamedTuple):
     """Concrete evaluation point for a module table of diameter d."""
 
     d: int
     theta: list
     theta_star: list
     y: list  # y_1..y_d (length d)
-    beta: Optional[object] = None  # present iff d >= 3
-    epsilon: list = dc_field(default_factory=list)  # eps_0..eps_{d-2}, d >= 2
+    beta: Optional[object]  # present iff d >= 3
+    epsilon: list  # eps_0..eps_{d-2}, d >= 2
 
 
 def _all_distinct(xs: Sequence) -> bool:

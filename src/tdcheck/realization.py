@@ -29,10 +29,9 @@ Any failed identity is reported with enough coordinates to replay it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .fields import Field
 from .linalg import Matrix, vec_scale, vec_sub
@@ -52,8 +51,7 @@ class RealizationError(ValueError):
         )
 
 
-@dataclass
-class RankFactors:
+class RankFactors(NamedTuple):
     """Exact rank factorizations e_i = B_i R_i of a family of matrices.
 
     R_i is the nonzero rows of the reduced echelon form of e_i and B_i is the
@@ -96,20 +94,28 @@ class RankFactors:
         return [not any(map(any, b)) for b in self.sandwich(rows, x)]
 
 
-@dataclass
 class ModuleRealization:
-    d: int
-    field: Field
-    context: SpecializationContext
-    basis: List[BasisLabel]
-    index: Dict[BasisLabel, int]
-    a: Matrix
-    astar: Matrix
-    e: List[Matrix]  # idempotents of a, ordered by eigenvalue list
-    estar: List[Matrix]  # idempotents of astar
-    factors: RankFactors  # of e
-    dual_factors: RankFactors  # of estar
-    spectra: Tuple[list, list]  # the (theta, theta_star) lists e and estar are built from
+    """A table realized at one context (a NamedTuple's `index` field would shadow tuple.index)."""
+
+    __slots__ = ("d", "field", "context", "basis", "index", "a", "astar",
+                 "e", "estar", "factors", "dual_factors", "spectra")
+
+    def __init__(self, d: int, field: Field, context: SpecializationContext,
+                 basis: List[BasisLabel], index: Dict[BasisLabel, int], a: Matrix,
+                 astar: Matrix, e: List[Matrix], estar: List[Matrix], factors: RankFactors,
+                 dual_factors: RankFactors, spectra: Tuple[list, list]):
+        self.d = d
+        self.field = field
+        self.context = context
+        self.basis = basis
+        self.index = index
+        self.a = a
+        self.astar = astar
+        self.e = e  # idempotents of a, ordered by eigenvalue list
+        self.estar = estar  # idempotents of astar
+        self.factors = factors  # of e
+        self.dual_factors = dual_factors  # of estar
+        self.spectra = spectra  # the (theta, theta_star) lists e and estar are built from
 
     @property
     def ranks(self) -> List[int]:

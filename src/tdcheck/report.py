@@ -4,21 +4,22 @@ Every randomized run records its field, seed and asset version so that any
 failure can be reproduced exactly.  Serialization is deterministic: checks
 are sorted by id and the JSON encoder uses sorted keys and fixed separators,
 so identical runs yield byte-identical reports.
+
+A Check is a NamedTuple; a VerificationReport is a plain class, since checks
+are added to it and a round trip read from a file gets its seed afterwards.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 
 class ReportError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     id: str
     passed: bool
     detail: str = ""
@@ -28,14 +29,17 @@ def failed(checks: Sequence[Check]) -> List[Check]:
     return [c for c in checks if not c.passed]
 
 
-@dataclass
 class VerificationReport:
-    command: str
-    field: dict  # fields.field_echo: kind, prime, rng algorithm
-    seed: Optional[int] = None
-    asset_version: Optional[str] = None
-    trials: int = 0
-    checks: List[Check] = dc_field(default_factory=list)
+    __slots__ = ("command", "field", "seed", "asset_version", "trials", "checks")
+
+    def __init__(self, command: str, field: dict, seed: Optional[int] = None,
+                 asset_version: Optional[str] = None, trials: int = 0):
+        self.command = command
+        self.field = field  # fields.field_echo: kind, prime, rng algorithm
+        self.seed = seed
+        self.asset_version = asset_version
+        self.trials = trials
+        self.checks: List[Check] = []
 
     @property
     def overall(self) -> bool:

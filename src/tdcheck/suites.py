@@ -11,7 +11,6 @@ are assembled in trial order regardless of the worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import List
 
@@ -109,7 +108,9 @@ def run_sweep(
     )
     one_trial = partial(_trial_checks, command, table, field, seed)
     if jobs > 1 and trials > 1:
-        # the pool starts all of its workers up front: never more than trials or CPUs
+        # imported here, so a --jobs 1 run never loads multiprocessing; the pool
+        # starts all of its workers up front: never more than trials or CPUs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, trials, os.cpu_count() or 1)) as pool:
             results = list(pool.map(one_trial, range(trials)))
     else:

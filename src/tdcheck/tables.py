@@ -17,16 +17,14 @@ MAX_EXPR_DEPTH deep, so no table can exhaust the recursion.
 
 Parsing is loss-free: the printer in tests/test_tables.py re-serializes every
 parsed bundled table byte for byte.  format_expr stays here for the
-evaluator's error messages.
+evaluator's error messages.  Labels, nodes and tables are NamedTuples.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 FORMAT_VERSION = "module-table v1"
 
@@ -63,8 +61,7 @@ def _int(digits: str, line: int = None, col: int = None) -> int:
 # Basis labels
 
 
-@dataclass(frozen=True)
-class BasisLabel:
+class BasisLabel(NamedTuple):
     """A basis label: 'phi' or a word in l/r with positive exponents."""
 
     parts: Tuple[Tuple[str, int], ...]  # e.g. (('l',1),('r',2)) for "lr2"
@@ -127,30 +124,25 @@ def chain_label(lexp: int, rexp: int) -> BasisLabel:
 # Coefficient expressions
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: int  # nonnegative; negatives are wrapped in Neg
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     child: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of + - * /
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: "Expr"
     exp: int
 
@@ -317,9 +309,7 @@ class _Tokens:
 
 
 def _is_label_token(text: str) -> bool:
-    if text == "phi":
-        return True
-    return bool(re.fullmatch(r"(?:[lr][0-9]*)+", text))
+    return text == "phi" or re.fullmatch(r"(?:[lr][0-9]*)+", text) is not None
 
 
 class _ExprParser:
@@ -433,14 +423,14 @@ def _term(node, fail) -> Tuple[Expr, BasisLabel]:
     coeff, label = node, None
     if isinstance(node, BinOp) and node.op == "*" and isinstance(node.right, BasisLabel):
         coeff, label = node.left, node.right
-    stack = [(coeff, 1)]  # (node, depth), walked without recursion
+    stack = [(coeff, 1)]  # (node, depth), walked without recursion; a node is its fields
     while stack:
         sub, depth = stack.pop()
         if isinstance(sub, BasisLabel):
             raise fail("basis label must end its term")
         if depth > MAX_EXPR_DEPTH:
             raise fail(f"coefficient nests deeper than {MAX_EXPR_DEPTH}")
-        stack += [(c, depth + 1) for c in vars(sub).values() if isinstance(c, _NODES)]
+        stack += [(c, depth + 1) for c in sub if isinstance(c, _NODES)]
     if label is None:
         raise fail("entry term must end with a basis label")
     return coeff, label
@@ -481,8 +471,7 @@ def _parse_entry(
 Action = Dict[BasisLabel, List[Tuple[Expr, BasisLabel]]]
 
 
-@dataclass
-class ModuleTable:
+class ModuleTable(NamedTuple):
     d: int
     basis: List[BasisLabel]
     basis_rows: List[List[BasisLabel]]  # row blocks as laid out in the file
@@ -603,10 +592,8 @@ def parse_table(text: str) -> ModuleTable:
 def bundled_table_text(d: int, assets: Optional[Path] = None) -> str:
     if not 0 <= d <= MAX_TABLE_D:
         raise TableError(f"no module table for d = {d}")
-    name = f"d{d}.txt"
-    if assets is not None:
-        return (Path(assets) / name).read_text()
-    return resources.files("tdcheck.data").joinpath(name).read_text()
+    folder = Path(__file__).parent / "data" if assets is None else Path(assets)
+    return (folder / f"d{d}.txt").read_text()
 
 
 def load_table(d: int, assets: Optional[Path] = None) -> ModuleTable:

@@ -62,8 +62,7 @@ them as real.spectra); a context replaced after realize rebuilds them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .fields import DEFAULT_PRIME, Field, PrimeField, field_echo
 from .linalg import EchelonBasis, Matrix, restrict_operator
@@ -182,8 +181,7 @@ def _corner_cyclic_irreducible(a: Matrix, astar: Matrix, corner: Matrix) -> bool
     return dual.dim == a.nrows
 
 
-@dataclass
-class TDSystemReport:
+class TDSystemReport(NamedTuple):
     diameter: int
     eigenvalues: list
     dual_eigenvalues: list
@@ -194,7 +192,7 @@ class TDSystemReport:
     axiom_failures: List[Tuple[str, str]]
     degenerate: bool
     closure_dim: int
-    notes: List[str] = dc_field(default_factory=list)
+    notes: List[str]
 
     def to_dict(self, field: Field) -> dict:
         return {

@@ -133,6 +133,8 @@ def enumerate_zz(
     (more than MAX_ZZ_WORDS words, or MAX_ZZ_LETTERS letters in all) is raised
     from counts taken first, before any word is built.
     """
+    if d < 0:
+        raise WordError("d must be nonnegative")
     if d > MAX_ZZ_D:
         raise EnumerationBudgetError(f"zigzag enumeration is capped at d = {MAX_ZZ_D}")
     if not 0 <= exclude_r <= d or not 0 <= exclude_s <= d:

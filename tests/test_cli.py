@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -44,11 +45,19 @@ def test_identical_invocations_are_byte_identical(capsys):
     assert out1 == out2
 
 
+JOBS_SWEEPS = (
+    ["verify-appendix"], ["mu-certificate"], ["shape"], ["zz", "rank"],
+    ["tds", "roundtrip", "--field", "qq"],
+)
+
+
 def test_jobs_do_not_change_the_report(capsys):
-    base = ["shape", "--d", "1", "--trials", "4", "--seed", "5"]
-    _, out1, _ = run_cli(capsys, *base, "--jobs", "1")
-    _, out2, _ = run_cli(capsys, *base, "--jobs", "2")
-    assert out1 == out2
+    # each trial's records (the table, the context, the checks) cross the pool by pickle
+    for command in JOBS_SWEEPS:
+        base = [*command, "--d", "2", "--trials", "4", "--seed", "5"]
+        code1, out1, _ = run_cli(capsys, *base, "--jobs", "1")
+        code2, out2, _ = run_cli(capsys, *base, "--jobs", "2")
+        assert code1 == code2 == 0 and out1 == out2, command
 
 
 def test_check_params_rejects_bad_zeta0(tmp_path, capsys):
@@ -189,6 +198,25 @@ def test_prime_below_d_plus_one_is_a_usage_error(argv, need, have, capsys):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert err == f"tdcheck: field too small: need {need} distinct values, {have} available\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # zigzag-only flags are refused with --feasible, not silently dropped
+        ("--d 2 --feasible --exclude-r 1", "--exclude-r does not apply to --feasible"),
+        ("--d 2 --feasible --exclude-s 0", "--exclude-s does not apply to --feasible"),
+        ("--d 2 --feasible --max-len 3", "--max-len does not apply to --feasible"),
+        ("--d 2 --feasible --exclude-r 0", "--exclude-r does not apply to --feasible"),
+        ("--d 1 --max-len -1", "--max-len must be nonnegative"),
+        ("--d -2 --exclude-s 0", "d must be nonnegative"),
+        ("--d -2", "d must be nonnegative"),
+        ("--d -2 --feasible", "d must be nonnegative"),
+    ],
+)
+def test_zz_enumerate_flag_misuse_is_a_usage_error(argv, message, capsys):
+    code, out, err = run_cli(capsys, "zz", "enumerate", *argv.split())
+    assert (code, out, err) == (2, "", f"tdcheck: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -338,7 +366,8 @@ def test_jobs_never_start_more_workers_than_trials(monkeypatch, capsys):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    # run_sweep imports the pool class from concurrent.futures on its jobs > 1 branch
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(suites.os, "cpu_count", lambda: 8)
     base = ["shape", "--d", "1", "--trials", "3", "--seed", "5"]
     code, out, _ = run_cli(capsys, *base, "--jobs", "100000")

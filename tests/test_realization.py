@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -18,7 +17,9 @@ from tdcheck.realization import (
 from tdcheck.report import failed
 from tdcheck.tables import load_table
 
-from support import coefficient_slots, mat_add, with_negated_coefficient, zero_matrix
+from support import (
+    coefficient_slots, mat_add, rebuilt, with_negated_coefficient, zero_matrix,
+)
 
 QQ = Rationals()
 FP = PrimeField()
@@ -273,7 +274,7 @@ def test_block_relations_match_full_sandwiches_off_idempotent_families():
     real = realize(load_table(3), ctx, FP)
     e = [mat_add(real.e[0], real.e[1]), zero_matrix(FP, real.dim), real.e[2].scale(2), real.e[3]]
     estar = [real.estar[0], mat_add(real.estar[1], real.estar[3]), real.a * real.a, real.estar[3]]
-    bent = dataclasses.replace(
+    bent = rebuilt(
         real, e=e, estar=estar, factors=RankFactors.of(e), dual_factors=RankFactors.of(estar)
     )
     want = reference_relation_checks(bent)
@@ -335,7 +336,7 @@ def test_entrywise_sums_fail_off_idempotent_families(f):
     real = realize(load_table(3), ctx, f)
     e = [mat_add(real.e[0], real.e[1]), zero_matrix(f, real.dim), real.e[2].scale(2), real.e[3]]
     estar = [real.estar[0], mat_add(real.estar[1], real.estar[3]), real.a * real.a, real.estar[3]]
-    bent = dataclasses.replace(
+    bent = rebuilt(
         real, e=e, estar=estar, factors=RankFactors.of(e), dual_factors=RankFactors.of(estar)
     )
     want = reference_sum_checks(bent)

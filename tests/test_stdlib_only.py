@@ -1,7 +1,11 @@
-"""The package imports nothing outside the standard library and itself, and
-holds no function that nothing in it refers to."""
+"""The package imports nothing outside the standard library and itself, holds
+no function that nothing in it refers to, and starts without the heavy
+standard-library modules a run does not need."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -56,3 +60,35 @@ def test_every_function_is_referenced_outside_its_own_body():
         and counts[node.name] == Counter(_referenced_names(node))[node.name]
     )
     assert unreferenced == []
+
+
+# Start-up costs that a --jobs 1 run does not need: dataclasses (it imports
+# inspect, ast, dis and tokenize), the process pool (multiprocessing, socket,
+# pickle, subprocess) and importlib.resources.
+NOT_AT_START_UP = (
+    "dataclasses", "inspect", "concurrent.futures", "multiprocessing", "importlib.resources",
+)
+
+START_UP_PROBE = """
+import json, sys
+import tdcheck.cli
+after_import = sorted(sys.modules)
+code = tdcheck.cli.main(["verify-appendix", "--d", "0", "--trials", "1"])
+print(json.dumps({"code": code, "after_import": after_import, "after_run": sorted(sys.modules)}))
+"""
+
+
+def test_start_up_loads_every_tdcheck_module_and_no_heavy_one():
+    # -S keeps site (and any .pth file it runs) out of sys.modules
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", START_UP_PROBE],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    probe = json.loads(run.stdout.splitlines()[-1])
+    assert probe["code"] == 0
+    assert [m for m in NOT_AT_START_UP if m in probe["after_run"]] == []
+    # tdcheck.cli imports the whole package, so perfbench's tracer, installed
+    # after that import, wraps every module before any of them binds a target
+    modules = {f"tdcheck.{path.stem}" for path in SRC.glob("*.py") if path.stem != "__init__"}
+    assert sorted(modules - set(probe["after_import"])) == []

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -18,6 +17,8 @@ from tdcheck.tdsystem import (
     roundtrip,
     submodule_closure,
 )
+
+from support import rebuilt
 
 QQ = Rationals()
 FP = PrimeField()
@@ -293,7 +294,7 @@ def test_extract_flags_axiom_failures_for_swapped_eigenvalues():
     ctx = random_admissible_context(2, FP, 3111)
     real = realize(load_table(2), ctx, FP)
     swapped = [ctx.theta[1], ctx.theta[0], ctx.theta[2]]
-    real = dataclasses.replace(real, context=dataclasses.replace(ctx, theta=swapped))
+    real = rebuilt(real, context=ctx._replace(theta=swapped))
     tds = extract_td_system(real)
     assert tds.axiom_failures
     assert any(cid.startswith("tds.band") for cid, _ in tds.axiom_failures)
@@ -303,7 +304,7 @@ def test_extract_reports_minimal_polynomial_failures_with_prefix():
     ctx = random_admissible_context(2, FP, 3112)
     real = realize(load_table(2), ctx, FP)
     wrong = [FP.add(x, FP.one) for x in ctx.theta]  # distinct, not the spectrum of a
-    real = dataclasses.replace(real, context=dataclasses.replace(ctx, theta=wrong))
+    real = rebuilt(real, context=ctx._replace(theta=wrong))
     tds = extract_td_system(real)
     assert [cid for cid, _ in tds.axiom_failures] == ["tds.minpoly.a"]
     assert tds.notes == ["extraction aborted: minimal polynomial failed"]
@@ -347,10 +348,8 @@ def test_extract_band_blocks_with_rank_zero_restricted_idempotents():
     # d = 1 module read against diameter-2 lists: the extra eigenvalues 5 and
     # 7 are not in the spectrum, so e_2 and e*_2 restrict to rank 0
     real = construct_from_params(d1_array(), QQ, load_table(1))
-    ctx = dataclasses.replace(
-        real.context, theta=fr([1, -1, 5]), theta_star=fr([1, -1, 7])
-    )
-    real = dataclasses.replace(real, context=ctx)
+    ctx = real.context._replace(theta=fr([1, -1, 5]), theta_star=fr([1, -1, 7]))
+    real = rebuilt(real, context=ctx)
     tds = extract_td_system(real)
     assert band_failures(tds) == reference_band_failures(real) == []
     assert tds.diameter == 1 and tds.shape == [1, 1] and tds.degenerate
@@ -360,7 +359,7 @@ def test_extract_band_blocks_match_full_sandwiches_when_they_fail():
     ctx = random_admissible_context(3, FP, 3111)
     real = realize(load_table(3), ctx, FP)
     swapped = [ctx.theta[2], ctx.theta[0], ctx.theta[1], ctx.theta[3]]
-    real = dataclasses.replace(real, context=dataclasses.replace(ctx, theta=swapped))
+    real = rebuilt(real, context=ctx._replace(theta=swapped))
     want = reference_band_failures(real)
     assert want and band_failures(extract_td_system(real)) == want
 
@@ -371,7 +370,7 @@ def test_extract_band_blocks_match_full_sandwiches_when_they_fail_over_q():
     ctx = random_admissible_context(3, QQ, 3111)
     real = realize(load_table(3), ctx, QQ)
     swapped = [ctx.theta[2], ctx.theta[0], ctx.theta[1], ctx.theta[3]]
-    real = dataclasses.replace(real, context=dataclasses.replace(ctx, theta=swapped))
+    real = rebuilt(real, context=ctx._replace(theta=swapped))
     want = reference_band_failures(real)
     assert want and band_failures(extract_td_system(real)) == want
 
@@ -390,7 +389,7 @@ def test_extract_rebuilds_the_families_only_for_other_eigenvalue_lists(field, mo
     assert calls == []  # the whole module: realize's families are reused
     ctx = real.context
     theta = ctx.theta[::-1]
-    extract_td_system(dataclasses.replace(real, context=dataclasses.replace(ctx, theta=theta)))
+    extract_td_system(rebuilt(real, context=ctx._replace(theta=theta)))
     assert calls == [(theta, ctx.theta_star)]
 
 
