@@ -95,6 +95,9 @@ def derive_seed(master: int, index: int) -> int:
     return SplitMix64((master ^ (index + 1)) & _U64).next_u64()
 
 
+DIGIT_LIMIT = 4300  # int()'s default digit limit; longer rational scalars are refused
+_TOO_LONG = 10**DIGIT_LIMIT
+
 # Random rationals are integers in [-QQ_SAMPLE_BOUND, QQ_SAMPLE_BOUND]; small
 # values keep exact arithmetic in deep products manageable.
 QQ_SAMPLE_BOUND = 1000
@@ -157,7 +160,14 @@ class Rationals:
         return f"{a.numerator}/{a.denominator}"
 
     def parse(self, text: str) -> Fraction:
-        return Fraction(text.strip())
+        # refused unread if longer than DIGIT_LIMIT or with a five-digit
+        # exponent (zero's too), so Fraction never builds 10 ** exponent
+        text = text.strip()
+        exp = text.lower().partition("e")[2].lstrip("+-0_")
+        x = Fraction(text) if len(text) <= DIGIT_LIMIT and len(exp) < 5 else None
+        if x is None or max(abs(x.numerator), x.denominator) >= _TOO_LONG:
+            raise FieldError(f"scalar {text[:24]!r} has more than {DIGIT_LIMIT} digits")
+        return x
 
     # Matrix kernel: clear denominators once per operand, multiply the
     # integer rows (`_int_mat_mul`), read each sum back over the product of
@@ -172,10 +182,10 @@ class Rationals:
 
     # Integer-row hooks: linalg runs Matrix.apply and echelon elimination on
     # integer vectors.  to_ints clears the denominators of a matrix at once,
-    # from_ints reads an integer over a denominator back, shrink bounds the
-    # entries of an elimination step (nothing to do over the rationals), and
-    # primitive scales a vector to the canonical integer representative of
-    # its line: content 1 and positive at piv.
+    # from_ints reads an integer over a denominator back, shrink canonicalizes
+    # a complete residual (nothing to do over the rationals), and primitive
+    # scales a vector to the canonical integer representative of its line:
+    # content 1 and positive at piv.
     def to_ints(self, rows):
         return _to_int_rows(rows)
 
@@ -290,9 +300,10 @@ class PrimeField:
         return [[s % p for s in acc] for acc in _int_mat_mul(rows_a, rows_b)]
 
     # Integer-row hooks (see Rationals): residues are already integers, so
-    # nothing is cleared and every denominator linalg passes back is 1;
-    # shrink reduces mod p, and the canonical representative of a line has 1
-    # at piv.
+    # nothing is cleared and every denominator linalg passes back is 1.  The
+    # echelon's steps leave entries unreduced; shrink reduces a residual mod p
+    # once, and primitive (the canonical representative of a line has 1 at
+    # piv) reduces a new or back-eliminated row.
     def to_ints(self, rows):
         return rows, 1
 

@@ -7,10 +7,11 @@ Matrix multiplication is the field's `mat_mul`, one sparse integer kernel
 for both fields (`fields._int_mat_mul`); `apply` reads a prepared form of
 the matrix that holds only the nonzero entries of each row, cleared to
 integers over one denominator; and EchelonBasis eliminates fraction-free on
-integer rows.  The last two reach the field through its integer-row hooks
-(`to_ints`, `from_ints`, `shrink`, `primitive`), so one code path serves the
-rationals and F_p.  Every entry they hand back is canonical (see `fields`),
-so matrices and vectors compare with `==` and a zero test is `not any(...)`.
+integer rows (walking nonzeros; over F_p one reduction per residual).  The
+last two reach the field through its integer-row hooks (`to_ints`,
+`from_ints`, `shrink`, `primitive`), so one code path serves the rationals
+and F_p.  Every entry they hand back is canonical (see `fields`), so
+matrices and vectors compare with `==` and a zero test is `not any(...)`.
 """
 
 from __future__ import annotations
@@ -135,11 +136,13 @@ class EchelonBasis:
     positive pivot over the rationals, pivot 1 over F_p) and is zero at every
     other row's pivot.  One elimination step is v <- r*v - c*row, with r and c
     the entries of row and v at the row's pivot, divided by gcd(r, c) (in the
-    style of Bareiss: no division by a pivot; over F_p, r is 1 and `shrink`
-    reduces mod p).  The reduced rows callers read, `rows`, are row / pivot
-    entry; they are built on first read and kept until the basis grows.  The
-    reduced echelon form is unique, so they equal the rows of a per-entry
-    elimination in the field.
+    style of Bareiss: no division by a pivot), walking row's nonzeros.  Over
+    F_p, r is 1 and nothing is reduced: no step changes v at another pivot,
+    so each c is an input residue, entries stay below p + width*p^2 in
+    absolute value, and `shrink` reduces the complete residual once.  The
+    reduced rows callers read, `rows`, are row / pivot entry; they are built
+    on first read and kept until the basis grows.  The reduced echelon form
+    is unique, so they equal the rows of a per-entry elimination in the field.
     """
 
     def __init__(self, field, width: int):
@@ -173,21 +176,20 @@ class EchelonBasis:
         return self._rows
 
     def _residual(self, vec: Sequence) -> list:
-        """vec as an integer vector, eliminated against every row."""
+        """vec as an integer vector, eliminated against every row, then shrunk."""
         f = self.field
         (v,), _ = f.to_ints([vec])
-        shrink = f.shrink
+        v = list(v)  # eliminated in place
         for row, piv in zip(self._ints, self.pivots):
-            c = v[piv]
-            if c:
-                v = shrink(_eliminate(v, row, piv))
-        return v
+            if v[piv]:
+                v = _eliminate(v, row, piv)
+        return f.shrink(v)
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec's residual; True if the dimension grew."""
         f = self.field
         v = self._residual(vec)
-        piv = next((j for j, x in enumerate(v) if x), None)
+        piv = next(compress(range(self.width), v), None)
         if piv is None:
             return False
         v = f.primitive(v, piv)
@@ -215,13 +217,17 @@ class EchelonBasis:
 
 
 def _eliminate(v: list, row: list, piv: int) -> list:
-    """r*v - c*row with r = row[piv], c = v[piv] over their gcd: zero at piv."""
+    """r*v - c*row with r = row[piv], c = v[piv] over their gcd: zero at piv.
+    Walks only row's nonzeros, in place unless r does not divide c."""
     r, c = row[piv], v[piv]
-    g = gcd(r, c)
-    if g != 1:
-        r //= g
+    if r != 1:
+        g = gcd(r, c)
+        if g != r:
+            v = [x * (r // g) for x in v]
         c //= g
-    return [r * x - c * y for x, y in zip(v, row)]
+    for j in compress(range(len(row)), row):
+        v[j] -= c * row[j]
+    return v
 
 
 def restrict_operator(field, op: Matrix, basis: EchelonBasis) -> Matrix:

@@ -21,10 +21,11 @@ behind the g_i assertion, applied at phi.
 
 Irreducibility: the reference criterion is that the words in the restricted
 pair span the full matrix algebra (span dimension = (dim W)^2).  That span is
-computed as a closure: the same fixpoint routine as the closure of phi
-(submodule_closure), seeded with vec(I) and run under left multiplication by
-a and a*, the (dim W)^2 x (dim W)^2 operators g (x) I.  Maintaining that span
-echelon costs on the order of (dim W)^6 field operations, so for
+computed as a closure (_word_span): the fixpoint loop of the closure of phi,
+seeded with vec(I) and run under left multiplication by a and a*, the
+(dim W)^2 x (dim W)^2 operators g (x) I, over Q built from the residues of
+the pair mod p (below).  Maintaining that span echelon costs on the order of
+(dim W)^6 integer multiply-adds and (dim W)^4 reductions mod p, so for
 dim W > 8 extraction uses an equivalent test available whenever the corner
 eigenspace is one-dimensional (the shape is sharp) and spanned by phi (the
 split read at phi starts with 1): phi generates W by construction, so W is
@@ -41,8 +42,9 @@ benchmark workload runs both (word-span at d = 3, corner-cyclic at d = 4, 5).
 
 Over the rationals each of those spans (the closure of phi, the word span
 and the dual closure of the corner row) is certified on one image mod
-p = DEFAULT_PRIME first, inside submodule_closure (the modular rank method,
-see von zur Gathen and Gerhard, Modern Computer Algebra).  The lemma: when no
+p = DEFAULT_PRIME first, in submodule_closure or, from the n x n pair's
+cached integer form, in _word_span (the modular rank method, see von zur
+Gathen and Gerhard, Modern Computer Algebra).  The lemma: when no
 denominator of the operators or of the seed is divisible by p, every vector
 the span is built from is p-integral, and reduction mod p is a ring map on
 p-integral rationals, so vectors independent mod p are independent over Q:
@@ -113,19 +115,22 @@ def construct_from_params(
 def submodule_closure(a: Matrix, astar: Matrix, seed: Sequence) -> EchelonBasis:
     """Smallest subspace containing seed and invariant under both operators.
 
-    Alternating image augmentation to a fixed point, stopping early once the
-    span is the whole space; the result is a reduced row-echelon basis.  Over
-    Q it first runs on the image mod p (module docstring), and a full image
-    returns the whole space.  The exact loop decides over F_p, for a
-    denominator divisible by p, a seed that vanishes mod p or a short image.
+    Over Q it first runs on the image mod p (module docstring), and a full
+    image returns the whole space.  The exact loop (_closure) decides over
+    F_p, for a denominator divisible by p, a seed zero mod p or a short image.
     """
-    field = a.field
     if not any(seed):
         raise ValueError("seed vector must be nonzero")
-    image = _image(a, astar, seed) if field.kind == "qq" else None
+    image = _image(a, astar, seed) if a.field.kind == "qq" else None
     if image and submodule_closure(*image).dim == a.ncols:
-        return EchelonBasis.whole_space(field, a.ncols)
-    basis = EchelonBasis(field, a.ncols)
+        return EchelonBasis.whole_space(a.field, a.ncols)
+    return _closure(a, astar, seed)
+
+
+def _closure(a: Matrix, astar: Matrix, seed: Sequence) -> EchelonBasis:
+    """Alternating image augmentation to a fixed point, stopping early once
+    the span is the whole space; the result is a reduced row-echelon basis."""
+    basis = EchelonBasis(a.field, a.ncols)
     basis.add(list(seed))
     queue = [list(seed)]
     while queue:
@@ -145,11 +150,12 @@ def _image(a: Matrix, astar: Matrix, seed: Sequence) -> Optional[tuple]:
     divisible by p or the seed vanishes mod p."""
     p, n = _IMAGE_FIELD.p, a.ncols
     (v,), vden = a.field.to_ints([seed])
-    out = []  # the seed is read as a one-row form
-    for den, rows in (a.nonzeros(), astar.nonzeros(), (vden, [(range(n), v)])):
+    out = []  # the seed is read as a one-row form of its own width
+    for den, rows, width in ((*a.nonzeros(), n), (*astar.nonzeros(), n),
+                             (vden, [(range(len(v)), v)], len(v))):
         if den % p == 0:
             return None
-        inv, img = pow(den, -1, p), [[0] * n for _ in rows]
+        inv, img = pow(den, -1, p), [[0] * width for _ in rows]
         for row, (cols, vals) in zip(img, rows):
             for j, x in zip(cols, vals):
                 row[j] = x * inv % p
@@ -159,18 +165,25 @@ def _image(a: Matrix, astar: Matrix, seed: Sequence) -> Optional[tuple]:
 
 
 def irreducibility_check(a: Matrix, astar: Matrix) -> bool:
-    """Span of all words in the pair stabilizes at dimension (dim W)^2?  The
-    span is the closure of vec(I) under left multiplication, on row-major
-    vec(M) the Kronecker product g (x) I for g = a, a*."""
+    """Span of all words in the pair stabilizes at dimension (dim W)^2?"""
     field, n = a.field, a.nrows
+    ident = [field.one if i == j else field.zero for i in range(n) for j in range(n)]
+    return _word_span(a, astar, ident).dim == n * n
+
+
+def _word_span(a: Matrix, astar: Matrix, seed: Sequence) -> EchelonBasis:
+    """Span of the words in the pair times the n x n matrix with row-major
+    vec seed: the closure of seed under g (x) I for g = a, a*.  Over Q it runs
+    on the residues of (a, astar, seed) first; a full image returns the whole
+    space, anything else only the exact loop, as the image was tried."""
+    field, n = a.field, a.nrows
+    image = _image(a, astar, seed) if field.kind == "qq" else None
+    if image and _word_span(*image).dim == n * n:
+        return EchelonBasis.whole_space(field, n * n)
     z = field.zero
-
-    def left_mult(g: Matrix) -> Matrix:
-        return Matrix(field, [[x if j == l else z for x in row for l in range(n)]
-                              for row in g.rows for j in range(n)])
-
-    ident = [field.one if i == j else z for i in range(n) for j in range(n)]
-    return submodule_closure(left_mult(a), left_mult(astar), ident).dim == n * n
+    left = [Matrix(field, [[x if j == l else z for x in row for l in range(n)]
+                           for row in g.rows for j in range(n)]) for g in (a, astar)]
+    return (_closure if field.kind == "qq" else submodule_closure)(*left, seed)
 
 
 def _corner_cyclic_irreducible(a: Matrix, astar: Matrix, corner: Matrix) -> bool:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -408,6 +409,22 @@ def test_malformed_array_is_rejected_cleanly(obj, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+def test_scalar_with_a_huge_exponent_fails_parse_or_is_a_usage_error(tmp_path, capsys):
+    array = write_array(
+        tmp_path,
+        {"d": 1, "theta": ["1e30000000", "-1"], "theta_star": ["1", "-1"], "zeta": ["1", "1"]},
+    )
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "check-params", "--field", "qq", "--input", array)
+    parse = [c for c in json.loads(out)["checks"] if c["id"] == "params.parse"]
+    assert code == 1 and not parse[0]["passed"]
+    assert parse[0]["detail"] == "malformed input: scalar '1e30000000' has more than 4300 digits"
+    code, out, err = run_cli(capsys, "tds", "roundtrip", "--field", "qq", "--input", array)
+    assert (code, out) == (2, "")
+    assert err == "tdcheck: scalar '1e30000000' has more than 4300 digits\n"
+    assert time.perf_counter() - start < 1
 
 
 def test_roundtrip_input_above_max_diameter_is_a_usage_error(tmp_path, capsys):

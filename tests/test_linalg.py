@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcheck.fields import PrimeField, Rationals, Sampler
+from tdcheck.fields import DEFAULT_PRIME, PrimeField, Rationals, Sampler
 from tdcheck.linalg import EchelonBasis, Matrix, restrict_operator
 
 from support import zero_matrix
@@ -241,6 +241,33 @@ def test_echelon_matches_reference_on_random_inputs(field, seed, width, density)
             added.append(v)
             assert_same_basis(got, want)
         assert_same_queries(s, got, want, width, added)
+
+
+@pytest.mark.parametrize("p,seed", [(7, 41), (11, 42), (DEFAULT_PRIME, 43)], ids=["f7", "f11", "fp"])
+@pytest.mark.parametrize("width", [32, 64])
+def test_prime_echelon_matches_reference_at_word_span_widths(p, seed, width):
+    # F_p steps leave entries unreduced until the residual is complete; they
+    # grow most when every entry and multiplier is p - 1.  full is
+    # (p - 1) J + (2 - p) I, invertible since 2 - width is a unit mod these p.
+    f, top = PrimeField(p), p - 1
+    s = Sampler(f, seed)
+    full = [[1 if j == k else top for j in range(width)] for k in range(width)]
+    half = [random_vector(s, width, 0.5) for _ in range(width // 2)]
+    for seq in (full, [[top] * width] + half + [[top] * width] + full):
+        got, want = EchelonBasis(f, width), ReferenceEchelonBasis(f, width)
+        for v in seq:
+            assert got.add(v) == want.add(v)
+            assert got.pivots == want.pivots
+            assert all(0 <= x < p for row in got._ints for x in row)  # stored rows stay reduced
+        assert got.dim == width
+        assert_same_basis(got, want)
+        assert_same_queries(s, got, want, width, seq)
+        assert got.coordinates([top] * width) == want.coordinates([top] * width) == [top] * width
+    # the whole space as read without elimination, queried as the grown basis
+    whole = EchelonBasis.whole_space(f, width)
+    assert_same_basis(whole, want)
+    assert_same_queries(s, whole, want, width, full)
+    assert whole.contains([top] * width) and not whole.add([top] * width)
 
 
 @pytest.mark.parametrize("field,seed", SEEDED_FIELDS, ids=FIELD_IDS)

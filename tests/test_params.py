@@ -1,9 +1,10 @@
 import hashlib
+import time
 from fractions import Fraction
 
 import pytest
 
-from tdcheck.fields import FieldTooSmallError, PrimeField, Rationals, Sampler
+from tdcheck.fields import FieldError, FieldTooSmallError, PrimeField, Rationals, Sampler
 from tdcheck.params import (
     COND_BETA,
     COND_SUM,
@@ -283,3 +284,25 @@ def test_parameter_array_json_roundtrip():
     )
     with pytest.raises(MalformedArrayError):
         ParameterArray.from_json('{"d": 1, "theta": ["0", "1"]}', QQ)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e30000000", "-1e-30000000", "1e4300", "1.5e-4300", "0e99999", "7" * 4301, "1/" + "3" * 4301],
+)
+def test_rational_scalar_over_the_digit_limit_is_refused_unbuilt(text):
+    start = time.perf_counter()
+    with pytest.raises(FieldError, match="has more than 4300 digits"):
+        QQ.parse(text)
+    array = f'{{"d": 0, "theta": ["{text}"], "theta_star": ["0"], "zeta": ["1"]}}'
+    with pytest.raises(FieldError):
+        ParameterArray.from_json(array, QQ)
+    assert time.perf_counter() - start < 1
+
+
+def test_rational_scalar_at_the_digit_limit_parses():
+    assert QQ.parse("1e4299") == 10**4299
+    assert QQ.parse("9" * 4300) == 10**4300 - 1
+    assert QQ.parse(" -2/4 ") == Fraction(-1, 2)
+    assert QQ.parse("0.25e1") == Fraction(5, 2)
+    assert QQ.parse("1e-0004") == Fraction(1, 10**4)

@@ -174,18 +174,18 @@ def test_word_span_closure_matches_matrix_product_reference(field, seed):
 P = DEFAULT_PRIME
 
 
-def closure_calls(monkeypatch):
-    """Record each submodule_closure call, the one on the image mod p
+def closure_calls(monkeypatch, name="submodule_closure"):
+    """Record each call of the closure `name`, the one on the image mod p
     included: (field kind, operator rows, seed, dimension found)."""
     calls = []
-    closure = tdsystem.submodule_closure
+    closure = getattr(tdsystem, name)
 
     def recorded(a, astar, seed):
         basis = closure(a, astar, seed)
         calls.append((a.field.kind, a.rows, list(seed), basis.dim))
         return basis
 
-    monkeypatch.setattr(tdsystem, "submodule_closure", recorded)
+    monkeypatch.setattr(tdsystem, name, recorded)
     return calls
 
 
@@ -210,7 +210,7 @@ def test_image_certified_word_span_matches_reference_over_q(monkeypatch):
     for trial, _, a, astar in random_pairs(QQ, 31):
         want = reference_word_span_irreducible(a, astar, QQ)
         with monkeypatch.context() as m:
-            calls, adds = closure_calls(m), qq_echelon_adds(m)
+            calls, adds = closure_calls(m, "_word_span"), qq_echelon_adds(m)
             assert irreducibility_check(a, astar) == want, trial
         (kind, _, _, dim), _ = calls  # the image, then the closure over Q
         on_image = dim == a.nrows ** 2
