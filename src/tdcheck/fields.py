@@ -6,9 +6,18 @@ fields F_p (elements are ints in [0, p)).  Everything downstream is written
 against this protocol so every check can run either bit-exactly over the
 rationals or fast over a large prime field.
 
-Elements are canonical: what a field method, `mat_mul`, `Matrix.apply`,
+Elements are canonical: what a field method, `Matrix.rows`, `Matrix.apply`,
 `EchelonBasis.rows` or the image mod p returns is a normalized Fraction or
 an int in [0, p), so `==` is equality and truthiness is the zero test.
+
+Matrices are held in the field's integer form (see `linalg.Matrix`): integer
+rows over one positive denominator.  Over Q the form is in lowest terms (the
+gcd of the denominator and every entry is 1); over F_p the rows are the
+residues and the denominator is 1.  `mat_mul` multiplies integer rows through
+one sparse kernel for both fields; `to_ints` clears the denominators of rows
+assembled from scalars, `from_int_rows` reads an integer form back as
+elements, and the remaining hooks (`ratio`, `from_ints`, `shrink`,
+`primitive`) serve linalg's integer kernels.
 
 Randomness comes from splitmix64, chosen because it is tiny, well known and
 trivially reproducible across platforms; the algorithm identifier is recorded
@@ -169,33 +178,37 @@ class Rationals:
             raise FieldError(f"scalar {text[:24]!r} has more than {DIGIT_LIMIT} digits")
         return x
 
-    # Matrix kernel: clear denominators once per operand, multiply the
-    # integer rows (`_int_mat_mul`), read each sum back over the product of
-    # the two denominators.
+    # Integer form.  mat_mul multiplies the integer rows of two forms: the
+    # product's denominator is the product of theirs, and Matrix.of_ints
+    # reduces the pair to lowest terms.  to_ints clears the denominators of
+    # rows assembled from scalars, from_int_rows and from_ints read integers
+    # over a denominator back as elements, ratio splits a scalar into
+    # numerator and denominator, shrink canonicalizes a complete echelon
+    # residual (nothing to do over the rationals), and primitive scales a
+    # vector to the canonical integer representative of its line: content 1
+    # and positive at piv (`changed` serves F_p only).  sub and mul also act
+    # on the integers of a form (linalg's scale and shift): plain integer
+    # arithmetic here.
     def mat_mul(self, rows_a, rows_b):
-        ia, da = _to_int_rows(rows_a)
-        ib, db = _to_int_rows(rows_b)
-        den, z = da * db, self.zero
-        return [
-            [Fraction(s, den) if s else z for s in acc] for acc in _int_mat_mul(ia, ib)
-        ]
+        return _int_mat_mul(rows_a, rows_b)
 
-    # Integer-row hooks: linalg runs Matrix.apply and echelon elimination on
-    # integer vectors.  to_ints clears the denominators of a matrix at once,
-    # from_ints reads an integer over a denominator back, shrink canonicalizes
-    # a complete residual (nothing to do over the rationals), and primitive
-    # scales a vector to the canonical integer representative of its line:
-    # content 1 and positive at piv.
     def to_ints(self, rows):
         return _to_int_rows(rows)
+
+    def from_int_rows(self, ints, den: int):
+        z = self.zero
+        return [[Fraction(x, den) if x else z for x in row] for row in ints]
 
     def from_ints(self, n: int, den: int) -> Fraction:
         return Fraction(n, den)
 
+    def ratio(self, a: Fraction):
+        return a.numerator, a.denominator
+
     def shrink(self, v):
         return v
 
-    def primitive(self, v, piv: int):
+    def primitive(self, v, piv: int, changed=None):
         g = gcd(*v)
         if v[piv] < 0:
             g = -g
@@ -203,7 +216,8 @@ class Rationals:
 
 
 def _to_int_rows(rows):
-    """Common-denominator form of a Fraction matrix: (int rows, denominator)."""
+    """Integer form of a Fraction matrix: (int rows, lcm of the denominators),
+    in lowest terms."""
     den = lcm(*(x.denominator for row in rows for x in row))
     if den == 1:
         return [[x.numerator for x in row] for row in rows], 1
@@ -288,34 +302,48 @@ class PrimeField:
         return str(a % self.p)
 
     def parse(self, text: str) -> int:
+        # refused unread if longer than DIGIT_LIMIT, as over the rationals
         text = text.strip()
+        if len(text) > DIGIT_LIMIT:
+            raise FieldError(f"scalar {text[:24]!r} has more than {DIGIT_LIMIT} digits")
         if "/" in text:
             num, den = text.split("/", 1)
             return self.div(int(num) % self.p, int(den) % self.p)
         return int(text) % self.p
 
-    # Matrix kernel: residues are integers already; reduce each sum mod p.
+    # Integer form (see Rationals): the residues over 1.  mat_mul reduces
+    # each sum mod p, so products stay residues; nothing is cleared, and the
+    # rows of a form are its elements.  The echelon's steps leave entries
+    # unreduced; shrink reduces a residual mod p once, and primitive (the
+    # canonical representative of a line has 1 at piv) reduces a new row, or
+    # only the entries `changed` of a back-eliminated row, whose pivot is 1
+    # and whose other entries are residues already.
     def mat_mul(self, rows_a, rows_b):
         p = self.p
         return [[s % p for s in acc] for acc in _int_mat_mul(rows_a, rows_b)]
 
-    # Integer-row hooks (see Rationals): residues are already integers, so
-    # nothing is cleared and every denominator linalg passes back is 1.  The
-    # echelon's steps leave entries unreduced; shrink reduces a residual mod p
-    # once, and primitive (the canonical representative of a line has 1 at
-    # piv) reduces a new or back-eliminated row.
     def to_ints(self, rows):
         return rows, 1
 
+    def from_int_rows(self, ints, den: int):
+        return ints
+
     def from_ints(self, n: int, den: int) -> int:
         return n % self.p
+
+    def ratio(self, a: int):
+        return a, 1
 
     def shrink(self, v):
         p = self.p
         return [x % p for x in v]
 
-    def primitive(self, v, piv: int):
+    def primitive(self, v, piv: int, changed=None):
         p = self.p
+        if changed is not None:
+            for j in changed:
+                v[j] %= p
+            return v
         inv = pow(v[piv], -1, p)
         return [x * inv % p for x in v]
 

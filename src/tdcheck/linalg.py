@@ -1,111 +1,148 @@
 """Exact matrices over a coefficient field, plus echelon utilities.
 
-Matrices are lists of rows of field elements.  Dimensions here are tiny
-(at most 32, or 64 for the word-span echelon), so the arithmetic of Matrix is
-written for clarity; the hot spots run on integers and walk only nonzeros.
-Matrix multiplication is the field's `mat_mul`, one sparse integer kernel
-for both fields (`fields._int_mat_mul`); `apply` reads a prepared form of
-the matrix that holds only the nonzero entries of each row, cleared to
-integers over one denominator; and EchelonBasis eliminates fraction-free on
-integer rows (walking nonzeros; over F_p one reduction per residual).  The
-last two reach the field through its integer-row hooks (`to_ints`,
-`from_ints`, `shrink`, `primitive`), so one code path serves the rationals
-and F_p.  Every entry they hand back is canonical (see `fields`), so
-matrices and vectors compare with `==` and a zero test is `not any(...)`.
+A Matrix is held in its field's integer form (see `fields`): integer rows
+over one positive denominator, in lowest terms, so over Q the gcd of the
+denominator and every entry is 1 and over F_p the rows are the residues over
+1.  A matrix assembled from scalars (`Matrix(field, rows)`) clears them on
+first use; a product, a scaled, shifted or transposed matrix and the identity
+are built from integer rows (`Matrix.of_ints`), and their elements are read
+back only when `rows` is read.  Dimensions are tiny (at most 32, or 64 for
+the word-span echelon) and the hot spots walk only nonzeros:
+
+  * a product is the field's `mat_mul` on the two integer forms, one sparse
+    integer kernel for both fields (`fields._int_mat_mul`), over the product
+    of the denominators, reduced by one gcd (`_lowest`);
+  * `apply` clears the vector once and reads one field element per output
+    entry from integer dot products over the nonzeros of each row;
+  * EchelonBasis eliminates fraction-free on integer rows (walking nonzeros;
+    over F_p one reduction per residual), and `Matrix.echelon` inserts the
+    rows of the integer form as they are: over Q each is a multiple of its
+    row, which spans the same line.
+
+Equal matrices have equal integer forms, so `==` compares those.  Every
+element handed back is canonical (see `fields`), so vectors compare with
+`==` and a zero test is `not any(...)`.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import List, Sequence
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "nrows", "ncols", "_nonzeros")
+    """A matrix over `field`; its rows must not change after first use."""
+
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_form", "_sparse")
 
     def __init__(self, field, rows: Sequence[Sequence]):
         self.field = field
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for r in self.rows:
+        self._rows = [list(r) for r in rows]
+        self.nrows = len(self._rows)
+        self.ncols = len(self._rows[0]) if self._rows else 0
+        for r in self._rows:
             if len(r) != self.ncols:
                 raise ValueError("ragged rows")
-        self._nonzeros = None
+        self._form = None  # cleared from the rows on first use
+        self._sparse = None
+
+    @classmethod
+    def of_ints(cls, field, ints: List[list], den: int = 1) -> "Matrix":
+        """The matrix ints / den, reduced to lowest terms.  Over F_p, ints are
+        residues and den is 1."""
+        m = cls.__new__(cls)
+        m.field = field
+        m._rows = None  # read back from the form on first use
+        m._form = _lowest(ints, den)
+        m._sparse = None
+        m.nrows = len(ints)
+        m.ncols = len(ints[0]) if ints else 0
+        return m
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls.of_ints(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_columns(cls, field, cols: Sequence[Sequence]) -> "Matrix":
         return cls(field, [list(row) for row in zip(*cols)])
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.rows)
+    @property
+    def form(self):
+        """(integer rows, denominator) in lowest terms."""
+        if self._form is None:
+            self._form = self.field.to_ints(self._rows)
+        return self._form
+
+    @property
+    def rows(self) -> List[list]:
+        """The entries as field elements."""
+        if self._rows is None:
+            self._rows = self.field.from_int_rows(*self._form)
+        return self._rows
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and self.field == other.field
-            and self.rows == other.rows
+            and self.form == other.form
         )
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in product")
-        return Matrix(self.field, self.field.mat_mul(self.rows, other.rows))
+        (a, da), (b, db) = self.form, other.form
+        return Matrix.of_ints(self.field, self.field.mat_mul(a, b), da * db)
 
     def scale(self, c) -> "Matrix":
-        """c * self; zero entries are kept as they are, not multiplied."""
-        mul = self.field.mul
-        rows = [[mul(c, x) if x else x for x in r] for r in self.rows]
-        return Matrix(self.field, rows)
+        """c * self; zero entries are kept as they are, not multiplied.  Like
+        shift, it works on the integer form, where the field's mul and sub
+        are integer arithmetic over Q and residue arithmetic over F_p."""
+        f = self.field
+        num, cden = f.ratio(c)
+        ints, den = self.form
+        rows = [[f.mul(num, x) if x else x for x in r] for r in ints]
+        return Matrix.of_ints(f, rows, den * cden)
 
     def shift(self, c) -> "Matrix":
         """self - c * I (square only)."""
-        out = self.copy()
-        sub = self.field.sub
-        for i in range(self.nrows):
-            out.rows[i][i] = sub(out.rows[i][i], c)
-        return out
-
-    def nonzeros(self):
-        """(den, [(cols, vals) per row]): each row's nonzero columns and their
-        values as integers over one common denominator.  Built on the first
-        call and kept, so the rows must not change after that."""
-        if self._nonzeros is None:
-            ints, den = self.field.to_ints(self.rows)
-            cols = range(self.ncols)
-            self._nonzeros = den, [
-                (list(compress(cols, r)), list(filter(None, r))) for r in ints
-            ]
-        return self._nonzeros
+        f = self.field
+        num, cden = f.ratio(c)
+        ints, den = self.form
+        rows = [[x * cden for x in r] for r in ints] if cden != 1 else [r[:] for r in ints]
+        num *= den
+        for i, r in enumerate(rows):
+            r[i] = f.sub(r[i], num)
+        return Matrix.of_ints(f, rows, den * cden)
 
     def apply(self, vec: Sequence) -> list:
-        """Matrix times column vector, read from `nonzeros`: each call clears
-        the vector's denominators once and reads back one field element per
-        output entry."""
-        den, rows = self.nonzeros()
+        """Matrix times column vector: the vector's denominators are cleared
+        once, each output entry is an integer dot product over the row's
+        nonzeros read back as one field element.  The nonzeros of each row
+        of the form (columns, values) are listed on the first call and kept:
+        a closure applies one operator many times."""
+        if self._sparse is None:
+            ints, _ = self.form
+            cols = range(self.ncols)
+            self._sparse = [(list(compress(cols, r)), list(filter(None, r))) for r in ints]
         (v,), vden = self.field.to_ints([vec])
-        den *= vden
-        back, at = self.field.from_ints, v.__getitem__
-        return [back(sum(map(mul, vals, map(at, cols))), den) for cols, vals in rows]
+        back, den, at = self.field.from_ints, self.form[1] * vden, v.__getitem__
+        return [back(sum(map(mul, vals, map(at, cols))), den) for cols, vals in self._sparse]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [list(col) for col in zip(*self.rows)])
+        ints, den = self.form
+        return Matrix.of_ints(self.field, [list(col) for col in zip(*ints)], den)
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.rows))
+        return not any(map(any, self.form[0]))
 
     def echelon(self) -> "EchelonBasis":
         """Reduced row-echelon basis of the row space."""
         basis = EchelonBasis(self.field, self.ncols)
-        for row in self.rows:
-            basis.add(row)
+        for row in self.form[0]:
+            basis.add(row, True)  # cleared
         return basis
 
     def rank(self) -> int:
@@ -113,6 +150,28 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
+
+
+def _lowest(ints: List[list], den: int):
+    """(ints, den) divided by the gcd of den and every entry.  Over F_p, and
+    for any integer matrix, den is 1 and nothing is read."""
+    g = den
+    for row in ints:
+        if g == 1:
+            break
+        g = gcd(g, *row)
+    if g == 1:
+        return ints, den
+    return [[x // g for x in r] for r in ints], den // g
+
+
+def common_form(mats: Sequence[Matrix]):
+    """The integer rows of each matrix over one denominator, the lcm of
+    theirs: (list of integer rows per matrix, den)."""
+    forms = [m.form for m in mats]
+    den = lcm(*(d for _, d in forms))
+    return [ints if d == den else [[x * (den // d) for x in r] for r in ints]
+            for ints, d in forms], den
 
 
 def vec_sub(field, a: Sequence, b: Sequence) -> list:
@@ -139,10 +198,13 @@ class EchelonBasis:
     style of Bareiss: no division by a pivot), walking row's nonzeros.  Over
     F_p, r is 1 and nothing is reduced: no step changes v at another pivot,
     so each c is an input residue, entries stay below p + width*p^2 in
-    absolute value, and `shrink` reduces the complete residual once.  The
-    reduced rows callers read, `rows`, are row / pivot entry; they are built
-    on first read and kept until the basis grows.  The reduced echelon form
-    is unique, so they equal the rows of a per-entry elimination in the field.
+    absolute value, and `shrink` reduces the complete residual once.  A
+    back-eliminated row over F_p keeps pivot 1 and changes only at the new
+    row's nonzeros, so only those entries are reduced (`primitive` with
+    `changed`); over Q it is made primitive again.  The reduced rows callers
+    read, `rows`, are row / pivot entry; they are built on first read and
+    kept until the basis grows.  The reduced echelon form is unique, so they
+    equal the rows of a per-entry elimination in the field.
     """
 
     def __init__(self, field, width: int):
@@ -175,28 +237,46 @@ class EchelonBasis:
             ]
         return self._rows
 
-    def _residual(self, vec: Sequence) -> list:
+    @property
+    def form(self):
+        """The reduced rows in integer form: (integer rows, den), den the lcm
+        of the pivot entries; lowest terms, as each row has content 1.  The
+        rows are the basis's own and change when it grows."""
+        den = lcm(*(row[piv] for row, piv in zip(self._ints, self.pivots)))
+        if den == 1:
+            return self._ints, 1
+        return [[x * (den // row[piv]) for x in row]
+                for row, piv in zip(self._ints, self.pivots)], den
+
+    def _residual(self, vec: Sequence, cleared: bool = False) -> list:
         """vec as an integer vector, eliminated against every row, then shrunk."""
         f = self.field
-        (v,), _ = f.to_ints([vec])
-        v = list(v)  # eliminated in place
+        if cleared:
+            v = list(vec)  # eliminated in place
+        else:
+            (v,), _ = f.to_ints([vec])
+            v = list(v)
         for row, piv in zip(self._ints, self.pivots):
             if v[piv]:
                 v = _eliminate(v, row, piv)
         return f.shrink(v)
 
-    def add(self, vec: Sequence) -> bool:
-        """Insert vec's residual; True if the dimension grew."""
+    def add(self, vec: Sequence, cleared: bool = False) -> bool:
+        """Insert vec's residual; True if the dimension grew.  With cleared,
+        vec is a row of integers of the field's integer form (over Q any
+        multiple of the vector: it spans the same line), read as it is."""
         f = self.field
-        v = self._residual(vec)
-        piv = next(compress(range(self.width), v), None)
-        if piv is None:
+        v = self._residual(vec, cleared)
+        cols = list(compress(range(self.width), v))
+        if not cols:
             return False
+        piv = cols[0]
         v = f.primitive(v, piv)
         rows = self._ints
         for i, row in enumerate(rows):
             if row[piv]:
-                rows[i] = f.primitive(_eliminate(row, v, piv), self.pivots[i])
+                # over F_p only the entries at v's nonzeros change
+                rows[i] = f.primitive(_eliminate(row, v, piv, cols), self.pivots[i], cols)
         at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
         rows.insert(at, v)
         self.pivots.insert(at, piv)
@@ -216,16 +296,17 @@ class EchelonBasis:
         return [vec[piv] for piv in self.pivots]
 
 
-def _eliminate(v: list, row: list, piv: int) -> list:
+def _eliminate(v: list, row: list, piv: int, cols=None) -> list:
     """r*v - c*row with r = row[piv], c = v[piv] over their gcd: zero at piv.
-    Walks only row's nonzeros, in place unless r does not divide c."""
+    Walks only row's nonzeros (cols, when the caller has them), in place
+    unless r does not divide c."""
     r, c = row[piv], v[piv]
     if r != 1:
         g = gcd(r, c)
         if g != r:
             v = [x * (r // g) for x in v]
         c //= g
-    for j in compress(range(len(row)), row):
+    for j in compress(range(len(row)), row) if cols is None else cols:
         v[j] -= c * row[j]
     return v
 

@@ -30,11 +30,11 @@ Any failed identity is reported with enough coordinates to replay it.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import comb
+from math import comb, lcm
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .fields import Field
-from .linalg import Matrix, vec_scale, vec_sub
+from .linalg import Matrix, common_form, vec_scale, vec_sub
 from .params import SpecializationContext
 from .poly import MinimalPolynomialError, lagrange_idempotents
 from .report import Check
@@ -59,29 +59,37 @@ class RankFactors(NamedTuple):
     row rank, so for any X, e_i X e_j = 0 iff R_i X B_j = 0, and
     e_i e_j = c e_i iff R_i B_j = c I (i = j) or 0 (i != j): no assumption
     about the family being orthogonal idempotents is needed.  Blocks are
-    plain row lists, so rank 0 (R_i 0 x n, B_i n x 0) needs no special case.
+    integer rows, read from the integer forms (linalg.Matrix) of e_i and of
+    its echelon basis: R_i is right[i] / r_i and B_i is left[i] / b_i with
+    dens[i] = r_i * b_i, so B_i R_i = left[i] right[i] / dens[i], and a zero
+    test of any block product needs no denominator.  Blocks are plain row
+    lists, so rank 0 (R_i 0 x n, B_i n x 0) needs no special case.
     """
 
     field: Field
     right: List[List[list]]  # R_i: r_i rows of length n
     left: List[List[list]]  # B_i: n rows of length r_i
+    dens: List[int]
 
     @classmethod
     def of(cls, idems: List[Matrix]) -> "RankFactors":
-        right, left = [], []
+        right, left, dens = [], [], []
         for m in idems:
             basis = m.echelon()
-            right.append(basis.rows)
-            left.append([[row[p] for p in basis.pivots] for row in m.rows])
-        return cls(idems[0].field, right, left)
+            rows, rden = basis.form
+            ints, den = m.form
+            right.append(rows)
+            left.append([[row[p] for p in basis.pivots] for row in ints])
+            dens.append(rden * den)
+        return cls(idems[0].field, right, left, dens)
 
     @property
     def ranks(self) -> List[int]:
         return [len(r) for r in self.right]
 
     def sandwich(self, rows: Sequence[int], x: List[list]) -> List[List[list]]:
-        """The blocks R_i x for i in rows, cut from one product of the
-        stacked R_i; x is a list of n rows."""
+        """The integer blocks right[i] x for i in rows, cut from one product
+        of the stacked right[i]; x is a list of n integer rows."""
         prod = self.field.mat_mul([r for i in rows for r in self.right[i]], x)
         out, at = [], 0
         for i in rows:
@@ -241,11 +249,14 @@ def _idempotent_family_checks(
     # every R_i B_j block from one product: stacked R_i times the B_j side by side
     blocks = fam.sandwich(range(d + 1), [sum(rows, []) for rows in zip(*fam.left)])
     offsets = [0, *accumulate(fam.ranks)]
-    units = [Matrix.identity(f, r).rows for r in fam.ranks]  # R_i B_i = I
     for i in range(d + 1):
         for j in range(d + 1):
             block = [row[offsets[j] : offsets[j + 1]] for row in blocks[i]]
-            ok = block == units[i] if i == j else not any(map(any, block))
+            if i == j:  # R_i B_i = I: the integer block is dens[i] * I
+                r, unit = fam.ranks[i], fam.dens[i]
+                ok = block == [[unit if k == l else 0 for l in range(r)] for k in range(r)]
+            else:
+                ok = not any(map(any, block))
             checks.append(
                 Check(
                     f"rel5.{tag}.{i}.{j}",
@@ -254,12 +265,20 @@ def _idempotent_family_checks(
                 )
             )
     # rel6, rel7: [e_0 | ... | e_d] times [I | t_i I] stacked is [sum e_i | sum t_i e_i]
-    n, eye = op.nrows, Matrix.identity(f, op.nrows)
-    column = [row + scaled for t in values for row, scaled in zip(eye.rows, eye.scale(t).rows)]
-    sums = f.mat_mul([sum(rows, []) for rows in zip(*(m.rows for m in idems))], column)
-    ok = all(row[:n] == want for row, want in zip(sums, eye.rows))
+    n = op.nrows
+    parts, den = common_form(idems)
+    ratios = [f.ratio(t) for t in values]
+    tden = lcm(*(q for _, q in ratios))
+    column = []
+    for t, q in ratios:
+        for k in range(n):
+            row = [0] * (2 * n)
+            row[k], row[n + k] = tden, t * (tden // q)
+            column.append(row)
+    sums = f.mat_mul([sum(rows, []) for rows in zip(*parts)], column)
+    ok = Matrix.of_ints(f, [row[:n] for row in sums], den * tden) == Matrix.identity(f, n)
     checks.append(Check(f"rel6.{tag}", ok, "" if ok else f"sum of {tag}_i != identity"))
-    ok = all(row[n:] == want for row, want in zip(sums, op.rows))
+    ok = Matrix.of_ints(f, [row[n:] for row in sums], den * tden) == op
     checks.append(
         Check(f"rel7.{tag}", ok, "" if ok else f"operator != sum of eigenvalue * {tag}_i")
     )
@@ -276,7 +295,7 @@ def _band_checks(tag: str, fam: RankFactors, op: Matrix) -> List[Check]:
         power = fam.left[j]
         for k in range(max(j, d - j)):
             if k > 0:
-                power = fam.field.mat_mul(op.rows, power)
+                power = fam.field.mat_mul(op.form[0], power)
             rows = [i for i in range(d + 1) if k < abs(i - j)]
             for i, ok in zip(rows, fam.zero_blocks(rows, power)):
                 checks.append(

@@ -43,7 +43,7 @@ benchmark workload runs both (word-span at d = 3, corner-cyclic at d = 4, 5).
 Over the rationals each of those spans (the closure of phi, the word span
 and the dual closure of the corner row) is certified on one image mod
 p = DEFAULT_PRIME first, in submodule_closure or, from the n x n pair's
-cached integer form, in _word_span (the modular rank method, see von zur
+integer form, in _word_span (the modular rank method, see von zur
 Gathen and Gerhard, Modern Computer Algebra).  The lemma: when no
 denominator of the operators or of the seed is divisible by p, every vector
 the span is built from is p-integral, and reduction mod p is a ring map on
@@ -146,22 +146,17 @@ def _closure(a: Matrix, astar: Matrix, seed: Sequence) -> EchelonBasis:
 
 def _image(a: Matrix, astar: Matrix, seed: Sequence) -> Optional[tuple]:
     """(a, astar, seed) mod DEFAULT_PRIME, the operators read from their
-    cached integer form (Matrix.nonzeros); None when a denominator is
-    divisible by p or the seed vanishes mod p."""
-    p, n = _IMAGE_FIELD.p, a.ncols
-    (v,), vden = a.field.to_ints([seed])
-    out = []  # the seed is read as a one-row form of its own width
-    for den, rows, width in ((*a.nonzeros(), n), (*astar.nonzeros(), n),
-                             (vden, [(range(len(v)), v)], len(v))):
+    integer form; None when a denominator is divisible by p or the seed
+    vanishes mod p."""
+    p = _IMAGE_FIELD.p
+    out = []  # the seed is read as a one-row form of its own
+    for ints, den in (a.form, astar.form, a.field.to_ints([seed])):
         if den % p == 0:
             return None
-        inv, img = pow(den, -1, p), [[0] * width for _ in rows]
-        for row, (cols, vals) in zip(img, rows):
-            for j, x in zip(cols, vals):
-                row[j] = x * inv % p
-        out.append(img)
+        inv = pow(den, -1, p)
+        out.append([[x * inv % p if x else 0 for x in row] for row in ints])
     (v,) = out.pop()
-    return (*(Matrix(_IMAGE_FIELD, m) for m in out), v) if any(v) else None
+    return (*(Matrix.of_ints(_IMAGE_FIELD, m) for m in out), v) if any(v) else None
 
 
 def irreducibility_check(a: Matrix, astar: Matrix) -> bool:
@@ -180,16 +175,17 @@ def _word_span(a: Matrix, astar: Matrix, seed: Sequence) -> EchelonBasis:
     image = _image(a, astar, seed) if field.kind == "qq" else None
     if image and _word_span(*image).dim == n * n:
         return EchelonBasis.whole_space(field, n * n)
-    z = field.zero
-    left = [Matrix(field, [[x if j == l else z for x in row for l in range(n)]
-                           for row in g.rows for j in range(n)]) for g in (a, astar)]
+    left = [Matrix.of_ints(field, [[x if j == l else 0 for x in row for l in range(n)]
+                                   for row in ints for j in range(n)], den)
+            for ints, den in (a.form, astar.form)]
     return (_closure if field.kind == "qq" else submodule_closure)(*left, seed)
 
 
 def _corner_cyclic_irreducible(a: Matrix, astar: Matrix, corner: Matrix) -> bool:
     """Exact irreducibility via a rank-one corner idempotent whose image is
     spanned by a vector that generates the module."""
-    row = next(r for r in corner.rows if any(r))
+    ints, den = corner.form
+    (row,) = a.field.from_int_rows([next(r for r in ints if any(r))], den)
     dual = submodule_closure(a.transpose(), astar.transpose(), row)
     return dual.dim == a.nrows
 
@@ -290,7 +286,7 @@ def extract_td_system(real: ModuleRealization) -> TDSystemReport:
             rows = [i for i in range(d + 1) if abs(i - j) > 1]
             if not rows:
                 continue
-            x = field.mat_mul(op.rows, fam.left[j])
+            x = field.mat_mul(op.form[0], fam.left[j])
             for i, ok in zip(rows, fam.zero_blocks(rows, x)):
                 if not ok:
                     failures.append((f"tds.band.{tag}.{i}.{j}", "sandwich is nonzero"))

@@ -427,6 +427,21 @@ def test_scalar_with_a_huge_exponent_fails_parse_or_is_a_usage_error(tmp_path, c
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("prime", [[], ["--prime", "7"]], ids=["default-prime", "f7"])
+@pytest.mark.parametrize("scalar", [DIGITS, "1/" + DIGITS, "-" + DIGITS + "/3"],
+                         ids=["integer", "denominator", "numerator"])
+def test_prime_field_refuses_an_over_long_scalar_by_name(scalar, prime, tmp_path, capsys):
+    array = write_array(
+        tmp_path, {"d": 1, "theta": [scalar, "-1"], "theta_star": ["1", "-1"], "zeta": ["1", "1"]}
+    )
+    message = f"scalar {scalar[:24]!r} has more than 4300 digits"
+    code, out, err = run_cli(capsys, "tds", "roundtrip", "--input", array, *prime)
+    assert (code, out, err) == (2, "", f"tdcheck: {message}\n")
+    code, out, _ = run_cli(capsys, "check-params", "--field", "fp", "--input", array, *prime)
+    parse = [c for c in json.loads(out)["checks"] if c["id"] == "params.parse"]
+    assert code == 1 and parse[0]["detail"] == f"malformed input: {message}"
+
+
 def test_roundtrip_input_above_max_diameter_is_a_usage_error(tmp_path, capsys):
     array = write_array(
         tmp_path,

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -161,10 +162,12 @@ def test_every_result_is_canonical(f, seed, n, ints):
     while krylov.add(v):
         v = m.apply(v)
     echelon = m.echelon()
-    matrices = [
-        f.mat_mul(m.rows, m2.rows), (m * m2).rows, m.scale(a).rows, m.shift(a).rows,
-        Matrix.identity(f, n).rows, echelon.rows, krylov.rows,
-        restrict_operator(f, m, krylov).rows,
+    derived = [m * m2, m.scale(a), m.shift(a), m.transpose(), Matrix.identity(f, n)]
+    for mat in derived + [m]:  # integer forms in lowest terms
+        ints, den = mat.form
+        assert den > 0 and gcd(den, *(x for row in ints for x in row)) == 1
+    matrices = [mat.rows for mat in derived] + [
+        echelon.rows, krylov.rows, restrict_operator(f, m, krylov).rows,
     ]
     out += m.apply(vec) + echelon.coordinates(m.rows[-1])
     out += [x for rows in matrices for row in rows for x in row]

@@ -1,5 +1,7 @@
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -299,7 +301,8 @@ def test_mat_mul_matches_reference_dot(f, seed, shape, density_a, density_b):
     n, k, m = shape
     a = [random_vector(s, k, density_a) for _ in range(n)]
     b = [random_vector(s, m, density_b) for _ in range(k)]
-    got = f.mat_mul(a, b)
+    (ia, da), (ib, db) = f.to_ints(a), f.to_ints(b)
+    got = f.from_int_rows(f.mat_mul(ia, ib), da * db)
     want = [[reduce(f.add, map(f.mul, row, col), f.zero) for col in zip(*b)] for row in a]
     assert got == want
     if f.kind == "qq":  # zero sums too come back as Fraction(0), not int 0
@@ -329,7 +332,7 @@ def test_apply_after_shift_and_copy_reads_the_new_entries(field, seed):
     assert mat.apply(v) == reference_apply(mat, v)
     shifted = mat.shift(s.scalar())
     assert shifted.apply(v) == reference_apply(shifted, v)
-    copied = mat.copy()
+    copied = Matrix(s.field, mat.rows)
     copied.rows[0] = random_vector(s, n)
     assert copied.apply(v) == reference_apply(copied, v)
     assert mat.apply(v) == reference_apply(mat, v)
@@ -338,8 +341,6 @@ def test_apply_after_shift_and_copy_reads_the_new_entries(field, seed):
 def test_tracer_entry_points_see_both_fields(monkeypatch, capsys):
     # perfbench's layer metrics wrap these two names on the classes and tag
     # each call with the receiver's field; both must keep seeing every call
-    from collections import Counter
-
     from tdcheck.cli import main
 
     counts = Counter()
@@ -359,3 +360,128 @@ def test_tracer_entry_points_see_both_fields(monkeypatch, capsys):
     for name in ("add", "apply"):
         for kind in ("qq", "fp"):
             assert counts[name, kind] > 0, (name, kind)
+
+
+@pytest.mark.parametrize("p,seed", [(7, 51), (DEFAULT_PRIME, 52)], ids=["f7", "fp"])
+@pytest.mark.parametrize("width,density", [(6, 1.0), (12, 0.3), (32, 0.15), (64, 0.5)])
+def test_prime_back_elimination_keeps_rows_canonical(p, seed, width, density):
+    # a back-eliminated row changes only at the new row's nonzeros, and only
+    # those entries are reduced: every stored row must still be canonical
+    f = PrimeField(p)
+    s = Sampler(f, seed)
+    got, want = EchelonBasis(f, width), ReferenceEchelonBasis(f, width)
+    added = []
+    for step in range(width + 8):
+        v = combination(s, added, width) if step % 4 == 3 else random_vector(s, width, density)
+        assert got.add(v) == want.add(v)
+        added.append(v)
+        for row, piv in zip(got._ints, got.pivots):
+            assert all(type(x) is int and 0 <= x < p for x in row)
+            assert row[piv] == 1
+            assert all(row[other] == 0 for other in got.pivots if other != piv)
+        assert got.pivots == want.pivots
+        assert got._ints == want.rows
+    assert_same_basis(got, want)
+
+
+def fraction_product(a, b):
+    """a times b by the schoolbook triple loop over Fractions; as in the
+    kernel, a 0 x m right operand is the empty list, so the product has no
+    columns."""
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a]
+
+
+def assert_lowest(form):
+    ints, den = form
+    assert den > 0 and gcd(den, *(x for row in ints for x in row)) == 1
+
+
+# entries: zero a third of the time, signed, with denominators up to 10^40
+fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+    st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3, 6, 10**40])),
+)
+
+
+def fraction_rows(nrows, ncols, zero_row, zero_col):
+    rows = st.lists(st.lists(fractions, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+    def blank(m):  # a zero row and a zero column, where the shape has them
+        m = [list(r) for r in m]
+        if zero_row is not None and nrows:
+            m[zero_row % nrows] = [Fraction(0)] * ncols
+        if zero_col is not None and ncols:
+            for r in m:
+                r[zero_col % ncols] = Fraction(0)
+        return m
+    return rows.map(blank)
+
+
+@st.composite
+def product_operands(draw):
+    n, k, m, w = (draw(st.integers(0, 5)) for _ in range(4))
+    zeros = lambda: draw(st.one_of(st.none(), st.integers(0, 4)))  # noqa: E731
+    return tuple(draw(fraction_rows(r, c, zeros(), zeros())) for r, c in ((n, k), (k, m), (m, w)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_operands())
+def test_rational_product_form_matches_the_fraction_triple_loop(operands):
+    # the integer form of a product (the kernel on the operands' integer
+    # rows, over the product of their denominators) is reduced and reads
+    # back as the schoolbook product, also with 0-row and 0-column shapes
+    a, b, c = operands
+    (ia, da), (ib, db), (ic, dc) = (QQ.to_ints(x) for x in operands)
+    ab = Matrix.of_ints(QQ, QQ.mat_mul(ia, ib), da * db)
+    assert_lowest(ab.form)
+    assert ab.rows == fraction_product(a, b)
+    if not b:  # a 0 x m operand: ab has lost its width m
+        return
+    abc = QQ.mat_mul(ab.form[0], ic)
+    assert QQ.from_int_rows(abc, ab.form[1] * dc) == fraction_product(fraction_product(a, b), c)
+    if all(x and x[0] for x in operands):  # no empty side: a Matrix carries the shapes
+        ma, mb, mc = (Matrix(QQ, x) for x in operands)
+        prod = (ma * mb) * mc
+        assert_lowest(prod.form)
+        assert prod.rows == fraction_product(fraction_product(a, b), c)
+        assert prod == ma * (mb * mc)
+
+
+def test_no_rational_product_or_matrix_echelon_clears_denominators(monkeypatch, capsys):
+    # over Q a matrix keeps its integer form, so only matrices assembled
+    # from scalars (table evaluation, vectors) reach the clearing function
+    import tdcheck.fields as fields
+    from tdcheck.cli import main
+
+    inside, reached, calls = [], [], Counter()
+
+    def guarded(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return wrapper
+
+    clear = fields._to_int_rows
+
+    def clearing(rows):
+        calls["clear"] += 1
+        reached.extend(inside[-1:])
+        return clear(rows)
+
+    monkeypatch.setattr(fields, "_to_int_rows", clearing)
+    monkeypatch.setattr(Rationals, "mat_mul", guarded("mat_mul", Rationals.mat_mul))
+    monkeypatch.setattr(Matrix, "echelon", guarded("echelon", Matrix.echelon))
+    for argv in ("verify-appendix --d 3 --field qq --trials 1",
+                 "tds roundtrip --d 3 --field qq --trials 1"):
+        assert main(argv.split()) == 0
+    capsys.readouterr()
+    assert reached == []
+    assert calls["mat_mul"] and calls["echelon"] and calls["clear"]

@@ -287,8 +287,8 @@ def test_rank_factors_multiply_back_to_the_family():
     ctx = random_admissible_context(3, QQ, 903)
     real = realize(load_table(3), ctx, QQ)
     fam = real.dual_factors
-    for m, left, right in zip(real.estar, fam.left, fam.right):
-        assert Matrix(QQ, QQ.mat_mul(left, right)) == m
+    for m, left, right, den in zip(real.estar, fam.left, fam.right, fam.dens):
+        assert Matrix.of_ints(QQ, QQ.mat_mul(left, right), den) == m
     assert fam.ranks == [1, 3, 3, 1]
 
 
