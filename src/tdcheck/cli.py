@@ -42,11 +42,11 @@ def _field(args):
 
 
 def _add_sweep(sub, name: str, help_text: str, sweep: str = None,
-               trials_default: int = 20, d_required: bool = True) -> argparse.ArgumentParser:
+               d_required: bool = True) -> argparse.ArgumentParser:
     """A subcommand running the sweep `sweep` (default: `name`)."""
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--d", type=int, required=d_required, help="diameter (0..5)")
-    p.add_argument("--trials", type=int, default=trials_default)
+    p.add_argument("--trials", type=int, default=20)
     p.add_argument("--field", choices=("qq", "fp"), default="fp")
     p.add_argument("--prime", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -99,12 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
         dest="tds_command", required=True
     )
     p = _add_sweep(tds, "roundtrip", "parameter array -> module -> array",
-                   sweep="tds-roundtrip", trials_default=10, d_required=False)
+                   sweep="tds-roundtrip", d_required=False)
     p.add_argument(
         "--input", type=Path, default=None,
         help="round-trip this parameter array JSON instead of random arrays",
     )
-    p.set_defaults(run=_run_tds_roundtrip)
+    # None tells a given --trials or --jobs from none, which --input refuses
+    p.set_defaults(run=_run_tds_roundtrip, trials=None, jobs=None)
 
     return ap
 
@@ -138,7 +139,12 @@ def _run_tds_roundtrip(args) -> VerificationReport:
     if args.input is None:
         if args.d is None:
             raise ValueError("tds roundtrip needs --d or --input")
+        args.trials = 10 if args.trials is None else args.trials
+        args.jobs = 1 if args.jobs is None else args.jobs
         return _run_sweep(args)
+    for flag in ("d", "trials", "jobs"):
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} does not apply to --input")
     field = _field(args)
     pa = ParameterArray.from_json(args.input.read_text(), field)
     rep = roundtrip(pa, field, load_table(pa.d, args.assets))

@@ -326,7 +326,7 @@ class PrimeField:
         return rows, 1
 
     def from_int_rows(self, ints, den: int):
-        return ints
+        return [list(r) for r in ints]  # new rows: the form stays the matrix's own
 
     def from_ints(self, n: int, den: int) -> int:
         return n % self.p

@@ -3,11 +3,12 @@
 A Matrix is held in its field's integer form (see `fields`): integer rows
 over one positive denominator, in lowest terms, so over Q the gcd of the
 denominator and every entry is 1 and over F_p the rows are the residues over
-1.  A matrix assembled from scalars (`Matrix(field, rows)`) clears them on
-first use; a product, a scaled, shifted or transposed matrix and the identity
-are built from integer rows (`Matrix.of_ints`), and their elements are read
-back only when `rows` is read.  Dimensions are tiny (at most 32, or 64 for
-the word-span echelon) and the hot spots walk only nonzeros:
+1.  A matrix assembled from scalars (`Matrix(field, rows)`) clears them when
+it is built; a product, a scaled, shifted or transposed matrix, the identity
+and the word-span Kronecker operators are built from integer rows
+(`Matrix.of_ints`).  The form is all a Matrix holds: `rows` reads the
+elements back from it on each access.  Dimensions are tiny (at most 32, or
+64 for the word-span echelon) and the hot spots walk only nonzeros:
 
   * a product is the field's `mat_mul` on the two integer forms, one sparse
     integer kernel for both fields (`fields._int_mat_mul`), over the product
@@ -33,19 +34,18 @@ from typing import List, Sequence
 
 
 class Matrix:
-    """A matrix over `field`; its rows must not change after first use."""
+    """A matrix over `field`, held as its integer form."""
 
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_form", "_sparse")
+    __slots__ = ("field", "nrows", "ncols", "form", "_sparse")
 
     def __init__(self, field, rows: Sequence[Sequence]):
+        rows = [list(r) for r in rows]
         self.field = field
-        self._rows = [list(r) for r in rows]
-        self.nrows = len(self._rows)
-        self.ncols = len(self._rows[0]) if self._rows else 0
-        for r in self._rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged rows")
-        self._form = None  # cleared from the rows on first use
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+        if any(len(r) != self.ncols for r in rows):
+            raise ValueError("ragged rows")
+        self.form = field.to_ints(rows)  # (integer rows, denominator) in lowest terms
         self._sparse = None
 
     @classmethod
@@ -54,8 +54,7 @@ class Matrix:
         residues and den is 1."""
         m = cls.__new__(cls)
         m.field = field
-        m._rows = None  # read back from the form on first use
-        m._form = _lowest(ints, den)
+        m.form = _lowest(ints, den)
         m._sparse = None
         m.nrows = len(ints)
         m.ncols = len(ints[0]) if ints else 0
@@ -70,18 +69,9 @@ class Matrix:
         return cls(field, [list(row) for row in zip(*cols)])
 
     @property
-    def form(self):
-        """(integer rows, denominator) in lowest terms."""
-        if self._form is None:
-            self._form = self.field.to_ints(self._rows)
-        return self._form
-
-    @property
     def rows(self) -> List[list]:
-        """The entries as field elements."""
-        if self._rows is None:
-            self._rows = self.field.from_int_rows(*self._form)
-        return self._rows
+        """The entries as field elements, read back from the form."""
+        return self.field.from_int_rows(*self.form)
 
     def __eq__(self, other) -> bool:
         return (
@@ -202,9 +192,9 @@ class EchelonBasis:
     back-eliminated row over F_p keeps pivot 1 and changes only at the new
     row's nonzeros, so only those entries are reduced (`primitive` with
     `changed`); over Q it is made primitive again.  The reduced rows callers
-    read, `rows`, are row / pivot entry; they are built on first read and
-    kept until the basis grows.  The reduced echelon form is unique, so they
-    equal the rows of a per-entry elimination in the field.
+    read, `rows`, are row / pivot entry, built on each read.  The reduced
+    echelon form is unique, so they equal the rows of a per-entry
+    elimination in the field.
     """
 
     def __init__(self, field, width: int):
@@ -212,7 +202,6 @@ class EchelonBasis:
         self.width = width
         self.pivots: List[int] = []
         self._ints: List[list] = []
-        self._rows: List[list] = []
 
     @classmethod
     def whole_space(cls, field, width: int) -> "EchelonBasis":
@@ -220,7 +209,6 @@ class EchelonBasis:
         basis = cls(field, width)
         basis.pivots = list(range(width))
         basis._ints = [[int(i == j) for j in range(width)] for i in range(width)]
-        basis._rows = None  # read back from _ints on first use
         return basis
 
     @property
@@ -229,13 +217,8 @@ class EchelonBasis:
 
     @property
     def rows(self) -> List[list]:
-        if self._rows is None:
-            back = self.field.from_ints
-            self._rows = [
-                [back(x, row[piv]) for x in row]
-                for row, piv in zip(self._ints, self.pivots)
-            ]
-        return self._rows
+        back = self.field.from_ints
+        return [[back(x, row[piv]) for x in row] for row, piv in zip(self._ints, self.pivots)]
 
     @property
     def form(self):
@@ -280,7 +263,6 @@ class EchelonBasis:
         at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
         rows.insert(at, v)
         self.pivots.insert(at, piv)
-        self._rows = None
         return True
 
     def contains(self, vec: Sequence) -> bool:

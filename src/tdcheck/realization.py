@@ -20,9 +20,11 @@ identities:
 Orthogonality and the band conditions are read through the rank factors
 e_i = B_i R_i (RankFactors): e_i X e_j = 0 exactly when the block R_i X B_j
 is zero, and e_i e_j = delta_ij e_i exactly when R_i B_j = delta_ij I, so no
-n x n sandwich product is formed.  Completeness and eigenvalue reconstruction
-are one product per family: [e_0 | ... | e_d] times the column of blocks
-[I | t_i I] is [sum e_i | sum t_i e_i], compared with [I | op] by `==`.
+n x n sandwich product is formed.  The band walk (RankFactors.band_blocks)
+is the round trip's too: its extraction reads the same blocks at k = 1 only.
+Completeness and eigenvalue reconstruction are one product per family:
+[e_0 | ... | e_d] times the column of blocks [I | t_i I] is
+[sum e_i | sum t_i e_i], compared with [I | op] by `==`.
 
 Any failed identity is reported with enough coordinates to replay it.
 """
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import comb, lcm
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .fields import Field
 from .linalg import Matrix, common_form, vec_scale, vec_sub
@@ -64,6 +66,8 @@ class RankFactors(NamedTuple):
     dens[i] = r_i * b_i, so B_i R_i = left[i] right[i] / dens[i], and a zero
     test of any block product needs no denominator.  Blocks are plain row
     lists, so rank 0 (R_i 0 x n, B_i n x 0) needs no special case.
+    `sandwich` cuts the blocks R_i x from one product, and `band_blocks`
+    reads the band conditions e_i op^k e_j = 0 through it.
     """
 
     field: Field
@@ -97,21 +101,34 @@ class RankFactors(NamedTuple):
             at += len(self.right[i])
         return out
 
-    def zero_blocks(self, rows: Sequence[int], x: List[list]) -> List[bool]:
-        """For i in rows: is R_i x = 0?  With x = X B_j: is e_i X e_j = 0?"""
-        return [not any(map(any, b)) for b in self.sandwich(rows, x)]
+    def band_blocks(self, op: Matrix, ks: range) -> Iterator[Tuple[int, int, int, bool]]:
+        """(i, j, k, is R_i op^k B_j = 0?) for k in ks with k < |i - j|, in the
+        order j, then k, then i: with R_i and B_j from one family, whether
+        e_i op^k e_j = 0.  op^k B_j is walked one thin product per k, up to
+        the last k in ks with a block to read and no further, and one product
+        of the stacked R_i gives all the blocks at k."""
+        d = len(self.right) - 1
+        for j in range(d + 1):
+            power = self.left[j]
+            for k in range(min(ks.stop, max(j, d - j))):
+                if k:
+                    power = self.field.mat_mul(op.form[0], power)
+                if k in ks:
+                    rows = [i for i in range(d + 1) if k < abs(i - j)]
+                    for i, b in zip(rows, self.sandwich(rows, power)):
+                        yield i, j, k, not any(map(any, b))
 
 
 class ModuleRealization:
     """A table realized at one context (a NamedTuple's `index` field would shadow tuple.index)."""
 
     __slots__ = ("d", "field", "context", "basis", "index", "a", "astar",
-                 "e", "estar", "factors", "dual_factors", "spectra")
+                 "e", "estar", "factors", "dual_factors")
 
     def __init__(self, d: int, field: Field, context: SpecializationContext,
                  basis: List[BasisLabel], index: Dict[BasisLabel, int], a: Matrix,
                  astar: Matrix, e: List[Matrix], estar: List[Matrix], factors: RankFactors,
-                 dual_factors: RankFactors, spectra: Tuple[list, list]):
+                 dual_factors: RankFactors):
         self.d = d
         self.field = field
         self.context = context
@@ -123,7 +140,6 @@ class ModuleRealization:
         self.estar = estar  # idempotents of astar
         self.factors = factors  # of e
         self.dual_factors = dual_factors  # of estar
-        self.spectra = spectra  # the (theta, theta_star) lists e and estar are built from
 
     @property
     def ranks(self) -> List[int]:
@@ -232,7 +248,6 @@ def realize(
         estar=estar,
         factors=factors,
         dual_factors=dual_factors,
-        spectra=(list(ctx.theta), list(ctx.theta_star)),
     )
 
 
@@ -286,26 +301,11 @@ def _idempotent_family_checks(
 
 
 def _band_checks(tag: str, fam: RankFactors, op: Matrix) -> List[Check]:
-    """e_i op^k e_j = 0 for k < |i-j|, read as R_i (op^k B_j) = 0: op^k B_j
-    is walked one thin product per k, and one stacked product of the R_i
-    still to check gives all of its blocks."""
-    checks = []
-    d = len(fam.right) - 1
-    for j in range(d + 1):
-        power = fam.left[j]
-        for k in range(max(j, d - j)):
-            if k > 0:
-                power = fam.field.mat_mul(op.form[0], power)
-            rows = [i for i in range(d + 1) if k < abs(i - j)]
-            for i, ok in zip(rows, fam.zero_blocks(rows, power)):
-                checks.append(
-                    Check(
-                        f"{tag}.{i}.{j}.{k}",
-                        ok,
-                        "" if ok else f"sandwich ({i},{j},{k}) is nonzero",
-                    )
-                )
-    return checks
+    """e_i op^k e_j = 0 for k < |i-j|, read as R_i (op^k B_j) = 0."""
+    return [
+        Check(f"{tag}.{i}.{j}.{k}", ok, "" if ok else f"sandwich ({i},{j},{k}) is nonzero")
+        for i, j, k, ok in fam.band_blocks(op, range(len(fam.right)))
+    ]
 
 
 def verify_relations(real: ModuleRealization) -> List[Check]:

@@ -6,45 +6,45 @@ that the corner elements
 
     g_i = e*_0 tau_i(a) e*_0 - zeta_i e*_0 / prod_{j=1..i} (s_0 - s_j)
 
-kill phi.  extract_td_system() then restricts the operator pair to W, the
-closure of phi, checks the tridiagonal axioms on it (diagonalizability over
-the supplied eigenvalue lists, interval supports, band conditions,
-irreducibility), and reads back the shape and the split sequence.
+kill phi.  extract_td_system() takes an operator pair (a, a*), a vector
+phi and two eigenvalue lists; it restricts the pair to W, the closure of
+phi, checks the tridiagonal axioms on it (diagonalizability over the lists,
+interval supports, band conditions, irreducibility), and reads back the
+shape and the split sequence.
 roundtrip() compares the recovered data with the array.  Both directions
 read the pair through realization's helpers: the idempotent families and
 their rank factors come from idempotent_families (the supports are the
 nonzero ranks, the shape is the dual ranks over the support), the band
 conditions e_i X e_j = 0 are read as the blocks R_i X B_j of those factors
-(RankFactors.zero_blocks; a restricted idempotent may have rank 0, and its
-blocks are empty), and the split comes from split_sequence, the same reader
-behind the g_i assertion, applied at phi.
+(RankFactors.band_blocks at k = 1, the walk of realization's relation
+checks; a restricted idempotent may have rank 0, and its blocks are empty),
+and the split comes from split_sequence, the same reader behind the g_i
+assertion, applied at phi.
 
 Irreducibility: the reference criterion is that the words in the restricted
 pair span the full matrix algebra (span dimension = (dim W)^2).  That span is
-computed as a closure (_word_span): the fixpoint loop of the closure of phi,
-seeded with vec(I) and run under left multiplication by a and a*, the
-(dim W)^2 x (dim W)^2 operators g (x) I, over Q built from the residues of
-the pair mod p (below).  Maintaining that span echelon costs on the order of
-(dim W)^6 integer multiply-adds and (dim W)^4 reductions mod p, so for
-dim W > 8 extraction uses an equivalent test available whenever the corner
-eigenspace is one-dimensional (the shape is sharp) and spanned by phi (the
-split read at phi starts with 1): phi generates W by construction, so W is
-irreducible iff the corner eigenrow generates the dual module under the
-transposed pair.  (A proper submodule U satisfies corner(U) = 0, since
-corner(U) nonzero would put phi, hence all of W, inside U; so the corner row
-annihilates U, and if that row generates the dual module then U = 0.
-Conversely an irreducible module and its transpose are cyclic from any
-nonzero vector.)  Both routes are exact; the reference criterion remains the
-fallback otherwise.
+the submodule closure of vec(I) under left multiplication by a and a*, the
+(dim W)^2 x (dim W)^2 operators g (x) I, built from the pair's integer
+form; their image mod p is the pair's image (x) I.  Maintaining that span
+echelon costs on the order of (dim W)^6 integer multiply-adds and (dim W)^4
+reductions mod p, so for dim W > 8 extraction uses an equivalent test
+available whenever the corner eigenspace is one-dimensional (the shape is
+sharp) and spanned by phi (the split read at phi starts with 1): phi
+generates W by construction, so W is irreducible iff the corner eigenrow
+generates the dual module under the transposed pair.  (A proper submodule U
+satisfies corner(U) = 0, since corner(U) nonzero would put phi, hence all of
+W, inside U; so the corner row annihilates U, and if that row generates the
+dual module then U = 0.  Conversely an irreducible module and its transpose
+are cyclic from any nonzero vector.)  Both routes are exact; the reference
+criterion remains the fallback otherwise.
 Both routes stay: the word-span note is inside every pinned d <= 3 round-trip
 report (tests/test_golden.py, perfbench/digests.json), and the roundtrip-qq
 benchmark workload runs both (word-span at d = 3, corner-cyclic at d = 4, 5).
 
 Over the rationals each of those spans (the closure of phi, the word span
 and the dual closure of the corner row) is certified on one image mod
-p = DEFAULT_PRIME first, in submodule_closure or, from the n x n pair's
-integer form, in _word_span (the modular rank method, see von zur
-Gathen and Gerhard, Modern Computer Algebra).  The lemma: when no
+p = DEFAULT_PRIME first, in submodule_closure (the modular rank method, see
+von zur Gathen and Gerhard, Modern Computer Algebra).  The lemma: when no
 denominator of the operators or of the seed is divisible by p, every vector
 the span is built from is p-integral, and reduction mod p is a ring map on
 p-integral rationals, so vectors independent mod p are independent over Q:
@@ -54,11 +54,11 @@ verdict "full" is taken from the image; every other case falls back to the
 exact computation (see submodule_closure), so no verdict depends on p.
 
 When the closure of phi is the whole module, its reduced echelon basis is
-the identity, so the restriction is the pair itself: extraction reads
-realize's operators as they are, and reuses its idempotent families and rank
-factors instead of rebuilding them.  The reuse is guarded: the families must
-have been built from the eigenvalue lists of real.context (realize records
-them as real.spectra); a context replaced after realize rebuilds them.
+the identity, so the restriction is the pair itself: extraction reads the
+operators as they are, and the caller may pass the pair's idempotent
+families and rank factors at the same lists (roundtrip passes realize's)
+instead of having them rebuilt.  On a proper W they are always rebuilt from
+the restriction.
 """
 
 from __future__ import annotations
@@ -116,20 +116,16 @@ def submodule_closure(a: Matrix, astar: Matrix, seed: Sequence) -> EchelonBasis:
     """Smallest subspace containing seed and invariant under both operators.
 
     Over Q it first runs on the image mod p (module docstring), and a full
-    image returns the whole space.  The exact loop (_closure) decides over
-    F_p, for a denominator divisible by p, a seed zero mod p or a short image.
+    image returns the whole space.  The exact loop decides over F_p, for a
+    denominator divisible by p, a seed zero mod p or a short image: it is
+    alternating image augmentation to a fixed point, stopping early once the
+    span is the whole space, and the result is a reduced row-echelon basis.
     """
     if not any(seed):
         raise ValueError("seed vector must be nonzero")
     image = _image(a, astar, seed) if a.field.kind == "qq" else None
     if image and submodule_closure(*image).dim == a.ncols:
         return EchelonBasis.whole_space(a.field, a.ncols)
-    return _closure(a, astar, seed)
-
-
-def _closure(a: Matrix, astar: Matrix, seed: Sequence) -> EchelonBasis:
-    """Alternating image augmentation to a fixed point, stopping early once
-    the span is the whole space; the result is a reduced row-echelon basis."""
     basis = EchelonBasis(a.field, a.ncols)
     basis.add(list(seed))
     queue = [list(seed)]
@@ -160,25 +156,14 @@ def _image(a: Matrix, astar: Matrix, seed: Sequence) -> Optional[tuple]:
 
 
 def irreducibility_check(a: Matrix, astar: Matrix) -> bool:
-    """Span of all words in the pair stabilizes at dimension (dim W)^2?"""
+    """Span of all words in the pair stabilizes at dimension (dim W)^2?  The
+    span is the closure of the row-major vec(I) under g (x) I, g = a, a*."""
     field, n = a.field, a.nrows
-    ident = [field.one if i == j else field.zero for i in range(n) for j in range(n)]
-    return _word_span(a, astar, ident).dim == n * n
-
-
-def _word_span(a: Matrix, astar: Matrix, seed: Sequence) -> EchelonBasis:
-    """Span of the words in the pair times the n x n matrix with row-major
-    vec seed: the closure of seed under g (x) I for g = a, a*.  Over Q it runs
-    on the residues of (a, astar, seed) first; a full image returns the whole
-    space, anything else only the exact loop, as the image was tried."""
-    field, n = a.field, a.nrows
-    image = _image(a, astar, seed) if field.kind == "qq" else None
-    if image and _word_span(*image).dim == n * n:
-        return EchelonBasis.whole_space(field, n * n)
     left = [Matrix.of_ints(field, [[x if j == l else 0 for x in row for l in range(n)]
                                    for row in ints for j in range(n)], den)
             for ints, den in (a.form, astar.form)]
-    return (_closure if field.kind == "qq" else submodule_closure)(*left, seed)
+    ident = [field.one if i == j else field.zero for i in range(n) for j in range(n)]
+    return submodule_closure(*left, ident).dim == n * n
 
 
 def _corner_cyclic_irreducible(a: Matrix, astar: Matrix, corner: Matrix) -> bool:
@@ -221,29 +206,31 @@ class TDSystemReport(NamedTuple):
         }
 
 
-def extract_td_system(real: ModuleRealization) -> TDSystemReport:
-    """Restrict the pair to the closure of phi and check the axioms."""
-    field = real.field
-    theta, theta_star = real.context.theta, real.context.theta_star
+def extract_td_system(
+    a: Matrix, astar: Matrix, phi: list, theta: list, theta_star: list,
+    families: Optional[tuple],
+) -> TDSystemReport:
+    """Restrict the pair to the closure of phi and check the axioms against
+    the eigenvalue lists.  families is (e*, factors of e, factors of e*) of
+    the pair at these lists, or None to build them; it is read only when phi
+    generates the module."""
+    field, n = a.field, a.nrows
     d = len(theta) - 1
     failures: List[Tuple[str, str]] = []
     notes: List[str] = []
-    phi = real.basis_vector(real.basis[0])
-    closure = submodule_closure(real.a, real.astar, phi)
+    closure = submodule_closure(a, astar, phi)
     dim_w = closure.dim
 
-    if dim_w == real.dim:  # W is the module: the restriction is the pair itself
-        a_sub, astar_sub, phi_w = real.a, real.astar, phi
+    if dim_w == n:  # W is the module: the restriction is the pair itself
+        a_sub, astar_sub, phi_w = a, astar, phi
     else:
-        a_sub = restrict_operator(field, real.a, closure)
-        astar_sub = restrict_operator(field, real.astar, closure)
+        a_sub = restrict_operator(field, a, closure)
+        astar_sub = restrict_operator(field, astar, closure)
         phi_w = closure.coordinates(phi)
 
     try:
-        # on the whole module, realize's families are these unless the lists differ
         idems_star, factors, dual_factors = (
-            (real.estar, real.factors, real.dual_factors)
-            if dim_w == real.dim and real.spectra == (theta, theta_star)
+            families if families is not None and dim_w == n
             else idempotent_families(a_sub, astar_sub, theta, theta_star)[1:]
         )
     except RealizationError as err:
@@ -280,16 +267,11 @@ def extract_td_system(real: ModuleRealization) -> TDSystemReport:
         )
     delta = delta_astar
 
-    # band conditions on the restriction, read as blocks R_i (op B_j)
+    # band conditions on the restriction, e_i op e_j = 0 for |i - j| > 1
     for tag, fam, op in (("es", dual_factors, a_sub), ("e", factors, astar_sub)):
-        for j in range(d + 1):
-            rows = [i for i in range(d + 1) if abs(i - j) > 1]
-            if not rows:
-                continue
-            x = field.mat_mul(op.form[0], fam.left[j])
-            for i, ok in zip(rows, fam.zero_blocks(rows, x)):
-                if not ok:
-                    failures.append((f"tds.band.{tag}.{i}.{j}", "sandwich is nonzero"))
+        for i, j, _, ok in fam.band_blocks(op, range(1, 2)):
+            if not ok:
+                failures.append((f"tds.band.{tag}.{i}.{j}", "sandwich is nonzero"))
 
     shape = dual_ranks[r0 : r0 + delta + 1]
     shape_a = ranks[t0 : t0 + delta_a + 1]
@@ -328,10 +310,10 @@ def extract_td_system(real: ModuleRealization) -> TDSystemReport:
             " an algebraic closure"
         )
 
-    degenerate = delta != d or dim_w != real.dim
+    degenerate = delta != d or dim_w != n
     if degenerate:
         notes.append(
-            f"degenerate parameter point: closure dim {dim_w}/{real.dim},"
+            f"degenerate parameter point: closure dim {dim_w}/{n},"
             f" support length {delta + 1}/{d + 1}"
         )
 
@@ -370,7 +352,9 @@ def roundtrip(pa: ParameterArray, field: Field, table: ModuleTable) -> Verificat
     for i in range(1, pa.d + 1):
         rep.add(f"tds.g.{i}", True, "")
 
-    tds = extract_td_system(real)
+    ctx = real.context
+    tds = extract_td_system(real.a, real.astar, real.basis_vector(real.basis[0]), ctx.theta,
+                            ctx.theta_star, (real.estar, real.factors, real.dual_factors))
     rep.add(
         "tds.closure",
         True,

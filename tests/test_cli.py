@@ -153,6 +153,42 @@ def test_tds_roundtrip_requires_d_or_input(capsys):
     assert run_cli(capsys, "tds", "roundtrip")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        # flags of random round trips are refused with --input, not silently dropped
+        ("--d 5", "--d"),
+        ("--d 2", "--d"),
+        ("--trials 7", "--trials"),
+        ("--trials 10", "--trials"),
+        ("--jobs 3", "--jobs"),
+        ("--jobs 1", "--jobs"),
+        ("--d 5 --trials 7 --jobs 3", "--d"),
+    ],
+)
+def test_tds_roundtrip_input_refuses_random_trial_flags(argv, flag, tmp_path, capsys):
+    array = write_array(tmp_path, {"d": 1, "theta": ["1", "-1"], "theta_star": ["1", "-1"],
+                                   "zeta": ["1", "1"]})
+    code, out, err = run_cli(capsys, "tds", "roundtrip", "--input", array, *argv.split())
+    assert (code, out, err) == (2, "", f"tdcheck: {flag} does not apply to --input\n")
+    code, out, _ = run_cli(capsys, "tds", "roundtrip", "--input", array)
+    assert code == 0 and json.loads(out)["trials"] == 1
+
+
+def test_tds_roundtrip_defaults_to_ten_trials_and_one_job(monkeypatch, capsys):
+    seen = []
+
+    def recorded(command, d, field, seed, trials, assets, jobs):
+        seen.append((command, d, trials, jobs))
+        return real_run_sweep(command, d, field, seed, 1, assets, 1)
+
+    real_run_sweep = suites.run_sweep
+    monkeypatch.setattr("tdcheck.cli.run_sweep", recorded)
+    assert run_cli(capsys, "tds", "roundtrip", "--d", "1")[0] == 0
+    assert run_cli(capsys, "tds", "roundtrip", "--d", "1", "--trials", "3", "--jobs", "2")[0] == 0
+    assert seen == [("tds-roundtrip", 1, 10, 1), ("tds-roundtrip", 1, 3, 2)]
+
+
 def test_usage_error_exit_code(capsys):
     assert run_cli(capsys, "verify-appendix", "--nope")[0] == 2
     assert run_cli(capsys, "verify-appendix")[0] == 2  # missing --d

@@ -332,8 +332,10 @@ def test_apply_after_shift_and_copy_reads_the_new_entries(field, seed):
     assert mat.apply(v) == reference_apply(mat, v)
     shifted = mat.shift(s.scalar())
     assert shifted.apply(v) == reference_apply(shifted, v)
-    copied = Matrix(s.field, mat.rows)
-    copied.rows[0] = random_vector(s, n)
+    rows = mat.rows
+    rows[0] = random_vector(s, n)  # a new row list: mat keeps its entries
+    copied = Matrix(s.field, rows)
+    assert copied.rows != mat.rows
     assert copied.apply(v) == reference_apply(copied, v)
     assert mat.apply(v) == reference_apply(mat, v)
 

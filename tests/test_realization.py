@@ -283,6 +283,30 @@ def test_block_relations_match_full_sandwiches_off_idempotent_families():
     assert {"rel5", "rel8", "rel9"} <= failed
 
 
+@pytest.mark.parametrize("d", range(6))
+def test_band_walk_keeps_its_order_and_multiplies_no_further_than_its_range(d, monkeypatch):
+    # the relation checks read k = 0..d, the round trip's extraction k = 1 only
+    real = realize(load_table(d), random_admissible_context(d, FP, 920 + d), FP)
+    products = []
+    mat_mul = PrimeField.mat_mul
+
+    def counted(self, a, b):
+        products.append(1)
+        return mat_mul(self, a, b)
+
+    monkeypatch.setattr(PrimeField, "mat_mul", counted)
+    for ks in (range(d + 1), range(1, 2), range(0, 1)):
+        products.clear()
+        got = list(real.dual_factors.band_blocks(real.a, ks))
+        assert [t[:3] for t in got] == [
+            (i, j, k) for j in range(d + 1) for k in ks for i in range(d + 1) if k < abs(i - j)
+        ]
+        assert all(ok for *_, ok in got)
+        # per j: one thin product per step k -> k + 1, one stacked product per k read
+        tops = [min(ks.stop, max(j, d - j)) for j in range(d + 1)]
+        assert len(products) == sum(max(t - 1, 0) + len(range(ks.start, t)) for t in tops)
+
+
 def test_rank_factors_multiply_back_to_the_family():
     ctx = random_admissible_context(3, QQ, 903)
     real = realize(load_table(3), ctx, QQ)

@@ -18,8 +18,6 @@ from tdcheck.tdsystem import (
     submodule_closure,
 )
 
-from support import rebuilt
-
 QQ = Rationals()
 FP = PrimeField()
 
@@ -174,18 +172,18 @@ def test_word_span_closure_matches_matrix_product_reference(field, seed):
 P = DEFAULT_PRIME
 
 
-def closure_calls(monkeypatch, name="submodule_closure"):
-    """Record each call of the closure `name`, the one on the image mod p
+def closure_calls(monkeypatch):
+    """Record each call of submodule_closure, the one on the image mod p
     included: (field kind, operator rows, seed, dimension found)."""
     calls = []
-    closure = getattr(tdsystem, name)
+    closure = tdsystem.submodule_closure
 
     def recorded(a, astar, seed):
         basis = closure(a, astar, seed)
         calls.append((a.field.kind, a.rows, list(seed), basis.dim))
         return basis
 
-    monkeypatch.setattr(tdsystem, name, recorded)
+    monkeypatch.setattr(tdsystem, "submodule_closure", recorded)
     return calls
 
 
@@ -210,7 +208,7 @@ def test_image_certified_word_span_matches_reference_over_q(monkeypatch):
     for trial, _, a, astar in random_pairs(QQ, 31):
         want = reference_word_span_irreducible(a, astar, QQ)
         with monkeypatch.context() as m:
-            calls, adds = closure_calls(m, "_word_span"), qq_echelon_adds(m)
+            calls, adds = closure_calls(m), qq_echelon_adds(m)
             assert irreducibility_check(a, astar) == want, trial
         (kind, _, _, dim), _ = calls  # the image, then the closure over Q
         on_image = dim == a.nrows ** 2
@@ -276,9 +274,22 @@ def test_full_image_closure_is_the_identity_basis_without_exact_elimination(monk
 # extraction
 
 
+def extract(real, theta, theta_star, families=None):
+    """extract_td_system on realize's pair at phi."""
+    phi = real.basis_vector(real.basis[0])
+    return extract_td_system(real.a, real.astar, phi, theta, theta_star, families)
+
+
+def extract_realized(real):
+    """extract at realize's lists with its families, as roundtrip calls it."""
+    ctx = real.context
+    families = real.estar, real.factors, real.dual_factors
+    return extract(real, ctx.theta, ctx.theta_star, families)
+
+
 def test_extract_d1_report_matches_hand_values():
     real = construct_from_params(d1_array(), QQ, load_table(1))
-    tds = extract_td_system(real)
+    tds = extract_realized(real)
     assert tds.axiom_failures == []
     assert tds.diameter == 1
     assert tds.eigenvalues == fr([1, -1])
@@ -294,8 +305,7 @@ def test_extract_flags_axiom_failures_for_swapped_eigenvalues():
     ctx = random_admissible_context(2, FP, 3111)
     real = realize(load_table(2), ctx, FP)
     swapped = [ctx.theta[1], ctx.theta[0], ctx.theta[2]]
-    real = rebuilt(real, context=ctx._replace(theta=swapped))
-    tds = extract_td_system(real)
+    tds = extract(real, swapped, ctx.theta_star)
     assert tds.axiom_failures
     assert any(cid.startswith("tds.band") for cid, _ in tds.axiom_failures)
 
@@ -304,8 +314,7 @@ def test_extract_reports_minimal_polynomial_failures_with_prefix():
     ctx = random_admissible_context(2, FP, 3112)
     real = realize(load_table(2), ctx, FP)
     wrong = [FP.add(x, FP.one) for x in ctx.theta]  # distinct, not the spectrum of a
-    real = rebuilt(real, context=ctx._replace(theta=wrong))
-    tds = extract_td_system(real)
+    tds = extract(real, wrong, ctx.theta_star)
     assert [cid for cid, _ in tds.axiom_failures] == ["tds.minpoly.a"]
     assert tds.notes == ["extraction aborted: minimal polynomial failed"]
 
@@ -316,20 +325,18 @@ def test_extract_with_generic_weights_passes_band_conditions():
     for d in (2, 3):
         ctx = random_admissible_context(d, FP, 777 + d)
         real = realize(load_table(d), ctx, FP)
-        tds = extract_td_system(real)
+        tds = extract_realized(real)
         assert not any(cid.startswith("tds.band") for cid, _ in tds.axiom_failures)
         assert tds.sharp and tds.shape[0] == 1
 
 
-def reference_band_failures(real):
+def reference_band_failures(real, theta, theta_star):
     """extract_td_system's tds.band failures from full sandwich products."""
     phi = real.basis_vector(real.basis[0])
     closure = submodule_closure(real.a, real.astar, phi)
     a_sub = restrict_operator(real.field, real.a, closure)
     astar_sub = restrict_operator(real.field, real.astar, closure)
-    idems, idems_star, _, _ = idempotent_families(
-        a_sub, astar_sub, real.context.theta, real.context.theta_star
-    )
+    idems, idems_star, _, _ = idempotent_families(a_sub, astar_sub, theta, theta_star)
     out = []
     for tag, fam, op in (("es", idems_star, a_sub), ("e", idems, astar_sub)):
         for j in range(len(fam)):
@@ -348,10 +355,9 @@ def test_extract_band_blocks_with_rank_zero_restricted_idempotents():
     # d = 1 module read against diameter-2 lists: the extra eigenvalues 5 and
     # 7 are not in the spectrum, so e_2 and e*_2 restrict to rank 0
     real = construct_from_params(d1_array(), QQ, load_table(1))
-    ctx = real.context._replace(theta=fr([1, -1, 5]), theta_star=fr([1, -1, 7]))
-    real = rebuilt(real, context=ctx)
-    tds = extract_td_system(real)
-    assert band_failures(tds) == reference_band_failures(real) == []
+    theta, theta_star = fr([1, -1, 5]), fr([1, -1, 7])
+    tds = extract(real, theta, theta_star)
+    assert band_failures(tds) == reference_band_failures(real, theta, theta_star) == []
     assert tds.diameter == 1 and tds.shape == [1, 1] and tds.degenerate
 
 
@@ -359,45 +365,74 @@ def test_extract_band_blocks_match_full_sandwiches_when_they_fail():
     ctx = random_admissible_context(3, FP, 3111)
     real = realize(load_table(3), ctx, FP)
     swapped = [ctx.theta[2], ctx.theta[0], ctx.theta[1], ctx.theta[3]]
-    real = rebuilt(real, context=ctx._replace(theta=swapped))
-    want = reference_band_failures(real)
-    assert want and band_failures(extract_td_system(real)) == want
+    want = reference_band_failures(real, swapped, ctx.theta_star)
+    assert want and band_failures(extract(real, swapped, ctx.theta_star)) == want
 
 
 def test_extract_band_blocks_match_full_sandwiches_when_they_fail_over_q():
-    # the closure of phi is the whole module, so extraction would reuse
-    # realize's families but for the replaced eigenvalue list
+    # the closure of phi is the whole module; with None the families are
+    # built at the swapped list, not taken from realize
     ctx = random_admissible_context(3, QQ, 3111)
     real = realize(load_table(3), ctx, QQ)
     swapped = [ctx.theta[2], ctx.theta[0], ctx.theta[1], ctx.theta[3]]
-    real = rebuilt(real, context=ctx._replace(theta=swapped))
-    want = reference_band_failures(real)
-    assert want and band_failures(extract_td_system(real)) == want
+    want = reference_band_failures(real, swapped, ctx.theta_star)
+    assert want and band_failures(extract(real, swapped, ctx.theta_star)) == want
+
+
+def padded_pair(real):
+    """realize's pair (+) [theta_0] and (+) [theta*_0], phi (+) 0, and the
+    padded pair's own families (rank 2 at index 0): the closure of phi is
+    the realized module, a proper W of dimension 2^d in 2^d + 1."""
+    f, ctx = real.field, real.context
+
+    def padded(m, t):
+        return Matrix(f, [row + [f.zero] for row in m.rows] + [[f.zero] * m.ncols + [t]])
+
+    a, astar = padded(real.a, ctx.theta[0]), padded(real.astar, ctx.theta_star[0])
+    phi = real.basis_vector(real.basis[0]) + [f.zero]
+    return a, astar, phi, idempotent_families(a, astar, ctx.theta, ctx.theta_star)[1:]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
+def test_extract_restricts_a_pair_to_a_proper_closure(field, d):
+    ctx = random_admissible_context(d, field, 40 + d)
+    real = realize(load_table(d), ctx, field)
+    a, astar, phi, whole = padded_pair(real)
+    tds = extract_td_system(a, astar, phi, ctx.theta, ctx.theta_star, whole)
+    plain = extract_realized(real)
+    assert tds.closure_dim == real.dim == 2 ** d and tds.degenerate
+    assert f"degenerate parameter point: closure dim {2 ** d}/{2 ** d + 1}," in tds.notes[-1]
+    # the padded pair's families would give shape [2, ...]: they were not read
+    assert (tds.split, tds.shape) == (plain.split, plain.shape)
+    assert tds.axiom_failures == plain.axiom_failures == [] and tds.irreducible
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
-def test_extract_rebuilds_the_families_only_for_other_eigenvalue_lists(field, monkeypatch):
+def test_extract_reuses_the_families_only_on_the_whole_module(field, monkeypatch):
     real = realize(load_table(2), random_admissible_context(2, field, 5), field)
     calls = []
 
     def counted(*args):
-        calls.append(args[2:])
+        calls.append((args[0].nrows, *args[2:]))
         return idempotent_families(*args)
 
     monkeypatch.setattr(tdsystem, "idempotent_families", counted)
-    assert extract_td_system(real).closure_dim == real.dim
-    assert calls == []  # the whole module: realize's families are reused
+    assert extract_realized(real).closure_dim == real.dim
+    assert calls == []  # the whole module: the families passed are read
     ctx = real.context
-    theta = ctx.theta[::-1]
-    extract_td_system(rebuilt(real, context=ctx._replace(theta=theta)))
-    assert calls == [(theta, ctx.theta_star)]
+    a, astar, phi, whole = padded_pair(real)
+    assert extract_td_system(a, astar, phi, ctx.theta, ctx.theta_star, whole).degenerate
+    assert calls == [(real.dim, ctx.theta, ctx.theta_star)]  # a proper W: rebuilt there
+    extract(real, ctx.theta, ctx.theta_star)
+    assert calls[1:] == [(real.dim, ctx.theta, ctx.theta_star)]  # None: built here
 
 
 def test_split_extraction_recovers_zeta_on_full_module():
     pa = ParameterArray(2, fr([0, 1, 3]), fr([0, 2, 5]), fr([1, 4, 6]))
     field = QQ
     real = construct_from_params(pa, field, load_table(pa.d))
-    tds = extract_td_system(real)
+    tds = extract_realized(real)
     assert tds.closure_dim == real.dim
     assert tds.split == pa.zeta
 
@@ -408,7 +443,7 @@ def test_split_extraction_recovers_zeta_on_full_module():
 
 def test_tds_report_serializes():
     real = construct_from_params(d1_array(), QQ, load_table(1))
-    tds = extract_td_system(real)
+    tds = extract_realized(real)
     obj = tds.to_dict(QQ)
     assert obj["diameter"] == 1
     assert obj["eigenvalues"] == ["1", "-1"]
