@@ -74,10 +74,8 @@ def lagrange_idempotents(a: Matrix, thetas: Sequence) -> List[Matrix]:
     full = prefix[-1]
     if not full.is_zero():
         raise MinimalPolynomialError(full.rank())
-    suffix = [prefix[0]]
-    for t in reversed(thetas):
-        suffix.append(a.shift(t) if len(suffix) == 1 else a.shift(t) * suffix[-1])
-    suffix.reverse()  # suffix[i] = (A - t_i I)...(A - t_d I)
+    # suffix[i] = (A - t_d I)...(A - t_i I): the factors commute
+    suffix = shifted_products(a, thetas[::-1])[::-1]
     out = []
     for i in range(d + 1):
         if i == 0:  # prefix[0] = I

@@ -1,11 +1,13 @@
 """Realize a module table at a specialization context and machine-check it.
 
 realize() turns the symbolic table into two exact matrices acting on the
-2^d-dimensional module, builds both families of primitive idempotents with
-their rank factors (idempotent_families, shared with the round-trip
-extraction), and asserts the structural invariants (minimal polynomials,
-eigenspace ranks).  The check operations then verify, as exact matrix
-identities:
+2^d-dimensional module, builds both families of primitive idempotents
+(idempotent_families, shared with the round-trip extraction), and asserts
+the structural invariants (minimal polynomials, eigenspace ranks).  Each
+family is one RankFactors object, which holds the e_i beside their rank
+factors; a ModuleRealization is the table, the context, the pair and those
+two objects, and everything else it offers (e, e*, d, the basis) is read
+from them.  The check operations then verify, as exact matrix identities:
 
   * the defining relations of the generator algebra: idempotent orthogonality
     and completeness, eigenvalue reconstruction, and the band conditions
@@ -14,7 +16,8 @@ identities:
     phi, r, r^2, ..., l^{i-1} r^i and the resulting identity
     e*_0 tau_i(a) e*_0 . phi = y_i phi / prod_{j=1..i} (s_0 - s_j),
     whose denominator follows the split-sequence convention; split_sequence
-    reads the left-hand side, and the round trip reads its split back with it;
+    reads the left-hand side, and the round trip reads its split back with it
+    (a table without one of the chain labels fails as mu.labels);
   * the shape (idempotent ranks = binomial coefficients, symmetric, unimodal).
 
 Orthogonality and the band conditions are read through the rank factors
@@ -54,7 +57,7 @@ class RealizationError(ValueError):
 
 
 class RankFactors(NamedTuple):
-    """Exact rank factorizations e_i = B_i R_i of a family of matrices.
+    """A family of matrices e_i with their exact rank factorizations e_i = B_i R_i.
 
     R_i is the nonzero rows of the reduced echelon form of e_i and B_i is the
     columns of e_i at R_i's pivots.  B_i has full column rank and R_i full
@@ -70,7 +73,7 @@ class RankFactors(NamedTuple):
     reads the band conditions e_i op^k e_j = 0 through it.
     """
 
-    field: Field
+    idems: List[Matrix]  # e_i
     right: List[List[list]]  # R_i: r_i rows of length n
     left: List[List[list]]  # B_i: n rows of length r_i
     dens: List[int]
@@ -85,7 +88,11 @@ class RankFactors(NamedTuple):
             right.append(rows)
             left.append([[row[p] for p in basis.pivots] for row in ints])
             dens.append(rden * den)
-        return cls(idems[0].field, right, left, dens)
+        return cls(idems, right, left, dens)
+
+    @property
+    def field(self) -> Field:
+        return self.idems[0].field
 
     @property
     def ranks(self) -> List[int]:
@@ -119,44 +126,45 @@ class RankFactors(NamedTuple):
                         yield i, j, k, not any(map(any, b))
 
 
-class ModuleRealization:
-    """A table realized at one context (a NamedTuple's `index` field would shadow tuple.index)."""
+class ModuleRealization(NamedTuple):
+    """A table realized at one context: the pair and the rank factors of
+    its two idempotent families (of a, then of a*)."""
 
-    __slots__ = ("d", "field", "context", "basis", "index", "a", "astar",
-                 "e", "estar", "factors", "dual_factors")
-
-    def __init__(self, d: int, field: Field, context: SpecializationContext,
-                 basis: List[BasisLabel], index: Dict[BasisLabel, int], a: Matrix,
-                 astar: Matrix, e: List[Matrix], estar: List[Matrix], factors: RankFactors,
-                 dual_factors: RankFactors):
-        self.d = d
-        self.field = field
-        self.context = context
-        self.basis = basis
-        self.index = index
-        self.a = a
-        self.astar = astar
-        self.e = e  # idempotents of a, ordered by eigenvalue list
-        self.estar = estar  # idempotents of astar
-        self.factors = factors  # of e
-        self.dual_factors = dual_factors  # of estar
+    table: ModuleTable
+    context: SpecializationContext
+    a: Matrix
+    astar: Matrix
+    factors: RankFactors
+    dual_factors: RankFactors
 
     @property
-    def ranks(self) -> List[int]:
-        return self.factors.ranks
+    def e(self) -> List[Matrix]:
+        return self.factors.idems
 
     @property
-    def dual_ranks(self) -> List[int]:
-        return self.dual_factors.ranks
+    def estar(self) -> List[Matrix]:
+        return self.dual_factors.idems
+
+    @property
+    def d(self) -> int:
+        return self.table.d
+
+    @property
+    def field(self) -> Field:
+        return self.a.field
+
+    @property
+    def basis(self) -> List[BasisLabel]:
+        return self.table.basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.table.basis)
 
     def basis_vector(self, label: BasisLabel) -> list:
         f = self.field
         v = [f.zero] * self.dim
-        v[self.index[label]] = f.one
+        v[self.table.basis.index(label)] = f.one
         return v
 
 
@@ -177,10 +185,10 @@ def context_env(ctx: SpecializationContext) -> Dict[str, object]:
 
 def idempotent_families(
     a: Matrix, astar: Matrix, theta: List, theta_star: List
-) -> Tuple[List[Matrix], List[Matrix], RankFactors, RankFactors]:
-    """Both Lagrange families of the pair and their rank factors: (e, e*,
-    factors of e, factors of e*).  The factors reuse the echelon form that
-    the ranks are counted from.
+) -> Tuple[RankFactors, RankFactors]:
+    """Both Lagrange families of the pair with their rank factors: (of e,
+    of e*).  The factors reuse the echelon form that the ranks are counted
+    from.
 
     Raises RealizationError naming minpoly.a and/or minpoly.astar when the
     eigenvalue list does not annihilate its operator.
@@ -195,7 +203,7 @@ def idempotent_families(
     if failures:
         raise RealizationError(failures)
     e, estar = families
-    return e, estar, RankFactors.of(e), RankFactors.of(estar)
+    return RankFactors.of(e), RankFactors.of(estar)
 
 
 def realize(
@@ -222,9 +230,7 @@ def realize(
     a = assemble(table.a_action)
     astar = assemble(table.astar_action)
 
-    e, estar, factors, dual_factors = idempotent_families(
-        a, astar, ctx.theta, ctx.theta_star
-    )
+    factors, dual_factors = idempotent_families(a, astar, ctx.theta, ctx.theta_star)
     failures: List[Tuple[str, str]] = []
     for i in range(table.d + 1):
         want = comb(table.d, i)
@@ -236,19 +242,7 @@ def realize(
     if failures:
         raise RealizationError(failures)
 
-    return ModuleRealization(
-        d=table.d,
-        field=field,
-        context=ctx,
-        basis=list(table.basis),
-        index=index,
-        a=a,
-        astar=astar,
-        e=e,
-        estar=estar,
-        factors=factors,
-        dual_factors=dual_factors,
-    )
+    return ModuleRealization(table, ctx, a, astar, factors, dual_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +250,10 @@ def realize(
 
 
 def _idempotent_family_checks(
-    tag: str, idems: List[Matrix], fam: RankFactors, values: List, op: Matrix
+    tag: str, fam: RankFactors, values: List, op: Matrix
 ) -> List[Check]:
     checks = []
-    d = len(idems) - 1
+    d = len(fam.idems) - 1
     f = fam.field
     # every R_i B_j block from one product: stacked R_i times the B_j side by side
     blocks = fam.sandwich(range(d + 1), [sum(rows, []) for rows in zip(*fam.left)])
@@ -281,7 +275,7 @@ def _idempotent_family_checks(
             )
     # rel6, rel7: [e_0 | ... | e_d] times [I | t_i I] stacked is [sum e_i | sum t_i e_i]
     n = op.nrows
-    parts, den = common_form(idems)
+    parts, den = common_form(fam.idems)
     ratios = [f.ratio(t) for t in values]
     tden = lcm(*(q for _, q in ratios))
     column = []
@@ -311,10 +305,8 @@ def _band_checks(tag: str, fam: RankFactors, op: Matrix) -> List[Check]:
 def verify_relations(real: ModuleRealization) -> List[Check]:
     """Exact checks of all defining relations on the realized module."""
     return (
-        _idempotent_family_checks("e", real.e, real.factors, real.context.theta, real.a)
-        + _idempotent_family_checks(
-            "es", real.estar, real.dual_factors, real.context.theta_star, real.astar
-        )
+        _idempotent_family_checks("e", real.factors, real.context.theta, real.a)
+        + _idempotent_family_checks("es", real.dual_factors, real.context.theta_star, real.astar)
         + _band_checks("rel8", real.dual_factors, real.a)
         + _band_checks("rel9", real.factors, real.astar)
     )
@@ -332,6 +324,10 @@ def mu_certificate(real: ModuleRealization) -> List[Check]:
     phi = real.basis_vector(real.basis[0])
     if real.basis[0] != BasisLabel(()):
         return [Check("mu.phi", False, "first basis label is not phi")]
+    labels = [chain_label(h, i) for i in range(1, d + 1) for h in range(i)]
+    missing = [str(label) for label in labels if label not in real.basis]
+    if missing:
+        return [Check("mu.labels", False, "chain labels not in basis: " + ", ".join(missing))]
     if d == 0:
         return [Check("mu.vacuous", True, "d = 0: chain conditions are vacuous")]
 
@@ -406,7 +402,7 @@ def corner_identities(real: ModuleRealization) -> List[bool]:
 def shape_check(real: ModuleRealization) -> List[Check]:
     """Idempotent ranks: binomials C(d,i), symmetric and unimodal."""
     d = real.d
-    ranks, dual_ranks = real.ranks, real.dual_ranks
+    ranks, dual_ranks = real.factors.ranks, real.dual_factors.ranks
     checks = []
     for i in range(d + 1):
         want = comb(d, i)

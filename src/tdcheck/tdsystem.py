@@ -55,10 +55,10 @@ exact computation (see submodule_closure), so no verdict depends on p.
 
 When the closure of phi is the whole module, its reduced echelon basis is
 the identity, so the restriction is the pair itself: extraction reads the
-operators as they are, and the caller may pass the pair's idempotent
-families and rank factors at the same lists (roundtrip passes realize's)
-instead of having them rebuilt.  On a proper W they are always rebuilt from
-the restriction.
+operators as they are, and the caller may pass the pair's two idempotent
+families at the same lists, each a RankFactors object that holds its e_i
+(roundtrip passes realize's), instead of having them rebuilt.  On a proper
+W they are always rebuilt from the restriction.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ from .linalg import EchelonBasis, Matrix, restrict_operator
 from .params import ParameterArray, derive_context, validate_parameter_array
 from .realization import (
     ModuleRealization,
+    RankFactors,
     RealizationError,
     corner_identities,
     idempotent_families,
@@ -189,31 +190,21 @@ class TDSystemReport(NamedTuple):
     notes: List[str]
 
     def to_dict(self, field: Field) -> dict:
-        return {
-            "diameter": self.diameter,
-            "eigenvalues": [field.format(x) for x in self.eigenvalues],
-            "dual_eigenvalues": [field.format(x) for x in self.dual_eigenvalues],
-            "shape": self.shape,
-            "split": [field.format(x) for x in self.split],
-            "sharp": self.sharp,
-            "irreducible": self.irreducible,
-            "axiom_failures": [
-                {"id": cid, "detail": det} for cid, det in self.axiom_failures
-            ],
-            "degenerate": self.degenerate,
-            "closure_dim": self.closure_dim,
-            "notes": self.notes,
-        }
+        out = self._asdict()
+        for key in ("eigenvalues", "dual_eigenvalues", "split"):
+            out[key] = [field.format(x) for x in out[key]]
+        out["axiom_failures"] = [{"id": cid, "detail": det} for cid, det in self.axiom_failures]
+        return out
 
 
 def extract_td_system(
     a: Matrix, astar: Matrix, phi: list, theta: list, theta_star: list,
-    families: Optional[tuple],
+    families: Optional[Tuple[RankFactors, RankFactors]],
 ) -> TDSystemReport:
     """Restrict the pair to the closure of phi and check the axioms against
-    the eigenvalue lists.  families is (e*, factors of e, factors of e*) of
-    the pair at these lists, or None to build them; it is read only when phi
-    generates the module."""
+    the eigenvalue lists.  families is the pair's (factors of e, factors of
+    e*) at these lists, as idempotent_families returns them, or None to
+    build them; it is read only when phi generates the module."""
     field, n = a.field, a.nrows
     d = len(theta) - 1
     failures: List[Tuple[str, str]] = []
@@ -229,9 +220,9 @@ def extract_td_system(
         phi_w = closure.coordinates(phi)
 
     try:
-        idems_star, factors, dual_factors = (
+        factors, dual_factors = (
             families if families is not None and dim_w == n
-            else idempotent_families(a_sub, astar_sub, theta, theta_star)[1:]
+            else idempotent_families(a_sub, astar_sub, theta, theta_star)
         )
     except RealizationError as err:
         return TDSystemReport(
@@ -284,7 +275,7 @@ def extract_td_system(
     sharp = bool(shape) and shape[0] == 1
 
     # split sequence: the corner identity read at phi
-    corner = idems_star[r0]
+    corner = dual_factors.idems[r0]
     split = split_sequence(a_sub, corner, theta[t0:], theta_star[r0 : r0 + delta + 1], phi_w)
     if None in split:
         i = split.index(None)
@@ -354,7 +345,7 @@ def roundtrip(pa: ParameterArray, field: Field, table: ModuleTable) -> Verificat
 
     ctx = real.context
     tds = extract_td_system(real.a, real.astar, real.basis_vector(real.basis[0]), ctx.theta,
-                            ctx.theta_star, (real.estar, real.factors, real.dual_factors))
+                            ctx.theta_star, (real.factors, real.dual_factors))
     rep.add(
         "tds.closure",
         True,

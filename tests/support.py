@@ -8,7 +8,7 @@ from tdcheck.fields import derive_seed
 from tdcheck.linalg import Matrix
 from tdcheck.params import random_admissible_context
 from tdcheck.poly import ladder
-from tdcheck.realization import ModuleRealization, RealizationError, realize, verify_relations
+from tdcheck.realization import RealizationError, realize, verify_relations
 from tdcheck.report import failed
 from tdcheck.tables import Neg
 
@@ -46,13 +46,6 @@ def with_negated_coefficient(table, action: str, source, k: int):
     c, label = terms[k]
     terms[k] = (c.child if isinstance(c, Neg) else Neg(c), label)
     return table._replace(**{key: {**getattr(table, key), source: terms}})
-
-
-def rebuilt(real, **changes):
-    """Copy of a ModuleRealization with the named attributes replaced."""
-    return ModuleRealization(
-        **{k: changes.get(k, getattr(real, k)) for k in ModuleRealization.__slots__}
-    )
 
 
 def mutation_detections(table, mutated, field, seed: int, trials: int) -> int:

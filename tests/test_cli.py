@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import tempfile
 import time
 from pathlib import Path
@@ -315,6 +316,28 @@ def test_failing_verification_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert json.loads(out)["overall"] is False
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [(("verify-appendix",), 1), (("mu-certificate",), 1), (("shape",), 0),
+     (("zz", "rank"), 0), (("tds", "roundtrip"), 0)],
+)
+def test_table_without_a_chain_label_fails_the_certificate_only(argv, code, tmp_path, capsys):
+    # r2 renamed rlr2 throughout: same row index, same matrices, no label r^2
+    from tdcheck.tables import bundled_table_text
+
+    (tmp_path / "d2.txt").write_text(re.sub(r"\br2\b", "rlr2", bundled_table_text(2)))
+    got, out, err = run_cli(capsys, *argv, "--d", "2", "--trials", "1", "--assets", str(tmp_path))
+    failures = [line.strip() for line in err.splitlines() if line.startswith("  FAIL ")]
+    assert got == code and json.loads(out)["overall"] is (code == 0)
+    if code:
+        assert failures == [
+            "FAIL t000.mu.labels: trial 0, seed 10451216379200822465:"
+            " chain labels not in basis: r2"
+        ]
+    else:
+        assert failures == []
 
 
 DIGITS = "1" * 5000  # longer than int() converts from text by default (4,300)

@@ -18,7 +18,7 @@ from tdcheck.report import failed
 from tdcheck.tables import load_table
 
 from support import (
-    coefficient_slots, mat_add, rebuilt, with_negated_coefficient, zero_matrix,
+    coefficient_slots, mat_add, with_negated_coefficient, zero_matrix,
 )
 
 QQ = Rationals()
@@ -94,8 +94,8 @@ def test_d3_dual_idempotent_rank_three():
 def test_shape_profiles(d, expected):
     ctx = random_admissible_context(d, FP, 70 + d)
     real = realize(load_table(d), ctx, FP)
-    assert real.ranks == expected
-    assert real.dual_ranks == expected
+    assert real.factors.ranks == expected
+    assert real.dual_factors.ranks == expected
     assert not failed(shape_check(real))
 
 
@@ -274,9 +274,7 @@ def test_block_relations_match_full_sandwiches_off_idempotent_families():
     real = realize(load_table(3), ctx, FP)
     e = [mat_add(real.e[0], real.e[1]), zero_matrix(FP, real.dim), real.e[2].scale(2), real.e[3]]
     estar = [real.estar[0], mat_add(real.estar[1], real.estar[3]), real.a * real.a, real.estar[3]]
-    bent = rebuilt(
-        real, e=e, estar=estar, factors=RankFactors.of(e), dual_factors=RankFactors.of(estar)
-    )
+    bent = real._replace(factors=RankFactors.of(e), dual_factors=RankFactors.of(estar))
     want = reference_relation_checks(bent)
     assert relation_triples(bent) == want
     failed = {cid.split(".")[0] for cid, ok, _ in want if not ok}
@@ -360,9 +358,7 @@ def test_entrywise_sums_fail_off_idempotent_families(f):
     real = realize(load_table(3), ctx, f)
     e = [mat_add(real.e[0], real.e[1]), zero_matrix(f, real.dim), real.e[2].scale(2), real.e[3]]
     estar = [real.estar[0], mat_add(real.estar[1], real.estar[3]), real.a * real.a, real.estar[3]]
-    bent = rebuilt(
-        real, e=e, estar=estar, factors=RankFactors.of(e), dual_factors=RankFactors.of(estar)
-    )
+    bent = real._replace(factors=RankFactors.of(e), dual_factors=RankFactors.of(estar))
     want = reference_sum_checks(bent)
     assert sum_triples(bent) == want
     assert [cid for cid, ok, _ in want if not ok] == ["rel6.e", "rel7.e", "rel6.es", "rel7.es"]

@@ -150,6 +150,25 @@ def test_label_not_in_basis_is_rejected():
         parse_table(text)
 
 
+@pytest.mark.parametrize(
+    "old,new,error",
+    [
+        ("r : th1*r\n", "", r"\[action a\] entries must follow basis order exactly$"),
+        ("r : ths1*r + y1*phi\n", "r : ths1*r + y1*phi\n" * 2,
+         "duplicate entry for r at line 15$"),
+        ("phi : th0*phi + r", "phi :", "unexpected end of entry at line 9, column 5$"),
+        ("phi : th0*phi + r", "phi : th0*phi + r2",
+         "label 'r2' not in basis at line 9, column 17$"),
+    ],
+    ids=["missing-entry", "repeated-entry", "empty-entry", "target-not-in-basis"],
+)
+def test_actions_cover_the_basis_with_nonempty_entries_over_basis_labels(old, new, error):
+    text = bundled_table_text(1)
+    assert old in text
+    with pytest.raises(ParseError, match=error):
+        parse_table(text.replace(old, new, 1))
+
+
 def test_syntax_error_reports_line():
     text = bundled_table_text(1).replace("r : th1*r", "r : th1*&r", 1)
     with pytest.raises(ParseError, match="line"):

@@ -10,6 +10,7 @@ from tdcheck.realization import idempotent_families, realize
 from tdcheck.tables import FORMAT_VERSION, bundled_table_text, load_table, parse_table
 from tdcheck.tdsystem import (
     InvalidParameterArrayError,
+    TDSystemReport,
     _corner_cyclic_irreducible,
     construct_from_params,
     extract_td_system,
@@ -283,7 +284,7 @@ def extract(real, theta, theta_star, families=None):
 def extract_realized(real):
     """extract at realize's lists with its families, as roundtrip calls it."""
     ctx = real.context
-    families = real.estar, real.factors, real.dual_factors
+    families = real.factors, real.dual_factors
     return extract(real, ctx.theta, ctx.theta_star, families)
 
 
@@ -336,9 +337,9 @@ def reference_band_failures(real, theta, theta_star):
     closure = submodule_closure(real.a, real.astar, phi)
     a_sub = restrict_operator(real.field, real.a, closure)
     astar_sub = restrict_operator(real.field, real.astar, closure)
-    idems, idems_star, _, _ = idempotent_families(a_sub, astar_sub, theta, theta_star)
+    factors, dual_factors = idempotent_families(a_sub, astar_sub, theta, theta_star)
     out = []
-    for tag, fam, op in (("es", idems_star, a_sub), ("e", idems, astar_sub)):
+    for tag, fam, op in (("es", dual_factors.idems, a_sub), ("e", factors.idems, astar_sub)):
         for j in range(len(fam)):
             op_fam_j = op * fam[j]
             for i in range(len(fam)):
@@ -390,7 +391,7 @@ def padded_pair(real):
 
     a, astar = padded(real.a, ctx.theta[0]), padded(real.astar, ctx.theta_star[0])
     phi = real.basis_vector(real.basis[0]) + [f.zero]
-    return a, astar, phi, idempotent_families(a, astar, ctx.theta, ctx.theta_star)[1:]
+    return a, astar, phi, idempotent_families(a, astar, ctx.theta, ctx.theta_star)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -449,6 +450,16 @@ def test_tds_report_serializes():
     assert obj["eigenvalues"] == ["1", "-1"]
     assert obj["split"] == ["1", "1"]
     assert obj["sharp"] is True and obj["irreducible"] is True
+
+
+def test_tds_report_dict_has_one_key_per_field():
+    ctx = random_admissible_context(2, FP, 3111)
+    real = realize(load_table(2), ctx, FP)
+    tds = extract(real, [ctx.theta[1], ctx.theta[0], ctx.theta[2]], ctx.theta_star)
+    obj = tds.to_dict(FP)
+    assert list(obj) == list(TDSystemReport._fields)
+    assert obj["axiom_failures"] == [{"id": c, "detail": t} for c, t in tds.axiom_failures]
+    assert obj["axiom_failures"] and obj["eigenvalues"] == [FP.format(x) for x in tds.eigenvalues]
 
 
 def test_roundtrip_d1_golden():
