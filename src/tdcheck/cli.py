@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .fields import DEFAULT_PRIME, FieldError, PrimeField, Rationals, field_echo
@@ -20,13 +21,7 @@ from .report import VerificationReport
 from .suites import run_sweep
 from .tables import TableError, load_table
 from .tdsystem import roundtrip
-from .zigzag import (
-    enumerate_convex_spanning,
-    enumerate_feasible,
-    enumerate_zz,
-    word_text,
-    zz_counts_by_length,
-)
+from .zigzag import enumerate_convex_spanning, enumerate_feasible, enumerate_zz, word_text
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
@@ -180,14 +175,12 @@ def _run_zz_enumerate(args) -> VerificationReport:
             if getattr(args, flag) is not None:
                 raise ValueError(f"--{flag.replace('_', '-')} does not apply to --feasible")
         words = enumerate_feasible(args.d)
+        texts, counts = [word_text(w) for w in words], dict(Counter(map(len, words)))
     else:
         if args.max_len is not None and args.max_len < 0:
             raise ValueError("--max-len must be nonnegative")
         exclude_s = args.exclude_s if args.exclude_s is not None else args.d
-        words = enumerate_zz(args.d, args.exclude_r or 0, exclude_s, max_len=args.max_len)
-    counts = zz_counts_by_length(words)
-    texts = [word_text(w) for w in words]
-    del words  # the tuples are not needed once rendered; free them early
+        texts, counts = enumerate_zz(args.d, args.exclude_r or 0, exclude_s, max_len=args.max_len)
     rep = VerificationReport(command="zz-enumerate", field={"kind": "none"}, trials=1)
     kind = "feasible" if args.feasible else "zz"
     rep.add(

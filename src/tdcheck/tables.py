@@ -484,8 +484,6 @@ def _validate_structure(table: ModuleTable):
     d = table.d
     if len(table.basis) != 2**d:
         raise TableError(f"basis has {len(table.basis)} labels, expected {2**d}")
-    if len(set(table.basis)) != len(table.basis):
-        raise TableError("basis labels are not pairwise distinct")
     if len(table.basis_rows) != d + 1:
         raise TableError(f"basis has {len(table.basis_rows)} rows, expected {d + 1}")
     for j, row in enumerate(table.basis_rows):

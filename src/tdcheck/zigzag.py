@@ -17,7 +17,9 @@ to be linearly independent.
 Canonical word order is shortlex with letters compared by (index, starred):
 nonstarred before starred at equal index, ascending index.  Both enumerators
 produce it directly, one word length at a time, so nothing is sorted and
-nothing recurses.
+nothing recurses.  The feasible words come as letter tuples (the rank
+experiment reads them), the zigzag words as texts, each built from its
+parent's text.
 """
 
 from __future__ import annotations
@@ -122,16 +124,20 @@ def enumerate_zz(
     exclude_r: int,
     exclude_s: int,
     max_len: Optional[int] = None,
-) -> List[Word]:
-    """Zigzag words of length <= max_len avoiding e_{exclude_r} and e*_{exclude_s},
-    the trivial word included, in canonical shortlex order.
+) -> Tuple[List[str], dict]:
+    """The texts of the zigzag words of length <= max_len avoiding e_{exclude_r}
+    and e*_{exclude_s}, "1" for the trivial word first, in canonical shortlex
+    order; and their counts by length, {length: count} in length order.
 
     max_len defaults to 2d+2 (a documented truncation: zigzag words are
-    unbounded in general).  Grown one length at a time: w + (u,) for each
-    shorter w in order, then each letter u of the other kind in letter order,
-    kept when the zigzag conditions ending at u hold.  EnumerationBudgetError
-    (more than MAX_ZZ_WORDS words, or MAX_ZZ_LETTERS letters in all) is raised
-    from counts taken first, before any word is built.
+    unbounded in general).  The letters that may follow a word depend only on
+    its last three letters, its tail, so one table moves[tail] = [(letter
+    text, next tail)] drives a walk in two passes.  The first counts the words
+    of each length by their tails, filling the table as tails are reached, and
+    raises EnumerationBudgetError (more than MAX_ZZ_WORDS words, or
+    MAX_ZZ_LETTERS letters in all) before any word is built.  The second
+    builds each length in order, every word as its parent's text plus one
+    letter, the parents in order and each one's letters in letter order.
     """
     if d < 0:
         raise WordError("d must be nonnegative")
@@ -140,25 +146,25 @@ def enumerate_zz(
     if not 0 <= exclude_r <= d or not 0 <= exclude_s <= d:
         raise WordError("excluded indices must lie in 0..d")
     cap = 2 * d + 2 if max_len is None else max_len
-    nonstar = [(False, i) for i in range(d + 1) if i != exclude_r]
-    star = [(True, i) for i in range(d + 1) if i != exclude_s]
     alphabet = [u for i in range(d + 1) for u in ((False, i), (True, i))
-                if u in nonstar or u in star]
-
-    def grow(w: Word) -> List[Word]:  # the new conditions read w's last three letters
-        us = (nonstar if w[-1][0] else star) if w else alphabet
-        return [v for u in us if _conditions_hold_at(v := w + (u,), len(w))]
-
-    # count the words of each length by their last three letters
-    words, letters, length, tails = 1, 0, 0, {TRIVIAL: 1}
-    while tails and length < cap:
-        length += 1
+                if u not in ((False, exclude_r), (True, exclude_s))]
+    moves: dict = {}
+    counts, words, letters, tails = {0: 1}, 1, 0, {TRIVIAL: 1}
+    while len(counts) <= cap:
         grown: dict = {}
         for t, n in tails.items():
-            for v in grow(t):
-                grown[v[-3:]] = grown.get(v[-3:], 0) + n
-        words += sum(grown.values())
-        letters += length * sum(grown.values())
+            if t not in moves:  # alternate, then the conditions ending at the new letter
+                moves[t] = [(letter_text(u), v[-3:]) for u in alphabet
+                            if not t or u[0] != t[-1][0]
+                            if _conditions_hold_at(v := t + (u,), len(t))]
+            for _, nxt in moves[t]:
+                grown[nxt] = grown.get(nxt, 0) + n
+        if not grown:
+            break
+        length = len(counts)
+        counts[length] = sum(grown.values())
+        words += counts[length]
+        letters += length * counts[length]
         if words > MAX_ZZ_WORDS:
             raise EnumerationBudgetError(f"more than {MAX_ZZ_WORDS} words of length <= {cap}")
         if letters > MAX_ZZ_LETTERS:
@@ -166,18 +172,11 @@ def enumerate_zz(
                 f"more than {MAX_ZZ_LETTERS} letters in the words of length <= {cap}"
             )
         tails = grown
-    out, level = [TRIVIAL], [TRIVIAL]
-    for _ in range(length):
-        level = [v for w in level for v in grow(w)]
-        out.extend(level)
-    return out
-
-
-def zz_counts_by_length(words: Sequence[Word]) -> dict:
-    counts: dict = {}
-    for w in words:
-        counts[len(w)] = counts.get(len(w), 0) + 1
-    return counts
+    texts, level = ["1"], [("", TRIVIAL)]
+    for _ in range(len(counts) - 1):
+        level = [(text + " " + u if text else u, nxt) for text, t in level for u, nxt in moves[t]]
+        texts += [text for text, _ in level]
+    return texts, counts
 
 
 # ---------------------------------------------------------------------------

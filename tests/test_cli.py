@@ -602,7 +602,7 @@ def test_zz_enumerate_echoes_each_word_once(capsys, monkeypatch):
     assert len(words) == 8
     assert err == "".join(w + "\n" for w in words) + summary
     # an empty word list (no CLI input yields one) echoes nothing
-    monkeypatch.setattr("tdcheck.cli.enumerate_zz", lambda *a, **k: [])
+    monkeypatch.setattr("tdcheck.cli.enumerate_zz", lambda *a, **k: ([], {}))
     code, out, err = run_cli(capsys, "zz", "enumerate", "--d", "1")
     assert code == 0
     assert err == summary

@@ -159,8 +159,13 @@ def test_label_not_in_basis_is_rejected():
         ("phi : th0*phi + r", "phi :", "unexpected end of entry at line 9, column 5$"),
         ("phi : th0*phi + r", "phi : th0*phi + r2",
          "label 'r2' not in basis at line 9, column 17$"),
+        ("phi\nr\n", "phi\nr r\n", r"\[action a\] entries must follow basis order exactly$"),
+        ("r\n\n[action a]\nphi : th0*phi + r\nr : th1*r\n",
+         "r r\n\n[action a]\nphi : th0*phi + r\nr : th1*r\nr : th1*r\n",
+         "duplicate entry for r at line 11$"),
     ],
-    ids=["missing-entry", "repeated-entry", "empty-entry", "target-not-in-basis"],
+    ids=["missing-entry", "repeated-entry", "empty-entry", "target-not-in-basis",
+         "repeated-label", "repeated-label-and-entry"],
 )
 def test_actions_cover_the_basis_with_nonempty_entries_over_basis_labels(old, new, error):
     text = bundled_table_text(1)

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -200,15 +201,15 @@ def test_feasible_words_satisfy_their_defining_predicates():
 
 
 def test_enumerate_zz_d0():
-    words = enumerate_zz(0, exclude_r=0, exclude_s=0)
-    assert words == [()]  # only the trivial word survives
+    texts, counts = enumerate_zz(0, exclude_r=0, exclude_s=0)
+    assert (texts, counts) == (["1"], {0: 1})  # only the trivial word survives
 
 
 def test_enumerate_zz_d1_small_alphabet():
     # excluding e0 and e*1 leaves the alternating words over {e1, e*0};
     # shortlex with letters ordered by (index, starred) puts e*0 before e1
-    words = enumerate_zz(1, exclude_r=0, exclude_s=1, max_len=3)
-    texts = [word_text(w) for w in words]
+    texts, counts = enumerate_zz(1, exclude_r=0, exclude_s=1, max_len=3)
+    assert counts == {0: 1, 1: 2, 2: 2, 3: 2}
     assert texts == [
         "1",
         "e*0",
@@ -242,7 +243,9 @@ def test_enumerate_zz_matches_bruteforce_filter(case):
             if is_alternating(combo) and ref_is_zz(combo):
                 expected.append(combo)
     expected.sort(key=word_key)
-    assert enumerate_zz(d, r, s, max_len=cap) == expected
+    texts, counts = enumerate_zz(d, r, s, max_len=cap)
+    assert texts == [word_text(w) for w in expected]
+    assert counts == dict(Counter(map(len, expected)))
 
 
 def test_enumerate_zz_deterministic():
@@ -259,10 +262,11 @@ def test_enumerate_zz_budget(monkeypatch):
 
 @pytest.mark.parametrize("case", [(3, 0, 3, None), (2, 1, 0, 7), (4, 2, 2, 5)])
 def test_enumerate_zz_budget_is_exact(case, monkeypatch):
-    words = enumerate_zz(*case)
-    for budget, total in (("MAX_ZZ_WORDS", len(words)), ("MAX_ZZ_LETTERS", sum(map(len, words)))):
+    texts, counts = enumerate_zz(*case)
+    letters = sum(k * n for k, n in counts.items())
+    for budget, total in (("MAX_ZZ_WORDS", len(texts)), ("MAX_ZZ_LETTERS", letters)):
         monkeypatch.setattr(zigzag, budget, total)
-        assert enumerate_zz(*case) == words
+        assert enumerate_zz(*case) == (texts, counts)
         monkeypatch.setattr(zigzag, budget, total - 1)
         with pytest.raises(EnumerationBudgetError, match=budget.split("_")[-1].lower()):
             enumerate_zz(*case)
@@ -295,6 +299,19 @@ def ref_zz_level_counts(d, r, s, max_len):
         tails = grown
 
 
+@pytest.mark.parametrize("max_len", [None, 7])
+def test_enumerate_zz_counts_match_reference_level_counts(max_len):
+    for d in range(5):
+        for r, s in itertools.product(range(d + 1), repeat=2):
+            texts, counts = enumerate_zz(d, r, s, max_len=max_len)
+            cap = 2 * d + 2 if max_len is None else max_len
+            expected, before = {0: 1}, 1
+            for k, words, _ in ref_zz_level_counts(d, r, s, cap):
+                expected[k], before = words - before, words
+            assert counts == expected
+            assert len(texts) == sum(counts.values())
+
+
 def test_letter_budget_admits_every_run_within_the_word_budget():
     # every run whose words stay under 1,000 letters and number at most
     # MAX_ZZ_WORDS fits the letter budget; the largest is d = 2, max_len 499
@@ -311,9 +328,9 @@ def test_letter_budget_admits_every_run_within_the_word_budget():
 
 def test_enumerate_zz_ten_million_letters():
     # 80,401 words of up to 200 letters: over MAX_ZZ_WORDS * (2 * MAX_ZZ_D + 2)
-    words = enumerate_zz(2, 2, 2, max_len=200)
-    assert (len(words), sum(map(len, words))) == (80_401, 10_746_800)
-    assert words[:3] == [(), ((False, 0),), ((True, 0),)]
+    texts, counts = enumerate_zz(2, 2, 2, max_len=200)
+    assert (len(texts), sum(k * n for k, n in counts.items())) == (80_401, 10_746_800)
+    assert texts[:3] == ["1", "e0", "e*0"]
 
 
 def test_enumerate_zz_long_words_give_a_report(capsys):
