@@ -9,11 +9,14 @@ reports, independent of --jobs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from collections import Counter
+from itertools import chain
 from pathlib import Path
+from typing import Iterable, List, Tuple
 
 from .fields import DEFAULT_PRIME, FieldError, PrimeField, Rationals, field_echo
 from .params import ParameterArray, validate_parameter_array
@@ -25,6 +28,8 @@ from .zigzag import enumerate_convex_spanning, enumerate_feasible, enumerate_zz,
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
+WORDS = "\0words\0"  # the zz.words detail until _emit streams the words in
+WORDS_CHUNK = 1 << 16  # characters of word text written at a time
 
 
 def _field(args):
@@ -115,11 +120,49 @@ def _check_output(output: Path) -> None:
         raise OSError(f"cannot write --output {output}")
 
 
-def _emit(report: VerificationReport, output: Path = None) -> int:
+def _chunks(words: Iterable[str]) -> Iterable[List[str]]:
+    """The words in order, in lists of about WORDS_CHUNK characters."""
+    chunk, size = [], 0
+    for word in words:
+        chunk.append(word)
+        size += len(word)
+        if size >= WORDS_CHUNK:
+            yield chunk
+            chunk, size = [], 0
+    if chunk:
+        yield chunk
+
+
+def _emit(report: VerificationReport, output: Path = None, words: Iterable[str] = None) -> int:
+    """Print the report's JSON, also to --output, then its summary to stderr.
+
+    `words`, when given, are the texts of the zz.words detail, which the
+    report holds as the placeholder WORDS.  They are written as they come, a
+    chunk at a time, each chunk also echoed to stderr one word per line, so
+    no copy of them all is ever made.  JSON escapes character by character,
+    so a chunk's inner JSON, escaped once more, is its slice of the detail.
+    """
     text = report.to_json()
-    if output is not None:
-        output.write_text(text + "\n")
-    print(text)
+    with contextlib.ExitStack() as stack:
+        sinks = [sys.stdout]
+        if output is not None:
+            sinks.append(stack.enter_context(output.open("w")))
+
+        def write(piece: str):
+            for sink in sinks:
+                sink.write(piece)
+
+        if words is None:
+            write(text + "\n")
+        else:
+            head, tail = text.split(json.dumps(WORDS))
+            write(head + '"[')
+            sep = ""
+            for chunk in _chunks(words):
+                write(sep + json.dumps(json.dumps(chunk, separators=(",", ":"))[1:-1])[1:-1])
+                sys.stderr.write("\n".join(chunk) + "\n")
+                sep = ","
+            write(']"' + tail + "\n")
     print(report.summary(), file=sys.stderr)
     return 0 if report.overall else FAIL_EXIT
 
@@ -169,28 +212,28 @@ def _run_check_params(args) -> VerificationReport:
     return rep
 
 
-def _run_zz_enumerate(args) -> VerificationReport:
+def _run_zz_enumerate(args) -> Tuple[VerificationReport, Iterable[str]]:
     if args.feasible:
         for flag in ("exclude_r", "exclude_s", "max_len"):
             if getattr(args, flag) is not None:
                 raise ValueError(f"--{flag.replace('_', '-')} does not apply to --feasible")
-        words = enumerate_feasible(args.d)
-        texts, counts = [word_text(w) for w in words], dict(Counter(map(len, words)))
+        found = enumerate_feasible(args.d)
+        counts, words = dict(Counter(map(len, found))), map(word_text, found)
     else:
         if args.max_len is not None and args.max_len < 0:
             raise ValueError("--max-len must be nonnegative")
         exclude_s = args.exclude_s if args.exclude_s is not None else args.d
-        texts, counts = enumerate_zz(args.d, args.exclude_r or 0, exclude_s, max_len=args.max_len)
+        counts, lengths = enumerate_zz(args.d, args.exclude_r or 0, exclude_s, max_len=args.max_len)
+        words = chain.from_iterable(lengths)
     rep = VerificationReport(command="zz-enumerate", field={"kind": "none"}, trials=1)
     kind = "feasible" if args.feasible else "zz"
     rep.add(
         f"zz.enumerate.{kind}.d{args.d}",
         True,
-        f"{len(texts)} words; by length {counts}",
+        f"{sum(counts.values())} words; by length {counts}",
     )
-    rep.add("zz.words", True, json.dumps(texts, separators=(",", ":")))
-    sys.stderr.write("".join(t + "\n" for t in texts))
-    return rep
+    rep.add("zz.words", True, WORDS)
+    return rep, words
 
 
 def _run_convex(args) -> VerificationReport:
@@ -209,7 +252,9 @@ def main(argv=None) -> int:
         return USAGE_EXIT if e.code not in (0, None) else 0
     try:
         _check_output(args.output)
-        return _emit(args.run(args), args.output)
+        result = args.run(args)  # zz enumerate returns its words beside the report
+        report, words = result if isinstance(result, tuple) else (result, None)
+        return _emit(report, args.output, words)
     except (FieldError, TableError, OSError, ValueError) as err:
         print(f"tdcheck: {err}", file=sys.stderr)
         return USAGE_EXIT

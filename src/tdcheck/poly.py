@@ -74,16 +74,17 @@ def lagrange_idempotents(a: Matrix, thetas: Sequence) -> List[Matrix]:
     full = prefix[-1]
     if not full.is_zero():
         raise MinimalPolynomialError(full.rank())
-    # suffix[i] = (A - t_d I)...(A - t_i I): the factors commute
-    suffix = shifted_products(a, thetas[::-1])[::-1]
+    # suffix[i] = (A - t_d I)...(A - t_{i+1} I): the factors commute, and the
+    # walk stops at t_1, since no E_i reads the full product
+    suffix = shifted_products(a, thetas[:0:-1])[::-1]
     out = []
     for i in range(d + 1):
         if i == 0:  # prefix[0] = I
-            numer = suffix[1]
-        elif i == d:  # suffix[d + 1] = I
+            numer = suffix[0]
+        elif i == d:  # suffix[d] = I
             numer = prefix[d]
         else:
-            numer = prefix[i] * suffix[i + 1]
+            numer = prefix[i] * suffix[i]
         den = f.one
         for j in range(d + 1):
             if j != i:

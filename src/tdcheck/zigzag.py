@@ -19,12 +19,13 @@ nonstarred before starred at equal index, ascending index.  Both enumerators
 produce it directly, one word length at a time, so nothing is sorted and
 nothing recurses.  The feasible words come as letter tuples (the rank
 experiment reads them), the zigzag words as texts, each built from its
-parent's text.
+parent's text and handed out one length at a time, so a caller can write
+them out without holding them all.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import EchelonBasis
 from .report import Check
@@ -124,20 +125,23 @@ def enumerate_zz(
     exclude_r: int,
     exclude_s: int,
     max_len: Optional[int] = None,
-) -> Tuple[List[str], dict]:
-    """The texts of the zigzag words of length <= max_len avoiding e_{exclude_r}
-    and e*_{exclude_s}, "1" for the trivial word first, in canonical shortlex
-    order; and their counts by length, {length: count} in length order.
+) -> Tuple[dict, Iterator[Iterable[str]]]:
+    """The zigzag words of length <= max_len avoiding e_{exclude_r} and
+    e*_{exclude_s}: their counts by length, {length: count} in length order,
+    and a generator of the lengths in order, each an iterable of its word
+    texts in canonical shortlex order ("1" for the trivial word first).
 
     max_len defaults to 2d+2 (a documented truncation: zigzag words are
     unbounded in general).  The letters that may follow a word depend only on
     its last three letters, its tail, so one table moves[tail] = [(letter
-    text, next tail)] drives a walk in two passes.  The first counts the words
-    of each length by their tails, filling the table as tails are reached, and
-    raises EnumerationBudgetError (more than MAX_ZZ_WORDS words, or
-    MAX_ZZ_LETTERS letters in all) before any word is built.  The second
-    builds each length in order, every word as its parent's text plus one
-    letter, the parents in order and each one's letters in letter order.
+    text, next tail)] drives a walk in two passes.  The first, run here,
+    counts the words of each length by their tails, filling the table as
+    tails are reached, and raises EnumerationBudgetError (more than
+    MAX_ZZ_WORDS words, or MAX_ZZ_LETTERS letters in all) before any word is
+    built.  The second is the generator: it builds each length as it is
+    read, every word as its parent's text plus one letter, the parents in
+    order and each one's letters in letter order, so it holds at most the
+    parent length and the one it builds.
     """
     if d < 0:
         raise WordError("d must be nonnegative")
@@ -172,11 +176,21 @@ def enumerate_zz(
                 f"more than {MAX_ZZ_LETTERS} letters in the words of length <= {cap}"
             )
         tails = grown
-    texts, level = ["1"], [("", TRIVIAL)]
-    for _ in range(len(counts) - 1):
-        level = [(text + " " + u if text else u, nxt) for text, t in level for u, nxt in moves[t]]
-        texts += [text for text, _ in level]
-    return texts, counts
+    return counts, _zz_lengths(moves, len(counts) - 1)
+
+
+def _zz_lengths(moves: dict, top: int) -> Iterator[Iterable[str]]:
+    """The word texts of lengths 0..top, one iterable per length; the last
+    one is built as it is read, since no longer word extends it."""
+    yield ["1"]
+    level = [("", TRIVIAL)]
+    for length in range(1, top + 1):
+        grown = ((text + " " + u if text else u, nxt) for text, t in level for u, nxt in moves[t])
+        if length == top:
+            yield (text for text, _ in grown)
+        else:
+            level = list(grown)
+            yield (text for text, _ in level)
 
 
 # ---------------------------------------------------------------------------

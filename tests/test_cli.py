@@ -3,7 +3,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -12,8 +15,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tdcheck
 from tdcheck import suites, zigzag
 from tdcheck.cli import main
+from tdcheck.report import VerificationReport
 
 
 def run_cli(capsys, *argv):
@@ -602,8 +607,69 @@ def test_zz_enumerate_echoes_each_word_once(capsys, monkeypatch):
     assert len(words) == 8
     assert err == "".join(w + "\n" for w in words) + summary
     # an empty word list (no CLI input yields one) echoes nothing
-    monkeypatch.setattr("tdcheck.cli.enumerate_zz", lambda *a, **k: ([], {}))
+    monkeypatch.setattr("tdcheck.cli.enumerate_zz", lambda *a, **k: ({}, iter([])))
     code, out, err = run_cli(capsys, "zz", "enumerate", "--d", "1")
     assert code == 0
     assert err == summary
     assert words_detail(out) == "[]"
+
+
+ZZ_STREAMS = (
+    ("zz", "enumerate", "--d", "3", "--exclude-r", "0", "--exclude-s", "3"),
+    ("zz", "enumerate", "--d", "1", "--max-len", "300"),  # about 270,000 characters
+    ("zz", "enumerate", "--d", "4", "--feasible"),
+)
+
+
+@pytest.mark.parametrize("argv", ZZ_STREAMS, ids=["lengths", "chunks", "feasible"])
+def test_zz_enumerate_streams_one_report_to_stdout_and_output(argv, tmp_path, capsys):
+    target = tmp_path / "words.json"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 0
+    assert target.read_bytes() == out.encode()
+    rep = json.loads(out)
+    words = json.loads(rep["checks"][1]["detail"])
+    assert rep["checks"][1]["id"] == "zz.words"
+    assert rep["checks"][0]["detail"].startswith(f"{len(words)} words;")
+    # the streamed bytes are those of the report built with its detail whole
+    whole = VerificationReport(command="zz-enumerate", field={"kind": "none"}, trials=1)
+    whole.add(rep["checks"][0]["id"], True, rep["checks"][0]["detail"])
+    whole.add("zz.words", True, json.dumps(words, separators=(",", ":")))
+    assert out == whole.to_json() + "\n"
+    assert err == "".join(w + "\n" for w in words) + whole.summary() + "\n"
+    assert err.count("\n") == len(words) + 1
+
+
+# runs that peaked at 108 and 194 MB while they held every copy of their words at once
+LONG_WORD_RUNS = (
+    ("--d", "1", "--max-len", "2600"),
+    ("--d", "2", "--exclude-r", "2", "--exclude-s", "2", "--max-len", "200"),
+)
+
+# Linux folds the peak of the process a child was spawned from into the
+# child's ru_maxrss (the peak before exec counts), so the CLI is spawned from
+# a bare interpreter rather than from the test process, and that one reads
+# the CLI's peak with os.wait4.
+PEAK_PROBE = """
+import os, subprocess, sys
+with open(os.devnull, "w") as sink:
+    child = subprocess.Popen(sys.argv[1:], stdout=sink, stderr=sink)
+    _, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize("argv", LONG_WORD_RUNS, ids=["d1-2600", "d2-200"])
+def test_zz_enumerate_peak_memory_does_not_grow_with_the_output(argv):
+    src = str(Path(tdcheck.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = subprocess.run(
+        [sys.executable, "-c", PEAK_PROBE,
+         sys.executable, "-m", "tdcheck.cli", "zz", "enumerate", *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    code, peak_kib = map(int, probe.stdout.split())
+    assert code == 0
+    assert peak_kib / 1024 < 40

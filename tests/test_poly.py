@@ -129,6 +129,35 @@ def test_lagrange_idempotents_equal_the_full_products(f, n):
         assert e.rows == numer.scale(f.inv(den)).rows
 
 
+@pytest.mark.parametrize("d", range(6))
+def test_lagrange_family_forms_only_the_products_it_reads(d, monkeypatch):
+    # d prefix products (the last is the minimal-polynomial check), d - 1
+    # suffix products (the full one is not formed again) and one product per
+    # inner E_i: 3d - 2 for d >= 1, none for d = 0
+    f = PrimeField()
+    s = Sampler(f, 60 + d)
+    thetas = s.distinct(d + 1)
+    a = Matrix(
+        f,
+        [[s.scalar() for _ in range(i)] + [thetas[i]] + [f.zero] * (d - i)
+         for i in range(d + 1)],
+    )
+    products = []
+    mat_mul = PrimeField.mat_mul
+
+    def counted(self, x, y):
+        products.append(1)
+        return mat_mul(self, x, y)
+
+    monkeypatch.setattr(PrimeField, "mat_mul", counted)
+    idems = lagrange_idempotents(a, thetas)
+    assert len(products) == max(3 * d - 2, 0)
+    monkeypatch.undo()
+    assert sum(e.rank() for e in idems) == d + 1
+    for i, e in enumerate(idems):
+        assert e * e == e and a * e == e.scale(thetas[i])
+
+
 def test_lagrange_rejects_repeated_eigenvalue():
     a = Matrix.identity(QQ, 2)
     with pytest.raises(PolyError):

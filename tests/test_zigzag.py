@@ -200,15 +200,21 @@ def test_feasible_words_satisfy_their_defining_predicates():
 # general zigzag enumeration
 
 
+def zz_texts(*args, **kwargs):
+    """enumerate_zz's word texts flattened over its lengths, and its counts."""
+    counts, lengths = enumerate_zz(*args, **kwargs)
+    return [t for length in lengths for t in length], counts
+
+
 def test_enumerate_zz_d0():
-    texts, counts = enumerate_zz(0, exclude_r=0, exclude_s=0)
+    texts, counts = zz_texts(0, exclude_r=0, exclude_s=0)
     assert (texts, counts) == (["1"], {0: 1})  # only the trivial word survives
 
 
 def test_enumerate_zz_d1_small_alphabet():
     # excluding e0 and e*1 leaves the alternating words over {e1, e*0};
     # shortlex with letters ordered by (index, starred) puts e*0 before e1
-    texts, counts = enumerate_zz(1, exclude_r=0, exclude_s=1, max_len=3)
+    texts, counts = zz_texts(1, exclude_r=0, exclude_s=1, max_len=3)
     assert counts == {0: 1, 1: 2, 2: 2, 3: 2}
     assert texts == [
         "1",
@@ -243,15 +249,26 @@ def test_enumerate_zz_matches_bruteforce_filter(case):
             if is_alternating(combo) and ref_is_zz(combo):
                 expected.append(combo)
     expected.sort(key=word_key)
-    texts, counts = enumerate_zz(d, r, s, max_len=cap)
+    texts, counts = zz_texts(d, r, s, max_len=cap)
     assert texts == [word_text(w) for w in expected]
     assert counts == dict(Counter(map(len, expected)))
 
 
 def test_enumerate_zz_deterministic():
-    a = enumerate_zz(3, 0, 3)
-    b = enumerate_zz(3, 0, 3)
+    a = zz_texts(3, 0, 3)
+    b = zz_texts(3, 0, 3)
     assert a == b
+
+
+@pytest.mark.parametrize("case", [(0, 0, 0, None), (3, 0, 3, None), (2, 1, 0, 7), (1, 0, 1, 0)])
+def test_enumerate_zz_hands_out_the_lengths_in_order(case):
+    # one iterable per length 0..max, each holding counts[k] words of k letters
+    counts, lengths = enumerate_zz(*case)
+    got = [list(length) for length in lengths]
+    assert [len(words) for words in got] == list(counts.values())
+    assert list(counts) == list(range(len(counts)))
+    assert got[0] == ["1"]
+    assert all(len(w.split()) == k for k, words in enumerate(got[1:], 1) for w in words)
 
 
 def test_enumerate_zz_budget(monkeypatch):
@@ -262,11 +279,11 @@ def test_enumerate_zz_budget(monkeypatch):
 
 @pytest.mark.parametrize("case", [(3, 0, 3, None), (2, 1, 0, 7), (4, 2, 2, 5)])
 def test_enumerate_zz_budget_is_exact(case, monkeypatch):
-    texts, counts = enumerate_zz(*case)
+    texts, counts = zz_texts(*case)
     letters = sum(k * n for k, n in counts.items())
     for budget, total in (("MAX_ZZ_WORDS", len(texts)), ("MAX_ZZ_LETTERS", letters)):
         monkeypatch.setattr(zigzag, budget, total)
-        assert enumerate_zz(*case) == (texts, counts)
+        assert zz_texts(*case) == (texts, counts)
         monkeypatch.setattr(zigzag, budget, total - 1)
         with pytest.raises(EnumerationBudgetError, match=budget.split("_")[-1].lower()):
             enumerate_zz(*case)
@@ -303,7 +320,7 @@ def ref_zz_level_counts(d, r, s, max_len):
 def test_enumerate_zz_counts_match_reference_level_counts(max_len):
     for d in range(5):
         for r, s in itertools.product(range(d + 1), repeat=2):
-            texts, counts = enumerate_zz(d, r, s, max_len=max_len)
+            texts, counts = zz_texts(d, r, s, max_len=max_len)
             cap = 2 * d + 2 if max_len is None else max_len
             expected, before = {0: 1}, 1
             for k, words, _ in ref_zz_level_counts(d, r, s, cap):
@@ -328,7 +345,7 @@ def test_letter_budget_admits_every_run_within_the_word_budget():
 
 def test_enumerate_zz_ten_million_letters():
     # 80,401 words of up to 200 letters: over MAX_ZZ_WORDS * (2 * MAX_ZZ_D + 2)
-    texts, counts = enumerate_zz(2, 2, 2, max_len=200)
+    texts, counts = zz_texts(2, 2, 2, max_len=200)
     assert (len(texts), sum(k * n for k, n in counts.items())) == (80_401, 10_746_800)
     assert texts[:3] == ["1", "e0", "e*0"]
 
