@@ -1,3 +1,5 @@
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -171,6 +173,115 @@ def test_actions_cover_the_basis_with_nonempty_entries_over_basis_labels(old, ne
     text = bundled_table_text(1)
     assert old in text
     with pytest.raises(ParseError, match=error):
+        parse_table(text.replace(old, new, 1))
+
+
+# int() refuses digit strings longer than sys.get_int_max_str_digits() (3.11+)
+_LONG = "7" * 5000
+_needs_int_limit = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(_LONG),
+    reason="int() accepts 5,000 digits on this interpreter",
+)
+_MIN_D1 = "# module-table v1\nd = 1\n\n[basis]\nphi\n\n[action a]\nphi : th0*phi\n\n[action astar]\nphi : ths0*phi\n"
+
+
+def _error_case(case_id, d, old, new, error, marks=()):
+    return pytest.param(d, old, new, error, id=case_id, marks=marks)
+
+
+@pytest.mark.parametrize(
+    "d,old,new,error",
+    [
+        # in an entry
+        _error_case("unexpected-character", 1, "r : th1*r", "r : th1*&r",
+                    "unexpected character '&' at line 10, column 9"),
+        _error_case("end-of-entry", 1, "phi : th0*phi + r", "phi : th0*phi +",
+                    "unexpected end of entry at line 9, column 15"),
+        _error_case("expected-colon", 1, "phi : th0*phi + r", "phi th0*phi + r",
+                    "expected ':', found 'th0' at line 9, column 5"),
+        _error_case("expected-close-paren", 1, "+ y1*phi", "+ (y1 y1)*phi",
+                    "expected ')', found 'y1' at line 14, column 18"),
+        _error_case("exponent-not-integer", 1, "+ y1*phi", "+ y1^th0*phi",
+                    "exponent must be an integer at line 14, column 17"),
+        _error_case("exponent-too-large", 1, "+ y1*phi", "+ y1^65*phi",
+                    "exponent exceeds 64 in absolute value at line 14, column 17"),
+        _error_case("integer-too-long", 1, "+ y1*phi", f"+ {_LONG}*phi",
+                    "integer of 5000 digits is too long at line 14, column 14",
+                    _needs_int_limit),
+        _error_case("exponent-too-long", 1, "+ y1*phi", f"+ y1^{_LONG}*phi",
+                    "integer of 5000 digits is too long at line 14, column 17",
+                    _needs_int_limit),
+        _error_case("label-exponent-too-long", 1, "+ y1*phi", f"+ y1*r{_LONG}",
+                    "integer of 5000 digits is too long at line 14, column 17",
+                    _needs_int_limit),
+        _error_case("name-index-too-long", 1, "+ y1*phi", f"+ y{_LONG}*phi",
+                    "integer of 5000 digits is too long at line 14, column 14",
+                    _needs_int_limit),
+        _error_case("label-in-parentheses", 1, "+ y1*phi", "+ y1*(phi)",
+                    "basis label inside parentheses at line 14, column 18"),
+        _error_case("label-not-in-basis", 1, "+ y1*phi", "+ y1*r2",
+                    "label 'r2' not in basis at line 14, column 17"),
+        _error_case("bad-label-in-entry", 1, "+ y1*phi", "+ y1*r1",
+                    "bad basis label 'r1': exponent 1 not canonical at line 14, column 17"),
+        _error_case("repeated-symbol-in-entry", 1, "+ y1*phi", "+ y1*rr",
+                    "bad basis label 'rr': repeated symbol run at line 14, column 17"),
+        _error_case("beta-below-d3", 1, "+ y1*phi", "+ beta*phi",
+                    "unknown scalar name 'beta': beta needs d >= 3 at line 14, column 14"),
+        _error_case("unknown-name", 1, "+ y1*phi", "+ x1*phi",
+                    "unknown scalar name 'x1' at line 14, column 14"),
+        _error_case("name-out-of-range", 1, "+ y1*phi", "+ y2*phi",
+                    "unknown scalar name 'y2' for d=1 at line 14, column 14"),
+        _error_case("parentheses-too-deep", 1, "+ y1*phi", "+ " + "(" * 65 + "y1" + ")" * 65 + "*phi",
+                    "parentheses nest deeper than 64 at line 14, column 78"),
+        _error_case("unexpected-token", 1, "+ y1*phi", "+ y1*)phi",
+                    "unexpected token ')' at line 14, column 17"),
+        _error_case("label-must-end-term", 2, "r : th1*r + r2", "r : th1*r + r*th1*r2",
+                    "basis label must end its term at line 11, column 5"),
+        _error_case("coefficient-too-deep", 1, "+ y1*phi", "+ (y1" + "+0" * 64 + ")*phi",
+                    "coefficient nests deeper than 64 at line 14, column 5"),
+        _error_case("term-must-end-with-label", 1, "+ y1*phi", "+ y1*th0",
+                    "entry term must end with a basis label at line 14, column 5"),
+        _error_case("entry-must-start-with-label", 1, "phi : th0*phi + r", "th0 : th0*phi + r",
+                    "entry must start with a basis label at line 9, column 1"),
+        _error_case("token-after-term", 1, "r : th1*r", "r : th1*r r",
+                    "unexpected token 'r' after term at line 10, column 11"),
+        # in the file and its sections
+        _error_case("missing-header", 1, "# module-table v1\n", "# module-table v2\n",
+                    "missing format header '# module-table v1' at line 1"),
+        _error_case("d-line", 1, "d = 1", "d = one",
+                    "expected 'd = <int>' after the header at line 2"),
+        _error_case("d-too-long", 1, "d = 1", f"d = {_LONG}",
+                    "integer of 5000 digits is too long at line 2, column 5", _needs_int_limit),
+        _error_case("beyond-d5", 1, "d = 1", "d = 6", "no module tables beyond d = 5 at line 2"),
+        _error_case("unknown-section", 1, "[action astar]", "[action b]",
+                    "unknown section '[action b]' at line 12"),
+        _error_case("content-before-section", 1, "d = 1\n", "d = 1\nphi\n",
+                    "content before any section at line 3"),
+        _error_case("missing-section", 1, "[action astar]\nphi : ths0*phi\nr : ths1*r + y1*phi\n",
+                    "", "missing section [action astar]"),
+        _error_case("bad-label-in-basis", 1, "phi\nr\n", "phi\nr1\n",
+                    "bad basis label 'r1': exponent 1 not canonical at line 6"),
+        _error_case("duplicate-entry", 1, "r : th1*r\n", "r : th1*r\nr : th1*r\n",
+                    "duplicate entry for r at line 11"),
+        _error_case("basis-order", 1, "phi : th0*phi + r\nr : th1*r\n",
+                    "r : th1*r\nphi : th0*phi + r\n",
+                    "[action a] entries must follow basis order exactly"),
+        # in the structure
+        _error_case("label-count", 0, bundled_table_text(0), _MIN_D1,
+                    "basis has 1 labels, expected 2"),
+        _error_case("row-count", 1, "phi\nr\n", "phi r\n", "basis has 1 rows, expected 2"),
+        _error_case("row-index", 2, "phi\nr lr2\n", "phi r\nlr2\n",
+                    "label r sits in row 0 but has row index 1"),
+        _error_case("diagonal-coefficient", 1, "phi : th0*phi", "phi : th1*phi",
+                    "action a: entry for phi must start with th0*phi"),
+        _error_case("diagonal-coefficient-astar", 1, "r : ths1*r", "r : ths0*r",
+                    "action astar: entry for r must start with ths1*r"),
+    ],
+)
+def test_each_table_error_has_its_pinned_message(d, old, new, error):
+    text = bundled_table_text(d)
+    assert old in text
+    with pytest.raises(TableError, match="^" + re.escape(error) + "$"):
         parse_table(text.replace(old, new, 1))
 
 
