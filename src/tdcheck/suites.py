@@ -28,7 +28,7 @@ from .realization import (
     verify_relations,
 )
 from .report import Check, VerificationReport
-from .tables import ModuleTable, load_table
+from .tables import FORMAT_VERSION, ModuleTable, load_table
 from .tdsystem import roundtrip
 from .zigzag import feasible_rank_test
 
@@ -103,7 +103,7 @@ def run_sweep(
         command=command,
         field=field_echo(field),
         seed=seed,
-        asset_version=table.version,
+        asset_version=FORMAT_VERSION,
         trials=trials,
     )
     one_trial = partial(_trial_checks, command, table, field, seed)

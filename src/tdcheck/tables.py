@@ -10,10 +10,13 @@ i.e. a sum of coefficient*label terms.  Coefficients are expressions over
 integer literals, the named scalars th0..thd, ths0..thsd, y1..yd, beta,
 eps0..eps(d-2), parentheses and + - * / ^ with integer (possibly negative)
 exponents of absolute value at most MAX_EXPONENT.  Precedence, tightest
-first: ^, unary -, * and /, binary + and -.  An entry's right-hand side
-goes through the same parser, with basis labels as atoms outside
-parentheses, and its top-level sum is split into terms.  Nesting is at most
-MAX_EXPR_DEPTH deep, so no table can exhaust the recursion.
+first: ^, unary -, * and /, binary + and -.  Each entry line is cut into
+tokens by one regex and read by one recursive-descent parser (_Entry), with
+basis labels as atoms outside parentheses; its top-level sum is split into
+terms as it is read.  Nesting is at most MAX_EXPR_DEPTH deep, so no table
+can exhaust the recursion.  parse_table checks the header, the sections and
+the block structure in the same pass; a ModuleTable holds only d, the basis
+(in file order) and the two actions.
 
 Parsing is loss-free: the printer in tests/test_tables.py re-serializes every
 parsed bundled table byte for byte.  format_expr stays here for the
@@ -257,212 +260,156 @@ def format_expr(expr: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer / recursive-descent parser
+# Action entries: label : term + term - term ..., each term [coeff*]LABEL
+#
+# One recursive-descent parser per entry line.  Basis labels are atoms outside
+# parentheses; coefficients with top-level sums must be parenthesized.
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^():]))"
+    r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^():])|(?P<bad>\S))"
 )
+_LABEL_TOKEN_RE = re.compile(r"phi|(?:[lr][0-9]*)+")
 
 
-class _Tokens:
-    def __init__(self, text: str, line_no: int):
+class _Entry:
+    """The tokens of one entry line, the read position and the parenthesis depth."""
+
+    def __init__(self, text: str, line_no: int, d: int, basis: set):
         self.text = text
         self.line_no = line_no
-        self.toks: List[Tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m or m.end() == pos:
-                rest = text[pos:].strip()
-                if not rest:
-                    break
-                raise ParseError(
-                    f"unexpected character {rest[0]!r}", line_no, pos + 1
-                )
-            if m.group("num"):
-                self.toks.append(("num", m.group("num"), m.start("num")))
-            elif m.group("ident"):
-                self.toks.append(("ident", m.group("ident"), m.start("ident")))
-            else:
-                self.toks.append(("op", m.group("op"), m.start("op")))
-            pos = m.end()
+        self.d = d
+        self.basis = basis
+        self.toks: List[Tuple[str, str, int]] = []  # (kind, text, offset)
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ParseError(f"unexpected character {m.group(kind)!r}", line_no, m.start() + 1)
+            self.toks.append((kind, m.group(kind), m.start(kind)))
         self.i = 0
+        self.depth = 0  # parenthesis nesting at the current token
 
     def peek(self) -> Optional[Tuple[str, str, int]]:
         return self.toks[self.i] if self.i < len(self.toks) else None
 
     def next(self) -> Tuple[str, str, int]:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of entry", self.line_no, len(self.text))
+        tok = self.peek()
+        if tok is None:
+            raise self.error("unexpected end of entry")
         self.i += 1
-        return t
+        return tok
 
-    def expect_op(self, op: str):
-        t = self.next()
-        if t[0] != "op" or t[1] != op:
-            raise ParseError(f"expected {op!r}, found {t[1]!r}", self.line_no, t[2] + 1)
+    def accept(self, ops: str) -> Optional[str]:
+        """Consume the next token if it is one of the operator characters in ops."""
+        tok = self.peek()
+        if tok is None or tok[0] != "op" or tok[1] not in ops:
+            return None
+        self.i += 1
+        return tok[1]
+
+    def expect(self, op: str):
+        tok = self.next()
+        if tok[0] != "op" or tok[1] != op:
+            raise self.error(f"expected {op!r}, found {tok[1]!r}", tok)
 
     def error(self, msg: str, tok=None) -> ParseError:
-        col = (tok[2] + 1) if tok else len(self.text)
-        return ParseError(msg, self.line_no, col)
+        return ParseError(msg, self.line_no, tok[2] + 1 if tok else len(self.text))
 
+    # entry := LABEL ':' term (('+'|'-') term)*
+    def read(self) -> Tuple[BasisLabel, List[Tuple[Expr, BasisLabel]]]:
+        head = self.peek()
+        source = self.atom()
+        if not isinstance(source, BasisLabel):
+            raise self.error("entry must start with a basis label", head)
+        self.expect(":")
+        summands = [(None, self.peek(), self.binary("*/"))]  # (sign, first token, node)
+        while op := self.accept("+-"):
+            summands.append((op, self.peek(), self.binary("*/")))
+        tok = self.peek()
+        if tok is not None:
+            raise self.error(f"unexpected token {tok[1]!r} after term", tok)
+        terms = []
+        for op, _, node in summands:
+            coeff, label = self.term(node, summands[0][1])
+            terms.append((Neg(coeff) if op == "-" else coeff, label))
+        return source, terms
 
-def _is_label_token(text: str) -> bool:
-    return text == "phi" or re.fullmatch(r"(?:[lr][0-9]*)+", text) is not None
+    def term(self, node, start) -> Tuple[Expr, BasisLabel]:
+        """(coefficient, label) of one summand: label, -label or coeff*label."""
+        if isinstance(node, BasisLabel):
+            return ONE, node
+        if isinstance(node, Neg) and isinstance(node.child, BasisLabel):
+            return Neg(ONE), node.child
+        coeff, label = node, None
+        if isinstance(node, BinOp) and node.op == "*" and isinstance(node.right, BasisLabel):
+            coeff, label = node.left, node.right
+        stack = [(coeff, 1)]  # (node, depth), walked without recursion; a node is its fields
+        while stack:
+            sub, depth = stack.pop()
+            if isinstance(sub, BasisLabel):
+                raise self.error("basis label must end its term", start)
+            if depth > MAX_EXPR_DEPTH:
+                raise self.error(f"coefficient nests deeper than {MAX_EXPR_DEPTH}", start)
+            stack += [(c, depth + 1) for c in sub if isinstance(c, _NODES)]
+        if label is None:
+            raise self.error("entry term must end with a basis label", start)
+        return coeff, label
 
-
-class _ExprParser:
-    """Recursive descent over one entry line; d is needed for name checking.
-
-    With a basis, a label token outside parentheses is an atom (BasisLabel),
-    so an entry's right-hand side parses as one expression.
-    """
-
-    def __init__(self, toks: _Tokens, d: int, basis: Optional[set] = None):
-        self.t = toks
-        self.d = d
-        self.basis = basis
-        self.depth = 0  # parenthesis nesting at the current token
-
-    # expr := prod (('+'|'-') prod)*
-    def expr(self) -> Expr:
-        node = self.prod()
-        while True:
-            nxt = self.t.peek()
-            if nxt and nxt[0] == "op" and nxt[1] in "+-":
-                self.t.next()
-                node = BinOp(nxt[1], node, self.prod())
-            else:
-                return node
-
-    # prod := factor (('*'|'/') factor)*
-    def prod(self) -> Expr:
-        node = self.factor()
-        while True:
-            nxt = self.t.peek()
-            if nxt and nxt[0] == "op" and nxt[1] in "*/":
-                self.t.next()
-                node = BinOp(nxt[1], node, self.factor())
-            else:
-                return node
+    # sum := prod (('+'|'-') prod)*, prod := factor (('*'|'/') factor)*
+    def binary(self, ops: str) -> Expr:
+        operand = self.factor if ops == "*/" else lambda: self.binary("*/")
+        node = operand()
+        while op := self.accept(ops):
+            node = BinOp(op, node, operand())
+        return node
 
     # factor := ['-'] power; a leading minus applies to the first factor only
     def factor(self) -> Expr:
-        nxt = self.t.peek()
-        if nxt and nxt[0] == "op" and nxt[1] == "-":
-            self.t.next()
+        if self.accept("-"):
             return Neg(self.power())
         return self.power()
 
     # power := atom ['^' ['-'] int]
     def power(self) -> Expr:
         base = self.atom()
-        nxt = self.t.peek()
-        if nxt and nxt[0] == "op" and nxt[1] == "^":
-            self.t.next()
-            sign = 1
-            nxt = self.t.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "-":
-                self.t.next()
-                sign = -1
-            tok = self.t.next()
-            if tok[0] != "num":
-                raise self.t.error("exponent must be an integer", tok)
-            exp = _int(tok[1], self.t.line_no, tok[2] + 1)
-            if exp > MAX_EXPONENT:
-                raise self.t.error(f"exponent exceeds {MAX_EXPONENT} in absolute value", tok)
-            return Pow(base, sign * exp)
-        return base
+        if not self.accept("^"):
+            return base
+        sign = -1 if self.accept("-") else 1
+        tok = self.next()
+        if tok[0] != "num":
+            raise self.error("exponent must be an integer", tok)
+        exp = _int(tok[1], self.line_no, tok[2] + 1)
+        if exp > MAX_EXPONENT:
+            raise self.error(f"exponent exceeds {MAX_EXPONENT} in absolute value", tok)
+        return Pow(base, sign * exp)
 
     def atom(self):
-        tok = self.t.next()
+        tok = self.next()
         kind, text, pos = tok
         if kind == "num":
-            return Num(_int(text, self.t.line_no, pos + 1))
+            return Num(_int(text, self.line_no, pos + 1))
         if kind == "ident":
-            if self.basis is not None and _is_label_token(text):
-                if self.depth:
-                    raise self.t.error("basis label inside parentheses", tok)
-                try:
-                    label = parse_label(text)
-                except TableError as e:
-                    raise self.t.error(str(e), tok) from None
-                if label not in self.basis:
-                    raise self.t.error(f"label {text!r} not in basis", tok)
-                return label
+            is_label = _LABEL_TOKEN_RE.fullmatch(text)
+            if is_label and self.depth:
+                raise self.error("basis label inside parentheses", tok)
             try:
-                check_scalar_name(text, self.d)
+                if not is_label:
+                    check_scalar_name(text, self.d)
+                    return Name(text)
+                label = parse_label(text)
             except TableError as e:
-                raise self.t.error(str(e), tok) from None
-            return Name(text)
-        if kind == "op" and text == "(":
+                raise self.error(str(e), tok) from None
+            if label not in self.basis:
+                raise self.error(f"label {text!r} not in basis", tok)
+            return label
+        if text == "(":
             if self.depth == MAX_EXPR_DEPTH:
-                raise self.t.error(f"parentheses nest deeper than {MAX_EXPR_DEPTH}", tok)
+                raise self.error(f"parentheses nest deeper than {MAX_EXPR_DEPTH}", tok)
             self.depth += 1
-            node = self.expr()
-            self.t.expect_op(")")
+            node = self.binary("+-")
+            self.expect(")")
             self.depth -= 1
             return node
-        raise self.t.error(f"unexpected token {text!r}", tok)
-
-
-# ---------------------------------------------------------------------------
-# Action entries: label : term + term - term ...
-#
-# The right-hand side is one expression whose top-level sum is split into
-# [coeff*]LABEL terms; coefficients with top-level sums must be parenthesized.
-
-
-def _term(node, fail) -> Tuple[Expr, BasisLabel]:
-    """(coefficient, label) of one summand: label, -label or coeff*label."""
-    if isinstance(node, BasisLabel):
-        return ONE, node
-    if isinstance(node, Neg) and isinstance(node.child, BasisLabel):
-        return Neg(ONE), node.child
-    coeff, label = node, None
-    if isinstance(node, BinOp) and node.op == "*" and isinstance(node.right, BasisLabel):
-        coeff, label = node.left, node.right
-    stack = [(coeff, 1)]  # (node, depth), walked without recursion; a node is its fields
-    while stack:
-        sub, depth = stack.pop()
-        if isinstance(sub, BasisLabel):
-            raise fail("basis label must end its term")
-        if depth > MAX_EXPR_DEPTH:
-            raise fail(f"coefficient nests deeper than {MAX_EXPR_DEPTH}")
-        stack += [(c, depth + 1) for c in sub if isinstance(c, _NODES)]
-    if label is None:
-        raise fail("entry term must end with a basis label")
-    return coeff, label
-
-
-def _parse_entry(
-    line: str, line_no: int, d: int, basis: set
-) -> Tuple[BasisLabel, List[Tuple[Expr, BasisLabel]]]:
-    toks = _Tokens(line, line_no)
-    p = _ExprParser(toks, d, basis)
-    head = toks.peek()
-    source = p.atom()
-    if not isinstance(source, BasisLabel):
-        raise toks.error("entry must start with a basis label", head)
-    toks.expect_op(":")
-    start = toks.peek()
-    node = p.expr()
-    nxt = toks.peek()
-    if nxt is not None:
-        raise toks.error(f"unexpected token {nxt[1]!r} after term", nxt)
-
-    def fail(msg: str) -> ParseError:
-        return toks.error(msg, start)
-
-    # walk the left-leaning chain of top-level sums, last term first
-    terms: List[Tuple[Expr, BasisLabel]] = []
-    while isinstance(node, BinOp) and node.op in "+-":
-        coeff, label = _term(node.right, fail)
-        terms.append((Neg(coeff) if node.op == "-" else coeff, label))
-        node = node.left
-    terms.append(_term(node, fail))
-    return source, terms[::-1]
+        raise self.error(f"unexpected token {text!r}", tok)
 
 
 # ---------------------------------------------------------------------------
@@ -473,34 +420,9 @@ Action = Dict[BasisLabel, List[Tuple[Expr, BasisLabel]]]
 
 class ModuleTable(NamedTuple):
     d: int
-    basis: List[BasisLabel]
-    basis_rows: List[List[BasisLabel]]  # row blocks as laid out in the file
+    basis: List[BasisLabel]  # in file order; row block j holds the labels of row_index j
     a_action: Action
     astar_action: Action
-    version: str = FORMAT_VERSION
-
-
-def _validate_structure(table: ModuleTable):
-    d = table.d
-    if len(table.basis) != 2**d:
-        raise TableError(f"basis has {len(table.basis)} labels, expected {2**d}")
-    if len(table.basis_rows) != d + 1:
-        raise TableError(f"basis has {len(table.basis_rows)} rows, expected {d + 1}")
-    for j, row in enumerate(table.basis_rows):
-        for label in row:
-            if label.row_index != j:
-                raise TableError(
-                    f"label {label} sits in row {j} but has row index {label.row_index}"
-                )
-    for gen, action in (("a", table.a_action), ("astar", table.astar_action)):
-        prefix = "th" if gen == "a" else "ths"
-        for src, terms in action.items():
-            diag_coeff, diag_label = terms[0]
-            want = Name(f"{prefix}{src.row_index}")
-            if diag_label != src or diag_coeff != want:
-                raise TableError(
-                    f"action {gen}: entry for {src} must start with {want.text}*{src}"
-                )
 
 
 def parse_table(text: str) -> ModuleTable:
@@ -517,7 +439,6 @@ def parse_table(text: str) -> ModuleTable:
             logical.append((no, line.rstrip()))
     if not logical or logical[0][1] != f"# {FORMAT_VERSION}":
         raise ParseError(f"missing format header '# {FORMAT_VERSION}'", 1)
-    version = logical[0][1][2:]
     body = logical[1:]
     if not body or not re.fullmatch(r"d = [0-9]+", body[0][1]):
         raise ParseError("expected 'd = <int>' after the header", body[0][0] if body else 2)
@@ -541,43 +462,43 @@ def parse_table(text: str) -> ModuleTable:
         if wanted not in sections:
             raise ParseError(f"missing section [{wanted}]")
 
-    basis_rows: List[List[BasisLabel]] = []
-    basis: List[BasisLabel] = []
+    rows: List[List[BasisLabel]] = []  # row blocks as laid out in the file
     for no, line in sections["basis"]:
-        row = []
-        for word in line.split():
-            try:
-                label = parse_label(word)
-            except TableError as e:
-                raise ParseError(str(e), no) from None
-            row.append(label)
-            basis.append(label)
-        basis_rows.append(row)
+        try:
+            rows.append([parse_label(word) for word in line.split()])
+        except TableError as e:
+            raise ParseError(str(e), no) from None
+    basis = [label for row in rows for label in row]
     basis_set = set(basis)
 
-    def parse_action(key: str) -> Action:
+    actions: List[Action] = []
+    for key in ("action a", "action astar"):
         action: Action = {}
-        order: List[BasisLabel] = []
         for no, line in sections[key]:
-            src, terms = _parse_entry(line, no, d, basis_set)
+            src, terms = _Entry(line, no, d, basis_set).read()
             if src in action:
                 raise ParseError(f"duplicate entry for {src}", no)
             action[src] = terms
-            order.append(src)
-        if order != basis:
+        if list(action) != basis:
             raise ParseError(f"[{key}] entries must follow basis order exactly")
-        return action
+        actions.append(action)
 
-    table = ModuleTable(
-        d=d,
-        basis=basis,
-        basis_rows=basis_rows,
-        a_action=parse_action("action a"),
-        astar_action=parse_action("action astar"),
-        version=version,
-    )
-    _validate_structure(table)
-    return table
+    if len(basis) != 2**d:
+        raise TableError(f"basis has {len(basis)} labels, expected {2**d}")
+    if len(rows) != d + 1:
+        raise TableError(f"basis has {len(rows)} rows, expected {d + 1}")
+    for j, row in enumerate(rows):
+        for label in row:
+            if label.row_index != j:
+                raise TableError(
+                    f"label {label} sits in row {j} but has row index {label.row_index}"
+                )
+    for gen, prefix, action in (("a", "th", actions[0]), ("astar", "ths", actions[1])):
+        for src, terms in action.items():
+            want = Name(f"{prefix}{src.row_index}")
+            if terms[0] != (want, src):
+                raise TableError(f"action {gen}: entry for {src} must start with {want.text}*{src}")
+    return ModuleTable(d, basis, *actions)
 
 
 def bundled_table_text(d: int, assets: Optional[Path] = None) -> str:

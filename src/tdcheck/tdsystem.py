@@ -79,7 +79,7 @@ from .realization import (
     split_sequence,
 )
 from .report import VerificationReport
-from .tables import ModuleTable, TableError
+from .tables import FORMAT_VERSION, ModuleTable, TableError
 
 SPAN_CRITERION_DIM_LIMIT = 8
 
@@ -326,7 +326,7 @@ def extract_td_system(
 def roundtrip(pa: ParameterArray, field: Field, table: ModuleTable) -> VerificationReport:
     """construct -> closure(phi) -> extract -> compare against the array."""
     rep = VerificationReport(
-        command="tds-roundtrip", field=field_echo(field), asset_version=table.version, trials=1
+        command="tds-roundtrip", field=field_echo(field), asset_version=FORMAT_VERSION, trials=1
     )
     try:
         real = construct_from_params(pa, field, table)

@@ -1,6 +1,8 @@
 import re
 import sys
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 from tdcheck.fields import Rationals
 from tdcheck.tables import (
     _PREC_PROD,
+    FORMAT_VERSION,
     ONE,
+    PHI,
     BinOp,
     EvaluationError,
     Name,
@@ -66,8 +70,9 @@ def _format_entry(source, terms):
 
 
 def serialize_table(table):
-    out = [f"# {table.version}", f"d = {table.d}", "", "[basis]"]
-    out.extend(" ".join(str(l) for l in row) for row in table.basis_rows)
+    out = [f"# {FORMAT_VERSION}", f"d = {table.d}", "", "[basis]"]
+    # one line per row block: the labels of one row_index, in basis order
+    out.extend(" ".join(map(str, row)) for _, row in groupby(table.basis, attrgetter("row_index")))
     for key, action in (("action a", table.a_action), ("action astar", table.astar_action)):
         out += ["", f"[{key}]"]
         for src in table.basis:
@@ -127,17 +132,17 @@ def test_bundled_tables_roundtrip_byte_identical(d):
     table = parse_table(text)
     assert serialize_table(table) == text
     assert len(table.basis) == 2**d
-    assert len(table.basis_rows) == d + 1
+    assert len({label.row_index for label in table.basis}) == d + 1  # row blocks
 
 
 @pytest.mark.parametrize("d", range(6))
 def test_bundled_tables_block_structure(d):
+    # the file's row blocks are row_index groups: the printer above lays them out so
     table = load_table(d)
-    for j, row in enumerate(table.basis_rows):
-        for label in row:
-            assert label.row_index == j
-            assert table.a_action[label][0] == (Name(f"th{j}"), label)
-            assert table.astar_action[label][0] == (Name(f"ths{j}"), label)
+    for label in table.basis:
+        j = label.row_index
+        assert table.a_action[label][0] == (Name(f"th{j}"), label)
+        assert table.astar_action[label][0] == (Name(f"ths{j}"), label)
 
 
 def test_unknown_scalar_name_is_rejected_with_position():
@@ -437,13 +442,10 @@ def _exprs(depth: int):
 @settings(max_examples=300, deadline=None)
 @given(_exprs(3))
 def test_expression_print_parse_roundtrip(tree):
-    from tdcheck.tables import _ExprParser, _Tokens
+    from tdcheck.tables import _Entry
 
-    text = format_expr(tree)
-    parser = _ExprParser(_Tokens(text, 1), 5)
-    back = parser.expr()
-    assert parser.t.peek() is None
-    assert back == tree
+    entry = _Entry(f"phi : ({format_expr(tree)})*phi", 1, 5, {PHI})
+    assert entry.read() == (PHI, [(tree, PHI)])
 
 
 # ---------------------------------------------------------------------------
