@@ -328,8 +328,8 @@ class _Entry:
         if tok is not None:
             raise self.error(f"unexpected token {tok[1]!r} after term", tok)
         terms = []
-        for op, _, node in summands:
-            coeff, label = self.term(node, summands[0][1])
+        for op, start, node in summands:
+            coeff, label = self.term(node, start)
             terms.append((Neg(coeff) if op == "-" else coeff, label))
         return source, terms
 

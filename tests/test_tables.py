@@ -241,11 +241,11 @@ def _error_case(case_id, d, old, new, error, marks=()):
         _error_case("unexpected-token", 1, "+ y1*phi", "+ y1*)phi",
                     "unexpected token ')' at line 14, column 17"),
         _error_case("label-must-end-term", 2, "r : th1*r + r2", "r : th1*r + r*th1*r2",
-                    "basis label must end its term at line 11, column 5"),
+                    "basis label must end its term at line 11, column 13"),
         _error_case("coefficient-too-deep", 1, "+ y1*phi", "+ (y1" + "+0" * 64 + ")*phi",
-                    "coefficient nests deeper than 64 at line 14, column 5"),
+                    "coefficient nests deeper than 64 at line 14, column 14"),
         _error_case("term-must-end-with-label", 1, "+ y1*phi", "+ y1*th0",
-                    "entry term must end with a basis label at line 14, column 5"),
+                    "entry term must end with a basis label at line 14, column 14"),
         _error_case("entry-must-start-with-label", 1, "phi : th0*phi + r", "th0 : th0*phi + r",
                     "entry must start with a basis label at line 9, column 1"),
         _error_case("token-after-term", 1, "r : th1*r", "r : th1*r r",
@@ -326,6 +326,13 @@ def test_later_negated_term_negates_its_whole_coefficient():
 def test_label_must_end_its_term_outside_parentheses(term):
     text = bundled_table_text(2).replace("r : th1*r + r2", f"r : th1*r + {term}")
     with pytest.raises(ParseError, match="line 11"):
+        parse_table(text)
+
+
+def test_term_error_points_at_the_first_bad_term():
+    text = bundled_table_text(2).replace("r : th1*r + r2", "r : th1*r + y1 + r*th1*r2")
+    error = "entry term must end with a basis label at line 11, column 13"
+    with pytest.raises(ParseError, match="^" + re.escape(error) + "$"):
         parse_table(text)
 
 
