@@ -8,7 +8,7 @@ look like
 
 i.e. a sum of coefficient*label terms.  Coefficients are expressions over
 integer literals, the named scalars th0..thd, ths0..thsd, y1..yd, beta,
-eps0..eps(d-2), parentheses and + - * / ^ with integer (possibly negative)
+eps0..eps(d-2) (indices without leading zeros), parentheses and + - * / ^ with integer (possibly negative)
 exponents of absolute value at most MAX_EXPONENT.  Precedence, tightest
 first: ^, unary -, * and /, binary + and -.  Each entry line is cut into
 tokens by one regex and read by one recursive-descent parser (_Entry), with
@@ -173,7 +173,10 @@ def check_scalar_name(text: str, d: int) -> None:
     m = _NAME_RE.match(text)
     if not m:
         raise TableError(f"unknown scalar name {text!r}")
-    prefix, idx = m.group(1), _int(m.group(2))
+    prefix, digits = m.groups()
+    if digits[0] == "0" and digits != "0":
+        raise TableError(f"unknown scalar name {text!r}: index {digits} has a leading zero")
+    idx = _int(digits)
     ok = {
         "th": 0 <= idx <= d,
         "ths": 0 <= idx <= d,

@@ -375,6 +375,21 @@ def test_too_deeply_nested_table_is_a_usage_error(old, new, tmp_path, capsys):
     assert " at line " in err and "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("verify-appendix",), ("tds", "roundtrip")], ids=["verify-appendix", "tds-roundtrip"]
+)
+def test_scalar_index_with_a_leading_zero_is_a_usage_error(argv, tmp_path, capsys):
+    # y01 names no scalar (only y1 is bound): one verdict, the table's line and column
+    from tdcheck.tables import bundled_table_text
+
+    (tmp_path / "d1.txt").write_text(bundled_table_text(1).replace("y1*phi", "y01*phi"))
+    code, out, err = run_cli(capsys, *argv, "--d", "1", "--trials", "1", "--assets", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "tdcheck: unknown scalar name 'y01': index 01 has a leading zero at line 14, column 14\n"
+    )
+
+
 def write_array(tmp_path, obj) -> str:
     path = tmp_path / "array.json"
     path.write_text(obj if isinstance(obj, str) else json.dumps(obj))

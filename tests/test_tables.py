@@ -290,6 +290,16 @@ def test_each_table_error_has_its_pinned_message(d, old, new, error):
         parse_table(text.replace(old, new, 1))
 
 
+@pytest.mark.parametrize("name", ["y01", "th00", "ths01", "eps00"])
+def test_scalar_index_with_a_leading_zero_is_rejected_with_position(name):
+    # only the canonical spelling (y1, th0, ...) is ever bound to a value
+    text = bundled_table_text(2).replace("r : ths1*r + y1*phi", f"r : ths1*r + {name}*phi")
+    index = name.lstrip("thsyep")
+    error = f"unknown scalar name {name!r}: index {index} has a leading zero at line 17, column 14"
+    with pytest.raises(ParseError, match="^" + re.escape(error) + "$"):
+        parse_table(text)
+
+
 def test_syntax_error_reports_line():
     text = bundled_table_text(1).replace("r : th1*r", "r : th1*&r", 1)
     with pytest.raises(ParseError, match="line"):
