@@ -295,19 +295,19 @@ class _Entry:
         return self.toks[self.i] if self.i < len(self.toks) else None
 
     def next(self) -> Tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
+        if self.i == len(self.toks):
             raise self.error("unexpected end of entry")
         self.i += 1
-        return tok
+        return self.toks[self.i - 1]
 
     def accept(self, ops: str) -> Optional[str]:
         """Consume the next token if it is one of the operator characters in ops."""
-        tok = self.peek()
-        if tok is None or tok[0] != "op" or tok[1] not in ops:
-            return None
-        self.i += 1
-        return tok[1]
+        if self.i < len(self.toks):
+            kind, text, _ = self.toks[self.i]
+            if kind == "op" and text in ops:
+                self.i += 1
+                return text
+        return None
 
     def expect(self, op: str):
         tok = self.next()
