@@ -330,7 +330,7 @@ class _Entry:
         tok = self.peek()
         if tok is not None:
             raise self.error(f"unexpected token {tok[1]!r} after term", tok)
-        terms = []
+        terms = []  # checked once the line is read: a syntax error anywhere comes first
         for op, start, node in summands:
             coeff, label = self.term(node, start)
             terms.append((Neg(coeff) if op == "-" else coeff, label))
