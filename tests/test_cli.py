@@ -390,6 +390,57 @@ def test_scalar_index_with_a_leading_zero_is_a_usage_error(argv, tmp_path, capsy
     )
 
 
+# d2.txt with lr2 a common eigenvector of both operators and r2 fed from r in
+# place of lr2: the closure of phi is phi, r and r2, a proper subspace, so
+# extraction restricts the pair to it
+PROPER_CLOSURE_D2 = (
+    ("lr2 : th1*lr2 + (y1-eps0)*r2", "lr2 : th1*lr2"),
+    ("lr2 : ths1*lr2 + y2*phi", "lr2 : ths1*lr2"),
+    ("r2 : ths2*r2 + lr2", "r2 : ths2*r2 + y2*y1^-1*r"),
+)
+
+
+def proper_closure_assets(directory):
+    from tdcheck.tables import bundled_table_text
+
+    for d in range(6):
+        text = bundled_table_text(d)
+        if d == 2:
+            for old, new in PROPER_CLOSURE_D2:
+                assert text.count(old) == 1
+                text = text.replace(old, new)
+        (directory / f"d{d}.txt").write_text(text)
+    return str(directory)
+
+
+@pytest.mark.parametrize(
+    "argv,trials,digest",
+    [
+        ((), 3, "5147b6bea9c96ad0e9d68a85409fc9fdf83e3b5fe74a2570480403b02231de0b"),
+        (("--field", "qq"), 2, "7cd65bc91b37e17274bcde94697d0b20b4466dff1680dee9abd50fd43b128ffa"),
+    ],
+    ids=["fp", "qq"],
+)
+def test_roundtrip_on_a_proper_closure_restricts_the_pair(argv, trials, digest, tmp_path, capsys):
+    code, out, _ = run_cli(
+        capsys, "tds", "roundtrip", "--d", "2", "--trials", str(trials), *argv,
+        "--assets", proper_closure_assets(tmp_path),
+    )
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    for t in range(trials):
+        mine = [c for c in checks if c["id"].startswith(f"t{t:03d}.")]
+        assert any(
+            c["id"].startswith(f"t{t:03d}.tds.note.") and c["detail"].endswith(
+                ": degenerate parameter point: closure dim 3/4, support length 3/3")
+            for c in mine
+        )
+        assert sorted(c["id"] for c in mine if not c["passed"]) == [
+            f"t{t:03d}.tds.band.e.2.0", f"t{t:03d}.tds.band.es.0.2"
+        ]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def write_array(tmp_path, obj) -> str:
     path = tmp_path / "array.json"
     path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
