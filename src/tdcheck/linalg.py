@@ -18,7 +18,10 @@ elements back from it on each access.  Dimensions are tiny (at most 32, or
   * EchelonBasis eliminates fraction-free on integer rows (walking nonzeros;
     over F_p one reduction per residual), and `Matrix.echelon` inserts the
     rows of the integer form as they are: over Q each is a multiple of its
-    row, which spans the same line.
+    row, which spans the same line;
+  * `restrict` reads an operator on an invariant subspace as the rows at
+    the basis's pivots of one product, the operator times the basis's form
+    transposed.
 
 Equal matrices have equal integer forms, so `==` compares those.  Every
 element handed back is canonical (see `fields`), so vectors compare with
@@ -63,10 +66,6 @@ class Matrix:
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
         return cls.of_ints(field, [[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_columns(cls, field, cols: Sequence[Sequence]) -> "Matrix":
-        return cls(field, [list(row) for row in zip(*cols)])
 
     @property
     def rows(self) -> List[list]:
@@ -192,9 +191,9 @@ class EchelonBasis:
     back-eliminated row over F_p keeps pivot 1 and changes only at the new
     row's nonzeros, so only those entries are reduced (`primitive` with
     `changed`); over Q it is made primitive again.  The reduced rows callers
-    read, `rows`, are row / pivot entry, built on each read.  The reduced
-    echelon form is unique, so they equal the rows of a per-entry
-    elimination in the field.
+    read, `form`, are row / pivot entry over one denominator, built on each
+    read.  The reduced echelon form is unique, so they equal the rows of a
+    per-entry elimination in the field.
     """
 
     def __init__(self, field, width: int):
@@ -216,11 +215,6 @@ class EchelonBasis:
         return len(self.pivots)
 
     @property
-    def rows(self) -> List[list]:
-        back = self.field.from_ints
-        return [[back(x, row[piv]) for x in row] for row, piv in zip(self._ints, self.pivots)]
-
-    @property
     def form(self):
         """The reduced rows in integer form: (integer rows, den), den the lcm
         of the pivot entries; lowest terms, as each row has content 1.  The
@@ -231,8 +225,10 @@ class EchelonBasis:
         return [[x * (den // row[piv]) for x in row]
                 for row, piv in zip(self._ints, self.pivots)], den
 
-    def _residual(self, vec: Sequence, cleared: bool = False) -> list:
-        """vec as an integer vector, eliminated against every row, then shrunk."""
+    def add(self, vec: Sequence, cleared: bool = False) -> bool:
+        """Insert vec's residual; True if the dimension grew.  With cleared,
+        vec is a row of integers of the field's integer form (over Q any
+        multiple of the vector: it spans the same line), read as it is."""
         f = self.field
         if cleared:
             v = list(vec)  # eliminated in place
@@ -242,14 +238,7 @@ class EchelonBasis:
         for row, piv in zip(self._ints, self.pivots):
             if v[piv]:
                 v = _eliminate(v, row, piv)
-        return f.shrink(v)
-
-    def add(self, vec: Sequence, cleared: bool = False) -> bool:
-        """Insert vec's residual; True if the dimension grew.  With cleared,
-        vec is a row of integers of the field's integer form (over Q any
-        multiple of the vector: it spans the same line), read as it is."""
-        f = self.field
-        v = self._residual(vec, cleared)
+        v = f.shrink(v)
         cols = list(compress(range(self.width), v))
         if not cols:
             return False
@@ -264,18 +253,6 @@ class EchelonBasis:
         rows.insert(at, v)
         self.pivots.insert(at, piv)
         return True
-
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self._residual(vec))
-
-    def coordinates(self, vec: Sequence):
-        """Coordinates of vec in this basis, or None if outside the span.
-
-        Each reduced row is 1 at its pivot and 0 at the others, so inside the
-        span the coordinates are vec's entries at the pivots."""
-        if not self.contains(vec):
-            return None
-        return [vec[piv] for piv in self.pivots]
 
 
 def _eliminate(v: list, row: list, piv: int, cols=None) -> list:
@@ -293,16 +270,15 @@ def _eliminate(v: list, row: list, piv: int, cols=None) -> list:
     return v
 
 
-def restrict_operator(field, op: Matrix, basis: EchelonBasis) -> Matrix:
-    """Matrix of `op` on the subspace spanned by `basis` (must be invariant).
-
-    Column j holds the basis coordinates of op(basis vector j).
-    """
-    cols = []
-    for bvec in basis.rows:
-        img = op.apply(bvec)
-        coords = basis.coordinates(img)
-        if coords is None:
-            raise ValueError("subspace is not invariant under the operator")
-        cols.append(coords)
-    return Matrix.from_columns(field, cols) if cols else Matrix(field, [])
+def restrict(op: Matrix, basis: EchelonBasis) -> Matrix:
+    """Matrix of `op` on the span of `basis`, which must be invariant: column
+    j holds the coordinates of op times basis row j.  Each reduced row is 1
+    at its pivot and 0 at the others, so inside the span the coordinates are
+    the entries at the pivots: the rows there of op times the rows transposed."""
+    f, (ints, den) = op.field, basis.form
+    cols = Matrix.of_ints(f, [[row[j] for row in ints] for j in range(basis.width)], den)
+    img = op * cols
+    m = Matrix.of_ints(f, [img.form[0][p] for p in basis.pivots], img.form[1])
+    if img != cols * m:  # some image is not what its coordinates rebuild
+        raise ValueError("subspace is not invariant under the operator")
+    return m

@@ -225,7 +225,7 @@ def realize(
                 row = index[target]
                 col[row] = field.add(col[row], val)
             cols.append(col)
-        return Matrix.from_columns(field, cols)
+        return Matrix(field, zip(*cols))
 
     a = assemble(table.a_action)
     astar = assemble(table.astar_action)

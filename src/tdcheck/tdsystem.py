@@ -53,12 +53,14 @@ full-dimension image therefore proves a full span over Q, and only the
 verdict "full" is taken from the image; every other case falls back to the
 exact computation (see submodule_closure), so no verdict depends on p.
 
-When the closure of phi is the whole module, its reduced echelon basis is
-the identity, so the restriction is the pair itself: extraction reads the
-operators as they are, and the caller may pass the pair's two idempotent
-families at the same lists, each a RankFactors object that holds its e_i
-(roundtrip passes realize's), instead of having them rebuilt.  On a proper
-W they are always rebuilt from the restriction.
+An operator restricted to W is its rows at the pivots of W's reduced
+echelon basis times that basis transposed (linalg.restrict), and phi's
+coordinates are its entries at those pivots.  When the closure of phi is the
+whole module, the basis is the identity, so the restriction is the pair
+itself: extraction reads the operators as they are, and the caller may pass
+the pair's two idempotent families at the same lists, each a RankFactors
+object that holds its e_i (roundtrip passes realize's), instead of having
+them rebuilt.  On a proper W they are always rebuilt from the restriction.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ import json
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .fields import DEFAULT_PRIME, Field, PrimeField, field_echo
-from .linalg import EchelonBasis, Matrix, restrict_operator
+from .linalg import EchelonBasis, Matrix, restrict
 from .params import ParameterArray, derive_context, validate_parameter_array
 from .realization import (
     ModuleRealization,
@@ -213,11 +215,10 @@ def extract_td_system(
     dim_w = closure.dim
 
     if dim_w == n:  # W is the module: the restriction is the pair itself
-        a_sub, astar_sub, phi_w = a, astar, phi
+        a_sub, astar_sub = a, astar
     else:
-        a_sub = restrict_operator(field, a, closure)
-        astar_sub = restrict_operator(field, astar, closure)
-        phi_w = closure.coordinates(phi)
+        a_sub, astar_sub = restrict(a, closure), restrict(astar, closure)
+    phi_w = [phi[p] for p in closure.pivots]
 
     try:
         factors, dual_factors = (

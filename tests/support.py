@@ -26,6 +26,37 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
+# Echelon bases read back as field elements, and the restriction computed
+# from them as it was before it became one product (linalg.restrict)
+
+
+def basis_rows(basis) -> list:
+    """The reduced rows of an EchelonBasis as field elements, from its form."""
+    return basis.field.from_int_rows(*basis.form)
+
+
+def coordinates(basis, vec):
+    """vec's coordinates in an EchelonBasis by elimination against its
+    reduced rows, or None if a residual is left: vec is outside the span."""
+    f, v, coords = basis.field, list(vec), []
+    for row, piv in zip(basis_rows(basis), basis.pivots):
+        c = v[piv]
+        coords.append(c)
+        if c:
+            v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+    return None if any(v) else coords
+
+
+def reference_restrict(op: Matrix, basis) -> Matrix:
+    """Matrix of op on the span of basis: column j is the coordinates of op
+    times basis row j.  ValueError if the span is not invariant."""
+    cols = [coordinates(basis, op.apply(row)) for row in basis_rows(basis)]
+    if None in cols:
+        raise ValueError("subspace is not invariant under the operator")
+    return Matrix(op.field, zip(*cols))
+
+
+# ---------------------------------------------------------------------------
 # Transcription mutations: one coefficient's sign flipped at a time
 
 

@@ -16,7 +16,7 @@ from tdcheck.fields import (
     field_echo,
     is_prime,
 )
-from tdcheck.linalg import EchelonBasis, Matrix, restrict_operator
+from tdcheck.linalg import EchelonBasis, Matrix, restrict
 
 QQ = Rationals()
 F101 = PrimeField(101)
@@ -162,14 +162,16 @@ def test_every_result_is_canonical(f, seed, n, ints):
     while krylov.add(v):
         v = m.apply(v)
     echelon = m.echelon()
-    derived = [m * m2, m.scale(a), m.shift(a), m.transpose(), Matrix.identity(f, n)]
-    for mat in derived + [m]:  # integer forms in lowest terms
-        ints, den = mat.form
+    derived = [m * m2, m.scale(a), m.shift(a), m.transpose(), Matrix.identity(f, n),
+               restrict(m, krylov)]
+    for ints, den in [mat.form for mat in derived + [m]] + [echelon.form, krylov.form]:
+        # integer forms in lowest terms; over F_p, residues over 1
         assert den > 0 and gcd(den, *(x for row in ints for x in row)) == 1
-    matrices = [mat.rows for mat in derived] + [
-        echelon.rows, krylov.rows, restrict_operator(f, m, krylov).rows,
-    ]
-    out += m.apply(vec) + echelon.coordinates(m.rows[-1])
+        assert f.kind == "qq" or (den == 1 and all(0 <= x < f.p for row in ints for x in row))
+    matrices = [mat.rows for mat in derived] + [f.from_int_rows(*echelon.form),
+                                                f.from_int_rows(*krylov.form)]
+    last = m.rows[-1]  # in the row space: its coordinates are its entries at the pivots
+    out += m.apply(vec) + [last[p] for p in echelon.pivots]
     out += [x for rows in matrices for row in rows for x in row]
     assert all(is_canonical(f, x) for x in out)
 

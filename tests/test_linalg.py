@@ -1,4 +1,5 @@
 from collections import Counter
+from copy import deepcopy
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -8,9 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdcheck.fields import DEFAULT_PRIME, PrimeField, Rationals, Sampler
-from tdcheck.linalg import EchelonBasis, Matrix, restrict_operator
+from tdcheck.linalg import EchelonBasis, Matrix, restrict
+from tdcheck.params import random_admissible_context
+from tdcheck.realization import realize
+from tdcheck.tables import load_table
+from tdcheck.tdsystem import submodule_closure
 
-from support import zero_matrix
+from support import basis_rows, coordinates, reference_restrict, zero_matrix
 
 QQ = Rationals()
 
@@ -66,21 +71,23 @@ def test_echelon_basis_coordinates_and_containment():
     assert basis.add([Fraction(0), Fraction(0), Fraction(2)])
     assert not basis.add([Fraction(2), Fraction(2), Fraction(6)])
     assert basis.dim == 2
-    assert basis.contains([Fraction(3), Fraction(3), Fraction(-1)])
-    assert not basis.contains([Fraction(1), Fraction(0), Fraction(0)])
-    coords = basis.coordinates([Fraction(5), Fraction(5), Fraction(4)])
-    assert coords is not None
+    assert basis.form == ([[1, 1, 0], [0, 0, 1]], 1) and basis.pivots == [0, 2]
+    assert coordinates(basis, [Fraction(3), Fraction(3), Fraction(-1)]) is not None
+    assert coordinates(basis, [Fraction(1), Fraction(0), Fraction(0)]) is None
+    vec = [Fraction(5), Fraction(5), Fraction(4)]
+    coords = coordinates(basis, vec)
+    assert coords == [vec[p] for p in basis.pivots]  # the entries at the pivots
     recon = [QQ.zero] * 3
-    for c, row in zip(coords, basis.rows):
+    for c, row in zip(coords, basis_rows(basis)):
         recon = [QQ.add(x, QQ.mul(c, y)) for x, y in zip(recon, row)]
-    assert recon == [Fraction(5), Fraction(5), Fraction(4)]
+    assert recon == vec
 
 
 def test_echelon_rows_are_reduced():
     basis = EchelonBasis(QQ, 3)
     basis.add([Fraction(2), Fraction(4), Fraction(2)])
     basis.add([Fraction(1), Fraction(3), Fraction(0)])
-    for row, piv in zip(basis.rows, basis.pivots):
+    for row, piv in zip(basis_rows(basis), basis.pivots):
         assert row[piv] == 1
         for other in basis.pivots:
             if other != piv:
@@ -92,12 +99,43 @@ def test_restrict_operator_on_invariant_plane():
     basis = EchelonBasis(QQ, 3)
     basis.add([Fraction(0), Fraction(1), Fraction(0)])
     basis.add([Fraction(0), Fraction(0), Fraction(1)])
-    sub = restrict_operator(QQ, a, basis)
-    assert sub == frac_matrix([[2, 1], [0, 2]])
+    assert restrict(a, basis) == reference_restrict(a, basis) == frac_matrix([[2, 1], [0, 2]])
     bad = EchelonBasis(QQ, 3)
     bad.add([Fraction(0), Fraction(1), Fraction(1)])
-    with pytest.raises(ValueError):
-        restrict_operator(QQ, frac_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]), bad)
+    cycle = frac_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    for restriction in (restrict, reference_restrict):
+        with pytest.raises(ValueError, match="^subspace is not invariant under the operator$"):
+            restriction(cycle, bad)
+
+
+@pytest.mark.parametrize("d", range(5))
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(), PrimeField(7)], ids=["qq", "fp", "f7"]
+)
+def test_restrict_matches_the_reference_on_realized_closures(field, d):
+    # closures seeded at every basis vector, under the realized pair and
+    # under (a, a): a* need not leave the second kind invariant, and both
+    # restrictions must then raise
+    real = realize(load_table(d), random_admissible_context(d, field, 60 + d), field)
+    n, restricted, proper, raised = real.dim, 0, 0, 0
+    for i in range(n):
+        seed = [field.one if j == i else field.zero for j in range(n)]
+        for pair in ((real.a, real.astar), (real.a, real.a)):
+            closure = submodule_closure(*pair, seed)
+            proper += closure.dim < n
+            for op in (real.a, real.astar):
+                try:
+                    want = reference_restrict(op, closure)
+                except ValueError:
+                    raised += 1
+                    with pytest.raises(ValueError):
+                        restrict(op, closure)
+                else:
+                    restricted += 1
+                    assert restrict(op, closure) == want
+    assert restricted >= 3 * n
+    if d:  # at these points some closure under (a, a) is proper
+        assert proper and raised
 
 
 def test_prime_field_rank():
@@ -206,10 +244,12 @@ def combination(s, vecs, width):
 def assert_same_basis(got, want):
     assert got.dim == want.dim
     assert got.pivots == want.pivots
-    assert got.rows == want.rows
+    assert basis_rows(got) == want.rows
 
 
 def assert_same_queries(s, got, want, width, added):
+    # a probe is in the span iff adding it to a copy does not grow it, and
+    # inside the span its coordinates are its entries at the pivots
     probes = [
         [s.field.zero] * width,
         combination(s, added, width),
@@ -218,8 +258,10 @@ def assert_same_queries(s, got, want, width, added):
         random_vector(s, width, 0.2),
     ]
     for v in probes:
-        assert got.contains(v) == want.contains(v)
-        assert got.coordinates(v) == want.coordinates(v)
+        inside = want.contains(v)
+        assert deepcopy(got).add(v) is not inside
+        assert coordinates(got, v) == want.coordinates(v)
+        assert ([v[p] for p in got.pivots] if inside else None) == want.coordinates(v)
 
 
 @pytest.mark.parametrize("field,seed", SEEDED_FIELDS, ids=FIELD_IDS)
@@ -264,12 +306,13 @@ def test_prime_echelon_matches_reference_at_word_span_widths(p, seed, width):
         assert got.dim == width
         assert_same_basis(got, want)
         assert_same_queries(s, got, want, width, seq)
-        assert got.coordinates([top] * width) == want.coordinates([top] * width) == [top] * width
+        tops = [top] * width
+        assert [tops[p] for p in got.pivots] == coordinates(got, tops) == want.coordinates(tops) == tops
     # the whole space as read without elimination, queried as the grown basis
     whole = EchelonBasis.whole_space(f, width)
     assert_same_basis(whole, want)
     assert_same_queries(s, whole, want, width, full)
-    assert whole.contains([top] * width) and not whole.add([top] * width)
+    assert coordinates(whole, [top] * width) is not None and not whole.add([top] * width)
 
 
 @pytest.mark.parametrize("field,seed", SEEDED_FIELDS, ids=FIELD_IDS)

@@ -4,7 +4,7 @@ import pytest
 
 from tdcheck import tdsystem
 from tdcheck.fields import DEFAULT_PRIME, PrimeField, Rationals, Sampler
-from tdcheck.linalg import EchelonBasis, Matrix, restrict_operator
+from tdcheck.linalg import EchelonBasis, Matrix
 from tdcheck.params import ParameterArray, random_admissible_context
 from tdcheck.realization import idempotent_families, realize
 from tdcheck.tables import FORMAT_VERSION, bundled_table_text, load_table, parse_table
@@ -18,6 +18,8 @@ from tdcheck.tdsystem import (
     roundtrip,
     submodule_closure,
 )
+
+from support import basis_rows, coordinates, reference_restrict
 
 QQ = Rationals()
 FP = PrimeField()
@@ -74,9 +76,10 @@ def test_closure_of_fixed_coordinate_in_diagonal_toy():
 def test_closure_is_idempotent():
     real = construct_from_params(d1_array(), QQ, load_table(1))
     closure = submodule_closure(real.a, real.astar, real.basis_vector(real.basis[0]))
-    again = submodule_closure(real.a, real.astar, closure.rows[0])
-    for row in closure.rows:
-        assert again.contains(row)
+    rows = basis_rows(closure)
+    again = submodule_closure(real.a, real.astar, rows[0])
+    for row in rows:
+        assert coordinates(again, row) is not None
     assert again.dim == closure.dim
 
 
@@ -264,11 +267,11 @@ def test_seed_of_multiples_of_p_falls_back_to_the_exact_loop(monkeypatch):
 def test_full_image_closure_is_the_identity_basis_without_exact_elimination(monkeypatch):
     real = construct_from_params(d1_array(), QQ, load_table(1))
     phi = real.basis_vector(real.basis[0])
-    want = Matrix.identity(QQ, 2).echelon().rows
+    want = Matrix.identity(QQ, 2).echelon().form
     adds = qq_echelon_adds(monkeypatch)
     closure = tdsystem.submodule_closure(real.a, real.astar, phi)
     assert adds == []  # the image settled it: no exact elimination ran
-    assert closure.pivots == [0, 1] and closure.rows == want
+    assert closure.pivots == [0, 1] and closure.form == want
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +338,8 @@ def reference_band_failures(real, theta, theta_star):
     """extract_td_system's tds.band failures from full sandwich products."""
     phi = real.basis_vector(real.basis[0])
     closure = submodule_closure(real.a, real.astar, phi)
-    a_sub = restrict_operator(real.field, real.a, closure)
-    astar_sub = restrict_operator(real.field, real.astar, closure)
+    a_sub = reference_restrict(real.a, closure)
+    astar_sub = reference_restrict(real.astar, closure)
     factors, dual_factors = idempotent_families(a_sub, astar_sub, theta, theta_star)
     out = []
     for tag, fam, op in (("es", dual_factors.idems, a_sub), ("e", factors.idems, astar_sub)):
