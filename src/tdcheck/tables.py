@@ -286,7 +286,8 @@ class _Entry:
         for m in _TOKEN_RE.finditer(text):
             kind = m.lastgroup
             if kind == "bad":
-                raise ParseError(f"unexpected character {m.group(kind)!r}", line_no, m.start() + 1)
+                raise ParseError(f"unexpected character {m.group(kind)!r}", line_no,
+                                 m.start(kind) + 1)
             self.toks.append((kind, m.group(kind), m.start(kind)))
         self.i = 0
         self.depth = 0  # parenthesis nesting at the current token
