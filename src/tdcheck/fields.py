@@ -6,9 +6,9 @@ fields F_p (elements are ints in [0, p)).  Everything downstream is written
 against this protocol so every check can run either bit-exactly over the
 rationals or fast over a large prime field.
 
-Elements are canonical: what a field method, `Matrix.rows`, `Matrix.apply`
-or the image mod p returns is a normalized Fraction or an int in [0, p), so
-`==` is equality and truthiness is the zero test.
+Elements are canonical: what a field method, `Matrix.apply` or the image
+mod p returns is a normalized Fraction or an int in [0, p), so `==` is
+equality and truthiness is the zero test.
 
 Matrices are held in the field's integer form (see `linalg.Matrix`): integer
 rows over one positive denominator.  Over Q the form is in lowest terms (the

@@ -6,9 +6,9 @@ denominator and every entry is 1 and over F_p the rows are the residues over
 1.  A matrix assembled from scalars (`Matrix(field, rows)`) clears them when
 it is built; a product, a scaled, shifted or transposed matrix, the identity
 and the word-span Kronecker operators are built from integer rows
-(`Matrix.of_ints`).  The form is all a Matrix holds: `rows` reads the
-elements back from it on each access.  Dimensions are tiny (at most 32, or
-64 for the word-span echelon) and the hot spots walk only nonzeros:
+(`Matrix.of_ints`).  The form is all a Matrix holds.  Dimensions are tiny
+(at most 32, or 64 for the word-span echelon) and the hot spots walk only
+nonzeros:
 
   * a product is the field's `mat_mul` on the two integer forms, one sparse
     integer kernel for both fields (`fields._int_mat_mul`), over the product
@@ -66,11 +66,6 @@ class Matrix:
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
         return cls.of_ints(field, [[int(i == j) for j in range(n)] for i in range(n)])
-
-    @property
-    def rows(self) -> List[list]:
-        """The entries as field elements, read back from the form."""
-        return self.field.from_int_rows(*self.form)
 
     def __eq__(self, other) -> bool:
         return (

@@ -23,8 +23,11 @@ from them.  The check operations then verify, as exact matrix identities:
 Orthogonality and the band conditions are read through the rank factors
 e_i = B_i R_i (RankFactors): e_i X e_j = 0 exactly when the block R_i X B_j
 is zero, and e_i e_j = delta_ij e_i exactly when R_i B_j = delta_ij I, so no
-n x n sandwich product is formed.  The band walk (RankFactors.band_blocks)
-is the round trip's too: its extraction reads the same blocks at k = 1 only.
+n x n sandwich product is formed.  Every R_i B_j of a family comes from one
+product; for i != j that block is also the band condition at k = 0, so its
+one verdict is recorded as rel5 and as the k = 0 band check.  The band walk
+(RankFactors.band_blocks) reads 1 <= k < |i-j|; it is the round trip's too,
+whose extraction reads the same blocks at k = 1 only.
 Completeness and eigenvalue reconstruction are one product per family:
 [e_0 | ... | e_d] times the column of blocks [I | t_i I] is
 [sum e_i | sum t_i e_i], compared with [I | op] by `==`.
@@ -70,7 +73,8 @@ class RankFactors(NamedTuple):
     test of any block product needs no denominator.  Blocks are plain row
     lists, so rank 0 (R_i 0 x n, B_i n x 0) needs no special case.
     `sandwich` cuts the blocks R_i x from one product, and `band_blocks`
-    reads the band conditions e_i op^k e_j = 0 through it.
+    reads the band conditions e_i op^k e_j = 0 at k >= 1 through it; at k = 0
+    the block is R_i B_j, which the relation suite reads with rel5.
     """
 
     idems: List[Matrix]  # e_i
@@ -108,22 +112,20 @@ class RankFactors(NamedTuple):
             at += len(self.right[i])
         return out
 
-    def band_blocks(self, op: Matrix, ks: range) -> Iterator[Tuple[int, int, int, bool]]:
-        """(i, j, k, is R_i op^k B_j = 0?) for k in ks with k < |i - j|, in the
-        order j, then k, then i: with R_i and B_j from one family, whether
+    def band_blocks(self, op: Matrix, top: int) -> Iterator[Tuple[int, int, int, bool]]:
+        """(i, j, k, is R_i op^k B_j = 0?) for 1 <= k < top with k < |i - j|, in
+        the order j, then k, then i: with R_i and B_j from one family, whether
         e_i op^k e_j = 0.  op^k B_j is walked one thin product per k, up to
-        the last k in ks with a block to read and no further, and one product
-        of the stacked R_i gives all the blocks at k."""
+        the last k below top with a block to read and no further, and one
+        product of the stacked R_i gives all the blocks at k."""
         d = len(self.right) - 1
         for j in range(d + 1):
             power = self.left[j]
-            for k in range(min(ks.stop, max(j, d - j))):
-                if k:
-                    power = self.field.mat_mul(op.form[0], power)
-                if k in ks:
-                    rows = [i for i in range(d + 1) if k < abs(i - j)]
-                    for i, b in zip(rows, self.sandwich(rows, power)):
-                        yield i, j, k, not any(map(any, b))
+            for k in range(1, min(top, max(j, d - j))):
+                power = self.field.mat_mul(op.form[0], power)
+                rows = [i for i in range(d + 1) if k < abs(i - j)]
+                for i, b in zip(rows, self.sandwich(rows, power)):
+                    yield i, j, k, not any(map(any, b))
 
 
 class ModuleRealization(NamedTuple):
@@ -250,9 +252,12 @@ def realize(
 
 
 def _idempotent_family_checks(
-    tag: str, fam: RankFactors, values: List, op: Matrix
-) -> List[Check]:
-    checks = []
+    tag: str, band: str, fam: RankFactors, values: List, op: Matrix, other: Matrix
+) -> Tuple[List[Check], List[Check]]:
+    """rel5..rel7 of one family, and its band checks e_i other^k e_j = 0 for
+    k < |i-j| (tagged `band`), read as R_i (other^k B_j) = 0.  At k = 0 that
+    block is R_i B_j, which rel5 reads, so its verdict is recorded for both."""
+    checks, zero = [], []
     d = len(fam.idems) - 1
     f = fam.field
     # every R_i B_j block from one product: stacked R_i times the B_j side by side
@@ -266,6 +271,7 @@ def _idempotent_family_checks(
                 ok = block == [[unit if k == l else 0 for l in range(r)] for k in range(r)]
             else:
                 ok = not any(map(any, block))
+                zero.append((i, j, 0, ok))
             checks.append(
                 Check(
                     f"rel5.{tag}.{i}.{j}",
@@ -291,25 +297,22 @@ def _idempotent_family_checks(
     checks.append(
         Check(f"rel7.{tag}", ok, "" if ok else f"operator != sum of eigenvalue * {tag}_i")
     )
-    return checks
-
-
-def _band_checks(tag: str, fam: RankFactors, op: Matrix) -> List[Check]:
-    """e_i op^k e_j = 0 for k < |i-j|, read as R_i (op^k B_j) = 0."""
-    return [
-        Check(f"{tag}.{i}.{j}.{k}", ok, "" if ok else f"sandwich ({i},{j},{k}) is nonzero")
-        for i, j, k, ok in fam.band_blocks(op, range(len(fam.right)))
+    # the band blocks in the order j, then k, then i
+    walk = sorted([*zero, *fam.band_blocks(other, d + 1)], key=lambda b: (b[1], b[2], b[0]))
+    return checks, [
+        Check(f"{band}.{i}.{j}.{k}", ok, "" if ok else f"sandwich ({i},{j},{k}) is nonzero")
+        for i, j, k, ok in walk
     ]
 
 
 def verify_relations(real: ModuleRealization) -> List[Check]:
     """Exact checks of all defining relations on the realized module."""
-    return (
-        _idempotent_family_checks("e", real.factors, real.context.theta, real.a)
-        + _idempotent_family_checks("es", real.dual_factors, real.context.theta_star, real.astar)
-        + _band_checks("rel8", real.dual_factors, real.a)
-        + _band_checks("rel9", real.factors, real.astar)
+    ctx = real.context
+    e, rel9 = _idempotent_family_checks("e", "rel9", real.factors, ctx.theta, real.a, real.astar)
+    es, rel8 = _idempotent_family_checks(
+        "es", "rel8", real.dual_factors, ctx.theta_star, real.astar, real.a
     )
+    return e + es + rel8 + rel9
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,7 @@ def _realized(checks_of):
     runs `checks_of` on the realization."""
 
     def trial(table: ModuleTable, field: Field, seed: int) -> List[Check]:
-        try:
-            ctx = random_admissible_context(table.d, field, seed)
-        except ContextError as err:
-            return [Check("sample", False, str(err))]
+        ctx = random_admissible_context(table.d, field, seed)
         try:
             real = realize(table, ctx, field)
         except RealizationError as err:
@@ -52,11 +49,7 @@ def _realized(checks_of):
 
 
 def _roundtrip_trial(table: ModuleTable, field: Field, seed: int) -> List[Check]:
-    try:
-        pa = random_valid_parameter_array(table.d, field, seed)
-    except ContextError as err:
-        return [Check("sample", False, str(err))]
-    return roundtrip(pa, field, table).checks
+    return roundtrip(random_valid_parameter_array(table.d, field, seed), field, table).checks
 
 
 # Per-trial checks of each sweep, keyed by the report's command name.  Each
@@ -74,13 +67,18 @@ SWEEPS = {
 def _trial_checks(
     command: str, table: ModuleTable, field: Field, master_seed: int, trial: int
 ) -> List[Check]:
-    """One trial of one sweep; module-level so process pools can pickle it."""
+    """One trial of one sweep; module-level so process pools can pickle it.
+    A sampler that finds no point fails the trial as one `sample` check."""
     seed = derive_seed(master_seed, trial)
     prefix = f"t{trial:03d}."
     tag = f"trial {trial}, seed {seed}"
+    try:
+        checks = SWEEPS[command](table, field, seed)
+    except ContextError as err:
+        checks = [Check("sample", False, str(err))]
     return [
         Check(prefix + c.id, c.passed, f"{tag}: {c.detail}" if c.detail else tag)
-        for c in SWEEPS[command](table, field, seed)
+        for c in checks
     ]
 
 

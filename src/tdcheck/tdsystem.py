@@ -17,7 +17,8 @@ their rank factors come from idempotent_families (the supports are the
 nonzero ranks, the shape is the dual ranks over the support), the band
 conditions e_i X e_j = 0 are read as the blocks R_i X B_j of those factors
 (RankFactors.band_blocks at k = 1, the walk of realization's relation
-checks; a restricted idempotent may have rank 0, and its blocks are empty),
+checks at k >= 1; a restricted idempotent may have rank 0, and its blocks
+are empty),
 and the split comes from split_sequence, the same reader behind the g_i
 assertion, applied at phi.
 
@@ -261,7 +262,7 @@ def extract_td_system(
 
     # band conditions on the restriction, e_i op e_j = 0 for |i - j| > 1
     for tag, fam, op in (("es", dual_factors, a_sub), ("e", factors, astar_sub)):
-        for i, j, _, ok in fam.band_blocks(op, range(1, 2)):
+        for i, j, _, ok in fam.band_blocks(op, 2):
             if not ok:
                 failures.append((f"tds.band.{tag}.{i}.{j}", "sandwich is nonzero"))
 

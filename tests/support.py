@@ -22,24 +22,25 @@ def zero_matrix(field, n: int, m: int = None) -> Matrix:
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return Matrix(a.field, [list(map(a.field.add, ra, rb)) for ra, rb in zip(a.rows, b.rows)])
+    return Matrix(a.field, [list(map(a.field.add, ra, rb)) for ra, rb in zip(elements(a), elements(b))])
 
 
 # ---------------------------------------------------------------------------
-# Echelon bases read back as field elements, and the restriction computed
-# from them as it was before it became one product (linalg.restrict)
+# Matrices and echelon bases read back as field elements, and the restriction
+# computed from them as it was before it became one product (linalg.restrict)
 
 
-def basis_rows(basis) -> list:
-    """The reduced rows of an EchelonBasis as field elements, from its form."""
-    return basis.field.from_int_rows(*basis.form)
+def elements(m) -> list:
+    """The entries of a Matrix, or the reduced rows of an EchelonBasis, as
+    field elements read from its integer form."""
+    return m.field.from_int_rows(*m.form)
 
 
 def coordinates(basis, vec):
     """vec's coordinates in an EchelonBasis by elimination against its
     reduced rows, or None if a residual is left: vec is outside the span."""
     f, v, coords = basis.field, list(vec), []
-    for row, piv in zip(basis_rows(basis), basis.pivots):
+    for row, piv in zip(elements(basis), basis.pivots):
         c = v[piv]
         coords.append(c)
         if c:
@@ -50,7 +51,7 @@ def coordinates(basis, vec):
 def reference_restrict(op: Matrix, basis) -> Matrix:
     """Matrix of op on the span of basis: column j is the coordinates of op
     times basis row j.  ValueError if the span is not invariant."""
-    cols = [coordinates(basis, op.apply(row)) for row in basis_rows(basis)]
+    cols = [coordinates(basis, op.apply(row)) for row in elements(basis)]
     if None in cols:
         raise ValueError("subspace is not invariant under the operator")
     return Matrix(op.field, zip(*cols))

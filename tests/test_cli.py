@@ -282,6 +282,25 @@ def test_prime_of_d_plus_one_elements_still_samples(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("verify-appendix --d 2 --trials 1", "no admissible context found after 0 attempts"),
+        ("tds roundtrip --d 2 --trials 1", "no valid parameter array found after 0 attempts"),
+    ],
+)
+def test_exhausted_sampler_fails_the_trial_as_one_sample_check(argv, message, monkeypatch, capsys):
+    from tdcheck import params
+    from tdcheck.fields import derive_seed
+
+    monkeypatch.setattr(params, "MAX_ATTEMPTS", 0)
+    code, out, err = run_cli(capsys, *argv.split())
+    detail = f"trial 0, seed {derive_seed(0, 0)}: {message}"
+    assert code == 1
+    assert json.loads(out)["checks"] == [{"detail": detail, "id": "t000.sample", "passed": False}]
+    assert err.splitlines()[1:] == [f"  FAIL t000.sample: {detail}"]
+
+
 def test_output_flag_writes_report(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(

@@ -18,6 +18,8 @@ from tdcheck.fields import (
 )
 from tdcheck.linalg import EchelonBasis, Matrix, restrict
 
+from support import elements
+
 QQ = Rationals()
 F101 = PrimeField(101)
 
@@ -168,9 +170,8 @@ def test_every_result_is_canonical(f, seed, n, ints):
         # integer forms in lowest terms; over F_p, residues over 1
         assert den > 0 and gcd(den, *(x for row in ints for x in row)) == 1
         assert f.kind == "qq" or (den == 1 and all(0 <= x < f.p for row in ints for x in row))
-    matrices = [mat.rows for mat in derived] + [f.from_int_rows(*echelon.form),
-                                                f.from_int_rows(*krylov.form)]
-    last = m.rows[-1]  # in the row space: its coordinates are its entries at the pivots
+    matrices = [elements(x) for x in derived + [echelon, krylov]]
+    last = elements(m)[-1]  # in the row space: its coordinates are its entries at the pivots
     out += m.apply(vec) + [last[p] for p in echelon.pivots]
     out += [x for rows in matrices for row in rows for x in row]
     assert all(is_canonical(f, x) for x in out)

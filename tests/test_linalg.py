@@ -15,7 +15,7 @@ from tdcheck.realization import realize
 from tdcheck.tables import load_table
 from tdcheck.tdsystem import submodule_closure
 
-from support import basis_rows, coordinates, reference_restrict, zero_matrix
+from support import coordinates, elements, reference_restrict, zero_matrix
 
 QQ = Rationals()
 
@@ -49,8 +49,8 @@ def test_mat_mul_kernel_matches_generic_dot(f):
     prod = a * b
     for i in range(n):
         for j in range(n):
-            want = reduce(f.add, map(f.mul, a.rows[i], [r[j] for r in b.rows]), f.zero)
-            assert prod.rows[i][j] == want
+            want = reduce(f.add, map(f.mul, elements(a)[i], [r[j] for r in elements(b)]), f.zero)
+            assert elements(prod)[i][j] == want
 
 
 def test_apply_is_column_action():
@@ -78,7 +78,7 @@ def test_echelon_basis_coordinates_and_containment():
     coords = coordinates(basis, vec)
     assert coords == [vec[p] for p in basis.pivots]  # the entries at the pivots
     recon = [QQ.zero] * 3
-    for c, row in zip(coords, basis_rows(basis)):
+    for c, row in zip(coords, elements(basis)):
         recon = [QQ.add(x, QQ.mul(c, y)) for x, y in zip(recon, row)]
     assert recon == vec
 
@@ -87,7 +87,7 @@ def test_echelon_rows_are_reduced():
     basis = EchelonBasis(QQ, 3)
     basis.add([Fraction(2), Fraction(4), Fraction(2)])
     basis.add([Fraction(1), Fraction(3), Fraction(0)])
-    for row, piv in zip(basis_rows(basis), basis.pivots):
+    for row, piv in zip(elements(basis), basis.pivots):
         assert row[piv] == 1
         for other in basis.pivots:
             if other != piv:
@@ -208,7 +208,7 @@ class ReferenceEchelonBasis:
 def reference_apply(m, vec):
     """Matrix times column vector as one field dot product per row."""
     f = m.field
-    return [reduce(f.add, map(f.mul, row, vec), f.zero) for row in m.rows]
+    return [reduce(f.add, map(f.mul, row, vec), f.zero) for row in elements(m)]
 
 
 SEEDED_FIELDS = [(QQ, 31), (PrimeField(), 32), (PrimeField(7), 33)]
@@ -244,7 +244,7 @@ def combination(s, vecs, width):
 def assert_same_basis(got, want):
     assert got.dim == want.dim
     assert got.pivots == want.pivots
-    assert basis_rows(got) == want.rows
+    assert elements(got) == want.rows
 
 
 def assert_same_queries(s, got, want, width, added):
@@ -376,10 +376,10 @@ def test_apply_after_shift_and_copy_reads_the_new_entries(field, seed):
     assert mat.apply(v) == reference_apply(mat, v)
     shifted = mat.shift(s.scalar())
     assert shifted.apply(v) == reference_apply(shifted, v)
-    rows = mat.rows
+    rows = elements(mat)
     rows[0] = random_vector(s, n)  # a new row list: mat keeps its entries
     copied = Matrix(s.field, rows)
-    assert copied.rows != mat.rows
+    assert elements(copied) != elements(mat)
     assert copied.apply(v) == reference_apply(copied, v)
     assert mat.apply(v) == reference_apply(mat, v)
 
@@ -483,7 +483,7 @@ def test_rational_product_form_matches_the_fraction_triple_loop(operands):
     (ia, da), (ib, db), (ic, dc) = (QQ.to_ints(x) for x in operands)
     ab = Matrix.of_ints(QQ, QQ.mat_mul(ia, ib), da * db)
     assert_lowest(ab.form)
-    assert ab.rows == fraction_product(a, b)
+    assert elements(ab) == fraction_product(a, b)
     if not b:  # a 0 x m operand: ab has lost its width m
         return
     abc = QQ.mat_mul(ab.form[0], ic)
@@ -492,7 +492,7 @@ def test_rational_product_form_matches_the_fraction_triple_loop(operands):
         ma, mb, mc = (Matrix(QQ, x) for x in operands)
         prod = (ma * mb) * mc
         assert_lowest(prod.form)
-        assert prod.rows == fraction_product(fraction_product(a, b), c)
+        assert elements(prod) == fraction_product(fraction_product(a, b), c)
         assert prod == ma * (mb * mc)
 
 

@@ -18,7 +18,7 @@ from tdcheck.report import failed
 from tdcheck.tables import load_table
 
 from support import (
-    coefficient_slots, mat_add, with_negated_coefficient, zero_matrix,
+    coefficient_slots, elements, mat_add, with_negated_coefficient, zero_matrix,
 )
 
 QQ = Rationals()
@@ -176,8 +176,8 @@ def test_rational_realization_reduces_to_prime_field_realization():
         (real_qq.estar[0], real_fp.estar[0]),
         (real_qq.e[2], real_fp.e[2]),
     ):
-        got = [[reduce(x) for x in row] for row in mat_qq.rows]
-        assert got == mat_fp.rows
+        got = [[reduce(x) for x in row] for row in elements(mat_qq)]
+        assert got == elements(mat_fp)
 
 
 def test_relation_report_check_coordinates():
@@ -189,7 +189,7 @@ def test_relation_report_check_coordinates():
     assert "rel7.e" in ids
     assert "rel8.0.2.0" in ids and "rel8.0.2.1" in ids
     assert "rel9.2.0.1" in ids
-    assert "rel8.0.1.0" in ids  # k = 0 band checks repeat orthogonality
+    assert "rel8.0.1.0" in ids  # k = 0: rel5.es.0.1's block, recorded as a band check too
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +281,8 @@ def test_block_relations_match_full_sandwiches_off_idempotent_families():
     assert {"rel5", "rel8", "rel9"} <= failed
 
 
-@pytest.mark.parametrize("d", range(6))
-def test_band_walk_keeps_its_order_and_multiplies_no_further_than_its_range(d, monkeypatch):
-    # the relation checks read k = 0..d, the round trip's extraction k = 1 only
-    real = realize(load_table(d), random_admissible_context(d, FP, 920 + d), FP)
+def counted_products(monkeypatch) -> list:
+    """A list that gains one entry per PrimeField.mat_mul call."""
     products = []
     mat_mul = PrimeField.mat_mul
 
@@ -293,16 +291,38 @@ def test_band_walk_keeps_its_order_and_multiplies_no_further_than_its_range(d, m
         return mat_mul(self, a, b)
 
     monkeypatch.setattr(PrimeField, "mat_mul", counted)
-    for ks in (range(d + 1), range(1, 2), range(0, 1)):
+    return products
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_band_walk_keeps_its_order_and_multiplies_no_further_than_its_range(d, monkeypatch):
+    # the relation checks walk 1 <= k < d + 1, the round trip's extraction k = 1 only
+    real = realize(load_table(d), random_admissible_context(d, FP, 920 + d), FP)
+    products = counted_products(monkeypatch)
+    for top in (1, 2, d + 1):
         products.clear()
-        got = list(real.dual_factors.band_blocks(real.a, ks))
+        got = list(real.dual_factors.band_blocks(real.a, top))
         assert [t[:3] for t in got] == [
-            (i, j, k) for j in range(d + 1) for k in ks for i in range(d + 1) if k < abs(i - j)
+            (i, j, k) for j in range(d + 1) for k in range(1, top) for i in range(d + 1)
+            if k < abs(i - j)
         ]
         assert all(ok for *_, ok in got)
-        # per j: one thin product per step k -> k + 1, one stacked product per k read
-        tops = [min(ks.stop, max(j, d - j)) for j in range(d + 1)]
-        assert len(products) == sum(max(t - 1, 0) + len(range(ks.start, t)) for t in tops)
+        # per j: one thin product per step k - 1 -> k, one stacked product per k read
+        tops = [min(top, max(j, d - j)) for j in range(d + 1)]
+        assert len(products) == sum(2 * max(t - 1, 0) for t in tops)
+
+
+def test_relation_suite_forms_only_the_products_it_reads(monkeypatch):
+    # per family: one product for rel5 (and the k = 0 band blocks), one for
+    # rel6/rel7, and two per band step k >= 1
+    reals = [realize(load_table(d), random_admissible_context(d, FP, 930 + d), FP) for d in range(6)]
+    products = counted_products(monkeypatch)
+    counts = []
+    for real in reals:
+        products.clear()
+        assert all(c.passed for c in verify_relations(real))
+        counts.append(len(products))
+    assert counts == [4, 4, 12, 28, 48, 76]
 
 
 def test_rank_factors_multiply_back_to_the_family():

@@ -19,7 +19,7 @@ from tdcheck.tdsystem import (
     submodule_closure,
 )
 
-from support import basis_rows, coordinates, reference_restrict
+from support import coordinates, elements, reference_restrict
 
 QQ = Rationals()
 FP = PrimeField()
@@ -76,7 +76,7 @@ def test_closure_of_fixed_coordinate_in_diagonal_toy():
 def test_closure_is_idempotent():
     real = construct_from_params(d1_array(), QQ, load_table(1))
     closure = submodule_closure(real.a, real.astar, real.basis_vector(real.basis[0]))
-    rows = basis_rows(closure)
+    rows = elements(closure)
     again = submodule_closure(real.a, real.astar, rows[0])
     for row in rows:
         assert coordinates(again, row) is not None
@@ -127,13 +127,13 @@ def reference_word_span_irreducible(a, astar, field):
     n = a.nrows
     basis = EchelonBasis(field, n * n)
     ident = Matrix.identity(field, n)
-    basis.add([x for row in ident.rows for x in row])
+    basis.add([x for row in elements(ident) for x in row])
     queue = [ident]
     while queue:
         m = queue.pop()
         for g in (a, astar):
             prod = g * m
-            if basis.add([x for row in prod.rows for x in row]):
+            if basis.add([x for row in elements(prod) for x in row]):
                 queue.append(prod)
     return basis.dim == n * n
 
@@ -165,7 +165,7 @@ def test_word_span_closure_matches_matrix_product_reference(field, seed):
     for trial, k, a, astar in random_pairs(field, seed):
         want = reference_word_span_irreducible(a, astar, field)
         assert not (k and want), trial  # a block-triangular pair is reducible
-        assert irreducibility_check(a, astar) == want, (trial, a.rows, astar.rows)
+        assert irreducibility_check(a, astar) == want, (trial, elements(a), elements(astar))
         verdicts.add(want)
     assert verdicts == {True, False}
 
@@ -184,7 +184,7 @@ def closure_calls(monkeypatch):
 
     def recorded(a, astar, seed):
         basis = closure(a, astar, seed)
-        calls.append((a.field.kind, a.rows, list(seed), basis.dim))
+        calls.append((a.field.kind, elements(a), list(seed), basis.dim))
         return basis
 
     monkeypatch.setattr(tdsystem, "submodule_closure", recorded)
@@ -226,7 +226,7 @@ def test_image_closure_can_be_short_where_the_exact_closure_is_full(monkeypatch)
     a = Matrix(QQ, [fr([0, 0]), fr([P, 0])])
     calls = closure_calls(monkeypatch)
     assert tdsystem.submodule_closure(a, a, fr([1, 0])).dim == 2
-    assert calls == [("fp", [[0, 0], [0, 0]], [1, 0], 1), ("qq", a.rows, fr([1, 0]), 2)]
+    assert calls == [("fp", [[0, 0], [0, 0]], [1, 0], 1), ("qq", elements(a), fr([1, 0]), 2)]
 
 
 def test_no_image_over_a_prime_field_or_for_a_denominator_divisible_by_p(monkeypatch):
@@ -390,7 +390,7 @@ def padded_pair(real):
     f, ctx = real.field, real.context
 
     def padded(m, t):
-        return Matrix(f, [row + [f.zero] for row in m.rows] + [[f.zero] * m.ncols + [t]])
+        return Matrix(f, [row + [f.zero] for row in elements(m)] + [[f.zero] * m.ncols + [t]])
 
     a, astar = padded(real.a, ctx.theta[0]), padded(real.astar, ctx.theta_star[0])
     phi = real.basis_vector(real.basis[0]) + [f.zero]
