@@ -17,7 +17,7 @@ residues and the denominator is 1.  `mat_mul` multiplies integer rows through
 one sparse kernel for both fields; `to_ints` clears the denominators of rows
 assembled from scalars, `from_int_rows` reads an integer form back as
 elements, and the remaining hooks (`ratio`, `from_ints`, `shrink`,
-`primitive`) serve linalg's integer kernels.
+`primitive`) serve linalg's integer kernels and poly's Lagrange sums.
 
 Randomness comes from splitmix64, chosen because it is tiny, well known and
 trivially reproducible across platforms; the algorithm identifier is recorded
@@ -184,11 +184,11 @@ class Rationals:
     # rows assembled from scalars, from_int_rows and from_ints read integers
     # over a denominator back as elements, ratio splits a scalar into
     # numerator and denominator, shrink canonicalizes a complete echelon
-    # residual (nothing to do over the rationals), and primitive scales a
-    # vector to the canonical integer representative of its line: content 1
-    # and positive at piv (`changed` serves F_p only).  sub and mul also act
-    # on the integers of a form (linalg's scale and shift): plain integer
-    # arithmetic here.
+    # residual or a Lagrange sum (nothing to do over the rationals), and
+    # primitive scales a vector to the canonical integer representative of
+    # its line: content 1 and positive at piv (`changed` serves F_p only).
+    # sub also acts on the integers of a form (linalg's shift): plain
+    # integer arithmetic here.
     def mat_mul(self, rows_a, rows_b):
         return _int_mat_mul(rows_a, rows_b)
 
@@ -314,10 +314,10 @@ class PrimeField:
     # Integer form (see Rationals): the residues over 1.  mat_mul reduces
     # each sum mod p, so products stay residues; nothing is cleared, and the
     # rows of a form are its elements.  The echelon's steps leave entries
-    # unreduced; shrink reduces a residual mod p once, and primitive (the
-    # canonical representative of a line has 1 at piv) reduces a new row, or
-    # only the entries `changed` of a back-eliminated row, whose pivot is 1
-    # and whose other entries are residues already.
+    # unreduced; shrink reduces a residual (or a Lagrange sum) mod p once,
+    # and primitive (the canonical representative of a line has 1 at piv)
+    # reduces a new row, or only the entries `changed` of a back-eliminated
+    # row, whose pivot is 1 and whose other entries are residues already.
     def mat_mul(self, rows_a, rows_b):
         p = self.p
         return [[s % p for s in acc] for acc in _int_mat_mul(rows_a, rows_b)]

@@ -4,11 +4,11 @@ A Matrix is held in its field's integer form (see `fields`): integer rows
 over one positive denominator, in lowest terms, so over Q the gcd of the
 denominator and every entry is 1 and over F_p the rows are the residues over
 1.  A matrix assembled from scalars (`Matrix(field, rows)`) clears them when
-it is built; a product, a scaled, shifted or transposed matrix, the identity
-and the word-span Kronecker operators are built from integer rows
-(`Matrix.of_ints`).  The form is all a Matrix holds.  Dimensions are tiny
-(at most 32, or 64 for the word-span echelon) and the hot spots walk only
-nonzeros:
+it is built; a product, a shifted or transposed matrix, the identity, a
+Lagrange idempotent and the word-span Kronecker operators are built from
+integer rows (`Matrix.of_ints`).  The form is all a Matrix holds.
+Dimensions are tiny (at most 32, or 64 for the word-span echelon) and the
+hot spots walk only nonzeros:
 
   * a product is the field's `mat_mul` on the two integer forms, one sparse
     integer kernel for both fields (`fields._int_mat_mul`), over the product
@@ -17,8 +17,8 @@ nonzeros:
     entry from integer dot products over the nonzeros of each row;
   * EchelonBasis eliminates fraction-free on integer rows (walking nonzeros;
     over F_p one reduction per residual), and `Matrix.echelon` inserts the
-    rows of the integer form as they are: over Q each is a multiple of its
-    row, which spans the same line;
+    nonzero rows of the integer form as they are: over Q each is a multiple
+    of its row, which spans the same line;
   * `restrict` reads an operator on an invariant subspace as the rows at
     the basis's pivots of one product, the operator times the basis's form
     transposed.
@@ -80,18 +80,10 @@ class Matrix:
         (a, da), (b, db) = self.form, other.form
         return Matrix.of_ints(self.field, self.field.mat_mul(a, b), da * db)
 
-    def scale(self, c) -> "Matrix":
-        """c * self; zero entries are kept as they are, not multiplied.  Like
-        shift, it works on the integer form, where the field's mul and sub
-        are integer arithmetic over Q and residue arithmetic over F_p."""
-        f = self.field
-        num, cden = f.ratio(c)
-        ints, den = self.form
-        rows = [[f.mul(num, x) if x else x for x in r] for r in ints]
-        return Matrix.of_ints(f, rows, den * cden)
-
     def shift(self, c) -> "Matrix":
-        """self - c * I (square only)."""
+        """self - c * I (square only).  It works on the integer form, where
+        the field's sub is integer arithmetic over Q and residue arithmetic
+        over F_p."""
         f = self.field
         num, cden = f.ratio(c)
         ints, den = self.form
@@ -123,9 +115,10 @@ class Matrix:
         return not any(map(any, self.form[0]))
 
     def echelon(self) -> "EchelonBasis":
-        """Reduced row-echelon basis of the row space."""
+        """Reduced row-echelon basis of the row space; zero rows add nothing
+        and are skipped."""
         basis = EchelonBasis(self.field, self.ncols)
-        for row in self.form[0]:
+        for row in filter(any, self.form[0]):
             basis.add(row, True)  # cleared
         return basis
 

@@ -217,13 +217,14 @@ def realize(
     env = context_env(ctx)
     n = len(table.basis)
     index = {label: i for i, label in enumerate(table.basis)}
+    memo: dict = {}  # one value per shared coefficient subtree, for both operators
 
     def assemble(action) -> Matrix:
         cols = []
         for src in table.basis:
             col = [field.zero] * n
             for coeff, target in action[src]:
-                val = evaluate(coeff, env, field)
+                val = evaluate(coeff, env, field, memo)
                 row = index[target]
                 col[row] = field.add(col[row], val)
             cols.append(col)

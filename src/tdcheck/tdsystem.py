@@ -23,27 +23,42 @@ and the split comes from split_sequence, the same reader behind the g_i
 assertion, applied at phi.
 
 Irreducibility: the reference criterion is that the words in the restricted
-pair span the full matrix algebra (span dimension = (dim W)^2).  That span is
-the submodule closure of vec(I) under left multiplication by a and a*, the
-(dim W)^2 x (dim W)^2 operators g (x) I, built from the pair's integer
-form; their image mod p is the pair's image (x) I.  Maintaining that span
-echelon costs on the order of (dim W)^6 integer multiply-adds and (dim W)^4
-reductions mod p, so for dim W > 8 extraction uses an equivalent test
-available whenever the corner eigenspace is one-dimensional (the shape is
-sharp) and spanned by phi (the split read at phi starts with 1): phi
-generates W by construction, so W is irreducible iff the corner eigenrow
-generates the dual module under the transposed pair.  (A proper submodule U
-satisfies corner(U) = 0, since corner(U) nonzero would put phi, hence all of
-W, inside U; so the corner row annihilates U, and if that row generates the
-dual module then U = 0.  Conversely an irreducible module and its transpose
-are cyclic from any nonzero vector.)  Both routes are exact; the reference
-criterion remains the fallback otherwise.
-Both routes stay: the word-span note is inside every pinned d <= 3 round-trip
-report (tests/test_golden.py, perfbench/digests.json), and the roundtrip-qq
-benchmark workload runs both (word-span at d = 3, corner-cyclic at d = 4, 5).
+pair span the full matrix algebra (span dimension = (dim W)^2).  Given a
+rank-one member v w^T of the pair's algebra (any Lagrange idempotent of rank
+1 on W is one: it is a polynomial in a or a*), that is decided by at most two
+closures: the words span every matrix exactly when the closure of v is W and
+the dual closure of w (under the transposed pair) is W*.  "If": for words M
+and N, M v w^T N = (M v)(w^T N), so the span holds every product of a vector
+of W and a row of W*, which is every matrix.  "Only if": the full matrix
+algebra moves any nonzero vector (row) to any other.  This holds over every
+field and assumes nothing about the pair; it is Norton's irreducibility test
+with the null space of I - v w^T (Holt and Rees, J. Austral. Math. Soc. A 57,
+1994).  extract_td_system takes the member and the route as follows:
 
-Over the rationals each of those spans (the closure of phi, the word span
-and the dual closure of the corner row) is certified on one image mod
+  * phi spans the rank-one corner (the shape is sharp and the split read at
+    phi starts with 1): the member is e*_{r0} = c phi w^T, and phi generates
+    W by construction, so only the dual closure of w is read.  For
+    dim W > 8 that is _corner_cyclic_irreducible ("irreducibility via
+    corner-cyclic test"), for dim W <= 8 irreducibility_check ("irreducibility
+    via full word-span dimension").
+  * otherwise the first of e*_{r0}, e*_{r0+delta}, e_{t0}, e_{t0+delta} with
+    rank 1 on W, v its B column and w its R row (RankFactors), through
+    irreducibility_check; the note is the word-span one, with " (fallback)"
+    when dim W > 8.
+  * with no rank-one member, irreducibility_check grows the span itself: the
+    submodule closure of vec(I) under left multiplication by a and a*, the
+    (dim W)^2 x (dim W)^2 operators g (x) I, built from the pair's integer
+    form (their image mod p is the pair's image (x) I).  It costs on the
+    order of (dim W)^6 integer multiply-adds, about 1.2 s at dim W = 16.
+
+Every route is exact and gives the same verdict, so the notes only name the
+route.  Both notes stay: the word-span note is inside every pinned d <= 3
+round-trip report (tests/test_golden.py, perfbench/digests.json), and the
+roundtrip-qq benchmark workload runs both (word-span at d = 3, corner-cyclic
+at d = 4, 5).
+
+Over the rationals each of those spans (the closure of phi or of v, the dual
+closure of a row, the word span) is certified on one image mod
 p = DEFAULT_PRIME first, in submodule_closure (the modular rank method, see
 von zur Gathen and Gerhard, Modern Computer Algebra).  The lemma: when no
 denominator of the operators or of the seed is divisible by p, every vector
@@ -159,10 +174,23 @@ def _image(a: Matrix, astar: Matrix, seed: Sequence) -> Optional[tuple]:
     return (*(Matrix.of_ints(_IMAGE_FIELD, m) for m in out), v) if any(v) else None
 
 
-def irreducibility_check(a: Matrix, astar: Matrix) -> bool:
-    """Span of all words in the pair stabilizes at dimension (dim W)^2?  The
-    span is the closure of the row-major vec(I) under g (x) I, g = a, a*."""
+def irreducibility_check(
+    a: Matrix, astar: Matrix, rank_one: Optional[Tuple[Optional[list], list]] = None
+) -> bool:
+    """Span of all words in the pair stabilizes at dimension (dim W)^2?
+
+    With rank_one = (v, w), the column and row of a rank-one member v w^T of
+    the pair's algebra, that is decided by two closures (module docstring):
+    the closure of v must be W and the dual closure of w must be W*.  v is
+    None when it is known to generate W (phi, whose closure W is).  Without
+    one, the span is the closure of the row-major vec(I) under g (x) I,
+    g = a, a*."""
     field, n = a.field, a.nrows
+    if rank_one is not None:
+        v, w = rank_one
+        if v is not None and submodule_closure(a, astar, v).dim < n:
+            return False
+        return submodule_closure(a.transpose(), astar.transpose(), w).dim == n
     left = [Matrix.of_ints(field, [[x if j == l else 0 for x in row for l in range(n)]
                                    for row in ints for j in range(n)], den)
             for ints, den in (a.form, astar.form)]
@@ -170,13 +198,20 @@ def irreducibility_check(a: Matrix, astar: Matrix) -> bool:
     return submodule_closure(*left, ident).dim == n * n
 
 
-def _corner_cyclic_irreducible(a: Matrix, astar: Matrix, corner: Matrix) -> bool:
+def _rank_one(fam: RankFactors, i: int) -> Optional[Tuple[list, list]]:
+    """(v, w) with e_i a nonzero multiple of v w^T, v the one column of B_i
+    and w the one row of R_i, when e_i has rank 1; else None."""
+    if fam.ranks[i] != 1:
+        return None
+    (v,), (w,) = (fam.field.from_int_rows(m, 1) for m in (zip(*fam.left[i]), fam.right[i]))
+    return v, w
+
+
+def _corner_cyclic_irreducible(a: Matrix, astar: Matrix, row: list) -> bool:
     """Exact irreducibility via a rank-one corner idempotent whose image is
-    spanned by a vector that generates the module."""
-    ints, den = corner.form
-    (row,) = a.field.from_int_rows([next(r for r in ints if any(r))], den)
-    dual = submodule_closure(a.transpose(), astar.transpose(), row)
-    return dual.dim == a.nrows
+    spanned by a vector that generates the module: does the corner's row
+    generate the dual module?"""
+    return submodule_closure(a.transpose(), astar.transpose(), row).dim == a.nrows
 
 
 class TDSystemReport(NamedTuple):
@@ -288,11 +323,18 @@ def extract_td_system(
 
     # irreducibility: span criterion when small, corner-cyclic route otherwise
     large = dim_w > SPAN_CRITERION_DIM_LIMIT
-    if large and sharp and split[:1] == [field.one]:  # phi spans the rank-one corner
-        irreducible = _corner_cyclic_irreducible(a_sub, astar_sub, corner)
+    cyclic = sharp and split[:1] == [field.one]  # phi spans the rank-one corner
+    if cyclic:
+        rank_one = (None, _rank_one(dual_factors, r0)[1])
+    else:  # the first rank-one end idempotent, if any
+        ends = ((dual_factors, r0), (dual_factors, r0 + delta), (factors, t0),
+                (factors, t0 + delta_a))
+        rank_one = next(filter(None, (_rank_one(*end) for end in ends)), None)
+    if large and cyclic:
+        irreducible = _corner_cyclic_irreducible(a_sub, astar_sub, rank_one[1])
         notes.append("irreducibility via corner-cyclic test")
     else:
-        irreducible = irreducibility_check(a_sub, astar_sub)
+        irreducible = irreducibility_check(a_sub, astar_sub, rank_one)
         fallback = " (fallback)" if large else ""
         notes.append("irreducibility via full word-span dimension" + fallback)
     if irreducible is False:

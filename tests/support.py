@@ -10,11 +10,11 @@ from tdcheck.params import random_admissible_context
 from tdcheck.poly import ladder
 from tdcheck.realization import RealizationError, realize, verify_relations
 from tdcheck.report import failed
-from tdcheck.tables import Neg
+from tdcheck.tables import Neg, bundled_table_text
 
 
 # ---------------------------------------------------------------------------
-# Matrix sums, entry by entry
+# Matrix sums and multiples, entry by entry
 
 
 def zero_matrix(field, n: int, m: int = None) -> Matrix:
@@ -23,6 +23,11 @@ def zero_matrix(field, n: int, m: int = None) -> Matrix:
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(a.field, [list(map(a.field.add, ra, rb)) for ra, rb in zip(elements(a), elements(b))])
+
+
+def scaled(m: Matrix, c) -> Matrix:
+    """c * m, entry by entry."""
+    return Matrix(m.field, [[m.field.mul(c, x) for x in row] for row in elements(m)])
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +60,26 @@ def reference_restrict(op: Matrix, basis) -> Matrix:
     if None in cols:
         raise ValueError("subspace is not invariant under the operator")
     return Matrix(op.field, zip(*cols))
+
+
+# ---------------------------------------------------------------------------
+# d2.txt with lr2 a common eigenvector of both operators and r2 fed from r in
+# place of lr2: the closure of phi is phi, r and r2, a proper subspace, so
+# extraction restricts the pair to it
+
+PROPER_CLOSURE_D2 = (
+    ("lr2 : th1*lr2 + (y1-eps0)*r2", "lr2 : th1*lr2"),
+    ("lr2 : ths1*lr2 + y2*phi", "lr2 : ths1*lr2"),
+    ("r2 : ths2*r2 + lr2", "r2 : ths2*r2 + y2*y1^-1*r"),
+)
+
+
+def proper_closure_d2_text() -> str:
+    text = bundled_table_text(2)
+    for old, new in PROPER_CLOSURE_D2:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
 
 
 # ---------------------------------------------------------------------------

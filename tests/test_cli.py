@@ -20,6 +20,8 @@ from tdcheck import suites, zigzag
 from tdcheck.cli import main
 from tdcheck.report import VerificationReport
 
+from support import proper_closure_d2_text
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -409,25 +411,11 @@ def test_scalar_index_with_a_leading_zero_is_a_usage_error(argv, tmp_path, capsy
     )
 
 
-# d2.txt with lr2 a common eigenvector of both operators and r2 fed from r in
-# place of lr2: the closure of phi is phi, r and r2, a proper subspace, so
-# extraction restricts the pair to it
-PROPER_CLOSURE_D2 = (
-    ("lr2 : th1*lr2 + (y1-eps0)*r2", "lr2 : th1*lr2"),
-    ("lr2 : ths1*lr2 + y2*phi", "lr2 : ths1*lr2"),
-    ("r2 : ths2*r2 + lr2", "r2 : ths2*r2 + y2*y1^-1*r"),
-)
-
-
 def proper_closure_assets(directory):
     from tdcheck.tables import bundled_table_text
 
     for d in range(6):
-        text = bundled_table_text(d)
-        if d == 2:
-            for old, new in PROPER_CLOSURE_D2:
-                assert text.count(old) == 1
-                text = text.replace(old, new)
+        text = proper_closure_d2_text() if d == 2 else bundled_table_text(d)
         (directory / f"d{d}.txt").write_text(text)
     return str(directory)
 

@@ -8,7 +8,7 @@ from tdcheck.linalg import Matrix
 from tdcheck.poly import MinimalPolynomialError, PolyError, ladder, lagrange_idempotents
 
 import support
-from support import elements, eta_expansion_check, mat_add, zero_matrix
+from support import elements, eta_expansion_check, mat_add, scaled, zero_matrix
 
 QQ = Rationals()
 
@@ -79,7 +79,7 @@ def test_lagrange_idempotents_two_by_two():
     assert mat_add(e0, e1) == Matrix.identity(QQ, 2)
     assert (e0 * e1).is_zero()
     assert e0 * e0 == e0
-    recon = mat_add(e0.scale(th0), e1.scale(th1))
+    recon = mat_add(scaled(e0, th0), scaled(e1, th1))
     assert recon == a
 
 
@@ -100,7 +100,7 @@ def test_lagrange_idempotents_random_triangular():
     for i, e in enumerate(idems):
         assert e * e == e
         total = mat_add(total, e)
-        recon = mat_add(recon, e.scale(thetas[i]))
+        recon = mat_add(recon, scaled(e, thetas[i]))
         for j in range(i + 1, n):
             assert (e * idems[j]).is_zero()
     assert total == eye
@@ -126,14 +126,13 @@ def test_lagrange_idempotents_equal_the_full_products(f, n):
             if j != i:
                 numer = numer * a.shift(t)
                 den = f.mul(den, f.sub(thetas[i], t))
-        assert elements(e) == elements(numer.scale(f.inv(den)))
+        assert elements(e) == elements(scaled(numer, f.inv(den)))
 
 
 @pytest.mark.parametrize("d", range(6))
 def test_lagrange_family_forms_only_the_products_it_reads(d, monkeypatch):
-    # d prefix products (the last is the minimal-polynomial check), d - 1
-    # suffix products (the full one is not formed again) and one product per
-    # inner E_i: 3d - 2 for d >= 1, none for d = 0
+    # the d products of the prefix chain P_2..P_{d+1} (the last is the
+    # minimal-polynomial check); every E_i is a sum over the chain
     f = PrimeField()
     s = Sampler(f, 60 + d)
     thetas = s.distinct(d + 1)
@@ -151,11 +150,11 @@ def test_lagrange_family_forms_only_the_products_it_reads(d, monkeypatch):
 
     monkeypatch.setattr(PrimeField, "mat_mul", counted)
     idems = lagrange_idempotents(a, thetas)
-    assert len(products) == max(3 * d - 2, 0)
+    assert len(products) == d
     monkeypatch.undo()
     assert sum(e.rank() for e in idems) == d + 1
     for i, e in enumerate(idems):
-        assert e * e == e and a * e == e.scale(thetas[i])
+        assert e * e == e and a * e == scaled(e, thetas[i])
 
 
 def test_lagrange_rejects_repeated_eigenvalue():

@@ -18,7 +18,7 @@ from tdcheck.report import failed
 from tdcheck.tables import load_table
 
 from support import (
-    coefficient_slots, elements, mat_add, with_negated_coefficient, zero_matrix,
+    coefficient_slots, elements, mat_add, scaled, with_negated_coefficient, zero_matrix,
 )
 
 QQ = Rationals()
@@ -216,9 +216,9 @@ def reference_relation_checks(real):
             total = mat_add(total, m)
         ok = total == ident
         out.append((f"rel6.{tag}", ok, "" if ok else f"sum of {tag}_i != identity"))
-        recon = idems[0].scale(values[0])
+        recon = scaled(idems[0], values[0])
         for i in range(1, d + 1):
-            recon = mat_add(recon, idems[i].scale(values[i]))
+            recon = mat_add(recon, scaled(idems[i], values[i]))
         ok = recon == op
         detail = "" if ok else f"operator != sum of eigenvalue * {tag}_i"
         out.append((f"rel7.{tag}", ok, detail))
@@ -272,7 +272,7 @@ def test_block_relations_match_full_sandwiches_off_idempotent_families():
     # a sum of two idempotents, a zero matrix, a scaled idempotent, a^2
     ctx = random_admissible_context(3, FP, 902)
     real = realize(load_table(3), ctx, FP)
-    e = [mat_add(real.e[0], real.e[1]), zero_matrix(FP, real.dim), real.e[2].scale(2), real.e[3]]
+    e = [mat_add(real.e[0], real.e[1]), zero_matrix(FP, real.dim), scaled(real.e[2], 2), real.e[3]]
     estar = [real.estar[0], mat_add(real.estar[1], real.estar[3]), real.a * real.a, real.estar[3]]
     bent = real._replace(factors=RankFactors.of(e), dual_factors=RankFactors.of(estar))
     want = reference_relation_checks(bent)
@@ -347,9 +347,9 @@ def reference_sum_checks(real):
             total = mat_add(total, m)
         ok = total == ident
         out.append((f"rel6.{tag}", ok, "" if ok else f"sum of {tag}_i != identity"))
-        recon = idems[0].scale(values[0])
+        recon = scaled(idems[0], values[0])
         for i in range(1, len(idems)):
-            recon = mat_add(recon, idems[i].scale(values[i]))
+            recon = mat_add(recon, scaled(idems[i], values[i]))
         ok = recon == op
         detail = "" if ok else f"operator != sum of eigenvalue * {tag}_i"
         out.append((f"rel7.{tag}", ok, detail))
@@ -376,7 +376,7 @@ def test_entrywise_sums_fail_off_idempotent_families(f):
     # idempotent_families, in both fields: neither sum can hold
     ctx = random_admissible_context(3, f, 902)
     real = realize(load_table(3), ctx, f)
-    e = [mat_add(real.e[0], real.e[1]), zero_matrix(f, real.dim), real.e[2].scale(2), real.e[3]]
+    e = [mat_add(real.e[0], real.e[1]), zero_matrix(f, real.dim), scaled(real.e[2], 2), real.e[3]]
     estar = [real.estar[0], mat_add(real.estar[1], real.estar[3]), real.a * real.a, real.estar[3]]
     bent = real._replace(factors=RankFactors.of(e), dual_factors=RankFactors.of(estar))
     want = reference_sum_checks(bent)

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcheck.fields import Rationals
+from tdcheck.fields import PrimeField, Rationals
+from tdcheck.params import random_admissible_context
+from tdcheck.realization import context_env
 from tdcheck.tables import (
     _PREC_PROD,
     FORMAT_VERSION,
@@ -22,6 +24,7 @@ from tdcheck.tables import (
     ParseError,
     Pow,
     TableError,
+    _Entry,
     _prec,
     bundled_table_text,
     evaluate,
@@ -382,16 +385,60 @@ def test_evaluate_simple_tree():
     env = {"beta": Fraction(3), "y1": Fraction(5)}
     inv = Pow(BinOp("+", Name("beta"), Num(1)), -1)
     expr = BinOp("+", BinOp("*", Name("y1"), inv), Num(2))
-    assert evaluate(expr, env, QQ) == Fraction(5, 4) + 2
+    assert evaluate(expr, env, QQ, {}) == Fraction(5, 4) + 2
 
 
 def test_evaluate_reports_missing_name_and_zero_division():
     with pytest.raises(EvaluationError):
-        evaluate(Name("y1"), {}, QQ)
+        evaluate(Name("y1"), {}, QQ, {})
     with pytest.raises(EvaluationError):
-        evaluate(BinOp("/", Num(1), Name("beta")), {"beta": Fraction(0)}, QQ)
+        evaluate(BinOp("/", Num(1), Name("beta")), {"beta": Fraction(0)}, QQ, {})
     with pytest.raises(EvaluationError):
-        evaluate(Pow(Name("beta"), -2), {"beta": Fraction(0)}, QQ)
+        evaluate(Pow(Name("beta"), -2), {"beta": Fraction(0)}, QQ, {})
+
+
+def operator_nodes(table):
+    """Every BinOp, Neg and Pow in the table's coefficients, once per occurrence."""
+    stack = [c for action in (table.a_action, table.astar_action)
+             for terms in action.values() for c, _ in terms]
+    out = []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (BinOp, Neg, Pow)):
+            out.append(node)
+            stack += [c for c in node if isinstance(c, tuple)]
+    return out
+
+
+@pytest.mark.parametrize("d,distinct,total", [(3, 31, 49), (4, 89, 182), (5, 411, 1455)])
+def test_identical_subtrees_are_one_node_evaluated_once_per_memo(d, distinct, total):
+    table = load_table(d)
+    nodes = operator_nodes(table)
+    assert (len({id(n) for n in nodes}), len(nodes)) == (distinct, total)
+    assert len(set(nodes)) == distinct  # equal subtrees are the same object
+    env = context_env(random_admissible_context(d, PrimeField(), 7))
+    coeffs = [c for action in (table.a_action, table.astar_action)
+              for terms in action.values() for c, _ in terms]
+    memo = {}
+    values = [evaluate(c, env, PrimeField(), memo) for c in coeffs]
+    assert len(memo) == distinct
+    assert values == [evaluate(c, env, PrimeField(), {}) for c in coeffs]
+
+
+def test_a_memo_keeps_only_values_and_changes_no_error():
+    # (beta+1) is one node in both terms; at beta = -1 it evaluates to 0 and
+    # each division fails with its own text, with or without the memo
+    _, terms = _Entry("phi : (y1/(beta+1))*phi + (y2/(beta+1))*phi", 1, 5, {PHI}, {}).read()
+    (a, _), (b, _) = terms
+    assert a.right is b.right
+    env = {"y1": Fraction(1), "y2": Fraction(2), "beta": Fraction(-1)}
+    memo = {}
+    for coeff in (a, b):
+        for m in (memo, {}):
+            with pytest.raises(EvaluationError) as err:
+                evaluate(coeff, env, QQ, m)
+            assert str(err.value) == f"division by zero in {format_expr(coeff)!r}"
+    assert memo == {id(a.right): 0}  # the failed divisions are not kept
 
 
 def test_format_expr_minimal_parentheses():
@@ -442,9 +489,7 @@ def _exprs(depth: int):
 @settings(max_examples=300, deadline=None)
 @given(_exprs(3))
 def test_expression_print_parse_roundtrip(tree):
-    from tdcheck.tables import _Entry
-
-    entry = _Entry(f"phi : ({format_expr(tree)})*phi", 1, 5, {PHI})
+    entry = _Entry(f"phi : ({format_expr(tree)})*phi", 1, 5, {PHI}, {})
     assert entry.read() == (PHI, [(tree, PHI)])
 
 

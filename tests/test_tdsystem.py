@@ -1,11 +1,12 @@
 from fractions import Fraction
+from unittest.mock import ANY
 
 import pytest
 
 from tdcheck import tdsystem
-from tdcheck.fields import DEFAULT_PRIME, PrimeField, Rationals, Sampler
-from tdcheck.linalg import EchelonBasis, Matrix
-from tdcheck.params import ParameterArray, random_admissible_context
+from tdcheck.fields import DEFAULT_PRIME, PrimeField, Rationals, Sampler, derive_seed
+from tdcheck.linalg import EchelonBasis, Matrix, restrict
+from tdcheck.params import ParameterArray, random_admissible_context, random_valid_parameter_array
 from tdcheck.realization import idempotent_families, realize
 from tdcheck.tables import FORMAT_VERSION, bundled_table_text, load_table, parse_table
 from tdcheck.tdsystem import (
@@ -19,7 +20,7 @@ from tdcheck.tdsystem import (
     submodule_closure,
 )
 
-from support import coordinates, elements, reference_restrict
+from support import coordinates, elements, proper_closure_d2_text, reference_restrict
 
 QQ = Rationals()
 FP = PrimeField()
@@ -171,6 +172,139 @@ def test_word_span_closure_matches_matrix_product_reference(field, seed):
 
 
 # ---------------------------------------------------------------------------
+# irreducibility from a rank-one member: two closures against the word span
+
+
+def rank_one_of(m):
+    """(v, w) with m = c v w^T when m has rank 1: v a nonzero column, w its
+    first nonzero row; else None."""
+    if m.rank() != 1:
+        return None
+    rows = elements(m)
+    w = next(r for r in rows if any(r))
+    j = next(k for k, x in enumerate(w) if x)
+    return [r[j] for r in rows], w
+
+
+def rank_one_idempotents(a, astar, theta, theta_star):
+    """(v, w) of every rank-one member of the pair's two Lagrange families."""
+    families = idempotent_families(a, astar, theta, theta_star)
+    return [m for fam in families for e in fam.idems if (m := rank_one_of(e))]
+
+
+def assert_routes_agree(a, astar, members):
+    """Every rank-one member decides as the Kronecker word span; the verdict."""
+    want = irreducibility_check(a, astar)
+    for m in members:
+        assert irreducibility_check(a, astar, m) == want
+    return want
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, FP, PrimeField(7), PrimeField(11), PrimeField(13), PrimeField(31)],
+    ids=["qq", "fp", "f7", "f11", "f13", "f31"],
+)
+def test_two_closures_match_the_word_span_on_realized_pairs(field):
+    verdicts = []
+    for d in (1, 2, 3):
+        table = load_table(d)
+        for t in range(20):
+            pa = random_valid_parameter_array(d, field, derive_seed(d << 32, t))
+            real = construct_from_params(pa, field, table)
+            ctx = real.context
+            members = rank_one_idempotents(real.a, real.astar, ctx.theta, ctx.theta_star)
+            assert len(members) == 4  # e_0, e_d, e*_0 and e*_d
+            want = assert_routes_agree(real.a, real.astar, members)
+            # phi generates the module: only the dual closure of e*_0's row is read
+            phi = real.basis_vector(real.basis[0])
+            if submodule_closure(real.a, real.astar, phi).dim == real.dim:
+                (w,) = field.from_int_rows(real.dual_factors.right[0], 1)
+                assert irreducibility_check(real.a, real.astar, (None, w)) == want
+            verdicts.append(want)
+    # at a small prime the sampled points meet the reducible locus
+    assert all(verdicts) == (field in (QQ, FP)), verdicts.count(False)
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
+def test_two_closures_match_the_word_span_on_a_restricted_pair(field):
+    pa = random_valid_parameter_array(2, field, 3 << 32)
+    real = construct_from_params(pa, field, parse_table(proper_closure_d2_text()))
+    closure = submodule_closure(real.a, real.astar, real.basis_vector(real.basis[0]))
+    assert closure.dim == 3
+    a, astar = restrict(real.a, closure), restrict(real.astar, closure)
+    members = rank_one_idempotents(a, astar, pa.theta, pa.theta_star)
+    assert members and assert_routes_agree(a, astar, members)
+
+
+@pytest.mark.parametrize(
+    "field,seed", [(QQ, 31), (PrimeField(7), 32)], ids=["qq", "f7"]
+)
+def test_two_closures_match_the_word_span_on_random_pairs(field, seed):
+    # a rank-one member found among the words of length at most 3 and, over
+    # F_7, the shifts g - c I of either operator
+    shifts = range(field.p) if field.kind == "fp" else ()
+    verdicts = []
+    for trial, _, a, astar in random_pairs(field, seed):
+        words = [a, astar] + [g.shift(field.from_int(c)) for g in (a, astar) for c in shifts]
+        words += [x * y for x in (a, astar) for y in (a, astar)]
+        words += [x * y for x in words[-4:] for y in (a, astar)]
+        member = next(filter(None, map(rank_one_of, words)), None)
+        if member is not None:
+            verdicts.append(assert_routes_agree(a, astar, [member]))
+    assert set(verdicts) == ({True} if field is QQ else {True, False}), verdicts
+
+
+def test_extraction_at_d4_from_phi_plus_r_takes_the_rank_one_route(monkeypatch):
+    # phi + r does not span the corner (tds.split.proportional.0): at dim W =
+    # 16 this was the Kronecker span over 256 coordinates
+    ctx = random_admissible_context(4, FP, 4 << 32)
+    real = realize(load_table(4), ctx, FP)
+    start = [FP.add(x, y) for x, y in zip(*map(real.basis_vector, real.basis[:2]))]
+    calls = closure_calls(monkeypatch)
+    tds = extract_td_system(real.a, real.astar, start, ctx.theta, ctx.theta_star, None)
+    monkeypatch.undo()
+    assert tds.closure_dim == 16 and ("tds.split.proportional.0", ANY) in tds.axiom_failures
+    assert "irreducibility via full word-span dimension (fallback)" in tds.notes
+    assert calls and {len(seed) for _, _, seed, _ in calls} == {16}  # none 256 wide
+    assert tds.irreducible is irreducibility_check(real.a, real.astar) is True
+
+
+@pytest.mark.parametrize("coupled", [False, True], ids=["direct-sum", "extension"])
+@pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
+def test_padded_reducible_pair_above_the_span_limit_is_reducible_by_both_routes(
+    field, coupled, monkeypatch
+):
+    # realize's d = 3 pair (+) [theta_1] and (+) [theta*_1], from phi (+) 1: the
+    # closure is all 9 dimensions and the realized module U is a proper
+    # submodule.  Coupled, the pad column of a is (A - theta_1) r and that of
+    # a* is (A* - theta*_1) r2: both stay diagonalizable, U is still invariant,
+    # and no vector completes U to a direct sum, so the row w of e*_0 kills no
+    # submodule and only the closure of its column v, inside U, is short
+    ctx = random_admissible_context(3, field, 5 << 32)
+    real = realize(load_table(3), ctx, field)
+
+    def padded(m, t, label):
+        v = real.basis_vector(real.basis[label]) if coupled else [field.zero] * m.ncols
+        col = [field.sub(x, field.mul(t, y)) for x, y in zip(m.apply(v), v)]
+        return Matrix(field, [row + [c] for row, c in zip(elements(m), col)]
+                      + [[field.zero] * m.ncols + [t]])
+
+    a, astar = padded(real.a, ctx.theta[1], 1), padded(real.astar, ctx.theta_star[1], 2)
+    phi = real.basis_vector(real.basis[0]) + [field.one]
+    calls = closure_calls(monkeypatch)
+    tds = extract_td_system(a, astar, phi, ctx.theta, ctx.theta_star, None)
+    monkeypatch.undo()
+    assert tds.closure_dim == 9 and tds.irreducible is False
+    assert ("tds.irreducible", "a proper invariant subspace exists") in tds.axiom_failures
+    assert "irreducibility via full word-span dimension (fallback)" in tds.notes
+    assert {len(seed) for _, _, seed, _ in calls} == {9}  # none 81 wide
+    assert irreducibility_check(a, astar) is False
+    _, dual = idempotent_families(a, astar, ctx.theta, ctx.theta_star)
+    (w,) = field.from_int_rows(dual.right[0], 1)
+    assert (submodule_closure(a.transpose(), astar.transpose(), w).dim == 9) is coupled
+
+
+# ---------------------------------------------------------------------------
 # certificates on the image mod DEFAULT_PRIME
 
 P = DEFAULT_PRIME
@@ -251,9 +385,8 @@ def test_no_image_over_a_prime_field_or_for_a_denominator_divisible_by_p(monkeyp
 def test_corner_that_vanishes_mod_p_falls_back_to_the_exact_route(monkeypatch):
     a = Matrix(QQ, [fr([1, 0]), fr([0, 2])])
     astar = Matrix(QQ, [fr([1, 1]), fr([1, 1])])
-    corner = Matrix(QQ, [fr([P, 0]), fr([0, 0])])  # rank one, its row 0 mod p
     calls = closure_calls(monkeypatch)
-    assert _corner_cyclic_irreducible(a, astar, corner)
+    assert _corner_cyclic_irreducible(a, astar, fr([P, 0]))  # a corner row that is 0 mod p
     assert [(kind, dim) for kind, _, _, dim in calls] == [("qq", 2)]
 
 
