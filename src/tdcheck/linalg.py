@@ -19,6 +19,9 @@ hot spots walk only nonzeros:
     over F_p one reduction per residual), and `Matrix.echelon` inserts the
     nonzero rows of the integer form as they are: over Q each is a multiple
     of its row, which spans the same line;
+  * `combination` adds multiples of matrices over the nonzeros of their
+    integer forms, over one denominator (a Lagrange idempotent, the sums
+    of the relation suite's rel6/rel7);
   * `restrict` reads an operator on an invariant subspace as the rows at
     the basis's pivots of one product, the operator times the basis's form
     transposed.
@@ -30,7 +33,7 @@ element handed back is canonical (see `fields`), so vectors compare with
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import mul
 from typing import List, Sequence
@@ -52,15 +55,16 @@ class Matrix:
         self._sparse = None
 
     @classmethod
-    def of_ints(cls, field, ints: List[list], den: int = 1) -> "Matrix":
+    def of_ints(cls, field, ints: List[list], den: int = 1, ncols: int = 0) -> "Matrix":
         """The matrix ints / den, reduced to lowest terms.  Over F_p, ints are
-        residues and den is 1."""
+        residues and den is 1.  The width is read from the first row; a form
+        with no rows takes ncols."""
         m = cls.__new__(cls)
         m.field = field
         m.form = _lowest(ints, den)
         m._sparse = None
         m.nrows = len(ints)
-        m.ncols = len(ints[0]) if ints else 0
+        m.ncols = len(ints[0]) if ints else ncols
         return m
 
     @classmethod
@@ -78,7 +82,9 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in product")
         (a, da), (b, db) = self.form, other.form
-        return Matrix.of_ints(self.field, self.field.mat_mul(a, b), da * db)
+        # an inner dimension of 0 gives the zero matrix: b has no row to read the width from
+        prod = self.field.mat_mul(a, b) if b else [[0] * other.ncols for _ in a]
+        return Matrix.of_ints(self.field, prod, da * db, other.ncols)
 
     def shift(self, c) -> "Matrix":
         """self - c * I (square only).  It works on the integer form, where
@@ -109,7 +115,8 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         ints, den = self.form
-        return Matrix.of_ints(self.field, [list(col) for col in zip(*ints)], den)
+        cols = [list(col) for col in zip(*ints)] if ints else [[] for _ in range(self.ncols)]
+        return Matrix.of_ints(self.field, cols, den, self.nrows)
 
     def is_zero(self) -> bool:
         return not any(map(any, self.form[0]))
@@ -142,13 +149,22 @@ def _lowest(ints: List[list], den: int):
     return [[x // g for x in r] for r in ints], den // g
 
 
-def common_form(mats: Sequence[Matrix]):
-    """The integer rows of each matrix over one denominator, the lcm of
-    theirs: (list of integer rows per matrix, den)."""
-    forms = [m.form for m in mats]
-    den = lcm(*(d for _, d in forms))
-    return [ints if d == den else [[x * (den // d) for x in r] for r in ints]
-            for ints, d in forms], den
+def flat_nonzeros(m: Matrix) -> list:
+    """The nonzeros of m's integer form as (row-major index, integer)."""
+    return [(at, x) for at, x in enumerate(chain.from_iterable(m.form[0])) if x]
+
+
+def combination(field, n: int, terms) -> Matrix:
+    """The n x n sum of num / den times M over terms (num, den, flat_nonzeros
+    of M's integer form), added over the nonzeros over one denominator."""
+    total = lcm(*(den for _, den, _ in terms))
+    acc = [0] * (n * n)
+    for num, den, nonzeros in terms:
+        c = num * (total // den)
+        for at, x in nonzeros:
+            acc[at] += c * x
+    acc = field.shrink(acc)
+    return Matrix.of_ints(field, [acc[r : r + n] for r in range(0, n * n, n)], total)
 
 
 def vec_sub(field, a: Sequence, b: Sequence) -> list:

@@ -279,8 +279,10 @@ def random_admissible_context(d: int, field: Field, seed: int) -> Specialization
 
 def random_valid_parameter_array(d: int, field: Field, seed: int) -> ParameterArray:
     """Rejection-sample a parameter array passing the full validator; a field
-    with fewer than d + 1 elements raises FieldTooSmallError before any draw."""
-    require_capacity(field, d + 1)
+    with fewer than d + 1 elements raises FieldTooSmallError before any draw,
+    and so does one with fewer than 3 at d = 1: condition (ii) needs
+    zeta_1 not in {0, -(theta_0 - theta_1)(theta*_0 - theta*_1)}."""
+    require_capacity(field, 3 if d == 1 else d + 1)
     sampler = Sampler(field, seed)
     for _ in range(MAX_ATTEMPTS):
         beta = sampler.scalar() if d >= 3 else None

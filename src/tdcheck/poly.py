@@ -22,10 +22,9 @@ doubles as a transcription-error detector for the bundled module tables.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import List, Sequence
 
-from .linalg import Matrix
+from .linalg import Matrix, combination, flat_nonzeros
 
 
 class PolyError(ValueError):
@@ -77,11 +76,8 @@ def lagrange_idempotents(a: Matrix, thetas: Sequence) -> List[Matrix]:
     if not full.is_zero():
         raise MinimalPolynomialError(full.rank())
     n = a.nrows
-    # the nonzeros of each P_k by row-major index, and its denominator; P_0 = I
-    # is its diagonal
-    nonzeros = [[(r * (n + 1), 1) for r in range(n)]] + [
-        [(at, x) for at, x in enumerate(x for row in m.form[0] for x in row) if x] for m in chain
-    ]
+    # the nonzeros of each P_k and its denominator; P_0 = I is its diagonal
+    nonzeros = [[(r * (n + 1), 1) for r in range(n)]] + [flat_nonzeros(m) for m in chain]
     dens = [1] + [m.form[1] for m in chain]
     out = []
     for i in range(d + 1):
@@ -92,12 +88,6 @@ def lagrange_idempotents(a: Matrix, thetas: Sequence) -> List[Matrix]:
                 prod = f.mul(prod, f.sub(thetas[i], thetas[m]))
             if m >= i:
                 ratios.append(f.ratio(f.inv(prod)))
-        total = lcm(*(q * den for (_, q), den in zip(ratios, dens[i:])))
-        acc = [0] * (n * n)
-        for (num, q), den, nz in zip(ratios, dens[i:], nonzeros[i:]):
-            c = num * (total // (q * den))
-            for at, x in nz:
-                acc[at] += c * x
-        acc = f.shrink(acc)
-        out.append(Matrix.of_ints(f, [acc[r : r + n] for r in range(0, n * n, n)], total))
+        out.append(combination(f, n, [(num, q * den, nz) for (num, q), den, nz
+                                      in zip(ratios, dens[i:], nonzeros[i:])]))
     return out

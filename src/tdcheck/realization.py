@@ -23,14 +23,14 @@ from them.  The check operations then verify, as exact matrix identities:
 Orthogonality and the band conditions are read through the rank factors
 e_i = B_i R_i (RankFactors): e_i X e_j = 0 exactly when the block R_i X B_j
 is zero, and e_i e_j = delta_ij e_i exactly when R_i B_j = delta_ij I, so no
-n x n sandwich product is formed.  Every R_i B_j of a family comes from one
-product; for i != j that block is also the band condition at k = 0, so its
-one verdict is recorded as rel5 and as the k = 0 band check.  The band walk
-(RankFactors.band_blocks) reads 1 <= k < |i-j|; it is the round trip's too,
-whose extraction reads the same blocks at k = 1 only.
-Completeness and eigenvalue reconstruction are one product per family:
-[e_0 | ... | e_d] times the column of blocks [I | t_i I] is
-[sum e_i | sum t_i e_i], compared with [I | op] by `==`.
+n x n sandwich product is formed.  One walk (RankFactors.blocks) reads every
+block level by level: level 0 is every R_i B_j, from one product, and level
+k >= 1 the R_i op^k B_j with k < |i-j|, from two.  rel5 reads level 0, where
+each off-diagonal verdict is also the band condition at k = 0; rel8 and rel9
+read the levels above.  The round trip's extraction reads level 1 of the
+same walk.  Completeness and eigenvalue reconstruction are what they say:
+sum e_i and sum t_i e_i, added over the nonzeros of the integer forms of the
+e_i, compared with I and the operator by `==`.
 
 Any failed identity is reported with enough coordinates to replay it.
 """
@@ -38,11 +38,11 @@ Any failed identity is reported with enough coordinates to replay it.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import comb, lcm
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from math import comb
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from .fields import Field
-from .linalg import Matrix, common_form, vec_scale, vec_sub
+from .linalg import Matrix, combination, flat_nonzeros, vec_scale, vec_sub
 from .params import SpecializationContext
 from .poly import MinimalPolynomialError, lagrange_idempotents
 from .report import Check
@@ -71,10 +71,8 @@ class RankFactors(NamedTuple):
     its echelon basis: R_i is right[i] / r_i and B_i is left[i] / b_i with
     dens[i] = r_i * b_i, so B_i R_i = left[i] right[i] / dens[i], and a zero
     test of any block product needs no denominator.  Blocks are plain row
-    lists, so rank 0 (R_i 0 x n, B_i n x 0) needs no special case.
-    `sandwich` cuts the blocks R_i x from one product, and `band_blocks`
-    reads the band conditions e_i op^k e_j = 0 at k >= 1 through it; at k = 0
-    the block is R_i B_j, which the relation suite reads with rel5.
+    lists, so rank 0 (R_i 0 x n, B_i n x 0) needs no special case.  `blocks`
+    walks R_i op^k B_j one level k at a time.
     """
 
     idems: List[Matrix]  # e_i
@@ -102,30 +100,33 @@ class RankFactors(NamedTuple):
     def ranks(self) -> List[int]:
         return [len(r) for r in self.right]
 
-    def sandwich(self, rows: Sequence[int], x: List[list]) -> List[List[list]]:
-        """The integer blocks right[i] x for i in rows, cut from one product
-        of the stacked right[i]; x is a list of n integer rows."""
-        prod = self.field.mat_mul([r for i in rows for r in self.right[i]], x)
-        out, at = [], 0
-        for i in rows:
-            out.append(prod[at : at + len(self.right[i])])
-            at += len(self.right[i])
-        return out
+    def blocks(self, op: Matrix, top: int) -> Iterator[Dict[Tuple[int, int], List[list]]]:
+        """The integer blocks R_i op^k B_j, one level k at a time for k < top:
+        {(i, j): block} over every (i, j) at k = 0 and over the (i, j) with
+        k < |i - j| above, in the order j, then i.  Level 0 is one product of
+        the stacked R_i with V = [B_0 | ... | B_d].  Each later level sets
+        V <- op V over only the B_j that still have a block to read, and one
+        product of the stacked R_i that read one there cuts out all of its
+        blocks.  The walk ends at the last level below top with a block to
+        read: op^k B_j is formed no further."""
+        f, d, ranks = self.field, len(self.right) - 1, self.ranks
 
-    def band_blocks(self, op: Matrix, top: int) -> Iterator[Tuple[int, int, int, bool]]:
-        """(i, j, k, is R_i op^k B_j = 0?) for 1 <= k < top with k < |i - j|, in
-        the order j, then k, then i: with R_i and B_j from one family, whether
-        e_i op^k e_j = 0.  op^k B_j is walked one thin product per k, up to
-        the last k below top with a block to read and no further, and one
-        product of the stacked R_i gives all the blocks at k."""
-        d = len(self.right) - 1
-        for j in range(d + 1):
-            power = self.left[j]
-            for k in range(1, min(top, max(j, d - j))):
-                power = self.field.mat_mul(op.form[0], power)
-                rows = [i for i in range(d + 1) if k < abs(i - j)]
-                for i, b in zip(rows, self.sandwich(rows, power)):
-                    yield i, j, k, not any(map(any, b))
+        def spans(keys) -> dict:  # where each R_i (rows) or B_j (columns) sits in a stack
+            starts = accumulate((ranks[x] for x in keys), initial=0)
+            return {x: slice(at, at + ranks[x]) for x, at in zip(keys, starts)}
+
+        cols, v = range(d + 1), [sum(rows, []) for rows in zip(*self.left)]
+        for k in range(top):
+            pairs = [(i, j) for j in cols for i in range(d + 1) if not k or k < abs(i - j)]
+            if not pairs:
+                return
+            if k:  # op V over the B_j still read
+                at, cols = spans(cols), sorted({j for _, j in pairs})
+                v = f.mat_mul(op.form[0], [[x for j in cols for x in row[at[j]]] for row in v])
+            rows = sorted({i for i, _ in pairs})
+            prod = f.mat_mul([r for i in rows for r in self.right[i]], v)
+            up, at = spans(rows), spans(cols)
+            yield {(i, j): [row[at[j]] for row in prod[up[i]]] for i, j in pairs}
 
 
 class ModuleRealization(NamedTuple):
@@ -256,53 +257,38 @@ def _idempotent_family_checks(
     tag: str, band: str, fam: RankFactors, values: List, op: Matrix, other: Matrix
 ) -> Tuple[List[Check], List[Check]]:
     """rel5..rel7 of one family, and its band checks e_i other^k e_j = 0 for
-    k < |i-j| (tagged `band`), read as R_i (other^k B_j) = 0.  At k = 0 that
-    block is R_i B_j, which rel5 reads, so its verdict is recorded for both."""
-    checks, zero = [], []
-    d = len(fam.idems) - 1
-    f = fam.field
-    # every R_i B_j block from one product: stacked R_i times the B_j side by side
-    blocks = fam.sandwich(range(d + 1), [sum(rows, []) for rows in zip(*fam.left)])
-    offsets = [0, *accumulate(fam.ranks)]
-    for i in range(d + 1):
-        for j in range(d + 1):
-            block = [row[offsets[j] : offsets[j + 1]] for row in blocks[i]]
-            if i == j:  # R_i B_i = I: the integer block is dens[i] * I
-                r, unit = fam.ranks[i], fam.dens[i]
-                ok = block == [[unit if k == l else 0 for l in range(r)] for k in range(r)]
-            else:
-                ok = not any(map(any, block))
-                zero.append((i, j, 0, ok))
-            checks.append(
-                Check(
-                    f"rel5.{tag}.{i}.{j}",
-                    ok,
-                    "" if ok else f"{tag}_{i} {tag}_{j} != delta * {tag}_{i}",
-                )
-            )
-    # rel6, rel7: [e_0 | ... | e_d] times [I | t_i I] stacked is [sum e_i | sum t_i e_i]
-    n = op.nrows
-    parts, den = common_form(fam.idems)
-    ratios = [f.ratio(t) for t in values]
-    tden = lcm(*(q for _, q in ratios))
-    column = []
-    for t, q in ratios:
-        for k in range(n):
-            row = [0] * (2 * n)
-            row[k], row[n + k] = tden, t * (tden // q)
-            column.append(row)
-    sums = f.mat_mul([sum(rows, []) for rows in zip(*parts)], column)
-    ok = Matrix.of_ints(f, [row[:n] for row in sums], den * tden) == Matrix.identity(f, n)
-    checks.append(Check(f"rel6.{tag}", ok, "" if ok else f"sum of {tag}_i != identity"))
-    ok = Matrix.of_ints(f, [row[n:] for row in sums], den * tden) == op
-    checks.append(
-        Check(f"rel7.{tag}", ok, "" if ok else f"operator != sum of eigenvalue * {tag}_i")
-    )
+    k < |i-j| (tagged `band`), read from the walk fam.blocks(other, d + 1).
+    rel5 reads its level 0, every R_i B_j, and each off-diagonal verdict
+    there is also the band check at k = 0."""
+    checks, walk = [], []
+    d, f, n = len(fam.idems) - 1, fam.field, op.nrows
+    levels = fam.blocks(other, d + 1)
+    base = next(levels)
+    for i, j in sorted(base):
+        if i == j:  # R_i B_i = I: the integer block is dens[i] * I
+            r, unit = fam.ranks[i], fam.dens[i]
+            ok = base[i, j] == [[unit if k == l else 0 for l in range(r)] for k in range(r)]
+        else:
+            ok = not any(map(any, base[i, j]))
+            walk.append((j, 0, i, ok))
+        detail = "" if ok else f"{tag}_{i} {tag}_{j} != delta * {tag}_{i}"
+        checks.append(Check(f"rel5.{tag}.{i}.{j}", ok, detail))
+    walk += [(j, k, i, not any(map(any, block)))
+             for k, level in enumerate(levels, 1) for (i, j), block in level.items()]
+    # rel6, rel7: sum e_i and sum t_i e_i, each added over the nonzeros of the
+    # integer forms of the e_i over one denominator
+    nonzeros = [flat_nonzeros(m) for m in fam.idems]
+    for cid, weights, want, text in (
+        ("rel6", [(1, 1)] * (d + 1), Matrix.identity(f, n), f"sum of {tag}_i != identity"),
+        ("rel7", [f.ratio(t) for t in values], op, f"operator != sum of eigenvalue * {tag}_i"),
+    ):
+        terms = [(t, q * m.form[1], nz) for (t, q), m, nz in zip(weights, fam.idems, nonzeros)]
+        ok = combination(f, n, terms) == want
+        checks.append(Check(f"{cid}.{tag}", ok, "" if ok else text))
     # the band blocks in the order j, then k, then i
-    walk = sorted([*zero, *fam.band_blocks(other, d + 1)], key=lambda b: (b[1], b[2], b[0]))
     return checks, [
         Check(f"{band}.{i}.{j}.{k}", ok, "" if ok else f"sandwich ({i},{j},{k}) is nonzero")
-        for i, j, k, ok in walk
+        for j, k, i, ok in sorted(walk)
     ]
 
 

@@ -16,9 +16,8 @@ read the pair through realization's helpers: the idempotent families and
 their rank factors come from idempotent_families (the supports are the
 nonzero ranks, the shape is the dual ranks over the support), the band
 conditions e_i X e_j = 0 are read as the blocks R_i X B_j of those factors
-(RankFactors.band_blocks at k = 1, the walk of realization's relation
-checks at k >= 1; a restricted idempotent may have rank 0, and its blocks
-are empty),
+(level 1 of RankFactors.blocks, the walk behind realization's relation
+checks; a restricted idempotent may have rank 0, and its blocks are empty),
 and the split comes from split_sequence, the same reader behind the g_i
 assertion, applied at phi.
 
@@ -295,11 +294,13 @@ def extract_td_system(
         )
     delta = delta_astar
 
-    # band conditions on the restriction, e_i op e_j = 0 for |i - j| > 1
+    # band conditions on the restriction, e_i op e_j = 0 for |i - j| > 1: level
+    # 1 of the block walk (its level 0, rel5's blocks, is not an axiom here)
     for tag, fam, op in (("es", dual_factors, a_sub), ("e", factors, astar_sub)):
-        for i, j, _, ok in fam.band_blocks(op, 2):
-            if not ok:
-                failures.append((f"tds.band.{tag}.{i}.{j}", "sandwich is nonzero"))
+        for level in list(fam.blocks(op, 2))[1:]:
+            for (i, j), block in level.items():
+                if any(map(any, block)):
+                    failures.append((f"tds.band.{tag}.{i}.{j}", "sandwich is nonzero"))
 
     shape = dual_ranks[r0 : r0 + delta + 1]
     shape_a = ranks[t0 : t0 + delta_a + 1]

@@ -235,11 +235,13 @@ def test_unusable_prime_is_a_usage_error(prime, message, capsys):
         ("verify-appendix --d 2 --trials 2 --prime 2", 3, 2),
         ("zz rank --d 3 --trials 1 --prime 3", 4, 3),
         ("tds roundtrip --d 5 --prime 5", 6, 5),
+        ("tds roundtrip --d 1 --prime 2", 3, 2),
     ],
 )
 def test_prime_below_d_plus_one_is_a_usage_error(argv, need, have, capsys):
-    # d + 1 distinct eigenvalues cannot be drawn from fewer field elements:
-    # refused before any draw, not after MAX_ATTEMPTS rejected candidates
+    # d + 1 distinct eigenvalues cannot be drawn from fewer field elements, and
+    # no d = 1 array over F_2 is valid (tests/test_params.py): refused before
+    # any draw, not after MAX_ATTEMPTS rejected candidates
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (2, "")
     assert err == f"tdcheck: field too small: need {need} distinct values, {have} available\n"
@@ -274,6 +276,10 @@ def test_zz_enumerate_flag_misuse_is_a_usage_error(argv, message, capsys):
         (
             "tds roundtrip --d 5 --trials 2 --prime 7",
             "f898e5ea2d93e0a067f8904423c8eb86bb3bd657b56eb15bb08841b190c8489c",
+        ),
+        (
+            "tds roundtrip --d 1 --trials 2 --prime 3",
+            "0cb06321929878ff936d253ceacb23f2f1936df6c1fdce871c8d2bd940327936",
         ),
     ],
 )
@@ -342,6 +348,24 @@ def test_failing_verification_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert json.loads(out)["overall"] is False
+
+
+def test_a_sweep_whose_realize_raises_fails_each_trial_at_realize(tmp_path, capsys):
+    # r -> phi added to a: (a - th0)(a - th1) is no longer 0, so every trial
+    # fails realize's minimal-polynomial assert and runs no relation check
+    from tdcheck.tables import bundled_table_text
+
+    text = bundled_table_text(1).replace("r : th1*r\n", "r : th1*r + phi\n")
+    (tmp_path / "d1.txt").write_text(text)
+    code, out, err = run_cli(
+        capsys, "verify-appendix", "--d", "1", "--trials", "2", "--assets", str(tmp_path)
+    )
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [c["id"] for c in checks] == ["t000.realize.minpoly.a", "t001.realize.minpoly.a"]
+    assert all(c["detail"].endswith(": minimal polynomial check failed: product has rank 2,"
+                                    " expected 0") and not c["passed"] for c in checks)
+    assert err.splitlines()[0] == "verify-appendix: 2 checks over 2 trial(s), 2 FAILED"
 
 
 @pytest.mark.parametrize(

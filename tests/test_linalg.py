@@ -38,6 +38,20 @@ def test_product_matches_hand_value():
     assert a * b == frac_matrix([[19, 22], [43, 50]])
 
 
+@pytest.mark.parametrize("f", [QQ, PrimeField()], ids=["qq", "fp"])
+def test_empty_forms_keep_their_shapes(f):
+    # a form with no rows takes its width from ncols, and products and
+    # transposes keep it
+    empty = Matrix.of_ints(f, [], 1, 2)
+    prod = empty * Matrix.identity(f, 2)  # 0 x 2 times 2 x 2
+    assert (prod.nrows, prod.ncols, prod.form) == (0, 2, ([], 1))
+    prod = Matrix.of_ints(f, [[], []]) * Matrix.of_ints(f, [], 1, 3)  # 2 x 0 times 0 x 3
+    assert (prod.nrows, prod.ncols) == (2, 3) and prod == Matrix.of_ints(f, [[0] * 3] * 2)
+    flipped = Matrix.of_ints(f, [], 1, 3).transpose()
+    assert (flipped.nrows, flipped.ncols, flipped.form) == (3, 0, ([[], [], []], 1))
+    assert (flipped.transpose().nrows, flipped.transpose().ncols) == (0, 3)
+
+
 @pytest.mark.parametrize(
     "f", [QQ, PrimeField(101), PrimeField()], ids=["qq-None", "fp-101", "fp-None"]
 )

@@ -1,6 +1,7 @@
 import hashlib
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -240,6 +241,27 @@ def test_samplers_refuse_a_field_below_d_plus_one_before_any_draw(sampler, d, p,
     monkeypatch.setattr(Sampler, "scalar", no_draw)
     with pytest.raises(FieldTooSmallError, match=f"need {d + 1} distinct values, {p} available"):
         sampler(d, PrimeField(p), 0)
+
+
+def test_no_d1_array_over_f2_is_valid():
+    # condition (ii) at d = 1 needs zeta_1 outside {0, -(t_0 - t_1)(s_0 - s_1)},
+    # two distinct values whenever the lists are distinct: F_2 has no third
+    f2 = PrimeField(2)
+    arrays = [
+        ParameterArray(1, [t0, t1], [s0, s1], [z0, z1])
+        for t0, t1, s0, s1, z0, z1 in product(range(2), repeat=6)
+    ]
+    assert len(arrays) == 64
+    assert not any(validate_parameter_array(pa, f2).passed for pa in arrays)
+
+
+def test_round_trip_sampler_refuses_f2_at_d1_before_any_draw(monkeypatch):
+    def no_draw(self):
+        raise AssertionError("drew a scalar")
+
+    monkeypatch.setattr(Sampler, "scalar", no_draw)
+    with pytest.raises(FieldTooSmallError, match="need 3 distinct values, 2 available"):
+        random_valid_parameter_array(1, PrimeField(2), 0)
 
 
 @pytest.mark.parametrize("f", [QQ, FP, F11], ids=["qq-None", "fp-None", "fp-11"])

@@ -296,25 +296,33 @@ def counted_products(monkeypatch) -> list:
 
 @pytest.mark.parametrize("d", range(6))
 def test_band_walk_keeps_its_order_and_multiplies_no_further_than_its_range(d, monkeypatch):
-    # the relation checks walk 1 <= k < d + 1, the round trip's extraction k = 1 only
+    # the relation checks walk k < d + 1, the round trip's extraction k < 2
     real = realize(load_table(d), random_admissible_context(d, FP, 920 + d), FP)
+    fam = real.dual_factors
     products = counted_products(monkeypatch)
     for top in (1, 2, d + 1):
         products.clear()
-        got = list(real.dual_factors.band_blocks(real.a, top))
-        assert [t[:3] for t in got] == [
-            (i, j, k) for j in range(d + 1) for k in range(1, top) for i in range(d + 1)
-            if k < abs(i - j)
+        read, formed = [], []
+        for level in fam.blocks(real.a, top):
+            read.append(list(level))
+            formed.append(len(products))
+            # R_i B_i = I, and the band holds: every other block is zero
+            for (i, j), b in level.items():
+                assert b == [[fam.dens[i] * (i == j and x == y) for y in range(fam.ranks[j])]
+                             for x in range(fam.ranks[i])]
+        # level 0 reads every block; level k >= 1 the blocks with k < |i - j|,
+        # up to the last level below top that has one
+        assert read == [
+            [(i, j) for j in range(d + 1) for i in range(d + 1) if not k or k < abs(i - j)]
+            for k in range(min(top, max(d, 1)))
         ]
-        assert all(ok for *_, ok in got)
-        # per j: one thin product per step k - 1 -> k, one stacked product per k read
-        tops = [min(top, max(j, d - j)) for j in range(d + 1)]
-        assert len(products) == sum(2 * max(t - 1, 0) for t in tops)
+        # one stacked product at level 0, then op V and one stacked product per level
+        assert formed == [1 + 2 * k for k in range(len(read))]
 
 
 def test_relation_suite_forms_only_the_products_it_reads(monkeypatch):
-    # per family: one product for rel5 (and the k = 0 band blocks), one for
-    # rel6/rel7, and two per band step k >= 1
+    # per family: one product at level 0 of the block walk (rel5 and the k = 0
+    # band blocks), two per band level k >= 1, and none for the rel6/rel7 sums
     reals = [realize(load_table(d), random_admissible_context(d, FP, 930 + d), FP) for d in range(6)]
     products = counted_products(monkeypatch)
     counts = []
@@ -322,7 +330,7 @@ def test_relation_suite_forms_only_the_products_it_reads(monkeypatch):
         products.clear()
         assert all(c.passed for c in verify_relations(real))
         counts.append(len(products))
-    assert counts == [4, 4, 12, 28, 48, 76]
+    assert counts == [2, 2, 6, 10, 14, 18]
 
 
 def test_rank_factors_multiply_back_to_the_family():

@@ -425,6 +425,18 @@ def test_identical_subtrees_are_one_node_evaluated_once_per_memo(d, distinct, to
     assert values == [evaluate(c, env, PrimeField(), {}) for c in coeffs]
 
 
+def test_a_negated_bare_label_term_is_a_minus_term():
+    # "+ -r" reads as "- r": the same table, with the table's one Neg(ONE) node
+    text = bundled_table_text(1).replace("ths1*r + y1*phi", "ths1*r - phi")
+    minus = parse_table(text.replace("th0*phi + r", "th0*phi - r"))
+    plus_neg = parse_table(text.replace("th0*phi + r", "th0*phi + -r"))
+    assert plus_neg == minus
+    for table in (minus, plus_neg):
+        (_, _), (a_coeff, _) = table.a_action[PHI]
+        (_, _), (astar_coeff, _) = table.astar_action[parse_label("r")]
+        assert a_coeff == Neg(ONE) and a_coeff is astar_coeff
+
+
 def test_a_memo_keeps_only_values_and_changes_no_error():
     # (beta+1) is one node in both terms; at beta = -1 it evaluates to 0 and
     # each division fails with its own text, with or without the memo
