@@ -390,6 +390,36 @@ def test_table_without_a_chain_label_fails_the_certificate_only(argv, code, tmp_
         assert failures == []
 
 
+def test_a_raising_step_fault_fails_every_chain_that_reads_it(tmp_path, capsys):
+    # a.phi = th0 phi - r: the raising step h = 0 fails, and so does the corner
+    # identity, under every i >= 1 of both trials
+    from tdcheck.tables import bundled_table_text
+
+    for d in range(6):
+        (tmp_path / f"d{d}.txt").write_text(bundled_table_text(d))
+    text = bundled_table_text(3)
+    assert "phi : th0*phi + r\n" in text
+    (tmp_path / "d3.txt").write_text(text.replace("phi : th0*phi + r\n", "phi : th0*phi - r\n"))
+    code, out, err = run_cli(
+        capsys, "mu-certificate", "--d", "3", "--trials", "2", "--seed", "5",
+        "--assets", str(tmp_path),
+    )
+    assert code == 1
+    seeds = {0: 7958955049054603978, 1: 7191089600892374487}
+    assert err.splitlines() == ["mu-certificate: 38 checks over 2 trial(s), 12 FAILED"] + [
+        f"  FAIL t{t:03d}.mu.i{i}.{line}"
+        for t in (0, 1) for i in (1, 2, 3)
+        for line in (
+            f"rchain.h0: trial {t}, seed {seeds[t]}: (a - th0).r^0 != r^1",
+            f"identity: trial {t}, seed {seeds[t]}:"
+            f" e*_0 tau_{i}(a) e*_0 phi has the wrong coefficient",
+        )
+    ]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "68b260a2d94f5161ac7034c87bafac4fc8898ad5b347b744d43b28c30bc9d4ac"
+    )
+
+
 DIGITS = "1" * 5000  # longer than int() converts from text by default (4,300)
 
 
