@@ -15,9 +15,9 @@ rows over one positive denominator.  Over Q the form is in lowest terms (the
 gcd of the denominator and every entry is 1); over F_p the rows are the
 residues and the denominator is 1.  `mat_mul` multiplies integer rows through
 one sparse kernel for both fields; `to_ints` clears the denominators of rows
-assembled from scalars, `from_int_rows` reads an integer form back as
-elements, and the remaining hooks (`ratio`, `from_ints`, `shrink`,
-`primitive`) serve linalg's integer kernels and poly's Lagrange sums.
+assembled from scalars (integer rows it takes as they are), and the
+remaining hooks (`ratio`, `from_ints`, `shrink`, `primitive`) serve
+linalg's integer kernels and poly's Lagrange sums.
 
 Randomness comes from splitmix64, chosen because it is tiny, well known and
 trivially reproducible across platforms; the algorithm identifier is recorded
@@ -181,8 +181,8 @@ class Rationals:
     # Integer form.  mat_mul multiplies the integer rows of two forms: the
     # product's denominator is the product of theirs, and Matrix.of_ints
     # reduces the pair to lowest terms.  to_ints clears the denominators of
-    # rows assembled from scalars, from_int_rows and from_ints read integers
-    # over a denominator back as elements, ratio splits a scalar into
+    # rows assembled from scalars, from_ints reads an integer over a
+    # denominator back as an element, ratio splits a scalar into
     # numerator and denominator, shrink canonicalizes a complete echelon
     # residual or a Lagrange sum (nothing to do over the rationals), and
     # primitive scales a vector to the canonical integer representative of
@@ -194,10 +194,6 @@ class Rationals:
 
     def to_ints(self, rows):
         return _to_int_rows(rows)
-
-    def from_int_rows(self, ints, den: int):
-        z = self.zero
-        return [[Fraction(x, den) if x else z for x in row] for row in ints]
 
     def from_ints(self, n: int, den: int) -> Fraction:
         return Fraction(n, den)
@@ -324,9 +320,6 @@ class PrimeField:
 
     def to_ints(self, rows):
         return rows, 1
-
-    def from_int_rows(self, ints, den: int):
-        return [list(r) for r in ints]  # new rows: the form stays the matrix's own
 
     def from_ints(self, n: int, den: int) -> int:
         return n % self.p

@@ -167,15 +167,6 @@ def combination(field, n: int, terms) -> Matrix:
     return Matrix.of_ints(field, [acc[r : r + n] for r in range(0, n * n, n)], total)
 
 
-def vec_sub(field, a: Sequence, b: Sequence) -> list:
-    return list(map(field.sub, a, b))
-
-
-def vec_scale(field, c, v: Sequence) -> list:
-    mul = field.mul
-    return [mul(c, x) for x in v]
-
-
 class EchelonBasis:
     """Incrementally maintained reduced row-echelon basis of a subspace.
 

@@ -27,8 +27,8 @@ n x n sandwich product is formed.  One walk (RankFactors.blocks) reads every
 block level by level: level 0 is every R_i B_j, from one product, and level
 k >= 1 the R_i op^k B_j with k < |i-j|, from two.  rel5 reads level 0, where
 each off-diagonal verdict is also the band condition at k = 0; rel8 and rel9
-read the levels above.  The round trip's extraction reads level 1 of the
-same walk.  Completeness and eigenvalue reconstruction are what they say:
+read the levels above.  The round trip's extraction starts the same walk
+at level 1.  Completeness and eigenvalue reconstruction are what they say:
 sum e_i and sum t_i e_i, added over the nonzeros of the integer forms of the
 e_i, compared with I and the operator by `==`.
 
@@ -42,11 +42,11 @@ from math import comb
 from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from .fields import Field
-from .linalg import Matrix, combination, flat_nonzeros, vec_scale, vec_sub
+from .linalg import Matrix, combination, flat_nonzeros
 from .params import SpecializationContext
 from .poly import MinimalPolynomialError, lagrange_idempotents
 from .report import Check
-from .tables import BasisLabel, ModuleTable, chain_label, evaluate, power_label
+from .tables import PHI, BasisLabel, ModuleTable, chain_label, evaluate, power_label
 
 
 class RealizationError(ValueError):
@@ -100,15 +100,16 @@ class RankFactors(NamedTuple):
     def ranks(self) -> List[int]:
         return [len(r) for r in self.right]
 
-    def blocks(self, op: Matrix, top: int) -> Iterator[Dict[Tuple[int, int], List[list]]]:
-        """The integer blocks R_i op^k B_j, one level k at a time for k < top:
-        {(i, j): block} over every (i, j) at k = 0 and over the (i, j) with
-        k < |i - j| above, in the order j, then i.  Level 0 is one product of
-        the stacked R_i with V = [B_0 | ... | B_d].  Each later level sets
-        V <- op V over only the B_j that still have a block to read, and one
-        product of the stacked R_i that read one there cuts out all of its
-        blocks.  The walk ends at the last level below top with a block to
-        read: op^k B_j is formed no further."""
+    def blocks(self, op: Matrix, top: int, start: int = 0) -> Iterator[dict]:
+        """The integer blocks R_i op^k B_j, one level k at a time for
+        start <= k < top: {(i, j): block} over every (i, j) at k = 0 and over
+        the (i, j) with k < |i - j| above, in the order j, then i.  Level 0 is
+        one product of the stacked R_i with V = [B_0 | ... | B_d].  Each later
+        level sets V <- op V over only the B_j that still have a block to
+        read, and one product of the stacked R_i that read one there cuts out
+        all of its blocks; a level below start forms no such product.  The
+        walk ends at the last level below top with a block to read: op^k B_j
+        is formed no further."""
         f, d, ranks = self.field, len(self.right) - 1, self.ranks
 
         def spans(keys) -> dict:  # where each R_i (rows) or B_j (columns) sits in a stack
@@ -123,6 +124,8 @@ class RankFactors(NamedTuple):
             if k:  # op V over the B_j still read
                 at, cols = spans(cols), sorted({j for _, j in pairs})
                 v = f.mat_mul(op.form[0], [[x for j in cols for x in row[at[j]]] for row in v])
+            if k < start:
+                continue
             rows = sorted({i for i, _ in pairs})
             prod = f.mat_mul([r for i in rows for r in self.right[i]], v)
             up, at = spans(rows), spans(cols)
@@ -307,12 +310,14 @@ def verify_relations(real: ModuleRealization) -> List[Check]:
 
 
 def mu_certificate(real: ModuleRealization) -> List[Check]:
-    """Check the raising/lowering chains and the resulting corner identity."""
-    f = real.field
-    d = real.d
-    ctx = real.context
-    phi = real.basis_vector(real.basis[0])
-    if real.basis[0] != BasisLabel(()):
+    """Check the raising/lowering chains and the resulting corner identity.
+
+    A chain step (op - t).v = c w, v and w the basis vectors at two labels,
+    is read as op.apply(v) == c w + t v, the target written directly.  Each
+    raising step of phi -> r -> ... -> r^d is read once and reported under
+    every i past it."""
+    f, d, ctx, index = real.field, real.d, real.context, real.basis.index
+    if real.basis[0] != PHI:
         return [Check("mu.phi", False, "first basis label is not phi")]
     labels = [chain_label(h, i) for i in range(1, d + 1) for h in range(i)]
     missing = [str(label) for label in labels if label not in real.basis]
@@ -321,38 +326,37 @@ def mu_certificate(real: ModuleRealization) -> List[Check]:
     if d == 0:
         return [Check("mu.vacuous", True, "d = 0: chain conditions are vacuous")]
 
-    av_phi = real.astar.apply(phi)
-    ok = av_phi == vec_scale(f, ctx.theta_star[0], phi)
-    corner = corner_identities(real)
-    checks = [
-        Check("mu.astar.phi", ok, "" if ok else "a*.phi != ths0 * phi"),
-        Check("mu.es0.phi", corner[0], "" if corner[0] else "e*_0.phi != phi"),
-        Check("mu.i0.identity", True, "tau_0 = 1 and e*_0 phi = phi"),
-    ]
+    def step(op: Matrix, t, src: BasisLabel, dst: BasisLabel, c) -> bool:
+        k, want = index(src), [f.zero] * real.dim
+        want[index(dst)] = c
+        want[k] = f.add(want[k], t)
+        return op.apply(real.basis_vector(src)) == want
 
-    def step(cid: str, op: Matrix, t, label: BasisLabel, want: list, text: str) -> None:
-        # one chain step: (op - t).v == want for the basis vector v at label
-        v = real.basis_vector(label)
-        ok = vec_sub(f, op.apply(v), vec_scale(f, t, v)) == want
+    checks: List[Check] = []
+
+    def add(cid: str, ok: bool, text: str) -> None:
         checks.append(Check(cid, ok, "" if ok else text))
 
+    corner = corner_identities(real)
+    ok = step(real.astar, ctx.theta_star[0], PHI, PHI, f.zero)
+    add("mu.astar.phi", ok, "a*.phi != ths0 * phi")
+    add("mu.es0.phi", corner[0], "e*_0.phi != phi")
+    checks.append(Check("mu.i0.identity", True, "tau_0 = 1 and e*_0 phi = phi"))
+    raising = [step(real.a, ctx.theta[h], power_label("r", h), power_label("r", h + 1), f.one)
+               for h in range(d)]
     for i in range(1, d + 1):
         # raising chain phi -> r -> ... -> r^i
         for h in range(i):
-            step(f"mu.i{i}.rchain.h{h}", real.a, ctx.theta[h], power_label("r", h),
-                 real.basis_vector(power_label("r", h + 1)),
-                 f"(a - th{h}).r^{h} != r^{h + 1}")
+            add(f"mu.i{i}.rchain.h{h}", raising[h], f"(a - th{h}).r^{h} != r^{h + 1}")
         # lowering chain r^i -> l r^i -> ... -> l^{i-1} r^i
         for h in range(i - 1):
-            step(f"mu.i{i}.lchain.h{h}", real.astar, ctx.theta_star[i - h], chain_label(h, i),
-                 real.basis_vector(chain_label(h + 1, i)),
-                 f"(a* - ths{i - h}).l^{h}r^{i} != l^{h + 1}r^{i}")
+            ok = step(real.astar, ctx.theta_star[i - h], chain_label(h, i),
+                      chain_label(h + 1, i), f.one)
+            add(f"mu.i{i}.lchain.h{h}", ok, f"(a* - ths{i - h}).l^{h}r^{i} != l^{h + 1}r^{i}")
         # final lowering step hits y_i * phi
-        step(f"mu.i{i}.weight", real.astar, ctx.theta_star[1], chain_label(i - 1, i),
-             vec_scale(f, ctx.y[i - 1], phi), f"(a* - ths1).l^{i - 1}r^{i} != y{i} phi")
-        ok = corner[i]
-        detail = "" if ok else f"e*_0 tau_{i}(a) e*_0 phi has the wrong coefficient"
-        checks.append(Check(f"mu.i{i}.identity", ok, detail))
+        ok = step(real.astar, ctx.theta_star[1], chain_label(i - 1, i), PHI, ctx.y[i - 1])
+        add(f"mu.i{i}.weight", ok, f"(a* - ths1).l^{i - 1}r^{i} != y{i} phi")
+        add(f"mu.i{i}.identity", corner[i], f"e*_0 tau_{i}(a) e*_0 phi has the wrong coefficient")
     return checks
 
 
@@ -365,11 +369,12 @@ def split_sequence(a: Matrix, corner: Matrix, theta: List, theta_star: List, v: 
     w, den, out = v, f.one, []
     for i in range(len(theta_star)):
         if i:
-            w = vec_sub(f, a.apply(w), vec_scale(f, theta[i - 1], w))
+            t = theta[i - 1]
+            w = [f.sub(x, f.mul(t, y)) for x, y in zip(a.apply(w), w)]
             den = f.mul(den, f.sub(theta_star[0], theta_star[i]))
         img = corner.apply(w)
         c = f.div(img[pivot], v[pivot])
-        out.append(f.mul(c, den) if img == vec_scale(f, c, v) else None)
+        out.append(f.mul(c, den) if img == [f.mul(c, x) for x in v] else None)
     return out
 
 

@@ -193,17 +193,17 @@ def irreducibility_check(
     left = [Matrix.of_ints(field, [[x if j == l else 0 for x in row for l in range(n)]
                                    for row in ints for j in range(n)], den)
             for ints, den in (a.form, astar.form)]
-    ident = [field.one if i == j else field.zero for i in range(n) for j in range(n)]
+    ident = [int(i == j) for i in range(n) for j in range(n)]  # an integer row, read as it is
     return submodule_closure(*left, ident).dim == n * n
 
 
 def _rank_one(fam: RankFactors, i: int) -> Optional[Tuple[list, list]]:
     """(v, w) with e_i a nonzero multiple of v w^T, v the one column of B_i
-    and w the one row of R_i, when e_i has rank 1; else None."""
+    and w the one row of R_i, when e_i has rank 1; else None.  Both are the
+    integer rows the factors hold: a span reads only their lines."""
     if fam.ranks[i] != 1:
         return None
-    (v,), (w,) = (fam.field.from_int_rows(m, 1) for m in (zip(*fam.left[i]), fam.right[i]))
-    return v, w
+    return [row[0] for row in fam.left[i]], fam.right[i][0]
 
 
 def _corner_cyclic_irreducible(a: Matrix, astar: Matrix, row: list) -> bool:
@@ -294,10 +294,10 @@ def extract_td_system(
         )
     delta = delta_astar
 
-    # band conditions on the restriction, e_i op e_j = 0 for |i - j| > 1: level
-    # 1 of the block walk (its level 0, rel5's blocks, is not an axiom here)
+    # band conditions on the restriction, e_i op e_j = 0 for |i - j| > 1: the
+    # block walk's level 1 (its level 0, rel5's blocks, is not an axiom here)
     for tag, fam, op in (("es", dual_factors, a_sub), ("e", factors, astar_sub)):
-        for level in list(fam.blocks(op, 2))[1:]:
+        for level in fam.blocks(op, 2, 1):
             for (i, j), block in level.items():
                 if any(map(any, block)):
                     failures.append((f"tds.band.{tag}.{i}.{j}", "sandwich is nonzero"))

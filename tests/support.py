@@ -38,7 +38,12 @@ def scaled(m: Matrix, c) -> Matrix:
 def elements(m) -> list:
     """The entries of a Matrix, or the reduced rows of an EchelonBasis, as
     field elements read from its integer form."""
-    return m.field.from_int_rows(*m.form)
+    return read_form(m.field, *m.form)
+
+
+def read_form(field, ints, den) -> list:
+    """An integer form (rows over one denominator) read back as field elements."""
+    return [[field.from_ints(x, den) for x in row] for row in ints]
 
 
 def coordinates(basis, vec):

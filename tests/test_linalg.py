@@ -15,7 +15,7 @@ from tdcheck.realization import realize
 from tdcheck.tables import load_table
 from tdcheck.tdsystem import submodule_closure
 
-from support import coordinates, elements, reference_restrict, zero_matrix
+from support import coordinates, elements, read_form, reference_restrict, zero_matrix
 
 QQ = Rationals()
 
@@ -360,7 +360,7 @@ def test_mat_mul_matches_reference_dot(f, seed, shape, density_a, density_b):
     a = [random_vector(s, k, density_a) for _ in range(n)]
     b = [random_vector(s, m, density_b) for _ in range(k)]
     (ia, da), (ib, db) = f.to_ints(a), f.to_ints(b)
-    got = f.from_int_rows(f.mat_mul(ia, ib), da * db)
+    got = read_form(f, f.mat_mul(ia, ib), da * db)
     want = [[reduce(f.add, map(f.mul, row, col), f.zero) for col in zip(*b)] for row in a]
     assert got == want
     if f.kind == "qq":  # zero sums too come back as Fraction(0), not int 0
@@ -501,7 +501,7 @@ def test_rational_product_form_matches_the_fraction_triple_loop(operands):
     if not b:  # a 0 x m operand: ab has lost its width m
         return
     abc = QQ.mat_mul(ab.form[0], ic)
-    assert QQ.from_int_rows(abc, ab.form[1] * dc) == fraction_product(fraction_product(a, b), c)
+    assert read_form(QQ, abc, ab.form[1] * dc) == fraction_product(fraction_product(a, b), c)
     if all(x and x[0] for x in operands):  # no empty side: a Matrix carries the shapes
         ma, mb, mc = (Matrix(QQ, x) for x in operands)
         prod = (ma * mb) * mc

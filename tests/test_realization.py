@@ -15,6 +15,7 @@ from tdcheck.realization import (
     verify_relations,
 )
 from tdcheck.report import failed
+from tdcheck.tdsystem import extract_td_system
 from tdcheck.tables import load_table
 
 from support import (
@@ -318,6 +319,11 @@ def test_band_walk_keeps_its_order_and_multiplies_no_further_than_its_range(d, m
         ]
         # one stacked product at level 0, then op V and one stacked product per level
         assert formed == [1 + 2 * k for k in range(len(read))]
+    # started at level 1 (the extraction's walk), it reads the same levels
+    # above 0 and forms no stacked product at level 0
+    products.clear()
+    assert [list(level) for level in fam.blocks(real.a, d + 1, 1)] == read[1:]
+    assert len(products) == 2 * (len(read) - 1)
 
 
 def test_relation_suite_forms_only_the_products_it_reads(monkeypatch):
@@ -331,6 +337,43 @@ def test_relation_suite_forms_only_the_products_it_reads(monkeypatch):
         assert all(c.passed for c in verify_relations(real))
         counts.append(len(products))
     assert counts == [2, 2, 6, 10, 14, 18]
+
+
+def test_extraction_forms_only_the_band_products_it_reads(monkeypatch):
+    # per family at d >= 2: op V and the stacked product at level 1 of the
+    # block walk, which starts there; below d = 2 level 1 has no block
+    reals = [realize(load_table(d), random_admissible_context(d, FP, 930 + d), FP) for d in range(6)]
+    products = counted_products(monkeypatch)
+    counts = []
+    for real in reals:
+        products.clear()
+        ctx = real.context
+        tds = extract_td_system(real.a, real.astar, real.basis_vector(real.basis[0]), ctx.theta,
+                                ctx.theta_star, (real.factors, real.dual_factors))
+        assert tds.axiom_failures == []
+        counts.append(len(products))
+    assert counts == [0, 0, 4, 4, 4, 4]
+
+
+def test_weight_certificate_reads_each_chain_step_once(monkeypatch):
+    # a*.phi, the split walk (one product at i = 0, two per i >= 1), each of
+    # the d raising steps once, and the lowering steps and the weight step of
+    # every i: 1 + (2d + 1) + d + d(d - 1)/2 + d
+    reals = [realize(load_table(d), random_admissible_context(d, FP, 940 + d), FP) for d in range(6)]
+    applied = []
+    apply = Matrix.apply
+
+    def counted(self, vec):
+        applied.append(1)
+        return apply(self, vec)
+
+    monkeypatch.setattr(Matrix, "apply", counted)
+    counts = []
+    for real in reals:
+        applied.clear()
+        assert all(c.passed for c in mu_certificate(real))
+        counts.append(len(applied))
+    assert counts == [0, 6, 11, 17, 24, 32]
 
 
 def test_rank_factors_multiply_back_to_the_family():

@@ -218,7 +218,7 @@ def test_two_closures_match_the_word_span_on_realized_pairs(field):
             # phi generates the module: only the dual closure of e*_0's row is read
             phi = real.basis_vector(real.basis[0])
             if submodule_closure(real.a, real.astar, phi).dim == real.dim:
-                (w,) = field.from_int_rows(real.dual_factors.right[0], 1)
+                (w,) = real.dual_factors.right[0]  # an integer row
                 assert irreducibility_check(real.a, real.astar, (None, w)) == want
             verdicts.append(want)
     # at a small prime the sampled points meet the reducible locus
@@ -269,6 +269,36 @@ def test_extraction_at_d4_from_phi_plus_r_takes_the_rank_one_route(monkeypatch):
     assert tds.irreducible is irreducibility_check(real.a, real.astar) is True
 
 
+@pytest.mark.parametrize(
+    "a,astar,failures",
+    [
+        ([0, 3], [0, 2], [
+            ("tds.support.a", "support [0, 2] is not an interval"),
+            ("tds.shape.match", "eigenspace dimensions differ: [1, 0] vs [1, 1]"),
+        ]),
+        ([0, 1, 3], [0, 0, 2], [
+            ("tds.diameter.match", "supports have lengths 3 != 2"),
+            ("tds.shape.symmetric", "shape [2, 1] is not symmetric"),
+        ]),
+    ],
+    ids=["gapped-support", "short-dual-support"],
+)
+def test_diagonal_pair_fails_the_support_and_shape_axioms(a, astar, failures):
+    # a diagonal pair at theta = [0, 1, 3], theta* = [0, 2, 5]: the eigenvalues
+    # used pick the supports; phi = (1, ..., 1) generates the module
+    def diag(xs):
+        return Matrix(QQ, [[Fraction(x) if i == j else QQ.zero for j in range(len(xs))]
+                           for i, x in enumerate(xs)])
+
+    tds = extract_td_system(diag(a), diag(astar), fr([1] * len(a)), fr([0, 1, 3]),
+                            fr([0, 2, 5]), None)
+    assert tds.closure_dim == len(a)
+    assert tds.axiom_failures == failures + [
+        ("tds.split.proportional.0", "corner image is not a multiple of the eigenvector"),
+        ("tds.irreducible", "a proper invariant subspace exists"),
+    ]
+
+
 @pytest.mark.parametrize("coupled", [False, True], ids=["direct-sum", "extension"])
 @pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
 def test_padded_reducible_pair_above_the_span_limit_is_reducible_by_both_routes(
@@ -300,7 +330,7 @@ def test_padded_reducible_pair_above_the_span_limit_is_reducible_by_both_routes(
     assert {len(seed) for _, _, seed, _ in calls} == {9}  # none 81 wide
     assert irreducibility_check(a, astar) is False
     _, dual = idempotent_families(a, astar, ctx.theta, ctx.theta_star)
-    (w,) = field.from_int_rows(dual.right[0], 1)
+    (w,) = dual.right[0]  # an integer row
     assert (submodule_closure(a.transpose(), astar.transpose(), w).dim == 9) is coupled
 
 
