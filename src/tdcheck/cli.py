@@ -49,7 +49,8 @@ def _add_sweep(sub, name: str, help_text: str, sweep: str = None,
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--field", choices=("qq", "fp"), default="fp")
     p.add_argument("--prime", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="master seed; seeds differing "
+                   "only in their low bits share trial seeds: use k * 2^32 for independent runs")
     p.add_argument("--assets", type=Path, default=None, help="override bundled tables")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--output", type=Path, default=None, help="also write the JSON here")

@@ -28,9 +28,9 @@ block level by level: level 0 is every R_i B_j, from one product, and level
 k >= 1 the R_i op^k B_j with k < |i-j|, from two.  rel5 reads level 0, where
 each off-diagonal verdict is also the band condition at k = 0; rel8 and rel9
 read the levels above.  The round trip's extraction starts the same walk
-at level 1.  Completeness and eigenvalue reconstruction are what they say:
-sum e_i and sum t_i e_i, added over the nonzeros of the integer forms of the
-e_i, compared with I and the operator by `==`.
+at level 1.  Completeness and eigenvalue reconstruction (rel6, rel7) compare
+sum e_i and sum t_i e_i, added over the nonzeros of the integer forms, with I
+and the operator; they hold for any operator (poly.py), so no table fails them.
 
 Any failed identity is reported with enough coordinates to replay it.
 """

@@ -17,10 +17,10 @@ to be linearly independent.
 Canonical word order is shortlex with letters compared by (index, starred):
 nonstarred before starred at equal index, ascending index.  Both enumerators
 produce it directly, one word length at a time, so nothing is sorted and
-nothing recurses.  The feasible words come as letter tuples (the rank
-experiment reads them), the zigzag words as texts, each built from its
-parent's text and handed out one length at a time, so a caller can write
-them out without holding them all.
+nothing recurses.  The feasible words come as letter tuples, whose images the
+rank experiment reads each from its parent's; the zigzag words as texts, each
+built from its parent's text and handed out one length at a time, so a caller
+can write them out without holding them all.
 """
 
 from __future__ import annotations
@@ -252,22 +252,17 @@ def enumerate_convex_spanning(r: int) -> List[Tuple[int, ...]]:
 # Rank experiment
 
 
-def word_image(real, word: Word) -> list:
-    """The vector (word).phi in a realized module, multiplying right to left."""
-    vec = real.basis_vector(real.basis[0])
-    for starred, idx in reversed(word):
-        mat = real.estar[idx] if starred else real.e[idx]
-        vec = mat.apply(vec)
-    return vec
-
-
 def feasible_rank_test(real) -> List[Check]:
-    """Exact rank of the feasible-word images of phi; expected 2^d of rank 2^d."""
+    """Exact rank of the feasible-word images of phi; expected 2^d of rank 2^d.
+    The image of (u,) + w, listed after w, is E_u times the image of w."""
     words = enumerate_feasible(real.d)
     expected = 2**real.d
     basis = EchelonBasis(real.field, real.dim)
+    images = {TRIVIAL: real.basis_vector(real.basis[0])}
     for w in words:
-        basis.add(word_image(real, w))
+        (starred, idx), rest = w[0], w[1:]
+        images[w] = (real.estar if starred else real.e)[idx].apply(images[rest])
+        basis.add(images[w])
     return [
         Check(
             "zzrank.count",

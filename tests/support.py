@@ -129,6 +129,20 @@ def mutation_detections(table, mutated, field, seed: int, trials: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Feasible-word images, walked from phi right to left (the rank experiment
+# reads each image from its parent's instead)
+
+
+def word_image(real, word) -> list:
+    """The vector (word).phi in a realized module, multiplying right to left."""
+    vec = real.basis_vector(real.basis[0])
+    for starred, idx in reversed(word):
+        mat = real.estar[idx] if starred else real.e[idx]
+        vec = mat.apply(vec)
+    return vec
+
+
+# ---------------------------------------------------------------------------
 # Parameter arrays
 
 

@@ -192,6 +192,17 @@ def test_derive_seed_is_stable_and_spread():
     assert len(set(seeds)) == 50
 
 
+def test_master_seeds_differing_in_low_bits_share_trial_seeds():
+    # trial i of master m is splitmix64(m ^ (i + 1)), so nearby masters draw
+    # mostly the same trials; masters k * 2^32 apart share none (README, --seed)
+    def trials(master):
+        return {derive_seed(master, i) for i in range(10)}
+
+    assert len(trials(0) & trials(1)) == 8
+    assert len(trials(0) | trials(1) | trials(2)) == 12
+    assert not trials(0) & trials(1 << 32)
+
+
 def test_format_parse_roundtrip():
     for x in (Fraction(3, 7), Fraction(-5), Fraction(0), Fraction(22, 4)):
         assert QQ.parse(QQ.format(x)) == x

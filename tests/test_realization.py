@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from tdcheck.fields import PrimeField, Rationals
+from tdcheck.fields import PrimeField, Rationals, derive_seed
 from tdcheck.linalg import Matrix
 from tdcheck.params import derive_context, random_admissible_context
 from tdcheck.realization import (
@@ -433,3 +433,24 @@ def test_entrywise_sums_fail_off_idempotent_families(f):
     want = reference_sum_checks(bent)
     assert sum_triples(bent) == want
     assert [cid for cid, ok, _ in want if not ok] == ["rel6.e", "rel7.e", "rel6.es", "rel7.es"]
+
+
+def test_sign_flips_that_realize_never_fail_the_two_sums():
+    # once lagrange_idempotents returns, sum E_i = I and sum t_i E_i = A hold
+    # for any operator (poly.py): a flip of d3.txt that realizes fails other
+    # relations, never rel6 or rel7 (48 of the 96 trials realize, 264 failures)
+    table = load_table(3)
+    realized, others = 0, 0
+    for slot in coefficient_slots(table):
+        mutated = with_negated_coefficient(table, *slot)
+        for k in range(3):
+            ctx = random_admissible_context(3, FP, derive_seed(k << 32, 0))
+            try:
+                real = realize(mutated, ctx, FP)
+            except RealizationError:
+                continue
+            ids = [c.id.split(".")[0] for c in failed(verify_relations(real))]
+            assert "rel6" not in ids and "rel7" not in ids
+            realized += 1
+            others += len(ids)
+    assert (realized, others) == (48, 264)

@@ -280,8 +280,13 @@ def test_extraction_at_d4_from_phi_plus_r_takes_the_rank_one_route(monkeypatch):
             ("tds.diameter.match", "supports have lengths 3 != 2"),
             ("tds.shape.symmetric", "shape [2, 1] is not symmetric"),
         ]),
+        ([0, 1], [0, 5], [
+            ("tds.support.astar", "support [0, 2] is not an interval"),
+            ("tds.shape.match", "eigenspace dimensions differ: [1, 1] vs [1, 0]"),
+            ("tds.shape.symmetric", "shape [1, 0] is not symmetric"),
+        ]),
     ],
-    ids=["gapped-support", "short-dual-support"],
+    ids=["gapped-support", "short-dual-support", "gapped-dual-support"],
 )
 def test_diagonal_pair_fails_the_support_and_shape_axioms(a, astar, failures):
     # a diagonal pair at theta = [0, 1, 3], theta* = [0, 2, 5]: the eigenvalues

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdcheck.fields import PrimeField, Rationals
+from tdcheck.linalg import EchelonBasis, Matrix
 from tdcheck.params import derive_context, random_admissible_context
 from tdcheck.realization import realize
 from tdcheck.report import failed
@@ -25,9 +26,10 @@ from tdcheck.zigzag import (
     is_alternating,
     is_between,
     is_zz,
-    word_image,
     word_text,
 )
+
+from support import word_image
 
 QQ = Rationals()
 FP = PrimeField()
@@ -449,6 +451,49 @@ def test_word_image_d1_hand_value():
     # e1 phi = r/(th1 - th0) = r
     assert img == [Fraction(0), Fraction(1)]
     assert not failed(feasible_rank_test(real))
+
+
+@pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "qq"])
+def test_feasible_rank_applies_one_idempotent_per_word(field, monkeypatch):
+    # each image is one idempotent times its parent's; support.word_image's
+    # right-to-left walks would apply 1, 3, 8, 20, 48 and 112
+    reals = [realize(load_table(d), random_admissible_context(d, field, 960 + d), field)
+             for d in range(6)]
+    applied = []
+    apply = Matrix.apply
+
+    def counted(self, vec):
+        applied.append(1)
+        return apply(self, vec)
+
+    monkeypatch.setattr(Matrix, "apply", counted)
+    counts = []
+    for real in reals:
+        applied.clear()
+        assert not failed(feasible_rank_test(real))
+        counts.append(len(applied))
+    assert counts == [1, 2, 4, 8, 16, 32]
+
+
+@pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "qq"])
+def test_feasible_rank_reads_every_word_image_in_word_order(field, monkeypatch):
+    # the vectors handed to the echelon are the right-to-left images of the
+    # feasible words, in enumeration order
+    added = []
+    add = EchelonBasis.add
+
+    def recorded(self, vec, cleared=False):
+        added.append(list(vec))
+        return add(self, vec, cleared)
+
+    for d in range(6):
+        real = realize(load_table(d), random_admissible_context(d, field, 980 + d), field)
+        words = enumerate_feasible(d)
+        monkeypatch.setattr(EchelonBasis, "add", recorded)
+        added.clear()
+        feasible_rank_test(real)
+        monkeypatch.undo()
+        assert added == [word_image(real, w) for w in words]
 
 
 @pytest.mark.parametrize("d", range(6))
