@@ -4,11 +4,10 @@ A Matrix is held in its field's integer form (see `fields`): integer rows
 over one positive denominator, in lowest terms, so over Q the gcd of the
 denominator and every entry is 1 and over F_p the rows are the residues over
 1.  A matrix assembled from scalars (`Matrix(field, rows)`) clears them when
-it is built; a product, a shifted or transposed matrix, the identity, a
-Lagrange idempotent and the word-span Kronecker operators are built from
-integer rows (`Matrix.of_ints`).  The form is all a Matrix holds.
-Dimensions are tiny (at most 32, or 64 for the word-span echelon) and the
-hot spots walk only nonzeros:
+it is built; a product, a shifted or transposed matrix, the identity and a
+Lagrange idempotent are built from integer rows (`Matrix.of_ints`).  The
+form is all a Matrix holds.  Dimensions are tiny (at most 32) and the hot
+spots walk only nonzeros:
 
   * a product is the field's `mat_mul` on the two integer forms, one sparse
     integer kernel for both fields (`fields._int_mat_mul`), over the product

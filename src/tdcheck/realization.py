@@ -1,13 +1,13 @@
 """Realize a module table at a specialization context and machine-check it.
 
 realize() turns the symbolic table into two exact matrices acting on the
-2^d-dimensional module, builds both families of primitive idempotents
-(idempotent_families, shared with the round-trip extraction), and asserts
-the structural invariants (minimal polynomials, eigenspace ranks).  Each
-family is one RankFactors object, which holds the e_i beside their rank
-factors; a ModuleRealization is the table, the context, the pair and those
-two objects, and everything else it offers (e, e*, d, the basis) is read
-from them.  The check operations then verify, as exact matrix identities:
+2^d-dimensional module and builds both families of primitive idempotents
+(idempotent_families, shared with the round-trip extraction).  Each family
+is one RankFactors object, which holds the e_i beside their rank factors,
+read off the table's split grading; a ModuleRealization is the table, the
+context, the pair and those two objects, and everything else it offers (e,
+e*, d, the basis) is read from them.  The check operations then verify, as
+exact matrix identities:
 
   * the defining relations of the generator algebra: idempotent orthogonality
     and completeness, eigenvalue reconstruction, and the band conditions
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import comb
-from typing import Dict, Iterator, List, NamedTuple, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .fields import Field
 from .linalg import Matrix, combination, flat_nonzeros
@@ -62,17 +62,16 @@ class RealizationError(ValueError):
 class RankFactors(NamedTuple):
     """A family of matrices e_i with their exact rank factorizations e_i = B_i R_i.
 
-    R_i is the nonzero rows of the reduced echelon form of e_i and B_i is the
-    columns of e_i at R_i's pivots.  B_i has full column rank and R_i full
-    row rank, so for any X, e_i X e_j = 0 iff R_i X B_j = 0, and
-    e_i e_j = c e_i iff R_i B_j = c I (i = j) or 0 (i != j): no assumption
-    about the family being orthogonal idempotents is needed.  Blocks are
-    integer rows, read from the integer forms (linalg.Matrix) of e_i and of
-    its echelon basis: R_i is right[i] / r_i and B_i is left[i] / b_i with
-    dens[i] = r_i * b_i, so B_i R_i = left[i] right[i] / dens[i], and a zero
-    test of any block product needs no denominator.  Blocks are plain row
-    lists, so rank 0 (R_i 0 x n, B_i n x 0) needs no special case.  `blocks`
-    walks R_i op^k B_j one level k at a time.
+    B_i is the columns of e_i at r_i = rank e_i indices U_i and R_i has r_i
+    rows, I at U_i: e_i's rows there (`of` at a graded table's row blocks) or
+    its reduced echelon rows, U_i their pivots.  B_i has full column rank and
+    R_i full row rank, so for any X, e_i X e_j = 0 iff R_i X B_j = 0, and
+    e_i e_j = c e_i iff R_i B_j = c I (i = j) or 0 (i != j), orthogonal
+    idempotents or not.  Blocks are integer rows of the integer forms
+    (linalg.Matrix): R_i is right[i] / r_i and B_i is left[i] / b_i with
+    dens[i] = r_i * b_i, so a zero test of any block product needs no
+    denominator, and rank 0 (R_i 0 x n, B_i n x 0) needs no special case.
+    `blocks` walks R_i op^k B_j one level k at a time.
     """
 
     idems: List[Matrix]  # e_i
@@ -81,14 +80,20 @@ class RankFactors(NamedTuple):
     dens: List[int]
 
     @classmethod
-    def of(cls, idems: List[Matrix]) -> "RankFactors":
+    def of(cls, idems: List[Matrix], blocks: Optional[List[range]] = None) -> "RankFactors":
+        """Each e_i's factors at U_i = blocks[i], where e_i[U_i, U_i] = I and
+        rank e_i = |U_i| (realize); without blocks, from e_i's echelon form."""
         right, left, dens = [], [], []
-        for m in idems:
-            basis = m.echelon()
-            rows, rden = basis.form
+        for i, m in enumerate(idems):
             ints, den = m.form
+            if blocks is None:
+                basis = m.echelon()
+                (rows, rden), cols = basis.form, basis.pivots
+            else:
+                cols, rden = blocks[i], den
+                rows = [ints[p] for p in cols]
             right.append(rows)
-            left.append([[row[p] for p in basis.pivots] for row in ints])
+            left.append([[row[p] for p in cols] for row in ints])
             dens.append(rden * den)
         return cls(idems, right, left, dens)
 
@@ -176,25 +181,20 @@ class ModuleRealization(NamedTuple):
 
 def context_env(ctx: SpecializationContext) -> Dict[str, object]:
     env: Dict[str, object] = {}
-    for i, t in enumerate(ctx.theta):
-        env[f"th{i}"] = t
-    for i, t in enumerate(ctx.theta_star):
-        env[f"ths{i}"] = t
-    for i, v in enumerate(ctx.y, start=1):
-        env[f"y{i}"] = v
-    for i, v in enumerate(ctx.epsilon):
-        env[f"eps{i}"] = v
+    for prefix, values, first in (("th", ctx.theta, 0), ("ths", ctx.theta_star, 0),
+                                  ("y", ctx.y, 1), ("eps", ctx.epsilon, 0)):
+        env.update((f"{prefix}{i}", v) for i, v in enumerate(values, first))
     if ctx.beta is not None:
         env["beta"] = ctx.beta
     return env
 
 
 def idempotent_families(
-    a: Matrix, astar: Matrix, theta: List, theta_star: List
+    a: Matrix, astar: Matrix, theta: List, theta_star: List,
+    blocks: Optional[List[range]] = None,
 ) -> Tuple[RankFactors, RankFactors]:
-    """Both Lagrange families of the pair with their rank factors: (of e,
-    of e*).  The factors reuse the echelon form that the ranks are counted
-    from.
+    """Both Lagrange families of the pair with their rank factors (of e,
+    of e*), read at blocks if given (RankFactors.of).
 
     Raises RealizationError naming minpoly.a and/or minpoly.astar when the
     eigenvalue list does not annihilate its operator.
@@ -209,13 +209,18 @@ def idempotent_families(
     if failures:
         raise RealizationError(failures)
     e, estar = families
-    return RankFactors.of(e), RankFactors.of(estar)
+    return RankFactors.of(e, blocks), RankFactors.of(estar, blocks)
 
 
 def realize(
     table: ModuleTable, ctx: SpecializationContext, field: Field
 ) -> ModuleRealization:
-    """Evaluate the table at ctx and assert every realization invariant."""
+    """Evaluate the table at ctx and build both idempotent families.
+
+    The table must be graded (tables.check_grading, which parse_table runs):
+    on the row blocks U_j, A - th_j raises U_j into U_{j+1}, so prod (A - th_k)
+    = 0 and e_i is block triangular with diagonal blocks delta_ij I, of rank
+    |U_i| = C(d, i); likewise for A*.  The factors are read at the blocks."""
     if table.d != ctx.d:
         raise ValueError(f"table is for d={table.d}, context for d={ctx.d}")
     env = context_env(ctx)
@@ -237,19 +242,10 @@ def realize(
     a = assemble(table.a_action)
     astar = assemble(table.astar_action)
 
-    factors, dual_factors = idempotent_families(a, astar, ctx.theta, ctx.theta_star)
-    failures: List[Tuple[str, str]] = []
-    for i in range(table.d + 1):
-        want = comb(table.d, i)
-        for tag, got in (("e", factors.ranks[i]), ("es", dual_factors.ranks[i])):
-            if got != want:
-                failures.append(
-                    (f"rank.{tag}.{i}", f"rank {got}, expected C({table.d},{i}) = {want}")
-                )
-    if failures:
-        raise RealizationError(failures)
-
-    return ModuleRealization(table, ctx, a, astar, factors, dual_factors)
+    starts = list(accumulate((comb(table.d, j) for j in range(table.d + 1)), initial=0))
+    blocks = [range(s, t) for s, t in zip(starts, starts[1:])]
+    families = idempotent_families(a, astar, ctx.theta, ctx.theta_star, blocks)
+    return ModuleRealization(table, ctx, a, astar, *families)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +397,8 @@ def shape_check(real: ModuleRealization) -> List[Check]:
     checks = []
     for i in range(d + 1):
         want = comb(d, i)
-        checks.append(Check(f"shape.e.{i}", ranks[i] == want, f"rank {ranks[i]}, expected {want}"))
-        checks.append(
-            Check(f"shape.es.{i}", dual_ranks[i] == want, f"rank {dual_ranks[i]}, expected {want}")
-        )
+        for tag, r in (("e", ranks), ("es", dual_ranks)):
+            checks.append(Check(f"shape.{tag}.{i}", r[i] == want, f"rank {r[i]}, expected {want}"))
     sym = all(ranks[i] == ranks[d - i] for i in range(d + 1))
     uni = all(ranks[i - 1] <= ranks[i] for i in range(1, d // 2 + 1))
     return checks + [

@@ -15,8 +15,9 @@ tokens by one regex and read by one recursive-descent parser (_Entry), with
 basis labels as atoms outside parentheses; its top-level sum is split into
 terms as it is read.  Nesting is at most MAX_EXPR_DEPTH deep, so no table
 can exhaust the recursion.  parse_table checks the header, the sections and
-the block structure in the same pass; a ModuleTable holds only d, the basis
-(in file order) and the two actions.
+the block structure in the same pass, then the split grading
+(check_grading); a ModuleTable holds only d, the basis (in file order) and
+the two actions.
 
 Parsing is loss-free: the printer in tests/test_tables.py re-serializes every
 parsed bundled table byte for byte.  format_expr stays here for the
@@ -31,6 +32,8 @@ per trial (411 distinct operator nodes of 1,455 at d = 5).
 from __future__ import annotations
 
 import re
+from collections import Counter
+from math import comb
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -288,7 +291,8 @@ _LABEL_TOKEN_RE = re.compile(r"phi|(?:[lr][0-9]*)+")
 
 class _Entry:
     """The tokens of one entry line, the read position, the parenthesis depth
-    and `shared`, the nodes of the table read so far."""
+    and `shared`, the nodes of the table read so far; once read, `cols` holds
+    the column at which each term starts."""
 
     def __init__(self, text: str, line_no: int, d: int, basis: set, shared: dict):
         self.text = text
@@ -363,6 +367,7 @@ class _Entry:
         for op, start, node in summands:
             coeff, label = self.term(node, start)
             terms.append((self.share(Neg(coeff)) if op == "-" else coeff, label))
+        self.cols = [start[2] + 1 for _, start, _ in summands]
         return source, terms
 
     def term(self, node, start) -> Tuple[Expr, BasisLabel]:
@@ -507,13 +512,16 @@ def parse_table(text: str) -> ModuleTable:
 
     actions: List[Action] = []
     shared: dict = {}  # identical coefficient subtrees are one node
+    places: dict = {}  # (generator, source) -> (line, each term's column)
     for key in ("action a", "action astar"):
         action: Action = {}
         for no, line in sections[key]:
-            src, terms = _Entry(line, no, d, basis_set, shared).read()
+            entry = _Entry(line, no, d, basis_set, shared)
+            src, terms = entry.read()
             if src in action:
                 raise ParseError(f"duplicate entry for {src}", no)
             action[src] = terms
+            places[key[7:], src] = (no, entry.cols)
         if list(action) != basis:
             raise ParseError(f"[{key}] entries must follow basis order exactly")
         actions.append(action)
@@ -522,18 +530,39 @@ def parse_table(text: str) -> ModuleTable:
         raise TableError(f"basis has {len(basis)} labels, expected {2**d}")
     if len(rows) != d + 1:
         raise TableError(f"basis has {len(rows)} rows, expected {d + 1}")
-    for j, row in enumerate(rows):
-        for label in row:
-            if label.row_index != j:
-                raise TableError(
-                    f"label {label} sits in row {j} but has row index {label.row_index}"
-                )
-    for gen, prefix, action in (("a", "th", actions[0]), ("astar", "ths", actions[1])):
+    for j, label in ((j, label) for j, row in enumerate(rows) for label in row):
+        if label.row_index != j:
+            raise TableError(f"label {label} sits in row {j} but has row index {label.row_index}")
+    table = ModuleTable(d, basis, *actions)
+    check_grading(table, places)
+    return table
+
+
+def check_grading(table: ModuleTable, places: Optional[dict] = None) -> None:
+    """Reject a table that is not split-graded: row block j holds C(d, j)
+    labels, and each entry is its diagonal term (th j or ths j times the
+    label), then terms that move one row block, up under a, down under astar:
+    the split decomposition of a TD system (Ito, Tanabe and Terwilliger, Linear
+    Algebra Appl. 330, 2001) that realize reads its rank factors off.  places
+    maps (generator, source) to the entry's line and its terms' columns."""
+    d, sizes = table.d, Counter(label.row_index for label in table.basis)
+    for j, size in enumerate(comb(d, j) for j in range(d + 1)):
+        if sizes[j] != size:
+            raise TableError(f"row {j} holds {sizes[j]} labels, expected C({d},{j}) = {size}")
+    for gen, prefix, step, action in (("a", "th", 1, table.a_action),
+                                      ("astar", "ths", -1, table.astar_action)):
         for src, terms in action.items():
-            want = Name(f"{prefix}{src.row_index}")
-            if terms[0] != (want, src):
+            j = src.row_index
+            want = Name(f"{prefix}{j}")
+            if terms[:1] != [(want, src)]:
                 raise TableError(f"action {gen}: entry for {src} must start with {want.text}*{src}")
-    return ModuleTable(d, basis, *actions)
+            for k, (_, label) in enumerate(terms[1:], 1):
+                if label.row_index != j + step:
+                    line, cols = places[gen, src] if places else (None, [None] * len(terms))
+                    raise ParseError(
+                        f"action {gen}: term {label} of {src} must move one row block"
+                        f" {'up' if step > 0 else 'down'}, from row {j} to row {j + step}",
+                        line, cols[k])
 
 
 def bundled_table_text(d: int, assets: Optional[Path] = None) -> str:

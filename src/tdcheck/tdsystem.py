@@ -10,72 +10,60 @@ kill phi.  extract_td_system() takes an operator pair (a, a*), a vector
 phi and two eigenvalue lists; it restricts the pair to W, the closure of
 phi, checks the tridiagonal axioms on it (diagonalizability over the lists,
 interval supports, band conditions, irreducibility), and reads back the
-shape and the split sequence.
-roundtrip() compares the recovered data with the array.  Both directions
-read the pair through realization's helpers: the idempotent families and
-their rank factors come from idempotent_families (the supports are the
-nonzero ranks, the shape is the dual ranks over the support), the band
-conditions e_i X e_j = 0 are read as the blocks R_i X B_j of those factors
-(level 1 of RankFactors.blocks, the walk behind realization's relation
-checks; a restricted idempotent may have rank 0, and its blocks are empty),
-and the split comes from split_sequence, the same reader behind the g_i
-assertion, applied at phi.
+shape and the split sequence.  roundtrip() compares the recovered data with
+the array.  Both directions read the pair through realization's helpers:
+the families and their rank factors from idempotent_families (the supports
+are the nonzero ranks, the shape the dual ranks over the support), the band
+conditions e_i X e_j = 0 as the blocks R_i X B_j (level 1 of
+RankFactors.blocks; a restricted idempotent may have rank 0, and its blocks
+are empty), and the split from split_sequence at phi, the reader behind the
+g_i assertion.
 
-Irreducibility: the reference criterion is that the words in the restricted
-pair span the full matrix algebra (span dimension = (dim W)^2).  Given a
-rank-one member v w^T of the pair's algebra (any Lagrange idempotent of rank
-1 on W is one: it is a polynomial in a or a*), that is decided by at most two
-closures: the words span every matrix exactly when the closure of v is W and
-the dual closure of w (under the transposed pair) is W*.  "If": for words M
-and N, M v w^T N = (M v)(w^T N), so the span holds every product of a vector
-of W and a row of W*, which is every matrix.  "Only if": the full matrix
-algebra moves any nonzero vector (row) to any other.  This holds over every
-field and assumes nothing about the pair; it is Norton's irreducibility test
-with the null space of I - v w^T (Holt and Rees, J. Austral. Math. Soc. A 57,
-1994).  extract_td_system takes the member and the route as follows:
+Irreducibility: the words in the restricted pair span the full matrix
+algebra (dimension (dim W)^2).  Given a rank-one member v w^T of the pair's
+algebra (a Lagrange idempotent of rank 1 on W is one), that holds exactly
+when the closure of v is W and the dual closure of w (under the transposed
+pair) is W*.  "If": M v w^T N = (M v)(w^T N) for words M and N, so the span
+holds every product of a vector of W and a row of W*.  "Only if": the full
+matrix algebra moves any nonzero vector (row) to any other.  This holds over
+every field and assumes nothing about the pair; it is Norton's
+irreducibility test with the null space of I - v w^T (Holt and Rees,
+J. Austral. Math. Soc. A 57, 1994).  extract_td_system takes the member and
+the route as follows:
 
   * phi spans the rank-one corner (the shape is sharp and the split read at
     phi starts with 1): the member is e*_{r0} = c phi w^T, and phi generates
-    W by construction, so only the dual closure of w is read.  For
-    dim W > 8 that is _corner_cyclic_irreducible ("irreducibility via
-    corner-cyclic test"), for dim W <= 8 irreducibility_check ("irreducibility
-    via full word-span dimension").
+    W, so only the dual closure of w is read: _corner_cyclic_irreducible
+    ("irreducibility via corner-cyclic test") for dim W > 8, else
+    irreducibility_check ("irreducibility via full word-span dimension").
   * otherwise the first of e*_{r0}, e*_{r0+delta}, e_{t0}, e_{t0+delta} with
-    rank 1 on W, v its B column and w its R row (RankFactors), through
-    irreducibility_check; the note is the word-span one, with " (fallback)"
-    when dim W > 8.
-  * with no rank-one member, irreducibility_check grows the span itself: the
-    submodule closure of vec(I) under left multiplication by a and a*, the
-    (dim W)^2 x (dim W)^2 operators g (x) I, built from the pair's integer
-    form (their image mod p is the pair's image (x) I).  It costs on the
-    order of (dim W)^6 integer multiply-adds, about 1.2 s at dim W = 16.
+    rank 1 on W, v its B column and w its R row, through
+    irreducibility_check; the word-span note, with " (fallback)" for dim W > 8.
+  * with none, the verdict is None ("irreducibility undetermined").  No
+    table reaches it: on a graded table (tables.check_grading) e*_0 phi = phi
+    and rank e*_0 = C(d, 0) = 1, so e*_0 has rank 1 on every closure of phi.
 
-Every route is exact and gives the same verdict, so the notes only name the
-route.  Both notes stay: the word-span note is inside every pinned d <= 3
-round-trip report (tests/test_golden.py, perfbench/digests.json), and the
-roundtrip-qq benchmark workload runs both (word-span at d = 3, corner-cyclic
-at d = 4, 5).
+The notes only name the route.  Both stay: the word-span note is inside
+every pinned d <= 3 round-trip report (tests/test_golden.py,
+perfbench/digests.json), and the roundtrip-qq workload runs both.
 
-Over the rationals each of those spans (the closure of phi or of v, the dual
-closure of a row, the word span) is certified on one image mod
+Over the rationals each closure is certified on one image mod
 p = DEFAULT_PRIME first, in submodule_closure (the modular rank method, see
 von zur Gathen and Gerhard, Modern Computer Algebra).  The lemma: when no
 denominator of the operators or of the seed is divisible by p, every vector
 the span is built from is p-integral, and reduction mod p is a ring map on
-p-integral rationals, so vectors independent mod p are independent over Q:
-the dimension of a span mod p is at most its dimension over Q.  A
-full-dimension image therefore proves a full span over Q, and only the
+p-integral rationals, so vectors independent mod p are independent over Q.
+A full-dimension image therefore proves a full span over Q, and only the
 verdict "full" is taken from the image; every other case falls back to the
-exact computation (see submodule_closure), so no verdict depends on p.
+exact computation, so no verdict depends on p.
 
 An operator restricted to W is its rows at the pivots of W's reduced
 echelon basis times that basis transposed (linalg.restrict), and phi's
 coordinates are its entries at those pivots.  When the closure of phi is the
-whole module, the basis is the identity, so the restriction is the pair
-itself: extraction reads the operators as they are, and the caller may pass
-the pair's two idempotent families at the same lists, each a RankFactors
-object that holds its e_i (roundtrip passes realize's), instead of having
-them rebuilt.  On a proper W they are always rebuilt from the restriction.
+whole module, the restriction is the pair itself, and the caller may pass
+the pair's two idempotent families at the same lists (roundtrip passes
+realize's) instead of having them rebuilt; on a proper W they are always
+rebuilt from the restriction.
 """
 
 from __future__ import annotations
@@ -173,28 +161,17 @@ def _image(a: Matrix, astar: Matrix, seed: Sequence) -> Optional[tuple]:
     return (*(Matrix.of_ints(_IMAGE_FIELD, m) for m in out), v) if any(v) else None
 
 
-def irreducibility_check(
-    a: Matrix, astar: Matrix, rank_one: Optional[Tuple[Optional[list], list]] = None
-) -> bool:
+def irreducibility_check(a: Matrix, astar: Matrix, rank_one: Tuple[Optional[list], list]) -> bool:
     """Span of all words in the pair stabilizes at dimension (dim W)^2?
 
-    With rank_one = (v, w), the column and row of a rank-one member v w^T of
-    the pair's algebra, that is decided by two closures (module docstring):
-    the closure of v must be W and the dual closure of w must be W*.  v is
-    None when it is known to generate W (phi, whose closure W is).  Without
-    one, the span is the closure of the row-major vec(I) under g (x) I,
-    g = a, a*."""
-    field, n = a.field, a.nrows
-    if rank_one is not None:
-        v, w = rank_one
-        if v is not None and submodule_closure(a, astar, v).dim < n:
-            return False
-        return submodule_closure(a.transpose(), astar.transpose(), w).dim == n
-    left = [Matrix.of_ints(field, [[x if j == l else 0 for x in row for l in range(n)]
-                                   for row in ints for j in range(n)], den)
-            for ints, den in (a.form, astar.form)]
-    ident = [int(i == j) for i in range(n) for j in range(n)]  # an integer row, read as it is
-    return submodule_closure(*left, ident).dim == n * n
+    rank_one = (v, w) is the column and row of a rank-one member v w^T of
+    the pair's algebra, and two closures decide (module docstring): the
+    closure of v must be W and the dual closure of w must be W*.  v is None
+    when it is known to generate W (phi, whose closure W is)."""
+    (v, w), n = rank_one, a.nrows
+    if v is not None and submodule_closure(a, astar, v).dim < n:
+        return False
+    return submodule_closure(a.transpose(), astar.transpose(), w).dim == n
 
 
 def _rank_one(fam: RankFactors, i: int) -> Optional[Tuple[list, list]]:
@@ -207,9 +184,8 @@ def _rank_one(fam: RankFactors, i: int) -> Optional[Tuple[list, list]]:
 
 
 def _corner_cyclic_irreducible(a: Matrix, astar: Matrix, row: list) -> bool:
-    """Exact irreducibility via a rank-one corner idempotent whose image is
-    spanned by a vector that generates the module: does the corner's row
-    generate the dual module?"""
+    """Irreducibility from a rank-one corner whose column generates the
+    module: does the corner's row generate the dual module?"""
     return submodule_closure(a.transpose(), astar.transpose(), row).dim == a.nrows
 
 
@@ -331,7 +307,10 @@ def extract_td_system(
         ends = ((dual_factors, r0), (dual_factors, r0 + delta), (factors, t0),
                 (factors, t0 + delta_a))
         rank_one = next(filter(None, (_rank_one(*end) for end in ends)), None)
-    if large and cyclic:
+    if rank_one is None:
+        irreducible = None
+        notes.append("irreducibility undetermined: no end idempotent has rank 1")
+    elif large and cyclic:
         irreducible = _corner_cyclic_irreducible(a_sub, astar_sub, rank_one[1])
         notes.append("irreducibility via corner-cyclic test")
     else:
@@ -341,10 +320,8 @@ def extract_td_system(
     if irreducible is False:
         failures.append(("tds.irreducible", "a proper invariant subspace exists"))
     if field.kind == "qq":
-        notes.append(
-            "irreducibility verdict is over the rationals; it may differ over"
-            " an algebraic closure"
-        )
+        notes.append("irreducibility verdict is over the rationals; it may differ over"
+                     " an algebraic closure")
 
     degenerate = delta != d or dim_w != n
     if degenerate:

@@ -8,9 +8,9 @@ from tdcheck.fields import derive_seed
 from tdcheck.linalg import Matrix
 from tdcheck.params import random_admissible_context
 from tdcheck.poly import ladder
-from tdcheck.realization import RealizationError, realize, verify_relations
+from tdcheck.realization import realize, verify_relations
 from tdcheck.report import failed
-from tdcheck.tables import Neg, bundled_table_text
+from tdcheck.tables import Neg, TableError, bundled_table_text, check_grading
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,9 @@ def proper_closure_d2_text() -> str:
 
 
 # ---------------------------------------------------------------------------
-# Transcription mutations: one coefficient's sign flipped at a time
+# Transcription mutations: one term's sign flipped, dropped or doubled.  A
+# table built here bypasses parse_table, so it reaches realize only once
+# tables.check_grading has passed it.
 
 
 def coefficient_slots(table):
@@ -101,30 +103,53 @@ def coefficient_slots(table):
     ]
 
 
+def _with_edited_term(table, action: str, source, k: int, edit):
+    """Copy of the table with the terms[k:k + 1] of one entry replaced by edit(terms[k])."""
+    key = "a_action" if action == "a" else "astar_action"
+    terms = getattr(table, key)[source]
+    terms = terms[:k] + edit(terms[k]) + terms[k + 1:]
+    return table._replace(**{key: {**getattr(table, key), source: terms}})
+
+
+def _negated(term):
+    c, label = term
+    return [(c.child if isinstance(c, Neg) else Neg(c), label)]
+
+
 def with_negated_coefficient(table, action: str, source, k: int):
     """Copy of the table with one coefficient's sign flipped."""
-    key = "a_action" if action == "a" else "astar_action"
-    terms = list(getattr(table, key)[source])
-    c, label = terms[k]
-    terms[k] = (c.child if isinstance(c, Neg) else Neg(c), label)
-    return table._replace(**{key: {**getattr(table, key), source: terms}})
+    return _with_edited_term(table, action, source, k, _negated)
+
+
+def term_edits(table):
+    """(kind, slot, edited table) for every sign flip, drop and doubling of one term."""
+    for slot in coefficient_slots(table):
+        for kind, edit in (("flip", _negated), ("drop", lambda t: []), ("double", lambda t: [t, t])):
+            yield kind, slot, _with_edited_term(table, *slot, edit)
+
+
+def is_graded(table) -> bool:
+    try:
+        check_grading(table)
+    except TableError:
+        return False
+    return True
 
 
 def mutation_detections(table, mutated, field, seed: int, trials: int) -> int:
     """How many of `trials` random contexts detect the mutated table.
 
-    Detection = realization fails (minimal polynomial or rank invariant) or a
-    relation check fails.
+    An ungraded mutation is rejected before any context is drawn, as the
+    parser rejects its text, and counts as detected in every trial.  Else a
+    detection is a failed relation check: on a graded table realize cannot
+    fail (see realization.realize).
     """
+    if not is_graded(mutated):
+        return trials
     detected = 0
     for t in range(trials):
         ctx = random_admissible_context(table.d, field, derive_seed(seed, t))
-        try:
-            real = realize(mutated, ctx, field)
-        except RealizationError:
-            detected += 1
-            continue
-        detected += bool(failed(verify_relations(real)))
+        detected += bool(failed(verify_relations(realize(mutated, ctx, field))))
     return detected
 
 

@@ -350,9 +350,9 @@ def test_failing_verification_exits_one(tmp_path, capsys):
     assert json.loads(out)["overall"] is False
 
 
-def test_a_sweep_whose_realize_raises_fails_each_trial_at_realize(tmp_path, capsys):
-    # r -> phi added to a: (a - th0)(a - th1) is no longer 0, so every trial
-    # fails realize's minimal-polynomial assert and runs no relation check
+def test_a_table_that_lowers_under_a_is_a_usage_error_at_its_term(tmp_path, capsys):
+    # r -> phi added to a: a term that moves down a row block under a breaks
+    # the split grading, which the parser checks before any trial runs
     from tdcheck.tables import bundled_table_text
 
     text = bundled_table_text(1).replace("r : th1*r\n", "r : th1*r + phi\n")
@@ -360,12 +360,26 @@ def test_a_sweep_whose_realize_raises_fails_each_trial_at_realize(tmp_path, caps
     code, out, err = run_cli(
         capsys, "verify-appendix", "--d", "1", "--trials", "2", "--assets", str(tmp_path)
     )
-    assert code == 1
-    checks = json.loads(out)["checks"]
-    assert [c["id"] for c in checks] == ["t000.realize.minpoly.a", "t001.realize.minpoly.a"]
-    assert all(c["detail"].endswith(": minimal polynomial check failed: product has rank 2,"
-                                    " expected 0") and not c["passed"] for c in checks)
-    assert err.splitlines()[0] == "verify-appendix: 2 checks over 2 trial(s), 2 FAILED"
+    assert (code, out) == (2, "")
+    assert err == ("tdcheck: action a: term phi of r must move one row block up, from row 1"
+                   " to row 2 at line 10, column 13\n")
+
+
+def test_a_sweep_whose_realize_raises_fails_each_trial_at_realize():
+    # the same table built in a test, past the parser: (a - th0)(a - th1) is
+    # no longer 0, so every trial fails realize's minimal-polynomial assert
+    # before any rank factor is read, and runs no relation check
+    from tdcheck.fields import PrimeField
+    from tdcheck.tables import ONE, PHI, load_table, parse_label
+
+    table = load_table(1)
+    r = parse_label("r")
+    table = table._replace(a_action={**table.a_action, r: table.a_action[r] + [(ONE, PHI)]})
+    checks = [c for t in range(2)
+              for c in suites._trial_checks("verify-appendix", table, PrimeField(), 0, t)]
+    assert [c.id for c in checks] == ["t000.realize.minpoly.a", "t001.realize.minpoly.a"]
+    assert all(c.detail.endswith(": minimal polynomial check failed: product has rank 2,"
+                                 " expected 0") and not c.passed for c in checks)
 
 
 @pytest.mark.parametrize(

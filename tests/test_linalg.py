@@ -15,7 +15,9 @@ from tdcheck.realization import realize
 from tdcheck.tables import load_table
 from tdcheck.tdsystem import submodule_closure
 
-from support import coordinates, elements, read_form, reference_restrict, zero_matrix
+from support import (
+    coordinates, elements, proper_closure_d2_text, read_form, reference_restrict, zero_matrix,
+)
 
 QQ = Rationals()
 
@@ -416,6 +418,7 @@ def test_tracer_entry_points_see_both_fields(monkeypatch, capsys):
     monkeypatch.setattr(Matrix, "apply", counting("apply", Matrix.apply))
     assert main("tds roundtrip --d 2 --trials 1 --field qq --seed 0 --jobs 1".split()) == 0
     assert main("zz rank --d 2 --trials 1 --field fp --seed 0 --jobs 1".split()) == 0
+    assert main("zz rank --d 2 --trials 1 --field qq --seed 0 --jobs 1".split()) == 0
     capsys.readouterr()
     for name in ("add", "apply"):
         for kind in ("qq", "fp"):
@@ -510,9 +513,13 @@ def test_rational_product_form_matches_the_fraction_triple_loop(operands):
         assert prod == ma * (mb * mc)
 
 
-def test_no_rational_product_or_matrix_echelon_clears_denominators(monkeypatch, capsys):
+def test_no_rational_product_or_matrix_echelon_clears_denominators(
+    monkeypatch, capsys, tmp_path
+):
     # over Q a matrix keeps its integer form, so only matrices assembled
-    # from scalars (table evaluation, vectors) reach the clearing function
+    # from scalars (table evaluation, vectors) reach the clearing function.
+    # Matrix.echelon runs in the round trip on a proper closure, where the
+    # idempotents of the restricted pair are factored
     import tdcheck.fields as fields
     from tdcheck.cli import main
 
@@ -539,9 +546,11 @@ def test_no_rational_product_or_matrix_echelon_clears_denominators(monkeypatch, 
     monkeypatch.setattr(fields, "_to_int_rows", clearing)
     monkeypatch.setattr(Rationals, "mat_mul", guarded("mat_mul", Rationals.mat_mul))
     monkeypatch.setattr(Matrix, "echelon", guarded("echelon", Matrix.echelon))
-    for argv in ("verify-appendix --d 3 --field qq --trials 1",
-                 "tds roundtrip --d 3 --field qq --trials 1"):
-        assert main(argv.split()) == 0
+    (tmp_path / "d2.txt").write_text(proper_closure_d2_text())
+    for argv, code in (("verify-appendix --d 3 --field qq --trials 1", 0),
+                       ("tds roundtrip --d 3 --field qq --trials 1", 0),
+                       (f"tds roundtrip --d 2 --field qq --trials 1 --assets {tmp_path}", 1)):
+        assert main(argv.split()) == code
     capsys.readouterr()
     assert reached == []
     assert calls["mat_mul"] and calls["echelon"] and calls["clear"]

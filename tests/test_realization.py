@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -7,7 +8,6 @@ from tdcheck.linalg import Matrix
 from tdcheck.params import derive_context, random_admissible_context
 from tdcheck.realization import (
     RankFactors,
-    RealizationError,
     mu_certificate,
     realize,
     shape_check,
@@ -19,7 +19,8 @@ from tdcheck.tdsystem import extract_td_system
 from tdcheck.tables import load_table
 
 from support import (
-    coefficient_slots, elements, mat_add, scaled, with_negated_coefficient, zero_matrix,
+    coefficient_slots, elements, is_graded, mat_add, scaled, term_edits,
+    with_negated_coefficient, zero_matrix,
 )
 
 QQ = Rationals()
@@ -142,11 +143,8 @@ def test_realize_detects_one_flipped_coefficient():
         if a == "a" and str(src) == "l2r3" and k == 1
     )
     mutated = with_negated_coefficient(table, *slot)
-    try:
-        real = realize(mutated, ctx, FP)
-    except RealizationError:
-        return  # caught at the minimal-polynomial / rank stage
-    assert failed(verify_relations(real))
+    assert is_graded(mutated)  # so realize cannot fail: a relation must
+    assert failed(verify_relations(realize(mutated, ctx, FP)))
 
 
 def test_rational_realization_reduces_to_prime_field_realization():
@@ -258,14 +256,39 @@ def test_block_relations_match_full_sandwiches_on_mutated_tables(d):
     ctx = random_admissible_context(d, FP, 5)
     failing = 0
     for slot in coefficient_slots(table):
-        try:
-            real = realize(with_negated_coefficient(table, *slot), ctx, FP)
-        except RealizationError:
+        mutated = with_negated_coefficient(table, *slot)
+        if not is_graded(mutated):  # a diagonal term flipped: the parser rejects it
             continue
+        real = realize(mutated, ctx, FP)
         want = reference_relation_checks(real)
         assert relation_triples(real) == want, slot
         failing += not all(ok for _, ok, _ in want)
-    assert failing  # some mutation survives realize and fails a relation
+    assert failing  # some graded mutation fails a relation
+
+
+@pytest.mark.parametrize("d,field", [(d, FP) for d in range(1, 5)] + [(d, QQ) for d in (1, 2, 3)]
+                         + [(5, FP)], ids=lambda x: getattr(x, "kind", x))
+def test_sliced_and_echelon_factors_give_the_same_relation_checks_on_graded_edits(d, field):
+    # realize reads each e_i's factors at its row block, exact because the
+    # table is graded; an echelon form gives factors of the same e_i.  Every
+    # graded sign flip, drop and doubling of one term is compared, but at
+    # d = 5 only every 19th (18 of 342, each about 30 ms), which keeps the
+    # whole test below 3 s
+    table = load_table(d)
+    ctx = random_admissible_context(d, field, 77 + d)
+    edits = [(kind, slot, t) for kind, slot, t in term_edits(table) if is_graded(t)]
+    # every off-diagonal term, three ways; no diagonal edit is graded
+    assert len(edits) == 3 * sum(len(terms) - 1 for action in (table.a_action, table.astar_action)
+                                 for terms in action.values())
+    failing = 0
+    for kind, slot, edited in edits[::19 if d == 5 else 1]:
+        real = realize(edited, ctx, field)
+        echelon = real._replace(factors=RankFactors.of(real.e),
+                                dual_factors=RankFactors.of(real.estar))
+        got = relation_triples(real)
+        assert got == relation_triples(echelon), (kind, slot)
+        failing += not all(ok for _, ok, _ in got)
+    assert failing or d == 1
 
 
 def test_block_relations_match_full_sandwiches_off_idempotent_families():
@@ -379,10 +402,29 @@ def test_weight_certificate_reads_each_chain_step_once(monkeypatch):
 def test_rank_factors_multiply_back_to_the_family():
     ctx = random_admissible_context(3, QQ, 903)
     real = realize(load_table(3), ctx, QQ)
-    fam = real.dual_factors
-    for m, left, right, den in zip(real.estar, fam.left, fam.right, fam.dens):
-        assert Matrix.of_ints(QQ, QQ.mat_mul(left, right), den) == m
-    assert fam.ranks == [1, 3, 3, 1]
+    for fam in (real.factors, real.dual_factors):
+        for m, left, right, den in zip(fam.idems, fam.left, fam.right, fam.dens):
+            assert Matrix.of_ints(QQ, QQ.mat_mul(left, right), den) == m
+        assert fam.ranks == [1, 3, 3, 1]
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
+def test_realize_reads_its_factors_at_the_row_blocks_without_an_echelon(field, monkeypatch):
+    def refused(self):
+        raise AssertionError("realize formed an echelon")
+
+    monkeypatch.setattr(Matrix, "echelon", refused)
+    for d in range(6):
+        real = realize(load_table(d), random_admissible_context(d, field, 904 + d), field)
+        at = 0
+        for i in range(d + 1):
+            block = range(at, at + comb(d, i))  # row block i: its C(d, i) labels
+            at = block.stop
+            for fam in (real.factors, real.dual_factors):
+                ints, den = fam.idems[i].form
+                assert fam.right[i] == [ints[k] for k in block] and fam.dens[i] == den * den
+                assert fam.left[i] == [[row[k] for k in block] for row in ints]
+        assert at == real.dim
 
 
 def reference_sum_checks(real):
@@ -437,18 +479,18 @@ def test_entrywise_sums_fail_off_idempotent_families(f):
 
 def test_sign_flips_that_realize_never_fail_the_two_sums():
     # once lagrange_idempotents returns, sum E_i = I and sum t_i E_i = A hold
-    # for any operator (poly.py): a flip of d3.txt that realizes fails other
-    # relations, never rel6 or rel7 (48 of the 96 trials realize, 264 failures)
+    # for any operator (poly.py): a graded flip of d3.txt fails other
+    # relations, never rel6 or rel7 (16 graded flips of 32, 48 trials, 264
+    # failures)
     table = load_table(3)
     realized, others = 0, 0
     for slot in coefficient_slots(table):
         mutated = with_negated_coefficient(table, *slot)
+        if not is_graded(mutated):
+            continue
         for k in range(3):
             ctx = random_admissible_context(3, FP, derive_seed(k << 32, 0))
-            try:
-                real = realize(mutated, ctx, FP)
-            except RealizationError:
-                continue
+            real = realize(mutated, ctx, FP)
             ids = [c.id.split(".")[0] for c in failed(verify_relations(real))]
             assert "rel6" not in ids and "rel7" not in ids
             realized += 1

@@ -27,6 +27,7 @@ from tdcheck.tables import (
     _Entry,
     _prec,
     bundled_table_text,
+    check_grading,
     evaluate,
     format_expr,
     load_table,
@@ -179,6 +180,12 @@ _needs_int_limit = pytest.mark.skipif(
     reason="int() accepts 5,000 digits on this interpreter",
 )
 _MIN_D1 = "# module-table v1\nd = 1\n\n[basis]\nphi\n\n[action a]\nphi : th0*phi\n\n[action astar]\nphi : ths0*phi\n"
+# d = 2 with lr (row index 0) in place of lr2: rows of 2, 1 and 1 labels
+_ROW_SIZES_D2 = (
+    "# module-table v1\nd = 2\n\n[basis]\nphi lr\nr\nr2\n\n"
+    "[action a]\nphi : th0*phi + r\nlr : th0*lr\nr : th1*r + r2\nr2 : th2*r2\n\n"
+    "[action astar]\nphi : ths0*phi\nlr : ths0*lr\nr : ths1*r + y1*phi\nr2 : ths2*r2 + r\n"
+)
 
 
 def _error_case(case_id, d, old, new, error, marks=()):
@@ -282,6 +289,14 @@ def _error_case(case_id, d, old, new, error, marks=()):
                     "action a: entry for phi must start with th0*phi"),
         _error_case("diagonal-coefficient-astar", 1, "r : ths1*r", "r : ths0*r",
                     "action astar: entry for r must start with ths1*r"),
+        _error_case("row-size", 2, bundled_table_text(2), _ROW_SIZES_D2,
+                    "row 0 holds 2 labels, expected C(2,0) = 1"),
+        _error_case("term-not-one-block-up", 1, "r : th1*r\n", "r : th1*r + phi\n",
+                    "action a: term phi of r must move one row block up, from row 1 to row 2"
+                    " at line 10, column 13"),
+        _error_case("term-not-one-block-down", 2, "r2 : ths2*r2 + lr2", "r2 : ths2*r2 + phi",
+                    "action astar: term phi of r2 must move one row block down, from row 2 to"
+                    " row 1 at line 19, column 16"),
     ],
 )
 def test_each_table_error_has_its_pinned_message(d, old, new, error):
@@ -291,6 +306,19 @@ def test_each_table_error_has_its_pinned_message(d, old, new, error):
         parse_table(text.replace(old, new, 1))
     if " at line " in error:  # the parser's own errors carry their place
         assert isinstance(err.value, ParseError)
+
+
+def test_a_table_built_past_the_parser_is_graded_without_a_position():
+    table = load_table(1)
+    r = parse_label("r")
+    check_grading(table)
+    lowered = table._replace(a_action={**table.a_action, r: table.a_action[r] + [(ONE, PHI)]})
+    with pytest.raises(ParseError, match="^action a: term phi of r must move one row block up,"
+                                         " from row 1 to row 2$"):
+        check_grading(lowered)
+    emptied = table._replace(astar_action={**table.astar_action, PHI: []})
+    with pytest.raises(TableError, match="^action astar: entry for phi must start with ths0\\*phi$"):
+        check_grading(emptied)
 
 
 @pytest.mark.parametrize("name", ["y01", "th00", "ths01", "eps00"])

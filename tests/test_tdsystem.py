@@ -1,3 +1,4 @@
+from collections import deque
 from fractions import Fraction
 from unittest.mock import ANY
 
@@ -91,17 +92,21 @@ def test_closure_rejects_zero_seed():
 
 
 # ---------------------------------------------------------------------------
-# irreducibility via the word-span criterion
+# irreducibility via the word-span criterion: the reference grows the span of
+# the words by matrix products, irreducibility_check reads two closures from
+# a rank-one member
 
 
 def test_one_dimensional_module_is_irreducible():
     a = Matrix(QQ, [[Fraction(3)]])
-    assert irreducibility_check(a, a)
+    assert reference_word_span_irreducible(a, a, QQ)
+    assert irreducibility_check(a, a, ([QQ.one], [QQ.one]))  # I = 1 1^T
 
 
 def test_diagonal_pair_is_reducible():
     a = Matrix(QQ, [fr([2, 0]), fr([0, 3])])
-    assert not irreducibility_check(a, a)
+    assert not reference_word_span_irreducible(a, a, QQ)
+    assert not irreducibility_check(a, a, rank_one_of(a.shift(Fraction(3))))
 
 
 def test_d1_realized_pair_spans_four_dimensions():
@@ -113,28 +118,32 @@ def test_d1_realized_pair_spans_four_dimensions():
         [field.one, field.one],
     )
     real = construct_from_params(pa, field, load_table(pa.d))
-    assert irreducibility_check(real.a, real.astar)
+    assert reference_word_span_irreducible(real.a, real.astar, field)
+    (w,) = real.dual_factors.right[0]  # e*_0's row; phi generates the module
+    assert irreducibility_check(real.a, real.astar, (None, w))
 
 
 def test_three_dimensional_burnside_sanity():
     # diagonal with distinct entries plus a cyclic shift generate all of M_3
     a = Matrix(QQ, [fr([0, 0, 0]), fr([0, 1, 0]), fr([0, 0, 2])])
     astar = Matrix(QQ, [fr([0, 1, 0]), fr([0, 0, 1]), fr([1, 0, 0])])
-    assert irreducibility_check(a, astar)
+    assert reference_word_span_irreducible(a, astar, QQ)
+    assert irreducibility_check(a, astar, rank_one_of(a * a.shift(QQ.one)))  # diag(0, 0, 2)
 
 
 def reference_word_span_irreducible(a, astar, field):
-    """The word span grown by matrix products: BFS over words, flattened."""
+    """The word span grown by matrix products: BFS over words, shortest
+    first, each flattened to its integer form (a multiple of the word: the
+    same line)."""
     n = a.nrows
     basis = EchelonBasis(field, n * n)
-    ident = Matrix.identity(field, n)
-    basis.add([x for row in elements(ident) for x in row])
-    queue = [ident]
+    queue = deque([Matrix.identity(field, n)])
+    basis.add([int(i == j) for i in range(n) for j in range(n)], True)
     while queue:
-        m = queue.pop()
+        m = queue.popleft()
         for g in (a, astar):
             prod = g * m
-            if basis.add([x for row in elements(prod) for x in row]):
+            if basis.add([x for row in prod.form[0] for x in row], True):
                 queue.append(prod)
     return basis.dim == n * n
 
@@ -158,19 +167,6 @@ def random_pairs(field, seed):
         yield trial, k, a, draw()
 
 
-@pytest.mark.parametrize(
-    "field,seed", [(QQ, 31), (PrimeField(7), 32)], ids=["qq", "f7"]
-)
-def test_word_span_closure_matches_matrix_product_reference(field, seed):
-    verdicts = set()
-    for trial, k, a, astar in random_pairs(field, seed):
-        want = reference_word_span_irreducible(a, astar, field)
-        assert not (k and want), trial  # a block-triangular pair is reducible
-        assert irreducibility_check(a, astar) == want, (trial, elements(a), elements(astar))
-        verdicts.add(want)
-    assert verdicts == {True, False}
-
-
 # ---------------------------------------------------------------------------
 # irreducibility from a rank-one member: two closures against the word span
 
@@ -192,9 +188,20 @@ def rank_one_idempotents(a, astar, theta, theta_star):
     return [m for fam in families for e in fam.idems if (m := rank_one_of(e))]
 
 
+def rank_one_word(a, astar):
+    """(v, w) of a rank-one member among the words of length at most 3 and,
+    over a prime field, the shifts g - c I of either operator; else None."""
+    field = a.field
+    shifts = range(field.p) if field.kind == "fp" else ()
+    words = [a, astar] + [g.shift(field.from_int(c)) for g in (a, astar) for c in shifts]
+    words += [x * y for x in (a, astar) for y in (a, astar)]
+    words += [x * y for x in words[-4:] for y in (a, astar)]
+    return next(filter(None, map(rank_one_of, words)), None)
+
+
 def assert_routes_agree(a, astar, members):
-    """Every rank-one member decides as the Kronecker word span; the verdict."""
-    want = irreducibility_check(a, astar)
+    """Every rank-one member decides as the reference word span; the verdict."""
+    want = reference_word_span_irreducible(a, astar, a.field)
     for m in members:
         assert irreducibility_check(a, astar, m) == want
     return want
@@ -240,17 +247,16 @@ def test_two_closures_match_the_word_span_on_a_restricted_pair(field):
     "field,seed", [(QQ, 31), (PrimeField(7), 32)], ids=["qq", "f7"]
 )
 def test_two_closures_match_the_word_span_on_random_pairs(field, seed):
-    # a rank-one member found among the words of length at most 3 and, over
-    # F_7, the shifts g - c I of either operator
-    shifts = range(field.p) if field.kind == "fp" else ()
-    verdicts = []
-    for trial, _, a, astar in random_pairs(field, seed):
-        words = [a, astar] + [g.shift(field.from_int(c)) for g in (a, astar) for c in shifts]
-        words += [x * y for x in (a, astar) for y in (a, astar)]
-        words += [x * y for x in words[-4:] for y in (a, astar)]
-        member = next(filter(None, map(rank_one_of, words)), None)
+    # a rank-one member found among short words (rank_one_word)
+    verdicts, spans = [], set()
+    for trial, k, a, astar in random_pairs(field, seed):
+        want = reference_word_span_irreducible(a, astar, field)
+        assert not (k and want), trial  # a block-triangular pair is reducible
+        spans.add(want)
+        member = rank_one_word(a, astar)
         if member is not None:
             verdicts.append(assert_routes_agree(a, astar, [member]))
+    assert spans == {True, False}
     assert set(verdicts) == ({True} if field is QQ else {True, False}), verdicts
 
 
@@ -266,7 +272,7 @@ def test_extraction_at_d4_from_phi_plus_r_takes_the_rank_one_route(monkeypatch):
     assert tds.closure_dim == 16 and ("tds.split.proportional.0", ANY) in tds.axiom_failures
     assert "irreducibility via full word-span dimension (fallback)" in tds.notes
     assert calls and {len(seed) for _, _, seed, _ in calls} == {16}  # none 256 wide
-    assert tds.irreducible is irreducibility_check(real.a, real.astar) is True
+    assert tds.irreducible is reference_word_span_irreducible(real.a, real.astar, FP) is True
 
 
 @pytest.mark.parametrize(
@@ -304,6 +310,20 @@ def test_diagonal_pair_fails_the_support_and_shape_axioms(a, astar, failures):
     ]
 
 
+def test_extraction_without_a_rank_one_end_idempotent_leaves_irreducibility_undetermined():
+    # a = diag(0, 0, 1, 1), a* = diag(0, 1, 0, 1): every idempotent has rank 2,
+    # and phi = (1, 1, 1, 1) generates the module
+    def diag(xs):
+        return Matrix(QQ, [[Fraction(x) if i == j else QQ.zero for j in range(4)]
+                           for i, x in enumerate(xs)])
+
+    tds = extract_td_system(diag([0, 0, 1, 1]), diag([0, 1, 0, 1]), fr([1] * 4), fr([0, 1]),
+                            fr([0, 1]), None)
+    assert (tds.closure_dim, tds.shape, tds.irreducible) == (4, [2, 2], None)
+    assert "irreducibility undetermined: no end idempotent has rank 1" in tds.notes
+    assert not any(cid == "tds.irreducible" for cid, _ in tds.axiom_failures)
+
+
 @pytest.mark.parametrize("coupled", [False, True], ids=["direct-sum", "extension"])
 @pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
 def test_padded_reducible_pair_above_the_span_limit_is_reducible_by_both_routes(
@@ -333,7 +353,7 @@ def test_padded_reducible_pair_above_the_span_limit_is_reducible_by_both_routes(
     assert ("tds.irreducible", "a proper invariant subspace exists") in tds.axiom_failures
     assert "irreducibility via full word-span dimension (fallback)" in tds.notes
     assert {len(seed) for _, _, seed, _ in calls} == {9}  # none 81 wide
-    assert irreducibility_check(a, astar) is False
+    assert reference_word_span_irreducible(a, astar, field) is False
     _, dual = idempotent_families(a, astar, ctx.theta, ctx.theta_star)
     (w,) = dual.right[0]  # an integer row
     assert (submodule_closure(a.transpose(), astar.transpose(), w).dim == 9) is coupled
@@ -375,20 +395,29 @@ def qq_echelon_adds(monkeypatch):
 
 
 def test_image_certified_word_span_matches_reference_over_q(monkeypatch):
-    # the pairs of the reference test above: a full span mod p decides True,
-    # anything else falls back to the exact span
-    from_image = set()
-    for trial, _, a, astar in random_pairs(QQ, 31):
+    # each closure of a rank-one member runs on the image mod p first: full
+    # images decide True, a short one falls back to the exact loop.  The
+    # pairs: the random pairs with a rank-one word, a reducible diagonal pair
+    # and an irreducible one whose image is short, a* being 0 mod p
+    diag = Matrix(QQ, [fr([1, 0]), fr([0, 2])])
+    pairs = [(a, astar, rank_one_word(a, astar)) for _, _, a, astar in random_pairs(QQ, 31)]
+    pairs += [(diag, diag, rank_one_of(diag.shift(QQ.one))),
+              (diag, Matrix(QQ, [fr([0, P]), fr([P, 0])]), rank_one_of(diag.shift(QQ.one)))]
+    seen = set()
+    for trial, (a, astar, member) in enumerate(pairs):
+        if member is None:
+            continue
         want = reference_word_span_irreducible(a, astar, QQ)
         with monkeypatch.context() as m:
             calls, adds = closure_calls(m), qq_echelon_adds(m)
-            assert irreducibility_check(a, astar) == want, trial
-        (kind, _, _, dim), _ = calls  # the image, then the closure over Q
-        on_image = dim == a.nrows ** 2
-        assert kind == "fp" and (want or not on_image), trial  # full mod p is full over Q
+            assert irreducibility_check(a, astar, member) == want, trial
+        kinds = [kind for kind, *_ in calls]
+        assert kinds == ["fp", "qq"] * (len(kinds) // 2), trial  # the image, then over Q
+        on_image = all(dim == a.nrows for kind, _, _, dim in calls if kind == "fp")
+        assert want or not on_image, trial  # full mod p is full over Q
         assert bool(adds) != on_image, trial  # only a short image runs the exact loop
-        from_image.add(on_image)
-    assert from_image == {True, False}
+        seen.add((on_image, want))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_image_closure_can_be_short_where_the_exact_closure_is_full(monkeypatch):
