@@ -131,10 +131,10 @@ def test_three_dimensional_burnside_sanity():
     assert irreducibility_check(a, astar, rank_one_of(a * a.shift(QQ.one)))  # diag(0, 0, 2)
 
 
-def reference_word_span_irreducible(a, astar, field):
+def reference_word_span(a, astar, field):
     """The word span grown by matrix products: BFS over words, shortest
     first, each flattened to its integer form (a multiple of the word: the
-    same line)."""
+    same line).  The span's reduced echelon basis."""
     n = a.nrows
     basis = EchelonBasis(field, n * n)
     queue = deque([Matrix.identity(field, n)])
@@ -145,7 +145,12 @@ def reference_word_span_irreducible(a, astar, field):
             prod = g * m
             if basis.add([x for row in prod.form[0] for x in row], True):
                 queue.append(prod)
-    return basis.dim == n * n
+    return basis
+
+
+def reference_word_span_irreducible(a, astar, field):
+    """Does the reference word span have dimension n^2?"""
+    return reference_word_span(a, astar, field).dim == a.nrows ** 2
 
 
 def random_pairs(field, seed):
@@ -248,16 +253,35 @@ def test_two_closures_match_the_word_span_on_a_restricted_pair(field):
 )
 def test_two_closures_match_the_word_span_on_random_pairs(field, seed):
     # a rank-one member found among short words (rank_one_word)
-    verdicts, spans = [], set()
-    for trial, k, a, astar in random_pairs(field, seed):
-        want = reference_word_span_irreducible(a, astar, field)
-        assert not (k and want), trial  # a block-triangular pair is reducible
-        spans.add(want)
+    verdicts = []
+    for trial, _, a, astar in random_pairs(field, seed):
         member = rank_one_word(a, astar)
         if member is not None:
             verdicts.append(assert_routes_agree(a, astar, [member]))
-    assert spans == {True, False}
     assert set(verdicts) == ({True} if field is QQ else {True, False}), verdicts
+
+
+@pytest.mark.parametrize(
+    "field,seed", [(QQ, 31), (PrimeField(7), 32)], ids=["qq", "f7"]
+)
+def test_word_span_closure_matches_matrix_product_reference(field, seed):
+    # the rank-one members read from the reference span's reduced echelon
+    # basis: all n^2 unit matrices when the span is full
+    verdicts = set()
+    for trial, k, a, astar in random_pairs(field, seed):
+        n = a.nrows
+        span = reference_word_span(a, astar, field)
+        want = span.dim == n * n
+        assert not (k and want), trial  # a block-triangular pair is reducible
+        rows, _ = span.form
+        flat = (Matrix.of_ints(field, [row[i : i + n] for i in range(0, n * n, n)])
+                for row in rows)
+        members = [m for m in map(rank_one_of, flat) if m]
+        assert len(members) >= (n * n if want else 0), trial
+        for m in members:
+            assert irreducibility_check(a, astar, m) == want, (trial, m)
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_extraction_at_d4_from_phi_plus_r_takes_the_rank_one_route(monkeypatch):
