@@ -1,13 +1,12 @@
 """Realize a module table at a specialization context and machine-check it.
 
 realize() turns the symbolic table into two exact matrices acting on the
-2^d-dimensional module and builds both families of primitive idempotents
-(idempotent_families, shared with the round-trip extraction).  Each family
-is one RankFactors object, which holds the e_i beside their rank factors,
-read off the table's split grading; a ModuleRealization is the table, the
-context, the pair and those two objects, and everything else it offers (e,
-e*, d, the basis) is read from them.  The check operations then verify, as
-exact matrix identities:
+2^d-dimensional module; a ModuleRealization is the table, the context and
+that pair.  Each family of primitive idempotents is built on first read by
+idempotent_family (shared with the round-trip extraction) as one RankFactors
+object, the e_i beside their rank factors read off the table's split
+grading: shape builds no family, the weight certificate only e*.  The check
+operations then verify, as exact matrix identities:
 
   * the defining relations of the generator algebra: idempotent orthogonality
     and completeness, eigenvalue reconstruction, and the band conditions
@@ -37,6 +36,7 @@ Any failed identity is reported with enough coordinates to replay it.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate
 from math import comb
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
@@ -82,7 +82,8 @@ class RankFactors(NamedTuple):
     @classmethod
     def of(cls, idems: List[Matrix], blocks: Optional[List[range]] = None) -> "RankFactors":
         """Each e_i's factors at U_i = blocks[i], where e_i[U_i, U_i] = I and
-        rank e_i = |U_i| (realize); without blocks, from e_i's echelon form."""
+        rank e_i = |U_i| (idempotent_family); without blocks, from e_i's
+        echelon form."""
         right, left, dens = [], [], []
         for i, m in enumerate(idems):
             ints, den = m.form
@@ -137,16 +138,23 @@ class RankFactors(NamedTuple):
             yield {(i, j): [row[at[j]] for row in prod[up[i]]] for i, j in pairs}
 
 
-class ModuleRealization(NamedTuple):
-    """A table realized at one context: the pair and the rank factors of
-    its two idempotent families (of a, then of a*)."""
+class ModuleRealization:
+    """A table realized at one context: the pair, and the rank factors of
+    its two idempotent families (of a, then of a*), each built on first read
+    (idempotent_family, which may raise RealizationError)."""
 
-    table: ModuleTable
-    context: SpecializationContext
-    a: Matrix
-    astar: Matrix
-    factors: RankFactors
-    dual_factors: RankFactors
+    def __init__(self, table: ModuleTable, context: SpecializationContext,
+                 a: Matrix, astar: Matrix):
+        self.table, self.context, self.a, self.astar = table, context, a, astar
+
+    @cached_property
+    def factors(self) -> RankFactors:
+        return idempotent_family("a", self.a, self.context.theta, self.table.row_blocks)
+
+    @cached_property
+    def dual_factors(self) -> RankFactors:
+        return idempotent_family("astar", self.astar, self.context.theta_star,
+                                 self.table.row_blocks)
 
     @property
     def e(self) -> List[Matrix]:
@@ -189,38 +197,26 @@ def context_env(ctx: SpecializationContext) -> Dict[str, object]:
     return env
 
 
-def idempotent_families(
-    a: Matrix, astar: Matrix, theta: List, theta_star: List,
-    blocks: Optional[List[range]] = None,
-) -> Tuple[RankFactors, RankFactors]:
-    """Both Lagrange families of the pair with their rank factors (of e,
-    of e*), read at blocks if given (RankFactors.of).
-
-    Raises RealizationError naming minpoly.a and/or minpoly.astar when the
-    eigenvalue list does not annihilate its operator.
-    """
-    families: List[List[Matrix]] = []
-    failures: List[Tuple[str, str]] = []
-    for tag, op, values in (("a", a, theta), ("astar", astar, theta_star)):
-        try:
-            families.append(lagrange_idempotents(op, values))
-        except MinimalPolynomialError as err:
-            failures.append((f"minpoly.{tag}", str(err)))
-    if failures:
-        raise RealizationError(failures)
-    e, estar = families
-    return RankFactors.of(e, blocks), RankFactors.of(estar, blocks)
+def idempotent_family(
+    tag: str, op: Matrix, values: List, blocks: Optional[List[range]] = None
+) -> RankFactors:
+    """The Lagrange family of op for the eigenvalue list, with its rank
+    factors read at blocks if given (RankFactors.of); RealizationError names
+    minpoly.<tag> when the list does not annihilate op.  On a graded table
+    (tables.check_grading) A - th_j raises row block U_j into U_{j+1}, so
+    prod (A - th_k) = 0 and e_i is block triangular with diagonal blocks
+    delta_ij I, of rank |U_i| = C(d, i); likewise for A*, which lowers."""
+    try:
+        return RankFactors.of(lagrange_idempotents(op, values), blocks)
+    except MinimalPolynomialError as err:
+        raise RealizationError([(f"minpoly.{tag}", str(err))]) from None
 
 
 def realize(
     table: ModuleTable, ctx: SpecializationContext, field: Field
 ) -> ModuleRealization:
-    """Evaluate the table at ctx and build both idempotent families.
-
-    The table must be graded (tables.check_grading, which parse_table runs):
-    on the row blocks U_j, A - th_j raises U_j into U_{j+1}, so prod (A - th_k)
-    = 0 and e_i is block triangular with diagonal blocks delta_ij I, of rank
-    |U_i| = C(d, i); likewise for A*.  The factors are read at the blocks."""
+    """Evaluate the table at ctx into the pair (a, a*); the idempotent
+    families are built when a check first reads them."""
     if table.d != ctx.d:
         raise ValueError(f"table is for d={table.d}, context for d={ctx.d}")
     env = context_env(ctx)
@@ -239,13 +235,7 @@ def realize(
             cols.append(col)
         return Matrix(field, zip(*cols))
 
-    a = assemble(table.a_action)
-    astar = assemble(table.astar_action)
-
-    starts = list(accumulate((comb(table.d, j) for j in range(table.d + 1)), initial=0))
-    blocks = [range(s, t) for s, t in zip(starts, starts[1:])]
-    families = idempotent_families(a, astar, ctx.theta, ctx.theta_star, blocks)
-    return ModuleRealization(table, ctx, a, astar, *families)
+    return ModuleRealization(table, ctx, assemble(table.a_action), assemble(table.astar_action))
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +381,12 @@ def corner_identities(real: ModuleRealization) -> List[bool]:
 
 
 def shape_check(real: ModuleRealization) -> List[Check]:
-    """Idempotent ranks: binomials C(d,i), symmetric and unimodal."""
-    d = real.d
-    ranks, dual_ranks = real.factors.ranks, real.dual_factors.ranks
-    checks = []
-    for i in range(d + 1):
-        want = comb(d, i)
-        for tag, r in (("e", ranks), ("es", dual_ranks)):
-            checks.append(Check(f"shape.{tag}.{i}", r[i] == want, f"rank {r[i]}, expected {want}"))
+    """Idempotent ranks: binomials C(d,i), symmetric and unimodal.  e_i and
+    e*_i have rank |U_i| (idempotent_family): the row-block sizes are read,
+    and no family is built."""
+    d, ranks = real.d, [len(block) for block in real.table.row_blocks]
+    checks = [Check(f"shape.{tag}.{i}", r == comb(d, i), f"rank {r}, expected {comb(d, i)}")
+              for i, r in enumerate(ranks) for tag in ("e", "es")]
     sym = all(ranks[i] == ranks[d - i] for i in range(d + 1))
     uni = all(ranks[i - 1] <= ranks[i] for i in range(1, d // 2 + 1))
     return checks + [

@@ -17,7 +17,8 @@ terms as it is read.  Nesting is at most MAX_EXPR_DEPTH deep, so no table
 can exhaust the recursion.  parse_table checks the header, the sections and
 the block structure in the same pass, then the split grading
 (check_grading); a ModuleTable holds only d, the basis (in file order) and
-the two actions.
+the two actions, and reads its row blocks off the basis.  Every token keeps
+the line and column it was read at, continuation lines included.
 
 Parsing is loss-free: the printer in tests/test_tables.py re-serializes every
 parsed bundled table byte for byte.  format_expr stays here for the
@@ -32,7 +33,7 @@ per trial (411 distinct operator nodes of 1,455 at d = 5).
 from __future__ import annotations
 
 import re
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from math import comb
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
@@ -290,23 +291,21 @@ _LABEL_TOKEN_RE = re.compile(r"phi|(?:[lr][0-9]*)+")
 
 
 class _Entry:
-    """The tokens of one entry line, the read position, the parenthesis depth
-    and `shared`, the nodes of the table read so far; once read, `cols` holds
-    the column at which each term starts."""
+    """The tokens of one entry, read from its line and continuation lines
+    ((number, text) pairs) with the line and column of each, the read
+    position, the parenthesis depth and `shared`, the nodes of the table read
+    so far; once read, `places` holds the (line, column) of each term."""
 
-    def __init__(self, text: str, line_no: int, d: int, basis: set, shared: dict):
-        self.text = text
-        self.line_no = line_no
-        self.d = d
-        self.basis = basis
-        self.shared = shared
-        self.toks: List[Tuple[str, str, int]] = []  # (kind, text, offset)
-        for m in _TOKEN_RE.finditer(text):
-            kind = m.lastgroup
-            if kind == "bad":
-                raise ParseError(f"unexpected character {m.group(kind)!r}", line_no,
-                                 m.start(kind) + 1)
-            self.toks.append((kind, m.group(kind), m.start(kind)))
+    def __init__(self, lines: List[Tuple[int, str]], d: int, basis: set, shared: dict):
+        self.d, self.basis, self.shared = d, basis, shared
+        self.toks: List[Tuple[str, str, Tuple[int, int]]] = []  # (kind, text, (line, column))
+        for no, text in lines:
+            for m in _TOKEN_RE.finditer(text):
+                kind, place = m.lastgroup, (no, m.start(m.lastgroup) + 1)
+                if kind == "bad":
+                    raise ParseError(f"unexpected character {m.group(kind)!r}", *place)
+                self.toks.append((kind, m.group(kind), place))
+        self.end = no, len(text.rstrip())  # where an entry cut short ends
         self.i = 0
         self.depth = 0  # parenthesis nesting at the current token
 
@@ -348,7 +347,7 @@ class _Entry:
             raise self.error(f"expected {op!r}, found {tok[1]!r}", tok)
 
     def error(self, msg: str, tok=None) -> ParseError:
-        return ParseError(msg, self.line_no, tok[2] + 1 if tok else len(self.text))
+        return ParseError(msg, *(tok[2] if tok else self.end))
 
     # entry := LABEL ':' term (('+'|'-') term)*
     def read(self) -> Tuple[BasisLabel, List[Tuple[Expr, BasisLabel]]]:
@@ -367,7 +366,7 @@ class _Entry:
         for op, start, node in summands:
             coeff, label = self.term(node, start)
             terms.append((self.share(Neg(coeff)) if op == "-" else coeff, label))
-        self.cols = [start[2] + 1 for _, start, _ in summands]
+        self.places = [start[2] for _, start, _ in summands]
         return source, terms
 
     def term(self, node, start) -> Tuple[Expr, BasisLabel]:
@@ -414,7 +413,7 @@ class _Entry:
         tok = self.next()
         if tok[0] != "num":
             raise self.error("exponent must be an integer", tok)
-        exp = _int(tok[1], self.line_no, tok[2] + 1)
+        exp = _int(tok[1], *tok[2])
         if exp > MAX_EXPONENT:
             raise self.error(f"exponent exceeds {MAX_EXPONENT} in absolute value", tok)
         return self.share(Pow(base, sign * exp))
@@ -425,7 +424,7 @@ class _Entry:
         if text in self.shared:  # a number or scalar name read before, checked then
             return self.shared[text]
         if kind == "num":
-            return self.shared.setdefault(text, Num(_int(text, self.line_no, pos + 1)))
+            return self.shared.setdefault(text, Num(_int(text, *pos)))
         if kind == "ident":
             is_label = _LABEL_TOKEN_RE.fullmatch(text)
             if is_label and self.depth:
@@ -463,12 +462,19 @@ class ModuleTable(NamedTuple):
     a_action: Action
     astar_action: Action
 
+    @property
+    def row_blocks(self) -> List[range]:
+        """U_0..U_d: the basis positions of each row block, in file order."""
+        rows = [label.row_index for label in self.basis]  # ascending in a parsed table
+        return [range(bisect_left(rows, j), bisect_right(rows, j)) for j in range(self.d + 1)]
+
 
 def parse_table(text: str) -> ModuleTable:
     """Parse one table file; structural invariants are checked."""
     raw_lines = text.splitlines()
-    # join continuation lines (indented) onto their entry line
+    # join continuation lines (indented) onto their entry line; keep each entry's lines
     logical: List[Tuple[int, str]] = []
+    lines: Dict[int, list] = {}
     for no, line in enumerate(raw_lines, start=1):
         if not line.strip():
             continue
@@ -476,6 +482,7 @@ def parse_table(text: str) -> ModuleTable:
             logical[-1] = (logical[-1][0], logical[-1][1] + " " + line.strip())
         else:
             logical.append((no, line.rstrip()))
+        lines.setdefault(logical[-1][0], []).append((no, line))
     if not logical or logical[0][1] != f"# {FORMAT_VERSION}":
         raise ParseError(f"missing format header '# {FORMAT_VERSION}'", 1)
     body = logical[1:]
@@ -512,16 +519,16 @@ def parse_table(text: str) -> ModuleTable:
 
     actions: List[Action] = []
     shared: dict = {}  # identical coefficient subtrees are one node
-    places: dict = {}  # (generator, source) -> (line, each term's column)
+    places: dict = {}  # (generator, source) -> (line, column) of each term
     for key in ("action a", "action astar"):
         action: Action = {}
         for no, line in sections[key]:
-            entry = _Entry(line, no, d, basis_set, shared)
+            entry = _Entry(lines[no], d, basis_set, shared)
             src, terms = entry.read()
             if src in action:
                 raise ParseError(f"duplicate entry for {src}", no)
             action[src] = terms
-            places[key[7:], src] = (no, entry.cols)
+            places[key[7:], src] = entry.places
         if list(action) != basis:
             raise ParseError(f"[{key}] entries must follow basis order exactly")
         actions.append(action)
@@ -543,12 +550,12 @@ def check_grading(table: ModuleTable, places: Optional[dict] = None) -> None:
     labels, and each entry is its diagonal term (th j or ths j times the
     label), then terms that move one row block, up under a, down under astar:
     the split decomposition of a TD system (Ito, Tanabe and Terwilliger, Linear
-    Algebra Appl. 330, 2001) that realize reads its rank factors off.  places
-    maps (generator, source) to the entry's line and its terms' columns."""
-    d, sizes = table.d, Counter(label.row_index for label in table.basis)
-    for j, size in enumerate(comb(d, j) for j in range(d + 1)):
-        if sizes[j] != size:
-            raise TableError(f"row {j} holds {sizes[j]} labels, expected C({d},{j}) = {size}")
+    Algebra Appl. 330, 2001) that the realization reads its rank factors off.
+    places maps (generator, source) to each term's (line, column)."""
+    d = table.d
+    for j, size in enumerate(map(len, table.row_blocks)):
+        if size != comb(d, j):
+            raise TableError(f"row {j} holds {size} labels, expected C({d},{j}) = {comb(d, j)}")
     for gen, prefix, step, action in (("a", "th", 1, table.a_action),
                                       ("astar", "ths", -1, table.astar_action)):
         for src, terms in action.items():
@@ -558,11 +565,10 @@ def check_grading(table: ModuleTable, places: Optional[dict] = None) -> None:
                 raise TableError(f"action {gen}: entry for {src} must start with {want.text}*{src}")
             for k, (_, label) in enumerate(terms[1:], 1):
                 if label.row_index != j + step:
-                    line, cols = places[gen, src] if places else (None, [None] * len(terms))
                     raise ParseError(
                         f"action {gen}: term {label} of {src} must move one row block"
                         f" {'up' if step > 0 else 'down'}, from row {j} to row {j + step}",
-                        line, cols[k])
+                        *(places[gen, src][k] if places else ()))
 
 
 def bundled_table_text(d: int, assets: Optional[Path] = None) -> str:

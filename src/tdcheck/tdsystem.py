@@ -12,7 +12,7 @@ phi, checks the tridiagonal axioms on it (diagonalizability over the lists,
 interval supports, band conditions, irreducibility), and reads back the
 shape and the split sequence.  roundtrip() compares the recovered data with
 the array.  Both directions read the pair through realization's helpers:
-the families and their rank factors from idempotent_families (the supports
+each family and its rank factors from idempotent_family (the supports
 are the nonzero ranks, the shape the dual ranks over the support), the band
 conditions e_i X e_j = 0 as the blocks R_i X B_j (level 1 of
 RankFactors.blocks; a restricted idempotent may have rank 0, and its blocks
@@ -61,9 +61,9 @@ An operator restricted to W is its rows at the pivots of W's reduced
 echelon basis times that basis transposed (linalg.restrict), and phi's
 coordinates are its entries at those pivots.  When the closure of phi is the
 whole module, the restriction is the pair itself, and the caller may pass
-the pair's two idempotent families at the same lists (roundtrip passes
-realize's) instead of having them rebuilt; on a proper W they are always
-rebuilt from the restriction.
+the pair's two idempotent families at the same lists (roundtrip passes the
+realization's, read as part of construction) instead of having them
+rebuilt; on a proper W they are always rebuilt from the restriction.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from .realization import (
     RankFactors,
     RealizationError,
     corner_identities,
-    idempotent_families,
+    idempotent_family,
     realize,
     split_sequence,
 )
@@ -105,7 +105,8 @@ class ConstructionError(ValueError):
 def construct_from_params(
     pa: ParameterArray, field: Field, table: ModuleTable
 ) -> ModuleRealization:
-    """Realize the table at (theta, theta_star, y := zeta); assert g_i phi = 0."""
+    """Realize the table at (theta, theta_star, y := zeta); assert g_i phi = 0,
+    which builds the dual family only."""
     result = validate_parameter_array(pa, field)
     if not result.passed:
         raise InvalidParameterArrayError(result.failures)
@@ -216,8 +217,8 @@ def extract_td_system(
 ) -> TDSystemReport:
     """Restrict the pair to the closure of phi and check the axioms against
     the eigenvalue lists.  families is the pair's (factors of e, factors of
-    e*) at these lists, as idempotent_families returns them, or None to
-    build them; it is read only when phi generates the module."""
+    e*) at these lists, as idempotent_family builds them, or None to build
+    them; it is read only when phi generates the module."""
     field, n = a.field, a.nrows
     d = len(theta) - 1
     failures: List[Tuple[str, str]] = []
@@ -234,7 +235,8 @@ def extract_td_system(
     try:
         factors, dual_factors = (
             families if families is not None and dim_w == n
-            else idempotent_families(a_sub, astar_sub, theta, theta_star)
+            else (idempotent_family("a", a_sub, theta),
+                  idempotent_family("astar", astar_sub, theta_star))
         )
     except RealizationError as err:
         return TDSystemReport(
@@ -352,6 +354,7 @@ def roundtrip(pa: ParameterArray, field: Field, table: ModuleTable) -> Verificat
     )
     try:
         real = construct_from_params(pa, field, table)
+        families = real.factors, real.dual_factors
     except InvalidParameterArrayError as err:
         rep.add("tds.valid", False, "; ".join(cid for cid, _ in err.failures))
         return rep
@@ -367,7 +370,7 @@ def roundtrip(pa: ParameterArray, field: Field, table: ModuleTable) -> Verificat
 
     ctx = real.context
     tds = extract_td_system(real.a, real.astar, real.basis_vector(real.basis[0]), ctx.theta,
-                            ctx.theta_star, (real.factors, real.dual_factors))
+                            ctx.theta_star, families)
     rep.add(
         "tds.closure",
         True,

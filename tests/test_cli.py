@@ -365,21 +365,76 @@ def test_a_table_that_lowers_under_a_is_a_usage_error_at_its_term(tmp_path, caps
                    " to row 2 at line 10, column 13\n")
 
 
-def test_a_sweep_whose_realize_raises_fails_each_trial_at_realize():
-    # the same table built in a test, past the parser: (a - th0)(a - th1) is
-    # no longer 0, so every trial fails realize's minimal-polynomial assert
-    # before any rank factor is read, and runs no relation check
-    from tdcheck.fields import PrimeField
+def lowered_d1_table():
+    """d1.txt with r -> phi added to a, built past the parser: (a - th0)(a - th1)
+    is no longer 0, so the family of a fails its minimal polynomial."""
     from tdcheck.tables import ONE, PHI, load_table, parse_label
 
     table = load_table(1)
     r = parse_label("r")
-    table = table._replace(a_action={**table.a_action, r: table.a_action[r] + [(ONE, PHI)]})
+    return table._replace(a_action={**table.a_action, r: table.a_action[r] + [(ONE, PHI)]})
+
+
+def test_a_sweep_whose_realize_raises_fails_each_trial_at_realize():
+    # the relation suite reads the family of a first, so every trial fails at
+    # realize's minimal-polynomial assert before any rank factor is read, and
+    # runs no relation check
+    from tdcheck.fields import PrimeField
+
+    table = lowered_d1_table()
     checks = [c for t in range(2)
               for c in suites._trial_checks("verify-appendix", table, PrimeField(), 0, t)]
     assert [c.id for c in checks] == ["t000.realize.minpoly.a", "t001.realize.minpoly.a"]
     assert all(c.detail.endswith(": minimal polynomial check failed: product has rank 2,"
                                  " expected 0") and not c.passed for c in checks)
+
+
+@pytest.mark.parametrize("command", ["verify-appendix", "mu-certificate", "shape", "zz-rank",
+                                     "tds-roundtrip"])
+def test_a_table_built_past_the_parser_fails_only_a_sweep_that_reads_its_family(command):
+    # a sweep that builds the family of a fails at realize (the round trip at
+    # tds.construct, inside its report); shape and the weight certificate never
+    # build it, and the family of a* passes its minimal polynomial
+    from tdcheck.fields import PrimeField
+
+    checks = suites._trial_checks(command, lowered_d1_table(), PrimeField(), 0, 0)
+    failed = [(c.id, c.detail.split(": ", 1)[1]) for c in checks if not c.passed]
+    minpoly = "minimal polynomial check failed: product has rank 2, expected 0"
+    assert failed == {
+        "verify-appendix": [("t000.realize.minpoly.a", minpoly)],
+        "mu-certificate": [],
+        "shape": [],
+        "zz-rank": [("t000.realize.minpoly.a", minpoly)],
+        "tds-roundtrip": [("t000.tds.construct", "minpoly.a: " + minpoly)],
+    }[command]
+
+
+def test_each_sweep_builds_only_the_idempotent_families_it_reads(monkeypatch):
+    # shape reads the row blocks, the weight certificate e*_0 alone; the
+    # relation suite, the feasible-word walk and the round trip read both
+    # families, each built once per trial
+    from tdcheck import realization
+    from tdcheck.fields import PrimeField
+    from tdcheck.tables import load_table
+
+    calls = []
+    lagrange = realization.lagrange_idempotents
+
+    def counted(op, values):
+        calls.append(1)
+        return lagrange(op, values)
+
+    monkeypatch.setattr(realization, "lagrange_idempotents", counted)
+    table, counts = load_table(3), {}
+    for command in suites.SWEEPS:
+        for t in range(2):
+            calls.clear()
+            checks = suites._trial_checks(command, table, PrimeField(), 0, t)
+            assert all(c.passed for c in checks)
+            counts[command, t] = len(calls)
+    assert counts == {(command, t): n for command, n in (
+        ("verify-appendix", 2), ("mu-certificate", 1), ("shape", 0), ("zz-rank", 2),
+        ("tds-roundtrip", 2)) for t in range(2)}
 
 
 @pytest.mark.parametrize(

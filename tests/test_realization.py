@@ -283,10 +283,9 @@ def test_sliced_and_echelon_factors_give_the_same_relation_checks_on_graded_edit
     failing = 0
     for kind, slot, edited in edits[::19 if d == 5 else 1]:
         real = realize(edited, ctx, field)
-        echelon = real._replace(factors=RankFactors.of(real.e),
-                                dual_factors=RankFactors.of(real.estar))
         got = relation_triples(real)
-        assert got == relation_triples(echelon), (kind, slot)
+        real.factors, real.dual_factors = RankFactors.of(real.e), RankFactors.of(real.estar)
+        assert got == relation_triples(real), (kind, slot)
         failing += not all(ok for _, ok, _ in got)
     assert failing or d == 1
 
@@ -298,9 +297,9 @@ def test_block_relations_match_full_sandwiches_off_idempotent_families():
     real = realize(load_table(3), ctx, FP)
     e = [mat_add(real.e[0], real.e[1]), zero_matrix(FP, real.dim), scaled(real.e[2], 2), real.e[3]]
     estar = [real.estar[0], mat_add(real.estar[1], real.estar[3]), real.a * real.a, real.estar[3]]
-    bent = real._replace(factors=RankFactors.of(e), dual_factors=RankFactors.of(estar))
-    want = reference_relation_checks(bent)
-    assert relation_triples(bent) == want
+    real.factors, real.dual_factors = RankFactors.of(e), RankFactors.of(estar)
+    want = reference_relation_checks(real)
+    assert relation_triples(real) == want
     failed = {cid.split(".")[0] for cid, ok, _ in want if not ok}
     assert {"rel5", "rel8", "rel9"} <= failed
 
@@ -356,6 +355,7 @@ def test_relation_suite_forms_only_the_products_it_reads(monkeypatch):
     products = counted_products(monkeypatch)
     counts = []
     for real in reals:
+        assert real.factors.ranks == real.dual_factors.ranks  # both built before the count
         products.clear()
         assert all(c.passed for c in verify_relations(real))
         counts.append(len(products))
@@ -366,13 +366,14 @@ def test_extraction_forms_only_the_band_products_it_reads(monkeypatch):
     # per family at d >= 2: op V and the stacked product at level 1 of the
     # block walk, which starts there; below d = 2 level 1 has no block
     reals = [realize(load_table(d), random_admissible_context(d, FP, 930 + d), FP) for d in range(6)]
+    families = [(real.factors, real.dual_factors) for real in reals]  # built before the count
     products = counted_products(monkeypatch)
     counts = []
-    for real in reals:
+    for real, pair in zip(reals, families):
         products.clear()
         ctx = real.context
         tds = extract_td_system(real.a, real.astar, real.basis_vector(real.basis[0]), ctx.theta,
-                                ctx.theta_star, (real.factors, real.dual_factors))
+                                ctx.theta_star, pair)
         assert tds.axiom_failures == []
         counts.append(len(products))
     assert counts == [0, 0, 4, 4, 4, 4]
@@ -471,9 +472,9 @@ def test_entrywise_sums_fail_off_idempotent_families(f):
     real = realize(load_table(3), ctx, f)
     e = [mat_add(real.e[0], real.e[1]), zero_matrix(f, real.dim), scaled(real.e[2], 2), real.e[3]]
     estar = [real.estar[0], mat_add(real.estar[1], real.estar[3]), real.a * real.a, real.estar[3]]
-    bent = real._replace(factors=RankFactors.of(e), dual_factors=RankFactors.of(estar))
-    want = reference_sum_checks(bent)
-    assert sum_triples(bent) == want
+    real.factors, real.dual_factors = RankFactors.of(e), RankFactors.of(estar)
+    want = reference_sum_checks(real)
+    assert sum_triples(real) == want
     assert [cid for cid, ok, _ in want if not ok] == ["rel6.e", "rel7.e", "rel6.es", "rel7.es"]
 
 

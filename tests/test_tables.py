@@ -239,7 +239,10 @@ def _error_case(case_id, d, old, new, error, marks=()):
         _error_case("name-out-of-range", 1, "+ y1*phi", "+ y2*phi",
                     "unknown scalar name 'y2' for d=1 at line 14, column 14"),
         _error_case("name-out-of-range-continued", 5, "y4*beta^-1*lr2", "y6*beta^-1*lr2",
-                    "unknown scalar name 'y6' for d=5 at line 85, column 101"),
+                    "unknown scalar name 'y6' for d=5 at line 86, column 7"),
+        _error_case("end-of-entry-continued", 5, "(beta^2*(beta^2+beta-1)))*l4r5\n",
+                    "(beta^2*(beta^2+beta-1)))*l4r5 +\n",
+                    "unexpected end of entry at line 88, column 106"),
         _error_case("parentheses-too-deep", 1, "+ y1*phi", "+ " + "(" * 65 + "y1" + ")" * 65 + "*phi",
                     "parentheses nest deeper than 64 at line 14, column 78"),
         _error_case("unexpected-token", 1, "+ y1*phi", "+ y1*)phi",
@@ -297,6 +300,9 @@ def _error_case(case_id, d, old, new, error, marks=()):
         _error_case("term-not-one-block-down", 2, "r2 : ths2*r2 + lr2", "r2 : ths2*r2 + phi",
                     "action astar: term phi of r2 must move one row block down, from row 2 to"
                     " row 1 at line 19, column 16"),
+        _error_case("term-not-one-block-down-continued", 5, "+ y4*beta^-1*lr2", "+ y4*beta^-1*phi",
+                    "action astar: term phi of lr2l3r4 must move one row block down, from row 2"
+                    " to row 1 at line 86, column 7"),
     ],
 )
 def test_each_table_error_has_its_pinned_message(d, old, new, error):
@@ -468,7 +474,7 @@ def test_a_negated_bare_label_term_is_a_minus_term():
 def test_a_memo_keeps_only_values_and_changes_no_error():
     # (beta+1) is one node in both terms; at beta = -1 it evaluates to 0 and
     # each division fails with its own text, with or without the memo
-    _, terms = _Entry("phi : (y1/(beta+1))*phi + (y2/(beta+1))*phi", 1, 5, {PHI}, {}).read()
+    _, terms = _Entry([(1, "phi : (y1/(beta+1))*phi + (y2/(beta+1))*phi")], 5, {PHI}, {}).read()
     (a, _), (b, _) = terms
     assert a.right is b.right
     env = {"y1": Fraction(1), "y2": Fraction(2), "beta": Fraction(-1)}
@@ -529,7 +535,7 @@ def _exprs(depth: int):
 @settings(max_examples=300, deadline=None)
 @given(_exprs(3))
 def test_expression_print_parse_roundtrip(tree):
-    entry = _Entry(f"phi : ({format_expr(tree)})*phi", 1, 5, {PHI}, {})
+    entry = _Entry([(1, f"phi : ({format_expr(tree)})*phi")], 5, {PHI}, {})
     assert entry.read() == (PHI, [(tree, PHI)])
 
 

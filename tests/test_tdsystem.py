@@ -8,7 +8,7 @@ from tdcheck import tdsystem
 from tdcheck.fields import DEFAULT_PRIME, PrimeField, Rationals, Sampler, derive_seed
 from tdcheck.linalg import EchelonBasis, Matrix, restrict
 from tdcheck.params import ParameterArray, random_admissible_context, random_valid_parameter_array
-from tdcheck.realization import idempotent_families, realize
+from tdcheck.realization import idempotent_family, realize
 from tdcheck.tables import FORMAT_VERSION, bundled_table_text, load_table, parse_table
 from tdcheck.tdsystem import (
     InvalidParameterArrayError,
@@ -29,6 +29,12 @@ FP = PrimeField()
 
 def fr(xs):
     return [Fraction(x) for x in xs]
+
+
+def idempotent_families(a, astar, theta, theta_star):
+    """Both Lagrange families of the pair, with rank factors from their
+    echelon forms, as extraction builds them."""
+    return idempotent_family("a", a, theta), idempotent_family("astar", astar, theta_star)
 
 
 def d1_array():
@@ -638,19 +644,20 @@ def test_extract_reuses_the_families_only_on_the_whole_module(field, monkeypatch
     real = realize(load_table(2), random_admissible_context(2, field, 5), field)
     calls = []
 
-    def counted(*args):
-        calls.append((args[0].nrows, *args[2:]))
-        return idempotent_families(*args)
+    def counted(tag, op, values, *blocks):
+        calls.append((tag, op.nrows, values))
+        return idempotent_family(tag, op, values, *blocks)
 
-    monkeypatch.setattr(tdsystem, "idempotent_families", counted)
+    monkeypatch.setattr(tdsystem, "idempotent_family", counted)
     assert extract_realized(real).closure_dim == real.dim
     assert calls == []  # the whole module: the families passed are read
     ctx = real.context
     a, astar, phi, whole = padded_pair(real)
     assert extract_td_system(a, astar, phi, ctx.theta, ctx.theta_star, whole).degenerate
-    assert calls == [(real.dim, ctx.theta, ctx.theta_star)]  # a proper W: rebuilt there
+    once = [("a", real.dim, ctx.theta), ("astar", real.dim, ctx.theta_star)]
+    assert calls == once  # a proper W: rebuilt there, once per operator
     extract(real, ctx.theta, ctx.theta_star)
-    assert calls[1:] == [(real.dim, ctx.theta, ctx.theta_star)]  # None: built here
+    assert calls[2:] == once  # None: built here
 
 
 def test_split_extraction_recovers_zeta_on_full_module():
