@@ -14,9 +14,11 @@ operations then verify, as exact matrix identities:
   * the weight certificate: the raising/lowering chains through the labels
     phi, r, r^2, ..., l^{i-1} r^i and the resulting identity
     e*_0 tau_i(a) e*_0 . phi = y_i phi / prod_{j=1..i} (s_0 - s_j),
-    whose denominator follows the split-sequence convention; split_sequence
-    reads the left-hand side, and the round trip reads its split back with it
-    (a table without one of the chain labels fails as mu.labels);
+    whose denominator follows the split-sequence convention; the
+    realization's split (split_sequence at phi, read once and cached) is the
+    left-hand side, which construction compares with zeta and the round
+    trip's extraction reads back (a table without one of the chain labels
+    fails as mu.labels);
   * the shape (idempotent ranks = binomial coefficients, symmetric, unimodal).
 
 Orthogonality and the band conditions are read through the rank factors
@@ -139,9 +141,9 @@ class RankFactors(NamedTuple):
 
 
 class ModuleRealization:
-    """A table realized at one context: the pair, and the rank factors of
-    its two idempotent families (of a, then of a*), each built on first read
-    (idempotent_family, which may raise RealizationError)."""
+    """A table realized at one context: the pair, the rank factors of its
+    two idempotent families (of a, then of a*) and its split, each built on
+    first read (idempotent_family, which may raise RealizationError)."""
 
     def __init__(self, table: ModuleTable, context: SpecializationContext,
                  a: Matrix, astar: Matrix):
@@ -155,6 +157,16 @@ class ModuleRealization:
     def dual_factors(self) -> RankFactors:
         return idempotent_family("astar", self.astar, self.context.theta_star,
                                  self.table.row_blocks)
+
+    @cached_property
+    def split(self) -> list:
+        """The split sequence read at phi, the first basis vector (split_sequence
+        with the corner e*_0): the weight certificate compares it with
+        1, y_1, ..., y_d, construction with zeta, and the round trip's
+        extraction reads it back."""
+        ctx = self.context
+        return split_sequence(self.a, self.estar[0], ctx.theta, ctx.theta_star,
+                              self.basis_vector(self.basis[0]))
 
     @property
     def e(self) -> List[Matrix]:
@@ -323,7 +335,9 @@ def mu_certificate(real: ModuleRealization) -> List[Check]:
     def add(cid: str, ok: bool, text: str) -> None:
         checks.append(Check(cid, ok, "" if ok else text))
 
-    corner = corner_identities(real)
+    # entry 0 of the split reads e*_0 phi = phi; given that, tau_i(a) acts on
+    # phi directly and the split must be 1, y_1, ..., y_d
+    corner = [c == y for c, y in zip(real.split, [f.one, *ctx.y])]
     ok = step(real.astar, ctx.theta_star[0], PHI, PHI, f.zero)
     add("mu.astar.phi", ok, "a*.phi != ths0 * phi")
     add("mu.es0.phi", corner[0], "e*_0.phi != phi")
@@ -362,18 +376,6 @@ def split_sequence(a: Matrix, corner: Matrix, theta: List, theta_star: List, v: 
         c = f.div(img[pivot], v[pivot])
         out.append(f.mul(c, den) if img == [f.mul(c, x) for x in v] else None)
     return out
-
-
-def corner_identities(real: ModuleRealization) -> List[bool]:
-    """For i = 0..d: e*_0 tau_i(a) e*_0 phi = y_i phi / prod_{j=1..i} (s_0 - s_j)?
-
-    Entry 0 (y_0 = 1) reads e*_0 phi = phi; given that, tau_i(a) acts on phi
-    directly and the split read at phi must be 1, y_1, ..., y_d.
-    """
-    ctx = real.context
-    phi = real.basis_vector(real.basis[0])
-    split = split_sequence(real.a, real.estar[0], ctx.theta, ctx.theta_star, phi)
-    return [c == y for c, y in zip(split, [real.field.one] + list(ctx.y))]
 
 
 # ---------------------------------------------------------------------------

@@ -28,20 +28,23 @@ from .realization import (
     verify_relations,
 )
 from .report import Check, VerificationReport
-from .tables import FORMAT_VERSION, ModuleTable, load_table
+from .tables import FORMAT_VERSION, EvaluationError, ModuleTable, load_table
 from .tdsystem import roundtrip
 from .zigzag import feasible_rank_test
 
 
 def _realized(checks_of):
     """A trial that realizes the table at a random admissible context and
-    runs `checks_of` on the realization; a family whose minimal polynomial
-    fails when the checks first read it fails the trial at realize."""
+    runs `checks_of` on the realization; a coefficient with a pole at that
+    point, or a family whose minimal polynomial fails when the checks first
+    read it, fails the trial at realize."""
 
     def trial(table: ModuleTable, field: Field, seed: int) -> List[Check]:
-        real = realize(table, random_admissible_context(table.d, field, seed), field)
+        ctx = random_admissible_context(table.d, field, seed)
         try:
-            return [Check("realize", True)] + checks_of(real)
+            return [Check("realize", True)] + checks_of(realize(table, ctx, field))
+        except EvaluationError as err:
+            return [Check("realize.evaluate", False, str(err))]
         except RealizationError as err:
             return [Check("realize." + name, False, detail) for name, detail in err.failures]
 

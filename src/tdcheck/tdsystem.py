@@ -6,18 +6,19 @@ that the corner elements
 
     g_i = e*_0 tau_i(a) e*_0 - zeta_i e*_0 / prod_{j=1..i} (s_0 - s_j)
 
-kill phi.  extract_td_system() takes an operator pair (a, a*), a vector
-phi and two eigenvalue lists; it restricts the pair to W, the closure of
-phi, checks the tridiagonal axioms on it (diagonalizability over the lists,
-interval supports, band conditions, irreducibility), and reads back the
-shape and the split sequence.  roundtrip() compares the recovered data with
+kill phi: the realization's split (split_sequence at phi) must be zeta.
+extract_td_system() takes an operator pair (a, a*), a vector phi and two
+eigenvalue lists; it restricts the pair to W, the closure of phi, checks
+the tridiagonal axioms on it (diagonalizability over the lists, interval
+supports, band conditions, irreducibility), and reads back the shape and
+the split sequence.  roundtrip() compares the recovered data with
 the array.  Both directions read the pair through realization's helpers:
 each family and its rank factors from idempotent_family (the supports
 are the nonzero ranks, the shape the dual ranks over the support), the band
 conditions e_i X e_j = 0 as the blocks R_i X B_j (level 1 of
 RankFactors.blocks; a restricted idempotent may have rank 0, and its blocks
 are empty), and the split from split_sequence at phi, the reader behind the
-g_i assertion.
+g_i assertion.  A round-trip trial reads that split once, in construction.
 
 Irreducibility: the words in the restricted pair span the full matrix
 algebra (dimension (dim W)^2).  Given a rank-one member v w^T of the pair's
@@ -61,9 +62,10 @@ An operator restricted to W is its rows at the pivots of W's reduced
 echelon basis times that basis transposed (linalg.restrict), and phi's
 coordinates are its entries at those pivots.  When the closure of phi is the
 whole module, the restriction is the pair itself, and the caller may pass
-the pair's two idempotent families at the same lists (roundtrip passes the
-realization's, read as part of construction) instead of having them
-rebuilt; on a proper W they are always rebuilt from the restriction.
+the pair's realization at the same lists (roundtrip passes the one it
+constructed): extraction then reads its two idempotent families and its
+split instead of building them again.  On a proper W both are always
+rebuilt from the restriction.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ from .realization import (
     ModuleRealization,
     RankFactors,
     RealizationError,
-    corner_identities,
     idempotent_family,
     realize,
     split_sequence,
@@ -106,14 +107,14 @@ def construct_from_params(
     pa: ParameterArray, field: Field, table: ModuleTable
 ) -> ModuleRealization:
     """Realize the table at (theta, theta_star, y := zeta); assert g_i phi = 0,
-    which builds the dual family only."""
+    that is, the realization's split is zeta, which builds the dual family
+    only."""
     result = validate_parameter_array(pa, field)
     if not result.passed:
         raise InvalidParameterArrayError(result.failures)
     ctx = derive_context(pa.theta, pa.theta_star, pa.zeta[1:], field)
     real = realize(table, ctx, field)
-    # with y = zeta[1:], g_i phi = 0 is the corner identity at i
-    bad = [i for i, ok in enumerate(corner_identities(real)) if i and not ok]
+    bad = [i for i, (c, z) in enumerate(zip(real.split, pa.zeta)) if i and c != z]
     if bad:
         raise ConstructionError("; ".join(f"g.{i}: g_{i} phi != 0" for i in bad))
     return real
@@ -213,12 +214,12 @@ class TDSystemReport(NamedTuple):
 
 def extract_td_system(
     a: Matrix, astar: Matrix, phi: list, theta: list, theta_star: list,
-    families: Optional[Tuple[RankFactors, RankFactors]],
+    real: Optional[ModuleRealization] = None,
 ) -> TDSystemReport:
     """Restrict the pair to the closure of phi and check the axioms against
-    the eigenvalue lists.  families is the pair's (factors of e, factors of
-    e*) at these lists, as idempotent_family builds them, or None to build
-    them; it is read only when phi generates the module."""
+    the eigenvalue lists.  real is the realization of this pair at these
+    lists with phi its first basis vector, or None; its families and split
+    are read only when phi generates the module, and built here otherwise."""
     field, n = a.field, a.nrows
     d = len(theta) - 1
     failures: List[Tuple[str, str]] = []
@@ -232,9 +233,10 @@ def extract_td_system(
         a_sub, astar_sub = restrict(a, closure), restrict(astar, closure)
     phi_w = [phi[p] for p in closure.pivots]
 
+    whole = real is not None and dim_w == n
     try:
         factors, dual_factors = (
-            families if families is not None and dim_w == n
+            (real.factors, real.dual_factors) if whole
             else (idempotent_family("a", a_sub, theta),
                   idempotent_family("astar", astar_sub, theta_star))
         )
@@ -290,9 +292,10 @@ def extract_td_system(
         failures.append(("tds.shape.symmetric", f"shape {shape} is not symmetric"))
     sharp = bool(shape) and shape[0] == 1
 
-    # split sequence: the corner identity read at phi
-    corner = dual_factors.idems[r0]
-    split = split_sequence(a_sub, corner, theta[t0:], theta_star[r0 : r0 + delta + 1], phi_w)
+    # split sequence: the corner identity read at phi (the realization's
+    # families have every rank C(d, i) > 0, so there t0 = r0 = 0 and delta = d)
+    split = real.split if whole else split_sequence(
+        a_sub, dual_factors.idems[r0], theta[t0:], theta_star[r0 : r0 + delta + 1], phi_w)
     if None in split:
         i = split.index(None)
         failures.append(
@@ -354,7 +357,7 @@ def roundtrip(pa: ParameterArray, field: Field, table: ModuleTable) -> Verificat
     )
     try:
         real = construct_from_params(pa, field, table)
-        families = real.factors, real.dual_factors
+        real.factors  # built here: a failing a-list fails construction
     except InvalidParameterArrayError as err:
         rep.add("tds.valid", False, "; ".join(cid for cid, _ in err.failures))
         return rep
@@ -370,7 +373,7 @@ def roundtrip(pa: ParameterArray, field: Field, table: ModuleTable) -> Verificat
 
     ctx = real.context
     tds = extract_td_system(real.a, real.astar, real.basis_vector(real.basis[0]), ctx.theta,
-                            ctx.theta_star, families)
+                            ctx.theta_star, real)
     rep.add(
         "tds.closure",
         True,
@@ -384,35 +387,17 @@ def roundtrip(pa: ParameterArray, field: Field, table: ModuleTable) -> Verificat
         tds.diameter == pa.d,
         f"diameter {tds.diameter}, expected {pa.d}",
     )
-    rep.add(
-        "tds.eigen",
-        tds.eigenvalues == pa.theta,
-        "recovered eigenvalue sequence differs" if tds.eigenvalues != pa.theta else "",
-    )
-    rep.add(
-        "tds.eigen.dual",
-        tds.dual_eigenvalues == pa.theta_star,
-        "recovered dual eigenvalue sequence differs"
-        if tds.dual_eigenvalues != pa.theta_star
-        else "",
-    )
+    ok = tds.eigenvalues == pa.theta
+    rep.add("tds.eigen", ok, "" if ok else "recovered eigenvalue sequence differs")
+    ok = tds.dual_eigenvalues == pa.theta_star
+    rep.add("tds.eigen.dual", ok, "" if ok else "recovered dual eigenvalue sequence differs")
     rep.add("tds.sharp", tds.sharp, f"shape {tds.shape}")
     if tds.irreducible is not False:  # a reducible restriction is an axiom failure above
-        rep.add(
-            "tds.irreducible",
-            tds.irreducible is True,
-            "" if tds.irreducible is True else "irreducibility undetermined",
-        )
-    ok = len(tds.split) == pa.d + 1 and all(
-        tds.split[i] == pa.zeta[i] for i in range(pa.d + 1)
-    )
-    rep.add(
-        "tds.split",
-        ok,
-        ""
-        if ok
-        else f"recovered split {[field.format(x) for x in tds.split]} != input zeta",
-    )
+        ok = tds.irreducible is True
+        rep.add("tds.irreducible", ok, "" if ok else "irreducibility undetermined")
+    ok = tds.split == pa.zeta
+    rep.add("tds.split", ok, "" if ok else
+            f"recovered split {[field.format(x) for x in tds.split]} != input zeta")
     for note in tds.notes:
         rep.add(f"tds.note.{len(rep.checks)}", True, note)
     rep.add(

@@ -437,6 +437,70 @@ def test_each_sweep_builds_only_the_idempotent_families_it_reads(monkeypatch):
         ("tds-roundtrip", 2)) for t in range(2)}
 
 
+@pytest.mark.parametrize("field", ["fp", "qq"])
+def test_a_round_trip_trial_reads_the_split_once(field, monkeypatch):
+    # construction reads the realization's split and extraction reads it back:
+    # one split_sequence per trial at every d, in either module
+    from tdcheck import realization, tdsystem
+    from tdcheck.fields import PrimeField, Rationals
+    from tdcheck.tables import load_table
+
+    calls = []
+    split_sequence = realization.split_sequence
+
+    def counted(*args):
+        calls.append(1)
+        return split_sequence(*args)
+
+    for module in (realization, tdsystem):
+        monkeypatch.setattr(module, "split_sequence", counted)
+    f = PrimeField() if field == "fp" else Rationals()
+    counts = []
+    for d in range(6):
+        calls.clear()
+        checks = suites._trial_checks("tds-roundtrip", load_table(d), f, 0, 0)
+        assert all(c.passed for c in checks), d
+        counts.append(len(calls))
+    assert counts == [1] * 6
+
+
+def pole_table(tmp_path):
+    """d1.txt with the a-entry of phi scaled by (th0-ths0)^-1: graded, so the
+    parser accepts it, but it has a pole wherever th0 = ths0."""
+    from tdcheck.tables import bundled_table_text
+
+    text = bundled_table_text(1).replace("phi : th0*phi + r", "phi : th0*phi + (th0-ths0)^-1*r")
+    (tmp_path / "d1.txt").write_text(text)
+    return str(tmp_path)
+
+
+@pytest.mark.parametrize("argv", [("verify-appendix",), ("mu-certificate",), ("shape",),
+                                  ("zz", "rank")])
+def test_a_coefficient_with_a_pole_at_a_sampled_point_fails_that_trial(argv, tmp_path, capsys):
+    # each trial at a pole fails as realize.evaluate and names its seed; the
+    # sweep exits 1 with a report, and the trial replays alone.  Where the
+    # scale is not 1 the chain certificate fails too, as it should
+    from tdcheck.fields import PrimeField, derive_seed
+    from tdcheck.tables import load_table
+
+    assets = pole_table(tmp_path)
+    code, out, _ = run_cli(capsys, *argv, "--d", "1", "--prime", "3", "--trials", "20",
+                           "--seed", "0", "--assets", assets)
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+    poles = [c for c in failed if ".realize." in c["id"]]
+    assert poles and all(re.fullmatch(r"t\d{3}\.realize\.evaluate", c["id"]) for c in poles)
+    if argv in (("shape",), ("zz", "rank")):
+        assert poles == failed
+    for c in poles:
+        trial = int(c["id"][1:4])
+        assert c["detail"] == (f"trial {trial}, seed {derive_seed(0, trial)}:"
+                               " zero base with negative power in '(th0-ths0)^-1'")
+    command = argv[0] if len(argv) == 1 else "zz-rank"
+    replay = suites._trial_checks(command, load_table(1, assets), PrimeField(3), 0, trial)
+    assert [(c.id, c.passed, c.detail) for c in replay] == [(c["id"], False, c["detail"])]
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [(("verify-appendix",), 1), (("mu-certificate",), 1), (("shape",), 0),

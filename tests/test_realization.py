@@ -366,14 +366,15 @@ def test_extraction_forms_only_the_band_products_it_reads(monkeypatch):
     # per family at d >= 2: op V and the stacked product at level 1 of the
     # block walk, which starts there; below d = 2 level 1 has no block
     reals = [realize(load_table(d), random_admissible_context(d, FP, 930 + d), FP) for d in range(6)]
-    families = [(real.factors, real.dual_factors) for real in reals]  # built before the count
+    for real in reals:  # both families built before the count
+        assert real.factors.ranks == real.dual_factors.ranks
     products = counted_products(monkeypatch)
     counts = []
-    for real, pair in zip(reals, families):
+    for real in reals:
         products.clear()
         ctx = real.context
         tds = extract_td_system(real.a, real.astar, real.basis_vector(real.basis[0]), ctx.theta,
-                                ctx.theta_star, pair)
+                                ctx.theta_star, real)
         assert tds.axiom_failures == []
         counts.append(len(products))
     assert counts == [0, 0, 4, 4, 4, 4]

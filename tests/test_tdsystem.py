@@ -4,11 +4,11 @@ from unittest.mock import ANY
 
 import pytest
 
-from tdcheck import tdsystem
+from tdcheck import realization, tdsystem
 from tdcheck.fields import DEFAULT_PRIME, PrimeField, Rationals, Sampler, derive_seed
 from tdcheck.linalg import EchelonBasis, Matrix, restrict
 from tdcheck.params import ParameterArray, random_admissible_context, random_valid_parameter_array
-from tdcheck.realization import idempotent_family, realize
+from tdcheck.realization import ModuleRealization, idempotent_family, realize, split_sequence
 from tdcheck.tables import FORMAT_VERSION, bundled_table_text, load_table, parse_table
 from tdcheck.tdsystem import (
     InvalidParameterArrayError,
@@ -505,17 +505,16 @@ def test_full_image_closure_is_the_identity_basis_without_exact_elimination(monk
 # extraction
 
 
-def extract(real, theta, theta_star, families=None):
+def extract(real, theta, theta_star, whole=None):
     """extract_td_system on realize's pair at phi."""
     phi = real.basis_vector(real.basis[0])
-    return extract_td_system(real.a, real.astar, phi, theta, theta_star, families)
+    return extract_td_system(real.a, real.astar, phi, theta, theta_star, whole)
 
 
 def extract_realized(real):
-    """extract at realize's lists with its families, as roundtrip calls it."""
+    """extract at realize's lists with the realization, as roundtrip calls it."""
     ctx = real.context
-    families = real.factors, real.dual_factors
-    return extract(real, ctx.theta, ctx.theta_star, families)
+    return extract(real, ctx.theta, ctx.theta_star, real)
 
 
 def test_extract_d1_report_matches_hand_values():
@@ -611,9 +610,10 @@ def test_extract_band_blocks_match_full_sandwiches_when_they_fail_over_q():
 
 
 def padded_pair(real):
-    """realize's pair (+) [theta_0] and (+) [theta*_0], phi (+) 0, and the
-    padded pair's own families (rank 2 at index 0): the closure of phi is
-    the realized module, a proper W of dimension 2^d in 2^d + 1."""
+    """realize's pair (+) [theta_0] and (+) [theta*_0], phi (+) 0, and a
+    realization of the padded pair holding its own families (rank 2 at
+    index 0): the closure of phi is the realized module, a proper W of
+    dimension 2^d in 2^d + 1."""
     f, ctx = real.field, real.context
 
     def padded(m, t):
@@ -621,7 +621,9 @@ def padded_pair(real):
 
     a, astar = padded(real.a, ctx.theta[0]), padded(real.astar, ctx.theta_star[0])
     phi = real.basis_vector(real.basis[0]) + [f.zero]
-    return a, astar, phi, idempotent_families(a, astar, ctx.theta, ctx.theta_star)
+    whole = ModuleRealization(real.table, ctx, a, astar)
+    whole.factors, whole.dual_factors = idempotent_families(a, astar, ctx.theta, ctx.theta_star)
+    return a, astar, phi, whole
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -642,22 +644,31 @@ def test_extract_restricts_a_pair_to_a_proper_closure(field, d):
 @pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
 def test_extract_reuses_the_families_only_on_the_whole_module(field, monkeypatch):
     real = realize(load_table(2), random_admissible_context(2, field, 5), field)
-    calls = []
+    real.split  # read by construction in a round trip
+    calls, splits = [], []
 
     def counted(tag, op, values, *blocks):
         calls.append((tag, op.nrows, values))
         return idempotent_family(tag, op, values, *blocks)
 
+    def counted_split(a, *args):
+        splits.append(a.nrows)
+        return split_sequence(a, *args)
+
     monkeypatch.setattr(tdsystem, "idempotent_family", counted)
+    for module in (realization, tdsystem):
+        monkeypatch.setattr(module, "split_sequence", counted_split)
     assert extract_realized(real).closure_dim == real.dim
-    assert calls == []  # the whole module: the families passed are read
+    # the whole module: the families and the split of the realization are read
+    assert calls == splits == []
     ctx = real.context
     a, astar, phi, whole = padded_pair(real)
     assert extract_td_system(a, astar, phi, ctx.theta, ctx.theta_star, whole).degenerate
     once = [("a", real.dim, ctx.theta), ("astar", real.dim, ctx.theta_star)]
-    assert calls == once  # a proper W: rebuilt there, once per operator
+    # a proper W: rebuilt there, once per operator, and one split read on W
+    assert (calls, splits) == (once, [real.dim])
     extract(real, ctx.theta, ctx.theta_star)
-    assert calls[2:] == once  # None: built here
+    assert (calls[2:], splits[1:]) == (once, [real.dim])  # None: built here
 
 
 def test_split_extraction_recovers_zeta_on_full_module():
