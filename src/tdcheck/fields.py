@@ -17,7 +17,7 @@ residues and the denominator is 1.  `mat_mul` multiplies integer rows through
 one sparse kernel for both fields; `to_ints` clears the denominators of rows
 assembled from scalars (integer rows it takes as they are), and the
 remaining hooks (`ratio`, `from_ints`, `shrink`, `primitive`) serve
-linalg's integer kernels and poly's Lagrange sums.
+linalg's integer kernels, `lincomb` (the Lagrange sums) among them.
 
 Randomness comes from splitmix64, chosen because it is tiny, well known and
 trivially reproducible across platforms; the algorithm identifier is recorded

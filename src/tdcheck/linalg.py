@@ -3,11 +3,11 @@
 A Matrix is held in its field's integer form (see `fields`): integer rows
 over one positive denominator, in lowest terms, so over Q the gcd of the
 denominator and every entry is 1 and over F_p the rows are the residues over
-1.  A matrix assembled from scalars (`Matrix(field, rows)`) clears them when
-it is built; a product, a shifted or transposed matrix, the identity and a
-Lagrange idempotent are built from integer rows (`Matrix.of_ints`).  The
-form is all a Matrix holds.  Dimensions are tiny (at most 32) and the hot
-spots walk only nonzeros:
+1.  No module but this one and `fields` reads or builds a form.  A matrix
+assembled from scalars (`Matrix(field, rows)`) clears them when it is built;
+a product, a shifted or transposed matrix, the identity and a linear
+combination are built from integer rows (`Matrix.of_ints`).  Dimensions are
+tiny (at most 32) and the hot spots walk only nonzeros:
 
   * a product is the field's `mat_mul` on the two integer forms, one sparse
     integer kernel for both fields (`fields._int_mat_mul`), over the product
@@ -18,12 +18,15 @@ spots walk only nonzeros:
     over F_p one reduction per residual), and `Matrix.echelon` inserts the
     nonzero rows of the integer form as they are: over Q each is a multiple
     of its row, which spans the same line;
-  * `combination` adds multiples of matrices over the nonzeros of their
-    integer forms, over one denominator (a Lagrange idempotent, the sums
-    of the relation suite's rel6/rel7);
+  * `lincomb` adds multiples of matrices over the flat nonzeros of their
+    integer forms, which each Matrix lists once (the identity its diagonal),
+    over one denominator (a Lagrange idempotent, rel6/rel7's sums);
   * `restrict` reads an operator on an invariant subspace as the rows at
     the basis's pivots of one product, the operator times the basis's form
-    transposed.
+    transposed;
+  * `RankFactors` keeps the integer blocks of rank factors e_i = B_i R_i and
+    walks the blocks R_i op^k B_j; `image_mod_p` reads a pair and a vector
+    mod p (tdsystem's modular certificate).
 
 Equal matrices have equal integer forms, so `==` compares those.  Every
 element handed back is canonical (see `fields`), so vectors compare with
@@ -32,16 +35,18 @@ element handed back is canonical (see `fields`), so vectors compare with
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from math import gcd, lcm
 from operator import mul
-from typing import List, Sequence
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+
+from .fields import DEFAULT_PRIME, PrimeField
 
 
 class Matrix:
     """A matrix over `field`, held as its integer form."""
 
-    __slots__ = ("field", "nrows", "ncols", "form", "_sparse")
+    __slots__ = ("field", "nrows", "ncols", "form", "_sparse", "_flat")
 
     def __init__(self, field, rows: Sequence[Sequence]):
         rows = [list(r) for r in rows]
@@ -51,7 +56,7 @@ class Matrix:
         if any(len(r) != self.ncols for r in rows):
             raise ValueError("ragged rows")
         self.form = field.to_ints(rows)  # (integer rows, denominator) in lowest terms
-        self._sparse = None
+        self._sparse = self._flat = None
 
     @classmethod
     def of_ints(cls, field, ints: List[list], den: int = 1, ncols: int = 0) -> "Matrix":
@@ -61,14 +66,16 @@ class Matrix:
         m = cls.__new__(cls)
         m.field = field
         m.form = _lowest(ints, den)
-        m._sparse = None
+        m._sparse = m._flat = None
         m.nrows = len(ints)
         m.ncols = len(ints[0]) if ints else ncols
         return m
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        return cls.of_ints(field, [[int(i == j) for j in range(n)] for i in range(n)])
+        m = cls.of_ints(field, [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)])
+        m._flat = [(i * (n + 1), 1) for i in range(n)]  # its n nonzeros, for lincomb
+        return m
 
     def __eq__(self, other) -> bool:
         return (
@@ -148,22 +155,23 @@ def _lowest(ints: List[list], den: int):
     return [[x // g for x in r] for r in ints], den // g
 
 
-def flat_nonzeros(m: Matrix) -> list:
-    """The nonzeros of m's integer form as (row-major index, integer)."""
-    return [(at, x) for at, x in enumerate(chain.from_iterable(m.form[0])) if x]
-
-
-def combination(field, n: int, terms) -> Matrix:
-    """The n x n sum of num / den times M over terms (num, den, flat_nonzeros
-    of M's integer form), added over the nonzeros over one denominator."""
-    total = lcm(*(den for _, den, _ in terms))
-    acc = [0] * (n * n)
-    for num, den, nonzeros in terms:
-        c = num * (total // den)
-        for at, x in nonzeros:
+def lincomb(terms) -> Matrix:
+    """The sum of c * M over terms (c, M), field scalars c and matrices M of
+    one shape, added over the flat nonzeros of the integer forms (listed on
+    a matrix's first use and kept) over the lcm of the denominators."""
+    terms = [(m.field.ratio(c), m) for c, m in terms]
+    f, nrows, ncols = terms[0][1].field, terms[0][1].nrows, terms[0][1].ncols
+    total = lcm(*(q * m.form[1] for (_, q), m in terms))
+    acc = [0] * (nrows * ncols)
+    for (num, q), m in terms:
+        if m._flat is None:  # (row-major index, integer)
+            m._flat = [(at, x) for at, x in enumerate(chain.from_iterable(m.form[0])) if x]
+        c = num * (total // (q * m.form[1]))
+        for at, x in m._flat:
             acc[at] += c * x
-    acc = field.shrink(acc)
-    return Matrix.of_ints(field, [acc[r : r + n] for r in range(0, n * n, n)], total)
+    acc = f.shrink(acc)
+    return Matrix.of_ints(f, [acc[r * ncols : (r + 1) * ncols] for r in range(nrows)],
+                          total, ncols)
 
 
 class EchelonBasis:
@@ -276,3 +284,109 @@ def restrict(op: Matrix, basis: EchelonBasis) -> Matrix:
     if img != cols * m:  # some image is not what its coordinates rebuild
         raise ValueError("subspace is not invariant under the operator")
     return m
+
+
+_IMAGE_FIELD = PrimeField(DEFAULT_PRIME)
+
+
+def image_mod_p(a: Matrix, astar: Matrix, seed: Sequence) -> Optional[tuple]:
+    """(a, astar, seed) mod DEFAULT_PRIME, the operators read from their
+    integer form; None when a denominator is divisible by p or the seed
+    vanishes mod p."""
+    p = _IMAGE_FIELD.p
+    out = []  # the seed is read as a one-row form of its own
+    for ints, den in (a.form, astar.form, a.field.to_ints([seed])):
+        if den % p == 0:
+            return None
+        inv = pow(den, -1, p)
+        out.append([[x * inv % p if x else 0 for x in row] for row in ints])
+    (v,) = out.pop()
+    return (*(Matrix.of_ints(_IMAGE_FIELD, m) for m in out), v) if any(v) else None
+
+
+class RankFactors(NamedTuple):
+    """A family of matrices e_i with their exact rank factorizations e_i = B_i R_i.
+
+    B_i is the columns of e_i at r_i = rank e_i indices U_i and R_i has r_i
+    rows, I at U_i: e_i's rows there (`of` at a graded table's row blocks) or
+    its reduced echelon rows, U_i their pivots.  B_i has full column rank and
+    R_i full row rank, so for any X, e_i X e_j = 0 iff R_i X B_j = 0, and
+    e_i e_j = c e_i iff R_i B_j = c I (i = j) or 0 (i != j), orthogonal
+    idempotents or not.  Blocks are integer rows of the integer forms:
+    R_i is right[i] / r_i and B_i is left[i] / b_i with dens[i] = r_i * b_i,
+    so a zero test of any block product needs no denominator, and rank 0
+    (R_i 0 x n, B_i n x 0) needs no special case.  `blocks` walks
+    R_i op^k B_j one level k at a time.
+    """
+
+    idems: List[Matrix]  # e_i
+    right: List[List[list]]  # R_i: r_i rows of length n
+    left: List[List[list]]  # B_i: n rows of length r_i
+    dens: List[int]
+
+    @classmethod
+    def of(cls, idems: List[Matrix], blocks: Optional[List[range]] = None) -> "RankFactors":
+        """Each e_i's factors at U_i = blocks[i], where e_i[U_i, U_i] = I and
+        rank e_i = |U_i| (realization.idempotent_family); without blocks,
+        from e_i's echelon form."""
+        right, left, dens = [], [], []
+        for i, m in enumerate(idems):
+            ints, den = m.form
+            if blocks is None:
+                basis = m.echelon()
+                (rows, rden), cols = basis.form, basis.pivots
+            else:
+                cols, rden = blocks[i], den
+                rows = [ints[p] for p in cols]
+            right.append(rows)
+            left.append([[row[p] for p in cols] for row in ints])
+            dens.append(rden * den)
+        return cls(idems, right, left, dens)
+
+    @property
+    def ranks(self) -> List[int]:
+        return [len(r) for r in self.right]
+
+    def is_unit(self, i: int, block: List[list]) -> bool:
+        """Is block, R_i B_i from `blocks`, I?  As integers it is dens[i] * I."""
+        r, unit = self.ranks[i], self.dens[i]
+        return block == [[unit if k == l else 0 for l in range(r)] for k in range(r)]
+
+    def rank_one(self, i: int) -> Optional[Tuple[list, list]]:
+        """(v, w) with e_i a nonzero multiple of v w^T, v the one column of B_i
+        and w the one row of R_i, when e_i has rank 1; else None.  Both are the
+        integer rows the factors hold: a span reads only their lines."""
+        if self.ranks[i] != 1:
+            return None
+        return [row[0] for row in self.left[i]], self.right[i][0]
+
+    def blocks(self, op: Matrix, top: int, start: int = 0) -> Iterator[dict]:
+        """The integer blocks R_i op^k B_j, one level k at a time for
+        start <= k < top: {(i, j): block} over every (i, j) at k = 0 and over
+        the (i, j) with k < |i - j| above, in the order j, then i.  Level 0 is
+        one product of the stacked R_i with V = [B_0 | ... | B_d].  Each later
+        level sets V <- op V over only the B_j that still have a block to
+        read, and one product of the stacked R_i that read one there cuts out
+        all of its blocks; a level below start forms no such product.  The
+        walk ends at the last level below top with a block to read: op^k B_j
+        is formed no further."""
+        f, d, ranks = op.field, len(self.right) - 1, self.ranks
+
+        def spans(keys) -> dict:  # where each R_i (rows) or B_j (columns) sits in a stack
+            starts = accumulate((ranks[x] for x in keys), initial=0)
+            return {x: slice(at, at + ranks[x]) for x, at in zip(keys, starts)}
+
+        cols, v = range(d + 1), [sum(rows, []) for rows in zip(*self.left)]
+        for k in range(top):
+            pairs = [(i, j) for j in cols for i in range(d + 1) if not k or k < abs(i - j)]
+            if not pairs:
+                return
+            if k:  # op V over the B_j still read
+                at, cols = spans(cols), sorted({j for _, j in pairs})
+                v = f.mat_mul(op.form[0], [[x for j in cols for x in row[at[j]]] for row in v])
+            if k < start:
+                continue
+            rows = sorted({i for i, _ in pairs})
+            prod = f.mat_mul([r for i in rows for r in self.right[i]], v)
+            up, at = spans(rows), spans(cols)
+            yield {(i, j): [row[at[j]] for row in prod[up[i]]] for i, j in pairs}

@@ -15,7 +15,8 @@ in their Newton form on the prefix chain P_k = (A - t_0 I)...(A - t_{k-1} I):
 
 since the divided difference of L_i over t_0..t_k is 1 / prod_{m <= k, m != i}
 (t_i - t_m) for k >= i and 0 below (L_i is 1 at t_i and 0 at the other
-nodes).  It is the same polynomial, so the same matrix.  The chain runs one
+nodes).  It is the same polynomial, so the same matrix: with P_0 = I, each
+E_i is one `linalg.lincomb` of P_i..P_d.  The chain runs one
 step further, to P_{d+1} = prod_j (A - t_j I), which must be 0; that check
 doubles as a transcription-error detector for the bundled module tables.
 Summed over i, P_k's coefficient is the divided difference of 1 over t_0..t_k
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from .linalg import Matrix, combination, flat_nonzeros
+from .linalg import Matrix, lincomb
 
 
 class PolyError(ValueError):
@@ -61,9 +62,8 @@ def lagrange_idempotents(a: Matrix, thetas: Sequence) -> List[Matrix]:
 
     Requires the list entries pairwise distinct and prod (A - t_i I) = 0.
     The prefix chain costs d products, the last of them the minimal-polynomial
-    check; each E_i is then one sum over the nonzeros of the integer forms of
-    P_i..P_d (module docstring) over one denominator.  P_0 = I is read as its
-    diagonal and never built.
+    check; each E_i is then one linear combination of P_i..P_d (module
+    docstring), with P_0 = I.
     """
     f = a.field
     d = len(thetas) - 1
@@ -71,26 +71,21 @@ def lagrange_idempotents(a: Matrix, thetas: Sequence) -> List[Matrix]:
         for j in range(i + 1, d + 1):
             if thetas[i] == thetas[j]:
                 raise PolyError(f"repeated eigenvalue at positions {i}, {j}")
-    chain = []  # P_1..P_d
+    chain = [Matrix.identity(f, a.nrows)]  # P_0..P_d
     full = a.shift(thetas[0])
     for t in thetas[1:]:
         chain.append(full)
         full = full * a.shift(t)
     if not full.is_zero():
         raise MinimalPolynomialError(full.rank())
-    n = a.nrows
-    # the nonzeros of each P_k and its denominator; P_0 = I is its diagonal
-    nonzeros = [[(r * (n + 1), 1) for r in range(n)]] + [flat_nonzeros(m) for m in chain]
-    dens = [1] + [m.form[1] for m in chain]
     out = []
     for i in range(d + 1):
-        # (numerator, denominator) of 1 / prod_{m <= k, m != i} (t_i - t_m), k = i..d
-        prod, ratios = f.one, []
+        # 1 / prod_{m <= k, m != i} (t_i - t_m), k = i..d
+        prod, coeffs = f.one, []
         for m in range(d + 1):
             if m != i:
                 prod = f.mul(prod, f.sub(thetas[i], thetas[m]))
             if m >= i:
-                ratios.append(f.ratio(f.inv(prod)))
-        out.append(combination(f, n, [(num, q * den, nz) for (num, q), den, nz
-                                      in zip(ratios, dens[i:], nonzeros[i:])]))
+                coeffs.append(f.inv(prod))
+        out.append(lincomb(zip(coeffs, chain[i:])))
     return out

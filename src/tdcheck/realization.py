@@ -3,10 +3,10 @@
 realize() turns the symbolic table into two exact matrices acting on the
 2^d-dimensional module; a ModuleRealization is the table, the context and
 that pair.  Each family of primitive idempotents is built on first read by
-idempotent_family (shared with the round-trip extraction) as one RankFactors
-object, the e_i beside their rank factors read off the table's split
-grading: shape builds no family, the weight certificate only e*.  The check
-operations then verify, as exact matrix identities:
+idempotent_family (shared with the round-trip extraction) as one
+linalg.RankFactors object, the e_i beside their rank factors read off the
+table's split grading: shape builds no family, the weight certificate only
+e*.  The check operations then verify, as exact matrix identities:
 
   * the defining relations of the generator algebra: idempotent orthogonality
     and completeness, eigenvalue reconstruction, and the band conditions
@@ -22,16 +22,17 @@ operations then verify, as exact matrix identities:
   * the shape (idempotent ranks = binomial coefficients, symmetric, unimodal).
 
 Orthogonality and the band conditions are read through the rank factors
-e_i = B_i R_i (RankFactors): e_i X e_j = 0 exactly when the block R_i X B_j
-is zero, and e_i e_j = delta_ij e_i exactly when R_i B_j = delta_ij I, so no
-n x n sandwich product is formed.  One walk (RankFactors.blocks) reads every
-block level by level: level 0 is every R_i B_j, from one product, and level
-k >= 1 the R_i op^k B_j with k < |i-j|, from two.  rel5 reads level 0, where
-each off-diagonal verdict is also the band condition at k = 0; rel8 and rel9
-read the levels above.  The round trip's extraction starts the same walk
-at level 1.  Completeness and eigenvalue reconstruction (rel6, rel7) compare
-sum e_i and sum t_i e_i, added over the nonzeros of the integer forms, with I
-and the operator; they hold for any operator (poly.py), so no table fails them.
+e_i = B_i R_i: e_i X e_j = 0 exactly when the block R_i X B_j is zero, and
+e_i e_j = delta_ij e_i exactly when R_i B_j = delta_ij I (RankFactors.is_unit
+at i = j), so no n x n sandwich product is formed.  One walk
+(RankFactors.blocks) reads every block level by level: level 0 is every
+R_i B_j, from one product, and level k >= 1 the R_i op^k B_j with k < |i-j|,
+from two.  rel5 reads level 0, where each off-diagonal verdict is also the
+band condition at k = 0; rel8 and rel9 read the levels above.  The round
+trip's extraction starts the same walk at level 1.  Completeness and
+eigenvalue reconstruction (rel6, rel7) compare sum e_i and sum t_i e_i, each
+one linalg.lincomb, with I and the operator; they hold for any operator
+(poly.py), so no table fails them.
 
 Any failed identity is reported with enough coordinates to replay it.
 """
@@ -39,12 +40,11 @@ Any failed identity is reported with enough coordinates to replay it.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate
 from math import comb
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .fields import Field
-from .linalg import Matrix, combination, flat_nonzeros
+from .linalg import Matrix, RankFactors, lincomb
 from .params import SpecializationContext
 from .poly import MinimalPolynomialError, lagrange_idempotents
 from .report import Check
@@ -59,85 +59,6 @@ class RealizationError(ValueError):
         super().__init__(
             "; ".join(f"{name}: {detail}" for name, detail in failures)
         )
-
-
-class RankFactors(NamedTuple):
-    """A family of matrices e_i with their exact rank factorizations e_i = B_i R_i.
-
-    B_i is the columns of e_i at r_i = rank e_i indices U_i and R_i has r_i
-    rows, I at U_i: e_i's rows there (`of` at a graded table's row blocks) or
-    its reduced echelon rows, U_i their pivots.  B_i has full column rank and
-    R_i full row rank, so for any X, e_i X e_j = 0 iff R_i X B_j = 0, and
-    e_i e_j = c e_i iff R_i B_j = c I (i = j) or 0 (i != j), orthogonal
-    idempotents or not.  Blocks are integer rows of the integer forms
-    (linalg.Matrix): R_i is right[i] / r_i and B_i is left[i] / b_i with
-    dens[i] = r_i * b_i, so a zero test of any block product needs no
-    denominator, and rank 0 (R_i 0 x n, B_i n x 0) needs no special case.
-    `blocks` walks R_i op^k B_j one level k at a time.
-    """
-
-    idems: List[Matrix]  # e_i
-    right: List[List[list]]  # R_i: r_i rows of length n
-    left: List[List[list]]  # B_i: n rows of length r_i
-    dens: List[int]
-
-    @classmethod
-    def of(cls, idems: List[Matrix], blocks: Optional[List[range]] = None) -> "RankFactors":
-        """Each e_i's factors at U_i = blocks[i], where e_i[U_i, U_i] = I and
-        rank e_i = |U_i| (idempotent_family); without blocks, from e_i's
-        echelon form."""
-        right, left, dens = [], [], []
-        for i, m in enumerate(idems):
-            ints, den = m.form
-            if blocks is None:
-                basis = m.echelon()
-                (rows, rden), cols = basis.form, basis.pivots
-            else:
-                cols, rden = blocks[i], den
-                rows = [ints[p] for p in cols]
-            right.append(rows)
-            left.append([[row[p] for p in cols] for row in ints])
-            dens.append(rden * den)
-        return cls(idems, right, left, dens)
-
-    @property
-    def field(self) -> Field:
-        return self.idems[0].field
-
-    @property
-    def ranks(self) -> List[int]:
-        return [len(r) for r in self.right]
-
-    def blocks(self, op: Matrix, top: int, start: int = 0) -> Iterator[dict]:
-        """The integer blocks R_i op^k B_j, one level k at a time for
-        start <= k < top: {(i, j): block} over every (i, j) at k = 0 and over
-        the (i, j) with k < |i - j| above, in the order j, then i.  Level 0 is
-        one product of the stacked R_i with V = [B_0 | ... | B_d].  Each later
-        level sets V <- op V over only the B_j that still have a block to
-        read, and one product of the stacked R_i that read one there cuts out
-        all of its blocks; a level below start forms no such product.  The
-        walk ends at the last level below top with a block to read: op^k B_j
-        is formed no further."""
-        f, d, ranks = self.field, len(self.right) - 1, self.ranks
-
-        def spans(keys) -> dict:  # where each R_i (rows) or B_j (columns) sits in a stack
-            starts = accumulate((ranks[x] for x in keys), initial=0)
-            return {x: slice(at, at + ranks[x]) for x, at in zip(keys, starts)}
-
-        cols, v = range(d + 1), [sum(rows, []) for rows in zip(*self.left)]
-        for k in range(top):
-            pairs = [(i, j) for j in cols for i in range(d + 1) if not k or k < abs(i - j)]
-            if not pairs:
-                return
-            if k:  # op V over the B_j still read
-                at, cols = spans(cols), sorted({j for _, j in pairs})
-                v = f.mat_mul(op.form[0], [[x for j in cols for x in row[at[j]]] for row in v])
-            if k < start:
-                continue
-            rows = sorted({i for i, _ in pairs})
-            prod = f.mat_mul([r for i in rows for r in self.right[i]], v)
-            up, at = spans(rows), spans(cols)
-            yield {(i, j): [row[at[j]] for row in prod[up[i]]] for i, j in pairs}
 
 
 class ModuleRealization:
@@ -262,13 +183,12 @@ def _idempotent_family_checks(
     rel5 reads its level 0, every R_i B_j, and each off-diagonal verdict
     there is also the band check at k = 0."""
     checks, walk = [], []
-    d, f, n = len(fam.idems) - 1, fam.field, op.nrows
+    d, f = len(fam.idems) - 1, op.field
     levels = fam.blocks(other, d + 1)
     base = next(levels)
     for i, j in sorted(base):
-        if i == j:  # R_i B_i = I: the integer block is dens[i] * I
-            r, unit = fam.ranks[i], fam.dens[i]
-            ok = base[i, j] == [[unit if k == l else 0 for l in range(r)] for k in range(r)]
+        if i == j:
+            ok = fam.is_unit(i, base[i, j])
         else:
             ok = not any(map(any, base[i, j]))
             walk.append((j, 0, i, ok))
@@ -276,15 +196,12 @@ def _idempotent_family_checks(
         checks.append(Check(f"rel5.{tag}.{i}.{j}", ok, detail))
     walk += [(j, k, i, not any(map(any, block)))
              for k, level in enumerate(levels, 1) for (i, j), block in level.items()]
-    # rel6, rel7: sum e_i and sum t_i e_i, each added over the nonzeros of the
-    # integer forms of the e_i over one denominator
-    nonzeros = [flat_nonzeros(m) for m in fam.idems]
+    # rel6, rel7: sum e_i and sum t_i e_i, each one linear combination
     for cid, weights, want, text in (
-        ("rel6", [(1, 1)] * (d + 1), Matrix.identity(f, n), f"sum of {tag}_i != identity"),
-        ("rel7", [f.ratio(t) for t in values], op, f"operator != sum of eigenvalue * {tag}_i"),
+        ("rel6", [f.one] * (d + 1), Matrix.identity(f, op.nrows), f"sum of {tag}_i != identity"),
+        ("rel7", values, op, f"operator != sum of eigenvalue * {tag}_i"),
     ):
-        terms = [(t, q * m.form[1], nz) for (t, q), m, nz in zip(weights, fam.idems, nonzeros)]
-        ok = combination(f, n, terms) == want
+        ok = lincomb(zip(weights, fam.idems)) == want
         checks.append(Check(f"{cid}.{tag}", ok, "" if ok else text))
     # the band blocks in the order j, then k, then i
     return checks, [

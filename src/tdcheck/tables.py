@@ -150,8 +150,8 @@ class Neg(NamedTuple):
 
 class BinOp(NamedTuple):
     op: str  # one of + - * /
-    left: "Expr"
-    right: "Expr"
+    lhs: "Expr"
+    rhs: "Expr"
 
 
 class Pow(NamedTuple):
@@ -216,8 +216,8 @@ def evaluate(expr: Expr, env: Dict[str, object], field, memo: dict) -> object:
     if isinstance(expr, Neg):
         val = field.neg(evaluate(expr.child, env, field, memo))
     elif isinstance(expr, BinOp):
-        left = evaluate(expr.left, env, field, memo)
-        right = evaluate(expr.right, env, field, memo)
+        left = evaluate(expr.lhs, env, field, memo)
+        right = evaluate(expr.rhs, env, field, memo)
         if expr.op == "/" and not right:
             raise EvaluationError(f"division by zero in {format_expr(expr)!r}")
         val = getattr(field, _FIELD_OPS[expr.op])(left, right)
@@ -263,11 +263,11 @@ def format_expr(expr: Expr) -> str:
         return "-" + inner
     if isinstance(expr, BinOp):
         prec = _prec(expr)
-        left = format_expr(expr.left)
-        if _prec(expr.left) < prec:
+        left = format_expr(expr.lhs)
+        if _prec(expr.lhs) < prec:
             left = f"({left})"
-        right = format_expr(expr.right)
-        if _prec(expr.right) <= prec:
+        right = format_expr(expr.rhs)
+        if _prec(expr.rhs) <= prec:
             right = f"({right})"
         return left + expr.op + right
     if isinstance(expr, Pow):
@@ -316,7 +316,7 @@ class _Entry:
         reused).  A number or scalar name is keyed by its text in atom."""
         kind = type(node)
         if kind is BinOp:
-            key = (kind, node.op, id(node.left), id(node.right))
+            key = (kind, node.op, id(node.lhs), id(node.rhs))
         elif kind is Pow:
             key = (kind, id(node.base), node.exp)
         else:
@@ -376,8 +376,8 @@ class _Entry:
         if isinstance(node, Neg) and isinstance(node.child, BasisLabel):
             return self.share(Neg(ONE)), node.child
         coeff, label = node, None
-        if isinstance(node, BinOp) and node.op == "*" and isinstance(node.right, BasisLabel):
-            coeff, label = node.left, node.right
+        if isinstance(node, BinOp) and node.op == "*" and isinstance(node.rhs, BasisLabel):
+            coeff, label = node.lhs, node.rhs
         stack = [(coeff, 1)]  # (node, depth), walked without recursion; a node is its fields
         while stack:
             sub, depth = stack.pop()

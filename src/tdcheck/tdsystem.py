@@ -48,15 +48,15 @@ The notes only name the route.  Both stay: the word-span note is inside
 every pinned d <= 3 round-trip report (tests/test_golden.py,
 perfbench/digests.json), and the roundtrip-qq workload runs both.
 
-Over the rationals each closure is certified on one image mod
-p = DEFAULT_PRIME first, in submodule_closure (the modular rank method, see
-von zur Gathen and Gerhard, Modern Computer Algebra).  The lemma: when no
-denominator of the operators or of the seed is divisible by p, every vector
-the span is built from is p-integral, and reduction mod p is a ring map on
-p-integral rationals, so vectors independent mod p are independent over Q.
-A full-dimension image therefore proves a full span over Q, and only the
-verdict "full" is taken from the image; every other case falls back to the
-exact computation, so no verdict depends on p.
+Over the rationals each closure is certified on one image mod p =
+DEFAULT_PRIME (linalg.image_mod_p) first, in submodule_closure (the modular
+rank method, see von zur Gathen and Gerhard, Modern Computer Algebra).  The
+lemma: when no denominator of the operators or of the seed is divisible by
+p, every vector the span is built from is p-integral, and reduction mod p is
+a ring map on p-integral rationals, so vectors independent mod p are
+independent over Q.  A full-dimension image therefore proves a full span
+over Q, and only the verdict "full" is taken from the image; every other
+case falls back to the exact computation, so no verdict depends on p.
 
 An operator restricted to W is its rows at the pivots of W's reduced
 echelon basis times that basis transposed (linalg.restrict), and phi's
@@ -73,12 +73,11 @@ from __future__ import annotations
 import json
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .fields import DEFAULT_PRIME, Field, PrimeField, field_echo
-from .linalg import EchelonBasis, Matrix, restrict
+from .fields import Field, field_echo
+from .linalg import EchelonBasis, Matrix, image_mod_p, restrict
 from .params import ParameterArray, derive_context, validate_parameter_array
 from .realization import (
     ModuleRealization,
-    RankFactors,
     RealizationError,
     idempotent_family,
     realize,
@@ -88,8 +87,6 @@ from .report import VerificationReport
 from .tables import FORMAT_VERSION, ModuleTable, TableError
 
 SPAN_CRITERION_DIM_LIMIT = 8
-
-_IMAGE_FIELD = PrimeField(DEFAULT_PRIME)
 
 
 class InvalidParameterArrayError(ValueError):
@@ -131,7 +128,7 @@ def submodule_closure(a: Matrix, astar: Matrix, seed: Sequence) -> EchelonBasis:
     """
     if not any(seed):
         raise ValueError("seed vector must be nonzero")
-    image = _image(a, astar, seed) if a.field.kind == "qq" else None
+    image = image_mod_p(a, astar, seed) if a.field.kind == "qq" else None
     if image and submodule_closure(*image).dim == a.ncols:
         return EchelonBasis.whole_space(a.field, a.ncols)
     basis = EchelonBasis(a.field, a.ncols)
@@ -148,21 +145,6 @@ def submodule_closure(a: Matrix, astar: Matrix, seed: Sequence) -> EchelonBasis:
     return basis
 
 
-def _image(a: Matrix, astar: Matrix, seed: Sequence) -> Optional[tuple]:
-    """(a, astar, seed) mod DEFAULT_PRIME, the operators read from their
-    integer form; None when a denominator is divisible by p or the seed
-    vanishes mod p."""
-    p = _IMAGE_FIELD.p
-    out = []  # the seed is read as a one-row form of its own
-    for ints, den in (a.form, astar.form, a.field.to_ints([seed])):
-        if den % p == 0:
-            return None
-        inv = pow(den, -1, p)
-        out.append([[x * inv % p if x else 0 for x in row] for row in ints])
-    (v,) = out.pop()
-    return (*(Matrix.of_ints(_IMAGE_FIELD, m) for m in out), v) if any(v) else None
-
-
 def irreducibility_check(a: Matrix, astar: Matrix, rank_one: Tuple[Optional[list], list]) -> bool:
     """Span of all words in the pair stabilizes at dimension (dim W)^2?
 
@@ -174,15 +156,6 @@ def irreducibility_check(a: Matrix, astar: Matrix, rank_one: Tuple[Optional[list
     if v is not None and submodule_closure(a, astar, v).dim < n:
         return False
     return submodule_closure(a.transpose(), astar.transpose(), w).dim == n
-
-
-def _rank_one(fam: RankFactors, i: int) -> Optional[Tuple[list, list]]:
-    """(v, w) with e_i a nonzero multiple of v w^T, v the one column of B_i
-    and w the one row of R_i, when e_i has rank 1; else None.  Both are the
-    integer rows the factors hold: a span reads only their lines."""
-    if fam.ranks[i] != 1:
-        return None
-    return [row[0] for row in fam.left[i]], fam.right[i][0]
 
 
 def _corner_cyclic_irreducible(a: Matrix, astar: Matrix, row: list) -> bool:
@@ -307,11 +280,11 @@ def extract_td_system(
     large = dim_w > SPAN_CRITERION_DIM_LIMIT
     cyclic = sharp and split[:1] == [field.one]  # phi spans the rank-one corner
     if cyclic:
-        rank_one = (None, _rank_one(dual_factors, r0)[1])
+        rank_one = (None, dual_factors.rank_one(r0)[1])
     else:  # the first rank-one end idempotent, if any
         ends = ((dual_factors, r0), (dual_factors, r0 + delta), (factors, t0),
                 (factors, t0 + delta_a))
-        rank_one = next(filter(None, (_rank_one(*end) for end in ends)), None)
+        rank_one = next(filter(None, (fam.rank_one(i) for fam, i in ends)), None)
     if rank_one is None:
         irreducible = None
         notes.append("irreducibility undetermined: no end idempotent has rank 1")

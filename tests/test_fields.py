@@ -16,7 +16,7 @@ from tdcheck.fields import (
     field_echo,
     is_prime,
 )
-from tdcheck.linalg import EchelonBasis, Matrix, restrict
+from tdcheck.linalg import EchelonBasis, Matrix, lincomb, restrict
 
 from support import elements
 
@@ -165,7 +165,7 @@ def test_every_result_is_canonical(f, seed, n, ints):
         v = m.apply(v)
     echelon = m.echelon()
     derived = [m * m2, m.shift(a), m.transpose(), Matrix.identity(f, n),
-               restrict(m, krylov)]
+               restrict(m, krylov), lincomb([(a, m), (b, m2), (f.one, Matrix.identity(f, n))])]
     for ints, den in [mat.form for mat in derived + [m]] + [echelon.form, krylov.form]:
         # integer forms in lowest terms; over F_p, residues over 1
         assert den > 0 and gcd(den, *(x for row in ints for x in row)) == 1

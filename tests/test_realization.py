@@ -4,10 +4,9 @@ from math import comb
 import pytest
 
 from tdcheck.fields import PrimeField, Rationals, derive_seed
-from tdcheck.linalg import Matrix
+from tdcheck.linalg import Matrix, RankFactors
 from tdcheck.params import derive_context, random_admissible_context
 from tdcheck.realization import (
-    RankFactors,
     mu_certificate,
     realize,
     shape_check,

@@ -1,6 +1,7 @@
 """The package imports nothing outside the standard library and itself, holds
-no function that nothing in it refers to, and starts without the heavy
-standard-library modules a run does not need."""
+no function that nothing in it refers to, reads the integer form of a matrix
+only in fields and linalg, and starts without the heavy standard-library
+modules a run does not need."""
 
 import ast
 import json
@@ -70,6 +71,28 @@ def test_every_function_is_referenced_outside_its_own_body():
         == Counter(_referenced_names(node, node in members))[node.name]
     )
     assert unreferenced == []
+
+
+# The integer form of a matrix (integer rows over one denominator), the field
+# hooks that read and build it, and the rank-factor blocks built on it
+INTEGER_FORM = {
+    "form", "of_ints", "to_ints", "from_ints", "ratio", "shrink", "primitive", "mat_mul",
+    "left", "right", "dens",
+}
+FORM_OWNERS = {"fields.py", "linalg.py"}
+
+
+def test_only_fields_and_linalg_name_the_integer_form():
+    # every other module works with Matrix, EchelonBasis and RankFactors
+    # operations and field elements; a member of INTEGER_FORM named as an
+    # attribute anywhere else reads or writes the format outside its owners
+    named = [
+        f"{path.name}:{node.lineno}: {node.attr}"
+        for path in sorted(SRC.glob("*.py")) if path.name not in FORM_OWNERS
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in INTEGER_FORM
+    ]
+    assert named == []
 
 
 # Start-up costs that a --jobs 1 run does not need: dataclasses (it imports

@@ -476,7 +476,7 @@ def test_a_memo_keeps_only_values_and_changes_no_error():
     # each division fails with its own text, with or without the memo
     _, terms = _Entry([(1, "phi : (y1/(beta+1))*phi + (y2/(beta+1))*phi")], 5, {PHI}, {}).read()
     (a, _), (b, _) = terms
-    assert a.right is b.right
+    assert a.rhs is b.rhs
     env = {"y1": Fraction(1), "y2": Fraction(2), "beta": Fraction(-1)}
     memo = {}
     for coeff in (a, b):
@@ -484,7 +484,7 @@ def test_a_memo_keeps_only_values_and_changes_no_error():
             with pytest.raises(EvaluationError) as err:
                 evaluate(coeff, env, QQ, m)
             assert str(err.value) == f"division by zero in {format_expr(coeff)!r}"
-    assert memo == {id(a.right): 0}  # the failed divisions are not kept
+    assert memo == {id(a.rhs): 0}  # the failed divisions are not kept
 
 
 def test_format_expr_minimal_parentheses():
