@@ -1,12 +1,13 @@
 """Realize a module table at a specialization context and machine-check it.
 
 realize() turns the symbolic table into two exact matrices acting on the
-2^d-dimensional module; a ModuleRealization is the table, the context and
-that pair.  Each family of primitive idempotents is built on first read by
-idempotent_family (shared with the round-trip extraction) as one
-linalg.RankFactors object, the e_i beside their rank factors read off the
-table's split grading: shape builds no family, the weight certificate only
-e*.  The check operations then verify, as exact matrix identities:
+2^d-dimensional module.  An OperatorPair (a pair, two eigenvalue lists and a
+vector phi; the round trip's extraction takes one) builds each family of
+primitive idempotents on first read, as one linalg.RankFactors object, and
+its split at phi.  A ModuleRealization is the pair of a table at a context:
+phi is the first basis vector and the rank factors are read off the table's
+split grading.  shape builds no family, the weight certificate only e*.
+The check operations then verify, as exact matrix identities:
 
   * the defining relations of the generator algebra: idempotent orthogonality
     and completeness, eigenvalue reconstruction, and the band conditions
@@ -61,33 +62,31 @@ class RealizationError(ValueError):
         )
 
 
-class ModuleRealization:
-    """A table realized at one context: the pair, the rank factors of its
-    two idempotent families (of a, then of a*) and its split, each built on
-    first read (idempotent_family, which may raise RealizationError)."""
+class OperatorPair:
+    """A pair (a, a*) at two eigenvalue lists and a vector phi.  Its two
+    idempotent families (of a, then of a*; sliced at blocks if given, else
+    read from echelon forms) and its split are built on first read; a family
+    raises RealizationError when its list does not annihilate its operator."""
 
-    def __init__(self, table: ModuleTable, context: SpecializationContext,
-                 a: Matrix, astar: Matrix):
-        self.table, self.context, self.a, self.astar = table, context, a, astar
+    def __init__(self, a: Matrix, astar: Matrix, theta: List, theta_star: List, phi: list,
+                 blocks: Optional[List[range]] = None):
+        self.a, self.astar, self.theta, self.theta_star = a, astar, theta, theta_star
+        self.phi, self.blocks = phi, blocks
 
     @cached_property
     def factors(self) -> RankFactors:
-        return idempotent_family("a", self.a, self.context.theta, self.table.row_blocks)
+        return idempotent_family("a", self.a, self.theta, self.blocks)
 
     @cached_property
     def dual_factors(self) -> RankFactors:
-        return idempotent_family("astar", self.astar, self.context.theta_star,
-                                 self.table.row_blocks)
+        return idempotent_family("astar", self.astar, self.theta_star, self.blocks)
 
     @cached_property
     def split(self) -> list:
-        """The split sequence read at phi, the first basis vector (split_sequence
-        with the corner e*_0): the weight certificate compares it with
-        1, y_1, ..., y_d, construction with zeta, and the round trip's
-        extraction reads it back."""
-        ctx = self.context
-        return split_sequence(self.a, self.estar[0], ctx.theta, ctx.theta_star,
-                              self.basis_vector(self.basis[0]))
+        """The split sequence read at phi (split_sequence with the corner
+        e*_0): the weight certificate compares it with 1, y_1, ..., y_d,
+        construction with zeta, and extraction reads it back."""
+        return split_sequence(self.a, self.estar[0], self.theta, self.theta_star, self.phi)
 
     @property
     def e(self) -> List[Matrix]:
@@ -98,25 +97,36 @@ class ModuleRealization:
         return self.dual_factors.idems
 
     @property
-    def d(self) -> int:
-        return self.table.d
-
-    @property
     def field(self) -> Field:
         return self.a.field
+
+    @property
+    def dim(self) -> int:
+        return self.a.nrows
+
+    @property
+    def d(self) -> int:
+        return len(self.theta) - 1
+
+
+class ModuleRealization(OperatorPair):
+    """A table realized at one context: the pair at the context's lists, phi
+    the first basis vector, the families sliced at the table's row blocks."""
+
+    def __init__(self, table: ModuleTable, context: SpecializationContext,
+                 a: Matrix, astar: Matrix):
+        self.table, self.context = table, context
+        phi = [a.field.one] + [a.field.zero] * (a.nrows - 1)
+        super().__init__(a, astar, context.theta, context.theta_star, phi, table.row_blocks)
 
     @property
     def basis(self) -> List[BasisLabel]:
         return self.table.basis
 
-    @property
-    def dim(self) -> int:
-        return len(self.table.basis)
-
     def basis_vector(self, label: BasisLabel) -> list:
         f = self.field
         v = [f.zero] * self.dim
-        v[self.table.basis.index(label)] = f.one
+        v[self.basis.index(label)] = f.one
         return v
 
 

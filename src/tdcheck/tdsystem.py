@@ -7,18 +7,18 @@ that the corner elements
     g_i = e*_0 tau_i(a) e*_0 - zeta_i e*_0 / prod_{j=1..i} (s_0 - s_j)
 
 kill phi: the realization's split (split_sequence at phi) must be zeta.
-extract_td_system() takes an operator pair (a, a*), a vector phi and two
-eigenvalue lists; it restricts the pair to W, the closure of phi, checks
-the tridiagonal axioms on it (diagonalizability over the lists, interval
-supports, band conditions, irreducibility), and reads back the shape and
-the split sequence.  roundtrip() compares the recovered data with
-the array.  Both directions read the pair through realization's helpers:
-each family and its rank factors from idempotent_family (the supports
-are the nonzero ranks, the shape the dual ranks over the support), the band
-conditions e_i X e_j = 0 as the blocks R_i X B_j (level 1 of
+extract_td_system() takes a realization.OperatorPair: a pair (a, a*), two
+eigenvalue lists and a vector phi.  It restricts the pair to W, the closure
+of phi, checks the tridiagonal axioms on it (diagonalizability over the
+lists, interval supports, band conditions, irreducibility), and reads back
+the shape and the split sequence; roundtrip() passes it the realization and
+compares the recovered data with the array.  Both directions read what the
+pair builds on first read: its families with their rank factors (the
+supports are the nonzero ranks, the shape the dual ranks over the support),
+the band conditions e_i X e_j = 0 as the blocks R_i X B_j (level 1 of
 RankFactors.blocks; a restricted idempotent may have rank 0, and its blocks
-are empty), and the split from split_sequence at phi, the reader behind the
-g_i assertion.  A round-trip trial reads that split once, in construction.
+are empty), and its split, the reader behind the g_i assertion.  A
+round-trip trial reads that split once, in construction.
 
 Irreducibility: the words in the restricted pair span the full matrix
 algebra (dimension (dim W)^2).  Given a rank-one member v w^T of the pair's
@@ -61,11 +61,10 @@ case falls back to the exact computation, so no verdict depends on p.
 An operator restricted to W is its rows at the pivots of W's reduced
 echelon basis times that basis transposed (linalg.restrict), and phi's
 coordinates are its entries at those pivots.  When the closure of phi is the
-whole module, the restriction is the pair itself, and the caller may pass
-the pair's realization at the same lists (roundtrip passes the one it
-constructed): extraction then reads its two idempotent families and its
-split instead of building them again.  On a proper W both are always
-rebuilt from the restriction.
+whole module the pair is read as it is (a realization's families and split
+are not rebuilt); on a proper W the restricted pair is a new OperatorPair,
+its families read from echelon forms.  The split is the pair's own when the
+supports are the full lists, else split_sequence on the sliced lists.
 """
 
 from __future__ import annotations
@@ -78,8 +77,8 @@ from .linalg import EchelonBasis, Matrix, image_mod_p, restrict
 from .params import ParameterArray, derive_context, validate_parameter_array
 from .realization import (
     ModuleRealization,
+    OperatorPair,
     RealizationError,
-    idempotent_family,
     realize,
     split_sequence,
 )
@@ -185,34 +184,22 @@ class TDSystemReport(NamedTuple):
         return out
 
 
-def extract_td_system(
-    a: Matrix, astar: Matrix, phi: list, theta: list, theta_star: list,
-    real: Optional[ModuleRealization] = None,
-) -> TDSystemReport:
-    """Restrict the pair to the closure of phi and check the axioms against
-    the eigenvalue lists.  real is the realization of this pair at these
-    lists with phi its first basis vector, or None; its families and split
-    are read only when phi generates the module, and built here otherwise."""
-    field, n = a.field, a.nrows
-    d = len(theta) - 1
+def extract_td_system(pair: OperatorPair) -> TDSystemReport:
+    """Restrict the pair to the closure of its phi and check the axioms
+    against its eigenvalue lists, reading the pair's own families and split
+    when phi generates the module and the restricted pair's otherwise."""
+    field, n, d = pair.field, pair.dim, pair.d
+    theta, theta_star = pair.theta, pair.theta_star
     failures: List[Tuple[str, str]] = []
     notes: List[str] = []
-    closure = submodule_closure(a, astar, phi)
+    closure = submodule_closure(pair.a, pair.astar, pair.phi)
     dim_w = closure.dim
+    if dim_w < n:
+        pair = OperatorPair(restrict(pair.a, closure), restrict(pair.astar, closure), theta,
+                            theta_star, [pair.phi[p] for p in closure.pivots])
 
-    if dim_w == n:  # W is the module: the restriction is the pair itself
-        a_sub, astar_sub = a, astar
-    else:
-        a_sub, astar_sub = restrict(a, closure), restrict(astar, closure)
-    phi_w = [phi[p] for p in closure.pivots]
-
-    whole = real is not None and dim_w == n
     try:
-        factors, dual_factors = (
-            (real.factors, real.dual_factors) if whole
-            else (idempotent_family("a", a_sub, theta),
-                  idempotent_family("astar", astar_sub, theta_star))
-        )
+        factors, dual_factors = pair.factors, pair.dual_factors
     except RealizationError as err:
         return TDSystemReport(
             diameter=-1,
@@ -249,7 +236,7 @@ def extract_td_system(
 
     # band conditions on the restriction, e_i op e_j = 0 for |i - j| > 1: the
     # block walk's level 1 (its level 0, rel5's blocks, is not an axiom here)
-    for tag, fam, op in (("es", dual_factors, a_sub), ("e", factors, astar_sub)):
+    for tag, fam, op in (("es", dual_factors, pair.a), ("e", factors, pair.astar)):
         for level in fam.blocks(op, 2, 1):
             for (i, j), block in level.items():
                 if any(map(any, block)):
@@ -265,10 +252,10 @@ def extract_td_system(
         failures.append(("tds.shape.symmetric", f"shape {shape} is not symmetric"))
     sharp = bool(shape) and shape[0] == 1
 
-    # split sequence: the corner identity read at phi (the realization's
-    # families have every rank C(d, i) > 0, so there t0 = r0 = 0 and delta = d)
-    split = real.split if whole else split_sequence(
-        a_sub, dual_factors.idems[r0], theta[t0:], theta_star[r0 : r0 + delta + 1], phi_w)
+    # split sequence: the corner identity read at phi, the pair's own split
+    # when the supports are the full lists
+    split = pair.split if (t0, r0, delta) == (0, 0, d) else split_sequence(
+        pair.a, dual_factors.idems[r0], theta[t0:], theta_star[r0 : r0 + delta + 1], pair.phi)
     if None in split:
         i = split.index(None)
         failures.append(
@@ -289,10 +276,10 @@ def extract_td_system(
         irreducible = None
         notes.append("irreducibility undetermined: no end idempotent has rank 1")
     elif large and cyclic:
-        irreducible = _corner_cyclic_irreducible(a_sub, astar_sub, rank_one[1])
+        irreducible = _corner_cyclic_irreducible(pair.a, pair.astar, rank_one[1])
         notes.append("irreducibility via corner-cyclic test")
     else:
-        irreducible = irreducibility_check(a_sub, astar_sub, rank_one)
+        irreducible = irreducibility_check(pair.a, pair.astar, rank_one)
         fallback = " (fallback)" if large else ""
         notes.append("irreducibility via full word-span dimension" + fallback)
     if irreducible is False:
@@ -344,9 +331,7 @@ def roundtrip(pa: ParameterArray, field: Field, table: ModuleTable) -> Verificat
     for i in range(1, pa.d + 1):
         rep.add(f"tds.g.{i}", True, "")
 
-    ctx = real.context
-    tds = extract_td_system(real.a, real.astar, real.basis_vector(real.basis[0]), ctx.theta,
-                            ctx.theta_star, real)
+    tds = extract_td_system(real)
     rep.add(
         "tds.closure",
         True,

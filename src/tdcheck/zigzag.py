@@ -258,7 +258,7 @@ def feasible_rank_test(real) -> List[Check]:
     words = enumerate_feasible(real.d)
     expected = 2**real.d
     basis = EchelonBasis(real.field, real.dim)
-    images = {TRIVIAL: real.basis_vector(real.basis[0])}
+    images = {TRIVIAL: real.phi}
     for w in words:
         (starred, idx), rest = w[0], w[1:]
         images[w] = (real.estar if starred else real.e)[idx].apply(images[rest])

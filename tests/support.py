@@ -160,7 +160,7 @@ def mutation_detections(table, mutated, field, seed: int, trials: int) -> int:
 
 def word_image(real, word) -> list:
     """The vector (word).phi in a realized module, multiplying right to left."""
-    vec = real.basis_vector(real.basis[0])
+    vec = real.phi
     for starred, idx in reversed(word):
         mat = real.estar[idx] if starred else real.e[idx]
         vec = mat.apply(vec)

@@ -371,9 +371,7 @@ def test_extraction_forms_only_the_band_products_it_reads(monkeypatch):
     counts = []
     for real in reals:
         products.clear()
-        ctx = real.context
-        tds = extract_td_system(real.a, real.astar, real.basis_vector(real.basis[0]), ctx.theta,
-                                ctx.theta_star, real)
+        tds = extract_td_system(real)
         assert tds.axiom_failures == []
         counts.append(len(products))
     assert counts == [0, 0, 4, 4, 4, 4]

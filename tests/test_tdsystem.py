@@ -8,7 +8,7 @@ from tdcheck import realization, tdsystem
 from tdcheck.fields import DEFAULT_PRIME, PrimeField, Rationals, Sampler, derive_seed
 from tdcheck.linalg import EchelonBasis, Matrix, restrict
 from tdcheck.params import ParameterArray, random_admissible_context, random_valid_parameter_array
-from tdcheck.realization import ModuleRealization, idempotent_family, realize, split_sequence
+from tdcheck.realization import OperatorPair, idempotent_family, realize, split_sequence
 from tdcheck.tables import FORMAT_VERSION, bundled_table_text, load_table, parse_table
 from tdcheck.tdsystem import (
     InvalidParameterArrayError,
@@ -297,7 +297,7 @@ def test_extraction_at_d4_from_phi_plus_r_takes_the_rank_one_route(monkeypatch):
     real = realize(load_table(4), ctx, FP)
     start = [FP.add(x, y) for x, y in zip(*map(real.basis_vector, real.basis[:2]))]
     calls = closure_calls(monkeypatch)
-    tds = extract_td_system(real.a, real.astar, start, ctx.theta, ctx.theta_star, None)
+    tds = extract_td_system(OperatorPair(real.a, real.astar, ctx.theta, ctx.theta_star, start))
     monkeypatch.undo()
     assert tds.closure_dim == 16 and ("tds.split.proportional.0", ANY) in tds.axiom_failures
     assert "irreducibility via full word-span dimension (fallback)" in tds.notes
@@ -331,8 +331,8 @@ def test_diagonal_pair_fails_the_support_and_shape_axioms(a, astar, failures):
         return Matrix(QQ, [[Fraction(x) if i == j else QQ.zero for j in range(len(xs))]
                            for i, x in enumerate(xs)])
 
-    tds = extract_td_system(diag(a), diag(astar), fr([1] * len(a)), fr([0, 1, 3]),
-                            fr([0, 2, 5]), None)
+    tds = extract_td_system(OperatorPair(diag(a), diag(astar), fr([0, 1, 3]), fr([0, 2, 5]),
+                                         fr([1] * len(a))))
     assert tds.closure_dim == len(a)
     assert tds.axiom_failures == failures + [
         ("tds.split.proportional.0", "corner image is not a multiple of the eigenvector"),
@@ -347,8 +347,8 @@ def test_extraction_without_a_rank_one_end_idempotent_leaves_irreducibility_unde
         return Matrix(QQ, [[Fraction(x) if i == j else QQ.zero for j in range(4)]
                            for i, x in enumerate(xs)])
 
-    tds = extract_td_system(diag([0, 0, 1, 1]), diag([0, 1, 0, 1]), fr([1] * 4), fr([0, 1]),
-                            fr([0, 1]), None)
+    tds = extract_td_system(OperatorPair(diag([0, 0, 1, 1]), diag([0, 1, 0, 1]), fr([0, 1]),
+                                         fr([0, 1]), fr([1] * 4)))
     assert (tds.closure_dim, tds.shape, tds.irreducible) == (4, [2, 2], None)
     assert "irreducibility undetermined: no end idempotent has rank 1" in tds.notes
     assert not any(cid == "tds.irreducible" for cid, _ in tds.axiom_failures)
@@ -377,7 +377,7 @@ def test_padded_reducible_pair_above_the_span_limit_is_reducible_by_both_routes(
     a, astar = padded(real.a, ctx.theta[1], 1), padded(real.astar, ctx.theta_star[1], 2)
     phi = real.basis_vector(real.basis[0]) + [field.one]
     calls = closure_calls(monkeypatch)
-    tds = extract_td_system(a, astar, phi, ctx.theta, ctx.theta_star, None)
+    tds = extract_td_system(OperatorPair(a, astar, ctx.theta, ctx.theta_star, phi))
     monkeypatch.undo()
     assert tds.closure_dim == 9 and tds.irreducible is False
     assert ("tds.irreducible", "a proper invariant subspace exists") in tds.axiom_failures
@@ -505,16 +505,15 @@ def test_full_image_closure_is_the_identity_basis_without_exact_elimination(monk
 # extraction
 
 
-def extract(real, theta, theta_star, whole=None):
-    """extract_td_system on realize's pair at phi."""
-    phi = real.basis_vector(real.basis[0])
-    return extract_td_system(real.a, real.astar, phi, theta, theta_star, whole)
+def extract(real, theta, theta_star):
+    """extract_td_system on a new pair: realize's operators at phi and the
+    given lists, its families built from echelon forms."""
+    return extract_td_system(OperatorPair(real.a, real.astar, theta, theta_star, real.phi))
 
 
 def extract_realized(real):
-    """extract at realize's lists with the realization, as roundtrip calls it."""
-    ctx = real.context
-    return extract(real, ctx.theta, ctx.theta_star, real)
+    """extract_td_system on the realization itself, as roundtrip calls it."""
+    return extract_td_system(real)
 
 
 def test_extract_d1_report_matches_hand_values():
@@ -589,6 +588,9 @@ def test_extract_band_blocks_with_rank_zero_restricted_idempotents():
     tds = extract(real, theta, theta_star)
     assert band_failures(tds) == reference_band_failures(real, theta, theta_star) == []
     assert tds.diameter == 1 and tds.shape == [1, 1] and tds.degenerate
+    # the split is read on the supports' lists, not the pair's full ones
+    assert tds.split == fr([1, 1])
+    assert OperatorPair(real.a, real.astar, theta, theta_star, real.phi).split == fr([1, 1, 0])
 
 
 def test_extract_band_blocks_match_full_sandwiches_when_they_fail():
@@ -610,20 +612,18 @@ def test_extract_band_blocks_match_full_sandwiches_when_they_fail_over_q():
 
 
 def padded_pair(real):
-    """realize's pair (+) [theta_0] and (+) [theta*_0], phi (+) 0, and a
-    realization of the padded pair holding its own families (rank 2 at
-    index 0): the closure of phi is the realized module, a proper W of
-    dimension 2^d in 2^d + 1."""
+    """realize's pair (+) [theta_0] and (+) [theta*_0] at phi (+) 0, as an
+    OperatorPair holding its own families (rank 2 at index 0): the closure of
+    phi is the realized module, a proper W of dimension 2^d in 2^d + 1."""
     f, ctx = real.field, real.context
 
     def padded(m, t):
         return Matrix(f, [row + [f.zero] for row in elements(m)] + [[f.zero] * m.ncols + [t]])
 
     a, astar = padded(real.a, ctx.theta[0]), padded(real.astar, ctx.theta_star[0])
-    phi = real.basis_vector(real.basis[0]) + [f.zero]
-    whole = ModuleRealization(real.table, ctx, a, astar)
-    whole.factors, whole.dual_factors = idempotent_families(a, astar, ctx.theta, ctx.theta_star)
-    return a, astar, phi, whole
+    pair = OperatorPair(a, astar, ctx.theta, ctx.theta_star, real.phi + [f.zero])
+    pair.factors, pair.dual_factors = idempotent_families(a, astar, ctx.theta, ctx.theta_star)
+    return pair
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -631,8 +631,7 @@ def padded_pair(real):
 def test_extract_restricts_a_pair_to_a_proper_closure(field, d):
     ctx = random_admissible_context(d, field, 40 + d)
     real = realize(load_table(d), ctx, field)
-    a, astar, phi, whole = padded_pair(real)
-    tds = extract_td_system(a, astar, phi, ctx.theta, ctx.theta_star, whole)
+    tds = extract_td_system(padded_pair(real))
     plain = extract_realized(real)
     assert tds.closure_dim == real.dim == 2 ** d and tds.degenerate
     assert f"degenerate parameter point: closure dim {2 ** d}/{2 ** d + 1}," in tds.notes[-1]
@@ -644,7 +643,7 @@ def test_extract_restricts_a_pair_to_a_proper_closure(field, d):
 @pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
 def test_extract_reuses_the_families_only_on_the_whole_module(field, monkeypatch):
     real = realize(load_table(2), random_admissible_context(2, field, 5), field)
-    real.split  # read by construction in a round trip
+    real.split, real.factors  # a round trip reads both before extraction
     calls, splits = [], []
 
     def counted(tag, op, values, *blocks):
@@ -655,20 +654,19 @@ def test_extract_reuses_the_families_only_on_the_whole_module(field, monkeypatch
         splits.append(a.nrows)
         return split_sequence(a, *args)
 
-    monkeypatch.setattr(tdsystem, "idempotent_family", counted)
+    monkeypatch.setattr(realization, "idempotent_family", counted)
     for module in (realization, tdsystem):
         monkeypatch.setattr(module, "split_sequence", counted_split)
     assert extract_realized(real).closure_dim == real.dim
     # the whole module: the families and the split of the realization are read
     assert calls == splits == []
     ctx = real.context
-    a, astar, phi, whole = padded_pair(real)
-    assert extract_td_system(a, astar, phi, ctx.theta, ctx.theta_star, whole).degenerate
+    assert extract_td_system(padded_pair(real)).degenerate
     once = [("a", real.dim, ctx.theta), ("astar", real.dim, ctx.theta_star)]
     # a proper W: rebuilt there, once per operator, and one split read on W
     assert (calls, splits) == (once, [real.dim])
     extract(real, ctx.theta, ctx.theta_star)
-    assert (calls[2:], splits[1:]) == (once, [real.dim])  # None: built here
+    assert (calls[2:], splits[1:]) == (once, [real.dim])  # a new pair: built here
 
 
 def test_split_extraction_recovers_zeta_on_full_module():
@@ -678,6 +676,36 @@ def test_split_extraction_recovers_zeta_on_full_module():
     tds = extract_realized(real)
     assert tds.closure_dim == real.dim
     assert tds.split == pa.zeta
+
+
+@pytest.mark.parametrize(
+    "p,theta,theta_star,zeta",
+    [(7, [0, 1, 6], [0, 6, 3], [1, 1, 1]),
+     (7, [1, 6, 2], [0, 6, 2], [1, 3, 2]),
+     (13, [8, 5, 1], [7, 0, 4], [1, 9, 11])],
+    ids=["f7-a", "f7-b", "f13"],
+)
+def test_extract_reads_the_irreducible_quotient_of_a_reducible_module(p, theta, theta_star, zeta):
+    # at these points phi generates the d = 2 module, which is reducible.
+    # Its largest submodule without phi is M, the annihilator of D, the dual
+    # closure of e*_0's R row.  The pair on W/M is the transposed pair
+    # restricted to D, transposed back; phi's coordinates there are its
+    # pairings with D's rows.  Extraction takes that pair as it is
+    field = PrimeField(p)
+    real = construct_from_params(ParameterArray(2, theta, theta_star, zeta), field, load_table(2))
+    tds = extract_td_system(real)
+    assert (tds.irreducible, tds.shape) == (False, [1, 2, 1])
+    dual = submodule_closure(real.a.transpose(), real.astar.transpose(),
+                             real.dual_factors.rank_one(0)[1])
+
+    def quotient(op):
+        return restrict(op.transpose(), dual).transpose()
+
+    phi = Matrix(field, elements(dual)).apply(real.phi)
+    quo = extract_td_system(OperatorPair(quotient(real.a), quotient(real.astar), theta,
+                                         theta_star, phi))
+    assert quo.axiom_failures == []
+    assert (quo.closure_dim, quo.shape, quo.split, quo.irreducible) == (3, [1, 1, 1], zeta, True)
 
 
 # ---------------------------------------------------------------------------
