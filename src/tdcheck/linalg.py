@@ -15,18 +15,18 @@ tiny (at most 32) and the hot spots walk only nonzeros:
   * `apply` clears the vector once and reads one field element per output
     entry from integer dot products over the nonzeros of each row;
   * EchelonBasis eliminates fraction-free on integer rows (walking nonzeros;
-    over F_p one reduction per residual), and `Matrix.echelon` inserts the
-    nonzero rows of the integer form as they are: over Q each is a multiple
-    of its row, which spans the same line;
+    over F_p one reduction per residual), and `Matrix.echelon`, behind
+    `rank`, inserts the nonzero rows of the integer form as they are: over Q
+    each is a multiple of its row, which spans the same line;
   * `lincomb` adds multiples of matrices over the flat nonzeros of their
     integer forms, which each Matrix lists once (the identity its diagonal),
     over one denominator (a Lagrange idempotent, rel6/rel7's sums);
   * `restrict` reads an operator on an invariant subspace as the rows at
     the basis's pivots of one product, the operator times the basis's form
-    transposed;
-  * `RankFactors` keeps the integer blocks of rank factors e_i = B_i R_i and
-    walks the blocks R_i op^k B_j; `image_mod_p` reads a pair and a vector
-    mod p (tdsystem's modular certificate).
+    transposed, and `graded` reads a pair's split grading off the form;
+  * `RankFactors` slices rank factors e_i = B_i R_i at a graded pair's
+    blocks and walks the blocks R_i op^k B_j; `image_mod_p` reads a pair
+    and a vector mod p (tdsystem's modular certificate).
 
 Equal matrices have equal integer forms, so `==` compares those.  Every
 element handed back is canonical (see `fields`), so vectors compare with
@@ -286,6 +286,22 @@ def restrict(op: Matrix, basis: EchelonBasis) -> Matrix:
     return m
 
 
+def graded(op: Matrix, values: Sequence, blocks: Sequence[Sequence[int]], step: int) -> bool:
+    """Does op send each block U_j into U_j + U_{j+step}, as values[j] * I on
+    U_j?  False unless the blocks partition the coordinates, one per value.
+    An entry x / den equals num / q, the value's ratio, when x * q == num * den."""
+    n, f, (ints, den) = op.nrows, op.field, op.form
+    if len(values) != len(blocks) or sorted(chain(*blocks)) != list(range(n)):
+        return False
+    at = {k: j for j, block in enumerate(blocks) for k in block}
+    for r, row in enumerate(ints):
+        num, q = f.ratio(values[at[r]])
+        if row[r] * q != num * den or any(at[r] - at[c] != step
+                                          for c in compress(range(n), row) if c != r):
+            return False
+    return True
+
+
 _IMAGE_FIELD = PrimeField(DEFAULT_PRIME)
 
 
@@ -307,16 +323,15 @@ def image_mod_p(a: Matrix, astar: Matrix, seed: Sequence) -> Optional[tuple]:
 class RankFactors(NamedTuple):
     """A family of matrices e_i with their exact rank factorizations e_i = B_i R_i.
 
-    B_i is the columns of e_i at r_i = rank e_i indices U_i and R_i has r_i
-    rows, I at U_i: e_i's rows there (`of` at a graded table's row blocks) or
-    its reduced echelon rows, U_i their pivots.  B_i has full column rank and
-    R_i full row rank, so for any X, e_i X e_j = 0 iff R_i X B_j = 0, and
-    e_i e_j = c e_i iff R_i B_j = c I (i = j) or 0 (i != j), orthogonal
-    idempotents or not.  Blocks are integer rows of the integer forms:
-    R_i is right[i] / r_i and B_i is left[i] / b_i with dens[i] = r_i * b_i,
-    so a zero test of any block product needs no denominator, and rank 0
-    (R_i 0 x n, B_i n x 0) needs no special case.  `blocks` walks
-    R_i op^k B_j one level k at a time.
+    B_i is the columns of e_i at r_i = rank e_i indices U_i and R_i its rows
+    there, I at U_i (`of`, at a graded pair's blocks).  B_i has full column
+    rank and R_i full row rank, so for any X, e_i X e_j = 0 iff
+    R_i X B_j = 0, and e_i e_j = c e_i iff R_i B_j = c I (i = j) or 0
+    (i != j), orthogonal idempotents or not.  Blocks are integer rows of the
+    integer forms: R_i is right[i] / r_i and B_i is left[i] / b_i with
+    dens[i] = r_i * b_i, so a zero test of any block product needs no
+    denominator, and rank 0 (R_i 0 x n, B_i n x 0) needs no special case.
+    `blocks` walks R_i op^k B_j one level k at a time.
     """
 
     idems: List[Matrix]  # e_i
@@ -325,22 +340,15 @@ class RankFactors(NamedTuple):
     dens: List[int]
 
     @classmethod
-    def of(cls, idems: List[Matrix], blocks: Optional[List[range]] = None) -> "RankFactors":
+    def of(cls, idems: List[Matrix], blocks: Sequence[Sequence[int]]) -> "RankFactors":
         """Each e_i's factors at U_i = blocks[i], where e_i[U_i, U_i] = I and
-        rank e_i = |U_i| (realization.idempotent_family); without blocks,
-        from e_i's echelon form."""
+        rank e_i = |U_i| (realization.idempotent_family)."""
         right, left, dens = [], [], []
-        for i, m in enumerate(idems):
+        for m, cols in zip(idems, blocks):
             ints, den = m.form
-            if blocks is None:
-                basis = m.echelon()
-                (rows, rden), cols = basis.form, basis.pivots
-            else:
-                cols, rden = blocks[i], den
-                rows = [ints[p] for p in cols]
-            right.append(rows)
+            right.append([ints[p] for p in cols])
             left.append([[row[p] for p in cols] for row in ints])
-            dens.append(rden * den)
+            dens.append(den * den)
         return cls(idems, right, left, dens)
 
     @property

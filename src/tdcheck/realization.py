@@ -1,13 +1,14 @@
 """Realize a module table at a specialization context and machine-check it.
 
 realize() turns the symbolic table into two exact matrices acting on the
-2^d-dimensional module.  An OperatorPair (a pair, two eigenvalue lists and a
-vector phi; the round trip's extraction takes one) builds each family of
-primitive idempotents on first read, as one linalg.RankFactors object, and
-its split at phi.  A ModuleRealization is the pair of a table at a context:
-phi is the first basis vector and the rank factors are read off the table's
-split grading.  shape builds no family, the weight certificate only e*.
-The check operations then verify, as exact matrix identities:
+2^d-dimensional module.  An OperatorPair (a pair, two eigenvalue lists, a
+vector phi and the blocks of its split grading; the round trip's extraction
+takes one) builds each family of primitive idempotents on first read, as one
+linalg.RankFactors object sliced at the blocks, and its split at phi.  A
+ModuleRealization is the pair of a table at a context: phi is the first
+basis vector and the blocks are the table's row blocks.  shape builds no
+family, the weight certificate only e*.  The check operations then verify,
+as exact matrix identities:
 
   * the defining relations of the generator algebra: idempotent orthogonality
     and completeness, eigenvalue reconstruction, and the band conditions
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .fields import Field
 from .linalg import Matrix, RankFactors, lincomb
@@ -63,13 +64,13 @@ class RealizationError(ValueError):
 
 
 class OperatorPair:
-    """A pair (a, a*) at two eigenvalue lists and a vector phi.  Its two
-    idempotent families (of a, then of a*; sliced at blocks if given, else
-    read from echelon forms) and its split are built on first read; a family
-    raises RealizationError when its list does not annihilate its operator."""
+    """A pair (a, a*) at two eigenvalue lists, a vector phi and the blocks of
+    its split grading.  Its two idempotent families (of a, then of a*, sliced
+    at the blocks) and its split are built on first read; a family raises
+    RealizationError when its list does not annihilate its operator."""
 
     def __init__(self, a: Matrix, astar: Matrix, theta: List, theta_star: List, phi: list,
-                 blocks: Optional[List[range]] = None):
+                 blocks: List[Sequence[int]]):
         self.a, self.astar, self.theta, self.theta_star = a, astar, theta, theta_star
         self.phi, self.blocks = phi, blocks
 
@@ -141,14 +142,14 @@ def context_env(ctx: SpecializationContext) -> Dict[str, object]:
 
 
 def idempotent_family(
-    tag: str, op: Matrix, values: List, blocks: Optional[List[range]] = None
+    tag: str, op: Matrix, values: List, blocks: List[Sequence[int]]
 ) -> RankFactors:
     """The Lagrange family of op for the eigenvalue list, with its rank
-    factors read at blocks if given (RankFactors.of); RealizationError names
-    minpoly.<tag> when the list does not annihilate op.  On a graded table
-    (tables.check_grading) A - th_j raises row block U_j into U_{j+1}, so
-    prod (A - th_k) = 0 and e_i is block triangular with diagonal blocks
-    delta_ij I, of rank |U_i| = C(d, i); likewise for A*, which lowers."""
+    factors read at the blocks (RankFactors.of); RealizationError names
+    minpoly.<tag> when the list does not annihilate op.  On a graded pair
+    (tables.check_grading, linalg.graded) A - th_j raises block U_j into
+    U_{j+1}, so prod (A - th_k) = 0 and e_i is block triangular with
+    diagonal blocks delta_ij I, of rank |U_i|; likewise for A*, which lowers."""
     try:
         return RankFactors.of(lagrange_idempotents(op, values), blocks)
     except MinimalPolynomialError as err:

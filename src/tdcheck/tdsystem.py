@@ -8,13 +8,17 @@ that the corner elements
 
 kill phi: the realization's split (split_sequence at phi) must be zeta.
 extract_td_system() takes a realization.OperatorPair: a pair (a, a*), two
-eigenvalue lists and a vector phi.  It restricts the pair to W, the closure
-of phi, checks the tridiagonal axioms on it (diagonalizability over the
-lists, interval supports, band conditions, irreducibility), and reads back
-the shape and the split sequence; roundtrip() passes it the realization and
-compares the recovered data with the array.  Both directions read what the
-pair builds on first read: its families with their rank factors (the
-supports are the nonzero ranks, the shape the dual ranks over the support),
+eigenvalue lists, a vector phi and the blocks U_j of a split grading.  It
+restricts the pair to W, the closure of phi, checks that the pair it reads
+is graded (linalg.graded: a is theta_j on U_j plus a map into U_{j+1}, a* is
+theta*_j on U_j plus a map into U_{j-1}; else it aborts, tds.grading.*),
+checks the tridiagonal axioms on it (an interval support, band conditions,
+irreducibility), and reads back the shape and the split sequence;
+roundtrip() passes it the realization and compares the recovered data with
+the array.  Both directions read what the pair builds on first read: its
+families with their rank factors (on a graded pair e_i and e*_i both have
+rank |U_i|, so one support, the nonzero block sizes, is both families', and
+the shape is the sizes over it: one diameter, and dim E_iW = dim E*_iW),
 the band conditions e_i X e_j = 0 as the blocks R_i X B_j (level 1 of
 RankFactors.blocks; a restricted idempotent may have rank 0, and its blocks
 are empty), and its split, the reader behind the g_i assertion.  A
@@ -33,12 +37,12 @@ J. Austral. Math. Soc. A 57, 1994).  extract_td_system takes the member and
 the route as follows:
 
   * phi spans the rank-one corner (the shape is sharp and the split read at
-    phi starts with 1): the member is e*_{r0} = c phi w^T, and phi generates
+    phi starts with 1): the member is e*_{t0} = c phi w^T, and phi generates
     W, so only the dual closure of w is read: _corner_cyclic_irreducible
     ("irreducibility via corner-cyclic test") for dim W > 8, else
     irreducibility_check ("irreducibility via full word-span dimension").
-  * otherwise the first of e*_{r0}, e*_{r0+delta}, e_{t0}, e_{t0+delta} with
-    rank 1 on W, v its B column and w its R row, through
+  * otherwise the first of e*_{t0}, e*_{t0+delta} with rank 1 on W (e_i has
+    the rank of e*_i), v its B column and w its R row, through
     irreducibility_check; the word-span note, with " (fallback)" for dim W > 8.
   * with none, the verdict is None ("irreducibility undetermined").  No
     table reaches it: on a graded table (tables.check_grading) e*_0 phi = phi
@@ -62,9 +66,10 @@ An operator restricted to W is its rows at the pivots of W's reduced
 echelon basis times that basis transposed (linalg.restrict), and phi's
 coordinates are its entries at those pivots.  When the closure of phi is the
 whole module the pair is read as it is (a realization's families and split
-are not rebuilt); on a proper W the restricted pair is a new OperatorPair,
-its families read from echelon forms.  The split is the pair's own when the
-supports are the full lists, else split_sequence on the sliced lists.
+are not rebuilt); on a proper W the restricted pair is a new OperatorPair
+whose block j is the pivots in U_j, graded when each reduced row lies in its
+pivot's block, which the grading check decides.  The split is the pair's own
+when the support is the full list, else split_sequence on the sliced lists.
 """
 
 from __future__ import annotations
@@ -73,7 +78,7 @@ import json
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .fields import Field, field_echo
-from .linalg import EchelonBasis, Matrix, image_mod_p, restrict
+from .linalg import EchelonBasis, Matrix, graded, image_mod_p, restrict
 from .params import ParameterArray, derive_context, validate_parameter_array
 from .realization import (
     ModuleRealization,
@@ -185,54 +190,40 @@ class TDSystemReport(NamedTuple):
 
 
 def extract_td_system(pair: OperatorPair) -> TDSystemReport:
-    """Restrict the pair to the closure of its phi and check the axioms
-    against its eigenvalue lists, reading the pair's own families and split
-    when phi generates the module and the restricted pair's otherwise."""
+    """Restrict the pair to the closure of its phi, check that the pair read
+    is graded, and check the axioms against its eigenvalue lists, reading the
+    pair's own families and split when phi generates the module and the
+    restricted pair's otherwise."""
     field, n, d = pair.field, pair.dim, pair.d
     theta, theta_star = pair.theta, pair.theta_star
     failures: List[Tuple[str, str]] = []
     notes: List[str] = []
     closure = submodule_closure(pair.a, pair.astar, pair.phi)
     dim_w = closure.dim
-    if dim_w < n:
+    if dim_w < n:  # block j of W: its pivots in block j, checked below
+        blocks = [[k for k, p in enumerate(closure.pivots) if p in b] for b in pair.blocks]
         pair = OperatorPair(restrict(pair.a, closure), restrict(pair.astar, closure), theta,
-                            theta_star, [pair.phi[p] for p in closure.pivots])
+                            theta_star, [pair.phi[p] for p in closure.pivots], blocks)
 
-    try:
-        factors, dual_factors = pair.factors, pair.dual_factors
-    except RealizationError as err:
+    # the grading the families are sliced at (RankFactors.of): a raises, a* lowers
+    grading = [(f"tds.grading.{tag}",
+                f"{tag} is not its eigenvalue on block j plus a map to block j{step:+d}")
+               for tag, op, values, step in (("a", pair.a, theta, 1),
+                                             ("astar", pair.astar, theta_star, -1))
+               if not graded(op, values, pair.blocks, step)]
+    if grading:
         return TDSystemReport(
-            diameter=-1,
-            eigenvalues=[],
-            dual_eigenvalues=[],
-            shape=[],
-            split=[],
-            sharp=False,
-            irreducible=None,
-            axiom_failures=[("tds." + cid, det) for cid, det in err.failures],
-            degenerate=True,
-            closure_dim=dim_w,
-            notes=["extraction aborted: minimal polynomial failed"],
-        )
+            diameter=-1, eigenvalues=[], dual_eigenvalues=[], shape=[], split=[], sharp=False,
+            irreducible=None, axiom_failures=grading, degenerate=True, closure_dim=dim_w,
+            notes=["extraction aborted: the pair is not graded"])
 
-    def support(rs: List[int], tag: str) -> List[int]:
-        sup = [i for i, r in enumerate(rs) if r > 0]
-        if sup and sup != list(range(sup[0], sup[-1] + 1)):
-            failures.append((f"tds.support.{tag}", f"support {sup} is not an interval"))
-        return sup
-
-    ranks, dual_ranks = factors.ranks, dual_factors.ranks
-    sup_a = support(ranks, "a")
-    sup_astar = support(dual_ranks, "astar")
-    t0 = sup_a[0] if sup_a else 0
-    r0 = sup_astar[0] if sup_astar else 0
-    delta_a = len(sup_a) - 1
-    delta_astar = len(sup_astar) - 1
-    if delta_a != delta_astar:
-        failures.append(
-            ("tds.diameter.match", f"supports have lengths {delta_a + 1} != {delta_astar + 1}")
-        )
-    delta = delta_astar
+    # both families have rank |U_i| at i: one support, one shape
+    factors, dual_factors = pair.factors, pair.dual_factors
+    ranks = dual_factors.ranks
+    sup = [i for i, r in enumerate(ranks) if r > 0]
+    if sup != list(range(sup[0], sup[-1] + 1)):
+        failures.append(("tds.support", f"support {sup} is not an interval"))
+    t0, delta = sup[0], len(sup) - 1
 
     # band conditions on the restriction, e_i op e_j = 0 for |i - j| > 1: the
     # block walk's level 1 (its level 0, rel5's blocks, is not an axiom here)
@@ -242,20 +233,15 @@ def extract_td_system(pair: OperatorPair) -> TDSystemReport:
                 if any(map(any, block)):
                     failures.append((f"tds.band.{tag}.{i}.{j}", "sandwich is nonzero"))
 
-    shape = dual_ranks[r0 : r0 + delta + 1]
-    shape_a = ranks[t0 : t0 + delta_a + 1]
-    if delta_a == delta_astar and shape != shape_a:
-        failures.append(
-            ("tds.shape.match", f"eigenspace dimensions differ: {shape_a} vs {shape}")
-        )
+    shape = ranks[t0 : t0 + delta + 1]
     if shape != shape[::-1]:
         failures.append(("tds.shape.symmetric", f"shape {shape} is not symmetric"))
-    sharp = bool(shape) and shape[0] == 1
+    sharp = shape[0] == 1
 
     # split sequence: the corner identity read at phi, the pair's own split
-    # when the supports are the full lists
-    split = pair.split if (t0, r0, delta) == (0, 0, d) else split_sequence(
-        pair.a, dual_factors.idems[r0], theta[t0:], theta_star[r0 : r0 + delta + 1], pair.phi)
+    # when the support is the full list
+    split = pair.split if (t0, delta) == (0, d) else split_sequence(
+        pair.a, dual_factors.idems[t0], theta[t0:], theta_star[t0 : t0 + delta + 1], pair.phi)
     if None in split:
         i = split.index(None)
         failures.append(
@@ -267,11 +253,9 @@ def extract_td_system(pair: OperatorPair) -> TDSystemReport:
     large = dim_w > SPAN_CRITERION_DIM_LIMIT
     cyclic = sharp and split[:1] == [field.one]  # phi spans the rank-one corner
     if cyclic:
-        rank_one = (None, dual_factors.rank_one(r0)[1])
-    else:  # the first rank-one end idempotent, if any
-        ends = ((dual_factors, r0), (dual_factors, r0 + delta), (factors, t0),
-                (factors, t0 + delta_a))
-        rank_one = next(filter(None, (fam.rank_one(i) for fam, i in ends)), None)
+        rank_one = (None, dual_factors.rank_one(t0)[1])
+    else:  # the first rank-one end idempotent, if any; e_i has the rank of e*_i
+        rank_one = next(filter(None, map(dual_factors.rank_one, (t0, t0 + delta))), None)
     if rank_one is None:
         irreducible = None
         notes.append("irreducibility undetermined: no end idempotent has rank 1")
@@ -297,8 +281,8 @@ def extract_td_system(pair: OperatorPair) -> TDSystemReport:
 
     return TDSystemReport(
         diameter=delta,
-        eigenvalues=theta[t0 : t0 + delta_a + 1],
-        dual_eigenvalues=theta_star[r0 : r0 + delta + 1],
+        eigenvalues=theta[t0 : t0 + delta + 1],
+        dual_eigenvalues=theta_star[t0 : t0 + delta + 1],
         shape=shape,
         split=split,
         sharp=sharp,

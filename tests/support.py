@@ -5,7 +5,7 @@ here, not in src/tdcheck.
 """
 
 from tdcheck.fields import derive_seed
-from tdcheck.linalg import Matrix
+from tdcheck.linalg import Matrix, RankFactors
 from tdcheck.params import random_admissible_context
 from tdcheck.poly import ladder
 from tdcheck.realization import realize, verify_relations
@@ -65,6 +65,22 @@ def reference_restrict(op: Matrix, basis) -> Matrix:
     if None in cols:
         raise ValueError("subspace is not invariant under the operator")
     return Matrix(op.field, zip(*cols))
+
+
+def echelon_factors(idems) -> RankFactors:
+    """Rank factors of any family, read from echelon forms: R_i is e_i's
+    reduced echelon rows and B_i its columns at their pivots, so e_i = B_i R_i
+    whether or not the family is idempotent (RankFactors.of slices a graded
+    pair's idempotents at its blocks instead)."""
+    right, left, dens = [], [], []
+    for m in idems:
+        ints, den = m.form
+        basis = m.echelon()
+        (rows, rden), cols = basis.form, basis.pivots
+        right.append(rows)
+        left.append([[row[p] for p in cols] for row in ints])
+        dens.append(rden * den)
+    return RankFactors(idems, right, left, dens)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdcheck.fields import DEFAULT_PRIME, PrimeField, Rationals, Sampler
-from tdcheck.linalg import EchelonBasis, Matrix, lincomb, restrict
+from tdcheck.linalg import EchelonBasis, Matrix, graded, lincomb, restrict
 from tdcheck.params import random_admissible_context
 from tdcheck.realization import realize
 from tdcheck.tables import load_table
@@ -166,6 +166,32 @@ def test_restrict_matches_the_reference_on_realized_closures(field, d):
     assert restricted >= 3 * n
     if d:  # at these points some closure under (a, a) is proper
         assert proper and raised
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, PrimeField(), PrimeField(7)], ids=["qq", "fp", "f7"]
+)
+def test_graded_reads_the_split_grading_of_realized_pairs(field):
+    # a is theta_j on row block j plus a raise, a* theta*_j plus a lowering.
+    # The other direction, a shifted or short list, blocks that miss or
+    # repeat an index, a lowering entry of a and an entry off the diagonal
+    # inside a block each fail
+    for d in range(6):
+        real = realize(load_table(d), random_admissible_context(d, field, 70 + d), field)
+        theta, theta_star, blocks, n = real.theta, real.theta_star, real.blocks, real.dim
+        assert graded(real.a, theta, blocks, 1) and graded(real.astar, theta_star, blocks, -1)
+        assert graded(real.a, theta + [field.zero], blocks + [[]], 1)  # an empty block
+        assert graded(real.a, theta, blocks, -1) is graded(real.astar, theta_star, blocks, 1) \
+            is (d == 0)
+        assert not graded(real.a, [field.add(t, field.one) for t in theta], blocks, 1)
+        assert not graded(real.a, theta[:-1], blocks, 1)
+        assert not graded(real.a, theta, blocks[:-1] + [list(blocks[-1])[:-1]], 1)
+        assert not graded(real.a, theta, blocks[:-1] + [list(blocks[-1]) + [0]], 1)
+        # block d into block 0; inside block 1, which has two indices at d >= 2
+        for r, c in [(0, n - 1)] * (d >= 1) + [(1, 2)] * (d >= 2):
+            rows = elements(real.a)
+            rows[r][c] = field.add(rows[r][c], field.one)
+            assert not graded(Matrix(field, rows), theta, blocks, 1), (d, r, c)
 
 
 def test_prime_field_rank():
@@ -532,8 +558,8 @@ def test_no_rational_product_or_matrix_echelon_clears_denominators(
 ):
     # over Q a matrix keeps its integer form, so only matrices assembled
     # from scalars (table evaluation, vectors) reach the clearing function.
-    # Matrix.echelon runs in the round trip on a proper closure, where the
-    # idempotents of the restricted pair are factored
+    # Matrix.echelon runs in none of them, the round trip on a proper closure
+    # included: the restricted pair's families are sliced at its blocks
     import tdcheck.fields as fields
     from tdcheck.cli import main
 
@@ -567,4 +593,4 @@ def test_no_rational_product_or_matrix_echelon_clears_denominators(
         assert main(argv.split()) == code
     capsys.readouterr()
     assert reached == []
-    assert calls["mat_mul"] and calls["echelon"] and calls["clear"]
+    assert calls["mat_mul"] and calls["clear"] and not calls["echelon"]

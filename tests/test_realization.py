@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from tdcheck.fields import PrimeField, Rationals, derive_seed
-from tdcheck.linalg import Matrix, RankFactors
+from tdcheck.linalg import Matrix
 from tdcheck.params import derive_context, random_admissible_context
 from tdcheck.realization import (
     mu_certificate,
@@ -18,7 +18,7 @@ from tdcheck.tdsystem import extract_td_system
 from tdcheck.tables import load_table
 
 from support import (
-    coefficient_slots, elements, is_graded, mat_add, scaled, term_edits,
+    coefficient_slots, echelon_factors, elements, is_graded, mat_add, scaled, term_edits,
     with_negated_coefficient, zero_matrix,
 )
 
@@ -269,10 +269,10 @@ def test_block_relations_match_full_sandwiches_on_mutated_tables(d):
                          + [(5, FP)], ids=lambda x: getattr(x, "kind", x))
 def test_sliced_and_echelon_factors_give_the_same_relation_checks_on_graded_edits(d, field):
     # realize reads each e_i's factors at its row block, exact because the
-    # table is graded; an echelon form gives factors of the same e_i.  Every
-    # graded sign flip, drop and doubling of one term is compared, but at
-    # d = 5 only every 19th (18 of 342, each about 30 ms), which keeps the
-    # whole test below 3 s
+    # table is graded; an echelon form (support.echelon_factors) gives
+    # factors of the same e_i.  Every graded sign flip, drop and doubling of
+    # one term is compared, but at d = 5 only every 19th (18 of 342, each
+    # about 30 ms), which keeps the whole test below 3 s
     table = load_table(d)
     ctx = random_admissible_context(d, field, 77 + d)
     edits = [(kind, slot, t) for kind, slot, t in term_edits(table) if is_graded(t)]
@@ -283,7 +283,7 @@ def test_sliced_and_echelon_factors_give_the_same_relation_checks_on_graded_edit
     for kind, slot, edited in edits[::19 if d == 5 else 1]:
         real = realize(edited, ctx, field)
         got = relation_triples(real)
-        real.factors, real.dual_factors = RankFactors.of(real.e), RankFactors.of(real.estar)
+        real.factors, real.dual_factors = echelon_factors(real.e), echelon_factors(real.estar)
         assert got == relation_triples(real), (kind, slot)
         failing += not all(ok for _, ok, _ in got)
     assert failing or d == 1
@@ -296,7 +296,7 @@ def test_block_relations_match_full_sandwiches_off_idempotent_families():
     real = realize(load_table(3), ctx, FP)
     e = [mat_add(real.e[0], real.e[1]), zero_matrix(FP, real.dim), scaled(real.e[2], 2), real.e[3]]
     estar = [real.estar[0], mat_add(real.estar[1], real.estar[3]), real.a * real.a, real.estar[3]]
-    real.factors, real.dual_factors = RankFactors.of(e), RankFactors.of(estar)
+    real.factors, real.dual_factors = echelon_factors(e), echelon_factors(estar)
     want = reference_relation_checks(real)
     assert relation_triples(real) == want
     failed = {cid.split(".")[0] for cid, ok, _ in want if not ok}
@@ -470,7 +470,7 @@ def test_entrywise_sums_fail_off_idempotent_families(f):
     real = realize(load_table(3), ctx, f)
     e = [mat_add(real.e[0], real.e[1]), zero_matrix(f, real.dim), scaled(real.e[2], 2), real.e[3]]
     estar = [real.estar[0], mat_add(real.estar[1], real.estar[3]), real.a * real.a, real.estar[3]]
-    real.factors, real.dual_factors = RankFactors.of(e), RankFactors.of(estar)
+    real.factors, real.dual_factors = echelon_factors(e), echelon_factors(estar)
     want = reference_sum_checks(real)
     assert sum_triples(real) == want
     assert [cid for cid, ok, _ in want if not ok] == ["rel6.e", "rel7.e", "rel6.es", "rel7.es"]

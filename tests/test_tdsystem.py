@@ -8,6 +8,7 @@ from tdcheck import realization, tdsystem
 from tdcheck.fields import DEFAULT_PRIME, PrimeField, Rationals, Sampler, derive_seed
 from tdcheck.linalg import EchelonBasis, Matrix, restrict
 from tdcheck.params import ParameterArray, random_admissible_context, random_valid_parameter_array
+from tdcheck.poly import lagrange_idempotents
 from tdcheck.realization import OperatorPair, idempotent_family, realize, split_sequence
 from tdcheck.tables import FORMAT_VERSION, bundled_table_text, load_table, parse_table
 from tdcheck.tdsystem import (
@@ -21,7 +22,10 @@ from tdcheck.tdsystem import (
     submodule_closure,
 )
 
-from support import coordinates, elements, proper_closure_d2_text, reference_restrict
+from support import (
+    coefficient_slots, coordinates, echelon_factors, elements, is_graded, proper_closure_d2_text,
+    reference_restrict, with_negated_coefficient,
+)
 
 QQ = Rationals()
 FP = PrimeField()
@@ -33,8 +37,9 @@ def fr(xs):
 
 def idempotent_families(a, astar, theta, theta_star):
     """Both Lagrange families of the pair, with rank factors from their
-    echelon forms, as extraction builds them."""
-    return idempotent_family("a", a, theta), idempotent_family("astar", astar, theta_star)
+    echelon forms: the pair need not be graded."""
+    return (echelon_factors(lagrange_idempotents(a, theta)),
+            echelon_factors(lagrange_idempotents(astar, theta_star)))
 
 
 def d1_array():
@@ -297,7 +302,8 @@ def test_extraction_at_d4_from_phi_plus_r_takes_the_rank_one_route(monkeypatch):
     real = realize(load_table(4), ctx, FP)
     start = [FP.add(x, y) for x, y in zip(*map(real.basis_vector, real.basis[:2]))]
     calls = closure_calls(monkeypatch)
-    tds = extract_td_system(OperatorPair(real.a, real.astar, ctx.theta, ctx.theta_star, start))
+    tds = extract_td_system(OperatorPair(real.a, real.astar, ctx.theta, ctx.theta_star, start,
+                                         real.blocks))
     monkeypatch.undo()
     assert tds.closure_dim == 16 and ("tds.split.proportional.0", ANY) in tds.axiom_failures
     assert "irreducibility via full word-span dimension (fallback)" in tds.notes
@@ -308,31 +314,23 @@ def test_extraction_at_d4_from_phi_plus_r_takes_the_rank_one_route(monkeypatch):
 @pytest.mark.parametrize(
     "a,astar,failures",
     [
-        ([0, 3], [0, 2], [
-            ("tds.support.a", "support [0, 2] is not an interval"),
-            ("tds.shape.match", "eigenspace dimensions differ: [1, 0] vs [1, 1]"),
-        ]),
-        ([0, 1, 3], [0, 0, 2], [
-            ("tds.diameter.match", "supports have lengths 3 != 2"),
-            ("tds.shape.symmetric", "shape [2, 1] is not symmetric"),
-        ]),
-        ([0, 1], [0, 5], [
-            ("tds.support.astar", "support [0, 2] is not an interval"),
-            ("tds.shape.match", "eigenspace dimensions differ: [1, 1] vs [1, 0]"),
+        ([0, 3], [0, 5], [
+            ("tds.support", "support [0, 2] is not an interval"),
             ("tds.shape.symmetric", "shape [1, 0] is not symmetric"),
         ]),
     ],
-    ids=["gapped-support", "short-dual-support", "gapped-dual-support"],
+    ids=["gapped-support"],
 )
 def test_diagonal_pair_fails_the_support_and_shape_axioms(a, astar, failures):
-    # a diagonal pair at theta = [0, 1, 3], theta* = [0, 2, 5]: the eigenvalues
-    # used pick the supports; phi = (1, ..., 1) generates the module
+    # a diagonal pair at theta = [0, 1, 3], theta* = [0, 2, 5], graded at the
+    # blocks [0], [] and [1]: the empty middle block gaps the support of both
+    # families; phi = (1, 1) generates the module
     def diag(xs):
         return Matrix(QQ, [[Fraction(x) if i == j else QQ.zero for j in range(len(xs))]
                            for i, x in enumerate(xs)])
 
     tds = extract_td_system(OperatorPair(diag(a), diag(astar), fr([0, 1, 3]), fr([0, 2, 5]),
-                                         fr([1] * len(a))))
+                                         fr([1] * len(a)), [[0], [], [1]]))
     assert tds.closure_dim == len(a)
     assert tds.axiom_failures == failures + [
         ("tds.split.proportional.0", "corner image is not a multiple of the eigenvector"),
@@ -340,15 +338,27 @@ def test_diagonal_pair_fails_the_support_and_shape_axioms(a, astar, failures):
     ]
 
 
-def test_extraction_without_a_rank_one_end_idempotent_leaves_irreducibility_undetermined():
-    # a = diag(0, 0, 1, 1), a* = diag(0, 1, 0, 1): every idempotent has rank 2,
-    # and phi = (1, 1, 1, 1) generates the module
-    def diag(xs):
-        return Matrix(QQ, [[Fraction(x) if i == j else QQ.zero for j in range(4)]
-                           for i, x in enumerate(xs)])
+@pytest.mark.parametrize("j,shape", [(1, [1, 2]), (0, [2, 1])])
+def test_extract_flags_an_asymmetric_shape(j, shape):
+    # realize's d = 1 pair padded at block j, read from phi (+) 1: the
+    # closure is all 3 dimensions, and the realized module is a proper
+    # submodule.  Padded at block 0, e*_0 has rank 2: the rank-one member
+    # is the other end, e*_1
+    real = construct_from_params(d1_array(), QQ, load_table(1))
+    tds = extract_td_system(padded_pair(real, j, QQ.one))
+    assert (tds.closure_dim, tds.shape, tds.irreducible) == (3, shape, False)
+    assert ("tds.shape.symmetric", f"shape {shape} is not symmetric") in tds.axiom_failures
+    assert "irreducibility via full word-span dimension" in tds.notes
 
-    tds = extract_td_system(OperatorPair(diag([0, 0, 1, 1]), diag([0, 1, 0, 1]), fr([0, 1]),
-                                         fr([0, 1]), fr([1] * 4)))
+
+def test_extraction_without_a_rank_one_end_idempotent_leaves_irreducibility_undetermined():
+    # at the blocks [0, 1] and [2, 3] and theta = theta* = [0, 1], a raises
+    # 0 -> 2 and 1 -> 3, and a* lowers 2 -> 0 and 3 -> 1 with weights 1 and 2:
+    # every idempotent has rank 2, and phi = (1, 1, 0, 0) generates the module
+    a = Matrix(QQ, [fr([0, 0, 0, 0]), fr([0, 0, 0, 0]), fr([1, 0, 1, 0]), fr([0, 1, 0, 1])])
+    astar = Matrix(QQ, [fr([0, 0, 1, 0]), fr([0, 0, 0, 2]), fr([0, 0, 1, 0]), fr([0, 0, 0, 1])])
+    tds = extract_td_system(OperatorPair(a, astar, fr([0, 1]), fr([0, 1]), fr([1, 1, 0, 0]),
+                                         [[0, 1], [2, 3]]))
     assert (tds.closure_dim, tds.shape, tds.irreducible) == (4, [2, 2], None)
     assert "irreducibility undetermined: no end idempotent has rank 1" in tds.notes
     assert not any(cid == "tds.irreducible" for cid, _ in tds.axiom_failures)
@@ -376,16 +386,19 @@ def test_padded_reducible_pair_above_the_span_limit_is_reducible_by_both_routes(
 
     a, astar = padded(real.a, ctx.theta[1], 1), padded(real.astar, ctx.theta_star[1], 2)
     phi = real.basis_vector(real.basis[0]) + [field.one]
+    # the pad joins block 1: r is there, (A - theta_1) r in block 2, and r2 and
+    # (A* - theta*_1) r2 in blocks 1 and 0
+    blocks = [list(b) + [8] * (j == 1) for j, b in enumerate(real.blocks)]
+    pair = OperatorPair(a, astar, ctx.theta, ctx.theta_star, phi, blocks)
     calls = closure_calls(monkeypatch)
-    tds = extract_td_system(OperatorPair(a, astar, ctx.theta, ctx.theta_star, phi))
+    tds = extract_td_system(pair)
     monkeypatch.undo()
     assert tds.closure_dim == 9 and tds.irreducible is False
     assert ("tds.irreducible", "a proper invariant subspace exists") in tds.axiom_failures
     assert "irreducibility via full word-span dimension (fallback)" in tds.notes
     assert {len(seed) for _, _, seed, _ in calls} == {9}  # none 81 wide
     assert reference_word_span_irreducible(a, astar, field) is False
-    _, dual = idempotent_families(a, astar, ctx.theta, ctx.theta_star)
-    (w,) = dual.right[0]  # an integer row
+    (w,) = pair.dual_factors.right[0]  # an integer row
     assert (submodule_closure(a.transpose(), astar.transpose(), w).dim == 9) is coupled
 
 
@@ -505,10 +518,11 @@ def test_full_image_closure_is_the_identity_basis_without_exact_elimination(monk
 # extraction
 
 
-def extract(real, theta, theta_star):
-    """extract_td_system on a new pair: realize's operators at phi and the
-    given lists, its families built from echelon forms."""
-    return extract_td_system(OperatorPair(real.a, real.astar, theta, theta_star, real.phi))
+def extract(real, theta, theta_star, blocks=None):
+    """extract_td_system on a new pair: realize's operators at phi, the given
+    lists and realize's row blocks, or the given blocks."""
+    return extract_td_system(OperatorPair(real.a, real.astar, theta, theta_star, real.phi,
+                                          real.blocks if blocks is None else blocks))
 
 
 def extract_realized(real):
@@ -530,22 +544,36 @@ def test_extract_d1_report_matches_hand_values():
     assert not tds.degenerate
 
 
+GRADING_A = ("tds.grading.a", "a is not its eigenvalue on block j plus a map to block j+1")
+GRADING_ASTAR = ("tds.grading.astar",
+                 "astar is not its eigenvalue on block j plus a map to block j-1")
+
+
+def assert_aborted(tds, failures):
+    assert tds.axiom_failures == failures and tds.notes == [
+        "extraction aborted: the pair is not graded"]
+    assert (tds.diameter, tds.shape, tds.irreducible, tds.degenerate) == (-1, [], None, True)
+
+
 def test_extract_flags_axiom_failures_for_swapped_eigenvalues():
     ctx = random_admissible_context(2, FP, 3111)
     real = realize(load_table(2), ctx, FP)
     swapped = [ctx.theta[1], ctx.theta[0], ctx.theta[2]]
-    tds = extract(real, swapped, ctx.theta_star)
-    assert tds.axiom_failures
-    assert any(cid.startswith("tds.band") for cid, _ in tds.axiom_failures)
+    assert_aborted(extract(real, swapped, ctx.theta_star), [GRADING_A])
+    assert_aborted(extract(real, ctx.theta, ctx.theta_star[::-1]), [GRADING_ASTAR])
 
 
-def test_extract_reports_minimal_polynomial_failures_with_prefix():
+def test_extract_reports_shifted_or_longer_lists_as_grading_failures():
+    # no family is built: a shifted list would fail its minimal polynomial
     ctx = random_admissible_context(2, FP, 3112)
     real = realize(load_table(2), ctx, FP)
-    wrong = [FP.add(x, FP.one) for x in ctx.theta]  # distinct, not the spectrum of a
-    tds = extract(real, wrong, ctx.theta_star)
-    assert [cid for cid, _ in tds.axiom_failures] == ["tds.minpoly.a"]
-    assert tds.notes == ["extraction aborted: minimal polynomial failed"]
+    shifted = [FP.add(x, FP.one) for x in ctx.theta]  # distinct, not the spectrum of a
+    pair = OperatorPair(real.a, real.astar, shifted, ctx.theta_star, real.phi, real.blocks)
+    assert_aborted(extract_td_system(pair), [GRADING_A])
+    assert not {"factors", "dual_factors", "split"} & set(vars(pair))
+    longer = ctx.theta_star + [FP.from_int(7)]  # one value more than the blocks
+    assert_aborted(extract(real, ctx.theta, longer), [GRADING_ASTAR])
+    assert_aborted(extract(real, longer, longer), [GRADING_A, GRADING_ASTAR])
 
 
 def test_extract_with_generic_weights_passes_band_conditions():
@@ -581,49 +609,57 @@ def band_failures(tds):
 
 
 def test_extract_band_blocks_with_rank_zero_restricted_idempotents():
-    # d = 1 module read against diameter-2 lists: the extra eigenvalues 5 and
-    # 7 are not in the spectrum, so e_2 and e*_2 restrict to rank 0
+    # d = 1 module read against diameter-2 lists and an empty last block: the
+    # extra eigenvalues 5 and 7 are not in the spectrum, so e_2 and e*_2
+    # restrict to rank 0
     real = construct_from_params(d1_array(), QQ, load_table(1))
-    theta, theta_star = fr([1, -1, 5]), fr([1, -1, 7])
-    tds = extract(real, theta, theta_star)
+    theta, theta_star, blocks = fr([1, -1, 5]), fr([1, -1, 7]), real.blocks + [[]]
+    tds = extract(real, theta, theta_star, blocks)
     assert band_failures(tds) == reference_band_failures(real, theta, theta_star) == []
     assert tds.diameter == 1 and tds.shape == [1, 1] and tds.degenerate
-    # the split is read on the supports' lists, not the pair's full ones
+    # the split is read on the support's lists, not the pair's full ones
     assert tds.split == fr([1, 1])
-    assert OperatorPair(real.a, real.astar, theta, theta_star, real.phi).split == fr([1, 1, 0])
+    pair = OperatorPair(real.a, real.astar, theta, theta_star, real.phi, blocks)
+    assert pair.split == fr([1, 1, 0])
+
+
+def assert_band_blocks_match_full_sandwiches_on_graded_flips(field):
+    """Every graded sign flip of d3.txt: the band blocks fail where the full
+    sandwiches do, and some fail."""
+    table, failing = load_table(3), 0
+    ctx = random_admissible_context(3, field, 3111)
+    for slot in coefficient_slots(table):
+        flipped = with_negated_coefficient(table, *slot)
+        if not is_graded(flipped):
+            continue
+        real = realize(flipped, ctx, field)
+        want = reference_band_failures(real, ctx.theta, ctx.theta_star)
+        assert band_failures(extract_realized(real)) == want, slot
+        failing += bool(want)
+    assert failing
 
 
 def test_extract_band_blocks_match_full_sandwiches_when_they_fail():
-    ctx = random_admissible_context(3, FP, 3111)
-    real = realize(load_table(3), ctx, FP)
-    swapped = [ctx.theta[2], ctx.theta[0], ctx.theta[1], ctx.theta[3]]
-    want = reference_band_failures(real, swapped, ctx.theta_star)
-    assert want and band_failures(extract(real, swapped, ctx.theta_star)) == want
+    assert_band_blocks_match_full_sandwiches_on_graded_flips(FP)
 
 
 def test_extract_band_blocks_match_full_sandwiches_when_they_fail_over_q():
-    # the closure of phi is the whole module; with None the families are
-    # built at the swapped list, not taken from realize
-    ctx = random_admissible_context(3, QQ, 3111)
-    real = realize(load_table(3), ctx, QQ)
-    swapped = [ctx.theta[2], ctx.theta[0], ctx.theta[1], ctx.theta[3]]
-    want = reference_band_failures(real, swapped, ctx.theta_star)
-    assert want and band_failures(extract(real, swapped, ctx.theta_star)) == want
+    assert_band_blocks_match_full_sandwiches_on_graded_flips(QQ)
 
 
-def padded_pair(real):
-    """realize's pair (+) [theta_0] and (+) [theta*_0] at phi (+) 0, as an
-    OperatorPair holding its own families (rank 2 at index 0): the closure of
-    phi is the realized module, a proper W of dimension 2^d in 2^d + 1."""
+def padded_pair(real, j=0, pad=None):
+    """realize's pair (+) [theta_j] and (+) [theta*_j] at phi (+) pad, the pad
+    coordinate in block j.  With pad 0 the closure of phi is the realized
+    module, a proper W of dimension 2^d in 2^d + 1."""
     f, ctx = real.field, real.context
 
     def padded(m, t):
         return Matrix(f, [row + [f.zero] for row in elements(m)] + [[f.zero] * m.ncols + [t]])
 
-    a, astar = padded(real.a, ctx.theta[0]), padded(real.astar, ctx.theta_star[0])
-    pair = OperatorPair(a, astar, ctx.theta, ctx.theta_star, real.phi + [f.zero])
-    pair.factors, pair.dual_factors = idempotent_families(a, astar, ctx.theta, ctx.theta_star)
-    return pair
+    a, astar = padded(real.a, ctx.theta[j]), padded(real.astar, ctx.theta_star[j])
+    blocks = [list(b) + [real.dim] * (i == j) for i, b in enumerate(real.blocks)]
+    return OperatorPair(a, astar, ctx.theta, ctx.theta_star,
+                        real.phi + [f.zero if pad is None else pad], blocks)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -635,9 +671,27 @@ def test_extract_restricts_a_pair_to_a_proper_closure(field, d):
     plain = extract_realized(real)
     assert tds.closure_dim == real.dim == 2 ** d and tds.degenerate
     assert f"degenerate parameter point: closure dim {2 ** d}/{2 ** d + 1}," in tds.notes[-1]
-    # the padded pair's families would give shape [2, ...]: they were not read
+    # the padded pair's families, of rank 2 at 0, would give shape [2, ...]
     assert (tds.split, tds.shape) == (plain.split, plain.shape)
     assert tds.axiom_failures == plain.axiom_failures == [] and tds.irreducible
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
+def test_extract_grades_a_proper_closure_at_its_pivots(field):
+    # the closure of phi in proper_closure_d2_text's module, trials 0-4: each
+    # reduced row of W lies in its pivot's row block, so the restricted pair
+    # is graded at the pivots in each block and its shape is [1, 1, 1]
+    table = parse_table(proper_closure_d2_text())
+    for t in range(5):
+        pa = random_valid_parameter_array(2, field, derive_seed(0, t))
+        real = construct_from_params(pa, field, table)
+        closure = submodule_closure(real.a, real.astar, real.phi)
+        at = {k: j for j, b in enumerate(real.blocks) for k in b}
+        for row, piv in zip(elements(closure), closure.pivots):
+            assert {at[k] for k, x in enumerate(row) if x} == {at[piv]}, t
+        tds = extract_td_system(real)
+        assert (tds.closure_dim, tds.shape, tds.diameter) == (3, [1, 1, 1], 2), t
+        assert not [cid for cid, _ in tds.axiom_failures if cid.startswith("tds.grading")], t
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
@@ -646,9 +700,9 @@ def test_extract_reuses_the_families_only_on_the_whole_module(field, monkeypatch
     real.split, real.factors  # a round trip reads both before extraction
     calls, splits = [], []
 
-    def counted(tag, op, values, *blocks):
+    def counted(tag, op, values, blocks):
         calls.append((tag, op.nrows, values))
-        return idempotent_family(tag, op, values, *blocks)
+        return idempotent_family(tag, op, values, blocks)
 
     def counted_split(a, *args):
         splits.append(a.nrows)
@@ -690,7 +744,9 @@ def test_extract_reads_the_irreducible_quotient_of_a_reducible_module(p, theta, 
     # Its largest submodule without phi is M, the annihilator of D, the dual
     # closure of e*_0's R row.  The pair on W/M is the transposed pair
     # restricted to D, transposed back; phi's coordinates there are its
-    # pairings with D's rows.  Extraction takes that pair as it is
+    # pairings with D's rows, and its block j is D's pivots in row block j:
+    # each of D's reduced rows lies in its pivot's block.  Extraction takes
+    # that pair as it is
     field = PrimeField(p)
     real = construct_from_params(ParameterArray(2, theta, theta_star, zeta), field, load_table(2))
     tds = extract_td_system(real)
@@ -702,8 +758,9 @@ def test_extract_reads_the_irreducible_quotient_of_a_reducible_module(p, theta, 
         return restrict(op.transpose(), dual).transpose()
 
     phi = Matrix(field, elements(dual)).apply(real.phi)
+    blocks = [[k for k, piv in enumerate(dual.pivots) if piv in b] for b in real.blocks]
     quo = extract_td_system(OperatorPair(quotient(real.a), quotient(real.astar), theta,
-                                         theta_star, phi))
+                                         theta_star, phi, blocks))
     assert quo.axiom_failures == []
     assert (quo.closure_dim, quo.shape, quo.split, quo.irreducible) == (3, [1, 1, 1], zeta, True)
 
@@ -723,13 +780,16 @@ def test_tds_report_serializes():
 
 
 def test_tds_report_dict_has_one_key_per_field():
-    ctx = random_admissible_context(2, FP, 3111)
-    real = realize(load_table(2), ctx, FP)
-    tds = extract(real, [ctx.theta[1], ctx.theta[0], ctx.theta[2]], ctx.theta_star)
+    # a graded sign flip of d2.txt (a's phi -> r term) fails band checks
+    table = load_table(2)
+    flipped = with_negated_coefficient(table, "a", table.basis[0], 1)
+    real = realize(flipped, random_admissible_context(2, FP, 3111), FP)
+    tds = extract_realized(real)
     obj = tds.to_dict(FP)
     assert list(obj) == list(TDSystemReport._fields)
     assert obj["axiom_failures"] == [{"id": c, "detail": t} for c, t in tds.axiom_failures]
     assert obj["axiom_failures"] and obj["eigenvalues"] == [FP.format(x) for x in tds.eigenvalues]
+    assert len(obj["eigenvalues"]) == 3
 
 
 def test_roundtrip_d1_golden():
