@@ -16,17 +16,17 @@ tiny (at most 32) and the hot spots walk only nonzeros:
     entry from integer dot products over the nonzeros of each row;
   * EchelonBasis eliminates fraction-free on integer rows (walking nonzeros;
     over F_p one reduction per residual), and `Matrix.echelon`, behind
-    `rank`, inserts the nonzero rows of the integer form as they are: over Q
-    each is a multiple of its row, which spans the same line;
+    `rank`, inserts the nonzero rows of the integer form like any vector:
+    over Q each is a multiple of its row, which spans the same line;
   * `lincomb` adds multiples of matrices over the flat nonzeros of their
-    integer forms, which each Matrix lists once (the identity its diagonal),
-    over one denominator (a Lagrange idempotent, rel6/rel7's sums);
+    integer forms, which each Matrix lists once, over one denominator (a
+    rank factor, rel6/rel7's sums);
   * `restrict` reads an operator on an invariant subspace as the rows at
     the basis's pivots of one product, the operator times the basis's form
     transposed, and `graded` reads a pair's split grading off the form;
-  * `RankFactors` slices rank factors e_i = B_i R_i at a graded pair's
-    blocks and walks the blocks R_i op^k B_j; `image_mod_p` reads a pair
-    and a vector mod p (tdsystem's modular certificate).
+  * `RankFactors` reads a family's rank factors e_i = B_i R_i from its Newton
+    form at a graded pair's blocks, applies e_i as B_i (R_i v) and walks the
+    blocks R_i op^k B_j; `image_mod_p` reads a pair and a vector mod p.
 
 Equal matrices have equal integer forms, so `==` compares those.  Every
 element handed back is canonical (see `fields`), so vectors compare with
@@ -35,6 +35,7 @@ element handed back is canonical (see `fields`), so vectors compare with
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import accumulate, chain, compress
 from math import gcd, lcm
 from operator import mul
@@ -73,9 +74,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        m = cls.of_ints(field, [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)])
-        m._flat = [(i * (n + 1), 1) for i in range(n)]  # its n nonzeros, for lincomb
-        return m
+        return cls.of_ints(field, [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)])
 
     def __eq__(self, other) -> bool:
         return (
@@ -132,7 +131,7 @@ class Matrix:
         and are skipped."""
         basis = EchelonBasis(self.field, self.ncols)
         for row in filter(any, self.form[0]):
-            basis.add(row, True)  # cleared
+            basis.add(row)
         return basis
 
     def rank(self) -> int:
@@ -227,16 +226,11 @@ class EchelonBasis:
         return [[x * (den // row[piv]) for x in row]
                 for row, piv in zip(self._ints, self.pivots)], den
 
-    def add(self, vec: Sequence, cleared: bool = False) -> bool:
-        """Insert vec's residual; True if the dimension grew.  With cleared,
-        vec is a row of integers of the field's integer form (over Q any
-        multiple of the vector: it spans the same line), read as it is."""
+    def add(self, vec: Sequence) -> bool:
+        """Insert vec's residual; True if the dimension grew."""
         f = self.field
-        if cleared:
-            v = list(vec)  # eliminated in place
-        else:
-            (v,), _ = f.to_ints([vec])
-            v = list(v)
+        (v,), _ = f.to_ints([vec])
+        v = list(v)  # eliminated in place
         for row, piv in zip(self._ints, self.pivots):
             if v[piv]:
                 v = _eliminate(v, row, piv)
@@ -321,7 +315,7 @@ def image_mod_p(a: Matrix, astar: Matrix, seed: Sequence) -> Optional[tuple]:
 
 
 class RankFactors(NamedTuple):
-    """A family of matrices e_i with their exact rank factorizations e_i = B_i R_i.
+    """A family e_i = sum_k c_ik P_k over a chain, with rank factorizations e_i = B_i R_i.
 
     B_i is the columns of e_i at r_i = rank e_i indices U_i and R_i its rows
     there, I at U_i (`of`, at a graded pair's blocks).  B_i has full column
@@ -331,25 +325,45 @@ class RankFactors(NamedTuple):
     integer forms: R_i is right[i] / r_i and B_i is left[i] / b_i with
     dens[i] = r_i * b_i, so a zero test of any block product needs no
     denominator, and rank 0 (R_i 0 x n, B_i n x 0) needs no special case.
-    `blocks` walks R_i op^k B_j one level k at a time.
+    No e_i is formed: `apply` reads e_i v as B_i (R_i v), `blocks` R_i op^k B_j.
     """
 
-    idems: List[Matrix]  # e_i
+    chain: List[Matrix]  # P_0..P_d (poly.lagrange_idempotents), or the family itself
+    coeffs: List[list]  # c_ik, 0 below k = i (the identity for the family itself)
     right: List[List[list]]  # R_i: r_i rows of length n
     left: List[List[list]]  # B_i: n rows of length r_i
     dens: List[int]
 
     @classmethod
-    def of(cls, idems: List[Matrix], blocks: Sequence[Sequence[int]]) -> "RankFactors":
-        """Each e_i's factors at U_i = blocks[i], where e_i[U_i, U_i] = I and
-        rank e_i = |U_i| (realization.idempotent_family)."""
-        right, left, dens = [], [], []
-        for m, cols in zip(idems, blocks):
-            ints, den = m.form
-            right.append([ints[p] for p in cols])
-            left.append([[row[p] for p in cols] for row in ints])
-            dens.append(den * den)
-        return cls(idems, right, left, dens)
+    def of(cls, chain: List[Matrix], coeffs: List[list], blocks) -> "RankFactors":
+        """Each e_i's factors at U_i = blocks[i], where e_i[U_i, U_i] = I and rank
+        e_i = |U_i| (realization.idempotent_family): R_i and B_i are lincombs of
+        the chain's rows and columns at U_i, over c_ik / den for P_k = ints / den."""
+        f, right, left, dens = chain[0].field, [], [], []
+        for cs, at in zip(coeffs, blocks):
+            terms = [(f.mul(c, f.from_ints(1, m.form[1])), m.form[0])
+                     for c, m in zip(cs, chain) if c]
+            r, rden = lincomb((c, Matrix.of_ints(f, [ints[p] for p in at]))
+                              for c, ints in terms).form
+            b, bden = lincomb((c, Matrix.of_ints(f, [[x[p] for p in at] for x in ints]))
+                              for c, ints in terms).form
+            right.append(r)
+            left.append(b)
+            dens.append(rden * bden)
+        return cls(chain, coeffs, right, left, dens)
+
+    def apply(self, i: int, vec: Sequence) -> list:
+        """e_i vec, as B_i (R_i vec) on vec's integer form."""
+        f = self.chain[0].field
+        (v,), den = f.to_ints([vec])
+        w = f.shrink([sum(map(mul, row, v)) for row in self.right[i]])
+        return [f.from_ints(sum(map(mul, row, w)), self.dens[i] * den) for row in self.left[i]]
+
+    def weighted(self, weights: Sequence) -> Matrix:
+        """sum_i weights[i] e_i as one lincomb of the chain, P_k at sum_i weights[i] c_ik."""
+        f = self.chain[0].field
+        return lincomb((reduce(f.add, map(f.mul, weights, col)), m)
+                       for col, m in zip(zip(*self.coeffs), self.chain))
 
     @property
     def ranks(self) -> List[int]:

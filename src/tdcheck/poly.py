@@ -11,24 +11,24 @@ Primitive idempotents of an operator with eigenvalue list t are the Lagrange
 basis polynomials L_i(x) = prod_{j != i} (x - t_j) / (t_i - t_j) at A, read
 in their Newton form on the prefix chain P_k = (A - t_0 I)...(A - t_{k-1} I):
 
-    E_i = sum_{k = i..d} P_k / prod_{m <= k, m != i} (t_i - t_m),
+    E_i = sum_{k = i..d} c_ik P_k,  c_ik = 1 / prod_{m <= k, m != i} (t_i - t_m),
 
-since the divided difference of L_i over t_0..t_k is 1 / prod_{m <= k, m != i}
-(t_i - t_m) for k >= i and 0 below (L_i is 1 at t_i and 0 at the other
-nodes).  It is the same polynomial, so the same matrix: with P_0 = I, each
-E_i is one `linalg.lincomb` of P_i..P_d.  The chain runs one
-step further, to P_{d+1} = prod_j (A - t_j I), which must be 0; that check
-doubles as a transcription-error detector for the bundled module tables.
-Summed over i, P_k's coefficient is the divided difference of 1 over t_0..t_k
-and, weighted by t_i, that of x: sum E_i = I and sum t_i E_i = t_0 I + P_1 = A
-for any operator over any field, so rel6 and rel7 cannot fail once this returns.
+since the divided difference of L_i over t_0..t_k is c_ik for k >= i and 0
+below (L_i is 1 at t_i and 0 at the other nodes): the same polynomial, so the
+same matrix, with P_0 = I.  linalg.RankFactors reads each E_i from the chain
+and the c_ik, never formed.  The chain runs one step further, to P_{d+1} =
+prod_j (A - t_j I), which must be 0; that check doubles as a transcription-error
+detector for the bundled module tables.  Summed over i, P_k's coefficient is
+the divided difference of 1 over t_0..t_k and, weighted by t_i, that of x:
+sum E_i = I and sum t_i E_i = t_0 I + P_1 = A for any operator over any field,
+so rel6 and rel7 (these sums, regrouped over the chain) cannot fail once this returns.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
-from .linalg import Matrix, lincomb
+from .linalg import Matrix
 
 
 class PolyError(ValueError):
@@ -57,13 +57,13 @@ def ladder(field, roots: Sequence, x) -> list:
     return out
 
 
-def lagrange_idempotents(a: Matrix, thetas: Sequence) -> List[Matrix]:
-    """Primitive idempotents of `a` for the eigenvalue list `thetas`.
+def lagrange_idempotents(a: Matrix, thetas: Sequence) -> Tuple[List[Matrix], List[list]]:
+    """Primitive idempotents of `a` for the eigenvalue list `thetas` in Newton
+    form (module docstring): the chain P_0 = I..P_d and the rows c_i0..c_id.
 
     Requires the list entries pairwise distinct and prod (A - t_i I) = 0.
     The prefix chain costs d products, the last of them the minimal-polynomial
-    check; each E_i is then one linear combination of P_i..P_d (module
-    docstring), with P_0 = I.
+    check.
     """
     f = a.field
     d = len(thetas) - 1
@@ -78,14 +78,13 @@ def lagrange_idempotents(a: Matrix, thetas: Sequence) -> List[Matrix]:
         full = full * a.shift(t)
     if not full.is_zero():
         raise MinimalPolynomialError(full.rank())
-    out = []
+    coeffs = []
     for i in range(d + 1):
-        # 1 / prod_{m <= k, m != i} (t_i - t_m), k = i..d
-        prod, coeffs = f.one, []
+        # 1 / prod_{m <= k, m != i} (t_i - t_m) for k = i..d, 0 below
+        prod, row = f.one, []
         for m in range(d + 1):
             if m != i:
                 prod = f.mul(prod, f.sub(thetas[i], thetas[m]))
-            if m >= i:
-                coeffs.append(f.inv(prod))
-        out.append(lincomb(zip(coeffs, chain[i:])))
-    return out
+            row.append(f.inv(prod) if m >= i else f.zero)
+        coeffs.append(row)
+    return chain, coeffs

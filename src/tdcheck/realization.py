@@ -4,7 +4,7 @@ realize() turns the symbolic table into two exact matrices acting on the
 2^d-dimensional module.  An OperatorPair (a pair, two eigenvalue lists, a
 vector phi and the blocks of its split grading; the round trip's extraction
 takes one) builds each family of primitive idempotents on first read, as one
-linalg.RankFactors object sliced at the blocks, and its split at phi.  A
+linalg.RankFactors object read at the blocks, and its split at phi.  A
 ModuleRealization is the pair of a table at a context: phi is the first
 basis vector and the blocks are the table's row blocks.  shape builds no
 family, the weight certificate only e*.  The check operations then verify,
@@ -17,10 +17,10 @@ as exact matrix identities:
     phi, r, r^2, ..., l^{i-1} r^i and the resulting identity
     e*_0 tau_i(a) e*_0 . phi = y_i phi / prod_{j=1..i} (s_0 - s_j),
     whose denominator follows the split-sequence convention; the
-    realization's split (split_sequence at phi, read once and cached) is the
-    left-hand side, which construction compares with zeta and the round
-    trip's extraction reads back (a table without one of the chain labels
-    fails as mu.labels);
+    realization's split (split_sequence at phi, read once and cached, with
+    e*_0 v read as B*_0 (R*_0 v)) is the left-hand side, which construction
+    compares with zeta and the round trip's extraction reads back (a table
+    without one of the chain labels fails as mu.labels);
   * the shape (idempotent ranks = binomial coefficients, symmetric, unimodal).
 
 Orthogonality and the band conditions are read through the rank factors
@@ -33,20 +33,20 @@ from two.  rel5 reads level 0, where each off-diagonal verdict is also the
 band condition at k = 0; rel8 and rel9 read the levels above.  The round
 trip's extraction starts the same walk at level 1.  Completeness and
 eigenvalue reconstruction (rel6, rel7) compare sum e_i and sum t_i e_i, each
-one linalg.lincomb, with I and the operator; they hold for any operator
-(poly.py), so no table fails them.
+regrouped over the chain as one linalg.lincomb (RankFactors.weighted), with
+I and the operator; they hold for any operator (poly.py): no table fails them.
 
 Any failed identity is reported with enough coordinates to replay it.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 from .fields import Field
-from .linalg import Matrix, RankFactors, lincomb
+from .linalg import Matrix, RankFactors
 from .params import SpecializationContext
 from .poly import MinimalPolynomialError, lagrange_idempotents
 from .report import Check
@@ -65,7 +65,7 @@ class RealizationError(ValueError):
 
 class OperatorPair:
     """A pair (a, a*) at two eigenvalue lists, a vector phi and the blocks of
-    its split grading.  Its two idempotent families (of a, then of a*, sliced
+    its split grading.  Its two idempotent families (of a, then of a*, read
     at the blocks) and its split are built on first read; a family raises
     RealizationError when its list does not annihilate its operator."""
 
@@ -87,15 +87,8 @@ class OperatorPair:
         """The split sequence read at phi (split_sequence with the corner
         e*_0): the weight certificate compares it with 1, y_1, ..., y_d,
         construction with zeta, and extraction reads it back."""
-        return split_sequence(self.a, self.estar[0], self.theta, self.theta_star, self.phi)
-
-    @property
-    def e(self) -> List[Matrix]:
-        return self.factors.idems
-
-    @property
-    def estar(self) -> List[Matrix]:
-        return self.dual_factors.idems
+        return split_sequence(self.a, partial(self.dual_factors.apply, 0), self.theta,
+                              self.theta_star, self.phi)
 
     @property
     def field(self) -> Field:
@@ -112,7 +105,7 @@ class OperatorPair:
 
 class ModuleRealization(OperatorPair):
     """A table realized at one context: the pair at the context's lists, phi
-    the first basis vector, the families sliced at the table's row blocks."""
+    the first basis vector, the families read at the table's row blocks."""
 
     def __init__(self, table: ModuleTable, context: SpecializationContext,
                  a: Matrix, astar: Matrix):
@@ -144,14 +137,14 @@ def context_env(ctx: SpecializationContext) -> Dict[str, object]:
 def idempotent_family(
     tag: str, op: Matrix, values: List, blocks: List[Sequence[int]]
 ) -> RankFactors:
-    """The Lagrange family of op for the eigenvalue list, with its rank
-    factors read at the blocks (RankFactors.of); RealizationError names
-    minpoly.<tag> when the list does not annihilate op.  On a graded pair
+    """The Lagrange family of op for the eigenvalue list, its rank factors
+    read from its Newton form at the blocks (RankFactors.of); RealizationError
+    names minpoly.<tag> when the list does not annihilate op.  On a graded pair
     (tables.check_grading, linalg.graded) A - th_j raises block U_j into
     U_{j+1}, so prod (A - th_k) = 0 and e_i is block triangular with
     diagonal blocks delta_ij I, of rank |U_i|; likewise for A*, which lowers."""
     try:
-        return RankFactors.of(lagrange_idempotents(op, values), blocks)
+        return RankFactors.of(*lagrange_idempotents(op, values), blocks)
     except MinimalPolynomialError as err:
         raise RealizationError([(f"minpoly.{tag}", str(err))]) from None
 
@@ -194,7 +187,7 @@ def _idempotent_family_checks(
     rel5 reads its level 0, every R_i B_j, and each off-diagonal verdict
     there is also the band check at k = 0."""
     checks, walk = [], []
-    d, f = len(fam.idems) - 1, op.field
+    d, f = len(values) - 1, op.field
     levels = fam.blocks(other, d + 1)
     base = next(levels)
     for i, j in sorted(base):
@@ -207,12 +200,12 @@ def _idempotent_family_checks(
         checks.append(Check(f"rel5.{tag}.{i}.{j}", ok, detail))
     walk += [(j, k, i, not any(map(any, block)))
              for k, level in enumerate(levels, 1) for (i, j), block in level.items()]
-    # rel6, rel7: sum e_i and sum t_i e_i, each one linear combination
+    # rel6, rel7: sum e_i and sum t_i e_i, each one linear combination of the chain
     for cid, weights, want, text in (
         ("rel6", [f.one] * (d + 1), Matrix.identity(f, op.nrows), f"sum of {tag}_i != identity"),
         ("rel7", values, op, f"operator != sum of eigenvalue * {tag}_i"),
     ):
-        ok = lincomb(zip(weights, fam.idems)) == want
+        ok = fam.weighted(weights) == want
         checks.append(Check(f"{cid}.{tag}", ok, "" if ok else text))
     # the band blocks in the order j, then k, then i
     return checks, [
@@ -288,8 +281,8 @@ def mu_certificate(real: ModuleRealization) -> List[Check]:
     return checks
 
 
-def split_sequence(a: Matrix, corner: Matrix, theta: List, theta_star: List, v: List) -> list:
-    """c_0..c_d with corner . tau_i(a) v = c_i v / prod_{j=1..i} (s_0 - s_j),
+def split_sequence(a: Matrix, corner, theta: List, theta_star: List, v: List) -> list:
+    """c_0..c_d with corner(tau_i(a) v) = c_i v / prod_{j=1..i} (s_0 - s_j),
     s = theta_star and d + 1 = len(theta_star); None where the image is not a
     multiple of v.  tau_i(a) v is walked incrementally, one product per i."""
     f = a.field
@@ -300,7 +293,7 @@ def split_sequence(a: Matrix, corner: Matrix, theta: List, theta_star: List, v: 
             t = theta[i - 1]
             w = [f.sub(x, f.mul(t, y)) for x, y in zip(a.apply(w), w)]
             den = f.mul(den, f.sub(theta_star[0], theta_star[i]))
-        img = corner.apply(w)
+        img = corner(w)
         c = f.div(img[pivot], v[pivot])
         out.append(f.mul(c, den) if img == [f.mul(c, x) for x in v] else None)
     return out

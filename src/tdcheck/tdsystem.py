@@ -21,8 +21,8 @@ rank |U_i|, so one support, the nonzero block sizes, is both families', and
 the shape is the sizes over it: one diameter, and dim E_iW = dim E*_iW),
 the band conditions e_i X e_j = 0 as the blocks R_i X B_j (level 1 of
 RankFactors.blocks; a restricted idempotent may have rank 0, and its blocks
-are empty), and its split, the reader behind the g_i assertion.  A
-round-trip trial reads that split once, in construction.
+are empty), and its split, the reader behind the g_i assertion, with e*_0 v
+read as B*_0 (R*_0 v).  A round-trip trial reads that split once, in construction.
 
 Irreducibility: the words in the restricted pair span the full matrix
 algebra (dimension (dim W)^2).  Given a rank-one member v w^T of the pair's
@@ -205,7 +205,7 @@ def extract_td_system(pair: OperatorPair) -> TDSystemReport:
         pair = OperatorPair(restrict(pair.a, closure), restrict(pair.astar, closure), theta,
                             theta_star, [pair.phi[p] for p in closure.pivots], blocks)
 
-    # the grading the families are sliced at (RankFactors.of): a raises, a* lowers
+    # the grading the families are read at (RankFactors.of): a raises, a* lowers
     grading = [(f"tds.grading.{tag}",
                 f"{tag} is not its eigenvalue on block j plus a map to block j{step:+d}")
                for tag, op, values, step in (("a", pair.a, theta, 1),
@@ -241,7 +241,8 @@ def extract_td_system(pair: OperatorPair) -> TDSystemReport:
     # split sequence: the corner identity read at phi, the pair's own split
     # when the support is the full list
     split = pair.split if (t0, delta) == (0, d) else split_sequence(
-        pair.a, dual_factors.idems[t0], theta[t0:], theta_star[t0 : t0 + delta + 1], pair.phi)
+        pair.a, lambda w: dual_factors.apply(t0, w), theta[t0:],
+        theta_star[t0 : t0 + delta + 1], pair.phi)
     if None in split:
         i = split.index(None)
         failures.append(

@@ -254,14 +254,14 @@ def enumerate_convex_spanning(r: int) -> List[Tuple[int, ...]]:
 
 def feasible_rank_test(real) -> List[Check]:
     """Exact rank of the feasible-word images of phi; expected 2^d of rank 2^d.
-    The image of (u,) + w, listed after w, is E_u times the image of w."""
+    The image of (u,) + w, listed after w, is E_u = B_u R_u times w's image."""
     words = enumerate_feasible(real.d)
     expected = 2**real.d
     basis = EchelonBasis(real.field, real.dim)
     images = {TRIVIAL: real.phi}
     for w in words:
         (starred, idx), rest = w[0], w[1:]
-        images[w] = (real.estar if starred else real.e)[idx].apply(images[rest])
+        images[w] = (real.dual_factors if starred else real.factors).apply(idx, images[rest])
         basis.add(images[w])
     return [
         Check(

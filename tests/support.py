@@ -5,9 +5,9 @@ here, not in src/tdcheck.
 """
 
 from tdcheck.fields import derive_seed
-from tdcheck.linalg import Matrix, RankFactors
+from tdcheck.linalg import Matrix, RankFactors, lincomb
 from tdcheck.params import random_admissible_context
-from tdcheck.poly import ladder
+from tdcheck.poly import ladder, lagrange_idempotents
 from tdcheck.realization import realize, verify_relations
 from tdcheck.report import failed
 from tdcheck.tables import Neg, TableError, bundled_table_text, check_grading
@@ -67,11 +67,55 @@ def reference_restrict(op: Matrix, basis) -> Matrix:
     return Matrix(op.field, zip(*cols))
 
 
+# ---------------------------------------------------------------------------
+# Idempotent families as n x n matrices: the full Lagrange family, which no
+# code in src/tdcheck forms, the family rebuilt from its rank factors, and
+# rank factors of hand-built families
+
+
+def lagrange_family(op: Matrix, values) -> list:
+    """E_0..E_d of op for the eigenvalue list, each the lincomb of the chain
+    P_0..P_d at its Newton coefficients (lagrange_idempotents; 0 below P_i)."""
+    chain, coeffs = lagrange_idempotents(op, values)
+    return [lincomb(zip(cs, chain)) for cs in coeffs]
+
+
+def pair_families(pair) -> tuple:
+    """The full Lagrange families (e, e*) of an OperatorPair."""
+    return lagrange_family(pair.a, pair.theta), lagrange_family(pair.astar, pair.theta_star)
+
+
+def rebuilt(fam) -> list:
+    """Each e_i = B_i R_i of a RankFactors, multiplied back from its blocks."""
+    f, n = fam.chain[0].field, fam.chain[0].nrows
+    return [Matrix.of_ints(f, f.mat_mul(left, right) if right else [[0] * n for _ in left], den)
+            for left, right, den in zip(fam.left, fam.right, fam.dens)]
+
+
+def unit_coefficients(field, d: int) -> list:
+    """The coefficients of a family over its own members: e_i = 1 * e_i."""
+    return [[field.one if k == i else field.zero for k in range(d + 1)] for i in range(d + 1)]
+
+
+def sliced_factors(idems, blocks) -> RankFactors:
+    """Rank factors of a family of n x n matrices sliced at the blocks: R_i
+    is e_i's rows at U_i and B_i its columns there, both over e_i's
+    denominator (exact when e_i[U_i, U_i] = I and rank e_i = |U_i|)."""
+    right, left, dens = [], [], []
+    for m, cols in zip(idems, blocks):
+        ints, den = m.form
+        right.append([ints[p] for p in cols])
+        left.append([[row[p] for p in cols] for row in ints])
+        dens.append(den * den)
+    return RankFactors(idems, unit_coefficients(idems[0].field, len(idems) - 1), right, left,
+                       dens)
+
+
 def echelon_factors(idems) -> RankFactors:
     """Rank factors of any family, read from echelon forms: R_i is e_i's
     reduced echelon rows and B_i its columns at their pivots, so e_i = B_i R_i
-    whether or not the family is idempotent (RankFactors.of slices a graded
-    pair's idempotents at its blocks instead)."""
+    whether or not the family is idempotent (RankFactors.of reads a graded
+    pair's idempotents at its blocks instead).  The family is its own chain."""
     right, left, dens = [], [], []
     for m in idems:
         ints, den = m.form
@@ -80,7 +124,8 @@ def echelon_factors(idems) -> RankFactors:
         right.append(rows)
         left.append([[row[p] for p in cols] for row in ints])
         dens.append(rden * den)
-    return RankFactors(idems, right, left, dens)
+    return RankFactors(idems, unit_coefficients(idems[0].field, len(idems) - 1), right, left,
+                       dens)
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +220,12 @@ def mutation_detections(table, mutated, field, seed: int, trials: int) -> int:
 
 
 def word_image(real, word) -> list:
-    """The vector (word).phi in a realized module, multiplying right to left."""
+    """The vector (word).phi in a realized module, multiplying right to left
+    by the full Lagrange idempotents."""
+    e, estar = pair_families(real)
     vec = real.phi
     for starred, idx in reversed(word):
-        mat = real.estar[idx] if starred else real.e[idx]
-        vec = mat.apply(vec)
+        vec = (estar if starred else e)[idx].apply(vec)
     return vec
 
 

@@ -8,7 +8,7 @@ from tdcheck.linalg import Matrix
 from tdcheck.poly import MinimalPolynomialError, PolyError, ladder, lagrange_idempotents
 
 import support
-from support import elements, eta_expansion_check, mat_add, scaled, zero_matrix
+from support import elements, eta_expansion_check, lagrange_family, mat_add, scaled, zero_matrix
 
 QQ = Rationals()
 
@@ -65,14 +65,15 @@ def test_tau_splits_multiplicatively_at_random_points():
 
 def test_lagrange_idempotent_single_point():
     a = Matrix(QQ, [[Fraction(9)]])
-    (e0,) = lagrange_idempotents(a, fr([9]))
+    (e0,) = lagrange_family(a, fr([9]))
     assert e0 == Matrix.identity(QQ, 1)
+    assert lagrange_idempotents(a, fr([9])) == ([Matrix.identity(QQ, 1)], [[1]])
 
 
 def test_lagrange_idempotents_two_by_two():
     th0, th1 = Fraction(2), Fraction(5)
     a = Matrix(QQ, [[th0, Fraction(0)], [Fraction(1), th1]])
-    e0, e1 = lagrange_idempotents(a, [th0, th1])
+    e0, e1 = lagrange_family(a, [th0, th1])
     # e1 sends the first basis vector to the second scaled by 1/(th1-th0)
     assert e1.apply([Fraction(1), Fraction(0)]) == [Fraction(0), Fraction(1, 3)]
     assert e1.apply([Fraction(0), Fraction(1)]) == [Fraction(0), Fraction(1)]
@@ -93,7 +94,7 @@ def test_lagrange_idempotents_random_triangular():
     for i in range(n):
         rows.append([s.scalar() for _ in range(i)] + [thetas[i]] + [QQ.zero] * (n - i - 1))
     a = Matrix(QQ, rows)
-    idems = lagrange_idempotents(a, thetas)
+    idems = lagrange_family(a, thetas)
     eye = Matrix.identity(QQ, n)
     total = zero_matrix(QQ, n)
     recon = zero_matrix(QQ, n)
@@ -120,7 +121,7 @@ def test_lagrange_idempotents_equal_the_full_products(f, n):
         [[s.scalar() for _ in range(i)] + [thetas[i]] + [f.zero] * (n - i - 1)
          for i in range(n)],
     )
-    for i, e in enumerate(lagrange_idempotents(a, thetas)):
+    for i, e in enumerate(lagrange_family(a, thetas)):
         numer, den = Matrix.identity(f, n), f.one
         for j, t in enumerate(thetas):
             if j != i:
@@ -132,7 +133,8 @@ def test_lagrange_idempotents_equal_the_full_products(f, n):
 @pytest.mark.parametrize("d", range(6))
 def test_lagrange_family_forms_only_the_products_it_reads(d, monkeypatch):
     # the d products of the prefix chain P_2..P_{d+1} (the last is the
-    # minimal-polynomial check); every E_i is a sum over the chain
+    # minimal-polynomial check); the Newton form is the chain and each E_i's
+    # coefficients, and no E_i is formed
     f = PrimeField()
     s = Sampler(f, 60 + d)
     thetas = s.distinct(d + 1)
@@ -149,9 +151,16 @@ def test_lagrange_family_forms_only_the_products_it_reads(d, monkeypatch):
         return mat_mul(self, x, y)
 
     monkeypatch.setattr(PrimeField, "mat_mul", counted)
-    idems = lagrange_idempotents(a, thetas)
+    chain, coeffs = lagrange_idempotents(a, thetas)
     assert len(products) == d
     monkeypatch.undo()
+    assert len(chain) == d + 1 and all(len(cs) == d + 1 and not any(cs[:i])
+                                       for i, cs in enumerate(coeffs))
+    power = Matrix.identity(f, d + 1)
+    for k, t in enumerate(thetas):  # P_k = (A - t_0)...(A - t_{k-1})
+        assert chain[k] == power
+        power = power * a.shift(t)
+    idems = lagrange_family(a, thetas)
     assert sum(e.rank() for e in idems) == d + 1
     for i, e in enumerate(idems):
         assert e * e == e and a * e == scaled(e, thetas[i])

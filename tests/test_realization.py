@@ -4,9 +4,11 @@ from math import comb
 import pytest
 
 from tdcheck.fields import PrimeField, Rationals, derive_seed
-from tdcheck.linalg import Matrix
+from tdcheck.linalg import Matrix, RankFactors, lincomb, restrict
 from tdcheck.params import derive_context, random_admissible_context
+from tdcheck.poly import lagrange_idempotents
 from tdcheck.realization import (
+    OperatorPair,
     mu_certificate,
     realize,
     shape_check,
@@ -14,12 +16,13 @@ from tdcheck.realization import (
     verify_relations,
 )
 from tdcheck.report import failed
-from tdcheck.tdsystem import extract_td_system
+from tdcheck.tdsystem import extract_td_system, submodule_closure
 from tdcheck.tables import load_table
 
 from support import (
-    coefficient_slots, echelon_factors, elements, is_graded, mat_add, scaled, term_edits,
-    with_negated_coefficient, zero_matrix,
+    coefficient_slots, echelon_factors, elements, is_graded, lagrange_family, mat_add,
+    pair_families, rebuilt, scaled, sliced_factors, term_edits, with_negated_coefficient,
+    zero_matrix,
 )
 
 QQ = Rationals()
@@ -39,8 +42,7 @@ def test_d0_realization_is_scalar():
     real = realize(load_table(0), ctx, QQ)
     assert real.a == Matrix(QQ, [[Fraction(4)]])
     assert real.astar == Matrix(QQ, [[Fraction(9)]])
-    assert real.e[0] == Matrix.identity(QQ, 1)
-    assert real.estar[0] == Matrix.identity(QQ, 1)
+    assert rebuilt(real.factors) == rebuilt(real.dual_factors) == [Matrix.identity(QQ, 1)]
     assert not failed(verify_relations(real))
     assert not failed(mu_certificate(real))
 
@@ -59,7 +61,7 @@ def test_d1_corner_identity_hand_value():
     real = realize(load_table(1), ctx, QQ)
     phi = real.basis_vector(real.basis[0])
     v = real.a.apply(phi)  # th0 = 0, so (a - th0).phi = a.phi
-    got = real.estar[0].apply(v)
+    got = real.dual_factors.apply(0, v)
     assert got == [Fraction(7, 3), Fraction(0)]
     assert not failed(mu_certificate(real))
 
@@ -88,7 +90,7 @@ def test_full_suite_random_context(d, field):
 def test_d3_dual_idempotent_rank_three():
     ctx = random_admissible_context(3, FP, 61)
     real = realize(load_table(3), ctx, FP)
-    assert real.estar[1].rank() == 3
+    assert rebuilt(real.dual_factors)[1].rank() == 3
 
 
 @pytest.mark.parametrize("d,expected", [(0, [1]), (3, [1, 3, 3, 1]), (5, [1, 5, 10, 10, 5, 1])])
@@ -105,7 +107,8 @@ def test_triple_product_d1_exact_value():
     ctx = qq_context(1, [0, 1], [5, 2], [7])
     real = realize(load_table(1), ctx, QQ)
     phi = real.basis_vector(real.basis[0])
-    vec = real.estar[0].apply(real.e[1].apply(real.estar[0].apply(phi)))
+    estar0 = real.dual_factors.apply
+    vec = estar0(0, real.factors.apply(1, estar0(0, phi)))
     assert vec == [Fraction(7, 3), Fraction(0)]
 
 
@@ -114,15 +117,16 @@ def test_split_sequence_reads_weights_at_phi():
     ctx = qq_context(2, [0, 1, 3], [0, 2, 5], [4, 6])
     real = realize(load_table(2), ctx, QQ)
     phi = real.basis_vector(real.basis[0])
-    split = split_sequence(real.a, real.estar[0], ctx.theta, ctx.theta_star, phi)
-    assert split == fr([1, 4, 6])
+    corner = lagrange_family(real.astar, ctx.theta_star)[0]
+    split = split_sequence(real.a, corner.apply, ctx.theta, ctx.theta_star, phi)
+    assert split == real.split == fr([1, 4, 6])
 
 
 def test_split_sequence_marks_non_multiples():
     # corner = identity: tau_1(a) v = a v - 0 v is not a multiple of v
     a = Matrix(QQ, [fr([0, 0]), fr([1, 1])])
     corner = Matrix.identity(QQ, 2)
-    split = split_sequence(a, corner, fr([0, 1]), fr([5, 2]), fr([1, 0]))
+    split = split_sequence(a, corner.apply, fr([0, 1]), fr([5, 2]), fr([1, 0]))
     assert split == [Fraction(1), None]
 
 
@@ -171,8 +175,8 @@ def test_rational_realization_reduces_to_prime_field_realization():
     for mat_qq, mat_fp in (
         (real_qq.a, real_fp.a),
         (real_qq.astar, real_fp.astar),
-        (real_qq.estar[0], real_fp.estar[0]),
-        (real_qq.e[2], real_fp.e[2]),
+        (rebuilt(real_qq.dual_factors)[0], rebuilt(real_fp.dual_factors)[0]),
+        (rebuilt(real_qq.factors)[2], rebuilt(real_fp.factors)[2]),
     ):
         got = [[reduce(x) for x in row] for row in elements(mat_qq)]
         assert got == elements(mat_fp)
@@ -194,13 +198,15 @@ def test_relation_report_check_coordinates():
 # The block reading of the relations against full n x n sandwich products
 
 
-def reference_relation_checks(real):
-    """verify_relations' (id, passed, detail) list from full sandwich products."""
+def reference_relation_checks(real, families=None):
+    """verify_relations' (id, passed, detail) list from full sandwich
+    products of the families (e, e*), by default the full Lagrange families."""
     out = []
     ident = Matrix.identity(real.field, real.dim)
+    e, estar = families or pair_families(real)
     for tag, idems, values, op in (
-        ("e", real.e, real.context.theta, real.a),
-        ("es", real.estar, real.context.theta_star, real.astar),
+        ("e", e, real.context.theta, real.a),
+        ("es", estar, real.context.theta_star, real.astar),
     ):
         d = len(idems) - 1
         for i in range(d + 1):
@@ -220,7 +226,7 @@ def reference_relation_checks(real):
         ok = recon == op
         detail = "" if ok else f"operator != sum of eigenvalue * {tag}_i"
         out.append((f"rel7.{tag}", ok, detail))
-    for tag, idems, op in (("rel8", real.estar, real.a), ("rel9", real.e, real.astar)):
+    for tag, idems, op in (("rel8", estar, real.a), ("rel9", e, real.astar)):
         d = len(idems) - 1
         for j in range(d + 1):
             power = idems[j]
@@ -283,7 +289,7 @@ def test_sliced_and_echelon_factors_give_the_same_relation_checks_on_graded_edit
     for kind, slot, edited in edits[::19 if d == 5 else 1]:
         real = realize(edited, ctx, field)
         got = relation_triples(real)
-        real.factors, real.dual_factors = echelon_factors(real.e), echelon_factors(real.estar)
+        real.factors, real.dual_factors = map(echelon_factors, pair_families(real))
         assert got == relation_triples(real), (kind, slot)
         failing += not all(ok for _, ok, _ in got)
     assert failing or d == 1
@@ -294,10 +300,11 @@ def test_block_relations_match_full_sandwiches_off_idempotent_families():
     # a sum of two idempotents, a zero matrix, a scaled idempotent, a^2
     ctx = random_admissible_context(3, FP, 902)
     real = realize(load_table(3), ctx, FP)
-    e = [mat_add(real.e[0], real.e[1]), zero_matrix(FP, real.dim), scaled(real.e[2], 2), real.e[3]]
-    estar = [real.estar[0], mat_add(real.estar[1], real.estar[3]), real.a * real.a, real.estar[3]]
+    (e0, e1, e2, e3), (es0, es1, es2, es3) = pair_families(real)
+    e = [mat_add(e0, e1), zero_matrix(FP, real.dim), scaled(e2, 2), e3]
+    estar = [es0, mat_add(es1, es3), real.a * real.a, es3]
     real.factors, real.dual_factors = echelon_factors(e), echelon_factors(estar)
-    want = reference_relation_checks(real)
+    want = reference_relation_checks(real, (e, estar))
     assert relation_triples(real) == want
     failed = {cid.split(".")[0] for cid, ok, _ in want if not ok}
     assert {"rel5", "rel8", "rel9"} <= failed
@@ -378,33 +385,44 @@ def test_extraction_forms_only_the_band_products_it_reads(monkeypatch):
 
 
 def test_weight_certificate_reads_each_chain_step_once(monkeypatch):
-    # a*.phi, the split walk (one product at i = 0, two per i >= 1), each of
-    # the d raising steps once, and the lowering steps and the weight step of
-    # every i: 1 + (2d + 1) + d + d(d - 1)/2 + d
+    # Matrix.apply: a*.phi, the split walk's tau_i(a) steps (one per i >= 1),
+    # each of the d raising steps once, and the lowering steps and the weight
+    # step of every i: 1 + d + d + d(d - 1)/2 + d.  The split applies e*_0
+    # through its rank factors, once per i = 0..d
     reals = [realize(load_table(d), random_admissible_context(d, FP, 940 + d), FP) for d in range(6)]
     applied = []
-    apply = Matrix.apply
+    apply, factors_apply = Matrix.apply, RankFactors.apply
 
     def counted(self, vec):
-        applied.append(1)
+        applied.append("matrix")
         return apply(self, vec)
 
+    def counted_factors(self, i, vec):
+        applied.append("factors")
+        return factors_apply(self, i, vec)
+
     monkeypatch.setattr(Matrix, "apply", counted)
+    monkeypatch.setattr(RankFactors, "apply", counted_factors)
     counts = []
     for real in reals:
         applied.clear()
         assert all(c.passed for c in mu_certificate(real))
-        counts.append(len(applied))
-    assert counts == [0, 6, 11, 17, 24, 32]
+        counts.append((applied.count("matrix"), applied.count("factors")))
+    assert counts == [(0, 0), (4, 2), (8, 3), (13, 4), (19, 5), (26, 6)]
 
 
 def test_rank_factors_multiply_back_to_the_family():
     ctx = random_admissible_context(3, QQ, 903)
     real = realize(load_table(3), ctx, QQ)
-    for fam in (real.factors, real.dual_factors):
-        for m, left, right, den in zip(fam.idems, fam.left, fam.right, fam.dens):
-            assert Matrix.of_ints(QQ, QQ.mat_mul(left, right), den) == m
+    for fam, idems in zip((real.factors, real.dual_factors), pair_families(real)):
+        assert rebuilt(fam) == idems
         assert fam.ranks == [1, 3, 3, 1]
+
+
+def proportional(field, xs, ys) -> bool:
+    """Are the two integer lists nonzero multiples of each other?"""
+    k = next(j for j, x in enumerate(xs) if x)
+    return bool(ys[k]) and all(field.mul(x, ys[k]) == field.mul(y, xs[k]) for x, y in zip(xs, ys))
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
@@ -412,27 +430,120 @@ def test_realize_reads_its_factors_at_the_row_blocks_without_an_echelon(field, m
     def refused(self):
         raise AssertionError("realize formed an echelon")
 
-    monkeypatch.setattr(Matrix, "echelon", refused)
     for d in range(6):
+        monkeypatch.setattr(Matrix, "echelon", refused)
         real = realize(load_table(d), random_admissible_context(d, field, 904 + d), field)
+        families = real.factors, real.dual_factors
+        monkeypatch.undo()
         at = 0
         for i in range(d + 1):
             block = range(at, at + comb(d, i))  # row block i: its C(d, i) labels
             at = block.stop
-            for fam in (real.factors, real.dual_factors):
-                ints, den = fam.idems[i].form
-                assert fam.right[i] == [ints[k] for k in block] and fam.dens[i] == den * den
-                assert fam.left[i] == [[row[k] for k in block] for row in ints]
+            for fam, ref in zip(families, pair_families(real)):
+                # R_i and B_i are multiples of e_i's rows and columns there
+                ints, den = ref[i].form
+                assert proportional(field, sum(fam.right[i], []),
+                                    [x for k in block for x in ints[k]])
+                assert proportional(field, sum(fam.left[i], []),
+                                    [row[k] for row in ints for k in block])
+                assert rebuilt(fam)[i] == ref[i]
         assert at == real.dim
 
 
-def reference_sum_checks(real):
-    """rel6/rel7 (id, passed, detail) from scaled and summed n x n matrices."""
+def fresh(field, values):
+    """A field element outside the list."""
+    return next(x for x in map(field.from_int, range(len(values) + 1)) if x not in values)
+
+
+def restricted_with_an_empty_block(real):
+    """realize's pair (+) [t] and (+) [t*], t and t* new eigenvalues on a
+    last block of their own, restricted to the closure of phi (+) 0, the
+    realized module: the restricted pair's last block is empty."""
+    f, ctx, n = real.field, real.context, real.dim
+    theta, theta_star = ctx.theta + [fresh(f, ctx.theta)], ctx.theta_star + [fresh(f, ctx.theta_star)]
+
+    def padded(m, t):
+        return Matrix(f, [row + [f.zero] for row in elements(m)] + [[f.zero] * n + [t]])
+
+    a, astar = padded(real.a, theta[-1]), padded(real.astar, theta_star[-1])
+    phi = real.phi + [f.zero]
+    closure = submodule_closure(a, astar, phi)
+    blocks = [[k for k, p in enumerate(closure.pivots) if p in b] for b in real.blocks + [[n]]]
+    return OperatorPair(restrict(a, closure), restrict(astar, closure), theta, theta_star,
+                        [phi[p] for p in closure.pivots], blocks)
+
+
+@pytest.mark.parametrize("d", range(6))
+@pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
+def test_newton_factors_read_what_slicing_the_full_family_reads(field, d):
+    # RankFactors.of reads each factor from the chain; slicing the full
+    # Lagrange family at the blocks (support.sliced_factors) must give the
+    # same block walk, unit verdicts, rank-one lines and images, on the
+    # realized pair, on a graded sign flip of its table and on a restricted
+    # pair whose last idempotents have rank 0
+    table = load_table(d)
+    ctx = random_admissible_context(d, field, 950 + d)
+    flips = [t for t in (with_negated_coefficient(table, *slot) for slot in coefficient_slots(table))
+             if is_graded(t)]
+    real = realize(table, ctx, field)
+    pairs = [real, restricted_with_an_empty_block(real)] + [realize(t, ctx, field) for t in flips[:1]]
+    assert pairs[1].dim == real.dim and pairs[1].blocks[-1] == [] and len(pairs) == 2 + (d > 0)
+    f = field
+    vectors = [real.phi, [f.from_int(k * k + 1) for k in range(real.dim)]]
+    for pair in pairs:
+        for fam, full, op in zip((pair.factors, pair.dual_factors), pair_families(pair),
+                                 (pair.astar, pair.a)):
+            sliced = sliced_factors(full, pair.blocks)
+            assert fam.ranks == sliced.ranks
+            top = len(full)
+            got, want = list(fam.blocks(op, top)), list(sliced.blocks(op, top))
+            assert [{k: not any(map(any, b)) for k, b in level.items()} for level in got] == [
+                {k: not any(map(any, b)) for k, b in level.items()} for level in want]
+            for i in range(top):
+                assert fam.is_unit(i, got[0][i, i]) == sliced.is_unit(i, want[0][i, i])
+                lines, want_lines = fam.rank_one(i), sliced.rank_one(i)
+                assert (lines is None) == (want_lines is None)
+                if lines:
+                    assert all(map(proportional, [f, f], lines, want_lines))
+                for v in vectors:
+                    assert fam.apply(i, v) == full[i].apply(v)
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
+def test_reading_a_family_forms_no_n_by_n_combination(field, monkeypatch):
+    # the factors are combinations of the chain's rows and columns at one
+    # block: at d = 5 no lincomb output is 32 x 32 (an E_i would be)
+    import tdcheck.linalg
+    import tdcheck.poly
+
+    shapes = []
+
+    def recorded(lincomb):
+        def wrapper(terms):
+            m = lincomb(terms)
+            shapes.append((m.nrows, m.ncols))
+            return m
+
+        return wrapper
+
+    for module in (tdcheck.linalg, tdcheck.poly):
+        if hasattr(module, "lincomb"):
+            monkeypatch.setattr(module, "lincomb", recorded(module.lincomb))
+    real = realize(load_table(5), random_admissible_context(5, field, 960), field)
+    assert real.factors.ranks == real.dual_factors.ranks == [1, 5, 10, 10, 5, 1]
+    assert (32, 32) not in shapes
+    assert len(shapes) == 2 * 2 * 6  # R_i and B_i of each e_i
+
+
+def reference_sum_checks(real, families=None):
+    """rel6/rel7 (id, passed, detail) from scaled and summed n x n matrices
+    of the families (e, e*), by default the full Lagrange families."""
     out = []
     ident = Matrix.identity(real.field, real.dim)
+    e, estar = families or pair_families(real)
     for tag, idems, values, op in (
-        ("e", real.e, real.context.theta, real.a),
-        ("es", real.estar, real.context.theta_star, real.astar),
+        ("e", e, real.context.theta, real.a),
+        ("es", estar, real.context.theta_star, real.astar),
     ):
         total = idems[0]
         for m in idems[1:]:
@@ -464,16 +575,29 @@ def test_entrywise_sums_match_matrix_sums_on_random_contexts(d, field, seed):
 
 @pytest.mark.parametrize("f", [QQ, FP], ids=["qq", "fp"])
 def test_entrywise_sums_fail_off_idempotent_families(f):
-    # the hand-built family of test_block_relations_match_full_sandwiches_off_
-    # idempotent_families, in both fields: neither sum can hold
+    # rel6/rel7 are computed, not assumed: a family with one wrong Newton
+    # coefficient (1 added to c_ik, 0 below k = i, so e_i gains P_k) sums to
+    # I + P_k and reconstructs A + t_i P_k, and fails both sums of its tag, at
+    # every coefficient, as the entrywise sums of its full matrices do
     ctx = random_admissible_context(3, f, 902)
     real = realize(load_table(3), ctx, f)
-    e = [mat_add(real.e[0], real.e[1]), zero_matrix(f, real.dim), scaled(real.e[2], 2), real.e[3]]
-    estar = [real.estar[0], mat_add(real.estar[1], real.estar[3]), real.a * real.a, real.estar[3]]
-    real.factors, real.dual_factors = echelon_factors(e), echelon_factors(estar)
-    want = reference_sum_checks(real)
-    assert sum_triples(real) == want
-    assert [cid for cid, ok, _ in want if not ok] == ["rel6.e", "rel7.e", "rel6.es", "rel7.es"]
+    good = [real.factors, real.dual_factors]
+    for side, (op, values) in enumerate(((real.a, ctx.theta), (real.astar, ctx.theta_star))):
+        tag = ("e", "es")[side]
+        chain, coeffs = lagrange_idempotents(op, values)
+        for i in range(4):
+            assert values[i]  # else A + t_i P_k = A
+            for k in range(4):
+                wrong = [list(cs) for cs in coeffs]
+                wrong[i][k] = f.add(wrong[i][k], f.one)
+                families = list(good)
+                families[side] = RankFactors.of(chain, wrong, real.blocks)
+                real.factors, real.dual_factors = families
+                full = list(pair_families(real))
+                full[side] = [lincomb(zip(cs, chain)) for cs in wrong]
+                want = reference_sum_checks(real, full)
+                assert sum_triples(real) == want, (tag, i, k)
+                assert [cid for cid, ok, _ in want if not ok] == [f"rel6.{tag}", f"rel7.{tag}"]
 
 
 def test_sign_flips_that_realize_never_fail_the_two_sums():

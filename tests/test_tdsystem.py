@@ -8,7 +8,6 @@ from tdcheck import realization, tdsystem
 from tdcheck.fields import DEFAULT_PRIME, PrimeField, Rationals, Sampler, derive_seed
 from tdcheck.linalg import EchelonBasis, Matrix, restrict
 from tdcheck.params import ParameterArray, random_admissible_context, random_valid_parameter_array
-from tdcheck.poly import lagrange_idempotents
 from tdcheck.realization import OperatorPair, idempotent_family, realize, split_sequence
 from tdcheck.tables import FORMAT_VERSION, bundled_table_text, load_table, parse_table
 from tdcheck.tdsystem import (
@@ -23,7 +22,7 @@ from tdcheck.tdsystem import (
 )
 
 from support import (
-    coefficient_slots, coordinates, echelon_factors, elements, is_graded, proper_closure_d2_text,
+    coefficient_slots, coordinates, elements, is_graded, lagrange_family, proper_closure_d2_text,
     reference_restrict, with_negated_coefficient,
 )
 
@@ -36,10 +35,9 @@ def fr(xs):
 
 
 def idempotent_families(a, astar, theta, theta_star):
-    """Both Lagrange families of the pair, with rank factors from their
-    echelon forms: the pair need not be graded."""
-    return (echelon_factors(lagrange_idempotents(a, theta)),
-            echelon_factors(lagrange_idempotents(astar, theta_star)))
+    """Both full Lagrange families of the pair, as n x n matrices: the pair
+    need not be graded."""
+    return lagrange_family(a, theta), lagrange_family(astar, theta_star)
 
 
 def d1_array():
@@ -149,12 +147,12 @@ def reference_word_span(a, astar, field):
     n = a.nrows
     basis = EchelonBasis(field, n * n)
     queue = deque([Matrix.identity(field, n)])
-    basis.add([int(i == j) for i in range(n) for j in range(n)], True)
+    basis.add([int(i == j) for i in range(n) for j in range(n)])
     while queue:
         m = queue.popleft()
         for g in (a, astar):
             prod = g * m
-            if basis.add([x for row in prod.form[0] for x in row], True):
+            if basis.add([x for row in prod.form[0] for x in row]):
                 queue.append(prod)
     return basis
 
@@ -201,7 +199,7 @@ def rank_one_of(m):
 def rank_one_idempotents(a, astar, theta, theta_star):
     """(v, w) of every rank-one member of the pair's two Lagrange families."""
     families = idempotent_families(a, astar, theta, theta_star)
-    return [m for fam in families for e in fam.idems if (m := rank_one_of(e))]
+    return [m for fam in families for e in fam if (m := rank_one_of(e))]
 
 
 def rank_one_word(a, astar):
@@ -595,7 +593,7 @@ def reference_band_failures(real, theta, theta_star):
     astar_sub = reference_restrict(real.astar, closure)
     factors, dual_factors = idempotent_families(a_sub, astar_sub, theta, theta_star)
     out = []
-    for tag, fam, op in (("es", dual_factors.idems, a_sub), ("e", factors.idems, astar_sub)):
+    for tag, fam, op in (("es", dual_factors, a_sub), ("e", factors, astar_sub)):
         for j in range(len(fam)):
             op_fam_j = op * fam[j]
             for i in range(len(fam)):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdcheck.fields import PrimeField, Rationals
-from tdcheck.linalg import EchelonBasis, Matrix
+from tdcheck.linalg import EchelonBasis, Matrix, RankFactors
 from tdcheck.params import derive_context, random_admissible_context
 from tdcheck.realization import realize
 from tdcheck.report import failed
@@ -455,23 +455,30 @@ def test_word_image_d1_hand_value():
 
 @pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "qq"])
 def test_feasible_rank_applies_one_idempotent_per_word(field, monkeypatch):
-    # each image is one idempotent times its parent's; support.word_image's
-    # right-to-left walks would apply 1, 3, 8, 20, 48 and 112
+    # each image is one idempotent, read through its rank factors, times its
+    # parent's; support.word_image's right-to-left walks would apply 1, 3, 8,
+    # 20, 48 and 112.  No n x n matrix is applied
     reals = [realize(load_table(d), random_admissible_context(d, field, 960 + d), field)
              for d in range(6)]
     applied = []
-    apply = Matrix.apply
+    apply, factors_apply = Matrix.apply, RankFactors.apply
 
     def counted(self, vec):
-        applied.append(1)
+        applied.append("matrix")
         return apply(self, vec)
 
+    def counted_factors(self, i, vec):
+        applied.append("factors")
+        return factors_apply(self, i, vec)
+
     monkeypatch.setattr(Matrix, "apply", counted)
+    monkeypatch.setattr(RankFactors, "apply", counted_factors)
     counts = []
     for real in reals:
         applied.clear()
         assert not failed(feasible_rank_test(real))
         counts.append(len(applied))
+        assert applied.count("factors") == len(applied)
     assert counts == [1, 2, 4, 8, 16, 32]
 
 
@@ -482,9 +489,9 @@ def test_feasible_rank_reads_every_word_image_in_word_order(field, monkeypatch):
     added = []
     add = EchelonBasis.add
 
-    def recorded(self, vec, cleared=False):
+    def recorded(self, vec):
         added.append(list(vec))
-        return add(self, vec, cleared)
+        return add(self, vec)
 
     for d in range(6):
         real = realize(load_table(d), random_admissible_context(d, field, 980 + d), field)
