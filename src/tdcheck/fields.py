@@ -183,10 +183,10 @@ class Rationals:
     # reduces the pair to lowest terms.  to_ints clears the denominators of
     # rows assembled from scalars, from_ints reads an integer over a
     # denominator back as an element, ratio splits a scalar into
-    # numerator and denominator, shrink canonicalizes a complete echelon
-    # residual or a Lagrange sum (nothing to do over the rationals), and
-    # primitive scales a vector to the canonical integer representative of
-    # its line: content 1 and positive at piv (`changed` serves F_p only).
+    # numerator and denominator, shrink canonicalizes an echelon step's
+    # multiplier, a complete echelon residual or a Lagrange sum (nothing to
+    # do over the rationals), and primitive scales a vector to the canonical
+    # integer representative of its line: content 1 and positive at piv.
     # sub also acts on the integers of a form (linalg's shift): plain
     # integer arithmetic here.
     def mat_mul(self, rows_a, rows_b):
@@ -204,7 +204,7 @@ class Rationals:
     def shrink(self, v):
         return v
 
-    def primitive(self, v, piv: int, changed=None):
+    def primitive(self, v, piv: int):
         g = gcd(*v)
         if v[piv] < 0:
             g = -g
@@ -310,10 +310,10 @@ class PrimeField:
     # Integer form (see Rationals): the residues over 1.  mat_mul reduces
     # each sum mod p, so products stay residues; nothing is cleared, and the
     # rows of a form are its elements.  The echelon's steps leave entries
-    # unreduced; shrink reduces a residual (or a Lagrange sum) mod p once,
-    # and primitive (the canonical representative of a line has 1 at piv)
-    # reduces a new row, or only the entries `changed` of a back-eliminated
-    # row, whose pivot is 1 and whose other entries are residues already.
+    # unreduced; shrink reduces each step's multiplier and then the residual
+    # (or a Lagrange sum) mod p once, and primitive (the canonical
+    # representative of a line has 1 at piv) scales and reduces a new row or
+    # a back-substituted one.
     def mat_mul(self, rows_a, rows_b):
         p = self.p
         return [[s % p for s in acc] for acc in _int_mat_mul(rows_a, rows_b)]
@@ -331,12 +331,8 @@ class PrimeField:
         p = self.p
         return [x % p for x in v]
 
-    def primitive(self, v, piv: int, changed=None):
+    def primitive(self, v, piv: int):
         p = self.p
-        if changed is not None:
-            for j in changed:
-                v[j] %= p
-            return v
         inv = pow(v[piv], -1, p)
         return [x * inv % p for x in v]
 

@@ -14,8 +14,9 @@ tiny (at most 32) and the hot spots walk only nonzeros:
     of the denominators, reduced by one gcd (`_lowest`);
   * `apply` clears the vector once and reads one field element per output
     entry from integer dot products over the nonzeros of each row;
-  * EchelonBasis eliminates fraction-free on integer rows (walking nonzeros;
-    over F_p one reduction per residual), and `Matrix.echelon`, behind
+  * EchelonBasis eliminates fraction-free on integer rows, forward only
+    (walking nonzeros; over F_p one reduction per step and per residual),
+    and `form` back-substitutes on each read; `Matrix.echelon`, behind
     `rank`, inserts the nonzero rows of the integer form like any vector:
     over Q each is a multiple of its row, which spans the same line;
   * `lincomb` adds multiples of matrices over the flat nonzeros of their
@@ -25,8 +26,9 @@ tiny (at most 32) and the hot spots walk only nonzeros:
     the basis's pivots of one product, the operator times the basis's form
     transposed, and `graded` reads a pair's split grading off the form;
   * `RankFactors` reads a family's rank factors e_i = B_i R_i from its Newton
-    form at a graded pair's blocks, applies e_i as B_i (R_i v) and walks the
-    blocks R_i op^k B_j; `image_mod_p` reads a pair and a vector mod p.
+    form at a graded pair's blocks, each member as one lincomb (R_i stacked
+    on B_i transposed), applies e_i as B_i (R_i v) and walks the blocks
+    R_i op^k B_j; `image_mod_p` reads a pair and a vector mod p.
 
 Equal matrices have equal integer forms, so `==` compares those.  Every
 element handed back is canonical (see `fields`), so vectors compare with
@@ -127,8 +129,8 @@ class Matrix:
         return not any(map(any, self.form[0]))
 
     def echelon(self) -> "EchelonBasis":
-        """Reduced row-echelon basis of the row space; zero rows add nothing
-        and are skipped."""
+        """Row-echelon basis of the row space (reduced rows through `form`);
+        zero rows add nothing and are skipped."""
         basis = EchelonBasis(self.field, self.ncols)
         for row in filter(any, self.form[0]):
             basis.add(row)
@@ -174,27 +176,22 @@ def lincomb(terms) -> Matrix:
 
 
 class EchelonBasis:
-    """Incrementally maintained reduced row-echelon basis of a subspace.
+    """Incrementally maintained row-echelon basis of a subspace.
 
-    add() eliminates a vector against the current basis and inserts the
-    residual (back-eliminating the older rows) if it is independent.  Used for
-    submodule closures, rank computation and span dimensions.
+    add() eliminates a vector against the rows in pivot order and inserts the
+    residual if it is independent; older rows are left as they are.  Used for
+    submodule closures, rank computation and span dimensions, which read
+    `dim` and `pivots`; `restrict` reads the reduced rows, `form`.
 
     Rows are kept fraction-free as integer vectors: each is the field's
     canonical representative of its line (`primitive`: content 1 and a
-    positive pivot over the rationals, pivot 1 over F_p) and is zero at every
-    other row's pivot.  One elimination step is v <- r*v - c*row, with r and c
-    the entries of row and v at the row's pivot, divided by gcd(r, c) (in the
-    style of Bareiss: no division by a pivot), walking row's nonzeros.  Over
-    F_p, r is 1 and nothing is reduced: no step changes v at another pivot,
-    so each c is an input residue, entries stay below p + width*p^2 in
-    absolute value, and `shrink` reduces the complete residual once.  A
-    back-eliminated row over F_p keeps pivot 1 and changes only at the new
-    row's nonzeros, so only those entries are reduced (`primitive` with
-    `changed`); over Q it is made primitive again.  The reduced rows callers
-    read, `form`, are row / pivot entry over one denominator, built on each
-    read.  The reduced echelon form is unique, so they equal the rows of a
-    per-entry elimination in the field.
+    positive pivot over the rationals, pivot 1 over F_p), zero before its
+    pivot and at the pivots of the rows older than it.  One elimination step
+    is v <- r*v - c*row, with r and c the entries of row and v at the row's
+    pivot, divided by gcd(r, c) (in the style of Bareiss: no division by a
+    pivot), walking row's nonzeros.  Over F_p, r is 1 and c is first reduced
+    (`shrink`), so entries stay below p + width*p^2 in absolute value, and
+    `shrink` reduces the complete residual once.
     """
 
     def __init__(self, field, width: int):
@@ -218,13 +215,22 @@ class EchelonBasis:
     @property
     def form(self):
         """The reduced rows in integer form: (integer rows, den), den the lcm
-        of the pivot entries; lowest terms, as each row has content 1.  The
-        rows are the basis's own and change when it grows."""
-        den = lcm(*(row[piv] for row, piv in zip(self._ints, self.pivots)))
+        of the pivot entries; lowest terms, as each row has content 1.  Each
+        read back-substitutes once, from the last row up, against the rows
+        already reduced below; the reduced echelon form is unique, so these
+        are the rows of a per-entry elimination in the field."""
+        f, rows = self.field, []  # reduced, the last row first
+        for row, piv in zip(self._ints[::-1], self.pivots[::-1]):
+            v = list(row)
+            for done, at in zip(rows, self.pivots[::-1]):
+                if v[at]:
+                    v = _eliminate(v, done, at, v[at])
+            rows.append(f.primitive(v, piv))
+        rows.reverse()
+        den = lcm(*(row[piv] for row, piv in zip(rows, self.pivots)))
         if den == 1:
-            return self._ints, 1
-        return [[x * (den // row[piv]) for x in row]
-                for row, piv in zip(self._ints, self.pivots)], den
+            return rows, 1
+        return [[x * (den // row[piv]) for x in row] for row, piv in zip(rows, self.pivots)], den
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec's residual; True if the dimension grew."""
@@ -233,35 +239,29 @@ class EchelonBasis:
         v = list(v)  # eliminated in place
         for row, piv in zip(self._ints, self.pivots):
             if v[piv]:
-                v = _eliminate(v, row, piv)
+                (c,) = f.shrink([v[piv]])  # over F_p, v[piv] may be unreduced
+                v = _eliminate(v, row, piv, c)
         v = f.shrink(v)
-        cols = list(compress(range(self.width), v))
-        if not cols:
+        piv = next(compress(range(self.width), v), None)
+        if piv is None:
             return False
-        piv = cols[0]
-        v = f.primitive(v, piv)
-        rows = self._ints
-        for i, row in enumerate(rows):
-            if row[piv]:
-                # over F_p only the entries at v's nonzeros change
-                rows[i] = f.primitive(_eliminate(row, v, piv, cols), self.pivots[i], cols)
         at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
-        rows.insert(at, v)
+        self._ints.insert(at, f.primitive(v, piv))
         self.pivots.insert(at, piv)
         return True
 
 
-def _eliminate(v: list, row: list, piv: int, cols=None) -> list:
-    """r*v - c*row with r = row[piv], c = v[piv] over their gcd: zero at piv.
-    Walks only row's nonzeros (cols, when the caller has them), in place
-    unless r does not divide c."""
-    r, c = row[piv], v[piv]
+def _eliminate(v: list, row: list, piv: int, c: int) -> list:
+    """r*v - c*row with r = row[piv] over gcd(r, c), c = v[piv] (over F_p up
+    to a multiple of p): zero at piv, over F_p once reduced.  Walks only
+    row's nonzeros, in place unless r does not divide c."""
+    r = row[piv]
     if r != 1:
         g = gcd(r, c)
         if g != r:
             v = [x * (r // g) for x in v]
         c //= g
-    for j in compress(range(len(row)), row) if cols is None else cols:
+    for j in compress(range(len(row)), row):
         v[j] -= c * row[j]
     return v
 
@@ -337,19 +337,19 @@ class RankFactors(NamedTuple):
     @classmethod
     def of(cls, chain: List[Matrix], coeffs: List[list], blocks) -> "RankFactors":
         """Each e_i's factors at U_i = blocks[i], where e_i[U_i, U_i] = I and rank
-        e_i = |U_i| (realization.idempotent_family): R_i and B_i are lincombs of
-        the chain's rows and columns at U_i, over c_ik / den for P_k = ints / den."""
-        f, right, left, dens = chain[0].field, [], [], []
+        e_i = |U_i| (realization.idempotent_family): one lincomb of the chain's
+        rows at U_i stacked on its columns there (R_i on B_i transposed), over
+        c_ik / den for P_k = ints / den; dens[i] is its denominator squared."""
+        f, n, right, left, dens = chain[0].field, chain[0].nrows, [], [], []
         for cs, at in zip(coeffs, blocks):
             terms = [(f.mul(c, f.from_ints(1, m.form[1])), m.form[0])
                      for c, m in zip(cs, chain) if c]
-            r, rden = lincomb((c, Matrix.of_ints(f, [ints[p] for p in at]))
-                              for c, ints in terms).form
-            b, bden = lincomb((c, Matrix.of_ints(f, [[x[p] for p in at] for x in ints]))
-                              for c, ints in terms).form
-            right.append(r)
-            left.append(b)
-            dens.append(rden * bden)
+            ints, den = lincomb((c, Matrix.of_ints(f, [rows[p] for p in at]
+                                                   + [[row[p] for row in rows] for p in at]))
+                                for c, rows in terms).form
+            right.append(ints[: len(at)])
+            left.append([list(col) for col in zip(*ints[len(at):])] or [[] for _ in range(n)])
+            dens.append(den * den)
         return cls(chain, coeffs, right, left, dens)
 
     def apply(self, i: int, vec: Sequence) -> list:

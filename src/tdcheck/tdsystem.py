@@ -128,7 +128,7 @@ def submodule_closure(a: Matrix, astar: Matrix, seed: Sequence) -> EchelonBasis:
     image returns the whole space.  The exact loop decides over F_p, for a
     denominator divisible by p, a seed zero mod p or a short image: it is
     alternating image augmentation to a fixed point, stopping early once the
-    span is the whole space, and the result is a reduced row-echelon basis.
+    span is the whole space, and the result is a row-echelon basis.
     """
     if not any(seed):
         raise ValueError("seed vector must be nonzero")

@@ -465,25 +465,38 @@ def test_tracer_entry_points_see_both_fields(monkeypatch, capsys):
             assert counts[name, kind] > 0, (name, kind)
 
 
-@pytest.mark.parametrize("p,seed", [(7, 51), (DEFAULT_PRIME, 52)], ids=["f7", "fp"])
-@pytest.mark.parametrize("width,density", [(6, 1.0), (12, 0.3), (32, 0.15), (64, 0.5)])
-def test_prime_back_elimination_keeps_rows_canonical(p, seed, width, density):
-    # a back-eliminated row changes only at the new row's nonzeros, and only
-    # those entries are reduced: every stored row must still be canonical
-    f = PrimeField(p)
-    s = Sampler(f, seed)
-    got, want = EchelonBasis(f, width), ReferenceEchelonBasis(f, width)
+# each width over both primes; over Q the dense width 64 is left out, as
+# its Fraction reference alone takes seconds
+CANONICAL_ROW_CASES = [
+    (width, density, field, seed, name)
+    for field, seed, name in ((PrimeField(7), 51, "f7"), (PrimeField(DEFAULT_PRIME), 52, "fp"),
+                              (QQ, 53, "qq"))
+    for width, density in ((6, 1.0), (12, 0.3), (32, 0.15), (64, 0.5))
+    if name != "qq" or width < 64
+]
+
+
+@pytest.mark.parametrize("width,density,field,seed", [c[:4] for c in CANONICAL_ROW_CASES],
+                         ids=[f"{w}-{d}-{name}" for w, d, _, _, name in CANONICAL_ROW_CASES])
+def test_forward_elimination_keeps_rows_canonical(width, density, field, seed):
+    # an insert eliminates forward only and leaves older rows as they are:
+    # every stored row is its line's canonical integer representative, zero
+    # before its pivot, and `form` back-substitutes to the reduced rows
+    s = Sampler(field, seed)
+    got, want = EchelonBasis(field, width), ReferenceEchelonBasis(field, width)
     added = []
     for step in range(width + 8):
         v = combination(s, added, width) if step % 4 == 3 else random_vector(s, width, density)
         assert got.add(v) == want.add(v)
         added.append(v)
         for row, piv in zip(got._ints, got.pivots):
-            assert all(type(x) is int and 0 <= x < p for x in row)
-            assert row[piv] == 1
-            assert all(row[other] == 0 for other in got.pivots if other != piv)
+            assert all(type(x) is int for x in row) and not any(row[:piv])
+            if field.kind == "fp":
+                assert all(0 <= x < field.p for x in row) and row[piv] == 1
+            else:
+                assert gcd(*row) == 1 and row[piv] > 0
         assert got.pivots == want.pivots
-        assert got._ints == want.rows
+        assert elements(got) == want.rows
     assert_same_basis(got, want)
 
 
@@ -594,3 +607,30 @@ def test_no_rational_product_or_matrix_echelon_clears_denominators(
     capsys.readouterr()
     assert reached == []
     assert calls["mat_mul"] and calls["clear"] and not calls["echelon"]
+
+
+def test_reduced_rows_are_read_only_to_restrict(monkeypatch, capsys, tmp_path):
+    # closures and ranks read an echelon basis's dim and pivots; only
+    # restrict reads its reduced rows, once per restricted operator, which
+    # on the proper-closure d = 2 table is two per trial
+    from tdcheck.cli import main
+
+    reads, form = Counter(), EchelonBasis.form
+
+    def counted(basis):
+        reads[basis.field.kind] += 1
+        return form.fget(basis)
+
+    monkeypatch.setattr(EchelonBasis, "form", property(counted))
+    for argv, code in [*((f"tds roundtrip --d {d} --trials 2 --field qq", 0) for d in (2, 3, 4)),
+                       ("zz rank --d 3 --trials 2 --field qq", 0),
+                       ("tds roundtrip --d 3 --trials 8 --prime 7", 1)]:
+        assert main(f"{argv} --seed 0 --jobs 1".split()) == code, argv
+    assert not reads
+    (tmp_path / "d2.txt").write_text(proper_closure_d2_text())
+    for field in ("qq", "fp"):
+        argv = f"tds roundtrip --d 2 --trials 3 --field {field} --seed 0 --jobs 1 --assets {tmp_path}"
+        assert main(argv.split()) == 1
+        assert reads == {field: 2 * 3}
+        reads.clear()
+    capsys.readouterr()

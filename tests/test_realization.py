@@ -511,8 +511,10 @@ def test_newton_factors_read_what_slicing_the_full_family_reads(field, d):
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
 def test_reading_a_family_forms_no_n_by_n_combination(field, monkeypatch):
-    # the factors are combinations of the chain's rows and columns at one
-    # block: at d = 5 no lincomb output is 32 x 32 (an E_i would be)
+    # each member's factors are one combination of the chain's rows at its
+    # block stacked on its columns there: no lincomb output is 32 x 32 (an
+    # E_i would be).  It reads d = 5, as a stacked member is 2|U_i| x n,
+    # which happens to be square at d <= 2
     import tdcheck.linalg
     import tdcheck.poly
 
@@ -532,7 +534,7 @@ def test_reading_a_family_forms_no_n_by_n_combination(field, monkeypatch):
     real = realize(load_table(5), random_admissible_context(5, field, 960), field)
     assert real.factors.ranks == real.dual_factors.ranks == [1, 5, 10, 10, 5, 1]
     assert (32, 32) not in shapes
-    assert len(shapes) == 2 * 2 * 6  # R_i and B_i of each e_i
+    assert len(shapes) == 2 * 6  # R_i stacked on B_i transposed, for each e_i
 
 
 def reference_sum_checks(real, families=None):
