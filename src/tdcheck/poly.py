@@ -15,10 +15,12 @@ in their Newton form on the prefix chain P_k = (A - t_0 I)...(A - t_{k-1} I):
 
 since the divided difference of L_i over t_0..t_k is c_ik for k >= i and 0
 below (L_i is 1 at t_i and 0 at the other nodes): the same polynomial, so the
-same matrix, with P_0 = I.  linalg.RankFactors reads each E_i from the chain
-and the c_ik, never formed.  The chain runs one step further, to P_{d+1} =
-prod_j (A - t_j I), which must be 0; that check doubles as a transcription-error
-detector for the bundled module tables.  Summed over i, P_k's coefficient is
+same matrix, with P_0 = I.  The product under c_ik is entry k of `ladder`
+over the other nodes at t_i, so each row is one ladder, inverted from k = i.
+linalg.RankFactors reads each E_i from the chain and the c_ik, never formed.
+The chain runs one step further, to P_{d+1} = prod_j (A - t_j I), which must
+be 0; that check doubles as a transcription-error detector for the bundled
+module tables.  Summed over i, P_k's coefficient is
 the divided difference of 1 over t_0..t_k and, weighted by t_i, that of x:
 sum E_i = I and sum t_i E_i = t_0 I + P_1 = A for any operator over any field,
 so rel6 and rel7 (these sums, regrouped over the chain) cannot fail once this returns.
@@ -78,13 +80,6 @@ def lagrange_idempotents(a: Matrix, thetas: Sequence) -> Tuple[List[Matrix], Lis
         full = full * a.shift(t)
     if not full.is_zero():
         raise MinimalPolynomialError(full.rank())
-    coeffs = []
-    for i in range(d + 1):
-        # 1 / prod_{m <= k, m != i} (t_i - t_m) for k = i..d, 0 below
-        prod, row = f.one, []
-        for m in range(d + 1):
-            if m != i:
-                prod = f.mul(prod, f.sub(thetas[i], thetas[m]))
-            row.append(f.inv(prod) if m >= i else f.zero)
-        coeffs.append(row)
+    coeffs = [[f.zero] * i + [f.inv(p) for p in ladder(f, thetas[:i] + thetas[i + 1:], t)[i:]]
+              for i, t in enumerate(thetas)]
     return chain, coeffs

@@ -16,11 +16,14 @@ as exact matrix identities:
   * the weight certificate: the raising/lowering chains through the labels
     phi, r, r^2, ..., l^{i-1} r^i and the resulting identity
     e*_0 tau_i(a) e*_0 . phi = y_i phi / prod_{j=1..i} (s_0 - s_j),
-    whose denominator follows the split-sequence convention; the
-    realization's split (split_sequence at phi, read once and cached, with
-    e*_0 v read as B*_0 (R*_0 v)) is the left-hand side, which construction
-    compares with zeta and the round trip's extraction reads back (a table
-    without one of the chain labels fails as mu.labels);
+    whose denominator follows the split-sequence convention (poly.ladder's
+    prefix products over s_1..s_d at s_0); the realization's split
+    (split_sequence at phi, read once and cached, with e*_0 v read as
+    B*_0 (R*_0 v)) is the left-hand side, which construction compares with
+    zeta and the round trip's extraction reads back (a table without one of
+    the chain labels fails as mu.labels).  A pair reads its split at its
+    first nonempty block t0, which is 0 on every realization, and
+    extraction reads its first delta + 1 entries, the support's;
   * the shape (idempotent ranks = binomial coefficients, symmetric, unimodal).
 
 Orthogonality and the band conditions are read through the rank factors
@@ -48,19 +51,18 @@ from typing import Dict, List, Sequence, Tuple
 from .fields import Field
 from .linalg import Matrix, RankFactors
 from .params import SpecializationContext
-from .poly import MinimalPolynomialError, lagrange_idempotents
+from .poly import MinimalPolynomialError, ladder, lagrange_idempotents
 from .report import Check
 from .tables import PHI, BasisLabel, ModuleTable, chain_label, evaluate, power_label
 
 
 class RealizationError(ValueError):
-    """A structural invariant failed while realizing a table."""
+    """A structural invariant failed while realizing a table: its check id
+    name (minpoly.a or minpoly.astar) and the detail."""
 
-    def __init__(self, failures: List[Tuple[str, str]]):
-        self.failures = failures
-        super().__init__(
-            "; ".join(f"{name}: {detail}" for name, detail in failures)
-        )
+    def __init__(self, name: str, detail: str):
+        self.name, self.detail = name, detail
+        super().__init__(f"{name}: {detail}")
 
 
 class OperatorPair:
@@ -84,11 +86,14 @@ class OperatorPair:
 
     @cached_property
     def split(self) -> list:
-        """The split sequence read at phi (split_sequence with the corner
-        e*_0): the weight certificate compares it with 1, y_1, ..., y_d,
-        construction with zeta, and extraction reads it back."""
-        return split_sequence(self.a, partial(self.dual_factors.apply, 0), self.theta,
-                              self.theta_star, self.phi)
+        """The split sequence read at phi from the first nonempty block t0
+        (split_sequence with the corner e*_{t0} on theta[t0:] and
+        theta_star[t0:]; t0 = 0 on a realization, whose block 0 holds phi):
+        the weight certificate compares it with 1, y_1, ..., y_d, construction
+        with zeta, and extraction reads its first delta + 1 entries back."""
+        t0 = next(i for i, block in enumerate(self.blocks) if block)
+        return split_sequence(self.a, partial(self.dual_factors.apply, t0), self.theta[t0:],
+                              self.theta_star[t0:], self.phi)
 
     @property
     def field(self) -> Field:
@@ -146,7 +151,7 @@ def idempotent_family(
     try:
         return RankFactors.of(*lagrange_idempotents(op, values), blocks)
     except MinimalPolynomialError as err:
-        raise RealizationError([(f"minpoly.{tag}", str(err))]) from None
+        raise RealizationError(f"minpoly.{tag}", str(err)) from None
 
 
 def realize(
@@ -284,15 +289,16 @@ def mu_certificate(real: ModuleRealization) -> List[Check]:
 def split_sequence(a: Matrix, corner, theta: List, theta_star: List, v: List) -> list:
     """c_0..c_d with corner(tau_i(a) v) = c_i v / prod_{j=1..i} (s_0 - s_j),
     s = theta_star and d + 1 = len(theta_star); None where the image is not a
-    multiple of v.  tau_i(a) v is walked incrementally, one product per i."""
+    multiple of v.  The denominators are the ladder over s_1..s_d at s_0, and
+    tau_i(a) v is walked incrementally, one product per i, so c_i reads
+    theta only below i and theta_star only at 0 and i."""
     f = a.field
     pivot = next(k for k, x in enumerate(v) if x)
-    w, den, out = v, f.one, []
-    for i in range(len(theta_star)):
+    w, out = v, []
+    for i, den in enumerate(ladder(f, theta_star[1:], theta_star[0])):
         if i:
             t = theta[i - 1]
             w = [f.sub(x, f.mul(t, y)) for x, y in zip(a.apply(w), w)]
-            den = f.mul(den, f.sub(theta_star[0], theta_star[i]))
         img = corner(w)
         c = f.div(img[pivot], v[pivot])
         out.append(f.mul(c, den) if img == [f.mul(c, x) for x in v] else None)

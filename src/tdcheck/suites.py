@@ -46,7 +46,7 @@ def _realized(checks_of):
         except EvaluationError as err:
             return [Check("realize.evaluate", False, str(err))]
         except RealizationError as err:
-            return [Check("realize." + name, False, detail) for name, detail in err.failures]
+            return [Check("realize." + err.name, False, err.detail)]
 
     return trial
 

@@ -6,7 +6,7 @@ that the corner elements
 
     g_i = e*_0 tau_i(a) e*_0 - zeta_i e*_0 / prod_{j=1..i} (s_0 - s_j)
 
-kill phi: the realization's split (split_sequence at phi) must be zeta.
+kill phi: the realization's split (OperatorPair.split, read at phi) must be zeta.
 extract_td_system() takes a realization.OperatorPair: a pair (a, a*), two
 eigenvalue lists, a vector phi and the blocks U_j of a split grading.  It
 restricts the pair to W, the closure of phi, checks that the pair it reads
@@ -68,8 +68,10 @@ coordinates are its entries at those pivots.  When the closure of phi is the
 whole module the pair is read as it is (a realization's families and split
 are not rebuilt); on a proper W the restricted pair is a new OperatorPair
 whose block j is the pivots in U_j, graded when each reduced row lies in its
-pivot's block, which the grading check decides.  The split is the pair's own
-when the support is the full list, else split_sequence on the sliced lists.
+pivot's block, which the grading check decides.  The split is the pair's
+own, read from its first nonempty block t0, and its first delta + 1 entries
+are the support's: entry i reads theta only below t0 + i, and theta_star
+only at t0 and t0 + i.
 """
 
 from __future__ import annotations
@@ -80,13 +82,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .fields import Field, field_echo
 from .linalg import EchelonBasis, Matrix, graded, image_mod_p, restrict
 from .params import ParameterArray, derive_context, validate_parameter_array
-from .realization import (
-    ModuleRealization,
-    OperatorPair,
-    RealizationError,
-    realize,
-    split_sequence,
-)
+from .realization import ModuleRealization, OperatorPair, RealizationError, realize
 from .report import VerificationReport
 from .tables import FORMAT_VERSION, ModuleTable, TableError
 
@@ -239,10 +235,8 @@ def extract_td_system(pair: OperatorPair) -> TDSystemReport:
     sharp = shape[0] == 1
 
     # split sequence: the corner identity read at phi, the pair's own split
-    # when the support is the full list
-    split = pair.split if (t0, delta) == (0, d) else split_sequence(
-        pair.a, lambda w: dual_factors.apply(t0, w), theta[t0:],
-        theta_star[t0 : t0 + delta + 1], pair.phi)
+    # (read from t0) on the support
+    split = pair.split[: delta + 1]
     if None in split:
         i = split.index(None)
         failures.append(

@@ -440,8 +440,8 @@ def test_each_sweep_builds_only_the_idempotent_families_it_reads(monkeypatch):
 @pytest.mark.parametrize("field", ["fp", "qq"])
 def test_a_round_trip_trial_reads_the_split_once(field, monkeypatch):
     # construction reads the realization's split and extraction reads it back:
-    # one split_sequence per trial at every d, in either module
-    from tdcheck import realization, tdsystem
+    # one split_sequence per trial at every d
+    from tdcheck import realization
     from tdcheck.fields import PrimeField, Rationals
     from tdcheck.tables import load_table
 
@@ -452,8 +452,7 @@ def test_a_round_trip_trial_reads_the_split_once(field, monkeypatch):
         calls.append(1)
         return split_sequence(*args)
 
-    for module in (realization, tdsystem):
-        monkeypatch.setattr(module, "split_sequence", counted)
+    monkeypatch.setattr(realization, "split_sequence", counted)
     f = PrimeField() if field == "fp" else Rationals()
     counts = []
     for d in range(6):

@@ -110,7 +110,7 @@ def test_lagrange_idempotents_random_triangular():
 
 
 @pytest.mark.parametrize("f", [QQ, PrimeField()], ids=["qq", "fp"])
-@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_lagrange_idempotents_equal_the_full_products(f, n):
     # each E_i against prod_{j != i} (A - t_j I) / (t_i - t_j), identity
     # factors included, so skipping the products by I changes no entry

@@ -621,6 +621,29 @@ def test_extract_band_blocks_with_rank_zero_restricted_idempotents():
     assert pair.split == fr([1, 1, 0])
 
 
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
+def test_extract_reads_the_split_from_the_first_nonempty_block(field, d):
+    # realize's pair read at the blocks [], U_0..U_d, []: each list gains an
+    # eigenvalue outside the spectrum at both ends, whose idempotents have
+    # rank 0, so the support starts at t0 = 1, where phi lies, and stops one
+    # short of the lists' end
+    ctx = random_admissible_context(d, field, 70 + d)
+    real = realize(load_table(d), ctx, field)
+    lo, hi = [x for x in map(field.from_int, range(2 * d + 8))
+              if x not in ctx.theta + ctx.theta_star][:2]
+    theta, theta_star = [lo, *ctx.theta, hi], [hi, *ctx.theta_star, lo]
+    tds = extract(real, theta, theta_star, [[]] + real.blocks + [[]])
+    t0, delta = 1, d
+    corner = lagrange_family(real.astar, theta_star)[t0]
+    want = split_sequence(real.a, corner.apply, theta[t0:],
+                          theta_star[t0 : t0 + delta + 1], real.phi)
+    assert (tds.diameter, tds.eigenvalues) == (d, ctx.theta)
+    assert tds.dual_eigenvalues == ctx.theta_star
+    assert tds.split == want == real.split
+    assert tds.axiom_failures == [] and tds.irreducible and tds.degenerate
+
+
 def assert_band_blocks_match_full_sandwiches_on_graded_flips(field):
     """Every graded sign flip of d3.txt: the band blocks fail where the full
     sandwiches do, and some fail."""
@@ -707,8 +730,7 @@ def test_extract_reuses_the_families_only_on_the_whole_module(field, monkeypatch
         return split_sequence(a, *args)
 
     monkeypatch.setattr(realization, "idempotent_family", counted)
-    for module in (realization, tdsystem):
-        monkeypatch.setattr(module, "split_sequence", counted_split)
+    monkeypatch.setattr(realization, "split_sequence", counted_split)
     assert extract_realized(real).closure_dim == real.dim
     # the whole module: the families and the split of the realization are read
     assert calls == splits == []
