@@ -22,7 +22,7 @@ from .fields import DEFAULT_PRIME, FieldError, PrimeField, Rationals, field_echo
 from .params import ParameterArray, validate_parameter_array
 from .report import VerificationReport
 from .suites import run_sweep
-from .tables import TableError, load_table
+from .tables import load_table
 from .tdsystem import roundtrip
 from .zigzag import enumerate_convex_spanning, enumerate_feasible, enumerate_zz, word_text
 
@@ -256,7 +256,7 @@ def main(argv=None) -> int:
         result = args.run(args)  # zz enumerate returns its words beside the report
         report, words = result if isinstance(result, tuple) else (result, None)
         return _emit(report, args.output, words)
-    except (FieldError, TableError, OSError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"tdcheck: {err}", file=sys.stderr)
         return USAGE_EXIT
 

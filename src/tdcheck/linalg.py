@@ -28,7 +28,8 @@ tiny (at most 32) and the hot spots walk only nonzeros:
   * `RankFactors` reads a family's rank factors e_i = B_i R_i from its Newton
     form at a graded pair's blocks, each member as one lincomb (R_i stacked
     on B_i transposed), applies e_i as B_i (R_i v) and walks the blocks
-    R_i op^k B_j; `image_mod_p` reads a pair and a vector mod p.
+    R_i op^k B_j on the half the grading leaves open; `image_mod_p` reads a
+    pair and a vector mod p.
 
 Equal matrices have equal integer forms, so `==` compares those.  Every
 element handed back is canonical (see `fields`), so vectors compare with
@@ -337,7 +338,7 @@ class RankFactors(NamedTuple):
     @classmethod
     def of(cls, chain: List[Matrix], coeffs: List[list], blocks) -> "RankFactors":
         """Each e_i's factors at U_i = blocks[i], where e_i[U_i, U_i] = I and rank
-        e_i = |U_i| (realization.idempotent_family): one lincomb of the chain's
+        e_i = |U_i| (realization.OperatorPair): one lincomb of the chain's
         rows at U_i stacked on its columns there (R_i on B_i transposed), over
         c_ik / den for P_k = ints / den; dens[i] is its denominator squared."""
         f, n, right, left, dens = chain[0].field, chain[0].nrows, [], [], []
@@ -382,11 +383,14 @@ class RankFactors(NamedTuple):
             return None
         return [row[0] for row in self.left[i]], self.right[i][0]
 
-    def blocks(self, op: Matrix, top: int, start: int = 0) -> Iterator[dict]:
+    def blocks(self, op: Matrix, step: int, top: int, start: int = 0) -> Iterator[dict]:
         """The integer blocks R_i op^k B_j, one level k at a time for
         start <= k < top: {(i, j): block} over every (i, j) at k = 0 and over
-        the (i, j) with k < |i - j| above, in the order j, then i.  Level 0 is
-        one product of the stacked R_i with V = [B_0 | ... | B_d].  Each later
+        the (i, j) with k < |i - j| above, in the order j, then i.  Above
+        level 0 only the open half, step * (j - i) > k, is read; the other
+        half is zero on a graded pair whose op moves block j to j + step
+        (linalg.graded), and its blocks are yielded empty.  Level 0 is one
+        product of the stacked R_i with V = [B_0 | ... | B_d].  Each later
         level sets V <- op V over only the B_j that still have a block to
         read, and one product of the stacked R_i that read one there cuts out
         all of its blocks; a level below start forms no such product.  The
@@ -400,15 +404,18 @@ class RankFactors(NamedTuple):
 
         cols, v = range(d + 1), [sum(rows, []) for rows in zip(*self.left)]
         for k in range(top):
-            pairs = [(i, j) for j in cols for i in range(d + 1) if not k or k < abs(i - j)]
+            pairs = [(i, j) for j in range(d + 1) for i in range(d + 1) if not k or k < abs(i - j)]
             if not pairs:
                 return
+            read = [(i, j) for i, j in pairs if not k or step * (j - i) > k]
             if k:  # op V over the B_j still read
-                at, cols = spans(cols), sorted({j for _, j in pairs})
+                at, cols = spans(cols), sorted({j for _, j in read})
                 v = f.mat_mul(op.form[0], [[x for j in cols for x in row[at[j]]] for row in v])
             if k < start:
                 continue
-            rows = sorted({i for i, _ in pairs})
+            rows = sorted({i for i, _ in read})
             prod = f.mat_mul([r for i in rows for r in self.right[i]], v)
             up, at = spans(rows), spans(cols)
-            yield {(i, j): [row[at[j]] for row in prod[up[i]]] for i, j in pairs}
+            blocks = dict.fromkeys(pairs, [])
+            blocks.update(((i, j), [row[at[j]] for row in prod[up[i]]]) for i, j in read)
+            yield blocks

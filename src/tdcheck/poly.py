@@ -38,13 +38,15 @@ class PolyError(ValueError):
 
 
 class MinimalPolynomialError(PolyError):
-    """prod (A - t_i I) != 0 for the supplied eigenvalue list."""
+    """prod (A - t_i I) != 0 for the supplied eigenvalue list.  Its one
+    argument is the rank, so it crosses a process pool unchanged."""
 
     def __init__(self, rank: int):
         self.rank = rank
-        super().__init__(
-            f"minimal polynomial check failed: product has rank {rank}, expected 0"
-        )
+        super().__init__(rank)
+
+    def __str__(self) -> str:
+        return f"minimal polynomial check failed: product has rank {self.rank}, expected 0"
 
 
 def ladder(field, roots: Sequence, x) -> list:

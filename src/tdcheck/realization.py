@@ -30,14 +30,24 @@ Orthogonality and the band conditions are read through the rank factors
 e_i = B_i R_i: e_i X e_j = 0 exactly when the block R_i X B_j is zero, and
 e_i e_j = delta_ij e_i exactly when R_i B_j = delta_ij I (RankFactors.is_unit
 at i = j), so no n x n sandwich product is formed.  One walk
-(RankFactors.blocks) reads every block level by level: level 0 is every
-R_i B_j, from one product, and level k >= 1 the R_i op^k B_j with k < |i-j|,
-from two.  rel5 reads level 0, where each off-diagonal verdict is also the
-band condition at k = 0; rel8 and rel9 read the levels above.  The round
-trip's extraction starts the same walk at level 1.  Completeness and
-eigenvalue reconstruction (rel6, rel7) compare sum e_i and sum t_i e_i, each
-regrouped over the chain as one linalg.lincomb (RankFactors.weighted), with
-I and the operator; they hold for any operator (poly.py): no table fails them.
+(RankFactors.blocks) reads the blocks level by level: level 0 is every
+R_i B_j, from one product, and level k >= 1 the R_i op^k B_j with k < |i-j|
+on the open half, step * (j - i) > k for op's grading step (+1 for a, -1
+for a*), from two.  rel5 reads level 0, where each off-diagonal verdict is
+also the band condition at k = 0; rel8 and rel9 read the levels above.  The
+round trip's extraction starts the same walk at level 1.
+
+The other half is zero on a graded pair, and the walk yields it as empty
+blocks, which pass: A is th_j on U_j plus a map into U_{j+1}, so every
+polynomial in A, e_i included, is block lower triangular; R_i sits on the
+columns of U_0..U_i and B_j on the rows of U_j..U_d; and (A*)^k lowers a
+block index by at most k, so R_i (A*)^k B_j = 0 when j > i + k.  The mirror
+argument gives R*_i A^k B*_j = 0 when i > j + k.
+
+Completeness and eigenvalue reconstruction (rel6, rel7) compare sum e_i and
+sum t_i e_i, each regrouped over the chain as one linalg.lincomb
+(RankFactors.weighted), with I and the operator; they hold for any operator
+(poly.py): no table fails them.
 
 Any failed identity is reported with enough coordinates to replay it.
 """
@@ -51,25 +61,20 @@ from typing import Dict, List, Sequence, Tuple
 from .fields import Field
 from .linalg import Matrix, RankFactors
 from .params import SpecializationContext
-from .poly import MinimalPolynomialError, ladder, lagrange_idempotents
+from .poly import ladder, lagrange_idempotents
 from .report import Check
 from .tables import PHI, BasisLabel, ModuleTable, chain_label, evaluate, power_label
 
 
-class RealizationError(ValueError):
-    """A structural invariant failed while realizing a table: its check id
-    name (minpoly.a or minpoly.astar) and the detail."""
-
-    def __init__(self, name: str, detail: str):
-        self.name, self.detail = name, detail
-        super().__init__(f"{name}: {detail}")
-
-
 class OperatorPair:
     """A pair (a, a*) at two eigenvalue lists, a vector phi and the blocks of
-    its split grading.  Its two idempotent families (of a, then of a*, read
-    at the blocks) and its split are built on first read; a family raises
-    RealizationError when its list does not annihilate its operator."""
+    its split grading.  Its two Lagrange families (of a, then of a*, read
+    at the blocks by RankFactors.of) and its split are built on first read.
+    On a graded pair (tables.check_grading, linalg.graded) A - th_j raises
+    block U_j into U_{j+1}, so prod (A - th_k) = 0 and e_i is block
+    triangular with diagonal blocks delta_ij I, of rank |U_i|; likewise for
+    A*, which lowers.  Only a pair built past that check can raise
+    MinimalPolynomialError when a family is first read."""
 
     def __init__(self, a: Matrix, astar: Matrix, theta: List, theta_star: List, phi: list,
                  blocks: List[Sequence[int]]):
@@ -78,11 +83,11 @@ class OperatorPair:
 
     @cached_property
     def factors(self) -> RankFactors:
-        return idempotent_family("a", self.a, self.theta, self.blocks)
+        return RankFactors.of(*lagrange_idempotents(self.a, self.theta), self.blocks)
 
     @cached_property
     def dual_factors(self) -> RankFactors:
-        return idempotent_family("astar", self.astar, self.theta_star, self.blocks)
+        return RankFactors.of(*lagrange_idempotents(self.astar, self.theta_star), self.blocks)
 
     @cached_property
     def split(self) -> list:
@@ -139,21 +144,6 @@ def context_env(ctx: SpecializationContext) -> Dict[str, object]:
     return env
 
 
-def idempotent_family(
-    tag: str, op: Matrix, values: List, blocks: List[Sequence[int]]
-) -> RankFactors:
-    """The Lagrange family of op for the eigenvalue list, its rank factors
-    read from its Newton form at the blocks (RankFactors.of); RealizationError
-    names minpoly.<tag> when the list does not annihilate op.  On a graded pair
-    (tables.check_grading, linalg.graded) A - th_j raises block U_j into
-    U_{j+1}, so prod (A - th_k) = 0 and e_i is block triangular with
-    diagonal blocks delta_ij I, of rank |U_i|; likewise for A*, which lowers."""
-    try:
-        return RankFactors.of(*lagrange_idempotents(op, values), blocks)
-    except MinimalPolynomialError as err:
-        raise RealizationError(f"minpoly.{tag}", str(err)) from None
-
-
 def realize(
     table: ModuleTable, ctx: SpecializationContext, field: Field
 ) -> ModuleRealization:
@@ -185,15 +175,16 @@ def realize(
 
 
 def _idempotent_family_checks(
-    tag: str, band: str, fam: RankFactors, values: List, op: Matrix, other: Matrix
+    tag: str, band: str, fam: RankFactors, values: List, op: Matrix, other: Matrix, step: int
 ) -> Tuple[List[Check], List[Check]]:
     """rel5..rel7 of one family, and its band checks e_i other^k e_j = 0 for
-    k < |i-j| (tagged `band`), read from the walk fam.blocks(other, d + 1).
-    rel5 reads its level 0, every R_i B_j, and each off-diagonal verdict
-    there is also the band check at k = 0."""
+    k < |i-j| (tagged `band`), read from the walk fam.blocks(other, step,
+    d + 1), step the grading step of other.  rel5 reads its level 0, every
+    R_i B_j, and each off-diagonal verdict there is also the band check at
+    k = 0; a block the grading proves zero is empty, and passes."""
     checks, walk = [], []
     d, f = len(values) - 1, op.field
-    levels = fam.blocks(other, d + 1)
+    levels = fam.blocks(other, step, d + 1)
     base = next(levels)
     for i, j in sorted(base):
         if i == j:
@@ -222,9 +213,11 @@ def _idempotent_family_checks(
 def verify_relations(real: ModuleRealization) -> List[Check]:
     """Exact checks of all defining relations on the realized module."""
     ctx = real.context
-    e, rel9 = _idempotent_family_checks("e", "rel9", real.factors, ctx.theta, real.a, real.astar)
+    e, rel9 = _idempotent_family_checks(
+        "e", "rel9", real.factors, ctx.theta, real.a, real.astar, -1
+    )
     es, rel8 = _idempotent_family_checks(
-        "es", "rel8", real.dual_factors, ctx.theta_star, real.astar, real.a
+        "es", "rel8", real.dual_factors, ctx.theta_star, real.astar, real.a, 1
     )
     return e + es + rel8 + rel9
 
@@ -311,7 +304,7 @@ def split_sequence(a: Matrix, corner, theta: List, theta_star: List, v: List) ->
 
 def shape_check(real: ModuleRealization) -> List[Check]:
     """Idempotent ranks: binomials C(d,i), symmetric and unimodal.  e_i and
-    e*_i have rank |U_i| (idempotent_family): the row-block sizes are read,
+    e*_i have rank |U_i| (OperatorPair): the row-block sizes are read,
     and no family is built."""
     d, ranks = real.d, [len(block) for block in real.table.row_blocks]
     checks = [Check(f"shape.{tag}.{i}", r == comb(d, i), f"rank {r}, expected {comb(d, i)}")

@@ -375,38 +375,41 @@ def lowered_d1_table():
     return table._replace(a_action={**table.a_action, r: table.a_action[r] + [(ONE, PHI)]})
 
 
-def test_a_sweep_whose_realize_raises_fails_each_trial_at_realize():
-    # the relation suite reads the family of a first, so every trial fails at
-    # realize's minimal-polynomial assert before any rank factor is read, and
-    # runs no relation check
-    from tdcheck.fields import PrimeField
-
-    table = lowered_d1_table()
-    checks = [c for t in range(2)
-              for c in suites._trial_checks("verify-appendix", table, PrimeField(), 0, t)]
-    assert [c.id for c in checks] == ["t000.realize.minpoly.a", "t001.realize.minpoly.a"]
-    assert all(c.detail.endswith(": minimal polynomial check failed: product has rank 2,"
-                                 " expected 0") and not c.passed for c in checks)
+def test_a_sweep_whose_family_fails_its_minimal_polynomial_is_a_usage_error(capsys, monkeypatch):
+    # the parser's grading proves the minimal polynomial of every table it
+    # reads, so no trial reports one: a table built past the parser raises at
+    # the first trial, and the command prints one line and exits 2, also
+    # when the error crosses the process pool
+    monkeypatch.setattr(suites, "load_table", lambda d, assets=None: lowered_d1_table())
+    for jobs in ("1", "2"):
+        code, out, err = run_cli(capsys, "verify-appendix", "--d", "1", "--trials", "2",
+                                 "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert err == "tdcheck: minimal polynomial check failed: product has rank 2, expected 0\n"
 
 
 @pytest.mark.parametrize("command", ["verify-appendix", "mu-certificate", "shape", "zz-rank",
                                      "tds-roundtrip"])
 def test_a_table_built_past_the_parser_fails_only_a_sweep_that_reads_its_family(command):
-    # a sweep that builds the family of a fails at realize (the round trip at
-    # tds.construct, inside its report); shape and the weight certificate never
-    # build it, and the family of a* passes its minimal polynomial
+    # a sweep that builds the family of a raises; shape and the weight
+    # certificate never build it, and the family of a* passes its minimal
+    # polynomial.  The round trip's extraction meets the table at its numeric
+    # grading check, before it builds the family of a
     from tdcheck.fields import PrimeField
+    from tdcheck.poly import MinimalPolynomialError
 
-    checks = suites._trial_checks(command, lowered_d1_table(), PrimeField(), 0, 0)
-    failed = [(c.id, c.detail.split(": ", 1)[1]) for c in checks if not c.passed]
-    minpoly = "minimal polynomial check failed: product has rank 2, expected 0"
-    assert failed == {
-        "verify-appendix": [("t000.realize.minpoly.a", minpoly)],
-        "mu-certificate": [],
-        "shape": [],
-        "zz-rank": [("t000.realize.minpoly.a", minpoly)],
-        "tds-roundtrip": [("t000.tds.construct", "minpoly.a: " + minpoly)],
-    }[command]
+    def failed():
+        checks = suites._trial_checks(command, lowered_d1_table(), PrimeField(), 0, 0)
+        return [c.id for c in checks if not c.passed]
+
+    if command in ("verify-appendix", "zz-rank"):
+        with pytest.raises(MinimalPolynomialError, match="product has rank 2, expected 0"):
+            failed()
+        return
+    ids = failed()
+    assert ids[:1] == {"mu-certificate": [], "shape": [],
+                       "tds-roundtrip": ["t000.tds.grading.a"]}[command]
+    assert "t000.tds.construct" not in ids
 
 
 def test_each_sweep_builds_only_the_idempotent_families_it_reads(monkeypatch):

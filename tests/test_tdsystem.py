@@ -8,7 +8,7 @@ from tdcheck import realization, tdsystem
 from tdcheck.fields import DEFAULT_PRIME, PrimeField, Rationals, Sampler, derive_seed
 from tdcheck.linalg import EchelonBasis, Matrix, restrict
 from tdcheck.params import ParameterArray, random_admissible_context, random_valid_parameter_array
-from tdcheck.realization import OperatorPair, idempotent_family, realize, split_sequence
+from tdcheck.realization import OperatorPair, realize, split_sequence
 from tdcheck.tables import FORMAT_VERSION, bundled_table_text, load_table, parse_table
 from tdcheck.tdsystem import (
     InvalidParameterArrayError,
@@ -720,23 +720,24 @@ def test_extract_reuses_the_families_only_on_the_whole_module(field, monkeypatch
     real = realize(load_table(2), random_admissible_context(2, field, 5), field)
     real.split, real.factors  # a round trip reads both before extraction
     calls, splits = [], []
+    lagrange = realization.lagrange_idempotents
 
-    def counted(tag, op, values, blocks):
-        calls.append((tag, op.nrows, values))
-        return idempotent_family(tag, op, values, blocks)
+    def counted(op, values):
+        calls.append((op.nrows, values))
+        return lagrange(op, values)
 
     def counted_split(a, *args):
         splits.append(a.nrows)
         return split_sequence(a, *args)
 
-    monkeypatch.setattr(realization, "idempotent_family", counted)
+    monkeypatch.setattr(realization, "lagrange_idempotents", counted)
     monkeypatch.setattr(realization, "split_sequence", counted_split)
     assert extract_realized(real).closure_dim == real.dim
     # the whole module: the families and the split of the realization are read
     assert calls == splits == []
     ctx = real.context
     assert extract_td_system(padded_pair(real)).degenerate
-    once = [("a", real.dim, ctx.theta), ("astar", real.dim, ctx.theta_star)]
+    once = [(real.dim, ctx.theta), (real.dim, ctx.theta_star)]
     # a proper W: rebuilt there, once per operator, and one split read on W
     assert (calls, splits) == (once, [real.dim])
     extract(real, ctx.theta, ctx.theta_star)
