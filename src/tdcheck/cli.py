@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from collections import Counter
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, List, Tuple
 
@@ -29,7 +28,6 @@ from .zigzag import enumerate_convex_spanning, enumerate_feasible, enumerate_zz,
 USAGE_EXIT = 2
 FAIL_EXIT = 1
 WORDS = "\0words\0"  # the zz.words detail until _emit streams the words in
-WORDS_CHUNK = 1 << 16  # characters of word text written at a time
 
 
 def _field(args):
@@ -121,27 +119,17 @@ def _check_output(output: Path) -> None:
         raise OSError(f"cannot write --output {output}")
 
 
-def _chunks(words: Iterable[str]) -> Iterable[List[str]]:
-    """The words in order, in lists of about WORDS_CHUNK characters."""
-    chunk, size = [], 0
-    for word in words:
-        chunk.append(word)
-        size += len(word)
-        if size >= WORDS_CHUNK:
-            yield chunk
-            chunk, size = [], 0
-    if chunk:
-        yield chunk
+def _emit(report: VerificationReport, output: Path = None,
+          word_lists: Iterable[List[str]] = None) -> int:
+    r"""Print the report's JSON, also to --output, then its summary to stderr.
 
-
-def _emit(report: VerificationReport, output: Path = None, words: Iterable[str] = None) -> int:
-    """Print the report's JSON, also to --output, then its summary to stderr.
-
-    `words`, when given, are the texts of the zz.words detail, which the
-    report holds as the placeholder WORDS.  They are written as they come, a
-    chunk at a time, each chunk also echoed to stderr one word per line, so
-    no copy of them all is ever made.  JSON escapes character by character,
-    so a chunk's inner JSON, escaped once more, is its slice of the detail.
+    `word_lists`, when given, hold the texts of the zz.words detail in order,
+    which the report holds as the placeholder WORDS.  Each list is written
+    as it comes, with one join, and echoed to stderr one word per line with
+    one more, so no copy of all the words is ever made.  A word text holds
+    only e, *, digits and spaces, which JSON never escapes, so a list's
+    JSON, escaped once more as the detail is, is
+    '\"' + '\",\"'.join(words) + '\"'.
     """
     text = report.to_json()
     with contextlib.ExitStack() as stack:
@@ -153,15 +141,15 @@ def _emit(report: VerificationReport, output: Path = None, words: Iterable[str] 
             for sink in sinks:
                 sink.write(piece)
 
-        if words is None:
+        if word_lists is None:
             write(text + "\n")
         else:
             head, tail = text.split(json.dumps(WORDS))
             write(head + '"[')
             sep = ""
-            for chunk in _chunks(words):
-                write(sep + json.dumps(json.dumps(chunk, separators=(",", ":"))[1:-1])[1:-1])
-                sys.stderr.write("\n".join(chunk) + "\n")
+            for words in word_lists:
+                write(sep + '\\"' + '\\",\\"'.join(words) + '\\"')
+                sys.stderr.write("\n".join(words) + "\n")
                 sep = ","
             write(']"' + tail + "\n")
     print(report.summary(), file=sys.stderr)
@@ -213,19 +201,19 @@ def _run_check_params(args) -> VerificationReport:
     return rep
 
 
-def _run_zz_enumerate(args) -> Tuple[VerificationReport, Iterable[str]]:
+def _run_zz_enumerate(args) -> Tuple[VerificationReport, Iterable[List[str]]]:
     if args.feasible:
         for flag in ("exclude_r", "exclude_s", "max_len"):
             if getattr(args, flag) is not None:
                 raise ValueError(f"--{flag.replace('_', '-')} does not apply to --feasible")
         found = enumerate_feasible(args.d)
-        counts, words = dict(Counter(map(len, found))), map(word_text, found)
+        counts, word_lists = dict(Counter(map(len, found))), [list(map(word_text, found))]
     else:
         if args.max_len is not None and args.max_len < 0:
             raise ValueError("--max-len must be nonnegative")
         exclude_s = args.exclude_s if args.exclude_s is not None else args.d
-        counts, lengths = enumerate_zz(args.d, args.exclude_r or 0, exclude_s, max_len=args.max_len)
-        words = chain.from_iterable(lengths)
+        counts, word_lists = enumerate_zz(args.d, args.exclude_r or 0, exclude_s,
+                                          max_len=args.max_len)
     rep = VerificationReport(command="zz-enumerate", field={"kind": "none"}, trials=1)
     kind = "feasible" if args.feasible else "zz"
     rep.add(
@@ -234,7 +222,7 @@ def _run_zz_enumerate(args) -> Tuple[VerificationReport, Iterable[str]]:
         f"{sum(counts.values())} words; by length {counts}",
     )
     rep.add("zz.words", True, WORDS)
-    return rep, words
+    return rep, word_lists
 
 
 def _run_convex(args) -> VerificationReport:
@@ -254,8 +242,8 @@ def main(argv=None) -> int:
     try:
         _check_output(args.output)
         result = args.run(args)  # zz enumerate returns its words beside the report
-        report, words = result if isinstance(result, tuple) else (result, None)
-        return _emit(report, args.output, words)
+        report, word_lists = result if isinstance(result, tuple) else (result, None)
+        return _emit(report, args.output, word_lists)
     except (OSError, ValueError) as err:
         print(f"tdcheck: {err}", file=sys.stderr)
         return USAGE_EXIT

@@ -21,7 +21,7 @@ tiny (at most 32) and the hot spots walk only nonzeros:
     over Q each is a multiple of its row, which spans the same line;
   * `lincomb` adds multiples of matrices over the flat nonzeros of their
     integer forms, which each Matrix lists once, over one denominator (a
-    rank factor, rel6/rel7's sums);
+    rank factor);
   * `restrict` reads an operator on an invariant subspace as the rows at
     the basis's pivots of one product, the operator times the basis's form
     transposed, and `graded` reads a pair's split grading off the form;
@@ -38,13 +38,12 @@ element handed back is canonical (see `fields`), so vectors compare with
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import accumulate, chain, compress
 from math import gcd, lcm
 from operator import mul
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .fields import DEFAULT_PRIME, PrimeField
+from .fields import DEFAULT_PRIME, Field, PrimeField
 
 
 class Matrix:
@@ -316,10 +315,11 @@ def image_mod_p(a: Matrix, astar: Matrix, seed: Sequence) -> Optional[tuple]:
 
 
 class RankFactors(NamedTuple):
-    """A family e_i = sum_k c_ik P_k over a chain, with rank factorizations e_i = B_i R_i.
+    """A family e_0..e_d held as its rank factorizations e_i = B_i R_i alone.
 
     B_i is the columns of e_i at r_i = rank e_i indices U_i and R_i its rows
-    there, I at U_i (`of`, at a graded pair's blocks).  B_i has full column
+    there, I at U_i (`of`, from the Newton form e_i = sum_k c_ik P_k at a
+    graded pair's blocks).  B_i has full column
     rank and R_i full row rank, so for any X, e_i X e_j = 0 iff
     R_i X B_j = 0, and e_i e_j = c e_i iff R_i B_j = c I (i = j) or 0
     (i != j), orthogonal idempotents or not.  Blocks are integer rows of the
@@ -329,8 +329,7 @@ class RankFactors(NamedTuple):
     No e_i is formed: `apply` reads e_i v as B_i (R_i v), `blocks` R_i op^k B_j.
     """
 
-    chain: List[Matrix]  # P_0..P_d (poly.lagrange_idempotents), or the family itself
-    coeffs: List[list]  # c_ik, 0 below k = i (the identity for the family itself)
+    field: Field
     right: List[List[list]]  # R_i: r_i rows of length n
     left: List[List[list]]  # B_i: n rows of length r_i
     dens: List[int]
@@ -351,20 +350,14 @@ class RankFactors(NamedTuple):
             right.append(ints[: len(at)])
             left.append([list(col) for col in zip(*ints[len(at):])] or [[] for _ in range(n)])
             dens.append(den * den)
-        return cls(chain, coeffs, right, left, dens)
+        return cls(f, right, left, dens)
 
     def apply(self, i: int, vec: Sequence) -> list:
         """e_i vec, as B_i (R_i vec) on vec's integer form."""
-        f = self.chain[0].field
+        f = self.field
         (v,), den = f.to_ints([vec])
         w = f.shrink([sum(map(mul, row, v)) for row in self.right[i]])
         return [f.from_ints(sum(map(mul, row, w)), self.dens[i] * den) for row in self.left[i]]
-
-    def weighted(self, weights: Sequence) -> Matrix:
-        """sum_i weights[i] e_i as one lincomb of the chain, P_k at sum_i weights[i] c_ik."""
-        f = self.chain[0].field
-        return lincomb((reduce(f.add, map(f.mul, weights, col)), m)
-                       for col, m in zip(zip(*self.coeffs), self.chain))
 
     @property
     def ranks(self) -> List[int]:

@@ -21,9 +21,13 @@ linalg.RankFactors reads each E_i from the chain and the c_ik, never formed.
 The chain runs one step further, to P_{d+1} = prod_j (A - t_j I), which must
 be 0; that check doubles as a transcription-error detector for the bundled
 module tables.  Summed over i, P_k's coefficient is
-the divided difference of 1 over t_0..t_k and, weighted by t_i, that of x:
-sum E_i = I and sum t_i E_i = t_0 I + P_1 = A for any operator over any field,
-so rel6 and rel7 (these sums, regrouped over the chain) cannot fail once this returns.
+the divided difference of 1 over t_0..t_k, 1 at k = 0 and 0 above, so
+sum E_i = P_0 = I for any operator over any field.  Weighted by t_i it is
+that of x, t_0 at k = 0, 1 at k = 1 and 0 above, so sum t_i E_i = t_0 I + P_1
+= A when d >= 1.  At d = 0 the sum is t_0 I, which is A because the chain's
+last step P_1 = A - t_0 I was checked to be 0.  The arithmetic is exact, so
+the matrices equal these polynomials at A: rel6 and rel7 cannot fail once
+this returns, and the relation suite reports them as records.
 """
 
 from __future__ import annotations

@@ -19,13 +19,13 @@ nonstarred before starred at equal index, ascending index.  Both enumerators
 produce it directly, one word length at a time, so nothing is sorted and
 nothing recurses.  The feasible words come as letter tuples, whose images the
 rank experiment reads each from its parent's; the zigzag words as texts, each
-built from its parent's text and handed out one length at a time, so a caller
-can write them out without holding them all.
+built from its parent's text and handed out a slice of one length at a time,
+so a caller can write them out without holding them all.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import EchelonBasis
 from .report import Check
@@ -90,6 +90,7 @@ MAX_ZZ_WORDS = 500_000
 # fits every run within MAX_ZZ_WORDS of words under 1,000 letters (166,167,000 at most)
 MAX_ZZ_LETTERS = 170_000_000
 MAX_CONVEX_SEQUENCES = 500_000
+ZZ_SLICE = 1 << 12  # zigzag words in a list handed out; of the longest, their parents
 
 
 def enumerate_feasible(d: int) -> List[Word]:
@@ -125,11 +126,12 @@ def enumerate_zz(
     exclude_r: int,
     exclude_s: int,
     max_len: Optional[int] = None,
-) -> Tuple[dict, Iterator[Iterable[str]]]:
+) -> Tuple[dict, Iterator[List[str]]]:
     """The zigzag words of length <= max_len avoiding e_{exclude_r} and
     e*_{exclude_s}: their counts by length, {length: count} in length order,
-    and a generator of the lengths in order, each an iterable of its word
-    texts in canonical shortlex order ("1" for the trivial word first).
+    and a generator of lists of word texts that, read in turn, give the
+    words in canonical shortlex order ("1" for the trivial word first), each
+    list a slice of one length.
 
     max_len defaults to 2d+2 (a documented truncation: zigzag words are
     unbounded in general).  The letters that may follow a word depend only on
@@ -141,7 +143,8 @@ def enumerate_zz(
     built.  The second is the generator: it builds each length as it is
     read, every word as its parent's text plus one letter, the parents in
     order and each one's letters in letter order, so it holds at most the
-    parent length and the one it builds.
+    parent length and the one it builds (of the last length, one slice); a
+    caller that writes each list out as it comes holds no more.
     """
     if d < 0:
         raise WordError("d must be nonnegative")
@@ -179,18 +182,29 @@ def enumerate_zz(
     return counts, _zz_lengths(moves, len(counts) - 1)
 
 
-def _zz_lengths(moves: dict, top: int) -> Iterator[Iterable[str]]:
-    """The word texts of lengths 0..top, one iterable per length; the last
-    one is built as it is read, since no longer word extends it."""
+def _zz_lengths(moves: dict, top: int) -> Iterator[List[str]]:
+    """The word texts of lengths 0..top in order, as lists: a length below
+    top in slices of at most ZZ_SLICE words, built from its parents' texts
+    and tails, two parallel lists.  Length top, which no longer word
+    extends, is built one slice of at most ZZ_SLICE parents at a time and
+    never held whole."""
+
+    def grown(texts: List[str], tails: List[Word], sep: str) -> List[str]:
+        return [text + sep + u for text, t in zip(texts, tails) for u, _ in moves[t]]
+
     yield ["1"]
-    level = [("", TRIVIAL)]
-    for length in range(1, top + 1):
-        grown = ((text + " " + u if text else u, nxt) for text, t in level for u, nxt in moves[t])
-        if length == top:
-            yield (text for text, _ in grown)
-        else:
-            level = list(grown)
-            yield (text for text, _ in level)
+    if not top:
+        return
+    texts, tails, sep = [""], [TRIVIAL], ""
+    for _ in range(top - 1):
+        texts, tails = grown(texts, tails, sep), [nxt for t in tails for _, nxt in moves[t]]
+        sep = " "
+        for at in range(0, len(texts), ZZ_SLICE):
+            yield texts[at:at + ZZ_SLICE]
+    for at in range(0, len(texts), ZZ_SLICE):
+        words = grown(texts[at:at + ZZ_SLICE], tails[at:at + ZZ_SLICE], sep)
+        if words:
+            yield words
 
 
 # ---------------------------------------------------------------------------

@@ -87,14 +87,10 @@ def pair_families(pair) -> tuple:
 
 def rebuilt(fam) -> list:
     """Each e_i = B_i R_i of a RankFactors, multiplied back from its blocks."""
-    f, n = fam.chain[0].field, fam.chain[0].nrows
-    return [Matrix.of_ints(f, f.mat_mul(left, right) if right else [[0] * n for _ in left], den)
+    f = fam.field
+    return [Matrix.of_ints(f, f.mat_mul(left, right) if right else [[0] * len(left) for _ in left],
+                           den)
             for left, right, den in zip(fam.left, fam.right, fam.dens)]
-
-
-def unit_coefficients(field, d: int) -> list:
-    """The coefficients of a family over its own members: e_i = 1 * e_i."""
-    return [[field.one if k == i else field.zero for k in range(d + 1)] for i in range(d + 1)]
 
 
 def sliced_factors(idems, blocks) -> RankFactors:
@@ -107,15 +103,14 @@ def sliced_factors(idems, blocks) -> RankFactors:
         right.append([ints[p] for p in cols])
         left.append([[row[p] for p in cols] for row in ints])
         dens.append(den * den)
-    return RankFactors(idems, unit_coefficients(idems[0].field, len(idems) - 1), right, left,
-                       dens)
+    return RankFactors(idems[0].field, right, left, dens)
 
 
 def echelon_factors(idems) -> RankFactors:
     """Rank factors of any family, read from echelon forms: R_i is e_i's
     reduced echelon rows and B_i its columns at their pivots, so e_i = B_i R_i
     whether or not the family is idempotent (RankFactors.of reads a graded
-    pair's idempotents at its blocks instead).  The family is its own chain."""
+    pair's idempotents at its blocks instead)."""
     right, left, dens = [], [], []
     for m in idems:
         ints, den = m.form
@@ -124,8 +119,7 @@ def echelon_factors(idems) -> RankFactors:
         right.append(rows)
         left.append([[row[p] for p in cols] for row in ints])
         dens.append(rden * den)
-    return RankFactors(idems, unit_coefficients(idems[0].field, len(idems) - 1), right, left,
-                       dens)
+    return RankFactors(idems[0].field, right, left, dens)
 
 
 # ---------------------------------------------------------------------------

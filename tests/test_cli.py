@@ -880,10 +880,12 @@ ZZ_STREAMS = (
     ("zz", "enumerate", "--d", "3", "--exclude-r", "0", "--exclude-s", "3"),
     ("zz", "enumerate", "--d", "1", "--max-len", "300"),  # about 270,000 characters
     ("zz", "enumerate", "--d", "4", "--feasible"),
+    # the last length, 6,212 words from 4,148 parents, comes in more than one slice
+    ("zz", "enumerate", "--d", "4", "--exclude-r", "0", "--exclude-s", "4"),
 )
 
 
-@pytest.mark.parametrize("argv", ZZ_STREAMS, ids=["lengths", "chunks", "feasible"])
+@pytest.mark.parametrize("argv", ZZ_STREAMS, ids=["lengths", "chunks", "feasible", "slices"])
 def test_zz_enumerate_streams_one_report_to_stdout_and_output(argv, tmp_path, capsys):
     target = tmp_path / "words.json"
     code, out, err = run_cli(capsys, *argv, "--output", str(target))

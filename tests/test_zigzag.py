@@ -262,15 +262,24 @@ def test_enumerate_zz_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("case", [(0, 0, 0, None), (3, 0, 3, None), (2, 1, 0, 7), (1, 0, 1, 0)])
+@pytest.mark.parametrize("case", [(0, 0, 0, None), (3, 0, 3, None), (2, 1, 0, 7), (1, 0, 1, 0),
+                                  (4, 0, 4, None)])
 def test_enumerate_zz_hands_out_the_lengths_in_order(case):
-    # one iterable per length 0..max, each holding counts[k] words of k letters
+    # nonempty lists of words of one length, lengths 0..max in order, with
+    # counts[k] words of k letters; a length below the last comes in slices
+    # of zigzag.ZZ_SLICE words, the last in slices of as many parents (two
+    # of each at d = 4, whose lengths 9 and 10 hold 4,148 and 6,212 words)
     counts, lengths = enumerate_zz(*case)
-    got = [list(length) for length in lengths]
-    assert [len(words) for words in got] == list(counts.values())
-    assert list(counts) == list(range(len(counts)))
-    assert got[0] == ["1"]
-    assert all(len(w.split()) == k for k, words in enumerate(got[1:], 1) for w in words)
+    got = list(lengths)
+    top = len(counts) - 1
+    assert got[0] == ["1"] and all(got)
+    ks = [0] + [len(words[0].split()) for words in got[1:]]
+    assert ks == sorted(ks) and set(ks) == set(counts)
+    assert all(len(w.split()) == k for k, words in zip(ks[1:], got[1:]) for w in words)
+    assert {k: sum(len(words) for j, words in zip(ks, got) if j == k) for k in counts} == counts
+    slices = [-(-counts[k - (k == top)] // zigzag.ZZ_SLICE) for k in range(1, top + 1)]
+    assert len(got) == 1 + sum(slices)
+    assert case[0] < 4 or slices[-2:] == [2, 2]
 
 
 def test_enumerate_zz_budget(monkeypatch):
