@@ -41,7 +41,7 @@ from __future__ import annotations
 from itertools import accumulate, chain, compress
 from math import gcd, lcm
 from operator import mul
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence
 
 from .fields import DEFAULT_PRIME, Field, PrimeField
 
@@ -368,13 +368,12 @@ class RankFactors(NamedTuple):
         r, unit = self.ranks[i], self.dens[i]
         return block == [[unit if k == l else 0 for l in range(r)] for k in range(r)]
 
-    def rank_one(self, i: int) -> Optional[Tuple[list, list]]:
-        """(v, w) with e_i a nonzero multiple of v w^T, v the one column of B_i
-        and w the one row of R_i, when e_i has rank 1; else None.  Both are the
-        integer rows the factors hold: a span reads only their lines."""
-        if self.ranks[i] != 1:
-            return None
-        return [row[0] for row in self.left[i]], self.right[i][0]
+    def rank_one(self, i: int) -> list:
+        """w with e_i a nonzero multiple of v w^T, the one row of R_i; a
+        ValueError unless e_i has rank 1.  It is the integer row the factors
+        hold: a span reads only its line."""
+        (row,) = self.right[i]
+        return row
 
     def blocks(self, op: Matrix, step: int, top: int, start: int = 0) -> Iterator[dict]:
         """The integer blocks R_i op^k B_j, one level k at a time for

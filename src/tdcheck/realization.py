@@ -1,14 +1,13 @@
 """Realize a module table at a specialization context and machine-check it.
 
 realize() turns the symbolic table into two exact matrices acting on the
-2^d-dimensional module.  An OperatorPair (a pair, two eigenvalue lists, a
-vector phi and the blocks of its split grading; the round trip's extraction
-takes one) builds each family of primitive idempotents on first read, as one
-linalg.RankFactors object read at the blocks, and its split at phi.  A
-ModuleRealization is the pair of a table at a context: phi is the first
-basis vector and the blocks are the table's row blocks.  shape builds no
-family, the weight certificate only e*.  The check operations then verify,
-as exact matrix identities:
+2^d-dimensional module.  An OperatorPair (a pair, two eigenvalue lists and
+the blocks of its split grading, phi its first basis vector; the round
+trip's extraction takes one) builds each family of primitive idempotents on
+first read, as one linalg.RankFactors object read at the blocks, and its
+split at phi.  A ModuleRealization is the pair of a table at a context, read
+at the table's row blocks.  shape builds no family, the weight certificate
+only e*.  The check operations then verify, as exact matrix identities:
 
   * the defining relations of the generator algebra: idempotent orthogonality
     and the band conditions e*_i a^k e*_j = 0 and e_i a*^k e_j = 0 for
@@ -21,9 +20,7 @@ as exact matrix identities:
     (split_sequence at phi, read once and cached, with e*_0 v read as
     B*_0 (R*_0 v)) is the left-hand side, which construction compares with
     zeta and the round trip's extraction reads back (a table without one of
-    the chain labels fails as mu.labels).  A pair reads its split at its
-    first nonempty block t0, which is 0 on every realization, and
-    extraction reads its first delta + 1 entries, the support's;
+    the chain labels fails as mu.labels);
   * the shape (idempotent ranks = binomial coefficients, symmetric, unimodal).
 
 Orthogonality and the band conditions are read through the rank factors
@@ -66,19 +63,23 @@ from .tables import PHI, BasisLabel, ModuleTable, chain_label, evaluate, power_l
 
 
 class OperatorPair:
-    """A pair (a, a*) at two eigenvalue lists, a vector phi and the blocks of
-    its split grading.  Its two Lagrange families (of a, then of a*, read
-    at the blocks by RankFactors.of) and its split are built on first read.
-    On a graded pair (tables.check_grading, linalg.graded) A - th_j raises
-    block U_j into U_{j+1}, so prod (A - th_k) = 0 and e_i is block
-    triangular with diagonal blocks delta_ij I, of rank |U_i|; likewise for
-    A*, which lowers.  Only a pair built past that check can raise
-    MinimalPolynomialError when a family is first read."""
+    """A pair (a, a*) at two eigenvalue lists and the blocks of its split
+    grading; phi is the first basis vector e_0, and block 0 is [0].  Its two
+    Lagrange families (of a, then of a*, read at the blocks by
+    RankFactors.of) and its split are built on first read.  On a graded
+    pair (tables.check_grading, linalg.graded) A - th_j raises block U_j
+    into U_{j+1}, so prod (A - th_k) = 0 and e_i is block triangular with
+    diagonal blocks delta_ij I, of rank |U_i|; likewise for A*, which
+    lowers.  So A* e_0 = th*_0 e_0, e*_0 = e_0 R*_0 has rank 1, and e*_0 v is
+    a multiple of phi for every v.  A realization, its restriction to a
+    proper closure of phi and a quotient whose first coordinate is phi's
+    image are all inside this contract.  Only a pair built past the grading
+    check can raise MinimalPolynomialError when a family is first read."""
 
-    def __init__(self, a: Matrix, astar: Matrix, theta: List, theta_star: List, phi: list,
+    def __init__(self, a: Matrix, astar: Matrix, theta: List, theta_star: List,
                  blocks: List[Sequence[int]]):
         self.a, self.astar, self.theta, self.theta_star = a, astar, theta, theta_star
-        self.phi, self.blocks = phi, blocks
+        self.blocks = blocks
 
     @cached_property
     def factors(self) -> RankFactors:
@@ -90,14 +91,16 @@ class OperatorPair:
 
     @cached_property
     def split(self) -> list:
-        """The split sequence read at phi from the first nonempty block t0
-        (split_sequence with the corner e*_{t0} on theta[t0:] and
-        theta_star[t0:]; t0 = 0 on a realization, whose block 0 holds phi):
-        the weight certificate compares it with 1, y_1, ..., y_d, construction
-        with zeta, and extraction reads its first delta + 1 entries back."""
-        t0 = next(i for i, block in enumerate(self.blocks) if block)
-        return split_sequence(self.a, partial(self.dual_factors.apply, t0), self.theta[t0:],
-                              self.theta_star[t0:], self.phi)
+        """The split sequence read at phi with the corner e*_0: the weight
+        certificate compares it with 1, y_1, ..., y_d, construction with
+        zeta, and extraction reads its first delta + 1 entries back."""
+        return split_sequence(self.a, partial(self.dual_factors.apply, 0), self.theta,
+                              self.theta_star, self.phi)
+
+    @property
+    def phi(self) -> list:
+        f = self.field
+        return [f.one] + [f.zero] * (self.dim - 1)
 
     @property
     def field(self) -> Field:
@@ -113,14 +116,13 @@ class OperatorPair:
 
 
 class ModuleRealization(OperatorPair):
-    """A table realized at one context: the pair at the context's lists, phi
-    the first basis vector, the families read at the table's row blocks."""
+    """A table realized at one context: the pair at the context's lists, the
+    families read at the table's row blocks."""
 
     def __init__(self, table: ModuleTable, context: SpecializationContext,
                  a: Matrix, astar: Matrix):
         self.table, self.context = table, context
-        phi = [a.field.one] + [a.field.zero] * (a.nrows - 1)
-        super().__init__(a, astar, context.theta, context.theta_star, phi, table.row_blocks)
+        super().__init__(a, astar, context.theta, context.theta_star, table.row_blocks)
 
     @property
     def basis(self) -> List[BasisLabel]:
@@ -269,20 +271,18 @@ def mu_certificate(real: ModuleRealization) -> List[Check]:
 
 def split_sequence(a: Matrix, corner, theta: List, theta_star: List, v: List) -> list:
     """c_0..c_d with corner(tau_i(a) v) = c_i v / prod_{j=1..i} (s_0 - s_j),
-    s = theta_star and d + 1 = len(theta_star); None where the image is not a
-    multiple of v.  The denominators are the ladder over s_1..s_d at s_0, and
-    tau_i(a) v is walked incrementally, one product per i, so c_i reads
-    theta only below i and theta_star only at 0 and i."""
-    f = a.field
-    pivot = next(k for k, x in enumerate(v) if x)
-    w, out = v, []
+    s = theta_star and d + 1 = len(theta_star), for v = e_0 and a corner
+    whose every image is a multiple of e_0 (OperatorPair: e*_0), so c_i is
+    the image's entry 0 times the denominator.  The denominators are the
+    ladder over s_1..s_d at s_0, and tau_i(a) v is walked incrementally, one
+    product per i, so c_i reads theta only below i and theta_star only at 0
+    and i."""
+    f, w, out = a.field, v, []
     for i, den in enumerate(ladder(f, theta_star[1:], theta_star[0])):
         if i:
             t = theta[i - 1]
             w = [f.sub(x, f.mul(t, y)) for x, y in zip(a.apply(w), w)]
-        img = corner(w)
-        c = f.div(img[pivot], v[pivot])
-        out.append(f.mul(c, den) if img == [f.mul(c, x) for x in v] else None)
+        out.append(f.mul(corner(w)[0], den))
     return out
 
 

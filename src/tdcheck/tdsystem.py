@@ -8,24 +8,25 @@ that the corner elements
 
 kill phi: the realization's split (OperatorPair.split, read at phi) must be zeta.
 extract_td_system() takes a realization.OperatorPair: a pair (a, a*), two
-eigenvalue lists, a vector phi and the blocks U_j of a split grading.  It
-restricts the pair to W, the closure of phi, checks that the pair it reads
-is graded (linalg.graded: a is theta_j on U_j plus a map into U_{j+1}, a* is
-theta*_j on U_j plus a map into U_{j-1}; else it aborts, tds.grading.*),
-checks the tridiagonal axioms on it (an interval support, band conditions,
-irreducibility), and reads back the shape and the split sequence;
-roundtrip() passes it the realization and compares the recovered data with
-the array.  Both directions read what the pair builds on first read: its
-families with their rank factors (on a graded pair e_i and e*_i both have
-rank |U_i|, so one support, the nonzero block sizes, is both families', and
-the shape is the sizes over it: one diameter, and dim E_iW = dim E*_iW),
-the band conditions e_i X e_j = 0 as the blocks R_i X B_j (level 1 of
-RankFactors.blocks, read only on the half the grading leaves open; a
-restricted idempotent may have rank 0, and its blocks are empty), and its
-split, the reader behind the g_i assertion, with e*_0 v read as
-B*_0 (R*_0 v).  A round-trip trial reads that split once, in construction,
-which builds only the dual family; extraction builds the other once the
-grading check passes, so no family it reads fails its minimal polynomial.
+eigenvalue lists and the blocks U_j of a split grading, phi = e_0 and
+U_0 = [0].  It restricts the pair to W, the closure of phi, checks that the
+pair it reads is graded (linalg.graded: a is theta_j on U_j plus a map into
+U_{j+1}, a* is theta*_j on U_j plus a map into U_{j-1}; else it aborts,
+tds.grading.*), checks the tridiagonal axioms on it (band conditions, a
+symmetric shape, irreducibility), and reads back the shape and the split
+sequence; roundtrip() passes it the realization and compares the recovered
+data with the array.  Both directions read what the pair builds on first
+read: its families with their rank factors (on a graded pair e_i and e*_i
+both have rank |U_i|, so one support, the nonempty blocks, is both
+families', and the shape is the sizes over it: one diameter, and
+dim E_iW = dim E*_iW), the band conditions e_i X e_j = 0 as the blocks
+R_i X B_j (level 1 of RankFactors.blocks, read only on the half the grading
+leaves open; a restricted idempotent may have rank 0, and its blocks are
+empty), and its split, the reader behind the g_i assertion, with e*_0 v read
+as B*_0 (R*_0 v).  A round-trip trial reads that split once, in
+construction, which builds only the dual family; extraction builds the other
+once the grading check passes, so no family it reads fails its minimal
+polynomial.
 
 Irreducibility: the words in the restricted pair span the full matrix
 algebra (dimension (dim W)^2).  Given a rank-one member v w^T of the pair's
@@ -36,24 +37,16 @@ holds every product of a vector of W and a row of W*.  "Only if": the full
 matrix algebra moves any nonzero vector (row) to any other.  This holds over
 every field and assumes nothing about the pair; it is Norton's
 irreducibility test with the null space of I - v w^T (Holt and Rees,
-J. Austral. Math. Soc. A 57, 1994).  extract_td_system takes the member and
-the route as follows:
-
-  * phi spans the rank-one corner (the shape is sharp and the split read at
-    phi starts with 1): the member is e*_{t0} = c phi w^T, and phi generates
-    W, so only the dual closure of w is read: _corner_cyclic_irreducible
-    ("irreducibility via corner-cyclic test") for dim W > 8, else
-    irreducibility_check ("irreducibility via full word-span dimension").
-  * otherwise the first of e*_{t0}, e*_{t0+delta} with rank 1 on W (e_i has
-    the rank of e*_i), v its B column and w its R row, through
-    irreducibility_check; the word-span note, with " (fallback)" for dim W > 8.
-  * with none, the verdict is None ("irreducibility undetermined").  No
-    table reaches it: on a graded table (tables.check_grading) e*_0 phi = phi
-    and rank e*_0 = C(d, 0) = 1, so e*_0 has rank 1 on every closure of phi.
-
-The notes only name the route.  Both stay: the word-span note is inside
-every pinned d <= 3 round-trip report (tests/test_golden.py,
-perfbench/digests.json), and the roundtrip-qq workload runs both.
+J. Austral. Math. Soc. A 57, 1994).  The member extraction takes is the
+corner e*_0 = c phi w^T: on a graded pair with U_0 = [0], A* phi =
+theta*_0 phi, so B*_0 = phi and e*_0 has rank 1, and phi generates W, so
+only the dual closure of w is read.  The route depends on dim W alone:
+_corner_cyclic_irreducible ("irreducibility via corner-cyclic test") for
+dim W > 8, else irreducibility_check ("irreducibility via full word-span
+dimension").  Both read that one closure; the notes only name the route,
+and both stay: the word-span note is inside every pinned d <= 3 round-trip
+report (tests/test_golden.py, perfbench/digests.json), and the roundtrip-qq
+workload runs both.
 
 Over the rationals each closure is certified on one image mod p =
 DEFAULT_PRIME (linalg.image_mod_p) first, in submodule_closure (the modular
@@ -66,15 +59,21 @@ over Q, and only the verdict "full" is taken from the image; every other
 case falls back to the exact computation, so no verdict depends on p.
 
 An operator restricted to W is its rows at the pivots of W's reduced
-echelon basis times that basis transposed (linalg.restrict), and phi's
-coordinates are its entries at those pivots.  When the closure of phi is the
-whole module the pair is read as it is (a realization's families and split
-are not rebuilt); on a proper W the restricted pair is a new OperatorPair
-whose block j is the pivots in U_j, graded when each reduced row lies in its
-pivot's block, which the grading check decides.  The split is the pair's
-own, read from its first nonempty block t0, and its first delta + 1 entries
-are the support's: entry i reads theta only below t0 + i, and theta_star
-only at t0 and t0 + i.
+echelon basis times that basis transposed (linalg.restrict).  When the
+closure of phi is the whole module the pair is read as it is (a
+realization's families and split are not rebuilt); on a proper W the
+restricted pair is a new OperatorPair whose block j is the pivots in U_j,
+graded when each reduced row lies in its pivot's block, which the grading
+check decides.  It keeps the contract: phi = e_0 has pivot 0, and a reduced
+row is 0 at the other pivots, so phi's coordinates on W are e_0 and its
+block 0 is [0].
+
+The support is an interval [0, delta]: were block j of the graded pair read
+empty, the coordinates of the blocks below j would span an invariant
+subspace holding phi, which generates W, so every block from j on is empty.
+The split is the pair's own, and its first delta + 1 entries are the
+support's: entry i reads theta only below i, and theta_star only at 0 and
+i.
 """
 
 from __future__ import annotations
@@ -148,17 +147,12 @@ def submodule_closure(a: Matrix, astar: Matrix, seed: Sequence) -> EchelonBasis:
     return basis
 
 
-def irreducibility_check(a: Matrix, astar: Matrix, rank_one: Tuple[Optional[list], list]) -> bool:
+def irreducibility_check(a: Matrix, astar: Matrix, row: list) -> bool:
     """Span of all words in the pair stabilizes at dimension (dim W)^2?
 
-    rank_one = (v, w) is the column and row of a rank-one member v w^T of
-    the pair's algebra, and two closures decide (module docstring): the
-    closure of v must be W and the dual closure of w must be W*.  v is None
-    when it is known to generate W (phi, whose closure W is)."""
-    (v, w), n = rank_one, a.nrows
-    if v is not None and submodule_closure(a, astar, v).dim < n:
-        return False
-    return submodule_closure(a.transpose(), astar.transpose(), w).dim == n
+    row is w of the corner e*_0 = c phi w^T, and phi generates W, so the
+    dual closure of w decides (module docstring): it must be W*."""
+    return submodule_closure(a.transpose(), astar.transpose(), row).dim == a.nrows
 
 
 def _corner_cyclic_irreducible(a: Matrix, astar: Matrix, row: list) -> bool:
@@ -202,7 +196,7 @@ def extract_td_system(pair: OperatorPair) -> TDSystemReport:
     if dim_w < n:  # block j of W: its pivots in block j, checked below
         blocks = [[k for k, p in enumerate(closure.pivots) if p in b] for b in pair.blocks]
         pair = OperatorPair(restrict(pair.a, closure), restrict(pair.astar, closure), theta,
-                            theta_star, [pair.phi[p] for p in closure.pivots], blocks)
+                            theta_star, blocks)
 
     # the grading the families are read at (RankFactors.of): a raises, a* lowers
     grading = [(f"tds.grading.{tag}",
@@ -216,13 +210,10 @@ def extract_td_system(pair: OperatorPair) -> TDSystemReport:
             irreducible=None, axiom_failures=grading, degenerate=True, closure_dim=dim_w,
             notes=["extraction aborted: the pair is not graded"])
 
-    # both families have rank |U_i| at i: one support, one shape
+    # both families have rank |U_i| at i: one shape, on the support [0, delta]
     factors, dual_factors = pair.factors, pair.dual_factors
-    ranks = dual_factors.ranks
-    sup = [i for i, r in enumerate(ranks) if r > 0]
-    if sup != list(range(sup[0], sup[-1] + 1)):
-        failures.append(("tds.support", f"support {sup} is not an interval"))
-    t0, delta = sup[0], len(sup) - 1
+    shape = [r for r in dual_factors.ranks if r]
+    delta = len(shape) - 1
 
     # band conditions on the restriction, e_i op e_j = 0 for |i - j| > 1: the
     # block walk's level 1, whose other half the grading above proves zero
@@ -233,39 +224,19 @@ def extract_td_system(pair: OperatorPair) -> TDSystemReport:
                 if any(map(any, block)):
                     failures.append((f"tds.band.{tag}.{i}.{j}", "sandwich is nonzero"))
 
-    shape = ranks[t0 : t0 + delta + 1]
     if shape != shape[::-1]:
         failures.append(("tds.shape.symmetric", f"shape {shape} is not symmetric"))
-    sharp = shape[0] == 1
 
-    # split sequence: the corner identity read at phi, the pair's own split
-    # (read from t0) on the support
-    split = pair.split[: delta + 1]
-    if None in split:
-        i = split.index(None)
-        failures.append(
-            (f"tds.split.proportional.{i}", "corner image is not a multiple of the eigenvector")
-        )
-        split = split[:i]
-
-    # irreducibility: span criterion when small, corner-cyclic route otherwise
-    large = dim_w > SPAN_CRITERION_DIM_LIMIT
-    cyclic = sharp and split[:1] == [field.one]  # phi spans the rank-one corner
-    if cyclic:
-        rank_one = (None, dual_factors.rank_one(t0)[1])
-    else:  # the first rank-one end idempotent, if any; e_i has the rank of e*_i
-        rank_one = next(filter(None, map(dual_factors.rank_one, (t0, t0 + delta))), None)
-    if rank_one is None:
-        irreducible = None
-        notes.append("irreducibility undetermined: no end idempotent has rank 1")
-    elif large and cyclic:
-        irreducible = _corner_cyclic_irreducible(pair.a, pair.astar, rank_one[1])
+    # irreducibility from the corner e*_0 = c phi w^T: the span criterion
+    # when small, the corner-cyclic route otherwise
+    row = dual_factors.rank_one(0)
+    if dim_w > SPAN_CRITERION_DIM_LIMIT:
+        irreducible = _corner_cyclic_irreducible(pair.a, pair.astar, row)
         notes.append("irreducibility via corner-cyclic test")
     else:
-        irreducible = irreducibility_check(pair.a, pair.astar, rank_one)
-        fallback = " (fallback)" if large else ""
-        notes.append("irreducibility via full word-span dimension" + fallback)
-    if irreducible is False:
+        irreducible = irreducibility_check(pair.a, pair.astar, row)
+        notes.append("irreducibility via full word-span dimension")
+    if not irreducible:
         failures.append(("tds.irreducible", "a proper invariant subspace exists"))
     if field.kind == "qq":
         notes.append("irreducibility verdict is over the rationals; it may differ over"
@@ -280,11 +251,11 @@ def extract_td_system(pair: OperatorPair) -> TDSystemReport:
 
     return TDSystemReport(
         diameter=delta,
-        eigenvalues=theta[t0 : t0 + delta + 1],
-        dual_eigenvalues=theta_star[t0 : t0 + delta + 1],
+        eigenvalues=theta[: delta + 1],
+        dual_eigenvalues=theta_star[: delta + 1],
         shape=shape,
-        split=split,
-        sharp=sharp,
+        split=pair.split[: delta + 1],
+        sharp=shape[0] == 1,
         irreducible=irreducible,
         axiom_failures=failures,
         degenerate=degenerate,
@@ -332,9 +303,8 @@ def roundtrip(pa: ParameterArray, field: Field, table: ModuleTable) -> Verificat
     ok = tds.dual_eigenvalues == pa.theta_star
     rep.add("tds.eigen.dual", ok, "" if ok else "recovered dual eigenvalue sequence differs")
     rep.add("tds.sharp", tds.sharp, f"shape {tds.shape}")
-    if tds.irreducible is not False:  # a reducible restriction is an axiom failure above
-        ok = tds.irreducible is True
-        rep.add("tds.irreducible", ok, "" if ok else "irreducibility undetermined")
+    if tds.irreducible:  # a reducible restriction is an axiom failure above
+        rep.add("tds.irreducible", True, "")
     ok = tds.split == pa.zeta
     rep.add("tds.split", ok, "" if ok else
             f"recovered split {[field.format(x) for x in tds.split]} != input zeta")

@@ -4,6 +4,7 @@ They are the test side of the program: code that only the tests run stays
 here, not in src/tdcheck.
 """
 
+from tdcheck import tdsystem
 from tdcheck.fields import derive_seed
 from tdcheck.linalg import Matrix, RankFactors, lincomb
 from tdcheck.params import random_admissible_context
@@ -120,6 +121,23 @@ def echelon_factors(idems) -> RankFactors:
         left.append([[row[p] for p in cols] for row in ints])
         dens.append(rden * den)
     return RankFactors(idems[0].field, right, left, dens)
+
+
+# ---------------------------------------------------------------------------
+# Irreducibility from any rank-one member v w^T of a pair's algebra: Norton's
+# two closures (tdsystem's module docstring), of which extraction reads only
+# the dual one, its corner e*_0 = c phi w^T having the generator phi as column
+
+
+def two_closure_irreducible(a: Matrix, astar: Matrix, rank_one) -> bool:
+    """Do the words in the pair span the full matrix algebra?  rank_one =
+    (v, w) is the column and row of a rank-one member v w^T: the closure of
+    v must be the whole space and the dual closure of w its dual.  It calls
+    tdsystem.submodule_closure through the module, so a test that records
+    that function's calls sees these."""
+    (v, w), n = rank_one, a.nrows
+    return (tdsystem.submodule_closure(a, astar, v).dim == n
+            and tdsystem.submodule_closure(a.transpose(), astar.transpose(), w).dim == n)
 
 
 # ---------------------------------------------------------------------------

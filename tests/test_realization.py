@@ -122,12 +122,34 @@ def test_split_sequence_reads_weights_at_phi():
     assert split == real.split == fr([1, 4, 6])
 
 
-def test_split_sequence_marks_non_multiples():
-    # corner = identity: tau_1(a) v = a v - 0 v is not a multiple of v
-    a = Matrix(QQ, [fr([0, 0]), fr([1, 1])])
-    corner = Matrix.identity(QQ, 2)
-    split = split_sequence(a, corner.apply, fr([0, 1]), fr([5, 2]), fr([1, 0]))
-    assert split == [Fraction(1), None]
+def contract_tables():
+    """(d, table) for every bundled table and every graded single-term edit
+    of it (support.term_edits), every 19th at d = 5."""
+    for d in range(6):
+        table = load_table(d)
+        yield d, table
+        edits = [t for _, _, t in term_edits(table) if is_graded(t)]
+        yield from ((d, t) for t in edits[:: 19 if d == 5 else 1])
+
+
+@pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "qq"])
+def test_every_graded_table_reads_phi_at_a_one_coordinate_block_0(field):
+    # the contract OperatorPair states and extraction reads: U_0 = [0] and
+    # A* e_0 = theta*_0 e_0, so e*_0 v is a multiple of phi = e_0 for every v;
+    # read here on the full Lagrange family, at v = tau_i(A) phi
+    f, seen = field, 0
+    for k, (d, table) in enumerate(contract_tables()):
+        ctx = random_admissible_context(d, field, derive_seed(980, k))
+        real = realize(table, ctx, field)
+        assert table.row_blocks[0] == range(0, 1)
+        assert real.astar.apply(real.phi) == [f.mul(ctx.theta_star[0], x) for x in real.phi]
+        corner, w = lagrange_family(real.astar, ctx.theta_star)[0], real.phi
+        for i in range(d + 1):
+            if i:
+                w = [f.sub(x, f.mul(ctx.theta[i - 1], y)) for x, y in zip(real.a.apply(w), w)]
+            assert not any(corner.apply(w)[1:]), (k, i)
+        seen += 1
+    assert seen == 6 + 6 + 18 + 48 + 126 + 18
 
 
 def test_realize_rejects_mismatched_context():
@@ -524,11 +546,9 @@ def restricted_with_an_empty_block(real):
         return Matrix(f, [row + [f.zero] for row in elements(m)] + [[f.zero] * n + [t]])
 
     a, astar = padded(real.a, theta[-1]), padded(real.astar, theta_star[-1])
-    phi = real.phi + [f.zero]
-    closure = submodule_closure(a, astar, phi)
+    closure = submodule_closure(a, astar, real.phi + [f.zero])
     blocks = [[k for k, p in enumerate(closure.pivots) if p in b] for b in real.blocks + [[n]]]
-    return OperatorPair(restrict(a, closure), restrict(astar, closure), theta, theta_star,
-                        [phi[p] for p in closure.pivots], blocks)
+    return OperatorPair(restrict(a, closure), restrict(astar, closure), theta, theta_star, blocks)
 
 
 @pytest.mark.parametrize("d", range(6))
@@ -536,7 +556,7 @@ def restricted_with_an_empty_block(real):
 def test_newton_factors_read_what_slicing_the_full_family_reads(field, d):
     # RankFactors.of reads each factor from the chain; slicing the full
     # Lagrange family at the blocks (support.sliced_factors) must give the
-    # same block walk, unit verdicts, rank-one lines and images, on the
+    # same block walk, unit verdicts, rank-one rows and images, on the
     # realized pair, on a graded sign flip of its table and on a restricted
     # pair whose last idempotents have rank 0
     table = load_table(d)
@@ -559,10 +579,11 @@ def test_newton_factors_read_what_slicing_the_full_family_reads(field, d):
                 {k: not any(map(any, b)) for k, b in level.items()} for level in want]
             for i in range(top):
                 assert fam.is_unit(i, got[0][i, i]) == sliced.is_unit(i, want[0][i, i])
-                lines, want_lines = fam.rank_one(i), sliced.rank_one(i)
-                assert (lines is None) == (want_lines is None)
-                if lines:
-                    assert all(map(proportional, [f, f], lines, want_lines))
+                if fam.ranks[i] == 1:
+                    assert proportional(f, fam.rank_one(i), sliced.rank_one(i))
+                else:  # only a rank-one member has a row to read
+                    with pytest.raises(ValueError):
+                        fam.rank_one(i)
                 for v in vectors:
                     assert fam.apply(i, v) == full[i].apply(v)
 

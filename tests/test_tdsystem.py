@@ -1,6 +1,5 @@
 from collections import deque
 from fractions import Fraction
-from unittest.mock import ANY
 
 import pytest
 
@@ -23,7 +22,7 @@ from tdcheck.tdsystem import (
 
 from support import (
     coefficient_slots, coordinates, elements, is_graded, lagrange_family, proper_closure_d2_text,
-    reference_restrict, with_negated_coefficient,
+    reference_restrict, two_closure_irreducible, with_negated_coefficient,
 )
 
 QQ = Rationals()
@@ -102,20 +101,21 @@ def test_closure_rejects_zero_seed():
 
 # ---------------------------------------------------------------------------
 # irreducibility via the word-span criterion: the reference grows the span of
-# the words by matrix products, irreducibility_check reads two closures from
-# a rank-one member
+# the words by matrix products, support.two_closure_irreducible reads two
+# closures from a rank-one member, and irreducibility_check the dual closure
+# of e*_0's row when phi = e_0 generates the module
 
 
 def test_one_dimensional_module_is_irreducible():
     a = Matrix(QQ, [[Fraction(3)]])
     assert reference_word_span_irreducible(a, a, QQ)
-    assert irreducibility_check(a, a, ([QQ.one], [QQ.one]))  # I = 1 1^T
+    assert irreducibility_check(a, a, [QQ.one])  # e*_0 = I = 1 1^T
 
 
 def test_diagonal_pair_is_reducible():
     a = Matrix(QQ, [fr([2, 0]), fr([0, 3])])
     assert not reference_word_span_irreducible(a, a, QQ)
-    assert not irreducibility_check(a, a, rank_one_of(a.shift(Fraction(3))))
+    assert not two_closure_irreducible(a, a, rank_one_of(a.shift(Fraction(3))))
 
 
 def test_d1_realized_pair_spans_four_dimensions():
@@ -128,8 +128,8 @@ def test_d1_realized_pair_spans_four_dimensions():
     )
     real = construct_from_params(pa, field, load_table(pa.d))
     assert reference_word_span_irreducible(real.a, real.astar, field)
-    (w,) = real.dual_factors.right[0]  # e*_0's row; phi generates the module
-    assert irreducibility_check(real.a, real.astar, (None, w))
+    w = real.dual_factors.rank_one(0)  # e*_0's row; phi generates the module
+    assert irreducibility_check(real.a, real.astar, w)
 
 
 def test_three_dimensional_burnside_sanity():
@@ -137,7 +137,7 @@ def test_three_dimensional_burnside_sanity():
     a = Matrix(QQ, [fr([0, 0, 0]), fr([0, 1, 0]), fr([0, 0, 2])])
     astar = Matrix(QQ, [fr([0, 1, 0]), fr([0, 0, 1]), fr([1, 0, 0])])
     assert reference_word_span_irreducible(a, astar, QQ)
-    assert irreducibility_check(a, astar, rank_one_of(a * a.shift(QQ.one)))  # diag(0, 0, 2)
+    assert two_closure_irreducible(a, astar, rank_one_of(a * a.shift(QQ.one)))  # diag(0, 0, 2)
 
 
 def reference_word_span(a, astar, field):
@@ -217,8 +217,18 @@ def assert_routes_agree(a, astar, members):
     """Every rank-one member decides as the reference word span; the verdict."""
     want = reference_word_span_irreducible(a, astar, a.field)
     for m in members:
-        assert irreducibility_check(a, astar, m) == want
+        assert_member_decides(a, astar, m, want)
     return want
+
+
+def assert_member_decides(a, astar, member, want):
+    """The two closures of the member (v, w) decide as the reference, and so
+    does the dual closure of w alone wherever v generates the module, as phi
+    does for extraction's corner e*_0."""
+    v, w = member
+    assert two_closure_irreducible(a, astar, member) == want
+    if submodule_closure(a, astar, v).dim == a.nrows:
+        assert irreducibility_check(a, astar, w) == _corner_cyclic_irreducible(a, astar, w) == want
 
 
 @pytest.mark.parametrize(
@@ -237,10 +247,9 @@ def test_two_closures_match_the_word_span_on_realized_pairs(field):
             assert len(members) == 4  # e_0, e_d, e*_0 and e*_d
             want = assert_routes_agree(real.a, real.astar, members)
             # phi generates the module: only the dual closure of e*_0's row is read
-            phi = real.basis_vector(real.basis[0])
-            if submodule_closure(real.a, real.astar, phi).dim == real.dim:
-                (w,) = real.dual_factors.right[0]  # an integer row
-                assert irreducibility_check(real.a, real.astar, (None, w)) == want
+            if submodule_closure(real.a, real.astar, real.phi).dim == real.dim:
+                w = real.dual_factors.rank_one(0)  # an integer row
+                assert irreducibility_check(real.a, real.astar, w) == want
             verdicts.append(want)
     # at a small prime the sampled points meet the reducible locus
     assert all(verdicts) == (field in (QQ, FP)), verdicts.count(False)
@@ -255,6 +264,9 @@ def test_two_closures_match_the_word_span_on_a_restricted_pair(field):
     a, astar = restrict(real.a, closure), restrict(real.astar, closure)
     members = rank_one_idempotents(a, astar, pa.theta, pa.theta_star)
     assert members and assert_routes_agree(a, astar, members)
+    # phi is e_0 on W and generates it: e*_0's row alone decides
+    _, w = rank_one_of(lagrange_family(astar, pa.theta_star)[0])
+    assert irreducibility_check(a, astar, w)
 
 
 @pytest.mark.parametrize(
@@ -288,116 +300,33 @@ def test_word_span_closure_matches_matrix_product_reference(field, seed):
         members = [m for m in map(rank_one_of, flat) if m]
         assert len(members) >= (n * n if want else 0), trial
         for m in members:
-            assert irreducibility_check(a, astar, m) == want, (trial, m)
+            assert_member_decides(a, astar, m, want)
         verdicts.add(want)
     assert verdicts == {True, False}
 
 
-def test_extraction_at_d4_from_phi_plus_r_takes_the_rank_one_route(monkeypatch):
-    # phi + r does not span the corner (tds.split.proportional.0): at dim W =
-    # 16 this was the Kronecker span over 256 coordinates
-    ctx = random_admissible_context(4, FP, 4 << 32)
-    real = realize(load_table(4), ctx, FP)
-    start = [FP.add(x, y) for x, y in zip(*map(real.basis_vector, real.basis[:2]))]
-    calls = closure_calls(monkeypatch)
-    tds = extract_td_system(OperatorPair(real.a, real.astar, ctx.theta, ctx.theta_star, start,
-                                         real.blocks))
-    monkeypatch.undo()
-    assert tds.closure_dim == 16 and ("tds.split.proportional.0", ANY) in tds.axiom_failures
-    assert "irreducibility via full word-span dimension (fallback)" in tds.notes
-    assert calls and {len(seed) for _, _, seed, _ in calls} == {16}  # none 256 wide
-    assert tds.irreducible is reference_word_span_irreducible(real.a, real.astar, FP) is True
+@pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
+def test_extract_flags_an_asymmetric_shape(field):
+    # a graded pair at the blocks [0], [1, 2], [3, 4] and theta = theta* =
+    # [0, 1, 2]: a raises 0 -> 1, 1 -> 3 and 2 -> 4, a* lowers 3 -> 2, so
+    # phi = e_0 generates all 5 dimensions (e_0, e_1, e_3, e_2, e_4) and the
+    # shape is [1, 2, 2].  It fails two more axioms: a* moves a's eigenvector
+    # for theta_0 into the eigenspace of theta_2 (band e.2.0), and nothing
+    # lowers into block 0, so e*_0's row is e_0^T, whose dual closure is a
+    # line (reducible)
+    def operator(moves):
+        return Matrix(field, [[field.from_int(diag[i] if i == j else (j, i) in moves)
+                               for j in range(5)] for i in range(5)])
 
-
-@pytest.mark.parametrize(
-    "a,astar,failures",
-    [
-        ([0, 3], [0, 5], [
-            ("tds.support", "support [0, 2] is not an interval"),
-            ("tds.shape.symmetric", "shape [1, 0] is not symmetric"),
-        ]),
-    ],
-    ids=["gapped-support"],
-)
-def test_diagonal_pair_fails_the_support_and_shape_axioms(a, astar, failures):
-    # a diagonal pair at theta = [0, 1, 3], theta* = [0, 2, 5], graded at the
-    # blocks [0], [] and [1]: the empty middle block gaps the support of both
-    # families; phi = (1, 1) generates the module
-    def diag(xs):
-        return Matrix(QQ, [[Fraction(x) if i == j else QQ.zero for j in range(len(xs))]
-                           for i, x in enumerate(xs)])
-
-    tds = extract_td_system(OperatorPair(diag(a), diag(astar), fr([0, 1, 3]), fr([0, 2, 5]),
-                                         fr([1] * len(a)), [[0], [], [1]]))
-    assert tds.closure_dim == len(a)
-    assert tds.axiom_failures == failures + [
-        ("tds.split.proportional.0", "corner image is not a multiple of the eigenvector"),
+    values, diag = [field.from_int(x) for x in (0, 1, 2)], [0, 1, 1, 2, 2]
+    a, astar = operator({(0, 1), (1, 3), (2, 4)}), operator({(3, 2)})
+    tds = extract_td_system(OperatorPair(a, astar, values, values, [[0], [1, 2], [3, 4]]))
+    assert (tds.closure_dim, tds.shape, tds.diameter, tds.irreducible) == (5, [1, 2, 2], 2, False)
+    assert tds.axiom_failures == [
+        ("tds.band.e.2.0", "sandwich is nonzero"),
+        ("tds.shape.symmetric", "shape [1, 2, 2] is not symmetric"),
         ("tds.irreducible", "a proper invariant subspace exists"),
     ]
-
-
-@pytest.mark.parametrize("j,shape", [(1, [1, 2]), (0, [2, 1])])
-def test_extract_flags_an_asymmetric_shape(j, shape):
-    # realize's d = 1 pair padded at block j, read from phi (+) 1: the
-    # closure is all 3 dimensions, and the realized module is a proper
-    # submodule.  Padded at block 0, e*_0 has rank 2: the rank-one member
-    # is the other end, e*_1
-    real = construct_from_params(d1_array(), QQ, load_table(1))
-    tds = extract_td_system(padded_pair(real, j, QQ.one))
-    assert (tds.closure_dim, tds.shape, tds.irreducible) == (3, shape, False)
-    assert ("tds.shape.symmetric", f"shape {shape} is not symmetric") in tds.axiom_failures
-    assert "irreducibility via full word-span dimension" in tds.notes
-
-
-def test_extraction_without_a_rank_one_end_idempotent_leaves_irreducibility_undetermined():
-    # at the blocks [0, 1] and [2, 3] and theta = theta* = [0, 1], a raises
-    # 0 -> 2 and 1 -> 3, and a* lowers 2 -> 0 and 3 -> 1 with weights 1 and 2:
-    # every idempotent has rank 2, and phi = (1, 1, 0, 0) generates the module
-    a = Matrix(QQ, [fr([0, 0, 0, 0]), fr([0, 0, 0, 0]), fr([1, 0, 1, 0]), fr([0, 1, 0, 1])])
-    astar = Matrix(QQ, [fr([0, 0, 1, 0]), fr([0, 0, 0, 2]), fr([0, 0, 1, 0]), fr([0, 0, 0, 1])])
-    tds = extract_td_system(OperatorPair(a, astar, fr([0, 1]), fr([0, 1]), fr([1, 1, 0, 0]),
-                                         [[0, 1], [2, 3]]))
-    assert (tds.closure_dim, tds.shape, tds.irreducible) == (4, [2, 2], None)
-    assert "irreducibility undetermined: no end idempotent has rank 1" in tds.notes
-    assert not any(cid == "tds.irreducible" for cid, _ in tds.axiom_failures)
-
-
-@pytest.mark.parametrize("coupled", [False, True], ids=["direct-sum", "extension"])
-@pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
-def test_padded_reducible_pair_above_the_span_limit_is_reducible_by_both_routes(
-    field, coupled, monkeypatch
-):
-    # realize's d = 3 pair (+) [theta_1] and (+) [theta*_1], from phi (+) 1: the
-    # closure is all 9 dimensions and the realized module U is a proper
-    # submodule.  Coupled, the pad column of a is (A - theta_1) r and that of
-    # a* is (A* - theta*_1) r2: both stay diagonalizable, U is still invariant,
-    # and no vector completes U to a direct sum, so the row w of e*_0 kills no
-    # submodule and only the closure of its column v, inside U, is short
-    ctx = random_admissible_context(3, field, 5 << 32)
-    real = realize(load_table(3), ctx, field)
-
-    def padded(m, t, label):
-        v = real.basis_vector(real.basis[label]) if coupled else [field.zero] * m.ncols
-        col = [field.sub(x, field.mul(t, y)) for x, y in zip(m.apply(v), v)]
-        return Matrix(field, [row + [c] for row, c in zip(elements(m), col)]
-                      + [[field.zero] * m.ncols + [t]])
-
-    a, astar = padded(real.a, ctx.theta[1], 1), padded(real.astar, ctx.theta_star[1], 2)
-    phi = real.basis_vector(real.basis[0]) + [field.one]
-    # the pad joins block 1: r is there, (A - theta_1) r in block 2, and r2 and
-    # (A* - theta*_1) r2 in blocks 1 and 0
-    blocks = [list(b) + [8] * (j == 1) for j, b in enumerate(real.blocks)]
-    pair = OperatorPair(a, astar, ctx.theta, ctx.theta_star, phi, blocks)
-    calls = closure_calls(monkeypatch)
-    tds = extract_td_system(pair)
-    monkeypatch.undo()
-    assert tds.closure_dim == 9 and tds.irreducible is False
-    assert ("tds.irreducible", "a proper invariant subspace exists") in tds.axiom_failures
-    assert "irreducibility via full word-span dimension (fallback)" in tds.notes
-    assert {len(seed) for _, _, seed, _ in calls} == {9}  # none 81 wide
-    assert reference_word_span_irreducible(a, astar, field) is False
-    (w,) = pair.dual_factors.right[0]  # an integer row
-    assert (submodule_closure(a.transpose(), astar.transpose(), w).dim == 9) is coupled
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +380,7 @@ def test_image_certified_word_span_matches_reference_over_q(monkeypatch):
         want = reference_word_span_irreducible(a, astar, QQ)
         with monkeypatch.context() as m:
             calls, adds = closure_calls(m), qq_echelon_adds(m)
-            assert irreducibility_check(a, astar, member) == want, trial
+            assert two_closure_irreducible(a, astar, member) == want, trial
         kinds = [kind for kind, *_ in calls]
         assert kinds == ["fp", "qq"] * (len(kinds) // 2), trial  # the image, then over Q
         on_image = all(dim == a.nrows for kind, _, _, dim in calls if kind == "fp")
@@ -517,9 +446,9 @@ def test_full_image_closure_is_the_identity_basis_without_exact_elimination(monk
 
 
 def extract(real, theta, theta_star, blocks=None):
-    """extract_td_system on a new pair: realize's operators at phi, the given
+    """extract_td_system on a new pair: realize's operators at the given
     lists and realize's row blocks, or the given blocks."""
-    return extract_td_system(OperatorPair(real.a, real.astar, theta, theta_star, real.phi,
+    return extract_td_system(OperatorPair(real.a, real.astar, theta, theta_star,
                                           real.blocks if blocks is None else blocks))
 
 
@@ -566,7 +495,7 @@ def test_extract_reports_shifted_or_longer_lists_as_grading_failures():
     ctx = random_admissible_context(2, FP, 3112)
     real = realize(load_table(2), ctx, FP)
     shifted = [FP.add(x, FP.one) for x in ctx.theta]  # distinct, not the spectrum of a
-    pair = OperatorPair(real.a, real.astar, shifted, ctx.theta_star, real.phi, real.blocks)
+    pair = OperatorPair(real.a, real.astar, shifted, ctx.theta_star, real.blocks)
     assert_aborted(extract_td_system(pair), [GRADING_A])
     assert not {"factors", "dual_factors", "split"} & set(vars(pair))
     longer = ctx.theta_star + [FP.from_int(7)]  # one value more than the blocks
@@ -617,31 +546,8 @@ def test_extract_band_blocks_with_rank_zero_restricted_idempotents():
     assert tds.diameter == 1 and tds.shape == [1, 1] and tds.degenerate
     # the split is read on the support's lists, not the pair's full ones
     assert tds.split == fr([1, 1])
-    pair = OperatorPair(real.a, real.astar, theta, theta_star, real.phi, blocks)
+    pair = OperatorPair(real.a, real.astar, theta, theta_star, blocks)
     assert pair.split == fr([1, 1, 0])
-
-
-@pytest.mark.parametrize("d", [1, 3])
-@pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
-def test_extract_reads_the_split_from_the_first_nonempty_block(field, d):
-    # realize's pair read at the blocks [], U_0..U_d, []: each list gains an
-    # eigenvalue outside the spectrum at both ends, whose idempotents have
-    # rank 0, so the support starts at t0 = 1, where phi lies, and stops one
-    # short of the lists' end
-    ctx = random_admissible_context(d, field, 70 + d)
-    real = realize(load_table(d), ctx, field)
-    lo, hi = [x for x in map(field.from_int, range(2 * d + 8))
-              if x not in ctx.theta + ctx.theta_star][:2]
-    theta, theta_star = [lo, *ctx.theta, hi], [hi, *ctx.theta_star, lo]
-    tds = extract(real, theta, theta_star, [[]] + real.blocks + [[]])
-    t0, delta = 1, d
-    corner = lagrange_family(real.astar, theta_star)[t0]
-    want = split_sequence(real.a, corner.apply, theta[t0:],
-                          theta_star[t0 : t0 + delta + 1], real.phi)
-    assert (tds.diameter, tds.eigenvalues) == (d, ctx.theta)
-    assert tds.dual_eigenvalues == ctx.theta_star
-    assert tds.split == want == real.split
-    assert tds.axiom_failures == [] and tds.irreducible and tds.degenerate
 
 
 def assert_band_blocks_match_full_sandwiches_on_graded_flips(field):
@@ -668,19 +574,32 @@ def test_extract_band_blocks_match_full_sandwiches_when_they_fail_over_q():
     assert_band_blocks_match_full_sandwiches_on_graded_flips(QQ)
 
 
-def padded_pair(real, j=0, pad=None):
-    """realize's pair (+) [theta_j] and (+) [theta*_j] at phi (+) pad, the pad
-    coordinate in block j.  With pad 0 the closure of phi is the realized
-    module, a proper W of dimension 2^d in 2^d + 1."""
-    f, ctx = real.field, real.context
+def padded_pair(real):
+    """realize's pair (+) [theta_d] and (+) [theta*_d], the pad coordinate in
+    the last block: the closure of phi = e_0 is the realized module, a
+    proper W of dimension 2^d in 2^d + 1."""
+    f, ctx, d = real.field, real.context, real.d
 
     def padded(m, t):
         return Matrix(f, [row + [f.zero] for row in elements(m)] + [[f.zero] * m.ncols + [t]])
 
-    a, astar = padded(real.a, ctx.theta[j]), padded(real.astar, ctx.theta_star[j])
-    blocks = [list(b) + [real.dim] * (i == j) for i, b in enumerate(real.blocks)]
-    return OperatorPair(a, astar, ctx.theta, ctx.theta_star,
-                        real.phi + [f.zero if pad is None else pad], blocks)
+    a, astar = padded(real.a, ctx.theta[d]), padded(real.astar, ctx.theta_star[d])
+    blocks = real.blocks[:d] + [list(real.blocks[d]) + [real.dim]]
+    return OperatorPair(a, astar, ctx.theta, ctx.theta_star, blocks)
+
+
+def restriction_blocks(closure, blocks):
+    """Block j of a pair restricted to the closure: its pivots in block j."""
+    return [[k for k, p in enumerate(closure.pivots) if p in b] for b in blocks]
+
+
+def assert_phi_is_e0_on(closure, blocks):
+    """phi = e_0 lies in the closure with coordinates e_0 there, and the
+    restricted pair's block 0 is [0]: the restriction keeps the contract."""
+    f, n = closure.field, closure.width
+    e0 = [f.one] + [f.zero] * (closure.dim - 1)
+    assert coordinates(closure, [f.one] + [f.zero] * (n - 1)) == e0
+    assert restriction_blocks(closure, blocks)[0] == [0]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -688,11 +607,13 @@ def padded_pair(real, j=0, pad=None):
 def test_extract_restricts_a_pair_to_a_proper_closure(field, d):
     ctx = random_admissible_context(d, field, 40 + d)
     real = realize(load_table(d), ctx, field)
-    tds = extract_td_system(padded_pair(real))
+    pair = padded_pair(real)
+    assert_phi_is_e0_on(submodule_closure(pair.a, pair.astar, pair.phi), pair.blocks)
+    tds = extract_td_system(pair)
     plain = extract_realized(real)
     assert tds.closure_dim == real.dim == 2 ** d and tds.degenerate
     assert f"degenerate parameter point: closure dim {2 ** d}/{2 ** d + 1}," in tds.notes[-1]
-    # the padded pair's families, of rank 2 at 0, would give shape [2, ...]
+    # the padded pair's families, of rank 2 at d, would give shape [..., 2]
     assert (tds.split, tds.shape) == (plain.split, plain.shape)
     assert tds.axiom_failures == plain.axiom_failures == [] and tds.irreducible
 
@@ -707,6 +628,7 @@ def test_extract_grades_a_proper_closure_at_its_pivots(field):
         pa = random_valid_parameter_array(2, field, derive_seed(0, t))
         real = construct_from_params(pa, field, table)
         closure = submodule_closure(real.a, real.astar, real.phi)
+        assert_phi_is_e0_on(closure, real.blocks)
         at = {k: j for j, b in enumerate(real.blocks) for k in b}
         for row, piv in zip(elements(closure), closure.pivots):
             assert {at[k] for k, x in enumerate(row) if x} == {at[piv]}, t
@@ -773,15 +695,17 @@ def test_extract_reads_the_irreducible_quotient_of_a_reducible_module(p, theta, 
     tds = extract_td_system(real)
     assert (tds.irreducible, tds.shape) == (False, [1, 2, 1])
     dual = submodule_closure(real.a.transpose(), real.astar.transpose(),
-                             real.dual_factors.rank_one(0)[1])
+                             real.dual_factors.rank_one(0))
 
     def quotient(op):
         return restrict(op.transpose(), dual).transpose()
 
-    phi = Matrix(field, elements(dual)).apply(real.phi)
-    blocks = [[k for k, piv in enumerate(dual.pivots) if piv in b] for b in real.blocks]
+    # the quotient keeps the contract: phi's image is e_0 there, and block 0 is [0]
+    assert Matrix(field, elements(dual)).apply(real.phi) == [field.one] + [field.zero] * 2
+    blocks = restriction_blocks(dual, real.blocks)
+    assert blocks[0] == [0]
     quo = extract_td_system(OperatorPair(quotient(real.a), quotient(real.astar), theta,
-                                         theta_star, phi, blocks))
+                                         theta_star, blocks))
     assert quo.axiom_failures == []
     assert (quo.closure_dim, quo.shape, quo.split, quo.irreducible) == (3, [1, 1, 1], zeta, True)
 
