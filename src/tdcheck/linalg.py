@@ -12,8 +12,9 @@ tiny (at most 32) and the hot spots walk only nonzeros:
   * a product is the field's `mat_mul` on the two integer forms, one sparse
     integer kernel for both fields (`fields._int_mat_mul`), over the product
     of the denominators, reduced by one gcd (`_lowest`);
-  * `apply` clears the vector once and reads one field element per output
-    entry from integer dot products over the nonzeros of each row;
+  * `apply`, of the matrix or of it less t I, clears the vector once and
+    reads one field element per output entry from integer dot products over
+    the nonzeros of each row;
   * EchelonBasis eliminates fraction-free on integer rows, forward only
     (walking nonzeros; over F_p one reduction per step and per residual),
     and `form` back-substitutes on each read; `Matrix.echelon`, behind
@@ -106,19 +107,25 @@ class Matrix:
             r[i] = f.sub(r[i], num)
         return Matrix.of_ints(f, rows, den * cden)
 
-    def apply(self, vec: Sequence) -> list:
-        """Matrix times column vector: the vector's denominators are cleared
-        once, each output entry is an integer dot product over the row's
-        nonzeros read back as one field element.  The nonzeros of each row
-        of the form (columns, values) are listed on the first call and kept:
-        a closure applies one operator many times."""
+    def apply(self, vec: Sequence, t=None) -> list:
+        """Matrix times column vector, or self - t I times it: the vector's
+        denominators are cleared once, each output entry is an integer dot
+        product over the row's nonzeros (for t = num / q, q times it less num
+        times the entry, over q) read back as one field element.  The nonzeros
+        of each row are listed on the first call and kept: a closure applies
+        one operator many times."""
+        f, mden = self.field, self.form[1]
         if self._sparse is None:
-            ints, _ = self.form
             cols = range(self.ncols)
-            self._sparse = [(list(compress(cols, r)), list(filter(None, r))) for r in ints]
-        (v,), vden = self.field.to_ints([vec])
-        back, den, at = self.field.from_ints, self.form[1] * vden, v.__getitem__
-        return [back(sum(map(mul, vals, map(at, cols))), den) for cols, vals in self._sparse]
+            self._sparse = [(list(compress(cols, r)), list(filter(None, r))) for r in self.form[0]]
+        (v,), vden = f.to_ints([vec])
+        back, den, at = f.from_ints, mden * vden, v.__getitem__
+        if t is None:
+            return [back(sum(map(mul, vals, map(at, cols))), den) for cols, vals in self._sparse]
+        num, q = f.ratio(t)
+        num *= mden
+        return [back(q * sum(map(mul, vals, map(at, cols))) - num * x, q * den)
+                for (cols, vals), x in zip(self._sparse, v)]
 
     def transpose(self) -> "Matrix":
         ints, den = self.form
@@ -367,13 +374,6 @@ class RankFactors(NamedTuple):
         """Is block, R_i B_i from `blocks`, I?  As integers it is dens[i] * I."""
         r, unit = self.ranks[i], self.dens[i]
         return block == [[unit if k == l else 0 for l in range(r)] for k in range(r)]
-
-    def rank_one(self, i: int) -> list:
-        """w with e_i a nonzero multiple of v w^T, the one row of R_i; a
-        ValueError unless e_i has rank 1.  It is the integer row the factors
-        hold: a span reads only its line."""
-        (row,) = self.right[i]
-        return row
 
     def blocks(self, op: Matrix, step: int, top: int, start: int = 0) -> Iterator[dict]:
         """The integer blocks R_i op^k B_j, one level k at a time for

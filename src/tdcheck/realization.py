@@ -5,9 +5,9 @@ realize() turns the symbolic table into two exact matrices acting on the
 the blocks of its split grading, phi its first basis vector; the round
 trip's extraction takes one) builds each family of primitive idempotents on
 first read, as one linalg.RankFactors object read at the blocks, and its
-split at phi.  A ModuleRealization is the pair of a table at a context, read
-at the table's row blocks.  shape builds no family, the weight certificate
-only e*.  The check operations then verify, as exact matrix identities:
+split at phi from the corner row of e*_0, which no family builds.  A
+ModuleRealization is the pair of a table at a context, read at the table's
+row blocks.  The check operations then verify, as exact matrix identities:
 
   * the defining relations of the generator algebra: idempotent orthogonality
     and the band conditions e*_i a^k e*_j = 0 and e_i a*^k e_j = 0 for
@@ -15,12 +15,10 @@ only e*.  The check operations then verify, as exact matrix identities:
   * the weight certificate: the raising/lowering chains through the labels
     phi, r, r^2, ..., l^{i-1} r^i and the resulting identity
     e*_0 tau_i(a) e*_0 . phi = y_i phi / prod_{j=1..i} (s_0 - s_j),
-    whose denominator follows the split-sequence convention (poly.ladder's
-    prefix products over s_1..s_d at s_0); the realization's split
-    (split_sequence at phi, read once and cached, with e*_0 v read as
-    B*_0 (R*_0 v)) is the left-hand side, which construction compares with
-    zeta and the round trip's extraction reads back (a table without one of
-    the chain labels fails as mu.labels);
+    whose denominator follows the split-sequence convention; the
+    realization's split (split_sequence, cached) is the left-hand side,
+    which construction compares with zeta and extraction reads back (a
+    table without one of the chain labels fails as mu.labels);
   * the shape (idempotent ranks = binomial coefficients, symmetric, unimodal).
 
 Orthogonality and the band conditions are read through the rank factors
@@ -50,7 +48,7 @@ Any failed identity is reported with enough coordinates to replay it.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
@@ -66,15 +64,16 @@ class OperatorPair:
     """A pair (a, a*) at two eigenvalue lists and the blocks of its split
     grading; phi is the first basis vector e_0, and block 0 is [0].  Its two
     Lagrange families (of a, then of a*, read at the blocks by
-    RankFactors.of) and its split are built on first read.  On a graded
-    pair (tables.check_grading, linalg.graded) A - th_j raises block U_j
-    into U_{j+1}, so prod (A - th_k) = 0 and e_i is block triangular with
-    diagonal blocks delta_ij I, of rank |U_i|; likewise for A*, which
-    lowers.  So A* e_0 = th*_0 e_0, e*_0 = e_0 R*_0 has rank 1, and e*_0 v is
-    a multiple of phi for every v.  A realization, its restriction to a
-    proper closure of phi and a quotient whose first coordinate is phi's
-    image are all inside this contract.  Only a pair built past the grading
-    check can raise MinimalPolynomialError when a family is first read."""
+    RankFactors.of), its corner row and its split are built on first read.
+    On a graded pair (tables.check_grading, linalg.graded) A - th_j raises
+    block U_j into U_{j+1}, so prod (A - th_k) = 0 and e_i is block
+    triangular with diagonal blocks delta_ij I, of rank |U_i|; likewise for
+    A*, which lowers.  So A* e_0 = th*_0 e_0, and e*_0 = e_0 w^T /
+    eta*_d(th*_0) for the corner row w^T = e_0^T prod_{j >= 1} (A* - th*_j).
+    A realization, its restriction to a proper closure of phi and a quotient
+    whose first coordinate is phi's image are all inside this contract.
+    Only a pair built past the grading check can raise
+    MinimalPolynomialError when a family is first read."""
 
     def __init__(self, a: Matrix, astar: Matrix, theta: List, theta_star: List,
                  blocks: List[Sequence[int]]):
@@ -90,12 +89,22 @@ class OperatorPair:
         return RankFactors.of(*lagrange_idempotents(self.astar, self.theta_star), self.blocks)
 
     @cached_property
+    def corner(self) -> list:
+        """The corner row of e*_0, from d one-row products; the split and
+        extraction's dual closure read it.  A ValueError unless block 0 is [0]."""
+        if list(self.blocks[0]) != [0]:
+            raise ValueError(f"block 0 is {list(self.blocks[0])}, not [0]: no corner row")
+        at, row = self.astar.transpose(), self.phi
+        for t in self.theta_star[1:]:
+            row = at.apply(row, t)
+        return row
+
+    @cached_property
     def split(self) -> list:
-        """The split sequence read at phi with the corner e*_0: the weight
+        """The split sequence read at phi from the corner row: the weight
         certificate compares it with 1, y_1, ..., y_d, construction with
         zeta, and extraction reads its first delta + 1 entries back."""
-        return split_sequence(self.a, partial(self.dual_factors.apply, 0), self.theta,
-                              self.theta_star, self.phi)
+        return split_sequence(self.a, self.corner, self.theta, self.theta_star)
 
     @property
     def phi(self) -> list:
@@ -269,21 +278,15 @@ def mu_certificate(real: ModuleRealization) -> List[Check]:
     return checks
 
 
-def split_sequence(a: Matrix, corner, theta: List, theta_star: List, v: List) -> list:
-    """c_0..c_d with corner(tau_i(a) v) = c_i v / prod_{j=1..i} (s_0 - s_j),
-    s = theta_star and d + 1 = len(theta_star), for v = e_0 and a corner
-    whose every image is a multiple of e_0 (OperatorPair: e*_0), so c_i is
-    the image's entry 0 times the denominator.  The denominators are the
-    ladder over s_1..s_d at s_0, and tau_i(a) v is walked incrementally, one
-    product per i, so c_i reads theta only below i and theta_star only at 0
-    and i."""
-    f, w, out = a.field, v, []
-    for i, den in enumerate(ladder(f, theta_star[1:], theta_star[0])):
-        if i:
-            t = theta[i - 1]
-            w = [f.sub(x, f.mul(t, y)) for x, y in zip(a.apply(w), w)]
-        out.append(f.mul(corner(w)[0], den))
-    return out
+def split_sequence(a: Matrix, corner: list, theta: List, theta_star: List) -> list:
+    """c_0..c_d with e*_0 tau_i(a) e_0 = c_i e_0 / prod_{j=1..i} (s_0 - s_j),
+    s = theta_star: with e*_0 = e_0 corner / eta*_d(s_0) (OperatorPair), c_i
+    is entry 0 of corner tau_i(a), one product per i, over eta*_{d-i}(s_0)."""
+    f, d, at, rows = a.field, len(theta_star) - 1, a.transpose(), [corner]
+    for t in theta[:d]:
+        rows.append(at.apply(rows[-1], t))
+    etas = ladder(f, theta_star[:0:-1], theta_star[0])
+    return [f.div(row[0], etas[d - i]) for i, row in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------

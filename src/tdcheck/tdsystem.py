@@ -16,17 +16,15 @@ tds.grading.*), checks the tridiagonal axioms on it (band conditions, a
 symmetric shape, irreducibility), and reads back the shape and the split
 sequence; roundtrip() passes it the realization and compares the recovered
 data with the array.  Both directions read what the pair builds on first
-read: its families with their rank factors (on a graded pair e_i and e*_i
-both have rank |U_i|, so one support, the nonempty blocks, is both
-families', and the shape is the sizes over it: one diameter, and
-dim E_iW = dim E*_iW), the band conditions e_i X e_j = 0 as the blocks
-R_i X B_j (level 1 of RankFactors.blocks, read only on the half the grading
-leaves open; a restricted idempotent may have rank 0, and its blocks are
-empty), and its split, the reader behind the g_i assertion, with e*_0 v read
-as B*_0 (R*_0 v).  A round-trip trial reads that split once, in
-construction, which builds only the dual family; extraction builds the other
-once the grading check passes, so no family it reads fails its minimal
-polynomial.
+read: its corner row of e*_0 and its split, the reader behind the g_i
+assertion, which a round-trip trial reads once, in construction, from no
+family; and, in extraction only, its families with their rank factors, for
+the band conditions e_i X e_j = 0 as the blocks R_i X B_j (level 1 of
+RankFactors.blocks, read only on the half the grading leaves open; a
+restricted idempotent may have rank 0, and its blocks are empty).  On a
+graded pair e_i and e*_i both have rank |U_i|, so one support, the nonempty
+blocks, is both families', and the shape is the block sizes over it: one
+diameter, and dim E_iW = dim E*_iW.
 
 Irreducibility: the words in the restricted pair span the full matrix
 algebra (dimension (dim W)^2).  Given a rank-one member v w^T of the pair's
@@ -38,15 +36,14 @@ matrix algebra moves any nonzero vector (row) to any other.  This holds over
 every field and assumes nothing about the pair; it is Norton's
 irreducibility test with the null space of I - v w^T (Holt and Rees,
 J. Austral. Math. Soc. A 57, 1994).  The member extraction takes is the
-corner e*_0 = c phi w^T: on a graded pair with U_0 = [0], A* phi =
-theta*_0 phi, so B*_0 = phi and e*_0 has rank 1, and phi generates W, so
-only the dual closure of w is read.  The route depends on dim W alone:
-_corner_cyclic_irreducible ("irreducibility via corner-cyclic test") for
-dim W > 8, else irreducibility_check ("irreducibility via full word-span
-dimension").  Both read that one closure; the notes only name the route,
-and both stay: the word-span note is inside every pinned d <= 3 round-trip
-report (tests/test_golden.py, perfbench/digests.json), and the roundtrip-qq
-workload runs both.
+corner e*_0 = c phi w^T, w^T the pair's corner row (OperatorPair), and phi
+generates W, so only the dual closure of w is read.  The route depends on
+dim W alone: _corner_cyclic_irreducible ("irreducibility via corner-cyclic
+test") for dim W > 8, else irreducibility_check ("irreducibility via full
+word-span dimension").  Both read that one closure; the notes only name the
+route, and both stay: the word-span note is inside every pinned d <= 3
+round-trip report (tests/test_golden.py, perfbench/digests.json), and the
+roundtrip-qq workload runs both.
 
 Over the rationals each closure is certified on one image mod p =
 DEFAULT_PRIME (linalg.image_mod_p) first, in submodule_closure (the modular
@@ -72,8 +69,8 @@ The support is an interval [0, delta]: were block j of the graded pair read
 empty, the coordinates of the blocks below j would span an invariant
 subspace holding phi, which generates W, so every block from j on is empty.
 The split is the pair's own, and its first delta + 1 entries are the
-support's: entry i reads theta only below i, and theta_star only at 0 and
-i.
+support's: entry i reads theta below i, theta_star up to i and e*_0, the
+theta*_0 eigenprojection of a*, which entries past delta do not change.
 """
 
 from __future__ import annotations
@@ -106,8 +103,7 @@ def construct_from_params(
     pa: ParameterArray, field: Field, table: ModuleTable
 ) -> ModuleRealization:
     """Realize the table at (theta, theta_star, y := zeta); assert g_i phi = 0,
-    that is, the realization's split is zeta, which builds the dual family
-    only."""
+    that is, the realization's split is zeta, which builds no family."""
     result = validate_parameter_array(pa, field)
     if not result.passed:
         raise InvalidParameterArrayError(result.failures)
@@ -211,14 +207,14 @@ def extract_td_system(pair: OperatorPair) -> TDSystemReport:
             notes=["extraction aborted: the pair is not graded"])
 
     # both families have rank |U_i| at i: one shape, on the support [0, delta]
-    factors, dual_factors = pair.factors, pair.dual_factors
-    shape = [r for r in dual_factors.ranks if r]
+    shape = [len(block) for block in pair.blocks if block]
     delta = len(shape) - 1
 
     # band conditions on the restriction, e_i op e_j = 0 for |i - j| > 1: the
     # block walk's level 1, whose other half the grading above proves zero
     # (its level 0, rel5's blocks, is not an axiom here)
-    for tag, fam, op, step in (("es", dual_factors, pair.a, 1), ("e", factors, pair.astar, -1)):
+    for tag, fam, op, step in (("es", pair.dual_factors, pair.a, 1),
+                               ("e", pair.factors, pair.astar, -1)):
         for level in fam.blocks(op, step, 2, 1):
             for (i, j), block in level.items():
                 if any(map(any, block)):
@@ -227,14 +223,13 @@ def extract_td_system(pair: OperatorPair) -> TDSystemReport:
     if shape != shape[::-1]:
         failures.append(("tds.shape.symmetric", f"shape {shape} is not symmetric"))
 
-    # irreducibility from the corner e*_0 = c phi w^T: the span criterion
-    # when small, the corner-cyclic route otherwise
-    row = dual_factors.rank_one(0)
+    # irreducibility from the corner e*_0 = c phi w^T, w^T the corner row:
+    # the span criterion when small, the corner-cyclic route otherwise
     if dim_w > SPAN_CRITERION_DIM_LIMIT:
-        irreducible = _corner_cyclic_irreducible(pair.a, pair.astar, row)
+        irreducible = _corner_cyclic_irreducible(pair.a, pair.astar, pair.corner)
         notes.append("irreducibility via corner-cyclic test")
     else:
-        irreducible = irreducibility_check(pair.a, pair.astar, row)
+        irreducible = irreducibility_check(pair.a, pair.astar, pair.corner)
         notes.append("irreducibility via full word-span dimension")
     if not irreducible:
         failures.append(("tds.irreducible", "a proper invariant subspace exists"))

@@ -11,7 +11,9 @@ from tdcheck.params import random_admissible_context
 from tdcheck.poly import ladder, lagrange_idempotents
 from tdcheck.realization import realize, verify_relations
 from tdcheck.report import failed
-from tdcheck.tables import Neg, TableError, bundled_table_text, check_grading
+from tdcheck.tables import (
+    ONE, PHI, Neg, TableError, bundled_table_text, check_grading, load_table, parse_label,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +126,37 @@ def echelon_factors(idems) -> RankFactors:
 
 
 # ---------------------------------------------------------------------------
+# The split as it was read before OperatorPair.corner: e*_0 applied through
+# the dual family's rank factors, each image's entry 0 times its prefix
+# ladder value
+
+
+def reference_split(pair) -> list:
+    """c_i = (e*_0 tau_i(a) phi)_0 * prod_{j=1..i} (s_0 - s_j), s = theta_star,
+    e*_0 applied as dual_factors.apply(0, .) and the products one ladder over
+    s_1..s_d at s_0."""
+    f, w, out = pair.field, pair.phi, []
+    for i, den in enumerate(ladder(f, pair.theta_star[1:], pair.theta_star[0])):
+        if i:
+            t = pair.theta[i - 1]
+            w = [f.sub(x, f.mul(t, y)) for x, y in zip(pair.a.apply(w), w)]
+        out.append(f.mul(pair.dual_factors.apply(0, w)[0], den))
+    return out
+
+
+def assert_corner_reads_e0(pair):
+    """pair.corner is eta*_d(s_0) times row 0 of the full Lagrange E*_0, so
+    proportional to it with entry 0 eta*_d(s_0), and pair.split is the
+    reference split."""
+    f, s = pair.field, pair.theta_star
+    eta = ladder(f, s[:0:-1], s[0])[-1]
+    row = elements(lagrange_family(pair.astar, s)[0])[0]
+    assert pair.corner[0] == eta
+    assert pair.corner == [f.mul(eta, x) for x in row]
+    assert pair.split == reference_split(pair)
+
+
+# ---------------------------------------------------------------------------
 # Irreducibility from any rank-one member v w^T of a pair's algebra: Norton's
 # two closures (tdsystem's module docstring), of which extraction reads only
 # the dual one, its corner e*_0 = c phi w^T having the generator phi as column
@@ -158,6 +191,24 @@ def proper_closure_d2_text() -> str:
         assert text.count(old) == 1
         text = text.replace(old, new)
     return text
+
+
+# ---------------------------------------------------------------------------
+# d1.txt with a pole, and with a lowering term built past the parser
+
+
+def pole_d1_text() -> str:
+    """d1.txt with the a-entry of phi scaled by (th0-ths0)^-1: graded, so the
+    parser accepts it, but it has a pole wherever th0 = ths0."""
+    return bundled_table_text(1).replace("phi : th0*phi + r", "phi : th0*phi + (th0-ths0)^-1*r")
+
+
+def lowered_d1_table():
+    """d1.txt with r -> phi added to a, built past the parser: (a - th0)(a - th1)
+    is no longer 0, so the family of a fails its minimal polynomial."""
+    table = load_table(1)
+    r = parse_label("r")
+    return table._replace(a_action={**table.a_action, r: table.a_action[r] + [(ONE, PHI)]})
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from tdcheck import suites, zigzag
 from tdcheck.cli import main
 from tdcheck.report import VerificationReport
 
-from support import proper_closure_d2_text
+from support import lowered_d1_table, pole_d1_text, proper_closure_d2_text
 
 
 def run_cli(capsys, *argv):
@@ -365,16 +365,6 @@ def test_a_table_that_lowers_under_a_is_a_usage_error_at_its_term(tmp_path, caps
                    " to row 2 at line 10, column 13\n")
 
 
-def lowered_d1_table():
-    """d1.txt with r -> phi added to a, built past the parser: (a - th0)(a - th1)
-    is no longer 0, so the family of a fails its minimal polynomial."""
-    from tdcheck.tables import ONE, PHI, load_table, parse_label
-
-    table = load_table(1)
-    r = parse_label("r")
-    return table._replace(a_action={**table.a_action, r: table.a_action[r] + [(ONE, PHI)]})
-
-
 def test_a_sweep_whose_family_fails_its_minimal_polynomial_is_a_usage_error(capsys, monkeypatch):
     # the parser's grading proves the minimal polynomial of every table it
     # reads, so no trial reports one: a table built past the parser raises at
@@ -392,9 +382,10 @@ def test_a_sweep_whose_family_fails_its_minimal_polynomial_is_a_usage_error(caps
                                      "tds-roundtrip"])
 def test_a_table_built_past_the_parser_fails_only_a_sweep_that_reads_its_family(command):
     # a sweep that builds the family of a raises; shape and the weight
-    # certificate never build it, and the family of a* passes its minimal
-    # polynomial.  The round trip's extraction meets the table at its numeric
-    # grading check, before it builds the family of a
+    # certificate build no family (the certificate reads the corner row of
+    # e*_0, from a* alone), and construction reads that row too.  The round
+    # trip's extraction meets the table at its numeric grading check, before
+    # it builds either family
     from tdcheck.fields import PrimeField
     from tdcheck.poly import MinimalPolynomialError
 
@@ -413,9 +404,10 @@ def test_a_table_built_past_the_parser_fails_only_a_sweep_that_reads_its_family(
 
 
 def test_each_sweep_builds_only_the_idempotent_families_it_reads(monkeypatch):
-    # shape reads the row blocks, the weight certificate e*_0 alone; the
-    # relation suite, the feasible-word walk and the round trip read both
-    # families, each built once per trial
+    # shape reads the row blocks and the weight certificate the corner row
+    # of e*_0, so neither builds a family; the relation suite, the
+    # feasible-word walk and the round trip's extraction read both families,
+    # each built once per trial
     from tdcheck import realization
     from tdcheck.fields import PrimeField
     from tdcheck.tables import load_table
@@ -436,7 +428,7 @@ def test_each_sweep_builds_only_the_idempotent_families_it_reads(monkeypatch):
             assert all(c.passed for c in checks)
             counts[command, t] = len(calls)
     assert counts == {(command, t): n for command, n in (
-        ("verify-appendix", 2), ("mu-certificate", 1), ("shape", 0), ("zz-rank", 2),
+        ("verify-appendix", 2), ("mu-certificate", 0), ("shape", 0), ("zz-rank", 2),
         ("tds-roundtrip", 2)) for t in range(2)}
 
 
@@ -467,12 +459,8 @@ def test_a_round_trip_trial_reads_the_split_once(field, monkeypatch):
 
 
 def pole_table(tmp_path):
-    """d1.txt with the a-entry of phi scaled by (th0-ths0)^-1: graded, so the
-    parser accepts it, but it has a pole wherever th0 = ths0."""
-    from tdcheck.tables import bundled_table_text
-
-    text = bundled_table_text(1).replace("phi : th0*phi + r", "phi : th0*phi + (th0-ths0)^-1*r")
-    (tmp_path / "d1.txt").write_text(text)
+    """support.pole_d1_text as the d1.txt of an --assets directory."""
+    (tmp_path / "d1.txt").write_text(pole_d1_text())
     return str(tmp_path)
 
 

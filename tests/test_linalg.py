@@ -419,6 +419,10 @@ def test_apply_matches_reference(field, seed):
         for vdensity in (1.0, 0.3, 0.0):
             v = random_vector(s, m, vdensity)
             assert mat.apply(v) == reference_apply(mat, v)
+            if n == m:  # (mat - t I) v, read on mat's own integer form
+                t = s.scalar()
+                assert mat.apply(v, t) == reference_apply(mat.shift(t), v)
+                assert mat.apply(v, s.field.zero) == mat.apply(v)
 
 
 @pytest.mark.parametrize("field,seed", SEEDED_FIELDS, ids=FIELD_IDS)

@@ -20,9 +20,9 @@ from tdcheck.tdsystem import extract_td_system, submodule_closure
 from tdcheck.tables import load_table
 
 from support import (
-    coefficient_slots, echelon_factors, elements, is_graded, lagrange_family, mat_add,
-    pair_families, rebuilt, scaled, sliced_factors, term_edits, with_negated_coefficient,
-    zero_matrix,
+    assert_corner_reads_e0, coefficient_slots, echelon_factors, elements, is_graded,
+    lagrange_family, mat_add, pair_families, rebuilt, reference_split, scaled, sliced_factors,
+    term_edits, with_negated_coefficient, zero_matrix,
 )
 
 QQ = Rationals()
@@ -113,13 +113,27 @@ def test_triple_product_d1_exact_value():
 
 
 def test_split_sequence_reads_weights_at_phi():
-    # zeta_0 = 1 followed by the weights y_1, y_2 of the realized table
+    # zeta_0 = 1 followed by the weights y_1, y_2 of the realized table, read
+    # from the corner row of e*_0 (eta*_2(ths0) = (0 - 5)(0 - 2) = 10 times
+    # row 0 of the full Lagrange E*_0) and from e*_0's rank factors alike
     ctx = qq_context(2, [0, 1, 3], [0, 2, 5], [4, 6])
     real = realize(load_table(2), ctx, QQ)
-    phi = real.basis_vector(real.basis[0])
-    corner = lagrange_family(real.astar, ctx.theta_star)[0]
-    split = split_sequence(real.a, corner.apply, ctx.theta, ctx.theta_star, phi)
-    assert split == real.split == fr([1, 4, 6])
+    corner = [10 * x for x in elements(lagrange_family(real.astar, ctx.theta_star)[0])[0]]
+    split = split_sequence(real.a, corner, ctx.theta, ctx.theta_star)
+    assert split == real.split == reference_split(real) == fr([1, 4, 6])
+    assert real.corner == corner and corner[0] == 10
+
+
+
+def test_the_corner_row_needs_block_0_at_phi():
+    # outside the OperatorPair contract e*_0's column is not phi: no corner
+    real = realize(load_table(1), qq_context(1, [0, 1], [5, 2], [7]), QQ)
+    pair = OperatorPair(real.a, real.astar, real.theta[::-1], real.theta_star[::-1],
+                        real.blocks[::-1])
+    with pytest.raises(ValueError, match=r"block 0 is \[1\], not \[0\]"):
+        pair.corner
+    with pytest.raises(ValueError, match=r"not \[0\]"):
+        pair.split
 
 
 def contract_tables():
@@ -136,7 +150,9 @@ def contract_tables():
 def test_every_graded_table_reads_phi_at_a_one_coordinate_block_0(field):
     # the contract OperatorPair states and extraction reads: U_0 = [0] and
     # A* e_0 = theta*_0 e_0, so e*_0 v is a multiple of phi = e_0 for every v;
-    # read here on the full Lagrange family, at v = tau_i(A) phi
+    # read here on the full Lagrange family, at v = tau_i(A) phi.  So the
+    # corner row is eta*_d(ths0) times row 0 of E*_0, and the split read from
+    # it is the one read through the dual family (support.reference_split)
     f, seen = field, 0
     for k, (d, table) in enumerate(contract_tables()):
         ctx = random_admissible_context(d, field, derive_seed(980, k))
@@ -148,6 +164,7 @@ def test_every_graded_table_reads_phi_at_a_one_coordinate_block_0(field):
             if i:
                 w = [f.sub(x, f.mul(ctx.theta[i - 1], y)) for x, y in zip(real.a.apply(w), w)]
             assert not any(corner.apply(w)[1:]), (k, i)
+        assert_corner_reads_e0(real)
         seen += 1
     assert seen == 6 + 6 + 18 + 48 + 126 + 18
 
@@ -465,17 +482,18 @@ def test_extraction_forms_only_the_band_products_it_reads(monkeypatch):
 
 
 def test_weight_certificate_reads_each_chain_step_once(monkeypatch):
-    # Matrix.apply: a*.phi, the split walk's tau_i(a) steps (one per i >= 1),
-    # each of the d raising steps once, and the lowering steps and the weight
-    # step of every i: 1 + d + d + d(d - 1)/2 + d.  The split applies e*_0
-    # through its rank factors, once per i = 0..d
+    # Matrix.apply: a*.phi, the corner row's d one-row products, the split
+    # walk's d steps of that row through tau_d(a), each of the d raising
+    # steps once, and the lowering steps and the weight step of every i:
+    # 1 + d + d + d + d(d - 1)/2 + d.  No family is built, so no rank factor
+    # is applied
     reals = [realize(load_table(d), random_admissible_context(d, FP, 940 + d), FP) for d in range(6)]
     applied = []
     apply, factors_apply = Matrix.apply, RankFactors.apply
 
-    def counted(self, vec):
+    def counted(self, vec, *shift):
         applied.append("matrix")
-        return apply(self, vec)
+        return apply(self, vec, *shift)
 
     def counted_factors(self, i, vec):
         applied.append("factors")
@@ -488,7 +506,7 @@ def test_weight_certificate_reads_each_chain_step_once(monkeypatch):
         applied.clear()
         assert all(c.passed for c in mu_certificate(real))
         counts.append((applied.count("matrix"), applied.count("factors")))
-    assert counts == [(0, 0), (4, 2), (8, 3), (13, 4), (19, 5), (26, 6)]
+    assert counts == [(0, 0), (5, 0), (10, 0), (16, 0), (23, 0), (31, 0)]
 
 
 def test_rank_factors_multiply_back_to_the_family():
@@ -556,7 +574,7 @@ def restricted_with_an_empty_block(real):
 def test_newton_factors_read_what_slicing_the_full_family_reads(field, d):
     # RankFactors.of reads each factor from the chain; slicing the full
     # Lagrange family at the blocks (support.sliced_factors) must give the
-    # same block walk, unit verdicts, rank-one rows and images, on the
+    # same block walk, unit verdicts and images, on the
     # realized pair, on a graded sign flip of its table and on a restricted
     # pair whose last idempotents have rank 0
     table = load_table(d)
@@ -579,11 +597,6 @@ def test_newton_factors_read_what_slicing_the_full_family_reads(field, d):
                 {k: not any(map(any, b)) for k, b in level.items()} for level in want]
             for i in range(top):
                 assert fam.is_unit(i, got[0][i, i]) == sliced.is_unit(i, want[0][i, i])
-                if fam.ranks[i] == 1:
-                    assert proportional(f, fam.rank_one(i), sliced.rank_one(i))
-                else:  # only a rank-one member has a row to read
-                    with pytest.raises(ValueError):
-                        fam.rank_one(i)
                 for v in vectors:
                     assert fam.apply(i, v) == full[i].apply(v)
 

@@ -21,8 +21,8 @@ from tdcheck.tdsystem import (
 )
 
 from support import (
-    coefficient_slots, coordinates, elements, is_graded, lagrange_family, proper_closure_d2_text,
-    reference_restrict, two_closure_irreducible, with_negated_coefficient,
+    assert_corner_reads_e0, coefficient_slots, coordinates, elements, is_graded, lagrange_family,
+    proper_closure_d2_text, reference_restrict, two_closure_irreducible, with_negated_coefficient,
 )
 
 QQ = Rationals()
@@ -128,8 +128,8 @@ def test_d1_realized_pair_spans_four_dimensions():
     )
     real = construct_from_params(pa, field, load_table(pa.d))
     assert reference_word_span_irreducible(real.a, real.astar, field)
-    w = real.dual_factors.rank_one(0)  # e*_0's row; phi generates the module
-    assert irreducibility_check(real.a, real.astar, w)
+    # e*_0's corner row; phi generates the module
+    assert irreducibility_check(real.a, real.astar, real.corner)
 
 
 def test_three_dimensional_burnside_sanity():
@@ -248,8 +248,7 @@ def test_two_closures_match_the_word_span_on_realized_pairs(field):
             want = assert_routes_agree(real.a, real.astar, members)
             # phi generates the module: only the dual closure of e*_0's row is read
             if submodule_closure(real.a, real.astar, real.phi).dim == real.dim:
-                w = real.dual_factors.rank_one(0)  # an integer row
-                assert irreducibility_check(real.a, real.astar, w) == want
+                assert irreducibility_check(real.a, real.astar, real.corner) == want
             verdicts.append(want)
     # at a small prime the sampled points meet the reducible locus
     assert all(verdicts) == (field in (QQ, FP)), verdicts.count(False)
@@ -608,7 +607,12 @@ def test_extract_restricts_a_pair_to_a_proper_closure(field, d):
     ctx = random_admissible_context(d, field, 40 + d)
     real = realize(load_table(d), ctx, field)
     pair = padded_pair(real)
-    assert_phi_is_e0_on(submodule_closure(pair.a, pair.astar, pair.phi), pair.blocks)
+    closure = submodule_closure(pair.a, pair.astar, pair.phi)
+    assert_phi_is_e0_on(closure, pair.blocks)
+    restricted = OperatorPair(restrict(pair.a, closure), restrict(pair.astar, closure),
+                              ctx.theta, ctx.theta_star, restriction_blocks(closure, pair.blocks))
+    for read in (pair, restricted):  # the corner is e*_0's row before and after
+        assert_corner_reads_e0(read)
     tds = extract_td_system(pair)
     plain = extract_realized(real)
     assert tds.closure_dim == real.dim == 2 ** d and tds.degenerate
@@ -640,7 +644,7 @@ def test_extract_grades_a_proper_closure_at_its_pivots(field):
 @pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
 def test_extract_reuses_the_families_only_on_the_whole_module(field, monkeypatch):
     real = realize(load_table(2), random_admissible_context(2, field, 5), field)
-    real.split, real.factors  # a round trip reads both before extraction
+    real.split  # a round trip reads it, and no family, before extraction
     calls, splits = [], []
     lagrange = realization.lagrange_idempotents
 
@@ -654,16 +658,19 @@ def test_extract_reuses_the_families_only_on_the_whole_module(field, monkeypatch
 
     monkeypatch.setattr(realization, "lagrange_idempotents", counted)
     monkeypatch.setattr(realization, "split_sequence", counted_split)
-    assert extract_realized(real).closure_dim == real.dim
-    # the whole module: the families and the split of the realization are read
-    assert calls == splits == []
     ctx = real.context
+    once = [(real.dim, ctx.theta_star), (real.dim, ctx.theta)]  # the band walks' order
+    assert extract_realized(real).closure_dim == real.dim
+    # the whole module: the realization's families are built here, once
+    # each, and its split is read as it is
+    assert (calls, splits) == (once, [])
+    assert extract_realized(real).closure_dim == real.dim
+    assert (calls, splits) == (once, [])  # a second read builds nothing
     assert extract_td_system(padded_pair(real)).degenerate
-    once = [(real.dim, ctx.theta), (real.dim, ctx.theta_star)]
     # a proper W: rebuilt there, once per operator, and one split read on W
-    assert (calls, splits) == (once, [real.dim])
+    assert (calls[2:], splits) == (once, [real.dim])
     extract(real, ctx.theta, ctx.theta_star)
-    assert (calls[2:], splits[1:]) == (once, [real.dim])  # a new pair: built here
+    assert (calls[4:], splits[1:]) == (once, [real.dim])  # a new pair: built here
 
 
 def test_split_extraction_recovers_zeta_on_full_module():
@@ -685,7 +692,7 @@ def test_split_extraction_recovers_zeta_on_full_module():
 def test_extract_reads_the_irreducible_quotient_of_a_reducible_module(p, theta, theta_star, zeta):
     # at these points phi generates the d = 2 module, which is reducible.
     # Its largest submodule without phi is M, the annihilator of D, the dual
-    # closure of e*_0's R row.  The pair on W/M is the transposed pair
+    # closure of e*_0's corner row.  The pair on W/M is the transposed pair
     # restricted to D, transposed back; phi's coordinates there are its
     # pairings with D's rows, and its block j is D's pivots in row block j:
     # each of D's reduced rows lies in its pivot's block.  Extraction takes
@@ -694,8 +701,7 @@ def test_extract_reads_the_irreducible_quotient_of_a_reducible_module(p, theta, 
     real = construct_from_params(ParameterArray(2, theta, theta_star, zeta), field, load_table(2))
     tds = extract_td_system(real)
     assert (tds.irreducible, tds.shape) == (False, [1, 2, 1])
-    dual = submodule_closure(real.a.transpose(), real.astar.transpose(),
-                             real.dual_factors.rank_one(0))
+    dual = submodule_closure(real.a.transpose(), real.astar.transpose(), real.corner)
 
     def quotient(op):
         return restrict(op.transpose(), dual).transpose()
@@ -704,9 +710,11 @@ def test_extract_reads_the_irreducible_quotient_of_a_reducible_module(p, theta, 
     assert Matrix(field, elements(dual)).apply(real.phi) == [field.one] + [field.zero] * 2
     blocks = restriction_blocks(dual, real.blocks)
     assert blocks[0] == [0]
-    quo = extract_td_system(OperatorPair(quotient(real.a), quotient(real.astar), theta,
-                                         theta_star, blocks))
+    pair = OperatorPair(quotient(real.a), quotient(real.astar), theta, theta_star, blocks)
+    quo = extract_td_system(pair)
     assert quo.axiom_failures == []
+    for read in (real, pair):  # the corner is e*_0's row on the module and on W/M
+        assert_corner_reads_e0(read)
     assert (quo.closure_dim, quo.shape, quo.split, quo.irreducible) == (3, [1, 1, 1], zeta, True)
 
 
