@@ -64,7 +64,8 @@ class OperatorPair:
     """A pair (a, a*) at two eigenvalue lists and the blocks of its split
     grading; phi is the first basis vector e_0, and block 0 is [0].  Its two
     Lagrange families (of a, then of a*, read at the blocks by
-    RankFactors.of), its corner row and its split are built on first read.
+    RankFactors.of), its transposed pair (a^T, a*^T), its corner row and its
+    split are built on first read; each operator is transposed once.
     On a graded pair (tables.check_grading, linalg.graded) A - th_j raises
     block U_j into U_{j+1}, so prod (A - th_k) = 0 and e_i is block
     triangular with diagonal blocks delta_ij I, of rank |U_i|; likewise for
@@ -89,14 +90,18 @@ class OperatorPair:
         return RankFactors.of(*lagrange_idempotents(self.astar, self.theta_star), self.blocks)
 
     @cached_property
+    def transposed(self) -> Tuple[Matrix, Matrix]:
+        return self.a.transpose(), self.astar.transpose()
+
+    @cached_property
     def corner(self) -> list:
         """The corner row of e*_0, from d one-row products; the split and
         extraction's dual closure read it.  A ValueError unless block 0 is [0]."""
         if list(self.blocks[0]) != [0]:
             raise ValueError(f"block 0 is {list(self.blocks[0])}, not [0]: no corner row")
-        at, row = self.astar.transpose(), self.phi
+        row = self.phi
         for t in self.theta_star[1:]:
-            row = at.apply(row, t)
+            row = self.transposed[1].apply(row, t)
         return row
 
     @cached_property
@@ -104,7 +109,7 @@ class OperatorPair:
         """The split sequence read at phi from the corner row: the weight
         certificate compares it with 1, y_1, ..., y_d, construction with
         zeta, and extraction reads its first delta + 1 entries back."""
-        return split_sequence(self.a, self.corner, self.theta, self.theta_star)
+        return split_sequence(self.transposed[0], self.corner, self.theta, self.theta_star)
 
     @property
     def phi(self) -> list:
@@ -278,11 +283,11 @@ def mu_certificate(real: ModuleRealization) -> List[Check]:
     return checks
 
 
-def split_sequence(a: Matrix, corner: list, theta: List, theta_star: List) -> list:
+def split_sequence(at: Matrix, corner: list, theta: List, theta_star: List) -> list:
     """c_0..c_d with e*_0 tau_i(a) e_0 = c_i e_0 / prod_{j=1..i} (s_0 - s_j),
     s = theta_star: with e*_0 = e_0 corner / eta*_d(s_0) (OperatorPair), c_i
-    is entry 0 of corner tau_i(a), one product per i, over eta*_{d-i}(s_0)."""
-    f, d, at, rows = a.field, len(theta_star) - 1, a.transpose(), [corner]
+    is entry 0 of corner tau_i(a), one product by at = a^T per i, over eta*_{d-i}(s_0)."""
+    f, d, rows = at.field, len(theta_star) - 1, [corner]
     for t in theta[:d]:
         rows.append(at.apply(rows[-1], t))
     etas = ladder(f, theta_star[:0:-1], theta_star[0])

@@ -37,13 +37,15 @@ every field and assumes nothing about the pair; it is Norton's
 irreducibility test with the null space of I - v w^T (Holt and Rees,
 J. Austral. Math. Soc. A 57, 1994).  The member extraction takes is the
 corner e*_0 = c phi w^T, w^T the pair's corner row (OperatorPair), and phi
-generates W, so only the dual closure of w is read.  The route depends on
-dim W alone: _corner_cyclic_irreducible ("irreducibility via corner-cyclic
-test") for dim W > 8, else irreducibility_check ("irreducibility via full
-word-span dimension").  Both read that one closure; the notes only name the
-route, and both stay: the word-span note is inside every pinned d <= 3
-round-trip report (tests/test_golden.py, perfbench/digests.json), and the
-roundtrip-qq workload runs both.
+generates W, so only D, the dual closure of w under the transposed pair,
+is read: the pair is irreducible exactly when dim D = dim W.  The route
+depends on dim W alone: _corner_cyclic_irreducible ("irreducibility via
+corner-cyclic test") for dim W > 8, else irreducibility_check
+("irreducibility via full word-span dimension").  Both read that one
+closure, take the pair and return D, which extraction keeps; the notes only
+name the route, and both stay: the word-span note is inside every pinned
+d <= 3 round-trip report (tests/test_golden.py, perfbench/digests.json),
+and the roundtrip-qq workload runs both.
 
 Over the rationals each closure is certified on one image mod p =
 DEFAULT_PRIME (linalg.image_mod_p) first, in submodule_closure (the modular
@@ -143,18 +145,14 @@ def submodule_closure(a: Matrix, astar: Matrix, seed: Sequence) -> EchelonBasis:
     return basis
 
 
-def irreducibility_check(a: Matrix, astar: Matrix, row: list) -> bool:
-    """Span of all words in the pair stabilizes at dimension (dim W)^2?
-
-    row is w of the corner e*_0 = c phi w^T, and phi generates W, so the
-    dual closure of w decides (module docstring): it must be W*."""
-    return submodule_closure(a.transpose(), astar.transpose(), row).dim == a.nrows
+def irreducibility_check(pair: OperatorPair) -> EchelonBasis:
+    """D: the words in the pair span all (dim W)^2 dimensions iff D is W*."""
+    return submodule_closure(*pair.transposed, pair.corner)
 
 
-def _corner_cyclic_irreducible(a: Matrix, astar: Matrix, row: list) -> bool:
-    """Irreducibility from a rank-one corner whose column generates the
-    module: does the corner's row generate the dual module?"""
-    return submodule_closure(a.transpose(), astar.transpose(), row).dim == a.nrows
+def _corner_cyclic_irreducible(pair: OperatorPair) -> EchelonBasis:
+    """D, the dual closure of the row of a corner whose column generates W."""
+    return submodule_closure(*pair.transposed, pair.corner)
 
 
 class TDSystemReport(NamedTuple):
@@ -223,14 +221,15 @@ def extract_td_system(pair: OperatorPair) -> TDSystemReport:
     if shape != shape[::-1]:
         failures.append(("tds.shape.symmetric", f"shape {shape} is not symmetric"))
 
-    # irreducibility from the corner e*_0 = c phi w^T, w^T the corner row:
-    # the span criterion when small, the corner-cyclic route otherwise
+    # irreducibility from the corner e*_0 = c phi w^T: D, the dual closure of
+    # w, by the span criterion when small, the corner-cyclic route otherwise
     if dim_w > SPAN_CRITERION_DIM_LIMIT:
-        irreducible = _corner_cyclic_irreducible(pair.a, pair.astar, pair.corner)
+        dual = _corner_cyclic_irreducible(pair)
         notes.append("irreducibility via corner-cyclic test")
     else:
-        irreducible = irreducibility_check(pair.a, pair.astar, pair.corner)
+        dual = irreducibility_check(pair)
         notes.append("irreducibility via full word-span dimension")
+    irreducible = dual.dim == dim_w
     if not irreducible:
         failures.append(("tds.irreducible", "a proper invariant subspace exists"))
     if field.kind == "qq":
@@ -280,19 +279,11 @@ def roundtrip(pa: ParameterArray, field: Field, table: ModuleTable) -> Verificat
         rep.add(f"tds.g.{i}", True, "")
 
     tds = extract_td_system(real)
-    rep.add(
-        "tds.closure",
-        True,
-        f"closure of phi has dimension {tds.closure_dim} of {real.dim}",
-    )
+    rep.add("tds.closure", True, f"closure of phi has dimension {tds.closure_dim} of {real.dim}")
     for cid, detail in tds.axiom_failures:
         rep.add(cid, False, detail)
 
-    rep.add(
-        "tds.diameter",
-        tds.diameter == pa.d,
-        f"diameter {tds.diameter}, expected {pa.d}",
-    )
+    rep.add("tds.diameter", tds.diameter == pa.d, f"diameter {tds.diameter}, expected {pa.d}")
     ok = tds.eigenvalues == pa.theta
     rep.add("tds.eigen", ok, "" if ok else "recovered eigenvalue sequence differs")
     ok = tds.dual_eigenvalues == pa.theta_star

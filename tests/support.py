@@ -9,7 +9,7 @@ from tdcheck.fields import derive_seed
 from tdcheck.linalg import Matrix, RankFactors, lincomb
 from tdcheck.params import random_admissible_context
 from tdcheck.poly import ladder, lagrange_idempotents
-from tdcheck.realization import realize, verify_relations
+from tdcheck.realization import OperatorPair, realize, verify_relations
 from tdcheck.report import failed
 from tdcheck.tables import (
     ONE, PHI, Neg, TableError, bundled_table_text, check_grading, load_table, parse_label,
@@ -159,18 +159,75 @@ def assert_corner_reads_e0(pair):
 # ---------------------------------------------------------------------------
 # Irreducibility from any rank-one member v w^T of a pair's algebra: Norton's
 # two closures (tdsystem's module docstring), of which extraction reads only
-# the dual one, its corner e*_0 = c phi w^T having the generator phi as column
+# the dual one, its corner e*_0 = c phi w^T having the generator phi as column.
+# Both call tdsystem.submodule_closure through the module, so a test that
+# records that function's calls sees these.
+
+
+def dual_closure(a: Matrix, astar: Matrix, row):
+    """The closure of any row under the transposed pair: for a pair's own
+    corner row, the D that extraction's irreducibility routes return."""
+    return tdsystem.submodule_closure(a.transpose(), astar.transpose(), row)
 
 
 def two_closure_irreducible(a: Matrix, astar: Matrix, rank_one) -> bool:
     """Do the words in the pair span the full matrix algebra?  rank_one =
     (v, w) is the column and row of a rank-one member v w^T: the closure of
-    v must be the whole space and the dual closure of w its dual.  It calls
-    tdsystem.submodule_closure through the module, so a test that records
-    that function's calls sees these."""
+    v must be the whole space and the dual closure of w its dual."""
     (v, w), n = rank_one, a.nrows
     return (tdsystem.submodule_closure(a, astar, v).dim == n
-            and tdsystem.submodule_closure(a.transpose(), astar.transpose(), w).dim == n)
+            and dual_closure(a, astar, w).dim == n)
+
+
+# ---------------------------------------------------------------------------
+# TD pairs that no table builds, each an OperatorPair (phi = e_0, block 0 =
+# [0], graded): a Leonard pair in split form and a Krawtchouk tensor pair
+
+
+def leonard_pair(field, theta, theta_star, vphi1) -> OperatorPair:
+    """The Leonard pair in split form (Terwilliger, Linear Algebra Appl. 330,
+    2001, Theorem 1.9): a is lower bidiagonal, theta on the diagonal and 1
+    below it; a* upper bidiagonal, theta_star on the diagonal and phi_1..phi_d
+    above it, phi_i = vphi1 sum_{h<i} (th_h - th_{d-h}) / (th_0 - th_d) +
+    (ths_i - ths_0)(th_{i-1} - th_d).  Block j is [j]."""
+    f, d = field, len(theta) - 1
+    ratio = f.div(f.one, f.sub(theta[0], theta[d]))
+    phis, acc = [], f.zero
+    for i in range(1, d + 1):
+        acc = f.add(acc, f.mul(f.sub(theta[i - 1], theta[d - i + 1]), ratio))
+        phis.append(f.add(f.mul(vphi1, acc), f.mul(f.sub(theta_star[i], theta_star[0]),
+                                                    f.sub(theta[i - 1], theta[d]))))
+    a = [[theta[i] if i == j else f.one if i == j + 1 else f.zero for j in range(d + 1)]
+         for i in range(d + 1)]
+    astar = [[theta_star[i] if i == j else phis[i] if j == i + 1 else f.zero
+              for j in range(d + 1)] for i in range(d + 1)]
+    return OperatorPair(Matrix(f, a), Matrix(f, astar), list(theta), list(theta_star),
+                        [[j] for j in range(d + 1)])
+
+
+def krawtchouk_pair(field, d, th0, h, ths0, hs, couplings) -> OperatorPair:
+    """The tensor pair on (F^2)^(x)d (Ito and Terwilliger, Linear Algebra
+    Appl. 427, 2007): A = th0 I + sum a_i and A* = ths0 I + sum a*_i, where
+    a_i sends e_0 to e_1 and e_1 to h e_1 in factor i, and a*_i sends e_0 to
+    0 and e_1 to hs e_1 + c_i e_0.  A basis vector is a bit mask, ordered by
+    weight; block j is weight j, where A is th0 + j h and A* is ths0 + j hs."""
+    f, n = field, 1 << d
+    order = sorted(range(n), key=lambda x: (bin(x).count("1"), x))
+    at = {x: k for k, x in enumerate(order)}
+    a, astar = ([[f.zero] * n for _ in range(n)] for _ in range(2))
+    for x in order:
+        k, w = at[x], bin(x).count("1")
+        a[k][k] = f.add(th0, f.mul(f.from_int(w), h))
+        astar[k][k] = f.add(ths0, f.mul(f.from_int(w), hs))
+        for i, c in enumerate(couplings):
+            if x >> i & 1:
+                astar[at[x ^ 1 << i]][k] = c
+            else:
+                a[at[x | 1 << i]][k] = f.one
+    theta = [f.add(th0, f.mul(f.from_int(j), h)) for j in range(d + 1)]
+    theta_star = [f.add(ths0, f.mul(f.from_int(j), hs)) for j in range(d + 1)]
+    blocks = [[k for k, x in enumerate(order) if bin(x).count("1") == j] for j in range(d + 1)]
+    return OperatorPair(Matrix(f, a), Matrix(f, astar), theta, theta_star, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -458,6 +458,34 @@ def test_a_round_trip_trial_reads_the_split_once(field, monkeypatch):
     assert counts == [1] * 6
 
 
+@pytest.mark.parametrize("field", ["fp", "qq"])
+def test_a_pair_transposes_each_operator_once_per_trial(field, monkeypatch):
+    # the corner walks a*^T, the split a^T and extraction's dual closure both,
+    # all from the pair's one transposed pair: two transposes wherever the
+    # split is read, none where it is not
+    from tdcheck.fields import PrimeField, Rationals
+    from tdcheck.linalg import Matrix
+    from tdcheck.tables import load_table
+
+    calls = []
+    transpose = Matrix.transpose
+
+    def counted(self):
+        calls.append(1)
+        return transpose(self)
+
+    monkeypatch.setattr(Matrix, "transpose", counted)
+    f = PrimeField() if field == "fp" else Rationals()
+    table, counts = load_table(5), {}
+    for command in suites.SWEEPS:
+        calls.clear()
+        checks = suites._trial_checks(command, table, f, 0, 0)
+        assert all(c.passed for c in checks), command
+        counts[command] = len(calls)
+    assert counts == {"verify-appendix": 2, "mu-certificate": 2, "shape": 0, "zz-rank": 0,
+                      "tds-roundtrip": 2}
+
+
 def pole_table(tmp_path):
     """support.pole_d1_text as the d1.txt of an --assets directory."""
     (tmp_path / "d1.txt").write_text(pole_d1_text())

@@ -119,7 +119,7 @@ def test_split_sequence_reads_weights_at_phi():
     ctx = qq_context(2, [0, 1, 3], [0, 2, 5], [4, 6])
     real = realize(load_table(2), ctx, QQ)
     corner = [10 * x for x in elements(lagrange_family(real.astar, ctx.theta_star)[0])[0]]
-    split = split_sequence(real.a, corner, ctx.theta, ctx.theta_star)
+    split = split_sequence(real.a.transpose(), corner, ctx.theta, ctx.theta_star)
     assert split == real.split == reference_split(real) == fr([1, 4, 6])
     assert real.corner == corner and corner[0] == 10
 

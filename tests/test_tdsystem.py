@@ -1,9 +1,12 @@
+import json
 from collections import deque
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from tdcheck import realization, tdsystem
+from tdcheck.cli import main
 from tdcheck.fields import DEFAULT_PRIME, PrimeField, Rationals, Sampler, derive_seed
 from tdcheck.linalg import EchelonBasis, Matrix, restrict
 from tdcheck.params import ParameterArray, random_admissible_context, random_valid_parameter_array
@@ -21,8 +24,9 @@ from tdcheck.tdsystem import (
 )
 
 from support import (
-    assert_corner_reads_e0, coefficient_slots, coordinates, elements, is_graded, lagrange_family,
-    proper_closure_d2_text, reference_restrict, two_closure_irreducible, with_negated_coefficient,
+    assert_corner_reads_e0, coefficient_slots, coordinates, dual_closure, elements, is_graded,
+    krawtchouk_pair, lagrange_family, leonard_pair, proper_closure_d2_text, reference_restrict,
+    two_closure_irreducible, with_negated_coefficient,
 )
 
 QQ = Rationals()
@@ -102,14 +106,15 @@ def test_closure_rejects_zero_seed():
 # ---------------------------------------------------------------------------
 # irreducibility via the word-span criterion: the reference grows the span of
 # the words by matrix products, support.two_closure_irreducible reads two
-# closures from a rank-one member, and irreducibility_check the dual closure
-# of e*_0's row when phi = e_0 generates the module
+# closures from a rank-one member, support.dual_closure the dual closure of a
+# row alone, and irreducibility_check returns D, the dual closure of a pair's
+# corner row, when phi = e_0 generates the module
 
 
 def test_one_dimensional_module_is_irreducible():
     a = Matrix(QQ, [[Fraction(3)]])
     assert reference_word_span_irreducible(a, a, QQ)
-    assert irreducibility_check(a, a, [QQ.one])  # e*_0 = I = 1 1^T
+    assert dual_closure(a, a, [QQ.one]).dim == 1  # e*_0 = I = 1 1^T
 
 
 def test_diagonal_pair_is_reducible():
@@ -128,8 +133,8 @@ def test_d1_realized_pair_spans_four_dimensions():
     )
     real = construct_from_params(pa, field, load_table(pa.d))
     assert reference_word_span_irreducible(real.a, real.astar, field)
-    # e*_0's corner row; phi generates the module
-    assert irreducibility_check(real.a, real.astar, real.corner)
+    # D of e*_0's corner row; phi generates the module
+    assert irreducibility_check(real).dim == real.dim == 2
 
 
 def test_three_dimensional_burnside_sanity():
@@ -228,7 +233,7 @@ def assert_member_decides(a, astar, member, want):
     v, w = member
     assert two_closure_irreducible(a, astar, member) == want
     if submodule_closure(a, astar, v).dim == a.nrows:
-        assert irreducibility_check(a, astar, w) == _corner_cyclic_irreducible(a, astar, w) == want
+        assert (dual_closure(a, astar, w).dim == a.nrows) == want
 
 
 @pytest.mark.parametrize(
@@ -246,9 +251,12 @@ def test_two_closures_match_the_word_span_on_realized_pairs(field):
             members = rank_one_idempotents(real.a, real.astar, ctx.theta, ctx.theta_star)
             assert len(members) == 4  # e_0, e_d, e*_0 and e*_d
             want = assert_routes_agree(real.a, real.astar, members)
-            # phi generates the module: only the dual closure of e*_0's row is read
+            # phi generates the module: only D, the dual closure of e*_0's
+            # row, is read, and both routes return it
             if submodule_closure(real.a, real.astar, real.phi).dim == real.dim:
-                assert irreducibility_check(real.a, real.astar, real.corner) == want
+                dual = irreducibility_check(real)
+                assert (dual.dim == real.dim) == want
+                assert _corner_cyclic_irreducible(real).form == dual.form
             verdicts.append(want)
     # at a small prime the sampled points meet the reducible locus
     assert all(verdicts) == (field in (QQ, FP)), verdicts.count(False)
@@ -263,9 +271,11 @@ def test_two_closures_match_the_word_span_on_a_restricted_pair(field):
     a, astar = restrict(real.a, closure), restrict(real.astar, closure)
     members = rank_one_idempotents(a, astar, pa.theta, pa.theta_star)
     assert members and assert_routes_agree(a, astar, members)
-    # phi is e_0 on W and generates it: e*_0's row alone decides
-    _, w = rank_one_of(lagrange_family(astar, pa.theta_star)[0])
-    assert irreducibility_check(a, astar, w)
+    # phi is e_0 on W and generates it: D, the dual closure of the
+    # restricted pair's corner row, alone decides
+    pair = OperatorPair(a, astar, pa.theta, pa.theta_star,
+                        restriction_blocks(closure, real.blocks))
+    assert irreducibility_check(pair).dim == 3
 
 
 @pytest.mark.parametrize(
@@ -419,7 +429,7 @@ def test_corner_that_vanishes_mod_p_falls_back_to_the_exact_route(monkeypatch):
     a = Matrix(QQ, [fr([1, 0]), fr([0, 2])])
     astar = Matrix(QQ, [fr([1, 1]), fr([1, 1])])
     calls = closure_calls(monkeypatch)
-    assert _corner_cyclic_irreducible(a, astar, fr([P, 0]))  # a corner row that is 0 mod p
+    assert dual_closure(a, astar, fr([P, 0])).dim == 2  # a corner row that is 0 mod p
     assert [(kind, dim) for kind, _, _, dim in calls] == [("qq", 2)]
 
 
@@ -701,7 +711,8 @@ def test_extract_reads_the_irreducible_quotient_of_a_reducible_module(p, theta, 
     real = construct_from_params(ParameterArray(2, theta, theta_star, zeta), field, load_table(2))
     tds = extract_td_system(real)
     assert (tds.irreducible, tds.shape) == (False, [1, 2, 1])
-    dual = submodule_closure(real.a.transpose(), real.astar.transpose(), real.corner)
+    dual = irreducibility_check(real)  # the D that extraction keeps
+    assert dual.dim == 3
 
     def quotient(op):
         return restrict(op.transpose(), dual).transpose()
@@ -716,6 +727,88 @@ def test_extract_reads_the_irreducible_quotient_of_a_reducible_module(p, theta, 
     for read in (real, pair):  # the corner is e*_0's row on the module and on W/M
         assert_corner_reads_e0(read)
     assert (quo.closure_dim, quo.shape, quo.split, quo.irreducible) == (3, [1, 1, 1], zeta, True)
+
+
+# ---------------------------------------------------------------------------
+# TD pairs that no table builds: Leonard pairs in split form and Krawtchouk
+# tensor pairs (support.leonard_pair, support.krawtchouk_pair)
+
+
+def krawtchouk(field, d):
+    i = field.from_int
+    return krawtchouk_pair(field, d, i(1), i(2), i(3), i(3), [i(c) for c in range(1, d + 1)])
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+@pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
+def test_extract_passes_on_a_leonard_pair_in_split_form(field, d):
+    for seed in (0, 1):
+        ctx = random_admissible_context(d, field, seed)
+        tds = extract_td_system(leonard_pair(field, ctx.theta, ctx.theta_star, field.one))
+        assert tds.axiom_failures == [] and tds.irreducible, seed
+        assert (tds.closure_dim, tds.shape, tds.degenerate) == (d + 1, [1] * (d + 1), False)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+@pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
+def test_extract_passes_on_a_krawtchouk_pair_and_the_table_round_trips_its_array(field, d):
+    # distinct couplings: the tensor module is irreducible, of binomial shape,
+    # and the bundled table at its array (theta, theta*, split) round-trips
+    tds = extract_td_system(krawtchouk(field, d))
+    assert tds.axiom_failures == [] and tds.irreducible and not tds.degenerate
+    assert tds.shape == [comb(d, j) for j in range(d + 1)]
+    pa = ParameterArray(d, tds.eigenvalues, tds.dual_eigenvalues, tds.split)
+    rep = roundtrip(pa, field, load_table(d))
+    assert rep.overall, [(c.id, c.detail) for c in rep.failures()]
+
+
+# The Leonard arrays at theta_i = i^2 and theta*_i = i^2 + 3i (beta = 2),
+# zeta the split of leonard_pair there at vphi1 = 1.  At each, the bundled
+# table's module is reducible: D, the dual closure of its corner row, has
+# dimension d + 1 of 2^d, and W/M, M the annihilator of D, is the Leonard
+# pair.  Pinned as they stand: the round trip fails only tds.irreducible
+LEONARD_ARRAYS = {
+    2: ["1", "-15", "435"],
+    3: ["1", "-35", "8260/3", "-735140/3"],
+    4: ["1", "-63", "18711/2", "-8027019/4", "1565268705/4"],
+    5: ["1", "-99", "118008/5", "-221973048/25", "495443843136/125", "-177864339685824/125"],
+}
+
+
+def leonard_array(d) -> dict:
+    return {"d": d, "theta": [str(i * i) for i in range(d + 1)],
+            "theta_star": [str(i * i + 3 * i) for i in range(d + 1)], "zeta": LEONARD_ARRAYS[d]}
+
+
+@pytest.mark.parametrize("d", sorted(LEONARD_ARRAYS))
+def test_the_pinned_leonard_arrays_are_the_split_of_a_leonard_pair(d):
+    for field in (QQ, FP):
+        pa = ParameterArray.from_json(json.dumps(leonard_array(d)), field)
+        tds = extract_td_system(leonard_pair(field, pa.theta, pa.theta_star, field.one))
+        assert tds.axiom_failures == [] and tds.split == pa.zeta
+
+
+@pytest.mark.parametrize("d", sorted(LEONARD_ARRAYS))
+@pytest.mark.parametrize("field", ["fp", "qq"])
+def test_a_leonard_array_round_trip_fails_only_irreducibility(field, d, tmp_path, capsys,
+                                                             monkeypatch):
+    # each irreducibility route returns D, which extraction keeps: record it
+    duals = []
+    for name in ("irreducibility_check", "_corner_cyclic_irreducible"):
+        def recorded(pair, route=getattr(tdsystem, name)):
+            dual = route(pair)
+            duals.append(dual.dim)
+            return dual
+
+        monkeypatch.setattr(tdsystem, name, recorded)
+    path = tmp_path / "leonard.json"
+    path.write_text(json.dumps(leonard_array(d)))
+    code = main(["tds", "roundtrip", "--input", str(path), "--field", field])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert [c["id"] for c in rep["checks"] if not c["passed"]] == ["tds.irreducible"]
+    assert duals == [d + 1]
+    assert f"closure of phi has dimension {2 ** d} of {2 ** d}" in json.dumps(rep)
 
 
 # ---------------------------------------------------------------------------
