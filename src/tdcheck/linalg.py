@@ -50,7 +50,7 @@ from .fields import DEFAULT_PRIME, Field, PrimeField
 class Matrix:
     """A matrix over `field`, held as its integer form."""
 
-    __slots__ = ("field", "nrows", "ncols", "form", "_sparse", "_flat")
+    __slots__ = ("field", "nrows", "ncols", "form", "_sparse")
 
     def __init__(self, field, rows: Sequence[Sequence]):
         rows = [list(r) for r in rows]
@@ -60,7 +60,7 @@ class Matrix:
         if any(len(r) != self.ncols for r in rows):
             raise ValueError("ragged rows")
         self.form = field.to_ints(rows)  # (integer rows, denominator) in lowest terms
-        self._sparse = self._flat = None
+        self._sparse = None
 
     @classmethod
     def of_ints(cls, field, ints: List[list], den: int = 1, ncols: int = 0) -> "Matrix":
@@ -70,7 +70,7 @@ class Matrix:
         m = cls.__new__(cls)
         m.field = field
         m.form = _lowest(ints, den)
-        m._sparse = m._flat = None
+        m._sparse = None
         m.nrows = len(ints)
         m.ncols = len(ints[0]) if ints else ncols
         return m
@@ -165,18 +165,17 @@ def _lowest(ints: List[list], den: int):
 
 def lincomb(terms) -> Matrix:
     """The sum of c * M over terms (c, M), field scalars c and matrices M of
-    one shape, added over the flat nonzeros of the integer forms (listed on
-    a matrix's first use and kept) over the lcm of the denominators."""
+    one shape, added over the flat nonzeros of the integer forms over the
+    lcm of the denominators."""
     terms = [(m.field.ratio(c), m) for c, m in terms]
     f, nrows, ncols = terms[0][1].field, terms[0][1].nrows, terms[0][1].ncols
     total = lcm(*(q * m.form[1] for (_, q), m in terms))
     acc = [0] * (nrows * ncols)
     for (num, q), m in terms:
-        if m._flat is None:  # (row-major index, integer)
-            m._flat = [(at, x) for at, x in enumerate(chain.from_iterable(m.form[0])) if x]
         c = num * (total // (q * m.form[1]))
-        for at, x in m._flat:
-            acc[at] += c * x
+        for at, x in enumerate(chain.from_iterable(m.form[0])):  # row-major index
+            if x:
+                acc[at] += c * x
     acc = f.shrink(acc)
     return Matrix.of_ints(f, [acc[r * ncols : (r + 1) * ncols] for r in range(nrows)],
                           total, ncols)

@@ -1,4 +1,4 @@
-"""Parameter arrays, admissibility validation and specialization contexts.
+"""Parameter arrays, admissibility validation and the two samplers.
 
 A parameter array is (d; t_0..t_d; s_0..s_d; z_0..z_d): candidate eigenvalue
 sequence, dual eigenvalue sequence and split sequence.  The validator checks
@@ -10,19 +10,11 @@ the three admissibility conditions:
         agree with each other and are constant over 2 <= i <= d-1
         (vacuously true for d <= 2).
 
-A specialization context carries concrete values for the eigenvalue lists and
-the free weights y_1..y_d, together with the derived recurrence constant beta
-(d >= 3 only) and the second-difference scalars
-
-    eps_i = (t_{i+1}-t_{i+2})(s_{i+1}-s_{i+2}) - (t_i-t_{i+1})(s_i-s_{i+1})
-
-for 0 <= i <= d-2.  Everything the bundled module tables mention is evaluated
-at such a context.
-
-derive_context's contract: both eigenvalue lists are pairwise distinct and,
-for d >= 3, beta-recurrent (condition (iii)), and y has d entries.  It checks
-none of this: the samplers draw such lists by construction, and
-construct_from_params validates its array first.
+A parameter array is also the point a module table is evaluated at, with
+the table's weights y_i set to z_i (realization.context_env derives the
+rest of what a table mentions).  random_valid_parameter_array draws an
+array passing (i)-(iii); random_admissible_context draws the lists of (i)
+and (iii), z_0 = 1 and free weights z_1..z_d, and leaves (ii) unchecked.
 """
 
 from __future__ import annotations
@@ -112,17 +104,6 @@ class ValidationResult(NamedTuple):
     vacuous: List[str]
 
 
-class SpecializationContext(NamedTuple):
-    """Concrete evaluation point for a module table of diameter d."""
-
-    d: int
-    theta: list
-    theta_star: list
-    y: list  # y_1..y_d (length d)
-    beta: Optional[object]  # present iff d >= 3
-    epsilon: list  # eps_0..eps_{d-2}, d >= 2
-
-
 def _all_distinct(xs: Sequence) -> bool:
     return all(xs[i] != xs[j] for i in range(len(xs)) for j in range(i + 1, len(xs)))
 
@@ -200,40 +181,6 @@ def _violated_beta_guard(field: Field, d: int, beta) -> bool:
     )
 
 
-def derive_context(
-    theta: Sequence, theta_star: Sequence, y: Sequence, field: Field
-) -> SpecializationContext:
-    """Build a specialization context, deriving beta and eps (see the module
-    docstring for the contract).  beta + 1 is the first theta ratio
-    (t_0 - t_3)/(t_1 - t_2)."""
-    d = len(theta) - 1
-    beta = None
-    if d >= 3:
-        ratio = field.div(field.sub(theta[0], theta[3]), field.sub(theta[1], theta[2]))
-        beta = field.sub(ratio, field.one)
-
-    epsilon = []
-    for i in range(d - 1):
-        lead = field.mul(
-            field.sub(theta[i + 1], theta[i + 2]),
-            field.sub(theta_star[i + 1], theta_star[i + 2]),
-        )
-        trail = field.mul(
-            field.sub(theta[i], theta[i + 1]),
-            field.sub(theta_star[i], theta_star[i + 1]),
-        )
-        epsilon.append(field.sub(lead, trail))
-
-    return SpecializationContext(
-        d=d,
-        theta=list(theta),
-        theta_star=list(theta_star),
-        y=list(y),
-        beta=beta,
-        epsilon=epsilon,
-    )
-
-
 def _eigenvalue_lists(sampler: Sampler, d: int, beta) -> Optional[Tuple[list, list]]:
     """theta and theta_star: min(3, d + 1) distinct draws each, for d >= 3
     extended by x_{i+1} = x_{i-2} + (beta+1)(x_i - x_{i-1}); None if an
@@ -252,8 +199,9 @@ def _eigenvalue_lists(sampler: Sampler, d: int, beta) -> Optional[Tuple[list, li
     return lists
 
 
-def random_admissible_context(d: int, field: Field, seed: int) -> SpecializationContext:
-    """Rejection-sample a context passing every guard; deterministic per seed.
+def random_admissible_context(d: int, field: Field, seed: int) -> ParameterArray:
+    """Rejection-sample an evaluation point, (theta, theta_star, [1, y_1..y_d]),
+    whose lists pass every guard; deterministic per seed.
 
     For d >= 3 a guarded beta is drawn first and both eigenvalue lists are
     extended by the three-term recurrence it induces.  A field with fewer
@@ -270,8 +218,7 @@ def random_admissible_context(d: int, field: Field, seed: int) -> Specialization
         lists = _eigenvalue_lists(sampler, d, beta)
         if lists is None:
             continue
-        y = [sampler.scalar() for _ in range(d)]
-        return derive_context(*lists, y, field)
+        return ParameterArray(d, *lists, [field.one] + [sampler.scalar() for _ in range(d)])
     raise ContextError(
         f"no admissible context found after {MAX_ATTEMPTS} attempts"
     )

@@ -1,4 +1,4 @@
-"""Realize a module table at a specialization context and machine-check it.
+"""Realize a module table at a parameter array and machine-check it.
 
 realize() turns the symbolic table into two exact matrices acting on the
 2^d-dimensional module.  An OperatorPair (a pair, two eigenvalue lists and
@@ -6,8 +6,10 @@ the blocks of its split grading, phi its first basis vector; the round
 trip's extraction takes one) builds each family of primitive idempotents on
 first read, as one linalg.RankFactors object read at the blocks, and its
 split at phi from the corner row of e*_0, which no family builds.  A
-ModuleRealization is the pair of a table at a context, read at the table's
-row blocks.  The check operations then verify, as exact matrix identities:
+ModuleRealization is the pair of a table at a parameter array, its context
+(the table's weights y_i are the array's zeta_i; context_env derives the
+rest), read at the table's row blocks.  The check operations then verify,
+as exact matrix identities:
 
   * the defining relations of the generator algebra: idempotent orthogonality
     and the band conditions e*_i a^k e*_j = 0 and e_i a*^k e_j = 0 for
@@ -17,8 +19,9 @@ row blocks.  The check operations then verify, as exact matrix identities:
     e*_0 tau_i(a) e*_0 . phi = y_i phi / prod_{j=1..i} (s_0 - s_j),
     whose denominator follows the split-sequence convention; the
     realization's split (split_sequence, cached) is the left-hand side,
-    which construction compares with zeta and extraction reads back (a
-    table without one of the chain labels fails as mu.labels);
+    which this certificate and construction compare with zeta and
+    extraction reads back (a table without one of the chain labels fails
+    as mu.labels);
   * the shape (idempotent ranks = binomial coefficients, symmetric, unimodal).
 
 Orthogonality and the band conditions are read through the rank factors
@@ -54,7 +57,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .fields import Field
 from .linalg import Matrix, RankFactors
-from .params import SpecializationContext
+from .params import ParameterArray
 from .poly import ladder, lagrange_idempotents
 from .report import Check
 from .tables import PHI, BasisLabel, ModuleTable, chain_label, evaluate, power_label
@@ -130,11 +133,10 @@ class OperatorPair:
 
 
 class ModuleRealization(OperatorPair):
-    """A table realized at one context: the pair at the context's lists, the
-    families read at the table's row blocks."""
+    """A table realized at one parameter array, its context: the pair at the
+    array's lists, the families read at the table's row blocks."""
 
-    def __init__(self, table: ModuleTable, context: SpecializationContext,
-                 a: Matrix, astar: Matrix):
+    def __init__(self, table: ModuleTable, context: ParameterArray, a: Matrix, astar: Matrix):
         self.table, self.context = table, context
         super().__init__(a, astar, context.theta, context.theta_star, table.row_blocks)
 
@@ -149,24 +151,36 @@ class ModuleRealization(OperatorPair):
         return v
 
 
-def context_env(ctx: SpecializationContext) -> Dict[str, object]:
+def context_env(pa: ParameterArray, field: Field) -> Dict[str, object]:
+    """What a module table mentions, at the point pa: th_i and ths_i, the
+    weights y_i = zeta_i (1 <= i <= d), the second-difference scalars
+
+        eps_i = (t_{i+1}-t_{i+2})(s_{i+1}-s_{i+2}) - (t_i-t_{i+1})(s_i-s_{i+1})
+
+    for 0 <= i <= d-2, and for d >= 3 beta, the first theta ratio
+    (t_0 - t_3)/(t_1 - t_2) less 1.  Contract: both lists are pairwise
+    distinct and, for d >= 3, beta-recurrent (condition (iii)).  Nothing
+    here checks it: the samplers draw such lists by construction, and
+    construct_from_params validates its array first."""
+    t, s, sub, mul = pa.theta, pa.theta_star, field.sub, field.mul
     env: Dict[str, object] = {}
-    for prefix, values, first in (("th", ctx.theta, 0), ("ths", ctx.theta_star, 0),
-                                  ("y", ctx.y, 1), ("eps", ctx.epsilon, 0)):
+    for prefix, values, first in (("th", t, 0), ("ths", s, 0), ("y", pa.zeta[1:], 1)):
         env.update((f"{prefix}{i}", v) for i, v in enumerate(values, first))
-    if ctx.beta is not None:
-        env["beta"] = ctx.beta
+    for i in range(pa.d - 1):
+        lead = mul(sub(t[i + 1], t[i + 2]), sub(s[i + 1], s[i + 2]))
+        trail = mul(sub(t[i], t[i + 1]), sub(s[i], s[i + 1]))
+        env[f"eps{i}"] = sub(lead, trail)
+    if pa.d >= 3:
+        env["beta"] = sub(field.div(sub(t[0], t[3]), sub(t[1], t[2])), field.one)
     return env
 
 
-def realize(
-    table: ModuleTable, ctx: SpecializationContext, field: Field
-) -> ModuleRealization:
-    """Evaluate the table at ctx into the pair (a, a*); the idempotent
-    families are built when a check first reads them."""
-    if table.d != ctx.d:
-        raise ValueError(f"table is for d={table.d}, context for d={ctx.d}")
-    env = context_env(ctx)
+def realize(table: ModuleTable, pa: ParameterArray, field: Field) -> ModuleRealization:
+    """Evaluate the table at pa (context_env) into the pair (a, a*); the
+    idempotent families are built when a check first reads them."""
+    if table.d != pa.d:
+        raise ValueError(f"table is for d={table.d}, context for d={pa.d}")
+    env = context_env(pa, field)
     n = len(table.basis)
     index = {label: i for i, label in enumerate(table.basis)}
     memo: dict = {}  # one value per shared coefficient subtree, for both operators
@@ -182,7 +196,7 @@ def realize(
             cols.append(col)
         return Matrix(field, zip(*cols))
 
-    return ModuleRealization(table, ctx, assemble(table.a_action), assemble(table.astar_action))
+    return ModuleRealization(table, pa, assemble(table.a_action), assemble(table.astar_action))
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +273,8 @@ def mu_certificate(real: ModuleRealization) -> List[Check]:
         checks.append(Check(cid, ok, "" if ok else text))
 
     # entry 0 of the split reads e*_0 phi = phi; given that, tau_i(a) acts on
-    # phi directly and the split must be 1, y_1, ..., y_d
-    corner = [c == y for c, y in zip(real.split, [f.one, *ctx.y])]
+    # phi directly and the split must be zeta = 1, y_1, ..., y_d
+    corner = [c == z for c, z in zip(real.split, ctx.zeta)]
     ok = step(real.astar, ctx.theta_star[0], PHI, PHI, f.zero)
     add("mu.astar.phi", ok, "a*.phi != ths0 * phi")
     add("mu.es0.phi", corner[0], "e*_0.phi != phi")
@@ -277,7 +291,7 @@ def mu_certificate(real: ModuleRealization) -> List[Check]:
                       chain_label(h + 1, i), f.one)
             add(f"mu.i{i}.lchain.h{h}", ok, f"(a* - ths{i - h}).l^{h}r^{i} != l^{h + 1}r^{i}")
         # final lowering step hits y_i * phi
-        ok = step(real.astar, ctx.theta_star[1], chain_label(i - 1, i), PHI, ctx.y[i - 1])
+        ok = step(real.astar, ctx.theta_star[1], chain_label(i - 1, i), PHI, ctx.zeta[i])
         add(f"mu.i{i}.weight", ok, f"(a* - ths1).l^{i - 1}r^{i} != y{i} phi")
         add(f"mu.i{i}.identity", corner[i], f"e*_0 tau_{i}(a) e*_0 phi has the wrong coefficient")
     return checks

@@ -82,7 +82,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .fields import Field, field_echo
 from .linalg import EchelonBasis, Matrix, graded, image_mod_p, restrict
-from .params import ParameterArray, derive_context, validate_parameter_array
+from .params import ParameterArray, validate_parameter_array
 from .realization import ModuleRealization, OperatorPair, realize
 from .report import VerificationReport
 from .tables import FORMAT_VERSION, ModuleTable, TableError
@@ -109,8 +109,7 @@ def construct_from_params(
     result = validate_parameter_array(pa, field)
     if not result.passed:
         raise InvalidParameterArrayError(result.failures)
-    ctx = derive_context(pa.theta, pa.theta_star, pa.zeta[1:], field)
-    real = realize(table, ctx, field)
+    real = realize(table, pa, field)
     bad = [i for i, (c, z) in enumerate(zip(real.split, pa.zeta)) if i and c != z]
     if bad:
         raise ConstructionError("; ".join(f"g.{i}: g_{i} phi != 0" for i in bad))

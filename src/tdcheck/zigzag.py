@@ -25,6 +25,7 @@ so a caller can write them out without holding them all.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .linalg import EchelonBasis
@@ -266,10 +267,16 @@ def enumerate_convex_spanning(r: int) -> List[Tuple[int, ...]]:
 # Rank experiment
 
 
+@lru_cache(maxsize=None)
+def _feasible_words(d: int) -> Tuple[Word, ...]:
+    """enumerate_feasible(d), enumerated once per d for every rank trial."""
+    return tuple(enumerate_feasible(d))
+
+
 def feasible_rank_test(real) -> List[Check]:
     """Exact rank of the feasible-word images of phi; expected 2^d of rank 2^d.
     The image of (u,) + w, listed after w, is E_u = B_u R_u times w's image."""
-    words = enumerate_feasible(real.d)
+    words = _feasible_words(real.d)
     expected = 2**real.d
     basis = EchelonBasis(real.field, real.dim)
     images = {TRIVIAL: real.phi}

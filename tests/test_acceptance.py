@@ -32,9 +32,9 @@ from tdcheck.params import (
     COND_ZETA0,
     COND_ZETAD,
     ParameterArray,
-    derive_context,
     validate_parameter_array,
 )
+from tdcheck.realization import context_env
 from tdcheck.suites import run_sweep
 from tdcheck.tables import load_table
 from tdcheck.zigzag import enumerate_convex_spanning, enumerate_feasible, word_text
@@ -209,10 +209,10 @@ def test_criterion_6_roundtrip():
 def test_criterion_7_validator_goldens():
     started = time.time()
     theta = [Fraction(x) for x in (3, 1, -1, -3)]
-    ctx = derive_context(theta, theta, [Fraction(1)] * 3, QQ)
-    assert ctx.beta == 2
-    assert ctx.epsilon == [Fraction(0), Fraction(0)]
     pa = ParameterArray(3, theta, theta, [Fraction(x) for x in (1, 0, 0, 5)])
+    env = context_env(pa, QQ)
+    assert env["beta"] == 2
+    assert [env["eps0"], env["eps1"]] == [Fraction(0), Fraction(0)]
     assert validate_parameter_array(pa, QQ).passed
     bad_zd = ParameterArray(3, theta, theta, [Fraction(x) for x in (1, 0, 0, 0)])
     assert COND_ZETAD in failure_ids(validate_parameter_array(bad_zd, QQ))

@@ -804,6 +804,52 @@ def test_convex_over_budget_is_a_usage_error(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
+# failure branches that only a hand-made input reaches
+
+
+def failed_ids(out: str) -> list:
+    return [c["id"] for c in json.loads(out)["checks"] if not c["passed"]]
+
+
+def test_check_params_fails_an_array_whose_ratio_families_differ(tmp_path, capsys):
+    # theta 0, 1, 2, 3 has ratio 3 and theta* 0, 1, 3, 4 ratio 2; (i) and (ii) hold
+    array = write_array(tmp_path, {"d": 3, "theta": ["0", "1", "2", "3"],
+                                   "theta_star": ["0", "1", "3", "4"],
+                                   "zeta": ["1", "0", "0", "1"]})
+    code, out, _ = run_cli(capsys, "check-params", "--input", array)
+    assert (code, failed_ids(out)) == (1, ["(iii) beta recurrence"])
+
+
+def test_a_table_whose_first_label_is_not_phi_fails_the_certificate(tmp_path, capsys):
+    # phi renamed rl: the same row index and the same matrices, no label phi
+    from tdcheck.tables import bundled_table_text
+
+    (tmp_path / "d1.txt").write_text(bundled_table_text(1).replace("phi", "rl"))
+    code, out, _ = run_cli(capsys, "mu-certificate", "--d", "1", "--trials", "1",
+                           "--assets", str(tmp_path))
+    assert (code, failed_ids(out)) == (1, ["t000.mu.phi"])
+
+
+@pytest.mark.parametrize("argv,table,message", [
+    (["verify-appendix", "--d", "1"], ("d1.txt", "\nr\n", "\nrxl\n"),
+     "bad basis label 'rxl' at line 6"),
+    (["verify-appendix", "--d", "2"], ("d2.txt", "", ""), "asset for d=2 declares d=1"),
+    (["convex", "--r", "0"], None, "r must be at least 1"),
+], ids=["basis-label", "declared-d", "convex-r0"])
+def test_a_bad_table_or_convex_r_is_a_one_line_usage_error(argv, table, message, tmp_path,
+                                                           capsys):
+    # table: the bundled d = 1 table with one edit, written to --assets as `name`
+    from tdcheck.tables import bundled_table_text
+
+    if table:
+        name, old, new = table
+        (tmp_path / name).write_text(bundled_table_text(1).replace(old, new))
+        argv = [*argv, "--assets", str(tmp_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"tdcheck: {message}\n")
+
+
+# ---------------------------------------------------------------------------
 # fuzzing the --input parameter-array file
 
 JSON_VALUES = st.recursive(

@@ -16,11 +16,11 @@ from tdcheck.params import (
     MalformedArrayError,
     ParameterArray,
     admissibility_sum,
-    derive_context,
     random_admissible_context,
     random_valid_parameter_array,
     validate_parameter_array,
 )
+from tdcheck.realization import context_env
 
 from support import failure_ids
 
@@ -59,9 +59,9 @@ def test_krawtchouk_d3_validates_and_derives_beta_2():
     pa = ParameterArray(3, theta, theta, zeta)
     result = validate_parameter_array(pa, QQ)
     assert result.passed, result.failures
-    ctx = derive_context(theta, theta, fr([1, 1, 1]), QQ)
-    assert ctx.beta == 2  # (th0 - th3)/(th1 - th2) = 6/2 = 3 = beta + 1
-    assert ctx.epsilon == fr([0, 0])
+    env = context_env(ParameterArray(3, theta, theta, fr([1, 1, 1, 1])), QQ)
+    assert env["beta"] == 2  # (th0 - th3)/(th1 - th2) = 6/2 = 3 = beta + 1
+    assert [env["eps0"], env["eps1"]] == fr([0, 0])
 
 
 def test_zeta_d_zero_rejected_with_condition_id():
@@ -110,16 +110,16 @@ def test_malformed_array_is_not_merely_invalid():
 def test_d4_geometric_ratio_beta():
     q = Fraction(2)
     theta = [q ** (4 - 2 * i) for i in range(5)]
-    ctx = derive_context(theta, theta, fr([1, 1, 1, 1]), QQ)
-    assert ctx.beta == Fraction(17, 4)  # ratio q^2 + 1 + q^-2 = 21/4
+    env = context_env(ParameterArray(4, theta, theta, fr([1, 1, 1, 1, 1])), QQ)
+    assert env["beta"] == Fraction(17, 4)  # ratio q^2 + 1 + q^-2 = 21/4
 
 
 def test_epsilon_definition_matches_hand_value():
     theta, theta_star = fr([0, 1, 3]), fr([0, 2, 5])
-    ctx = derive_context(theta, theta_star, fr([1, 1]), QQ)
+    env = context_env(ParameterArray(2, theta, theta_star, fr([1, 1, 1])), QQ)
     # eps_0 = (th1-th2)(ths1-ths2) - (th0-th1)(ths0-ths1) = (-2)(-3) - (-1)(-2)
-    assert ctx.epsilon == [Fraction(4)]
-    assert ctx.beta is None
+    assert env["eps0"] == Fraction(4) and "eps1" not in env
+    assert "beta" not in env
 
 
 def test_affine_reparameterization_preserves_verdicts():
@@ -156,21 +156,23 @@ def test_random_admissible_context_deterministic_per_seed():
     for field in (QQ, FP):
         a = random_admissible_context(3, field, 12)
         b = random_admissible_context(3, field, 12)
-        assert (a.theta, a.theta_star, a.y, a.beta) == (b.theta, b.theta_star, b.y, b.beta)
+        assert a == b
         c = random_admissible_context(3, field, 13)
-        assert (a.theta, a.y) != (c.theta, c.y)
+        assert (a.theta, a.zeta) != (c.theta, c.zeta)
 
 
 @pytest.mark.parametrize("d", range(6))
 def test_random_admissible_context_passes_guards(d):
     field = FP
     ctx = random_admissible_context(d, field, 900 + d)
+    env = context_env(ctx, field)
+    beta = env.get("beta")
     assert len(set(ctx.theta)) == d + 1
     assert len(set(ctx.theta_star)) == d + 1
-    assert len(ctx.y) == d
-    assert len(ctx.epsilon) == max(0, d - 1)
+    assert ctx.d == d and len(ctx.zeta) == d + 1 and ctx.zeta[0] == field.one
+    assert [k for k in env if k.startswith("eps")] == [f"eps{i}" for i in range(d - 1)]
     if d >= 3:
-        bp1 = field.add(ctx.beta, field.one)
+        bp1 = field.add(beta, field.one)
         assert bp1
         for seq in (ctx.theta, ctx.theta_star):
             for i in range(2, d):
@@ -178,28 +180,27 @@ def test_random_admissible_context_passes_guards(d):
                 den = field.sub(seq[i - 1], seq[i])
                 assert field.div(num, den) == bp1
     else:
-        assert ctx.beta is None
+        assert beta is None
     if d >= 4:
-        assert ctx.beta
+        assert beta
     if d == 5:
-        quad = field.sub(field.add(field.mul(ctx.beta, ctx.beta), ctx.beta), field.one)
+        quad = field.sub(field.add(field.mul(beta, beta), beta), field.one)
         assert quad
 
 
 @pytest.mark.parametrize("field", [QQ, FP, F11], ids=["qq", "fp", "f11"])
 @pytest.mark.parametrize("d", range(6))
-def test_sampled_contexts_meet_the_derive_context_contract(d, field):
-    # derive_context checks nothing: every sampled context must have
+def test_sampled_contexts_meet_the_context_env_contract(d, field):
+    # context_env checks nothing: every sampled context must have
     # distinct, beta-recurrent lists, and beta + 1 the common ratio
     bad = {COND_THETA_DISTINCT, COND_THETA_STAR_DISTINCT, COND_BETA}
     for seed in range(30):
-        ctx = random_admissible_context(d, field, seed)
-        pa = ParameterArray(d, ctx.theta, ctx.theta_star, [field.one] + ctx.y)
+        pa = random_admissible_context(d, field, seed)
         assert not bad & set(failure_ids(validate_parameter_array(pa, field))), seed
         if d >= 3:
-            t = ctx.theta
+            t = pa.theta
             ratio = field.div(field.sub(t[0], t[3]), field.sub(t[1], t[2]))
-            assert field.add(ctx.beta, field.one) == ratio
+            assert field.add(context_env(pa, field)["beta"], field.one) == ratio
 
 
 # sha256 of every sample below, taken before both samplers drew their lists
@@ -219,7 +220,10 @@ def test_sampler_streams_match_their_pinned_digests(field, digest):
     for d in range(6):
         for seed in range(5):
             c = random_admissible_context(d, field, seed)
-            lines.append(f"ctx {d} {seed} {c.theta} {c.theta_star} {c.y} {c.beta} {c.epsilon}")
+            env = context_env(c, field)
+            eps = [env[f"eps{i}"] for i in range(d - 1)]
+            lines.append(f"ctx {d} {seed} {c.theta} {c.theta_star} {c.zeta[1:]}"
+                         f" {env.get('beta')} {eps}")
             pa = random_valid_parameter_array(d, field, seed)
             lines.append(f"pa {d} {seed} {pa.theta} {pa.theta_star} {pa.zeta}")
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest

@@ -6,7 +6,7 @@ import pytest
 
 from tdcheck.fields import DEFAULT_PRIME, PrimeField, Rationals, derive_seed
 from tdcheck.linalg import Matrix, RankFactors, restrict
-from tdcheck.params import derive_context, random_admissible_context
+from tdcheck.params import ParameterArray, random_admissible_context
 from tdcheck.realization import (
     OperatorPair,
     mu_certificate,
@@ -34,7 +34,7 @@ def fr(xs):
 
 
 def qq_context(d, theta, theta_star, y):
-    return derive_context(fr(theta), fr(theta_star), fr(y), QQ)
+    return ParameterArray(d, fr(theta), fr(theta_star), fr([1, *y]))
 
 
 def test_d0_realization_is_scalar():
@@ -198,12 +198,7 @@ def test_rational_realization_reduces_to_prime_field_realization():
     fp = PrimeField(p)
     theta, theta_star, y = [0, 1, 3], [0, 2, 5], [4, 6]
     ctx_qq = qq_context(2, theta, theta_star, y)
-    ctx_fp = derive_context(
-        [fp.from_int(x) for x in theta],
-        [fp.from_int(x) for x in theta_star],
-        [fp.from_int(x) for x in y],
-        fp,
-    )
+    ctx_fp = ParameterArray(2, *([fp.from_int(x) for x in xs] for xs in (theta, theta_star, [1, *y])))
     table = load_table(2)
     real_qq = realize(table, ctx_qq, QQ)
     real_fp = realize(table, ctx_fp, fp)

@@ -216,13 +216,14 @@ def test_every_function_runs_under_a_cli_battery(tmp_path, capsys):
     # live one; a profile of the battery does not.  suites._realized runs at
     # import, before any profile: SWEEPS holds what it returns
     from support import lowered_d1_table
-    from tdcheck import suites
+    from tdcheck import suites, zigzag
     from tdcheck.cli import main
     from tdcheck.fields import PrimeField
     from tdcheck.poly import MinimalPolynomialError
 
     battery = _cli_battery(tmp_path)
     called = set()
+    zigzag._feasible_words.cache_clear()  # else an earlier test's rank trial leaves no call
 
     def profile(frame, event, arg):
         if event == "call":

@@ -450,7 +450,7 @@ def test_identical_subtrees_are_one_node_evaluated_once_per_memo(d, distinct, to
     nodes = operator_nodes(table)
     assert (len({id(n) for n in nodes}), len(nodes)) == (distinct, total)
     assert len(set(nodes)) == distinct  # equal subtrees are the same object
-    env = context_env(random_admissible_context(d, PrimeField(), 7))
+    env = context_env(random_admissible_context(d, PrimeField(), 7), PrimeField())
     coeffs = [c for action in (table.a_action, table.astar_action)
               for terms in action.values() for c, _ in terms]
     memo = {}

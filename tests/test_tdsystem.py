@@ -10,7 +10,7 @@ from tdcheck.cli import main
 from tdcheck.fields import DEFAULT_PRIME, PrimeField, Rationals, Sampler, derive_seed
 from tdcheck.linalg import EchelonBasis, Matrix, restrict
 from tdcheck.params import ParameterArray, random_admissible_context, random_valid_parameter_array
-from tdcheck.realization import OperatorPair, realize, split_sequence
+from tdcheck.realization import OperatorPair, context_env, realize, split_sequence
 from tdcheck.tables import FORMAT_VERSION, bundled_table_text, load_table, parse_table
 from tdcheck.tdsystem import (
     InvalidParameterArrayError,
@@ -54,8 +54,8 @@ def d1_array():
 def test_construct_d1_and_corner_elements_vanish():
     real = construct_from_params(d1_array(), QQ, load_table(1))
     assert real.dim == 2
-    # y_1 was set to zeta_1 = 1
-    assert real.context.y == fr([1])
+    # y_1 was set to zeta_1 = 1: the array is the realization's context
+    assert real.context == d1_array() and context_env(real.context, QQ)["y1"] == 1
 
 
 def test_construct_rejects_zeta_d_zero():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tdcheck.fields import PrimeField, Rationals
 from tdcheck.linalg import EchelonBasis, Matrix, RankFactors
-from tdcheck.params import derive_context, random_admissible_context
+from tdcheck.params import ParameterArray, random_admissible_context
 from tdcheck.realization import realize
 from tdcheck.report import failed
 from tdcheck import zigzag
@@ -454,7 +454,7 @@ def test_convex_spanning_budget(monkeypatch):
 
 def test_word_image_d1_hand_value():
     theta, theta_star = [Fraction(0), Fraction(1)], [Fraction(5), Fraction(2)]
-    ctx = derive_context(theta, theta_star, [Fraction(7)], QQ)
+    ctx = ParameterArray(1, theta, theta_star, [Fraction(1), Fraction(7)])
     real = realize(load_table(1), ctx, QQ)
     img = word_image(real, ((False, 1), (True, 0)))  # e1 e*0
     # e1 phi = r/(th1 - th0) = r
@@ -510,6 +510,24 @@ def test_feasible_rank_reads_every_word_image_in_word_order(field, monkeypatch):
         feasible_rank_test(real)
         monkeypatch.undo()
         assert added == [word_image(real, w) for w in words]
+
+
+def test_a_rank_sweep_enumerates_the_feasible_words_once_per_d(monkeypatch):
+    from tdcheck.suites import run_sweep
+
+    calls = []
+    enumerate_words = zigzag.enumerate_feasible
+
+    def counted(d):
+        calls.append(d)
+        return enumerate_words(d)
+
+    monkeypatch.setattr(zigzag, "enumerate_feasible", counted)
+    zigzag._feasible_words.cache_clear()
+    for d in (2, 3, 2):
+        assert run_sweep("zz-rank", d, FP, 0, 5).overall
+    assert calls == [2, 3]
+    assert enumerate_feasible(3) == list(zigzag._feasible_words(3))  # the same words, in order
 
 
 @pytest.mark.parametrize("d", range(6))
