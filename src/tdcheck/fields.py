@@ -17,7 +17,7 @@ residues and the denominator is 1.  `mat_mul` multiplies integer rows through
 one sparse kernel for both fields; `to_ints` clears the denominators of rows
 assembled from scalars (integer rows it takes as they are), and the
 remaining hooks (`ratio`, `from_ints`, `shrink`, `primitive`) serve
-linalg's integer kernels, `lincomb` (the Lagrange sums) among them.
+linalg's integer kernels, the scaled rank factors among them.
 
 Randomness comes from splitmix64, chosen because it is tiny, well known and
 trivially reproducible across platforms; the algorithm identifier is recorded
@@ -184,11 +184,11 @@ class Rationals:
     # rows assembled from scalars, from_ints reads an integer over a
     # denominator back as an element, ratio splits a scalar into
     # numerator and denominator, shrink canonicalizes an echelon step's
-    # multiplier, a complete echelon residual or a Lagrange sum (nothing to
-    # do over the rationals), and primitive scales a vector to the canonical
-    # integer representative of its line: content 1 and positive at piv.
-    # sub also acts on the integers of a form (linalg's shift): plain
-    # integer arithmetic here.
+    # multiplier, a complete echelon residual or a rank-factor row (nothing
+    # to do over the rationals), and primitive scales a vector to the
+    # canonical integer representative of its line: content 1 and positive
+    # at piv.  sub also acts on the integers of a form (linalg's shift):
+    # plain integer arithmetic here.
     def mat_mul(self, rows_a, rows_b):
         return _int_mat_mul(rows_a, rows_b)
 
@@ -311,7 +311,7 @@ class PrimeField:
     # each sum mod p, so products stay residues; nothing is cleared, and the
     # rows of a form are its elements.  The echelon's steps leave entries
     # unreduced; shrink reduces each step's multiplier and then the residual
-    # (or a Lagrange sum) mod p once, and primitive (the canonical
+    # (or a rank-factor row) mod p once, and primitive (the canonical
     # representative of a line has 1 at piv) scales and reduces a new row or
     # a back-substituted one.
     def mat_mul(self, rows_a, rows_b):

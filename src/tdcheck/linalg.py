@@ -5,9 +5,9 @@ over one positive denominator, in lowest terms, so over Q the gcd of the
 denominator and every entry is 1 and over F_p the rows are the residues over
 1.  No module but this one and `fields` reads or builds a form.  A matrix
 assembled from scalars (`Matrix(field, rows)`) clears them when it is built;
-a product, a shifted or transposed matrix, the identity and a linear
-combination are built from integer rows (`Matrix.of_ints`).  Dimensions are
-tiny (at most 32) and the hot spots walk only nonzeros:
+a product, a shifted or transposed matrix and the identity are built from
+integer rows (`Matrix.of_ints`).  Dimensions are tiny (at most 32) and the
+hot spots walk only nonzeros:
 
   * a product is the field's `mat_mul` on the two integer forms, one sparse
     integer kernel for both fields (`fields._int_mat_mul`), over the product
@@ -20,17 +20,13 @@ tiny (at most 32) and the hot spots walk only nonzeros:
     and `form` back-substitutes on each read; `Matrix.echelon`, behind
     `rank`, inserts the nonzero rows of the integer form like any vector:
     over Q each is a multiple of its row, which spans the same line;
-  * `lincomb` adds multiples of matrices over the flat nonzeros of their
-    integer forms, which each Matrix lists once, over one denominator (a
-    rank factor);
   * `restrict` reads an operator on an invariant subspace as the rows at
     the basis's pivots of one product, the operator times the basis's form
     transposed, and `graded` reads a pair's split grading off the form;
-  * `RankFactors` reads a family's rank factors e_i = B_i R_i from its Newton
-    form at a graded pair's blocks, each member as one lincomb (R_i stacked
-    on B_i transposed), applies e_i as B_i (R_i v) and walks the blocks
-    R_i op^k B_j on the half the grading leaves open; `image_mod_p` reads a
-    pair and a vector mod p.
+  * `RankFactors` reads a family's rank factors e_i = B_i R_i at a graded
+    pair's blocks, each one scaled slice of one chain member, applies e_i as
+    B_i (R_i v) and walks the blocks R_i op^k B_j on the half the grading
+    leaves open; `image_mod_p` reads a pair and a vector mod p.
 
 Equal matrices have equal integer forms, so `==` compares those.  Every
 element handed back is canonical (see `fields`), so vectors compare with
@@ -161,24 +157,6 @@ def _lowest(ints: List[list], den: int):
     if g == 1:
         return ints, den
     return [[x // g for x in r] for r in ints], den // g
-
-
-def lincomb(terms) -> Matrix:
-    """The sum of c * M over terms (c, M), field scalars c and matrices M of
-    one shape, added over the flat nonzeros of the integer forms over the
-    lcm of the denominators."""
-    terms = [(m.field.ratio(c), m) for c, m in terms]
-    f, nrows, ncols = terms[0][1].field, terms[0][1].nrows, terms[0][1].ncols
-    total = lcm(*(q * m.form[1] for (_, q), m in terms))
-    acc = [0] * (nrows * ncols)
-    for (num, q), m in terms:
-        c = num * (total // (q * m.form[1]))
-        for at, x in enumerate(chain.from_iterable(m.form[0])):  # row-major index
-            if x:
-                acc[at] += c * x
-    acc = f.shrink(acc)
-    return Matrix.of_ints(f, [acc[r * ncols : (r + 1) * ncols] for r in range(nrows)],
-                          total, ncols)
 
 
 class EchelonBasis:
@@ -323,16 +301,15 @@ def image_mod_p(a: Matrix, astar: Matrix, seed: Sequence) -> Optional[tuple]:
 class RankFactors(NamedTuple):
     """A family e_0..e_d held as its rank factorizations e_i = B_i R_i alone.
 
-    B_i is the columns of e_i at r_i = rank e_i indices U_i and R_i its rows
-    there, I at U_i (`of`, from the Newton form e_i = sum_k c_ik P_k at a
-    graded pair's blocks).  B_i has full column
-    rank and R_i full row rank, so for any X, e_i X e_j = 0 iff
-    R_i X B_j = 0, and e_i e_j = c e_i iff R_i B_j = c I (i = j) or 0
-    (i != j), orthogonal idempotents or not.  Blocks are integer rows of the
-    integer forms: R_i is right[i] / r_i and B_i is left[i] / b_i with
-    dens[i] = r_i * b_i, so a zero test of any block product needs no
-    denominator, and rank 0 (R_i 0 x n, B_i n x 0) needs no special case.
-    No e_i is formed: `apply` reads e_i v as B_i (R_i v), `blocks` R_i op^k B_j.
+    B_i is n x r_i and R_i is r_i x n, r_i = rank e_i, with R_i B_i = I
+    (`of`, from slices at a graded pair's blocks).  B_i has full column rank
+    and R_i full row rank, so for any X, e_i X e_j = 0 iff R_i X B_j = 0,
+    and e_i e_j = c e_i iff R_i B_j = c I (i = j) or 0 (i != j), orthogonal
+    idempotents or not.  Blocks are integer rows: R_i is right[i] / r_i and
+    B_i is left[i] / b_i with dens[i] = r_i * b_i, so a zero test of any
+    block product needs no denominator, and rank 0 (R_i 0 x n, B_i n x 0)
+    needs no special case.  No e_i is formed: `apply` reads e_i v as
+    B_i (R_i v), `blocks` R_i op^k B_j.
     """
 
     field: Field
@@ -341,21 +318,25 @@ class RankFactors(NamedTuple):
     dens: List[int]
 
     @classmethod
-    def of(cls, chain: List[Matrix], coeffs: List[list], blocks) -> "RankFactors":
-        """Each e_i's factors at U_i = blocks[i], where e_i[U_i, U_i] = I and rank
-        e_i = |U_i| (realization.OperatorPair): one lincomb of the chain's
-        rows at U_i stacked on its columns there (R_i on B_i transposed), over
-        c_ik / den for P_k = ints / den; dens[i] is its denominator squared."""
-        f, n, right, left, dens = chain[0].field, chain[0].nrows, [], [], []
-        for cs, at in zip(coeffs, blocks):
-            terms = [(f.mul(c, f.from_ints(1, m.form[1])), m.form[0])
-                     for c, m in zip(cs, chain) if c]
-            ints, den = lincomb((c, Matrix.of_ints(f, [rows[p] for p in at]
-                                                   + [[row[p] for row in rows] for p in at]))
-                                for c, rows in terms).form
-            right.append(ints[: len(at)])
-            left.append([list(col) for col in zip(*ints[len(at):])] or [[] for _ in range(n)])
-            dens.append(den * den)
+    def of(cls, family, blocks, step: int) -> "RankFactors":
+        """e_i's factors at U_i = blocks[i] from poly.lagrange_idempotents'
+        (c_i, P_i, Q_i), e_i = c_i P_i Q_i, for an operator A that sends U_j
+        into U_j + U_{j+step} (graded).  For step +1, P_k maps every U_j into
+        U_k + ... + U_d (its rows at U_i are 0 for i < k) and Q_k kills U_j
+        for j > k (its columns at U_i are 0 for i > k).  So Q_i P_i = sum_j
+        Q_i[:, U_j] P_i[U_j, :] keeps only j = i: e_i = B_i R_i exactly, with
+        B_i = Q_i[:, U_i] and R_i = c_i P_i[U_i, :], and R_i B_i = c_i
+        (P_i Q_i)[U_i, U_i] = e_i[U_i, U_i] = I.  For step -1, the mirror:
+        B_i = P_i[:, U_i] and R_i = c_i Q_i[U_i, :].  Both in lowest terms."""
+        f, right, left, dens = family[0][1].field, [], [], []
+        for (c, p, q), at in zip(family, blocks):
+            (rows, rden), (cols, cden) = (q.form, p.form) if step < 0 else (p.form, q.form)
+            num, cq = f.ratio(c)
+            r, rd = _lowest([f.shrink([num * x for x in rows[k]]) for k in at], rden * cq)
+            b, bd = _lowest([[row[k] for k in at] for row in cols], cden)
+            right.append(r)
+            left.append(b)
+            dens.append(rd * bd)
         return cls(f, right, left, dens)
 
     def apply(self, i: int, vec: Sequence) -> list:

@@ -105,7 +105,7 @@ class ValidationResult(NamedTuple):
 
 
 def _all_distinct(xs: Sequence) -> bool:
-    return all(xs[i] != xs[j] for i in range(len(xs)) for j in range(i + 1, len(xs)))
+    return len(set(xs)) == len(xs)  # elements are canonical and hashable
 
 
 def _ratio_family(field: Field, xs: Sequence) -> list:

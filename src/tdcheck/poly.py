@@ -9,29 +9,28 @@ over a list t_0..t_d (the starred ones over the dual list).  Only their values
 are needed, so `ladder` returns them at one point as prefix products.
 Primitive idempotents of an operator with eigenvalue list t are the Lagrange
 basis polynomials L_i(x) = prod_{j != i} (x - t_j) / (t_i - t_j) at A, read
-in their Newton form on the prefix chain P_k = (A - t_0 I)...(A - t_{k-1} I):
+as E_i = c_i P_i Q_i on two prefix chains, one from each end of the list:
 
-    E_i = sum_{k = i..d} c_ik P_k,  c_ik = 1 / prod_{m <= k, m != i} (t_i - t_m),
+    P_i = (A - t_0 I)...(A - t_{i-1} I),  Q_i = (A - t_{i+1} I)...(A - t_d I),
+    c_i = 1 / prod_{m != i} (t_i - t_m),  P_0 = Q_d = I,
 
-since the divided difference of L_i over t_0..t_k is c_ik for k >= i and 0
-below (L_i is 1 at t_i and 0 at the other nodes): the same polynomial, so the
-same matrix, with P_0 = I.  The product under c_ik is entry k of `ladder`
-over the other nodes at t_i, so each row is one ladder, inverted from k = i.
-linalg.RankFactors reads each E_i from the chain and the c_ik, never formed.
-The chain runs one step further, to P_{d+1} = prod_j (A - t_j I), which must
-be 0; that check doubles as a transcription-error detector for the bundled
-module tables.  Summed over i, P_k's coefficient is
-the divided difference of 1 over t_0..t_k, 1 at k = 0 and 0 above, so
-sum E_i = P_0 = I for any operator over any field.  Weighted by t_i it is
-that of x, t_0 at k = 0, 1 at k = 1 and 0 above, so sum t_i E_i = t_0 I + P_1
-= A when d >= 1.  At d = 0 the sum is t_0 I, which is A because the chain's
-last step P_1 = A - t_0 I was checked to be 0.  The arithmetic is exact, so
-the matrices equal these polynomials at A: rel6 and rel7 cannot fail once
-this returns, and the relation suite reports them as records.
+c_i the last `ladder` value over the other nodes at t_i.  linalg.RankFactors
+reads each rank factor of E_i as one scaled slice of P_i or Q_i (its
+docstring proves this exact on a graded pair); no E_i is formed.  The P chain
+runs one step further, to P_d (A - t_d I) = prod_j (A - t_j I), which must be
+0; that check doubles as a transcription-error detector for the bundled
+module tables.  sum_i L_i = 1 and, for d >= 1, sum_i t_i L_i = x have
+degree at most d and agree at the d + 1 distinct nodes, so they are
+polynomial identities: sum E_i = I and sum t_i E_i = A for any operator over
+any field.  At d = 0, t_0 E_0 = t_0 I is A because the check A - t_0 I = 0
+passed.  The arithmetic is exact, so rel6 and rel7 cannot fail once this
+returns, and the relation suite reports them as records.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .linalg import Matrix
@@ -65,27 +64,21 @@ def ladder(field, roots: Sequence, x) -> list:
     return out
 
 
-def lagrange_idempotents(a: Matrix, thetas: Sequence) -> Tuple[List[Matrix], List[list]]:
-    """Primitive idempotents of `a` for the eigenvalue list `thetas` in Newton
-    form (module docstring): the chain P_0 = I..P_d and the rows c_i0..c_id.
+def lagrange_idempotents(a: Matrix, thetas: Sequence) -> List[Tuple[object, Matrix, Matrix]]:
+    """Primitive idempotents of `a` for the eigenvalue list `thetas`, as the
+    triples (c_i, P_i, Q_i) with E_i = c_i P_i Q_i (module docstring).
 
     Requires the list entries pairwise distinct and prod (A - t_i I) = 0.
-    The prefix chain costs d products, the last of them the minimal-polynomial
-    check.
+    The P chain costs d products, the last of them the minimal-polynomial
+    check, and the Q chain d - 1.
     """
     f = a.field
-    d = len(thetas) - 1
-    for i in range(d + 1):
-        for j in range(i + 1, d + 1):
-            if thetas[i] == thetas[j]:
-                raise PolyError(f"repeated eigenvalue at positions {i}, {j}")
-    chain = [Matrix.identity(f, a.nrows)]  # P_0..P_d
-    full = a.shift(thetas[0])
-    for t in thetas[1:]:
-        chain.append(full)
-        full = full * a.shift(t)
-    if not full.is_zero():
-        raise MinimalPolynomialError(full.rank())
-    coeffs = [[f.zero] * i + [f.inv(p) for p in ladder(f, thetas[:i] + thetas[i + 1:], t)[i:]]
-              for i, t in enumerate(thetas)]
-    return chain, coeffs
+    if len(set(thetas)) < len(thetas):
+        raise PolyError("repeated eigenvalue")
+    ident, shifts = Matrix.identity(f, a.nrows), [a.shift(t) for t in thetas]
+    ps = [ident, *accumulate(shifts, mul)]  # P_0..P_d, then the full product
+    if not ps[-1].is_zero():
+        raise MinimalPolynomialError(ps[-1].rank())
+    qs = [ident, *accumulate(shifts[:0:-1], mul)][::-1]  # Q_0..Q_d
+    return [(f.inv(ladder(f, thetas[:i] + thetas[i + 1:], t)[-1]), ps[i], qs[i])
+            for i, t in enumerate(thetas)]

@@ -44,7 +44,7 @@ argument gives R*_i A^k B*_j = 0 when i > j + k.
 
 Completeness and eigenvalue reconstruction (rel6, rel7), sum e_i = I and
 sum t_i e_i = A, are reported as passing records and not computed: poly.py
-proves both for the Newton form once lagrange_idempotents returns.
+proves both for the Lagrange family once lagrange_idempotents returns.
 
 Any failed identity is reported with enough coordinates to replay it.
 """
@@ -86,11 +86,11 @@ class OperatorPair:
 
     @cached_property
     def factors(self) -> RankFactors:
-        return RankFactors.of(*lagrange_idempotents(self.a, self.theta), self.blocks)
+        return RankFactors.of(lagrange_idempotents(self.a, self.theta), self.blocks, 1)
 
     @cached_property
     def dual_factors(self) -> RankFactors:
-        return RankFactors.of(*lagrange_idempotents(self.astar, self.theta_star), self.blocks)
+        return RankFactors.of(lagrange_idempotents(self.astar, self.theta_star), self.blocks, -1)
 
     @cached_property
     def transposed(self) -> Tuple[Matrix, Matrix]:

@@ -4,11 +4,14 @@ They are the test side of the program: code that only the tests run stays
 here, not in src/tdcheck.
 """
 
+from functools import reduce
+from operator import mul
+
 from tdcheck import tdsystem
 from tdcheck.fields import derive_seed
-from tdcheck.linalg import Matrix, RankFactors, lincomb
+from tdcheck.linalg import Matrix, RankFactors
 from tdcheck.params import random_admissible_context
-from tdcheck.poly import ladder, lagrange_idempotents
+from tdcheck.poly import ladder
 from tdcheck.realization import OperatorPair, realize, verify_relations
 from tdcheck.report import failed
 from tdcheck.tables import (
@@ -76,11 +79,19 @@ def reference_restrict(op: Matrix, basis) -> Matrix:
 # rank factors of hand-built families
 
 
+def lagrange_idempotent(op: Matrix, values, i: int) -> Matrix:
+    """E_i of op for the eigenvalue list from the definition: prod_{m != i}
+    (A - t_m I) multiplied out factor by factor and divided by
+    prod_{m != i} (t_i - t_m) (no prefix chain of poly.lagrange_idempotents
+    is read)."""
+    f, t, rest = op.field, values[i], values[:i] + values[i + 1:]
+    return scaled(reduce(mul, map(op.shift, rest), Matrix.identity(f, op.nrows)),
+                  f.inv(reduce(f.mul, (f.sub(t, s) for s in rest), f.one)))
+
+
 def lagrange_family(op: Matrix, values) -> list:
-    """E_0..E_d of op for the eigenvalue list, each the lincomb of the chain
-    P_0..P_d at its Newton coefficients (lagrange_idempotents; 0 below P_i)."""
-    chain, coeffs = lagrange_idempotents(op, values)
-    return [lincomb(zip(cs, chain)) for cs in coeffs]
+    """E_0..E_d of op for the eigenvalue list (lagrange_idempotent)."""
+    return [lagrange_idempotent(op, values, i) for i in range(len(values))]
 
 
 def pair_families(pair) -> tuple:
@@ -126,6 +137,37 @@ def echelon_factors(idems) -> RankFactors:
 
 
 # ---------------------------------------------------------------------------
+# The premise RankFactors.of rests on: on a graded pair each prefix-chain
+# member vanishes on the blocks the grading says it does
+
+
+def prefix_chains(op: Matrix, values) -> list:
+    """(P_k, Q_k) for k = 0..d, P_k = prod_{m < k} (A - t_m I) and Q_k =
+    prod_{m > k} (A - t_m I), multiplied out factor by factor here."""
+    ident = Matrix.identity(op.field, op.nrows)
+    return [(reduce(mul, map(op.shift, values[:k]), ident),
+             reduce(mul, map(op.shift, values[k + 1:]), ident)) for k in range(len(values))]
+
+
+def chain_premise_failures(pair) -> list:
+    """(operator, chain, k, i) wherever a chain member is nonzero on block
+    U_i where the grading makes it zero.  For a, which raises: P_k's rows at
+    U_i for i < k and Q_k's columns at U_i for i > k.  For a*, which lowers,
+    the mirror image: P_k's columns at U_i for i < k and Q_k's rows at U_i
+    for i > k."""
+    out = []
+    for tag, op, values, step in (("a", pair.a, pair.theta, 1),
+                                  ("astar", pair.astar, pair.theta_star, -1)):
+        for k, (p, q) in enumerate(prefix_chains(op, values)):
+            p_rows, q_rows = (p, q.transpose()) if step > 0 else (p.transpose(), q)
+            for chain, m, near in (("P", p_rows, range(k)),
+                                   ("Q", q_rows, range(k + 1, len(values)))):
+                out += [(tag, chain, k, i) for i in near
+                        if any(any(m.form[0][r]) for r in pair.blocks[i])]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # The split as it was read before OperatorPair.corner: e*_0 applied through
 # the dual family's rank factors, each image's entry 0 times its prefix
 # ladder value
@@ -150,7 +192,7 @@ def assert_corner_reads_e0(pair):
     reference split."""
     f, s = pair.field, pair.theta_star
     eta = ladder(f, s[:0:-1], s[0])[-1]
-    row = elements(lagrange_family(pair.astar, s)[0])[0]
+    row = elements(lagrange_idempotent(pair.astar, s, 0))[0]
     assert pair.corner[0] == eta
     assert pair.corner == [f.mul(eta, x) for x in row]
     assert pair.split == reference_split(pair)
@@ -339,14 +381,17 @@ def mutation_detections(table, mutated, field, seed: int, trials: int) -> int:
 # reads each image from its parent's instead)
 
 
-def word_image(real, word) -> list:
-    """The vector (word).phi in a realized module, multiplying right to left
-    by the full Lagrange idempotents."""
+def word_images(real, words) -> list:
+    """The vectors (word).phi in a realized module, one per word, each
+    multiplying right to left by the full Lagrange idempotents."""
     e, estar = pair_families(real)
-    vec = real.phi
-    for starred, idx in reversed(word):
-        vec = (estar if starred else e)[idx].apply(vec)
-    return vec
+    out = []
+    for word in words:
+        vec = real.phi
+        for starred, idx in reversed(word):
+            vec = (estar if starred else e)[idx].apply(vec)
+        out.append(vec)
+    return out
 
 
 # ---------------------------------------------------------------------------

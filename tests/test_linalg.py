@@ -9,15 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdcheck.fields import DEFAULT_PRIME, PrimeField, Rationals, Sampler
-from tdcheck.linalg import EchelonBasis, Matrix, graded, lincomb, restrict
+from tdcheck.linalg import EchelonBasis, Matrix, graded, restrict
 from tdcheck.params import random_admissible_context
 from tdcheck.realization import realize
 from tdcheck.tables import load_table
 from tdcheck.tdsystem import submodule_closure
 
 from support import (
-    coordinates, elements, mat_add, proper_closure_d2_text, read_form, reference_restrict, scaled,
-    zero_matrix,
+    coordinates, elements, proper_closure_d2_text, read_form, reference_restrict, zero_matrix,
 )
 
 QQ = Rationals()
@@ -39,19 +38,6 @@ def test_product_matches_hand_value():
     a = frac_matrix([[1, 2], [3, 4]])
     b = frac_matrix([[5, 6], [7, 8]])
     assert a * b == frac_matrix([[19, 22], [43, 50]])
-
-
-@pytest.mark.parametrize("field,seed", [(QQ, 61), (PrimeField(), 62)], ids=["qq", "fp"])
-def test_lincomb_is_the_entrywise_sum_of_multiples(field, seed):
-    # a zero coefficient adds nothing, and the identity's nonzeros are its
-    # diagonal; over Q the coefficients and entries are proper ratios
-    s = Sampler(field, seed)
-    mats = [Matrix(field, [random_vector(s, 4, 0.6) for _ in range(4)]) for _ in range(3)]
-    mats.append(Matrix.identity(field, 4))
-    coeffs = [random_entry(s, 1.0), field.zero, random_entry(s, 1.0), random_entry(s, 1.0)]
-    want = reduce(mat_add, (scaled(m, c) for c, m in zip(coeffs, mats)))
-    assert lincomb(zip(coeffs, mats)) == want
-    assert lincomb([(field.one, mats[3])]) == Matrix.identity(field, 4)
 
 
 @pytest.mark.parametrize("f", [QQ, PrimeField()], ids=["qq", "fp"])

@@ -332,3 +332,19 @@ def test_rational_scalar_at_the_digit_limit_parses():
     assert QQ.parse(" -2/4 ") == Fraction(-1, 2)
     assert QQ.parse("0.25e1") == Fraction(5, 2)
     assert QQ.parse("1e-0004") == Fraction(1, 10**4)
+
+
+def test_a_long_array_validates_in_linear_time():
+    # theta_i = i^2 and theta*_i = 3i^2 + i have both ratio families 3, so
+    # the array passes (i)-(iii); the distinctness checks are linear in d
+    # (pairwise comparison takes about 30 s here)
+    d = 20_000
+    theta = [i * i for i in range(d + 1)]
+    theta_star = [3 * i * i + i for i in range(d + 1)]
+    pa = ParameterArray(d, theta, theta_star, [1] + [0] * (d - 1) + [1])
+    start = time.perf_counter()
+    result = validate_parameter_array(pa, FP)
+    assert time.perf_counter() - start < 5
+    assert result.passed and result.failures == []
+    repeated = ParameterArray(d, theta[:-1] + [theta[7]], theta_star, pa.zeta)
+    assert failure_ids(validate_parameter_array(repeated, FP)) == [COND_THETA_DISTINCT]

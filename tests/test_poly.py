@@ -67,7 +67,8 @@ def test_lagrange_idempotent_single_point():
     a = Matrix(QQ, [[Fraction(9)]])
     (e0,) = lagrange_family(a, fr([9]))
     assert e0 == Matrix.identity(QQ, 1)
-    assert lagrange_idempotents(a, fr([9])) == ([Matrix.identity(QQ, 1)], [[1]])
+    one = Matrix.identity(QQ, 1)
+    assert lagrange_idempotents(a, fr([9])) == [(1, one, one)]
 
 
 def test_lagrange_idempotents_two_by_two():
@@ -112,8 +113,8 @@ def test_lagrange_idempotents_random_triangular():
 @pytest.mark.parametrize("f", [QQ, PrimeField()], ids=["qq", "fp"])
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_lagrange_idempotents_equal_the_full_products(f, n):
-    # each E_i against prod_{j != i} (A - t_j I) / (t_i - t_j), identity
-    # factors included, so skipping the products by I changes no entry
+    # each c_i P_i Q_i against prod_{j != i} (A - t_j I) / (t_i - t_j), the
+    # reference family multiplied out from the definition
     s = Sampler(f, 40 + n)
     thetas = s.distinct(n)
     a = Matrix(
@@ -121,20 +122,17 @@ def test_lagrange_idempotents_equal_the_full_products(f, n):
         [[s.scalar() for _ in range(i)] + [thetas[i]] + [f.zero] * (n - i - 1)
          for i in range(n)],
     )
-    for i, e in enumerate(lagrange_family(a, thetas)):
-        numer, den = Matrix.identity(f, n), f.one
-        for j, t in enumerate(thetas):
-            if j != i:
-                numer = numer * a.shift(t)
-                den = f.mul(den, f.sub(thetas[i], t))
-        assert elements(e) == elements(scaled(numer, f.inv(den)))
+    want = lagrange_family(a, thetas)
+    for (c, p, q), e in zip(lagrange_idempotents(a, thetas), want, strict=True):
+        assert elements(scaled(p * q, c)) == elements(e)
 
 
 @pytest.mark.parametrize("d", range(6))
 def test_lagrange_family_forms_only_the_products_it_reads(d, monkeypatch):
-    # the d products of the prefix chain P_2..P_{d+1} (the last is the
-    # minimal-polynomial check); the Newton form is the chain and each E_i's
-    # coefficients, and no E_i is formed
+    # the d products of the P chain P_2..P_{d+1} (the last is the
+    # minimal-polynomial check) and the d - 1 of the Q chain Q_{d-2}..Q_0:
+    # P_1 and Q_{d-1} are shifts, P_0 and Q_d the identity, and no E_i is
+    # formed
     f = PrimeField()
     s = Sampler(f, 60 + d)
     thetas = s.distinct(d + 1)
@@ -151,16 +149,21 @@ def test_lagrange_family_forms_only_the_products_it_reads(d, monkeypatch):
         return mat_mul(self, x, y)
 
     monkeypatch.setattr(PrimeField, "mat_mul", counted)
-    chain, coeffs = lagrange_idempotents(a, thetas)
-    assert len(products) == d
+    family = lagrange_idempotents(a, thetas)
+    assert len(products) == max(2 * d - 1, 0)
     monkeypatch.undo()
-    assert len(chain) == d + 1 and all(len(cs) == d + 1 and not any(cs[:i])
-                                       for i, cs in enumerate(coeffs))
-    power = Matrix.identity(f, d + 1)
-    for k, t in enumerate(thetas):  # P_k = (A - t_0)...(A - t_{k-1})
-        assert chain[k] == power
-        power = power * a.shift(t)
-    idems = lagrange_family(a, thetas)
+    assert len(family) == d + 1
+    for i, (c, p, q) in enumerate(family):
+        want_p, want_q, den = Matrix.identity(f, d + 1), Matrix.identity(f, d + 1), f.one
+        for m, t in enumerate(thetas):
+            if m < i:
+                want_p = want_p * a.shift(t)
+            elif m > i:
+                want_q = want_q * a.shift(t)
+            if m != i:
+                den = f.mul(den, f.sub(thetas[i], t))
+        assert (p, q, c) == (want_p, want_q, f.inv(den))
+    idems = [scaled(p * q, c) for c, p, q in family]
     assert sum(e.rank() for e in idems) == d + 1
     for i, e in enumerate(idems):
         assert e * e == e and a * e == scaled(e, thetas[i])

@@ -21,7 +21,7 @@ from tdcheck.tables import load_table
 
 from support import (
     assert_corner_reads_e0, coefficient_slots, echelon_factors, elements, is_graded,
-    lagrange_family, mat_add, pair_families, rebuilt, reference_split, scaled, sliced_factors,
+    lagrange_idempotent, mat_add, pair_families, rebuilt, reference_split, scaled, sliced_factors,
     term_edits, with_negated_coefficient, zero_matrix,
 )
 
@@ -118,7 +118,7 @@ def test_split_sequence_reads_weights_at_phi():
     # row 0 of the full Lagrange E*_0) and from e*_0's rank factors alike
     ctx = qq_context(2, [0, 1, 3], [0, 2, 5], [4, 6])
     real = realize(load_table(2), ctx, QQ)
-    corner = [10 * x for x in elements(lagrange_family(real.astar, ctx.theta_star)[0])[0]]
+    corner = [10 * x for x in elements(lagrange_idempotent(real.astar, ctx.theta_star, 0))[0]]
     split = split_sequence(real.a.transpose(), corner, ctx.theta, ctx.theta_star)
     assert split == real.split == reference_split(real) == fr([1, 4, 6])
     assert real.corner == corner and corner[0] == 10
@@ -159,7 +159,7 @@ def test_every_graded_table_reads_phi_at_a_one_coordinate_block_0(field):
         real = realize(table, ctx, field)
         assert table.row_blocks[0] == range(0, 1)
         assert real.astar.apply(real.phi) == [f.mul(ctx.theta_star[0], x) for x in real.phi]
-        corner, w = lagrange_family(real.astar, ctx.theta_star)[0], real.phi
+        corner, w = lagrange_idempotent(real.astar, ctx.theta_star, 0), real.phi
         for i in range(d + 1):
             if i:
                 w = [f.sub(x, f.mul(ctx.theta[i - 1], y)) for x, y in zip(real.a.apply(w), w)]
@@ -566,8 +566,8 @@ def restricted_with_an_empty_block(real):
 
 @pytest.mark.parametrize("d", range(6))
 @pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
-def test_newton_factors_read_what_slicing_the_full_family_reads(field, d):
-    # RankFactors.of reads each factor from the chain; slicing the full
+def test_chain_factors_read_what_slicing_the_full_family_reads(field, d):
+    # RankFactors.of reads each factor from one chain member; slicing the full
     # Lagrange family at the blocks (support.sliced_factors) must give the
     # same block walk, unit verdicts and images, on the
     # realized pair, on a graded sign flip of its table and on a restricted
@@ -598,30 +598,26 @@ def test_newton_factors_read_what_slicing_the_full_family_reads(field, d):
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
 def test_reading_a_family_forms_no_n_by_n_combination(field, monkeypatch):
-    # each member's factors are one combination of the chain's rows at its
-    # block stacked on its columns there: no lincomb output is 32 x 32 (an
-    # E_i would be).  It reads d = 5, as a stacked member is 2|U_i| x n,
-    # which happens to be square at d <= 2
-    import tdcheck.linalg
-    import tdcheck.poly
-
+    # reading both families forms only the chain members: 2d - 1 products
+    # each (poly.lagrange_idempotents), no P_i Q_i and no E_i, and each
+    # factor is a slice of one member, |U_i| rows or columns of it
     shapes = []
+    mat_mul = type(field).mat_mul
 
-    def recorded(lincomb):
-        def wrapper(terms):
-            m = lincomb(terms)
-            shapes.append((m.nrows, m.ncols))
-            return m
+    def recorded(self, x, y):
+        out = mat_mul(self, x, y)
+        shapes.append((len(out), len(out[0])))
+        return out
 
-        return wrapper
-
-    for module in (tdcheck.linalg, tdcheck.poly):
-        if hasattr(module, "lincomb"):
-            monkeypatch.setattr(module, "lincomb", recorded(module.lincomb))
     real = realize(load_table(5), random_admissible_context(5, field, 960), field)
-    assert real.factors.ranks == real.dual_factors.ranks == [1, 5, 10, 10, 5, 1]
-    assert (32, 32) not in shapes
-    assert len(shapes) == 2 * 6  # R_i stacked on B_i transposed, for each e_i
+    monkeypatch.setattr(type(field), "mat_mul", recorded)
+    fams = real.factors, real.dual_factors
+    monkeypatch.undo()
+    assert shapes == [(32, 32)] * 2 * (2 * 5 - 1)
+    for fam in fams:
+        assert fam.ranks == [1, 5, 10, 10, 5, 1]
+        assert [len(b[0]) for b in fam.left] == fam.ranks
+        assert {len(r) for rows in fam.right for r in rows} == {len(b) for b in fam.left} == {32}
 
 
 @pytest.mark.parametrize("d", range(6))

@@ -10,6 +10,7 @@ from tdcheck.cli import main
 from tdcheck.fields import DEFAULT_PRIME, PrimeField, Rationals, Sampler, derive_seed
 from tdcheck.linalg import EchelonBasis, Matrix, restrict
 from tdcheck.params import ParameterArray, random_admissible_context, random_valid_parameter_array
+from tdcheck.poly import MinimalPolynomialError, lagrange_idempotents
 from tdcheck.realization import OperatorPair, context_env, realize, split_sequence
 from tdcheck.tables import FORMAT_VERSION, bundled_table_text, load_table, parse_table
 from tdcheck.tdsystem import (
@@ -24,8 +25,9 @@ from tdcheck.tdsystem import (
 )
 
 from support import (
-    assert_corner_reads_e0, coefficient_slots, coordinates, dual_closure, elements, is_graded,
-    krawtchouk_pair, lagrange_family, leonard_pair, proper_closure_d2_text, reference_restrict,
+    assert_corner_reads_e0, chain_premise_failures, coefficient_slots, coordinates, dual_closure,
+    elements, is_graded, krawtchouk_pair, lagrange_family, leonard_pair, lowered_d1_table,
+    prefix_chains, proper_closure_d2_text, reference_restrict, term_edits,
     two_closure_irreducible, with_negated_coefficient,
 )
 
@@ -692,13 +694,23 @@ def test_split_extraction_recovers_zeta_on_full_module():
     assert tds.split == pa.zeta
 
 
-@pytest.mark.parametrize(
-    "p,theta,theta_star,zeta",
-    [(7, [0, 1, 6], [0, 6, 3], [1, 1, 1]),
-     (7, [1, 6, 2], [0, 6, 2], [1, 3, 2]),
-     (13, [8, 5, 1], [7, 0, 4], [1, 9, 11])],
-    ids=["f7-a", "f7-b", "f13"],
-)
+QUOTIENT_POINTS = [(7, [0, 1, 6], [0, 6, 3], [1, 1, 1]),
+                   (7, [1, 6, 2], [0, 6, 2], [1, 3, 2]),
+                   (13, [8, 5, 1], [7, 0, 4], [1, 9, 11])]
+
+
+def quotient_pair(real, dual) -> OperatorPair:
+    """The pair on W/M, M the annihilator of D = dual: the transposed pair
+    restricted to D, transposed back; its block j is D's pivots in row
+    block j."""
+    def quotient(op):
+        return restrict(op.transpose(), dual).transpose()
+
+    return OperatorPair(quotient(real.a), quotient(real.astar), real.theta, real.theta_star,
+                        restriction_blocks(dual, real.blocks))
+
+
+@pytest.mark.parametrize("p,theta,theta_star,zeta", QUOTIENT_POINTS, ids=["f7-a", "f7-b", "f13"])
 def test_extract_reads_the_irreducible_quotient_of_a_reducible_module(p, theta, theta_star, zeta):
     # at these points phi generates the d = 2 module, which is reducible.
     # Its largest submodule without phi is M, the annihilator of D, the dual
@@ -713,20 +725,81 @@ def test_extract_reads_the_irreducible_quotient_of_a_reducible_module(p, theta, 
     assert (tds.irreducible, tds.shape) == (False, [1, 2, 1])
     dual = irreducibility_check(real)  # the D that extraction keeps
     assert dual.dim == 3
-
-    def quotient(op):
-        return restrict(op.transpose(), dual).transpose()
-
     # the quotient keeps the contract: phi's image is e_0 there, and block 0 is [0]
     assert Matrix(field, elements(dual)).apply(real.phi) == [field.one] + [field.zero] * 2
-    blocks = restriction_blocks(dual, real.blocks)
-    assert blocks[0] == [0]
-    pair = OperatorPair(quotient(real.a), quotient(real.astar), theta, theta_star, blocks)
+    pair = quotient_pair(real, dual)
+    assert pair.blocks[0] == [0]
     quo = extract_td_system(pair)
     assert quo.axiom_failures == []
     for read in (real, pair):  # the corner is e*_0's row on the module and on W/M
         assert_corner_reads_e0(read)
     assert (quo.closure_dim, quo.shape, quo.split, quo.irreducible) == (3, [1, 1, 1], zeta, True)
+
+
+# ---------------------------------------------------------------------------
+# The premise of RankFactors.of: on every graded pair, each member of the two
+# prefix chains of lagrange_idempotents vanishes on the blocks the grading
+# says it does (support.chain_premise_failures), so each rank factor is one
+# slice of one member
+
+
+def restricted_pairs(field):
+    """The pairs restricted to a proper closure of phi that these tests
+    build: each padded d = 1..3 realization on its closure, and the closure
+    of proper_closure_d2_text's module at trials 0-4."""
+    out = []
+    for d in (1, 2, 3):
+        ctx = random_admissible_context(d, field, 40 + d)
+        pair = padded_pair(realize(load_table(d), ctx, field))
+        closure = submodule_closure(pair.a, pair.astar, pair.phi)
+        out.append(OperatorPair(restrict(pair.a, closure), restrict(pair.astar, closure),
+                                pair.theta, pair.theta_star,
+                                restriction_blocks(closure, pair.blocks)))
+    table = parse_table(proper_closure_d2_text())
+    for t in range(5):
+        pa = random_valid_parameter_array(2, field, derive_seed(0, t))
+        real = construct_from_params(pa, field, table)
+        closure = submodule_closure(real.a, real.astar, real.phi)
+        out.append(OperatorPair(restrict(real.a, closure), restrict(real.astar, closure),
+                                pa.theta, pa.theta_star, restriction_blocks(closure, real.blocks)))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
+def test_every_graded_pair_meets_the_premise_of_the_sliced_factors(field):
+    # the bundled tables at d = 0..5, every graded single-term edit of d3.txt
+    # and the restricted pairs; the chains checked are the ones
+    # lagrange_idempotents returns
+    ctx = random_admissible_context(3, field, 3111)
+    edits = [t for _, _, t in term_edits(load_table(3)) if is_graded(t)]
+    pairs = [realize(load_table(d), random_admissible_context(d, field, 70 + d), field)
+             for d in range(6)]
+    pairs += [realize(t, ctx, field) for t in edits] + restricted_pairs(field)
+    assert len(edits) > 40 and [p.dim for p in pairs[-8:]] == [2, 4, 8, 3, 3, 3, 3, 3]
+    for pair in pairs:
+        assert chain_premise_failures(pair) == []
+        for op, values in ((pair.a, pair.theta), (pair.astar, pair.theta_star)):
+            assert [(p, q) for _, p, q in lagrange_idempotents(op, values)] == prefix_chains(
+                op, values)
+
+
+@pytest.mark.parametrize("p,theta,theta_star,zeta", QUOTIENT_POINTS, ids=["f7-a", "f7-b", "f13"])
+def test_the_quotient_pairs_meet_the_premise_of_the_sliced_factors(p, theta, theta_star, zeta):
+    field = PrimeField(p)
+    real = construct_from_params(ParameterArray(2, theta, theta_star, zeta), field, load_table(2))
+    pair = quotient_pair(real, irreducibility_check(real))
+    assert pair.dim == 3 and chain_premise_failures(pair) == []
+
+
+def test_the_premise_check_fails_on_an_ungraded_table():
+    # r -> phi added to a lowers U_1 into U_0: Q_0 = a - th1 is nonzero on
+    # U_1's column, P_1 = a - th0 on U_0's row, and the family of a fails
+    # its minimal polynomial
+    field = FP
+    real = realize(lowered_d1_table(), random_admissible_context(1, field, 71), field)
+    assert chain_premise_failures(real) == [("a", "Q", 0, 1), ("a", "P", 1, 0)]
+    with pytest.raises(MinimalPolynomialError):
+        lagrange_idempotents(real.a, real.theta)
 
 
 # ---------------------------------------------------------------------------

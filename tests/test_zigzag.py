@@ -29,7 +29,7 @@ from tdcheck.zigzag import (
     word_text,
 )
 
-from support import word_image
+from support import word_images
 
 QQ = Rationals()
 FP = PrimeField()
@@ -456,7 +456,7 @@ def test_word_image_d1_hand_value():
     theta, theta_star = [Fraction(0), Fraction(1)], [Fraction(5), Fraction(2)]
     ctx = ParameterArray(1, theta, theta_star, [Fraction(1), Fraction(7)])
     real = realize(load_table(1), ctx, QQ)
-    img = word_image(real, ((False, 1), (True, 0)))  # e1 e*0
+    (img,) = word_images(real, [((False, 1), (True, 0))])  # e1 e*0
     # e1 phi = r/(th1 - th0) = r
     assert img == [Fraction(0), Fraction(1)]
     assert not failed(feasible_rank_test(real))
@@ -465,7 +465,7 @@ def test_word_image_d1_hand_value():
 @pytest.mark.parametrize("field", [FP, QQ], ids=["fp", "qq"])
 def test_feasible_rank_applies_one_idempotent_per_word(field, monkeypatch):
     # each image is one idempotent, read through its rank factors, times its
-    # parent's; support.word_image's right-to-left walks would apply 1, 3, 8,
+    # parent's; support.word_images' right-to-left walks would apply 1, 3, 8,
     # 20, 48 and 112.  No n x n matrix is applied
     reals = [realize(load_table(d), random_admissible_context(d, field, 960 + d), field)
              for d in range(6)]
@@ -509,7 +509,7 @@ def test_feasible_rank_reads_every_word_image_in_word_order(field, monkeypatch):
         added.clear()
         feasible_rank_test(real)
         monkeypatch.undo()
-        assert added == [word_image(real, w) for w in words]
+        assert added == word_images(real, words)
 
 
 def test_a_rank_sweep_enumerates_the_feasible_words_once_per_d(monkeypatch):
