@@ -183,12 +183,11 @@ class Rationals:
     # reduces the pair to lowest terms.  to_ints clears the denominators of
     # rows assembled from scalars, from_ints reads an integer over a
     # denominator back as an element, ratio splits a scalar into
-    # numerator and denominator, shrink canonicalizes an echelon step's
-    # multiplier, a complete echelon residual or a rank-factor row (nothing
-    # to do over the rationals), and primitive scales a vector to the
-    # canonical integer representative of its line: content 1 and positive
-    # at piv.  sub also acts on the integers of a form (linalg's shift):
-    # plain integer arithmetic here.
+    # numerator and denominator, inv_ratio does that for den / num (num not
+    # 0), shrink canonicalizes an echelon step's multiplier, a complete
+    # echelon residual or a rank-factor row (nothing to do over the
+    # rationals), and primitive scales a vector to the canonical integer
+    # representative of its line: content 1 and positive at piv.
     def mat_mul(self, rows_a, rows_b):
         return _int_mat_mul(rows_a, rows_b)
 
@@ -200,6 +199,9 @@ class Rationals:
 
     def ratio(self, a: Fraction):
         return a.numerator, a.denominator
+
+    def inv_ratio(self, num: int, den: int):
+        return (den, num) if num > 0 else (-den, -num)
 
     def shrink(self, v):
         return v
@@ -326,6 +328,9 @@ class PrimeField:
 
     def ratio(self, a: int):
         return a, 1
+
+    def inv_ratio(self, num: int, den: int):
+        return den * self.inv(num) % self.p, 1
 
     def shrink(self, v):
         p = self.p

@@ -5,9 +5,9 @@ over one positive denominator, in lowest terms, so over Q the gcd of the
 denominator and every entry is 1 and over F_p the rows are the residues over
 1.  No module but this one and `fields` reads or builds a form.  A matrix
 assembled from scalars (`Matrix(field, rows)`) clears them when it is built;
-a product, a shifted or transposed matrix and the identity are built from
-integer rows (`Matrix.of_ints`).  Dimensions are tiny (at most 32) and the
-hot spots walk only nonzeros:
+a product or a transposed matrix is built from integer rows
+(`Matrix.of_ints`).  Dimensions are tiny (at most 32) and the hot spots walk
+only nonzeros:
 
   * a product is the field's `mat_mul` on the two integer forms, one sparse
     integer kernel for both fields (`fields._int_mat_mul`), over the product
@@ -17,14 +17,12 @@ hot spots walk only nonzeros:
     the nonzeros of each row;
   * EchelonBasis eliminates fraction-free on integer rows, forward only
     (walking nonzeros; over F_p one reduction per step and per residual),
-    and `form` back-substitutes on each read; `Matrix.echelon`, behind
-    `rank`, inserts the nonzero rows of the integer form like any vector:
-    over Q each is a multiple of its row, which spans the same line;
+    and `form` back-substitutes on each read;
   * `restrict` reads an operator on an invariant subspace as the rows at
     the basis's pivots of one product, the operator times the basis's form
     transposed, and `graded` reads a pair's split grading off the form;
-  * `RankFactors` reads a family's rank factors e_i = B_i R_i at a graded
-    pair's blocks, each one scaled slice of one chain member, applies e_i as
+  * `RankFactors` builds a family's rank factors e_i = B_i R_i from the path
+    products of a graded operator's blocks (`of`), applies e_i as
     B_i (R_i v) and walks the blocks R_i op^k B_j on the half the grading
     leaves open; `image_mod_p` reads a pair and a vector mod p.
 
@@ -71,10 +69,6 @@ class Matrix:
         m.ncols = len(ints[0]) if ints else ncols
         return m
 
-    @classmethod
-    def identity(cls, field, n: int) -> "Matrix":
-        return cls.of_ints(field, [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
@@ -89,19 +83,6 @@ class Matrix:
         # an inner dimension of 0 gives the zero matrix: b has no row to read the width from
         prod = self.field.mat_mul(a, b) if b else [[0] * other.ncols for _ in a]
         return Matrix.of_ints(self.field, prod, da * db, other.ncols)
-
-    def shift(self, c) -> "Matrix":
-        """self - c * I (square only).  It works on the integer form, where
-        the field's sub is integer arithmetic over Q and residue arithmetic
-        over F_p."""
-        f = self.field
-        num, cden = f.ratio(c)
-        ints, den = self.form
-        rows = [[x * cden for x in r] for r in ints] if cden != 1 else [r[:] for r in ints]
-        num *= den
-        for i, r in enumerate(rows):
-            r[i] = f.sub(r[i], num)
-        return Matrix.of_ints(f, rows, den * cden)
 
     def apply(self, vec: Sequence, t=None) -> list:
         """Matrix times column vector, or self - t I times it: the vector's
@@ -127,20 +108,6 @@ class Matrix:
         ints, den = self.form
         cols = [list(col) for col in zip(*ints)] if ints else [[] for _ in range(self.ncols)]
         return Matrix.of_ints(self.field, cols, den, self.nrows)
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.form[0]))
-
-    def echelon(self) -> "EchelonBasis":
-        """Row-echelon basis of the row space (reduced rows through `form`);
-        zero rows add nothing and are skipped."""
-        basis = EchelonBasis(self.field, self.ncols)
-        for row in filter(any, self.form[0]):
-            basis.add(row)
-        return basis
-
-    def rank(self) -> int:
-        return self.echelon().dim
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
@@ -302,14 +269,14 @@ class RankFactors(NamedTuple):
     """A family e_0..e_d held as its rank factorizations e_i = B_i R_i alone.
 
     B_i is n x r_i and R_i is r_i x n, r_i = rank e_i, with R_i B_i = I
-    (`of`, from slices at a graded pair's blocks).  B_i has full column rank
-    and R_i full row rank, so for any X, e_i X e_j = 0 iff R_i X B_j = 0,
-    and e_i e_j = c e_i iff R_i B_j = c I (i = j) or 0 (i != j), orthogonal
-    idempotents or not.  Blocks are integer rows: R_i is right[i] / r_i and
-    B_i is left[i] / b_i with dens[i] = r_i * b_i, so a zero test of any
-    block product needs no denominator, and rank 0 (R_i 0 x n, B_i n x 0)
-    needs no special case.  No e_i is formed: `apply` reads e_i v as
-    B_i (R_i v), `blocks` R_i op^k B_j.
+    (`of`, from the path products of a graded operator's blocks).  B_i has
+    full column rank and R_i full row rank, so for any X, e_i X e_j = 0 iff
+    R_i X B_j = 0, and e_i e_j = c e_i iff R_i B_j = c I (i = j) or 0
+    (i != j), orthogonal idempotents or not.  Blocks are integer rows: R_i
+    is right[i] / r_i and B_i is left[i] / b_i with dens[i] = r_i * b_i, so
+    a zero test of any block product needs no denominator, and rank 0 (R_i
+    0 x n, B_i n x 0) needs no special case.  No e_i is formed: `apply`
+    reads e_i v as B_i (R_i v), `blocks` R_i op^k B_j.
     """
 
     field: Field
@@ -318,25 +285,50 @@ class RankFactors(NamedTuple):
     dens: List[int]
 
     @classmethod
-    def of(cls, family, blocks, step: int) -> "RankFactors":
-        """e_i's factors at U_i = blocks[i] from poly.lagrange_idempotents'
-        (c_i, P_i, Q_i), e_i = c_i P_i Q_i, for an operator A that sends U_j
-        into U_j + U_{j+step} (graded).  For step +1, P_k maps every U_j into
-        U_k + ... + U_d (its rows at U_i are 0 for i < k) and Q_k kills U_j
-        for j > k (its columns at U_i are 0 for i > k).  So Q_i P_i = sum_j
-        Q_i[:, U_j] P_i[U_j, :] keeps only j = i: e_i = B_i R_i exactly, with
-        B_i = Q_i[:, U_i] and R_i = c_i P_i[U_i, :], and R_i B_i = c_i
-        (P_i Q_i)[U_i, U_i] = e_i[U_i, U_i] = I.  For step -1, the mirror:
-        B_i = P_i[:, U_i] and R_i = c_i Q_i[U_i, :].  Both in lowest terms."""
-        f, right, left, dens = family[0][1].field, [], [], []
-        for (c, p, q), at in zip(family, blocks):
-            (rows, rden), (cols, cden) = (q.form, p.form) if step < 0 else (p.form, q.form)
-            num, cq = f.ratio(c)
-            r, rd = _lowest([f.shrink([num * x for x in rows[k]]) for k in at], rden * cq)
-            b, bd = _lowest([[row[k] for k in at] for row in cols], cden)
-            right.append(r)
-            left.append(b)
+    def of(cls, op: Matrix, blocks, step: int, ladders) -> "RankFactors":
+        """The Lagrange family of op, graded at the blocks with the step,
+        from poly.lagrange_idempotents' ladders: along the step (V_k, N_k,
+        Pi and g = ladders[i] as in poly's docstring)
+
+            R_i[:, V_m] = g[d - i + m] Pi(i, m) / (g[d] g[d - i])  (m <= i),
+            B_i[V_m, :] = g[d - m] Pi(m, i)                        (m >= i).
+
+        The paths out of V_m, at the coordinates of V_0..V_m (Pi(m, m) = I),
+        are N_{m-1} times those out of V_{m-1}, op's rows off the diagonal
+        at V_1: the d(d + 1)/2 paths from d - 1 products of |V_m| rows by n
+        columns, block k of one out of V_m integer over den^(m - k).  Each
+        factor is in lowest terms."""
+        f, (ints, den), n = op.field, op.form, op.nrows
+        vs = blocks if step > 0 else blocks[::-1]
+        at, paths, strip = [0] * n, [[]] * n, []
+        for m, block in enumerate(vs):
+            if m == 1:  # Pi(1, 0) = N_0: op's rows at V_1 are N_0 off the diagonal
+                strip = [list(ints[r]) for r in block]
+            elif m and strip and block:  # N_{m-1} times the paths out of V_{m-1}
+                strip = f.mat_mul([[ints[r][c] for c in vs[m - 1]] for r in block], strip)
+            else:
+                strip = [[0] * n for _ in block]
+            for c, row in zip(block, strip):  # and Pi(m, m) = I
+                at[c], row[c], paths[c] = m, 1, row
+        (ladders, q), columns, right, left, dens = f.to_ints(ladders), list(zip(*paths)), [], [], []
+        for i, (block, g) in enumerate(zip(vs, ladders)):
+            top, bd = len(g) - 1 - i, q
+            num, rd = f.inv_ratio(g[-1] * g[top], q)  # g's numerators times this: R_i's scales
+            low, high = list(map(num.__mul__, g[top:])), g[top::-1]
+            if den != 1:  # block k of the paths out of V_m is over den^(m - k)
+                low = [x * den**m for m, x in enumerate(low)]
+                high = [x * den**(top - m) for m, x in enumerate(high)]
+                rd, bd = rd * den**i, bd * den**top
+            scale = list(map((low + [0] * top).__getitem__, at))  # R_i's, by column
+            rows, rd = _lowest([f.shrink(list(map(mul, paths[c], scale))) for c in block], rd)
+            right.append(rows)
+            scale = list(map(([0] * i + high).__getitem__, at))  # B_i's, by row
+            cols = [f.shrink(list(map(mul, columns[c], scale))) for c in block]
+            rows, bd = _lowest(list(map(list, zip(*cols))) if cols else [[] for _ in at], bd)
+            left.append(rows)
             dens.append(rd * bd)
+        if step < 0:
+            right, left, dens = right[::-1], left[::-1], dens[::-1]
         return cls(f, right, left, dens)
 
     def apply(self, i: int, vec: Sequence) -> list:

@@ -66,8 +66,8 @@ from .tables import PHI, BasisLabel, ModuleTable, chain_label, evaluate, power_l
 class OperatorPair:
     """A pair (a, a*) at two eigenvalue lists and the blocks of its split
     grading; phi is the first basis vector e_0, and block 0 is [0].  Its two
-    Lagrange families (of a, then of a*, read at the blocks by
-    RankFactors.of), its transposed pair (a^T, a*^T), its corner row and its
+    Lagrange families (of a, then of a*, each poly.lagrange_idempotents at
+    the blocks), its transposed pair (a^T, a*^T), its corner row and its
     split are built on first read; each operator is transposed once.
     On a graded pair (tables.check_grading, linalg.graded) A - th_j raises
     block U_j into U_{j+1}, so prod (A - th_k) = 0 and e_i is block
@@ -76,8 +76,8 @@ class OperatorPair:
     eta*_d(th*_0) for the corner row w^T = e_0^T prod_{j >= 1} (A* - th*_j).
     A realization, its restriction to a proper closure of phi and a quotient
     whose first coordinate is phi's image are all inside this contract.
-    Only a pair built past the grading check can raise
-    MinimalPolynomialError when a family is first read."""
+    Only a pair built past the grading check can raise GradingError, from
+    the family build's own check, when a family is first read."""
 
     def __init__(self, a: Matrix, astar: Matrix, theta: List, theta_star: List,
                  blocks: List[Sequence[int]]):
@@ -86,11 +86,11 @@ class OperatorPair:
 
     @cached_property
     def factors(self) -> RankFactors:
-        return RankFactors.of(lagrange_idempotents(self.a, self.theta), self.blocks, 1)
+        return lagrange_idempotents(self.a, self.theta, self.blocks, 1)
 
     @cached_property
     def dual_factors(self) -> RankFactors:
-        return RankFactors.of(lagrange_idempotents(self.astar, self.theta_star), self.blocks, -1)
+        return lagrange_idempotents(self.astar, self.theta_star, self.blocks, -1)
 
     @cached_property
     def transposed(self) -> Tuple[Matrix, Matrix]:

@@ -31,7 +31,7 @@ def _realized(checks_of):
     """A trial that realizes the table at a random admissible context and
     runs `checks_of` on the realization; a coefficient with a pole at that
     point fails the trial at realize.  A parsed table is graded, so each
-    family's minimal polynomial holds (realization.OperatorPair)."""
+    family build passes its grading check (realization.OperatorPair)."""
 
     def trial(table: ModuleTable, field: Field, seed: int) -> List[Check]:
         ctx = random_admissible_context(table.d, field, seed)

@@ -83,6 +83,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from .fields import Field, field_echo
 from .linalg import EchelonBasis, Matrix, graded, image_mod_p, restrict
 from .params import ParameterArray, validate_parameter_array
+from .poly import GradingError
 from .realization import ModuleRealization, OperatorPair, realize
 from .report import VerificationReport
 from .tables import FORMAT_VERSION, ModuleTable, TableError
@@ -191,9 +192,8 @@ def extract_td_system(pair: OperatorPair) -> TDSystemReport:
         pair = OperatorPair(restrict(pair.a, closure), restrict(pair.astar, closure), theta,
                             theta_star, blocks)
 
-    # the grading the families are read at (RankFactors.of): a raises, a* lowers
-    grading = [(f"tds.grading.{tag}",
-                f"{tag} is not its eigenvalue on block j plus a map to block j{step:+d}")
+    # the grading the families are read at: a raises, a* lowers
+    grading = [(f"tds.grading.{tag}", str(GradingError(step)))
                for tag, op, values, step in (("a", pair.a, theta, 1),
                                              ("astar", pair.astar, theta_star, -1))
                if not graded(op, values, pair.blocks, step)]

@@ -9,7 +9,7 @@ from operator import mul
 
 from tdcheck import tdsystem
 from tdcheck.fields import derive_seed
-from tdcheck.linalg import Matrix, RankFactors
+from tdcheck.linalg import EchelonBasis, Matrix, RankFactors
 from tdcheck.params import random_admissible_context
 from tdcheck.poly import ladder
 from tdcheck.realization import OperatorPair, realize, verify_relations
@@ -20,11 +20,39 @@ from tdcheck.tables import (
 
 
 # ---------------------------------------------------------------------------
-# Matrix sums and multiples, entry by entry
+# Matrix sums, multiples, shifts and ranks, entry by entry
 
 
 def zero_matrix(field, n: int, m: int = None) -> Matrix:
     return Matrix(field, [[field.zero] * (n if m is None else m) for _ in range(n)])
+
+
+def identity(field, n: int) -> Matrix:
+    return Matrix(field, [[field.one if i == j else field.zero for j in range(n)]
+                          for i in range(n)])
+
+
+def shifted(m: Matrix, t) -> Matrix:
+    """m - t I (square only)."""
+    f = m.field
+    return Matrix(f, [[f.sub(x, t) if i == j else x for j, x in enumerate(row)]
+                      for i, row in enumerate(elements(m))])
+
+
+def is_zero(m: Matrix) -> bool:
+    return not any(map(any, elements(m)))
+
+
+def echelon(m: Matrix) -> EchelonBasis:
+    """Row-echelon basis of m's row space."""
+    basis = EchelonBasis(m.field, m.ncols)
+    for row in elements(m):
+        basis.add(row)
+    return basis
+
+
+def rank(m: Matrix) -> int:
+    return echelon(m).dim
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -82,10 +110,9 @@ def reference_restrict(op: Matrix, basis) -> Matrix:
 def lagrange_idempotent(op: Matrix, values, i: int) -> Matrix:
     """E_i of op for the eigenvalue list from the definition: prod_{m != i}
     (A - t_m I) multiplied out factor by factor and divided by
-    prod_{m != i} (t_i - t_m) (no prefix chain of poly.lagrange_idempotents
-    is read)."""
+    prod_{m != i} (t_i - t_m) (nothing of poly.lagrange_idempotents is read)."""
     f, t, rest = op.field, values[i], values[:i] + values[i + 1:]
-    return scaled(reduce(mul, map(op.shift, rest), Matrix.identity(f, op.nrows)),
+    return scaled(reduce(mul, (shifted(op, s) for s in rest), identity(f, op.nrows)),
                   f.inv(reduce(f.mul, (f.sub(t, s) for s in rest), f.one)))
 
 
@@ -128,7 +155,7 @@ def echelon_factors(idems) -> RankFactors:
     right, left, dens = [], [], []
     for m in idems:
         ints, den = m.form
-        basis = m.echelon()
+        basis = echelon(m)
         (rows, rden), cols = basis.form, basis.pivots
         right.append(rows)
         left.append([[row[p] for p in cols] for row in ints])
@@ -137,33 +164,24 @@ def echelon_factors(idems) -> RankFactors:
 
 
 # ---------------------------------------------------------------------------
-# The premise RankFactors.of rests on: on a graded pair each prefix-chain
-# member vanishes on the blocks the grading says it does
+# Each family's rank factors against the definition of its idempotents
 
 
-def prefix_chains(op: Matrix, values) -> list:
-    """(P_k, Q_k) for k = 0..d, P_k = prod_{m < k} (A - t_m I) and Q_k =
-    prod_{m > k} (A - t_m I), multiplied out factor by factor here."""
-    ident = Matrix.identity(op.field, op.nrows)
-    return [(reduce(mul, map(op.shift, values[:k]), ident),
-             reduce(mul, map(op.shift, values[k + 1:]), ident)) for k in range(len(values))]
-
-
-def chain_premise_failures(pair) -> list:
-    """(operator, chain, k, i) wherever a chain member is nonzero on block
-    U_i where the grading makes it zero.  For a, which raises: P_k's rows at
-    U_i for i < k and Q_k's columns at U_i for i > k.  For a*, which lowers,
-    the mirror image: P_k's columns at U_i for i < k and Q_k's rows at U_i
-    for i > k."""
+def factor_failures(pair) -> list:
+    """(family, i, what) wherever a factor of pair.factors (tag "e") or
+    pair.dual_factors ("es") differs from the definition: B_i R_i must be
+    the full Lagrange E_i (lagrange_idempotent) and R_i B_i the identity
+    (as integers, dens[i] I)."""
     out = []
-    for tag, op, values, step in (("a", pair.a, pair.theta, 1),
-                                  ("astar", pair.astar, pair.theta_star, -1)):
-        for k, (p, q) in enumerate(prefix_chains(op, values)):
-            p_rows, q_rows = (p, q.transpose()) if step > 0 else (p.transpose(), q)
-            for chain, m, near in (("P", p_rows, range(k)),
-                                   ("Q", q_rows, range(k + 1, len(values)))):
-                out += [(tag, chain, k, i) for i in near
-                        if any(any(m.form[0][r]) for r in pair.blocks[i])]
+    for tag, fam, op, values in (("e", pair.factors, pair.a, pair.theta),
+                                 ("es", pair.dual_factors, pair.astar, pair.theta_star)):
+        f = fam.field
+        for i, (e, right, left) in enumerate(zip(rebuilt(fam), fam.right, fam.left)):
+            if e != lagrange_idempotent(op, values, i):
+                out.append((tag, i, "B R"))
+            unit = f.mat_mul(right, left) if left and left[0] else [[] for _ in right]
+            if not fam.is_unit(i, unit):
+                out.append((tag, i, "R B"))
     return out
 
 
@@ -303,8 +321,8 @@ def pole_d1_text() -> str:
 
 
 def lowered_d1_table():
-    """d1.txt with r -> phi added to a, built past the parser: (a - th0)(a - th1)
-    is no longer 0, so the family of a fails its minimal polynomial."""
+    """d1.txt with r -> phi added to a, built past the parser: a lowers U_1
+    into U_0, so it is not graded, and the build of its family refuses it."""
     table = load_table(1)
     r = parse_label("r")
     return table._replace(a_action={**table.a_action, r: table.a_action[r] + [(ONE, PHI)]})

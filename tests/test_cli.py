@@ -365,17 +365,18 @@ def test_a_table_that_lowers_under_a_is_a_usage_error_at_its_term(tmp_path, caps
                    " to row 2 at line 10, column 13\n")
 
 
-def test_a_sweep_whose_family_fails_its_minimal_polynomial_is_a_usage_error(capsys, monkeypatch):
-    # the parser's grading proves the minimal polynomial of every table it
-    # reads, so no trial reports one: a table built past the parser raises at
-    # the first trial, and the command prints one line and exits 2, also
-    # when the error crosses the process pool
+def test_a_sweep_whose_operator_is_not_graded_is_a_usage_error(capsys, monkeypatch):
+    # the parser checks the split grading of every table it reads, and the
+    # family build checks it again, so no trial reports it: a table built
+    # past the parser raises at the first trial, and the command prints one
+    # line, in extraction's tds.grading words, and exits 2, also when the
+    # error crosses the process pool
     monkeypatch.setattr(suites, "load_table", lambda d, assets=None: lowered_d1_table())
     for jobs in ("1", "2"):
         code, out, err = run_cli(capsys, "verify-appendix", "--d", "1", "--trials", "2",
                                  "--jobs", jobs)
         assert (code, out) == (2, "")
-        assert err == "tdcheck: minimal polynomial check failed: product has rank 2, expected 0\n"
+        assert err == "tdcheck: a is not its eigenvalue on block j plus a map to block j+1\n"
 
 
 @pytest.mark.parametrize("command", ["verify-appendix", "mu-certificate", "shape", "zz-rank",
@@ -387,14 +388,14 @@ def test_a_table_built_past_the_parser_fails_only_a_sweep_that_reads_its_family(
     # trip's extraction meets the table at its numeric grading check, before
     # it builds either family
     from tdcheck.fields import PrimeField
-    from tdcheck.poly import MinimalPolynomialError
+    from tdcheck.poly import GradingError
 
     def failed():
         checks = suites._trial_checks(command, lowered_d1_table(), PrimeField(), 0, 0)
         return [c.id for c in checks if not c.passed]
 
     if command in ("verify-appendix", "zz-rank"):
-        with pytest.raises(MinimalPolynomialError, match="product has rank 2, expected 0"):
+        with pytest.raises(GradingError, match="^a is not its eigenvalue on block j plus a map"):
             failed()
         return
     ids = failed()
@@ -415,9 +416,9 @@ def test_each_sweep_builds_only_the_idempotent_families_it_reads(monkeypatch):
     calls = []
     lagrange = realization.lagrange_idempotents
 
-    def counted(op, values):
+    def counted(op, values, blocks, step):
         calls.append(1)
-        return lagrange(op, values)
+        return lagrange(op, values, blocks, step)
 
     monkeypatch.setattr(realization, "lagrange_idempotents", counted)
     table, counts = load_table(3), {}

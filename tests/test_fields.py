@@ -18,7 +18,7 @@ from tdcheck.fields import (
 )
 from tdcheck.linalg import EchelonBasis, Matrix, restrict
 
-from support import elements
+from support import echelon, elements
 
 QQ = Rationals()
 F101 = PrimeField(101)
@@ -163,16 +163,15 @@ def test_every_result_is_canonical(f, seed, n, ints):
     krylov, v = EchelonBasis(f, n), vec  # span of vec, m vec, ...: invariant
     while krylov.add(v):
         v = m.apply(v)
-    echelon = m.echelon()
-    derived = [m * m2, m.shift(a), m.transpose(), Matrix.identity(f, n),
-               restrict(m, krylov)]
-    for ints, den in [mat.form for mat in derived + [m]] + [echelon.form, krylov.form]:
+    reduced = echelon(m)
+    derived = [m * m2, m.transpose(), restrict(m, krylov)]
+    for ints, den in [mat.form for mat in derived + [m]] + [reduced.form, krylov.form]:
         # integer forms in lowest terms; over F_p, residues over 1
         assert den > 0 and gcd(den, *(x for row in ints for x in row)) == 1
         assert f.kind == "qq" or (den == 1 and all(0 <= x < f.p for row in ints for x in row))
-    matrices = [elements(x) for x in derived + [echelon, krylov]]
+    matrices = [elements(x) for x in derived + [reduced, krylov]]
     last = elements(m)[-1]  # in the row space: its coordinates are its entries at the pivots
-    out += m.apply(vec) + [last[p] for p in echelon.pivots]
+    out += m.apply(vec) + [last[p] for p in reduced.pivots]
     out += [x for rows in matrices for row in rows for x in row]
     assert all(is_canonical(f, x) for x in out)
 

@@ -16,7 +16,8 @@ from tdcheck.tables import load_table
 from tdcheck.tdsystem import submodule_closure
 
 from support import (
-    coordinates, elements, proper_closure_d2_text, read_form, reference_restrict, zero_matrix,
+    coordinates, elements, identity, is_zero, proper_closure_d2_text, rank, read_form,
+    reference_restrict, shifted, zero_matrix,
 )
 
 QQ = Rationals()
@@ -27,11 +28,11 @@ def frac_matrix(rows):
 
 
 def test_identity_and_zero():
-    eye = Matrix.identity(QQ, 3)
+    eye = identity(QQ, 3)
     z = zero_matrix(QQ, 3)
     assert eye * eye == eye
     assert eye * z == z
-    assert z.is_zero() and not eye.is_zero()
+    assert is_zero(z) and not is_zero(eye)
 
 
 def test_product_matches_hand_value():
@@ -45,7 +46,7 @@ def test_empty_forms_keep_their_shapes(f):
     # a form with no rows takes its width from ncols, and products and
     # transposes keep it
     empty = Matrix.of_ints(f, [], 1, 2)
-    prod = empty * Matrix.identity(f, 2)  # 0 x 2 times 2 x 2
+    prod = empty * identity(f, 2)  # 0 x 2 times 2 x 2
     assert (prod.nrows, prod.ncols, prod.form) == (0, 2, ([], 1))
     prod = Matrix.of_ints(f, [[], []]) * Matrix.of_ints(f, [], 1, 3)  # 2 x 0 times 0 x 3
     assert (prod.nrows, prod.ncols) == (2, 3) and prod == Matrix.of_ints(f, [[0] * 3] * 2)
@@ -76,9 +77,9 @@ def test_apply_is_column_action():
 
 def test_rank_and_echelon():
     m = frac_matrix([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    assert m.rank() == 2
-    assert Matrix.identity(QQ, 4).rank() == 4
-    assert zero_matrix(QQ, 2, 5).rank() == 0
+    assert rank(m) == 2
+    assert rank(identity(QQ, 4)) == 4
+    assert rank(zero_matrix(QQ, 2, 5)) == 0
 
 
 def test_echelon_basis_coordinates_and_containment():
@@ -183,7 +184,7 @@ def test_graded_reads_the_split_grading_of_realized_pairs(field):
 def test_prime_field_rank():
     f = PrimeField(7)
     m = Matrix(f, [[1, 2], [3, 6]])  # second row = 3 * first mod 7
-    assert m.rank() == 1
+    assert rank(m) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +408,7 @@ def test_apply_matches_reference(field, seed):
             assert mat.apply(v) == reference_apply(mat, v)
             if n == m:  # (mat - t I) v, read on mat's own integer form
                 t = s.scalar()
-                assert mat.apply(v, t) == reference_apply(mat.shift(t), v)
+                assert mat.apply(v, t) == reference_apply(shifted(mat, t), v)
                 assert mat.apply(v, s.field.zero) == mat.apply(v)
 
 
@@ -420,8 +421,8 @@ def test_apply_after_shift_and_copy_reads_the_new_entries(field, seed):
     mat = Matrix(s.field, [random_vector(s, n, 0.5) for _ in range(n)])
     v = random_vector(s, n)
     assert mat.apply(v) == reference_apply(mat, v)
-    shifted = mat.shift(s.scalar())
-    assert shifted.apply(v) == reference_apply(shifted, v)
+    moved = shifted(mat, s.scalar())
+    assert moved.apply(v) == reference_apply(moved, v)
     rows = elements(mat)
     rows[0] = random_vector(s, n)  # a new row list: mat keeps its entries
     copied = Matrix(s.field, rows)
@@ -556,13 +557,10 @@ def test_rational_product_form_matches_the_fraction_triple_loop(operands):
         assert prod == ma * (mb * mc)
 
 
-def test_no_rational_product_or_matrix_echelon_clears_denominators(
-    monkeypatch, capsys, tmp_path
-):
+def test_no_rational_product_clears_denominators(monkeypatch, capsys, tmp_path):
     # over Q a matrix keeps its integer form, so only matrices assembled
-    # from scalars (table evaluation, vectors) reach the clearing function.
-    # Matrix.echelon runs in none of them, the round trip on a proper closure
-    # included: the restricted pair's families are sliced at its blocks
+    # from scalars (table evaluation, vectors) reach the clearing function,
+    # the round trip on a proper closure included
     import tdcheck.fields as fields
     from tdcheck.cli import main
 
@@ -588,7 +586,6 @@ def test_no_rational_product_or_matrix_echelon_clears_denominators(
 
     monkeypatch.setattr(fields, "_to_int_rows", clearing)
     monkeypatch.setattr(Rationals, "mat_mul", guarded("mat_mul", Rationals.mat_mul))
-    monkeypatch.setattr(Matrix, "echelon", guarded("echelon", Matrix.echelon))
     (tmp_path / "d2.txt").write_text(proper_closure_d2_text())
     for argv, code in (("verify-appendix --d 3 --field qq --trials 1", 0),
                        ("tds roundtrip --d 3 --field qq --trials 1", 0),
@@ -596,7 +593,7 @@ def test_no_rational_product_or_matrix_echelon_clears_denominators(
         assert main(argv.split()) == code
     capsys.readouterr()
     assert reached == []
-    assert calls["mat_mul"] and calls["clear"] and not calls["echelon"]
+    assert calls["mat_mul"] and calls["clear"]
 
 
 def test_reduced_rows_are_read_only_to_restrict(monkeypatch, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from math import factorial
 
@@ -5,10 +6,16 @@ import pytest
 
 from tdcheck.fields import PrimeField, Rationals, Sampler
 from tdcheck.linalg import Matrix
-from tdcheck.poly import MinimalPolynomialError, PolyError, ladder, lagrange_idempotents
+from tdcheck.params import random_admissible_context
+from tdcheck.poly import GradingError, PolyError, ladder, lagrange_idempotents
+from tdcheck.realization import realize
+from tdcheck.tables import load_table
 
 import support
-from support import elements, eta_expansion_check, lagrange_family, mat_add, scaled, zero_matrix
+from support import (
+    eta_expansion_check, identity, is_zero, lagrange_family, mat_add, rank, rebuilt, scaled,
+    zero_matrix,
+)
 
 QQ = Rationals()
 
@@ -66,9 +73,9 @@ def test_tau_splits_multiplicatively_at_random_points():
 def test_lagrange_idempotent_single_point():
     a = Matrix(QQ, [[Fraction(9)]])
     (e0,) = lagrange_family(a, fr([9]))
-    assert e0 == Matrix.identity(QQ, 1)
-    one = Matrix.identity(QQ, 1)
-    assert lagrange_idempotents(a, fr([9])) == [(1, one, one)]
+    assert e0 == identity(QQ, 1)
+    fam = lagrange_idempotents(a, fr([9]), [[0]], 1)
+    assert (fam.right, fam.left, fam.dens) == ([[[1]]], [[[1]]], [1])
 
 
 def test_lagrange_idempotents_two_by_two():
@@ -78,8 +85,8 @@ def test_lagrange_idempotents_two_by_two():
     # e1 sends the first basis vector to the second scaled by 1/(th1-th0)
     assert e1.apply([Fraction(1), Fraction(0)]) == [Fraction(0), Fraction(1, 3)]
     assert e1.apply([Fraction(0), Fraction(1)]) == [Fraction(0), Fraction(1)]
-    assert mat_add(e0, e1) == Matrix.identity(QQ, 2)
-    assert (e0 * e1).is_zero()
+    assert mat_add(e0, e1) == identity(QQ, 2)
+    assert is_zero(e0 * e1)
     assert e0 * e0 == e0
     recon = mat_add(scaled(e0, th0), scaled(e1, th1))
     assert recon == a
@@ -96,7 +103,7 @@ def test_lagrange_idempotents_random_triangular():
         rows.append([s.scalar() for _ in range(i)] + [thetas[i]] + [QQ.zero] * (n - i - 1))
     a = Matrix(QQ, rows)
     idems = lagrange_family(a, thetas)
-    eye = Matrix.identity(QQ, n)
+    eye = identity(QQ, n)
     total = zero_matrix(QQ, n)
     recon = zero_matrix(QQ, n)
     for i, e in enumerate(idems):
@@ -104,84 +111,61 @@ def test_lagrange_idempotents_random_triangular():
         total = mat_add(total, e)
         recon = mat_add(recon, scaled(e, thetas[i]))
         for j in range(i + 1, n):
-            assert (e * idems[j]).is_zero()
+            assert is_zero(e * idems[j])
     assert total == eye
     assert recon == a
-    assert sum(e.rank() for e in idems) == n
+    assert sum(map(rank, idems)) == n
 
 
-@pytest.mark.parametrize("f", [QQ, PrimeField()], ids=["qq", "fp"])
-@pytest.mark.parametrize("n", [1, 2, 4, 6])
-def test_lagrange_idempotents_equal_the_full_products(f, n):
-    # each c_i P_i Q_i against prod_{j != i} (A - t_j I) / (t_i - t_j), the
-    # reference family multiplied out from the definition
-    s = Sampler(f, 40 + n)
-    thetas = s.distinct(n)
-    a = Matrix(
-        f,
-        [[s.scalar() for _ in range(i)] + [thetas[i]] + [f.zero] * (n - i - 1)
-         for i in range(n)],
-    )
-    want = lagrange_family(a, thetas)
-    for (c, p, q), e in zip(lagrange_idempotents(a, thetas), want, strict=True):
-        assert elements(scaled(p * q, c)) == elements(e)
-
-
+@pytest.mark.parametrize("field", [QQ, PrimeField()], ids=["qq", "fp"])
 @pytest.mark.parametrize("d", range(6))
-def test_lagrange_family_forms_only_the_products_it_reads(d, monkeypatch):
-    # the d products of the P chain P_2..P_{d+1} (the last is the
-    # minimal-polynomial check) and the d - 1 of the Q chain Q_{d-2}..Q_0:
-    # P_1 and Q_{d-1} are shifts, P_0 and Q_d the identity, and no E_i is
-    # formed
-    f = PrimeField()
-    s = Sampler(f, 60 + d)
-    thetas = s.distinct(d + 1)
-    a = Matrix(
-        f,
-        [[s.scalar() for _ in range(i)] + [thetas[i]] + [f.zero] * (d - i)
-         for i in range(d + 1)],
-    )
-    products = []
-    mat_mul = PrimeField.mat_mul
+def test_a_family_forms_d_minus_one_products_and_none_n_by_n(field, d, monkeypatch):
+    # the d(d + 1)/2 path products out of the blocks, level by level: the
+    # strip of V_1 is read off the operator, and each later strip is one
+    # product, |V_k| rows by n columns; no chain member, P_i Q_i or E_i is
+    # formed.  The factors rebuild the family, each e_i of rank |U_i|
+    real = realize(load_table(d), random_admissible_context(d, field, 60 + d), field)
+    shapes, mat_mul = [], type(field).mat_mul
 
-    def counted(self, x, y):
-        products.append(1)
-        return mat_mul(self, x, y)
+    def recorded(self, x, y):
+        out = mat_mul(self, x, y)
+        shapes.append((len(out), len(out[0])))
+        return out
 
-    monkeypatch.setattr(PrimeField, "mat_mul", counted)
-    family = lagrange_idempotents(a, thetas)
-    assert len(products) == max(2 * d - 1, 0)
+    monkeypatch.setattr(type(field), "mat_mul", recorded)
+    fams = real.factors, real.dual_factors
     monkeypatch.undo()
-    assert len(family) == d + 1
-    for i, (c, p, q) in enumerate(family):
-        want_p, want_q, den = Matrix.identity(f, d + 1), Matrix.identity(f, d + 1), f.one
-        for m, t in enumerate(thetas):
-            if m < i:
-                want_p = want_p * a.shift(t)
-            elif m > i:
-                want_q = want_q * a.shift(t)
-            if m != i:
-                den = f.mul(den, f.sub(thetas[i], t))
-        assert (p, q, c) == (want_p, want_q, f.inv(den))
-    idems = [scaled(p * q, c) for c, p, q in family]
-    assert sum(e.rank() for e in idems) == d + 1
-    for i, e in enumerate(idems):
-        assert e * e == e and a * e == scaled(e, thetas[i])
+    sizes = [len(block) for block in real.blocks]
+    n = real.dim
+    # a raises, so its strips are at U_2..U_d; a* lowers, so at U_{d-2}..U_0
+    assert shapes == [(size, n) for size in sizes[2:] + sizes[-3::-1]]
+    assert all(rows < n for rows, _ in shapes)
+    for fam, op, values in zip(fams, (real.a, real.astar), (real.theta, real.theta_star)):
+        assert fam.ranks == [len(b[0]) for b in fam.left] == sizes
+        assert rebuilt(fam) == lagrange_family(op, values)
 
 
 def test_lagrange_rejects_repeated_eigenvalue():
-    a = Matrix.identity(QQ, 2)
-    with pytest.raises(PolyError):
-        lagrange_idempotents(a, fr([3, 3]))
+    a = scaled(identity(QQ, 2), Fraction(3))  # graded at [0], [1], 3 on both
+    with pytest.raises(PolyError, match="repeated eigenvalue"):
+        lagrange_idempotents(a, fr([3, 3]), [[0], [1]], 1)
 
 
-def test_minimal_polynomial_failure_names_rank():
-    # [[0,1],[0,0]] is nilpotent, not diagonalizable over {0, 1}
-    a = Matrix(QQ, [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]])
-    with pytest.raises(MinimalPolynomialError) as err:
-        lagrange_idempotents(a, fr([0, 1]))
-    assert err.value.rank == 1
-    assert "rank 1" in str(err.value)
+def test_an_ungraded_operator_is_refused_by_name():
+    # e_1 -> e_0 + e_1 lowers block 1 into block 0, so the operator is
+    # refused as a raising one and read as a lowering one.  The error names
+    # the operator by its step and pickles as itself
+    a = Matrix(QQ, [fr([0, 1]), fr([0, 1])])
+    with pytest.raises(GradingError) as err:
+        lagrange_idempotents(a, fr([0, 1]), [[0], [1]], 1)
+    assert str(err.value) == "a is not its eigenvalue on block j plus a map to block j+1"
+    assert isinstance(err.value, PolyError)
+    again = pickle.loads(pickle.dumps(err.value))
+    assert (type(again), str(again)) == (GradingError, str(err.value))
+    with pytest.raises(GradingError, match="^astar is not .* block j-1$"):
+        lagrange_idempotents(a, fr([1, 0]), [[0], [1]], -1)
+    fam = lagrange_idempotents(a, fr([0, 1]), [[0], [1]], -1)
+    assert rebuilt(fam) == lagrange_family(a, fr([0, 1]))
 
 
 def test_eta_expansion_trivial_and_hand_cases():

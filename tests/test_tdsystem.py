@@ -10,7 +10,7 @@ from tdcheck.cli import main
 from tdcheck.fields import DEFAULT_PRIME, PrimeField, Rationals, Sampler, derive_seed
 from tdcheck.linalg import EchelonBasis, Matrix, restrict
 from tdcheck.params import ParameterArray, random_admissible_context, random_valid_parameter_array
-from tdcheck.poly import MinimalPolynomialError, lagrange_idempotents
+from tdcheck.poly import GradingError, lagrange_idempotents
 from tdcheck.realization import OperatorPair, context_env, realize, split_sequence
 from tdcheck.tables import FORMAT_VERSION, bundled_table_text, load_table, parse_table
 from tdcheck.tdsystem import (
@@ -25,10 +25,10 @@ from tdcheck.tdsystem import (
 )
 
 from support import (
-    assert_corner_reads_e0, chain_premise_failures, coefficient_slots, coordinates, dual_closure,
-    elements, is_graded, krawtchouk_pair, lagrange_family, leonard_pair, lowered_d1_table,
-    prefix_chains, proper_closure_d2_text, reference_restrict, term_edits,
-    two_closure_irreducible, with_negated_coefficient,
+    assert_corner_reads_e0, coefficient_slots, coordinates, dual_closure, elements, echelon,
+    factor_failures, identity, is_graded, is_zero, krawtchouk_pair, lagrange_family,
+    leonard_pair, lowered_d1_table, proper_closure_d2_text, rank, reference_restrict, shifted,
+    term_edits, two_closure_irreducible, with_negated_coefficient,
 )
 
 QQ = Rationals()
@@ -100,7 +100,7 @@ def test_closure_is_idempotent():
 
 
 def test_closure_rejects_zero_seed():
-    a = Matrix.identity(QQ, 2)
+    a = identity(QQ, 2)
     with pytest.raises(ValueError):
         submodule_closure(a, a, fr([0, 0]))
 
@@ -122,7 +122,7 @@ def test_one_dimensional_module_is_irreducible():
 def test_diagonal_pair_is_reducible():
     a = Matrix(QQ, [fr([2, 0]), fr([0, 3])])
     assert not reference_word_span_irreducible(a, a, QQ)
-    assert not two_closure_irreducible(a, a, rank_one_of(a.shift(Fraction(3))))
+    assert not two_closure_irreducible(a, a, rank_one_of(shifted(a, Fraction(3))))
 
 
 def test_d1_realized_pair_spans_four_dimensions():
@@ -144,7 +144,7 @@ def test_three_dimensional_burnside_sanity():
     a = Matrix(QQ, [fr([0, 0, 0]), fr([0, 1, 0]), fr([0, 0, 2])])
     astar = Matrix(QQ, [fr([0, 1, 0]), fr([0, 0, 1]), fr([1, 0, 0])])
     assert reference_word_span_irreducible(a, astar, QQ)
-    assert two_closure_irreducible(a, astar, rank_one_of(a * a.shift(QQ.one)))  # diag(0, 0, 2)
+    assert two_closure_irreducible(a, astar, rank_one_of(a * shifted(a, QQ.one)))  # diag(0, 0, 2)
 
 
 def reference_word_span(a, astar, field):
@@ -153,7 +153,7 @@ def reference_word_span(a, astar, field):
     same line).  The span's reduced echelon basis."""
     n = a.nrows
     basis = EchelonBasis(field, n * n)
-    queue = deque([Matrix.identity(field, n)])
+    queue = deque([identity(field, n)])
     basis.add([int(i == j) for i in range(n) for j in range(n)])
     while queue:
         m = queue.popleft()
@@ -195,7 +195,7 @@ def random_pairs(field, seed):
 def rank_one_of(m):
     """(v, w) with m = c v w^T when m has rank 1: v a nonzero column, w its
     first nonzero row; else None."""
-    if m.rank() != 1:
+    if rank(m) != 1:
         return None
     rows = elements(m)
     w = next(r for r in rows if any(r))
@@ -214,7 +214,7 @@ def rank_one_word(a, astar):
     over a prime field, the shifts g - c I of either operator; else None."""
     field = a.field
     shifts = range(field.p) if field.kind == "fp" else ()
-    words = [a, astar] + [g.shift(field.from_int(c)) for g in (a, astar) for c in shifts]
+    words = [a, astar] + [shifted(g, field.from_int(c)) for g in (a, astar) for c in shifts]
     words += [x * y for x in (a, astar) for y in (a, astar)]
     words += [x * y for x in words[-4:] for y in (a, astar)]
     return next(filter(None, map(rank_one_of, words)), None)
@@ -382,8 +382,8 @@ def test_image_certified_word_span_matches_reference_over_q(monkeypatch):
     # and an irreducible one whose image is short, a* being 0 mod p
     diag = Matrix(QQ, [fr([1, 0]), fr([0, 2])])
     pairs = [(a, astar, rank_one_word(a, astar)) for _, _, a, astar in random_pairs(QQ, 31)]
-    pairs += [(diag, diag, rank_one_of(diag.shift(QQ.one))),
-              (diag, Matrix(QQ, [fr([0, P]), fr([P, 0])]), rank_one_of(diag.shift(QQ.one)))]
+    pairs += [(diag, diag, rank_one_of(shifted(diag, QQ.one))),
+              (diag, Matrix(QQ, [fr([0, P]), fr([P, 0])]), rank_one_of(shifted(diag, QQ.one)))]
     seen = set()
     for trial, (a, astar, member) in enumerate(pairs):
         if member is None:
@@ -445,7 +445,7 @@ def test_seed_of_multiples_of_p_falls_back_to_the_exact_loop(monkeypatch):
 def test_full_image_closure_is_the_identity_basis_without_exact_elimination(monkeypatch):
     real = construct_from_params(d1_array(), QQ, load_table(1))
     phi = real.basis_vector(real.basis[0])
-    want = Matrix.identity(QQ, 2).echelon().form
+    want = echelon(identity(QQ, 2)).form
     adds = qq_echelon_adds(monkeypatch)
     closure = tdsystem.submodule_closure(real.a, real.astar, phi)
     assert adds == []  # the image settled it: no exact elimination ran
@@ -502,7 +502,7 @@ def test_extract_flags_axiom_failures_for_swapped_eigenvalues():
 
 
 def test_extract_reports_shifted_or_longer_lists_as_grading_failures():
-    # no family is built: a shifted list would fail its minimal polynomial
+    # no family is built: a shifted list would fail the family build's grading check
     ctx = random_admissible_context(2, FP, 3112)
     real = realize(load_table(2), ctx, FP)
     shifted = [FP.add(x, FP.one) for x in ctx.theta]  # distinct, not the spectrum of a
@@ -537,7 +537,7 @@ def reference_band_failures(real, theta, theta_star):
         for j in range(len(fam)):
             op_fam_j = op * fam[j]
             for i in range(len(fam)):
-                if abs(i - j) > 1 and not (fam[i] * op_fam_j).is_zero():
+                if abs(i - j) > 1 and not is_zero(fam[i] * op_fam_j):
                     out.append((f"tds.band.{tag}.{i}.{j}", "sandwich is nonzero"))
     return out
 
@@ -660,9 +660,9 @@ def test_extract_reuses_the_families_only_on_the_whole_module(field, monkeypatch
     calls, splits = [], []
     lagrange = realization.lagrange_idempotents
 
-    def counted(op, values):
+    def counted(op, values, blocks, step):
         calls.append((op.nrows, values))
-        return lagrange(op, values)
+        return lagrange(op, values, blocks, step)
 
     def counted_split(a, *args):
         splits.append(a.nrows)
@@ -737,10 +737,9 @@ def test_extract_reads_the_irreducible_quotient_of_a_reducible_module(p, theta, 
 
 
 # ---------------------------------------------------------------------------
-# The premise of RankFactors.of: on every graded pair, each member of the two
-# prefix chains of lagrange_idempotents vanishes on the blocks the grading
-# says it does (support.chain_premise_failures), so each rank factor is one
-# slice of one member
+# The rank factors against the definition: on every graded pair the tests
+# build, B_i R_i is the full Lagrange E_i and R_i B_i = I
+# (support.factor_failures)
 
 
 def restricted_pairs(field):
@@ -766,40 +765,41 @@ def restricted_pairs(field):
 
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["qq", "fp"])
-def test_every_graded_pair_meets_the_premise_of_the_sliced_factors(field):
-    # the bundled tables at d = 0..5, every graded single-term edit of d3.txt
-    # and the restricted pairs; the chains checked are the ones
-    # lagrange_idempotents returns
+def test_every_graded_pair_has_the_factors_of_its_lagrange_families(field):
+    # the bundled tables at d = 0..5, every graded single-term edit of d3.txt,
+    # the restricted pairs and the Leonard and Krawtchouk pairs at d = 1..5
     ctx = random_admissible_context(3, field, 3111)
     edits = [t for _, _, t in term_edits(load_table(3)) if is_graded(t)]
     pairs = [realize(load_table(d), random_admissible_context(d, field, 70 + d), field)
              for d in range(6)]
     pairs += [realize(t, ctx, field) for t in edits] + restricted_pairs(field)
     assert len(edits) > 40 and [p.dim for p in pairs[-8:]] == [2, 4, 8, 3, 3, 3, 3, 3]
+    for d in range(1, 6):
+        ctx = random_admissible_context(d, field, 80 + d)
+        pairs += [leonard_pair(field, ctx.theta, ctx.theta_star, field.one), krawtchouk(field, d)]
     for pair in pairs:
-        assert chain_premise_failures(pair) == []
-        for op, values in ((pair.a, pair.theta), (pair.astar, pair.theta_star)):
-            assert [(p, q) for _, p, q in lagrange_idempotents(op, values)] == prefix_chains(
-                op, values)
+        assert factor_failures(pair) == []
 
 
 @pytest.mark.parametrize("p,theta,theta_star,zeta", QUOTIENT_POINTS, ids=["f7-a", "f7-b", "f13"])
-def test_the_quotient_pairs_meet_the_premise_of_the_sliced_factors(p, theta, theta_star, zeta):
+def test_the_quotient_pairs_have_the_factors_of_their_lagrange_families(p, theta, theta_star,
+                                                                         zeta):
     field = PrimeField(p)
     real = construct_from_params(ParameterArray(2, theta, theta_star, zeta), field, load_table(2))
     pair = quotient_pair(real, irreducibility_check(real))
-    assert pair.dim == 3 and chain_premise_failures(pair) == []
+    assert pair.dim == 3 and factor_failures(pair) == []
 
 
-def test_the_premise_check_fails_on_an_ungraded_table():
-    # r -> phi added to a lowers U_1 into U_0: Q_0 = a - th1 is nonzero on
-    # U_1's column, P_1 = a - th0 on U_0's row, and the family of a fails
-    # its minimal polynomial
+def test_the_family_build_refuses_an_ungraded_table():
+    # r -> phi added to a lowers U_1 into U_0: the build of a's family
+    # refuses it with extraction's tds.grading wording, and a*'s is built
     field = FP
     real = realize(lowered_d1_table(), random_admissible_context(1, field, 71), field)
-    assert chain_premise_failures(real) == [("a", "Q", 0, 1), ("a", "P", 1, 0)]
-    with pytest.raises(MinimalPolynomialError):
-        lagrange_idempotents(real.a, real.theta)
+    with pytest.raises(GradingError, match="^a is not its eigenvalue on block j plus a map"):
+        real.factors
+    assert lagrange_idempotents(real.astar, real.theta_star, real.blocks, -1).ranks == [1, 1]
+    assert [detail for cid, detail in extract_td_system(real).axiom_failures] == [
+        str(GradingError(1))]
 
 
 # ---------------------------------------------------------------------------
