@@ -117,6 +117,37 @@ def test_lagrange_idempotents_random_triangular():
     assert sum(map(rank, idems)) == n
 
 
+@pytest.mark.parametrize("f", [QQ, PrimeField()], ids=["qq", "fp"])
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_lagrange_idempotents_equal_the_full_products(f, n):
+    # B_i R_i against prod_{j != i} (A - t_j I) / (t_i - t_j), the reference
+    # family multiplied out from the definition, and R_i B_i = I, on random
+    # graded operators no table builds: n eigenvalues on blocks of 1 to 3
+    # shuffled coordinates, random maps from each block to the next along
+    # the step, read as a (raising) and as a* (lowering)
+    s = Sampler(f, 40 + n)
+    thetas = s.distinct(n)
+    sizes = [1 + s.rng.randrange(3) for _ in thetas]
+    coords = list(range(sum(sizes)))
+    for k in range(len(coords) - 1, 0, -1):
+        j = s.rng.randrange(k + 1)
+        coords[k], coords[j] = coords[j], coords[k]
+    blocks = [coords[sum(sizes[:j]):sum(sizes[:j + 1])] for j in range(n)]
+    for step in (1, -1):
+        rows = [[f.zero] * len(coords) for _ in coords]
+        for j, block in enumerate(blocks):
+            for c in block:
+                rows[c][c] = thetas[j]
+                if 0 <= j + step < n:
+                    for r in blocks[j + step]:
+                        rows[r][c] = s.scalar()
+        a = Matrix(f, rows)
+        fam = lagrange_idempotents(a, thetas, blocks, step)
+        assert rebuilt(fam) == lagrange_family(a, thetas)
+        for i, (right, left) in enumerate(zip(fam.right, fam.left)):
+            assert fam.is_unit(i, f.mat_mul(right, left))
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField()], ids=["qq", "fp"])
 @pytest.mark.parametrize("d", range(6))
 def test_a_family_forms_d_minus_one_products_and_none_n_by_n(field, d, monkeypatch):
